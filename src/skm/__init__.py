@@ -32,7 +32,7 @@ from .errors import (
     NearSingularError,
     SkmError,
 )
-from .kcenter import Selection, extend_selection, kcenter_brute, kcenter_greedy
+from .kcenter import Selection, kcenter_brute, kcenter_greedy
 from .kernels import (
     RadialKernelSpec,
     bandwidth_iqr,
@@ -92,7 +92,6 @@ __all__ = [
     "estimate_proportions",
     "evaluate",
     "evaluate_full",
-    "extend_selection",
     "fit",
     "fit_with_support",
     "full_mean",

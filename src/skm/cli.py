@@ -16,11 +16,11 @@ import numpy as np
 
 from . import _backend, kcenter
 from ._parallel import default_num_threads, set_num_threads
-from .coefficients import extend_state, init_state
+from .coefficients import CholeskyWeights
 from .cpe import estimate_proportions, search_bandwidth
 from .dataio import ModelRecord, load_csv, load_model, save_csv, save_model
 from .divergences import distance_matrix, kl_divergence, sample_gaussian_mean
-from .errors import NearSingularError, SkmError
+from .errors import SkmError
 from .kernels import bandwidth_iqr, parse_kernel_spec
 from .meanshift import (
     cluster_modes,
@@ -34,6 +34,7 @@ from .sparse_mean import (
     bound_value,
     evaluate,
     fit,
+    fit_steps,
     full_mean,
     incoherence,
     random_selection_fit,
@@ -243,15 +244,7 @@ def _cmd_fit(args) -> int:
     elapsed = time.perf_counter() - start
     save_model(_model_record(mean), args.out)
     if args.trace:
-        e = mean.diagnostics.e_trace
-        rows = []
-        for m in range(e.shape[0]):
-            if m == 0:
-                ratio = 0.0
-            else:
-                den = abs(float(e[0] - e[m]))
-                ratio = 0.0 if den == 0.0 else abs(float(e[m - 1] - e[m])) / den
-            rows.append([m + 1, float(e[m]), ratio])
+        rows = [[s.m, s.e, s.ratio] for s in mean.diagnostics.steps]
         _write_csv(args.trace, ["m", "e", "ratio"], rows)
     print(
         f"[skm] fit: n={data.n} d={data.d} k0={mean.k0} "
@@ -434,26 +427,10 @@ class ShiftStub:
 
 def _bench_curve(data, spec, k_max, first, seed):
     """Greedy error trace with cumulative wall time per support size."""
-    sel = kcenter.kcenter_greedy(data, 1, first=first, seed=seed)
-    state = init_state(data, spec, int(sel.order[0]))
-    banned = set()
     start = time.perf_counter()
-    rows = [(1, float(state.e_trace[-1]), (time.perf_counter() - start) * 1e3)]
-    while state.m < k_max:
-        if sel.coverage_radius == 0.0:
-            break
-        cand = kcenter.peek_next(sel, banned)
-        if cand < 0:
-            break
-        try:
-            state = extend_state(state, data, spec, cand)
-        except NearSingularError:
-            banned.add(cand)
-            continue
-        sel = kcenter.extend_selection(sel, data, banned)
-        rows.append((state.m, float(state.e_trace[-1]),
-                     (time.perf_counter() - start) * 1e3))
-    return rows, state
+    return [(step.m, step.e, (time.perf_counter() - start) * 1e3)
+            for step in fit_steps(CholeskyWeights(data, spec), k_max, first=first, seed=seed)
+            if step.skip is None]
 
 
 def _pad_curve(e_trace, k_max):
@@ -512,7 +489,7 @@ def _cmd_bench(args) -> int:
     if args.kmax > data.n:
         raise SkmError(f"--kmax {args.kmax} exceeds n={data.n}")
     first, seed = _parse_first(args.first, args.seed)
-    rows, _state = _bench_curve(data, spec, args.kmax, first, seed)
+    rows = _bench_curve(data, spec, args.kmax, first, seed)
     if args.random_seeds > 0:
         report = bench_compare(data, spec, args.kmax,
                                seeds=range(args.random_seeds), first=first)

@@ -1,57 +1,43 @@
-"""Optimal coefficients for a growing support set, maintained incrementally.
+"""Optimal coefficients for a growing support set, from a pivoted Cholesky factor.
 
 For support sections z_i = phi(., x_i) the best least-squares weights for
 approximating the sample mean zbar = (1/n) sum_j z_j are
 
     alpha = K^{-1} kappa,   K_il = <z_i, z_l>,   kappa_l = (1/n) sum_j <z_j, z_l>.
 
-The inverse is maintained under support growth by a bordered block update,
-so adding one support point costs O(m^2 + nd). The quantity E_m =
--alpha' kappa equals the squared approximation error minus the constant
-||zbar||^2; it is nonincreasing in m and drives the stopping rule.
+Adding a support point is one step of partial pivoted Cholesky. With b the
+inner products between the new section and the current support and
+w = L^{-1} b, the lower factor L of K gains the row [w', sqrt(p)], where
+the pivot p = g(0) - w'w is the Schur complement of K in the bordered Gram
+matrix. The weights follow by the bordered update
+
+    alpha <- [alpha - t u; t],   u = K^{-1} b = L^{-T} w,
+    t = (kappa_new - b' alpha) / p,
+
+so a step costs two triangular solves, O(m^2), plus the O(nd) kappa scan.
+K^{-1} is never formed; `inv_k` derives it from the factor on request.
+The quantity E_m = -alpha' kappa equals the squared approximation error
+minus the constant ||zbar||^2; it is nonincreasing in m and drives the
+stopping rule.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve
 
 from . import _backend
 from .errors import ConvergenceError, NearSingularError
 from .kernels import g_zero, gram_at_dist, gram_params
 
-# q0 denominators at or below this fraction of g(0) signal a (near-)dependent
-# support section. Below ~1e-9 the block update amplifies rounding error by
-# ~1e9 and the weight vector degrades within a few further steps.
+# Pivots at or below this fraction of g(0) signal a (near-)dependent
+# support section. Below ~1e-9 the bordered update amplifies rounding error
+# by ~1e9 and the weight vector degrades within a few further steps.
 SINGULARITY_REL_TOL = 1e-9
 
 # Computed error indicators must not rise; an increase beyond this relative
-# slack means the maintained inverse has lost accuracy.
+# slack means the factor has lost accuracy.
 _E_INCREASE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CoeffState:
-    """Inverse Gram, kappa vector, weights and error trace for one support set.
-
-    A lower Cholesky factor of the support Gram matrix is carried along:
-    appending a support point extends it by one triangular solve, and the
-    weights are solved through it, which stays accurate on support sets
-    deep enough that the raw inverse chain loses precision.
-    """
-
-    indices: np.ndarray   # support indices, in insertion order
-    inv_k: np.ndarray     # (m, m) inverse of the support Gram matrix
-    chol: np.ndarray      # (m, m) lower Cholesky factor of the support Gram
-    kappa: np.ndarray     # (m,) mean inner products against the whole sample
-    alpha: np.ndarray     # (m,) current optimal weights
-    e_trace: np.ndarray   # (m,) E_1 .. E_m, E_t = -alpha' kappa at size t
-    c: float              # g(0), cached for the singularity tolerance
-
-    @property
-    def m(self) -> int:
-        return self.indices.shape[0]
 
 
 def kappa_entry(data, spec, j: int) -> float:
@@ -61,88 +47,104 @@ def kappa_entry(data, spec, j: int) -> float:
     return _backend.mean_gram(pts, pts[int(j)], kind, a, b, c)
 
 
-def init_state(data, spec, first_index: int) -> CoeffState:
-    """Single-point support: K = [C], alpha = kappa / C."""
-    c = g_zero(spec)
-    if not c > 0.0:
-        raise ValueError(f"g(0) must be positive, got {c}")
-    kap = kappa_entry(data, spec, first_index)
-    kappa = np.array([kap])
-    inv_k = np.array([[1.0 / c]])
-    alpha = inv_k @ kappa
-    e1 = -float(alpha @ kappa)
-    return CoeffState(
-        indices=np.array([first_index], dtype=np.int64),
-        inv_k=inv_k,
-        chol=np.array([[math.sqrt(c)]]),
-        kappa=kappa,
-        alpha=alpha,
-        e_trace=np.array([e1]),
-        c=c,
-    )
+class CholeskyWeights:
+    """Support, Cholesky factor, kappa, weights and error trace, grown in place.
 
-
-def extend_state(state: CoeffState, data, spec, new_index: int) -> CoeffState:
-    """Add one support point via the bordered inverse update.
-
-    With b the vector of inner products between the new section and the
-    current support, the updated inverse is
-
-        [[K^-1, 0], [0, 0]] + q0 * q q',  q = [-b' K^-1, 1]',
-        q0 = 1 / (g(0) - b' K^-1 b).
-
-    Raises NearSingularError when the q0 denominator falls to the
-    singularity tolerance (e.g. a duplicate support point), or when the
-    update would raise the error indicator, which is impossible in exact
-    arithmetic and therefore signals numerical breakdown.
+    Row i of the lower factor is stored at offset i(i+1)/2 of one flat
+    buffer, so the leading m rows are a contiguous packed triangle that
+    BLAS solves against without a copy. All buffers double when full, so
+    memory stays O(m^2) for m support points whatever the budget.
     """
-    new_index = int(new_index)
-    if new_index in state.indices:
-        raise ValueError(f"index {new_index} is already in the support")
-    pts = np.asarray(data.points, dtype=np.float64)
-    m = state.m
-    dists = np.linalg.norm(pts[state.indices] - pts[new_index], axis=1)
-    b = gram_at_dist(spec, dists)
 
-    # One forward solve gives both the Cholesky extension and the q0
-    # denominator b' K^-1 b = ||w||^2, evaluated stably.
-    w = solve_triangular(state.chol, b, lower=True, check_finite=False)
-    denom = state.c - float(w @ w)
-    if denom <= SINGULARITY_REL_TOL * state.c:
-        raise NearSingularError(
-            f"support point {new_index} is numerically dependent on the "
-            f"current support (q0 denominator {denom:.3e})"
-        )
-    u = solve_triangular(state.chol.T, w, lower=False, check_finite=False)  # K^-1 b
-    q0 = 1.0 / denom
-    q = np.concatenate([-u, [1.0]])
-    inv_k = np.zeros((m + 1, m + 1))
-    inv_k[:m, :m] = state.inv_k
-    inv_k += q0 * np.outer(q, q)
-    chol = np.zeros((m + 1, m + 1))
-    chol[:m, :m] = state.chol
-    chol[m, :m] = w
-    chol[m, m] = math.sqrt(denom)
+    def __init__(self, data, spec):
+        self.c = g_zero(spec)
+        if not self.c > 0.0:
+            raise ValueError(f"g(0) must be positive, got {self.c}")
+        self.data = data
+        self.points = np.ascontiguousarray(data.points, dtype=np.float64)
+        self.spec = spec
+        self.m = 0
+        self.alpha = np.empty(0)
+        self._packed = np.empty(16 * 17 // 2)
+        self._indices = np.empty(16, dtype=np.int64)
+        self._kappa = np.empty(16)
+        self._e = np.empty(16)
 
-    kappa = np.append(state.kappa, kappa_entry(data, spec, new_index))
-    alpha = cho_solve((chol, True), kappa, check_finite=False)
-    e_new = -float(alpha @ kappa)
-    e_old = float(state.e_trace[-1])
-    if e_new > e_old + _E_INCREASE_REL_TOL * max(1.0, abs(e_old)):
-        raise NearSingularError(
-            f"adding support point {new_index} would raise the error "
-            f"indicator ({e_old:.12e} -> {e_new:.12e}); the update is no "
-            "longer numerically accurate"
-        )
-    return CoeffState(
-        indices=np.append(state.indices, np.int64(new_index)),
-        inv_k=inv_k,
-        chol=chol,
-        kappa=kappa,
-        alpha=alpha,
-        e_trace=np.append(state.e_trace, e_new),
-        c=state.c,
-    )
+    @property
+    def indices(self) -> np.ndarray:
+        return self._indices[:self.m]
+
+    @property
+    def kappa(self) -> np.ndarray:
+        return self._kappa[:self.m]
+
+    @property
+    def e_trace(self) -> np.ndarray:
+        """E_1 .. E_m, E_t = -alpha' kappa at support size t."""
+        return self._e[:self.m]
+
+    @property
+    def inv_k(self) -> np.ndarray:
+        """Inverse support Gram matrix, derived from the factor in O(m^3)."""
+        m = self.m
+        lower = np.zeros((m, m))
+        lower[np.tril_indices(m)] = self._packed[:m * (m + 1) // 2]
+        inv = cho_solve((lower, True), np.eye(m), check_finite=False)
+        return 0.5 * (inv + inv.T)
+
+    def extend(self, j: int) -> float:
+        """Add support point j by one pivoted Cholesky step; return its pivot.
+
+        Raises NearSingularError, leaving the state unchanged, when the
+        pivot falls to the singularity tolerance (e.g. a duplicate support
+        point), or when the step would raise the error indicator, which is
+        impossible in exact arithmetic and therefore signals numerical
+        breakdown.
+        """
+        j = int(j)
+        m, row = self.m, self.m * (self.m + 1) // 2
+        if np.any(self.indices == j):
+            raise ValueError(f"index {j} is already in the support")
+        b = gram_at_dist(self.spec, np.linalg.norm(self.points[self.indices] - self.points[j], axis=1))
+        # The packed rows of L are the packed columns of the upper factor
+        # L', so trans=1 solves L w = b and trans=0 solves L' u = w.
+        w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b
+        pivot = self.c - float(w @ w)
+        if pivot <= SINGULARITY_REL_TOL * self.c:
+            raise NearSingularError(
+                f"support point {j} is numerically dependent on the "
+                f"current support (pivot {pivot:.3e})"
+            )
+        if m == self._indices.shape[0]:  # full: double every buffer
+            cap = 2 * m
+            self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
+            self._indices, self._kappa, self._e = (
+                np.resize(a, cap) for a in (self._indices, self._kappa, self._e))
+        self._kappa[m] = kappa_entry(self.data, self.spec, j)
+        u = blas.dtpsv(m, self._packed[:row], w, trans=0) if m else w
+        t = (self._kappa[m] - float(b @ self.alpha)) / pivot
+        alpha = np.append(self.alpha - t * u, t)
+        e_new = -float(alpha @ self._kappa[:m + 1])
+        e_old = float(self._e[m - 1]) if m else math.inf
+        if e_new > e_old + _E_INCREASE_REL_TOL * max(1.0, abs(e_old)):
+            raise NearSingularError(
+                f"adding support point {j} would raise the error "
+                f"indicator ({e_old:.12e} -> {e_new:.12e}); the update is no "
+                "longer numerically accurate"
+            )
+        self._packed[row:row + m] = w
+        self._packed[row + m] = math.sqrt(pivot)
+        self._indices[m] = j
+        self._e[m] = e_new
+        self.alpha = alpha
+        self.m = m + 1
+        return pivot
+
+
+def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
+    """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""
+    den = abs(e_first - e_last)
+    return 0.0 if den == 0.0 else abs(e_prev - e_last) / den
 
 
 def stop_rule(e_trace, epsilon: float) -> bool:
@@ -156,9 +158,7 @@ def stop_rule(e_trace, epsilon: float) -> bool:
         raise ValueError("stop rule needs at least two error values")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    num = abs(float(e_trace[-2] - e_trace[-1]))
-    den = abs(float(e_trace[0] - e_trace[-1]))
-    ratio = 0.0 if den == 0.0 else num / den
+    ratio = progress_ratio(float(e_trace[0]), float(e_trace[-2]), float(e_trace[-1]))
     return ratio <= epsilon
 
 

@@ -48,25 +48,33 @@ def _resolve_first(n: int, first, seed: int) -> int:
     return first
 
 
-def _next_candidate(sqdist, chosen_mask, banned=None):
-    """Index of the unchosen point farthest from the set (ties: lowest index).
+class FarthestFirst:
+    """In-place farthest-first state shared by kcenter_greedy and the fit.
 
-    Returns -1 when every point is chosen or banned.
+    sqdist holds each point's squared distance to the chosen set; score
+    equals sqdist except that chosen and banned points hold -1, so the
+    next center is one argmax away and a ban costs O(1).
     """
-    vals = np.where(chosen_mask, -1.0, sqdist)
-    if banned:
-        vals[list(banned)] = -1.0
-    idx = int(np.argmax(vals))
-    if vals[idx] < 0.0:
-        return -1
-    return idx
 
+    def __init__(self, points):
+        self.points = points
+        self.sqdist = np.full(points.shape[0], np.inf, dtype=np.float64)
+        self.score = np.full(points.shape[0], np.inf, dtype=np.float64)
 
-def peek_next(sel: Selection, banned=None) -> int:
-    """Candidate the next extension would add, without extending; -1 if none."""
-    chosen_mask = np.zeros(sel.sqdist.shape[0], dtype=bool)
-    chosen_mask[sel.order] = True
-    return _next_candidate(sel.sqdist, chosen_mask, banned)
+    def add(self, j: int) -> float:
+        """Make point j a center with one O(nd) scan; return the coverage radius."""
+        _backend.update_sqdist(self.points, self.points[j], self.sqdist)
+        np.minimum(self.score, self.sqdist, out=self.score)
+        self.score[j] = -1.0
+        return math.sqrt(float(np.max(self.sqdist)))
+
+    def ban(self, j: int) -> None:
+        self.score[j] = -1.0
+
+    def next(self) -> int:
+        """Unchosen, unbanned point farthest from the set (ties: lowest index); -1 if none."""
+        idx = int(np.argmax(self.score))
+        return idx if self.score[idx] >= 0.0 else -1
 
 
 def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
@@ -83,46 +91,21 @@ def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
         raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
     order = np.empty(k, dtype=np.int64)
     radius = np.empty(k, dtype=np.float64)
-    sqdist = np.full(n, np.inf, dtype=np.float64)
-    chosen_mask = np.zeros(n, dtype=bool)
+    scan = FarthestFirst(pts)
 
     cur = _resolve_first(n, first, seed)
     for t in range(k):
         order[t] = cur
-        chosen_mask[cur] = True
-        _backend.update_sqdist(pts, pts[cur], sqdist)
-        radius[t] = math.sqrt(float(np.max(sqdist)))
+        radius[t] = scan.add(cur)
         if t + 1 < k:
-            cur = _next_candidate(sqdist, chosen_mask)
+            cur = scan.next()
     if k > 1 and radius[k - 2] == 0.0:
         warnings.warn(
             "k exceeds the number of distinct points; selection contains "
             "duplicates of earlier centers",
             stacklevel=2,
         )
-    return Selection(order, np.sqrt(sqdist), radius, sqdist)
-
-
-def extend_selection(sel: Selection, data, banned=None) -> Selection:
-    """Append the farthest remaining point and refresh the distances.
-
-    One O(nd) pass: each point's distance is the minimum of its previous
-    value and its distance to the new center. Applying this n-1 times to a
-    single-point selection reproduces kcenter_greedy with the same first
-    index exactly.
-    """
-    pts = np.ascontiguousarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
-    if sel.m >= n:
-        raise ValueError("selection already covers all points")
-    cand = peek_next(sel, banned)
-    if cand < 0:
-        raise ValueError("no selectable points remain (all chosen or banned)")
-    sqdist = sel.sqdist.copy()
-    _backend.update_sqdist(pts, pts[cand], sqdist)
-    order = np.append(sel.order, np.int64(cand))
-    radius = np.append(sel.radius_trace, math.sqrt(float(np.max(sqdist))))
-    return Selection(order, np.sqrt(sqdist), radius, sqdist)
+    return Selection(order, np.sqrt(scan.sqdist), radius, scan.sqdist)
 
 
 def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):

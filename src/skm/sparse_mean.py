@@ -2,8 +2,8 @@
 
 A sparse kernel mean approximates the full mean (1/n) sum_i phi(., x_i)
 by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
-come from farthest-first traversal, weights from the incremental
-least-squares update, and the support stops growing once the relative
+come from farthest-first traversal, weights from pivoted Cholesky steps
+with a bordered update, and the support stops growing once the relative
 error progress falls below epsilon.
 """
 
@@ -17,17 +17,15 @@ import numpy as np
 from . import kcenter
 from ._parallel import parallel_map
 from .coefficients import (
-    CoeffState,
-    extend_state,
-    init_state,
+    CholeskyWeights,
+    kappa_entry,
+    progress_ratio,
     project_simplex,
     solve_direct,
-    stop_rule,
 )
 from .errors import NearSingularError
 from .kernels import (
     RadialKernelSpec,
-    g_zero,
     gram_at_dist,
     gram_matrix,
     kernel_matrix,
@@ -36,6 +34,26 @@ from .kernels import (
 logger = logging.getLogger(__name__)
 
 _EVAL_CHUNK = 2048
+
+
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One candidate tried by the fit loop.
+
+    m is the support size after the step. An accepted step records E_m,
+    the stop-rule ratio |E_{m-1} - E_m| / |E_1 - E_m| (0 at m = 1), the
+    coverage radius after the step (nan for a fixed candidate order) and
+    the candidate's pivot. A skipped step sets the numbers to nan and
+    records the reason in skip.
+    """
+
+    index: int
+    m: int
+    e: float
+    ratio: float
+    radius: float
+    pivot: float
+    skip: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,7 @@ class FitDiagnostics:
     radius_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     skipped: tuple = ()
     method: str = "greedy"
+    steps: tuple = ()  # the accepted Steps, in order
 
 
 @dataclass(frozen=True)
@@ -69,27 +88,66 @@ def default_k_max(n: int) -> int:
     return max(1, min(n, int(3.0 * math.sqrt(n))))
 
 
-def _finalize(spec, pts, state, alpha, radius_trace, skipped, k_max, epsilon,
-              density_mode, method):
+def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
+              order=None):
+    """The select/extend/skip loop: yield one Step per candidate tried.
+
+    Candidates come from farthest-first traversal started at `first` (or a
+    point drawn with `seed`), or from the fixed sequence `order`. A
+    candidate whose section is numerically dependent on the support is
+    skipped and banned; the loop moves on to the next one. It ends when the
+    support holds k_max points, no candidate is left, or the support
+    covers every point exactly. The caller applies the stop rule by
+    leaving the loop.
+    """
+    if order is None:
+        scan = kcenter.FarthestFirst(weights.points)
+        pick = scan.next
+        cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
+    else:
+        scan = None
+        rest = iter(order)
+        pick = lambda: int(next(rest, -1))
+        cand = pick()
+    while cand >= 0 and weights.m < k_max:
+        try:
+            pivot = weights.extend(cand)
+        except NearSingularError as exc:
+            logger.info("skipping numerically dependent support candidate %d", cand)
+            if scan is not None:
+                scan.ban(cand)
+            yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
+        else:
+            radius = math.nan if scan is None else scan.add(cand)
+            e = weights.e_trace
+            ratio = 0.0 if weights.m == 1 else progress_ratio(
+                float(e[0]), float(e[-2]), float(e[-1]))
+            yield Step(cand, weights.m, float(e[-1]), ratio, radius, pivot)
+            if radius == 0.0:
+                return  # every point coincides with a center; exact already
+        cand = pick()
+
+
+def _finalize(spec, pts, indices, alpha, e_trace, k_max, epsilon, density_mode,
+              method, steps=(), skipped=()):
     alpha = np.asarray(alpha, dtype=np.float64)
-    projected = False
     if density_mode:
         alpha = project_simplex(alpha)
-        projected = True
     diag = FitDiagnostics(
-        e_trace=state.e_trace.copy(),
+        e_trace=np.array(e_trace, dtype=np.float64),
         k_max=int(k_max),
         epsilon=float(epsilon),
-        density_projected=projected,
-        radius_trace=np.asarray(radius_trace, dtype=np.float64),
-        skipped=tuple(skipped),
+        density_projected=bool(density_mode),
+        radius_trace=np.array([s.radius for s in steps if not math.isnan(s.radius)]),
+        skipped=tuple(sorted(skipped)),
         method=method,
+        steps=tuple(steps),
     )
     return SparseKernelMean(
         spec=spec,
-        support=pts[state.indices].copy(),
+        support=pts[indices],
         alpha=alpha,
-        support_indices=state.indices.copy(),
+        support_indices=np.array(indices, dtype=np.int64),
         diagnostics=diag,
     )
 
@@ -116,29 +174,17 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
-    sel = kcenter.kcenter_greedy(data, 1, first=first, seed=seed)
-    state = init_state(data, spec, int(sel.order[0]))
-    banned: set[int] = set()
-
-    while state.m < k_max:
-        if sel.coverage_radius == 0.0:
-            break  # every point coincides with a center; exact already
-        cand = kcenter.peek_next(sel, banned)
-        if cand < 0:
-            break
-        try:
-            new_state = extend_state(state, data, spec, cand)
-        except NearSingularError:
-            logger.info("skipping numerically dependent support candidate %d", cand)
-            banned.add(cand)
+    weights = CholeskyWeights(data, spec)
+    steps, skipped = [], []
+    for step in fit_steps(weights, k_max, first=first, seed=seed):
+        if step.skip is not None:
+            skipped.append(step.index)  # a saturated fit skips thousands: keep indices only
             continue
-        sel = kcenter.extend_selection(sel, data, banned)
-        state = new_state
-        if stop_rule(state.e_trace, epsilon):
+        steps.append(step)
+        if step.m > 1 and step.ratio <= epsilon:
             break
-
-    return _finalize(spec, pts, state, state.alpha, sel.radius_trace, sorted(banned),
-                     k_max, epsilon, density_mode, "greedy")
+    return _finalize(spec, pts, weights.indices, weights.alpha, weights.e_trace, k_max,
+                     epsilon, density_mode, "greedy", steps, skipped)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -149,16 +195,11 @@ def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
     order = np.random.default_rng(seed).choice(n, size=k, replace=False)
-    state = init_state(data, spec, int(order[0]))
-    skipped = []
-    for idx in order[1:]:
-        try:
-            state = extend_state(state, data, spec, int(idx))
-        except NearSingularError:
-            logger.info("random baseline: dropping dependent support index %d", idx)
-            skipped.append(int(idx))
-    return _finalize(spec, pts, state, state.alpha, np.empty(0), skipped,
-                     k, 0.0, density_mode, "random")
+    weights = CholeskyWeights(data, spec)
+    steps = list(fit_steps(weights, k, order=order))
+    return _finalize(spec, pts, weights.indices, weights.alpha, weights.e_trace, k,
+                     0.0, density_mode, "random", [s for s in steps if s.skip is None],
+                     [s.index for s in steps if s.skip is not None])
 
 
 def fit_with_support(data, spec: RadialKernelSpec, support_indices,
@@ -168,8 +209,6 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
     """
-    from .coefficients import kappa_entry
-
     pts = np.ascontiguousarray(data.points, dtype=np.float64)
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
     if indices.size == 0:
@@ -179,16 +218,7 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
     gram = gram_matrix(spec, pts[indices])
     kappa = np.array([kappa_entry(data, spec, int(j)) for j in indices])
     alpha = solve_direct(gram, kappa, tol=tol)
-    state = CoeffState(
-        indices=indices,
-        inv_k=np.empty((0, 0)),
-        chol=np.empty((0, 0)),
-        kappa=kappa,
-        alpha=alpha,
-        e_trace=np.array([-float(alpha @ kappa)]),
-        c=g_zero(spec),
-    )
-    return _finalize(spec, pts, state, alpha, np.empty(0), (), indices.size,
+    return _finalize(spec, pts, indices, alpha, [-float(alpha @ kappa)], indices.size,
                      0.0, density_mode, "fixed-support")
 
 
@@ -239,20 +269,21 @@ def incoherence(data, spec: RadialKernelSpec, support_indices) -> float:
     """min over excluded points of the max inner product with the support.
 
     For a radial kernel this equals g applied to the coverage radius of the
-    support, so it needs one distance scan rather than a double loop.
+    support, so it needs one distance scan per support point and O(n)
+    memory rather than a double loop.
     """
-    pts = np.asarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
+    pts = np.ascontiguousarray(data.points, dtype=np.float64)
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
     if indices.size == 0:
         raise ValueError("support is empty")
-    outside = np.setdiff1d(np.arange(n), indices)
-    if outside.size == 0:
+    scan = kcenter.FarthestFirst(pts)
+    for j in indices:
+        scan.add(j)
+    # Chosen points score -1, so the maximum runs over excluded points only.
+    farthest = scan.next()
+    if farthest < 0:
         raise ValueError("support covers every index; incoherence is undefined")
-    from scipy.spatial.distance import cdist
-
-    dist_to_set = cdist(pts[outside], pts[indices]).min(axis=1)
-    coverage = float(dist_to_set.max())
+    coverage = math.sqrt(float(scan.sqdist[farthest]))
     return float(gram_at_dist(spec, coverage))
 
 
@@ -296,8 +327,6 @@ def residual_norm(data, spec: RadialKernelSpec, mean: SparseKernelMean,
 
     Valid for any weight vector, including simplex-projected ones.
     """
-    from .coefficients import kappa_entry
-
     pts = np.asarray(data.points, dtype=np.float64)
     zbar_sq = squared_mean_norm(data, spec, max_points=max_points)
     if mean.support_indices is not None:

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import skm
 from skm.cli import bench_compare
-from skm.coefficients import extend_state, init_state
+from skm.coefficients import CholeskyWeights
 from skm.cpe import dirichlet_sample, estimate_from_means, estimate_proportions, l1_error
 from skm.dataio import DataSet
 from skm.divergences import distance_matrix
@@ -112,9 +112,9 @@ def test_c03_incremental_algebra():
         data = DataSet(pts)
         spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
-        state = init_state(data, spec, int(sel.order[0]))
-        for idx in sel.order[1:]:
-            state = extend_state(state, data, spec, int(idx))
+        state = CholeskyWeights(data, spec)
+        for idx in sel.order:
+            state.extend(idx)
         direct = np.linalg.inv(gram_matrix(spec, pts[sel.order]))
         rel = np.linalg.norm(state.inv_k - direct) / np.linalg.norm(direct)
         assert rel < 1e-8
@@ -127,9 +127,9 @@ def test_c03_incremental_algebra():
                                 sigma=float(rng.uniform(0.8, 2.0)))
         m = int(rng.integers(1, min(n, 10)))
         order = rng.permutation(n)[:m]
-        state = init_state(data, spec, int(order[0]))
-        for idx in order[1:]:
-            state = extend_state(state, data, spec, int(idx))
+        state = CholeskyWeights(data, spec)
+        for idx in order:
+            state.extend(idx)
         gram = gram_matrix(spec, data.points)
         kappa_full = gram[order].mean(axis=1)
         sub = gram[np.ix_(order, order)]

@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from skm.coefficients import (
-    extend_state,
-    init_state,
+    CholeskyWeights,
     kappa_entry,
     project_simplex,
     solve_direct,
@@ -24,9 +23,9 @@ def line_data(*values):
 
 
 def grow_state(data, spec, order):
-    state = init_state(data, spec, order[0])
-    for idx in order[1:]:
-        state = extend_state(state, data, spec, idx)
+    state = CholeskyWeights(data, spec)
+    for idx in order:
+        state.extend(idx)
     return state
 
 
@@ -59,17 +58,17 @@ def test_kappa_matches_gram_row_mean():
         assert_allclose(kappa_entry(data, spec, j), gram[j].mean(), rtol=1e-12)
 
 
-# ------------------------------------------------------------------ init_state
+# ------------------------------------------------------- single-point support
 
 def test_init_state_unit_gaussian_inverse():
     data = line_data(0.0, 1.0)
-    state = init_state(data, UNIT_GAUSS_1D, 0)
+    state = grow_state(data, UNIT_GAUSS_1D, [0])
     assert_allclose(state.inv_k, [[1.0]])
 
 
 def test_init_state_two_point_example():
     data = line_data(0.0, 1.0)
-    state = init_state(data, UNIT_GAUSS_1D, 0)
+    state = grow_state(data, UNIT_GAUSS_1D, [0])
     kap = (1.0 + math.exp(-0.5)) / 2.0
     assert_allclose(state.alpha, [kap], rtol=1e-14)
     assert_allclose(state.e_trace, [-kap * kap], rtol=1e-14)
@@ -78,12 +77,12 @@ def test_init_state_two_point_example():
 def test_init_state_single_point_exact():
     data = line_data(3.0)
     spec = RadialKernelSpec("gaussian", dim=1, sigma=2.0, normalization="density")
-    state = init_state(data, spec, 0)
+    state = grow_state(data, spec, [0])
     assert_allclose(state.alpha, [1.0], rtol=1e-14)
     assert_allclose(state.e_trace, [-g_zero(spec)], rtol=1e-14)
 
 
-# ---------------------------------------------------------------- extend_state
+# ---------------------------------------------------------------------- extend
 
 def test_extend_full_support_two_points():
     data = line_data(0.0, 1.0)
@@ -97,16 +96,16 @@ def test_extend_full_support_two_points():
 
 def test_extend_duplicate_support_raises():
     data = line_data(0.0, 0.0, 5.0)
-    state = init_state(data, UNIT_GAUSS_1D, 0)
+    state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(NearSingularError):
-        extend_state(state, data, UNIT_GAUSS_1D, 1)
+        state.extend(1)
 
 
 def test_extend_rejects_index_already_in_support():
     data = line_data(0.0, 5.0)
-    state = init_state(data, UNIT_GAUSS_1D, 0)
+    state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(ValueError, match="already"):
-        extend_state(state, data, UNIT_GAUSS_1D, 0)
+        state.extend(0)
 
 
 def test_extend_matches_direct_inverse_oracle():

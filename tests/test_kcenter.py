@@ -4,11 +4,10 @@ from numpy.testing import assert_array_equal
 
 from skm.dataio import DataSet
 from skm.kcenter import (
+    FarthestFirst,
     Selection,
-    extend_selection,
     kcenter_brute,
     kcenter_greedy,
-    peek_next,
 )
 
 
@@ -74,30 +73,30 @@ def test_greedy_duplicate_points_warn_when_k_exceeds_distinct():
     assert sel.radius_trace[-1] == 0.0
 
 
-# ------------------------------------------------------------ extend_selection
+# ------------------------------------------------------ in-place farthest-first
 
 def test_extend_single_point_line():
     data = line_data(0.0, 1.0, 10.0)
-    sel = kcenter_greedy(data, 1, first=0)
-    ext = extend_selection(sel, data)
-    assert_array_equal(ext.order, [0, 2])
-    assert_array_equal(ext.dist_to_set, [0.0, 1.0, 0.0])
+    scan = FarthestFirst(data.points)
+    scan.add(0)
+    assert scan.next() == 2
+    assert scan.add(2) == 1.0
+    assert_array_equal(np.sqrt(scan.sqdist), [0.0, 1.0, 0.0])
 
 
 def test_extend_to_full_cover():
     data = line_data(0.0, 2.0)
-    sel = kcenter_greedy(data, 1, first=0)
-    ext = extend_selection(sel, data)
-    assert ext.coverage_radius == 0.0
-    with pytest.raises(ValueError, match="covers all"):
-        extend_selection(ext, data)
+    scan = FarthestFirst(data.points)
+    scan.add(0)
+    assert scan.add(scan.next()) == 0.0
+    assert scan.next() == -1
 
 
 def test_extend_tie_breaks_to_lower_index():
     data = line_data(0.0, -1.0, 1.0)  # both neighbors at distance 1 from 0
-    sel = kcenter_greedy(data, 1, first=0)
-    ext = extend_selection(sel, data)
-    assert ext.order[-1] == 1
+    scan = FarthestFirst(data.points)
+    scan.add(0)
+    assert scan.next() == 1
 
 
 def test_extend_chain_equals_greedy():
@@ -107,12 +106,14 @@ def test_extend_chain_equals_greedy():
         k = int(rng.integers(1, data.n + 1))
         first = int(rng.integers(data.n))
         direct = kcenter_greedy(data, k, first=first)
-        sel = kcenter_greedy(data, 1, first=first)
-        for _ in range(k - 1):
-            sel = extend_selection(sel, data)
-        assert_array_equal(sel.order, direct.order)
-        assert_array_equal(sel.dist_to_set, direct.dist_to_set)
-        assert_array_equal(sel.radius_trace, direct.radius_trace)
+        scan = FarthestFirst(data.points)
+        order, radii = [first], [scan.add(first)]
+        while len(order) < k:
+            order.append(scan.next())
+            radii.append(scan.add(order[-1]))
+        assert_array_equal(order, direct.order)
+        assert_array_equal(np.sqrt(scan.sqdist), direct.dist_to_set)
+        assert_array_equal(radii, direct.radius_trace)
 
 
 def test_incremental_update_equals_recomputation_exactly():
@@ -148,14 +149,17 @@ def test_dist_zero_exactly_on_chosen():
     assert np.all(sel.dist_to_set[~chosen] > 0.0)
 
 
-def test_peek_next_matches_extension_and_bans():
+def test_next_skips_banned_points():
     data = line_data(0.0, 1.0, 10.0, 9.5)
-    sel = kcenter_greedy(data, 1, first=0)
-    assert peek_next(sel) == 2
-    assert peek_next(sel, banned={2}) == 3
-    assert peek_next(sel, banned={1, 2, 3}) == -1
-    ext = extend_selection(sel, data, banned={2})
-    assert ext.order[-1] == 3
+    scan = FarthestFirst(data.points)
+    scan.add(0)
+    assert scan.next() == 2
+    scan.ban(2)
+    assert scan.next() == 3
+    scan.add(3)
+    assert scan.next() == 1  # a ban outlives later distance updates
+    scan.ban(1)
+    assert scan.next() == -1
 
 
 # -------------------------------------------------------------------- brute force
@@ -199,9 +203,7 @@ def test_two_approximation_on_random_instances():
 def test_selection_is_immutable_value():
     data = line_data(0.0, 1.0, 10.0)
     sel = kcenter_greedy(data, 2, first=0)
-    ext = extend_selection(sel, data)
-    # extending must not mutate the original
-    assert sel.m == 2 and ext.m == 3
+    assert sel.m == 2
     assert isinstance(sel, Selection)
     with pytest.raises(AttributeError):
         sel.order = np.array([1])

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+from skm.coefficients import CholeskyWeights
 from skm.dataio import DataSet
+from skm.kcenter import kcenter_greedy
 from skm.kernels import RadialKernelSpec, g_zero, gram_at_dist, gram_matrix
 from skm.sparse_mean import (
     bound_value,
@@ -14,6 +18,7 @@ from skm.sparse_mean import (
     evaluate,
     evaluate_full,
     fit,
+    fit_steps,
     fit_with_support,
     full_mean,
     incoherence,
@@ -192,6 +197,82 @@ def test_evaluate_full_linearity_over_concatenation():
     va = evaluate_full(DataSet(a), UNIT_GAUSS_1D, queries)
     vb = evaluate_full(DataSet(b), UNIT_GAUSS_1D, queries)
     assert_allclose(combined, (12 * va + 4 * vb) / 16, rtol=1e-12)
+
+
+# --------------------------------------------------------------------- fit loop
+
+def test_fit_loop_prefix_equals_kcenter_greedy():
+    rng = np.random.default_rng(19)
+    for first in (0, 17, 63):
+        data = DataSet(rng.normal(size=(120, 3)))
+        spec = RadialKernelSpec("gaussian", dim=3, sigma=0.7)
+        mean = fit(data, spec, k_max=40, epsilon=0.0, first=first)
+        assert mean.diagnostics.skipped == ()
+        sel = kcenter_greedy(data, mean.k0, first=first)
+        assert_array_equal(mean.support_indices, sel.order)
+        assert_array_equal(mean.diagnostics.radius_trace, sel.radius_trace)
+
+
+def test_fit_loop_tie_breaks_to_lower_index():
+    mean = fit(line_data(0.0, -1.0, 1.0), UNIT_GAUSS_1D, k_max=2, epsilon=0.0, first=0)
+    assert_array_equal(mean.support_indices, [0, 1])
+
+
+def test_fit_loop_bans_dependent_candidates_and_moves_on():
+    # A wide bandwidth makes most farthest candidates numerically dependent.
+    rng = np.random.default_rng(20)
+    data = DataSet(rng.normal(size=(300, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
+    mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
+    steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
+    skipped = [s.index for s in steps if s.skip is not None]
+    assert skipped and sorted(skipped) == list(mean.diagnostics.skipped)
+    assert mean.diagnostics.steps == tuple(s for s in steps if s.skip is None)
+    assert len(steps) == mean.k0 + len(skipped)
+    assert not set(skipped) & set(mean.support_indices.tolist())
+    assert all("dependent" in s.skip for s in steps if s.skip is not None)
+    # Replay: every tried candidate is the farthest point that is neither
+    # chosen nor banned, ties to the lowest index.
+    sqdist = np.full(data.n, np.inf)
+    excluded = np.zeros(data.n, dtype=bool)
+    for t, step in enumerate(steps):
+        if t > 0:
+            assert step.index == int(np.argmax(np.where(excluded, -1.0, sqdist)))
+        excluded[step.index] = True
+        if step.skip is None:
+            sqdist = np.minimum(sqdist, ((data.points - data.points[step.index]) ** 2).sum(axis=1))
+
+
+def test_bordered_weights_match_dense_solve_at_every_step():
+    rng = np.random.default_rng(21)
+    data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
+    spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
+    weights = CholeskyWeights(data, spec)
+    history = [(step, weights.alpha.copy()) for step in fit_steps(weights, 300, first=0)]
+    assert weights.m == 300 and len(history) == 300
+    support = data.points[weights.indices]
+    gram = gram_matrix(spec, support)
+    kappa = gram_matrix(spec, support, data.points).mean(axis=1)
+    for m, (step, alpha) in enumerate(history, start=1):
+        direct = scipy.linalg.solve(gram[:m, :m], kappa[:m], assume_a="pos")
+        rel = np.linalg.norm(alpha - direct) / np.linalg.norm(direct)
+        assert rel < 1e-10, (m, rel)
+        assert_allclose(step.e, -direct @ kappa[:m], rtol=1e-10)
+
+
+def test_fit_memory_grows_with_support_not_budget():
+    # k_max = n = 5000: a preallocated k_max^2 factor would take 200 MB.
+    rng = np.random.default_rng(22)
+    data = DataSet(rng.normal(size=(5000, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    tracemalloc.start()
+    try:
+        mean = fit(data, spec, k_max=5000, epsilon=1e-4)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mean.k0 < 100
+    assert peak < 4_000_000
 
 
 # ------------------------------------------------------------------ incoherence
