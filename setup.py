@@ -1,32 +1,15 @@
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "skm._backend._fastcore",
-                ["src/skm/_backend/_fastcore.pyx"],
-                include_dirs=[numpy.get_include()],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-    # The package falls back to the numpy implementation at import time,
-    # so a failed compile should not block installation.
-    for ext in extensions:
-        ext.optional = True
-else:
-    extensions = []
-
-setup(ext_modules=extensions)
+# A hand-written C source: setuptools builds it with the system compiler, no
+# Cython or numpy headers needed. The package falls back to the numpy
+# implementation at import time, so a failed compile does not block
+# installation.
+setup(
+    ext_modules=[
+        Extension(
+            "skm._backend._fastcore",
+            ["src/skm/_backend/_fastcore.c"],
+            optional=True,
+        )
+    ]
+)

@@ -1,14 +1,20 @@
 """Backend selection for the hot inner loops.
 
-The compiled extension is preferred when present; the numpy implementation
-is the fallback. Set SKM_BACKEND=numpy or SKM_BACKEND=compiled to force a
-choice (forcing "compiled" raises if the extension was not built).
+Three primitives: `farthest_scan`, one fused pass over the points that
+makes a point a farthest-first center, returns the kernel row mean of that
+center and the next farthest candidate; `mean_gram`, a kernel row mean
+alone; and `gaussian_shift_step`, one mean-shift step. The compiled
+extension (`_fastcore.c`) is preferred when present; the numpy
+implementation is the fallback. Set SKM_BACKEND=numpy or
+SKM_BACKEND=compiled to force a choice (forcing "compiled" raises if the
+extension was not built).
 """
 
 import os
 
 from . import _numpy_impl
 
+SHAPE_NONE = _numpy_impl.SHAPE_NONE
 SHAPE_SQEXP = _numpy_impl.SHAPE_SQEXP
 SHAPE_EXP = _numpy_impl.SHAPE_EXP
 SHAPE_POWER = _numpy_impl.SHAPE_POWER
@@ -32,6 +38,6 @@ else:
         _impl = _numpy_impl
         BACKEND = "numpy"
 
-update_sqdist = _impl.update_sqdist
+farthest_scan = _impl.farthest_scan
 mean_gram = _impl.mean_gram
 gaussian_shift_step = _impl.gaussian_shift_step

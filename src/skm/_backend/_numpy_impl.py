@@ -1,28 +1,22 @@
 """Pure-numpy implementations of the hot inner loops.
 
-Used when the compiled extension is unavailable, or when SKM_BACKEND=numpy.
-Signatures match skm._backend._fastcore exactly.
+The primitives are `farthest_scan` (one fused farthest-first step with the
+kernel row mean of the new center), `mean_gram` (a kernel row mean alone)
+and `gaussian_shift_step` (one mean-shift step). Used when the compiled
+extension is unavailable, or when SKM_BACKEND=numpy. Signatures match
+skm._backend._fastcore exactly.
 """
 
 import numpy as np
 
 # Radial shape codes shared by both backends.
+SHAPE_NONE = -1  # farthest_scan only: no kernel row mean
 SHAPE_SQEXP = 0  # c * exp(-a * r^2)
 SHAPE_EXP = 1    # c * exp(-a * r)
 SHAPE_POWER = 2  # c * (1 + a * r^2) ** (-b)
 
 
-def update_sqdist(points, center, sqdist):
-    """In place: sqdist[i] = min(sqdist[i], ||points[i] - center||^2)."""
-    diff = points - center
-    cand = np.einsum("ij,ij->i", diff, diff)
-    np.minimum(sqdist, cand, out=sqdist)
-
-
-def mean_gram(points, y, kind, a, b, c):
-    """Mean over rows of the radial shape applied to ||points[i] - y||."""
-    diff = points - y
-    r2 = np.einsum("ij,ij->i", diff, diff)
+def _row_mean(r2, kind, a, b, c):
     if kind == SHAPE_SQEXP:
         vals = np.exp(-a * r2)
     elif kind == SHAPE_EXP:
@@ -31,7 +25,33 @@ def mean_gram(points, y, kind, a, b, c):
         vals = (1.0 + a * r2) ** (-b)
     else:
         raise ValueError(f"unknown shape kind {kind}")
-    return c * float(vals.sum()) / points.shape[0]
+    return c * float(vals.sum()) / r2.shape[0]
+
+
+def farthest_scan(points, j, sqdist, score, sqdist_out, score_out, kind, a, b, c):
+    """Make point j a center in one pass over points.
+
+    Writes sqdist_out = min(sqdist, ||points - points[j]||^2) and score_out,
+    which is the same except that chosen and banned points (score -1) and j
+    itself hold -1. Returns (kappa_j, max of sqdist_out, the index of the
+    largest nonnegative score_out, lowest index on ties, or -1 if none):
+    kappa_j is the mean of the radial shape over ||points - points[j]||, or
+    0.0 when kind is SHAPE_NONE.
+    """
+    diff = points - points[j]
+    r2 = np.einsum("ij,ij->i", diff, diff)
+    kappa = 0.0 if kind == SHAPE_NONE else _row_mean(r2, kind, a, b, c)
+    np.minimum(sqdist, r2, out=sqdist_out)
+    np.minimum(score, sqdist_out, out=score_out)
+    score_out[j] = -1.0
+    nxt = int(np.argmax(score_out))
+    return kappa, float(np.max(sqdist_out)), nxt if score_out[nxt] >= 0.0 else -1
+
+
+def mean_gram(points, y, kind, a, b, c):
+    """Mean over rows of the radial shape applied to ||points[i] - y||."""
+    diff = points - y
+    return _row_mean(np.einsum("ij,ij->i", diff, diff), kind, a, b, c)
 
 
 def gaussian_shift_step(support, alpha, x, a, out):

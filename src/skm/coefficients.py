@@ -14,7 +14,8 @@ matrix. The weights follow by the bordered update
     alpha <- [alpha - t u; t],   u = K^{-1} b = L^{-T} w,
     t = (kappa_new - b' alpha) / p,
 
-so a step costs two triangular solves, O(m^2), plus the O(nd) kappa scan.
+so a step costs two triangular solves, O(m^2), plus the O(nd) kappa scan,
+which the fit fuses with its farthest-first scan.
 K^{-1} is never formed; `inv_k` derives it from the factor on request.
 The quantity E_m = -alpha' kappa equals the squared approximation error
 minus the constant ||zbar||^2; it is nonincreasing in m and drives the
@@ -92,9 +93,11 @@ class CholeskyWeights:
         inv = cho_solve((lower, True), np.eye(m), check_finite=False)
         return 0.5 * (inv + inv.T)
 
-    def extend(self, j: int) -> float:
+    def extend(self, j: int, kappa=None) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
+        kappa(j) supplies kappa_j, the O(nd) part of the step; it is called
+        only once the pivot has passed, and defaults to `kappa_entry`.
         Raises NearSingularError, leaving the state unchanged, when the
         pivot falls to the singularity tolerance (e.g. a duplicate support
         point), or when the step would raise the error indicator, which is
@@ -120,7 +123,7 @@ class CholeskyWeights:
             self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
             self._indices, self._kappa, self._e = (
                 np.resize(a, cap) for a in (self._indices, self._kappa, self._e))
-        self._kappa[m] = kappa_entry(self.data, self.spec, j)
+        self._kappa[m] = kappa_entry(self.data, self.spec, j) if kappa is None else kappa(j)
         u = blas.dtpsv(m, self._packed[:row], w, trans=0) if m else w
         t = (self._kappa[m] - float(b @ self.alpha)) / pivot
         alpha = np.append(self.alpha - t * u, t)

@@ -52,29 +52,53 @@ class FarthestFirst:
     """In-place farthest-first state shared by kcenter_greedy and the fit.
 
     sqdist holds each point's squared distance to the chosen set; score
-    equals sqdist except that chosen and banned points hold -1, so the
-    next center is one argmax away and a ban costs O(1).
+    equals sqdist except that chosen and banned points hold -1, so a ban
+    costs O(1). A step is one fused backend scan: `propose(j)` writes the
+    state with j added into back buffers and returns j's kernel row mean
+    (the fit's kappa_j; 0.0 without `shape`), and `accept()` swaps the
+    buffers in. A proposal that is never accepted leaves the state as it
+    was.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, shape=None):
         self.points = points
-        self.sqdist = np.full(points.shape[0], np.inf, dtype=np.float64)
-        self.score = np.full(points.shape[0], np.inf, dtype=np.float64)
+        self.shape = (_backend.SHAPE_NONE, 0.0, 0.0, 0.0) if shape is None else shape
+        n = points.shape[0]
+        self.sqdist = np.full(n, np.inf, dtype=np.float64)
+        self.score = np.full(n, np.inf, dtype=np.float64)
+        self._back = (np.empty(n), np.empty(n))
+        self._proposed = None
+        self._next = None
+
+    def propose(self, j: int) -> float:
+        """Scan for point j as the next center, into the back buffers; return kappa_j."""
+        kappa, top, nxt = _backend.farthest_scan(
+            self.points, int(j), self.sqdist, self.score, *self._back, *self.shape)
+        self._proposed = (top, nxt)
+        return kappa
+
+    def accept(self) -> float:
+        """Make the proposed point a center; return the new coverage radius."""
+        top, self._next = self._proposed
+        self._proposed = None
+        (self.sqdist, self.score), self._back = self._back, (self.sqdist, self.score)
+        return math.sqrt(top)
 
     def add(self, j: int) -> float:
         """Make point j a center with one O(nd) scan; return the coverage radius."""
-        _backend.update_sqdist(self.points, self.points[j], self.sqdist)
-        np.minimum(self.score, self.sqdist, out=self.score)
-        self.score[j] = -1.0
-        return math.sqrt(float(np.max(self.sqdist)))
+        self.propose(j)
+        return self.accept()
 
     def ban(self, j: int) -> None:
         self.score[j] = -1.0
+        self._next = None
 
     def next(self) -> int:
         """Unchosen, unbanned point farthest from the set (ties: lowest index); -1 if none."""
-        idx = int(np.argmax(self.score))
-        return idx if self.score[idx] >= 0.0 else -1
+        if self._next is None:
+            idx = int(np.argmax(self.score))
+            self._next = idx if self.score[idx] >= 0.0 else -1
+        return self._next
 
 
 def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:

@@ -28,6 +28,7 @@ from .kernels import (
     RadialKernelSpec,
     gram_at_dist,
     gram_matrix,
+    gram_params,
     kernel_matrix,
 )
 
@@ -101,24 +102,26 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
     leaving the loop.
     """
     if order is None:
-        scan = kcenter.FarthestFirst(weights.points)
-        pick = scan.next
+        # One fused scan per candidate that passes the pivot check gives
+        # kappa_j and the farthest-first update together.
+        scan = kcenter.FarthestFirst(weights.points, gram_params(weights.spec))
+        pick, kappa = scan.next, scan.propose
         cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     else:
-        scan = None
+        scan = kappa = None
         rest = iter(order)
         pick = lambda: int(next(rest, -1))
         cand = pick()
     while cand >= 0 and weights.m < k_max:
         try:
-            pivot = weights.extend(cand)
+            pivot = weights.extend(cand, kappa)
         except NearSingularError as exc:
             logger.info("skipping numerically dependent support candidate %d", cand)
             if scan is not None:
                 scan.ban(cand)
             yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
         else:
-            radius = math.nan if scan is None else scan.add(cand)
+            radius = math.nan if scan is None else scan.accept()
             e = weights.e_trace
             ratio = 0.0 if weights.m == 1 else progress_ratio(
                 float(e[0]), float(e[-2]), float(e[-1]))
@@ -333,7 +336,6 @@ def residual_norm(data, spec: RadialKernelSpec, mean: SparseKernelMean,
         kappa = np.array([kappa_entry(data, spec, int(j)) for j in mean.support_indices])
     else:
         from . import _backend
-        from .kernels import gram_params
 
         kind, a_, b_, c_ = gram_params(spec)
         kappa = np.array([

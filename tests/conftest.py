@@ -1,7 +1,36 @@
-"""Make the in-tree package importable in the subprocesses some tests start."""
+"""Make the in-tree package importable in the subprocesses some tests start,
+and build the compiled backend for the parity tests."""
 
+import importlib.util
 import os
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
+
+import pytest
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture(scope="session")
+def fastcore(tmp_path_factory):
+    """The compiled backend, built from `_fastcore.c` with gcc and imported.
+
+    Built from the source tree on every run, so the parity tests check the
+    C as it is now, whether or not an installed build exists.
+    """
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc is not available")
+    src = Path(_SRC) / "skm" / "_backend" / "_fastcore.c"
+    out = tmp_path_factory.mktemp("fastcore") / ("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC",
+         "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out)],
+        check=True, capture_output=True, text=True,
+    )
+    spec = importlib.util.spec_from_file_location("_fastcore", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -243,6 +243,37 @@ def test_fit_loop_bans_dependent_candidates_and_moves_on():
             sqdist = np.minimum(sqdist, ((data.points - data.points[step.index]) ** 2).sum(axis=1))
 
 
+def _count_backend_calls(monkeypatch):
+    from skm import _backend
+
+    calls = {"farthest_scan": 0, "mean_gram": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(_backend, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_backend, name, counted)
+    return calls
+
+
+def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
+    calls = _count_backend_calls(monkeypatch)
+    data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
+    mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
+    assert mean.k0 == 60 and mean.diagnostics.skipped == ()
+    assert calls == {"farthest_scan": 60, "mean_gram": 0}
+
+
+def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
+    # eps = 0 and a wide bandwidth: most farthest candidates are dependent.
+    data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
+    calls = _count_backend_calls(monkeypatch)
+    steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
+    at_pivot = sum(1 for s in steps if s.skip is not None and "pivot" in s.skip)
+    assert at_pivot > 100
+    assert calls == {"farthest_scan": len(steps) - at_pivot, "mean_gram": 0}
+
+
 def test_bordered_weights_match_dense_solve_at_every_step():
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
