@@ -7,7 +7,7 @@ estimation, and mean-shift clustering.
 """
 
 from ._backend import BACKEND
-from .coefficients import project_simplex, solve_direct, stop_rule
+from .coefficients import project_simplex, stop_rule
 from .cpe import (
     ProportionEstimate,
     dirichlet_sample,
@@ -25,7 +25,6 @@ from .divergences import (
     symmetrized_kl,
 )
 from .errors import (
-    ConvergenceError,
     DataFormatError,
     DegenerateDataError,
     KernelSpecError,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "Clustering",
-    "ConvergenceError",
     "DataFormatError",
     "DataSet",
     "DegenerateDataError",
@@ -116,7 +114,6 @@ __all__ = [
     "save_csv",
     "save_model",
     "shift_point",
-    "solve_direct",
     "stop_rule",
     "symmetrized_kl",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import blas, cho_solve
 
 from . import _backend
-from .errors import ConvergenceError, NearSingularError
+from .errors import NearSingularError
 from .kernels import g_zero, gram_at_dist, gram_params
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
@@ -163,66 +163,6 @@ def stop_rule(e_trace, epsilon: float) -> bool:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     ratio = progress_ratio(float(e_trace[0]), float(e_trace[-2]), float(e_trace[-1]))
     return ratio <= epsilon
-
-
-def solve_direct(gram, kappa, tol: float = 1e-10, max_iter=None):
-    """Solve K alpha = kappa for a symmetric PSD Gram matrix.
-
-    Jacobi-preconditioned conjugate gradients; a dense solve is the
-    fallback for small systems when CG stalls. Guarantees
-    ||K alpha - kappa|| <= tol * ||kappa|| or raises ConvergenceError.
-    """
-    K = np.asarray(gram, dtype=np.float64)
-    kappa = np.asarray(kappa, dtype=np.float64).ravel()
-    m = kappa.shape[0]
-    if K.shape != (m, m):
-        raise ValueError(f"gram has shape {K.shape}, expected ({m}, {m})")
-    if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("gram matrix is not symmetric")
-    if max_iter is None:
-        max_iter = 10 * m
-    knorm = float(np.linalg.norm(kappa))
-    if knorm == 0.0:
-        return np.zeros(m)
-
-    diag = np.diagonal(K).copy()
-    precond = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-
-    x = np.zeros(m)
-    r = kappa.copy()
-    z = precond * r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * knorm:
-            return x
-        Kp = K @ p
-        pKp = float(p @ Kp)
-        if pKp <= 0.0:
-            break  # lost positive definiteness; try the dense fallback
-        step = rz / pKp
-        x += step * p
-        r -= step * Kp
-        z = precond * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    residual = float(np.linalg.norm(K @ x - kappa))
-    if residual <= tol * knorm:
-        return x
-    if m <= 64:
-        try:
-            x = np.linalg.solve(K, kappa)
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None:
-            residual = float(np.linalg.norm(K @ x - kappa))
-            if residual <= tol * knorm:
-                return x
-    raise ConvergenceError(
-        f"linear solve did not reach tol={tol} (residual {residual:.3e})",
-        residual=residual,
-    )
 
 
 def project_simplex(values):

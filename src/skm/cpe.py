@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import project_simplex, solve_direct
+from .coefficients import project_simplex
 from .errors import SkmError
 from .kernels import RadialKernelSpec
 from .sparse_mean import (
@@ -119,7 +119,7 @@ def estimate_from_means(train_means, test_mean) -> ProportionEstimate:
             f"classes {i} and {j} have nearly identical embeddings "
             f"(distance {dist:.3e})"
         )
-    pi_minus = solve_direct(d_hat, e_hat, tol=1e-12)
+    pi_minus = np.linalg.solve(d_hat, e_hat)
     pi_hat = np.append(pi_minus, 1.0 - float(pi_minus.sum()))
 
     was_projected = False
@@ -246,8 +246,6 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
             budget_k = max(1, min(budget_k, fit_set.n))
             supports.append(kcenter_greedy(fit_set, budget_k, seed=seed).order)
 
-    test_mean_cache = {}
-
     def objective(log_sigma: float) -> float:
         spec = spec_template.with_sigma(math.exp(log_sigma))
         if sparse:
@@ -255,10 +253,7 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
                      for fs, sup in zip(fit_sets, supports)]
         else:
             means = [full_mean(fs, spec) for fs in fit_sets]
-        key = spec.sigma
-        if key not in test_mean_cache:
-            test_mean_cache[key] = full_mean(validation, spec)
-        estimate = estimate_from_means(means, test_mean_cache[key])
+        estimate = estimate_from_means(means, full_mean(validation, spec))
         return l1_error(pi_true, estimate.pi_hat)
 
     best_log, best_err = _golden_section(objective, math.log(lo), math.log(hi),

@@ -20,10 +20,3 @@ class DegenerateDataError(SkmError):
 class NearSingularError(SkmError):
     """A support Gram update hit the singularity tolerance."""
 
-
-class ConvergenceError(SkmError):
-    """An iterative solver failed to reach the requested tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -21,7 +21,6 @@ from .coefficients import (
     kappa_entry,
     progress_ratio,
     project_simplex,
-    solve_direct,
 )
 from .errors import NearSingularError
 from .kernels import (
@@ -190,39 +189,45 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
                      epsilon, density_mode, "greedy", steps, skipped)
 
 
-def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
-                         density_mode: bool = False) -> SparseKernelMean:
-    """Baseline: support drawn uniformly without replacement, no early stop."""
-    pts = np.ascontiguousarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
-    order = np.random.default_rng(seed).choice(n, size=k, replace=False)
+def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
+    """Extend the weights along `order`, dropping numerically dependent points."""
     weights = CholeskyWeights(data, spec)
-    steps = list(fit_steps(weights, k, order=order))
-    return _finalize(spec, pts, weights.indices, weights.alpha, weights.e_trace, k,
-                     0.0, density_mode, "random", [s for s in steps if s.skip is None],
+    steps = list(fit_steps(weights, len(order), order=order))
+    return _finalize(spec, weights.points, weights.indices, weights.alpha, weights.e_trace,
+                     len(order), 0.0, density_mode, method,
+                     [s for s in steps if s.skip is None],
                      [s.index for s in steps if s.skip is not None])
 
 
+def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
+                         density_mode: bool = False) -> SparseKernelMean:
+    """Baseline: support drawn uniformly without replacement, no early stop."""
+    n = np.asarray(data.points).shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
+    order = np.random.default_rng(seed).choice(n, size=k, replace=False)
+    return _fixed_order_fit(data, spec, order, density_mode, "random")
+
+
 def fit_with_support(data, spec: RadialKernelSpec, support_indices,
-                     density_mode: bool = False, tol: float = 1e-10) -> SparseKernelMean:
-    """Weights for a fixed support via a direct solve of K alpha = kappa.
+                     density_mode: bool = False) -> SparseKernelMean:
+    """Weights for a fixed support, by pivoted Cholesky steps in the given order.
 
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
+    A support point that is numerically dependent on the points before it
+    is dropped and listed in `diagnostics.skipped`, so `support_indices`
+    may come back shorter than the input.
     """
-    pts = np.ascontiguousarray(data.points, dtype=np.float64)
+    n = np.asarray(data.points).shape[0]
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
     if indices.size == 0:
         raise ValueError("support is empty")
+    if np.any((indices < 0) | (indices >= n)):
+        raise ValueError(f"support indices must lie in [0, {n})")
     if np.unique(indices).size != indices.size:
         raise ValueError("support indices contain duplicates")
-    gram = gram_matrix(spec, pts[indices])
-    kappa = np.array([kappa_entry(data, spec, int(j)) for j in indices])
-    alpha = solve_direct(gram, kappa, tol=tol)
-    return _finalize(spec, pts, indices, alpha, [-float(alpha @ kappa)], indices.size,
-                     0.0, density_mode, "fixed-support")
+    return _fixed_order_fit(data, spec, indices, density_mode, "fixed-support")
 
 
 def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:

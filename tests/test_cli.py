@@ -184,6 +184,28 @@ def test_cpe_sigma_search(tmp_path):
     assert "sigma_search_s" in doc["timings"]
 
 
+def test_cpe_sparse_sigma_search_on_three_blobs(tmp_path):
+    from skm.dataio import DataSet
+
+    rng = np.random.default_rng(2)
+    centers = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
+    trains = []
+    for i, center in enumerate(centers):
+        path = tmp_path / f"c{i}.csv"
+        save_csv(DataSet(np.asarray(center) + rng.standard_normal((2000, 2))), path)
+        trains.append(str(path))
+    test_path = tmp_path / "t.csv"
+    save_csv(DataSet(np.vstack([c + rng.standard_normal((300, 2)) for c in centers])),
+             test_path)
+    out = tmp_path / "pi.json"
+    rc = main(["cpe", "--train", *trains, "--test", str(test_path),
+               "--sparse", "--sigma-search", "0.2,5.0", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert 0.2 <= doc["sigma"] <= 5.0
+    assert_allclose(doc["pi_hat"], [1 / 3, 1 / 3, 1 / 3], atol=0.1)
+
+
 def test_meanshift_labels_and_compare(tmp_path):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=2)
     labels = tmp_path / "labels.csv"

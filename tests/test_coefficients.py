@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from skm.coefficients import (
     CholeskyWeights,
     kappa_entry,
     project_simplex,
-    solve_direct,
     stop_rule,
 )
 from skm.dataio import DataSet
-from skm.errors import ConvergenceError, NearSingularError
+from skm.errors import NearSingularError
 from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
@@ -185,7 +185,7 @@ def test_extension_agrees_with_direct_solve():
     order = list(rng.permutation(30)[:10])
     state = grow_state(data, spec, order)
     gram = gram_matrix(spec, data.points[order])
-    direct = solve_direct(gram, state.kappa, tol=1e-13)
+    direct = scipy.linalg.solve(gram, state.kappa, assume_a="pos")
     assert np.linalg.norm(state.alpha - direct) <= 1e-7 * np.linalg.norm(direct)
 
 
@@ -205,51 +205,6 @@ def test_stop_rule_needs_two_entries():
 def test_stop_rule_rejects_negative_epsilon():
     with pytest.raises(ValueError):
         stop_rule([-1.0, -2.0], -0.5)
-
-
-# ---------------------------------------------------------------- solve_direct
-
-def test_solve_identity():
-    v = np.array([3.0, -1.0, 2.0])
-    assert_allclose(solve_direct(np.eye(3), v), v, rtol=1e-12)
-
-
-def test_solve_two_point_symmetric_case():
-    k01 = math.exp(-0.5)
-    gram = np.array([[1.0, k01], [k01, 1.0]])
-    kappa = np.full(2, (1.0 + k01) / 2.0)
-    assert_allclose(solve_direct(gram, kappa), [0.5, 0.5], rtol=1e-10)
-
-
-def test_solve_random_spd_matches_dense_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        a = rng.normal(size=(8, 8))
-        gram = a @ a.T + 8 * np.eye(8)
-        kappa = rng.normal(size=8)
-        expected = np.linalg.solve(gram, kappa)
-        got = solve_direct(gram, kappa, tol=1e-12)
-        assert np.linalg.norm(got - expected) < 1e-8 * np.linalg.norm(expected)
-
-
-def test_solve_zero_rhs():
-    assert_allclose(solve_direct(np.eye(4), np.zeros(4)), np.zeros(4))
-
-
-def test_solve_rejects_asymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        solve_direct(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-
-def test_solve_nonconvergence_carries_residual():
-    # large ill-conditioned system, no iterations allowed, too big for the
-    # dense fallback
-    n = 80
-    gram = np.fromfunction(lambda i, j: 1.0 / (i + j + 1.0), (n, n))
-    kappa = np.ones(n)
-    with pytest.raises(ConvergenceError) as err:
-        solve_direct(gram, kappa, tol=1e-14, max_iter=1)
-    assert err.value.residual is not None and err.value.residual > 0
 
 
 # -------------------------------------------------------------- project_simplex

@@ -213,6 +213,18 @@ def test_search_bandwidth_sparse_uses_fixed_supports():
     assert info["validation_l1"] < 0.5
 
 
+@pytest.mark.parametrize("lo, hi", [(0.2, 5.0), (0.5, 2.0)])
+def test_search_bandwidth_sparse_on_three_large_blobs(lo, hi):
+    # With 2000 points per class the fixed supports chosen by farthest-first
+    # traversal become numerically dependent at the wider bandwidths tried;
+    # the re-solve drops them instead of failing.
+    rng = np.random.default_rng(12)
+    train = class_samples(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 2000, scale=1.0)
+    sigma, info = search_bandwidth(train, lo, hi, GAUSS_2D, sparse=True)
+    assert lo <= sigma <= hi
+    assert info["validation_l1"] < 0.2
+
+
 def test_search_bandwidth_validates_interval():
     rng = np.random.default_rng(11)
     train = class_samples(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)

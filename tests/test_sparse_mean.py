@@ -459,6 +459,39 @@ def test_fit_with_support_resolves_new_bandwidth():
     assert_allclose(wide.alpha, direct.alpha, atol=1e-7)
 
 
+def test_fit_with_support_rejects_indices_outside_range():
+    data = DataSet(np.random.default_rng(19).normal(size=(50, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    for bad in ([0, -1, 5], [0, 50], [0, 49, -1]):  # -1 would alias point 49
+        with pytest.raises(ValueError, match="must lie in"):
+            fit_with_support(data, spec, bad)
+    with pytest.raises(ValueError, match="duplicates"):
+        fit_with_support(data, spec, [0, 49, 49])
+
+
+def test_fit_with_support_drops_dependent_supports_at_wide_bandwidth():
+    # Three 667-point blobs and 134 farthest-first supports (3 sqrt(n)); at
+    # sigma=5 most of their sections are numerically dependent.
+    rng = np.random.default_rng(20)
+    centers = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
+    data = DataSet(np.vstack([c + rng.standard_normal((667, 2)) for c in centers]))
+    support = kcenter_greedy(data, 134, first=0).order
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=5.0)
+    mean = fit_with_support(data, spec, support)
+    kept = mean.support_indices
+    assert len(mean.diagnostics.skipped) > 0
+    assert kept.size + len(mean.diagnostics.skipped) == support.size
+    assert_array_equal(kept, support[np.isin(support, kept)])  # order kept
+    gram = gram_matrix(spec, data.points[kept])
+    kappa = gram_matrix(spec, data.points, data.points[kept]).mean(axis=0)
+    ref = scipy.linalg.solve(gram, kappa, assume_a="pos")
+
+    def objective(alpha):  # squared RKHS error minus ||zbar||^2
+        return alpha @ gram @ alpha - 2.0 * alpha @ kappa
+
+    assert objective(mean.alpha) - objective(ref) <= 1e-12 * abs(objective(ref))
+
+
 def test_density_projected_gaussian_integrates_to_one():
     rng = np.random.default_rng(17)
     data = DataSet(rng.normal(size=(60, 1)) * 1.5)
