@@ -37,9 +37,6 @@ def bench_primitives(n, d, repeat=7):
     rng = np.random.default_rng(0)
     points = np.ascontiguousarray(rng.normal(size=(n, d)))
     center = np.ascontiguousarray(rng.normal(size=d))
-    alpha = np.ascontiguousarray(rng.dirichlet(np.ones(min(n, 512))))
-    support = points[: alpha.shape[0]]
-    out = np.empty(d)
 
     impls = [("numpy", _numpy_impl)]
     if _fastcore is not None:
@@ -52,10 +49,7 @@ def bench_primitives(n, d, repeat=7):
         t_scan = best_of(repeat, lambda: impl.farthest_scan(
             points, 0, sqdist, score, *back, 0, 0.5, 0.0, 1.0))
         t_gram = best_of(repeat, lambda: impl.mean_gram(points, center, 0, 0.5, 0.0, 1.0))
-        t_shift = best_of(
-            repeat, lambda: impl.gaussian_shift_step(support, alpha, center, 0.5, out)
-        )
-        rows.append((label, t_scan, t_gram, t_shift))
+        rows.append((label, t_scan, t_gram))
     return rows
 
 
@@ -91,14 +85,12 @@ def main():
 
     print(f"primitives on n={args.n}, d={args.d} (best of 7):")
     rows = bench_primitives(args.n, args.d)
-    print(f"  {'backend':9s} {'farthest_scan':>14s} {'mean_gram':>11s} {'shift_step':>11s}")
-    for label, t_scan, t_gram, t_shift in rows:
-        print(f"  {label:9s} {t_scan * 1e3:11.3f} ms {t_gram * 1e3:8.3f} ms "
-              f"{t_shift * 1e3:8.3f} ms")
+    print(f"  {'backend':9s} {'farthest_scan':>14s} {'mean_gram':>11s}")
+    for label, t_scan, t_gram in rows:
+        print(f"  {label:9s} {t_scan * 1e3:11.3f} ms {t_gram * 1e3:8.3f} ms")
     if len(rows) == 2:
-        speedups = [rows[0][i] / rows[1][i] for i in (1, 2, 3)]
-        print(f"  speedup   {speedups[0]:11.2f} x  {speedups[1]:8.2f} x  "
-              f"{speedups[2]:8.2f} x")
+        speedups = [rows[0][i] / rows[1][i] for i in (1, 2)]
+        print(f"  speedup   {speedups[0]:11.2f} x  {speedups[1]:8.2f} x")
 
     print(f"\nend-to-end fit (n={args.n}, d={args.d}, k_max={args.kmax}, best of 3):")
     backends = ["numpy"] + (["compiled"] if _fastcore is not None else [])

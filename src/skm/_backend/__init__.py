@@ -1,11 +1,10 @@
 """Backend selection for the hot inner loops.
 
-Three primitives: `farthest_scan`, one fused pass over the points that
+Two primitives: `farthest_scan`, one fused pass over the points that
 makes a point a farthest-first center, returns the kernel row mean of that
-center and the next farthest candidate; `mean_gram`, a kernel row mean
-alone; and `gaussian_shift_step`, one mean-shift step. The compiled
-extension (`_fastcore.c`) is preferred when present; the numpy
-implementation is the fallback. Set SKM_BACKEND=numpy or
+center and the next farthest candidate; and `mean_gram`, a kernel row mean
+alone. The compiled extension (`_fastcore.c`) is preferred when present;
+the numpy implementation is the fallback. Set SKM_BACKEND=numpy or
 SKM_BACKEND=compiled to force a choice (forcing "compiled" raises if the
 extension was not built).
 """
@@ -40,4 +39,3 @@ else:
 
 farthest_scan = _impl.farthest_scan
 mean_gram = _impl.mean_gram
-gaussian_shift_step = _impl.gaussian_shift_step

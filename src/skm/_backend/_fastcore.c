@@ -1,5 +1,5 @@
-/* Compiled inner loops: the fused farthest-first scan, kernel row means and
- * mean-shift steps. Signatures match skm._backend._numpy_impl exactly.
+/* Compiled inner loops: the fused farthest-first scan and kernel row means.
+ * Signatures match skm._backend._numpy_impl exactly.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the expected shape; anything else raises TypeError or
@@ -149,37 +149,11 @@ static PyObject *mean_gram(PyObject *self, PyObject *args)
     return PyFloat_FromDouble(c * acc / n);
 }
 
-static PyObject *gaussian_shift_step(PyObject *self, PyObject *args)
-{
-    PyObject *so, *ao, *xo, *oo;
-    double a, wsum = 0.0;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OOOdO", &so, &ao, &xo, &a, &oo))
-        return NULL;
-    const double *sup = borrow(&vs, so, "support", 2, -1, 0);
-    Py_ssize_t k = sup ? vs.view[0].shape[0] : 0, d = sup ? vs.view[0].shape[1] : 0;
-    const double *alpha = sup ? borrow(&vs, ao, "alpha", 1, k, 0) : NULL;
-    const double *x = alpha ? borrow(&vs, xo, "x", 1, d, 0) : NULL;
-    double *out = x ? borrow(&vs, oo, "out", 1, d, 1) : NULL;
-    for (Py_ssize_t t = 0; out != NULL && t < d; t++)
-        out[t] = 0.0;
-    for (Py_ssize_t i = 0; out != NULL && i < k; i++) {
-        double w = alpha[i] * exp(-a * sqdist(x, sup + i * d, d));
-        wsum += w;
-        for (Py_ssize_t t = 0; t < d; t++)
-            out[t] += w * sup[i * d + t];
-    }
-    release(&vs);
-    return out ? PyFloat_FromDouble(wsum) : NULL;
-}
-
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
      "farthest_scan(points, j, sqdist, score, sqdist_out, score_out, kind, a, b, c)"
      " -> (kappa_j, max sqdist_out, next index or -1)"},
     {"mean_gram", mean_gram, METH_VARARGS, "mean_gram(points, y, kind, a, b, c) -> float"},
-    {"gaussian_shift_step", gaussian_shift_step, METH_VARARGS,
-     "gaussian_shift_step(support, alpha, x, a, out) -> weight total"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,10 +1,9 @@
 """Pure-numpy implementations of the hot inner loops.
 
 The primitives are `farthest_scan` (one fused farthest-first step with the
-kernel row mean of the new center), `mean_gram` (a kernel row mean alone)
-and `gaussian_shift_step` (one mean-shift step). Used when the compiled
-extension is unavailable, or when SKM_BACKEND=numpy. Signatures match
-skm._backend._fastcore exactly.
+kernel row mean of the new center) and `mean_gram` (a kernel row mean
+alone). Used when the compiled extension is unavailable, or when
+SKM_BACKEND=numpy. Signatures match skm._backend._fastcore exactly.
 """
 
 import numpy as np
@@ -53,14 +52,3 @@ def mean_gram(points, y, kind, a, b, c):
     diff = points - y
     return _row_mean(np.einsum("ij,ij->i", diff, diff), kind, a, b, c)
 
-
-def gaussian_shift_step(support, alpha, x, a, out):
-    """One mean-shift step: out = sum_i w_i * support[i], returns sum_i w_i.
-
-    Weights are w_i = alpha[i] * exp(-a * ||x - support[i]||^2); the caller
-    divides by the returned weight total (and handles total == 0).
-    """
-    diff = support - x
-    w = alpha * np.exp(-a * np.einsum("ij,ij->i", diff, diff))
-    out[:] = w @ support
-    return float(w.sum())

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from . import _backend, kcenter
-from ._parallel import default_num_threads, set_num_threads
 from .coefficients import CholeskyWeights
 from .cpe import estimate_proportions, search_bandwidth
 from .dataio import ModelRecord, load_csv, load_model, save_csv, save_model
@@ -124,8 +123,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="skm", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SKM_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", parents=[common], help="fit a sparse kernel mean")
@@ -405,9 +402,7 @@ def _cmd_meanshift(args) -> int:
     if args.compare:
         ref = load_csv(args.compare, has_header=True)
         delta = args.delta if args.delta is not None else 3.0 * sigma
-        ref_clusters = cluster_modes(
-            ShiftStub(ref.points), merge
-        )
+        ref_clusters = cluster_modes(ref.points, merge)
         metrics = {
             "discrepancy_index": discrepancy_index(result.shifted, ref.points, delta),
             "hausdorff": hausdorff_clustering_distance(clustering, ref_clusters, data),
@@ -416,13 +411,6 @@ def _cmd_meanshift(args) -> int:
         }
         _write_json(args.metrics_out, metrics)
     return 0
-
-
-class ShiftStub:
-    """Minimal stand-in so reference shifted points can be re-clustered."""
-
-    def __init__(self, shifted):
-        self.shifted = np.asarray(shifted, dtype=np.float64)
 
 
 def _bench_curve(data, spec, k_max, first, seed):
@@ -530,8 +518,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        threads = args.threads if args.threads is not None else default_num_threads()
-        set_num_threads(threads)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from scipy.linalg import blas, cho_solve
 
 from . import _backend
 from .errors import NearSingularError
-from .kernels import g_zero, gram_at_dist, gram_params
+from .kernels import _apply_shape, g_zero, gram_params
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
 # support section. Below ~1e-9 the bordered update amplifies rounding error
@@ -61,9 +61,8 @@ class CholeskyWeights:
         self.c = g_zero(spec)
         if not self.c > 0.0:
             raise ValueError(f"g(0) must be positive, got {self.c}")
-        self.data = data
         self.points = np.ascontiguousarray(data.points, dtype=np.float64)
-        self.spec = spec
+        self.params = gram_params(spec)
         self.m = 0
         self.alpha = np.empty(0)
         self._packed = np.empty(16 * 17 // 2)
@@ -97,7 +96,7 @@ class CholeskyWeights:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
         kappa(j) supplies kappa_j, the O(nd) part of the step; it is called
-        only once the pivot has passed, and defaults to `kappa_entry`.
+        only once the pivot has passed, and defaults to one `mean_gram` scan.
         Raises NearSingularError, leaving the state unchanged, when the
         pivot falls to the singularity tolerance (e.g. a duplicate support
         point), or when the step would raise the error indicator, which is
@@ -108,7 +107,8 @@ class CholeskyWeights:
         m, row = self.m, self.m * (self.m + 1) // 2
         if np.any(self.indices == j):
             raise ValueError(f"index {j} is already in the support")
-        b = gram_at_dist(self.spec, np.linalg.norm(self.points[self.indices] - self.points[j], axis=1))
+        diff = self.points[self.indices] - self.points[j]
+        b = _apply_shape(self.params, np.einsum("ij,ij->i", diff, diff))
         # The packed rows of L are the packed columns of the upper factor
         # L', so trans=1 solves L w = b and trans=0 solves L' u = w.
         w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b
@@ -123,7 +123,8 @@ class CholeskyWeights:
             self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
             self._indices, self._kappa, self._e = (
                 np.resize(a, cap) for a in (self._indices, self._kappa, self._e))
-        self._kappa[m] = kappa_entry(self.data, self.spec, j) if kappa is None else kappa(j)
+        self._kappa[m] = (_backend.mean_gram(self.points, self.points[j], *self.params)
+                          if kappa is None else kappa(j))
         u = blas.dtpsv(m, self._packed[:row], w, trans=0) if m else w
         t = (self._kappa[m] - float(b @ self.alpha)) / pivot
         alpha = np.append(self.alpha - t * u, t)

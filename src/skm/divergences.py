@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .dataio import DataSet
 from .errors import SkmError
 from .kernels import RadialKernelSpec
@@ -150,18 +149,14 @@ def pairwise_matrix(means, mode: str, eval_sets=None, labels=None) -> DistanceMa
     if n < 2:
         raise ValueError("need at least 2 samples for a distance matrix")
     labels = tuple(labels) if labels is not None else tuple(f"sample{i}" for i in range(n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def _entry(pair):
-        i, j = pair
-        if mode == "rkhs":
-            return rkhs_distance(means[i], means[j])
-        return symmetrized_kl(means[i], means[j], eval_sets[i], eval_sets[j])
-
-    values = parallel_map(_entry, pairs)
     matrix = np.zeros((n, n))
-    for (i, j), value in zip(pairs, values):
-        matrix[i, j] = matrix[j, i] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mode == "rkhs":
+                value = rkhs_distance(means[i], means[j])
+            else:
+                value = symmetrized_kl(means[i], means[j], eval_sets[i], eval_sets[j])
+            matrix[i, j] = matrix[j, i] = value
     return DistanceMatrix(
         matrix=matrix,
         labels=labels,

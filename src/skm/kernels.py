@@ -182,24 +182,37 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
     )
 
 
-def _apply_shape(params: ShapeParams, r):
-    r = np.asarray(r, dtype=np.float64)
+def _apply_shape(params: ShapeParams, r2):
+    """c * shape(r), computed in place on the float64 array r2 of squared distances."""
     kind, a, b, c = params
-    if kind == _backend.SHAPE_SQEXP:
-        return c * np.exp(-a * r * r)
-    if kind == _backend.SHAPE_EXP:
-        return c * np.exp(-a * r)
-    return c * (1.0 + a * r * r) ** (-b)
+    if kind == _backend.SHAPE_POWER:
+        r2 *= a
+        r2 += 1.0
+        np.power(r2, -b, out=r2)
+    else:
+        if kind == _backend.SHAPE_EXP:
+            np.sqrt(r2, out=r2)
+        r2 *= -a
+        np.exp(r2, out=r2)
+    if c != 1.0:
+        r2 *= c
+    return r2
+
+
+def _at_dist(params: ShapeParams, r):
+    r2 = np.array(r, dtype=np.float64)
+    r2 *= r2
+    return _apply_shape(params, r2)
 
 
 def kernel_at_dist(spec: RadialKernelSpec, r):
     """phi evaluated at anchor distance r (elementwise over an array)."""
-    return _apply_shape(eval_params(spec), r)
+    return _at_dist(eval_params(spec), r)
 
 
 def gram_at_dist(spec: RadialKernelSpec, r):
     """Section inner product g evaluated at anchor distance r."""
-    return _apply_shape(gram_params(spec), r)
+    return _at_dist(gram_params(spec), r)
 
 
 def _check_dim(spec, x, name="point"):
@@ -230,18 +243,21 @@ def g_zero(spec: RadialKernelSpec) -> float:
     return float(gram_at_dist(spec, 0.0))
 
 
-def kernel_matrix(spec: RadialKernelSpec, xs, ys=None):
-    """Matrix of phi(x_i, y_j) values."""
+def kernel_block(params: ShapeParams, xs, ys=None):
+    """Matrix of c * shape(||x_i - y_j||) from exact squared differences."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _apply_shape(eval_params(spec), cdist(xs, ys))
+    return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
+
+
+def kernel_matrix(spec: RadialKernelSpec, xs, ys=None):
+    """Matrix of phi(x_i, y_j) values."""
+    return kernel_block(eval_params(spec), xs, ys)
 
 
 def gram_matrix(spec: RadialKernelSpec, xs, ys=None):
     """Matrix of section inner products g(||x_i - y_j||)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _apply_shape(gram_params(spec), cdist(xs, ys))
+    return kernel_block(gram_params(spec), xs, ys)
 
 
 def _points(data) -> np.ndarray:

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import _backend
-from ._parallel import parallel_map
-from .sparse_mean import SparseKernelMean
+from .sparse_mean import SparseKernelMean, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -57,26 +55,40 @@ def _check_backend(mean: SparseKernelMean) -> None:
         raise ValueError("mean-shift requires a positive total weight")
 
 
-def _shift_stats(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
-    support = np.ascontiguousarray(mean.support)
-    alpha = np.ascontiguousarray(mean.alpha)
-    inv_two_sigma_sq = 1.0 / (2.0 * mean.spec.sigma**2)
-    x = np.array(x0, dtype=np.float64).ravel().copy()
-    out = np.empty_like(x)
+def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
+    """Shift the rows of x0 together until each one's step falls below gamma.
+
+    Each round moves every active point to the weighted average of the
+    support, by one kernel sum against alpha * [support | 1], and retires
+    the points whose step was below gamma. A point whose weight total
+    underflows to zero stays where it is and is marked not converged.
+    """
+    x = np.array(x0, dtype=np.float64)
+    iterations = np.full(x.shape[0], max_iter, dtype=np.int64)
+    converged = np.zeros(x.shape[0], dtype=bool)
+    coef = mean.alpha[:, None] * np.hstack([mean.support, np.ones((mean.k0, 1))])
+    active = np.arange(x.shape[0])
     for it in range(1, max_iter + 1):
-        wsum = _backend.gaussian_shift_step(support, alpha, x, inv_two_sigma_sq, out)
-        if wsum == 0.0:
+        if active.size == 0:
+            break
+        sums = kernel_sums(mean, x[active], coef)
+        wsum = sums[:, -1]
+        dead = wsum == 0.0
+        if dead.any():
             warnings.warn(
                 "all kernel weights underflowed to zero; point left stationary",
                 stacklevel=3,
             )
-            return x, it, False
-        new_x = out / wsum
-        step = float(np.linalg.norm(new_x - x))
-        x = new_x
-        if step < gamma:
-            return x, it, True
-    return x, max_iter, False
+            iterations[active[dead]] = it
+            active, sums, wsum = active[~dead], sums[~dead], wsum[~dead]
+        new_x = sums[:, :-1] / wsum[:, None]
+        step = np.linalg.norm(new_x - x[active], axis=1)
+        x[active] = new_x
+        done = step < gamma
+        iterations[active[done]] = it
+        converged[active[done]] = True
+        active = active[~done]
+    return x, iterations, converged
 
 
 def shift_point(x0, mean: SparseKernelMean, gamma: float, max_iter: int = 500):
@@ -84,15 +96,16 @@ def shift_point(x0, mean: SparseKernelMean, gamma: float, max_iter: int = 500):
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     _check_backend(mean)
-    if np.asarray(x0).ravel().shape[0] != mean.spec.dim:
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    if x0.shape[0] != mean.spec.dim:
         raise ValueError("point dimension does not match the kernel dimension")
-    x, _, _ = _shift_stats(x0, mean, gamma, max_iter)
-    return x
+    x, _, _ = _shift(x0[None, :], mean, gamma, max_iter)
+    return x[0]
 
 
 def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
                    max_iter: int = 500) -> ShiftResult:
-    """Shift every data point; pure per-point work, parallel over points."""
+    """Shift every data point; the points still moving advance together."""
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     _check_backend(mean)
@@ -100,12 +113,7 @@ def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
     if pts.shape[1] != mean.spec.dim:
         raise ValueError("data dimension does not match the kernel dimension")
 
-    results = parallel_map(
-        lambda row: _shift_stats(row, mean, gamma, max_iter), pts
-    )
-    shifted = np.vstack([r[0] for r in results])
-    iterations = np.array([r[1] for r in results], dtype=np.int64)
-    converged = np.array([r[2] for r in results], dtype=bool)
+    shifted, iterations, converged = _shift(pts, mean, gamma, max_iter)
     backend = "full" if mean.diagnostics.method == "full" else "skm"
     return ShiftResult(
         shifted=shifted,
@@ -117,16 +125,17 @@ def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
     )
 
 
-def cluster_modes(shift_result: ShiftResult, merge_dist: float) -> Clustering:
+def cluster_modes(shift_result, merge_dist: float) -> Clustering:
     """Single-linkage merge of converged points within merge_dist.
 
+    shift_result is a ShiftResult or an array of converged positions.
     Chains of nearby points collapse into one cluster. Labels are dense ids
     in order of first appearance; each cluster's mode is the mean of its
     members' converged positions.
     """
     if not merge_dist > 0:
         raise ValueError(f"merge_dist must be positive, got {merge_dist}")
-    pts = shift_result.shifted
+    pts = _shifted_array(shift_result)
     n = pts.shape[0]
     parent = np.arange(n)
 

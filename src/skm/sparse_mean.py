@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import kcenter
-from ._parallel import parallel_map
 from .coefficients import (
     CholeskyWeights,
     kappa_entry,
@@ -25,15 +24,18 @@ from .coefficients import (
 from .errors import NearSingularError
 from .kernels import (
     RadialKernelSpec,
+    eval_params,
     gram_at_dist,
     gram_matrix,
     gram_params,
-    kernel_matrix,
+    kernel_block,
 )
 
 logger = logging.getLogger(__name__)
 
-_EVAL_CHUNK = 2048
+# A kernel block holds at most this many entries (2 MB), so the memory of a
+# kernel sum stays flat whatever the support size.
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +105,7 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
     if order is None:
         # One fused scan per candidate that passes the pivot check gives
         # kappa_j and the farthest-first update together.
-        scan = kcenter.FarthestFirst(weights.points, gram_params(weights.spec))
+        scan = kcenter.FarthestFirst(weights.points, weights.params)
         pick, kappa = scan.next, scan.propose
         cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     else:
@@ -251,6 +253,21 @@ def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
     )
 
 
+def kernel_sums(mean: SparseKernelMean, queries, coef) -> np.ndarray:
+    """sum_i phi(q, x_i) coef_i for each row q of the 2-D float64 `queries`.
+
+    coef has one row per support point (shape (k0,) or (k0, p)). The kernel
+    values are formed in row blocks of at most 2^18 entries, or one row
+    when the support is larger.
+    """
+    params = eval_params(mean.spec)
+    out = np.empty((queries.shape[0],) + coef.shape[1:])
+    rows = max(1, _BLOCK_ENTRIES // mean.k0)
+    for i in range(0, queries.shape[0], rows):
+        out[i:i + rows] = kernel_block(params, queries[i:i + rows], mean.support) @ coef
+    return out
+
+
 def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
     """Evaluate sum_i alpha_i phi(q, x_i) at each query row."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -258,14 +275,7 @@ def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {queries.shape[1]}, kernel expects {mean.spec.dim}"
         )
-
-    def _chunk(block):
-        return kernel_matrix(mean.spec, block, mean.support) @ mean.alpha
-
-    if queries.shape[0] <= _EVAL_CHUNK:
-        return _chunk(queries)
-    blocks = [queries[i:i + _EVAL_CHUNK] for i in range(0, queries.shape[0], _EVAL_CHUNK)]
-    return np.concatenate(parallel_map(_chunk, blocks))
+    return kernel_sums(mean, queries, mean.alpha)
 
 
 def evaluate_full(data, spec: RadialKernelSpec, queries) -> np.ndarray:

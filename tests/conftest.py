@@ -9,9 +9,16 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible and its run time bounded.
+settings.register_profile("skm", derandomize=True, database=None, max_examples=60,
+                          deadline=None)
+settings.load_profile("skm")
 
 
 @pytest.fixture(scope="session")

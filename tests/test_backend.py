@@ -133,23 +133,6 @@ def test_compiled_rejects_bad_buffers(fastcore):
         fastcore.mean_gram(np.zeros((0, 3)), np.zeros(3), SHAPE_SQEXP, 1.0, 0.0, 1.0)
     with pytest.raises(TypeError):
         fastcore.mean_gram(points, np.zeros(3, dtype=np.float32), SHAPE_SQEXP, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        fastcore.gaussian_shift_step(points, np.ones(3), np.zeros(3), 0.5, np.empty(3))
-    with pytest.raises(ValueError):
-        fastcore.gaussian_shift_step(points, np.ones(4), np.zeros(3), 0.5, np.empty(2))
-
-
-def test_shift_step_backends_agree(fastcore):
-    rng = np.random.default_rng(2)
-    support = np.ascontiguousarray(rng.normal(size=(50, 3)))
-    alpha = np.ascontiguousarray(rng.dirichlet(np.ones(50)))
-    x = np.ascontiguousarray(rng.normal(size=3))
-    out_np = np.empty(3)
-    out_c = np.empty(3)
-    w_np = _numpy_impl.gaussian_shift_step(support, alpha, x, 0.5, out_np)
-    w_c = fastcore.gaussian_shift_step(support, alpha, x, 0.5, out_c)
-    assert_allclose(w_np, w_c, rtol=1e-12)
-    assert_allclose(out_np, out_c, rtol=1e-12)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)

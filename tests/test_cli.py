@@ -309,37 +309,6 @@ def test_same_seed_gives_byte_identical_outputs(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_outputs_invariant_to_thread_count(tmp_path):
-    x = synth_csv(tmp_path, dataset="blobs2", n=120, seed=8)
-    results = []
-    for threads in ("1", "4"):
-        labels = tmp_path / f"labels_{threads}.csv"
-        shifted = tmp_path / f"shifted_{threads}.csv"
-        rc = main(["meanshift", "--input", str(x), "--sigma", "0.8",
-                   "--threads", threads, "--out-labels", str(labels),
-                   "--out-shifted", str(shifted)])
-        assert rc == 0
-        results.append((labels.read_bytes(), shifted.read_bytes()))
-    assert results[0] == results[1]
-
-
-def test_skm_threads_env_fallback(tmp_path):
-    x = synth_csv(tmp_path, dataset="blobs2", n=60, seed=9)
-    out = tmp_path / "d.csv"
-    script = (
-        "import sys; from skm.cli import main; "
-        f"sys.exit(main(['embed', {str(str(x))!r}, {str(str(x))!r}, "
-        "'--kernel', 'gaussian:sigma=1.0', '--out', "
-        f"{str(str(out))!r}]))"
-    )
-    import os
-
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, SKM_THREADS="2"),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "skm.cli", "--help"],
                           capture_output=True, text=True)

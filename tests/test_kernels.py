@@ -217,6 +217,24 @@ def test_matrix_helpers_match_scalar_calls():
             assert_allclose(gm[i, j], gram_inner(spec, xs[i], ys[j]), rtol=1e-14)
 
 
+@pytest.mark.parametrize("spec, profile", [
+    (unit_gaussian(dim=3, sigma=1.0), lambda r: math.exp(-r * r / 2.0)),
+    (RadialKernelSpec("laplacian", dim=3, gamma=1.0), lambda r: math.exp(-r)),
+    (RadialKernelSpec("student", dim=3, alpha=1.5, beta=1.0),
+     lambda r: (1.0 + r * r) ** -1.5),
+], ids=["gaussian", "laplacian", "student"])
+def test_matrices_exact_far_from_the_origin(spec, profile):
+    # An expanded |x|^2 + |y|^2 - 2x'y distance loses about 1e-8 in r^2 at
+    # this offset; exact differences keep every entry to rounding.
+    rng = np.random.default_rng(13)
+    xs = 1e4 + rng.normal(size=(6, 3))
+    ys = 1e4 + rng.normal(size=(5, 3))
+    expected = np.array([[profile(math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y))))
+                          for y in ys] for x in xs])
+    assert_allclose(kernel_matrix(spec, xs, ys), expected, rtol=1e-12)
+    assert_allclose(gram_matrix(spec, xs, ys), expected, rtol=1e-12)
+
+
 # ------------------------------------------------------------------ bandwidths
 
 def test_bandwidth_iqr_hand_oracle():

@@ -1,8 +1,13 @@
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose, assert_array_equal
 
 from skm.dataio import DataSet
 from skm.kernels import RadialKernelSpec
@@ -159,6 +164,69 @@ def test_mean_shift_kernel_eval_counter():
     mean = fit(data, DENS2, k_max=20, epsilon=1e-8, density_mode=True)
     result = mean_shift_all(data, mean, gamma=1e-3 * SIGMA)
     assert result.kernel_evals == int(result.iterations.sum()) * mean.k0
+
+
+def test_mean_shift_all_leaves_an_underflowing_point_alone():
+    data = two_blobs(n=60)
+    mean = full_mean(data, DENS2)
+    with_far = DataSet(np.vstack([data.points[:30], [[1e6, 0.0]], data.points[30:]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = mean_shift_all(with_far, mean, gamma=1e-4)
+    assert sum("underflow" in str(w.message) for w in caught) == 1
+    assert_array_equal(result.shifted[30], [1e6, 0.0])
+    assert not result.converged[30] and result.iterations[30] == 1
+    alone = mean_shift_all(data, mean, gamma=1e-4)
+    keep = np.arange(61) != 30
+    assert_array_equal(result.iterations[keep], alone.iterations)
+    assert_array_equal(result.converged[keep], alone.converged)
+    assert_allclose(result.shifted[keep], alone.shifted, rtol=0, atol=1e-12)
+
+
+def per_point_shift_oracle(points, support, alpha, sigma, gamma, max_iter):
+    """Each point on its own: weighted average of the support until the step < gamma."""
+    shifted, iterations, converged = [], [], []
+    for x in points:
+        x, its, ok = np.array(x, dtype=float), max_iter, False
+        for it in range(1, max_iter + 1):
+            w = alpha * np.exp(-((support - x) ** 2).sum(axis=1) / (2.0 * sigma**2))
+            if w.sum() == 0.0:
+                its = it
+                break
+            new_x = w @ support / w.sum()
+            step = np.linalg.norm(new_x - x)
+            x = new_x
+            if step < gamma:
+                its, ok = it, True
+                break
+        shifted.append(x)
+        iterations.append(its)
+        converged.append(ok)
+    return np.array(shifted), np.array(iterations), np.array(converged)
+
+
+@given(data=st.data())
+def test_batched_shift_matches_per_point_loop(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(1, 6), label="n")
+    support = data.draw(arrays(np.float64, (k, d), elements=st.floats(-3, 3)), label="support")
+    raw = data.draw(arrays(np.float64, k, elements=st.floats(0.01, 1.0)), label="raw weights")
+    points = data.draw(arrays(np.float64, (n, d), elements=st.floats(-8, 8)), label="points")
+    sigma = data.draw(st.floats(0.05, 2.0), label="sigma")
+    gamma = data.draw(st.floats(1e-6, 1e-1), label="gamma")
+    max_iter = data.draw(st.integers(1, 30), label="max_iter")
+    alpha = raw / raw.sum()
+    spec = RadialKernelSpec("gaussian", dim=d, sigma=sigma)
+    mean = dataclasses.replace(full_mean(DataSet(support), spec), alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = mean_shift_all(DataSet(points), mean, gamma=gamma, max_iter=max_iter)
+    shifted, iterations, converged = per_point_shift_oracle(
+        points, support, alpha, sigma, gamma, max_iter)
+    assert_array_equal(result.iterations, iterations)
+    assert_array_equal(result.converged, converged)
+    assert_allclose(result.shifted, shifted, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- cluster_modes

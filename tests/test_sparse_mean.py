@@ -166,6 +166,28 @@ def test_evaluate_matches_double_loop_oracle():
         assert_allclose(got[qi], expected, rtol=1e-12)
 
 
+def test_evaluate_on_no_queries_returns_empty():
+    mean = fit(line_data(0.0, 1.0), UNIT_GAUSS_1D, k_max=2, epsilon=0.0)
+    assert evaluate(mean, np.empty((0, 1))).shape == (0,)
+
+
+def test_evaluate_memory_is_bounded_by_the_block_size():
+    # One 1024 x 2000 kernel block would hold 16 MB, and its temporaries more.
+    rng = np.random.default_rng(23)
+    data = DataSet(rng.normal(size=(2000, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    mean = full_mean(data, spec)
+    queries = rng.normal(size=(1024, 2))
+    tracemalloc.start()
+    try:
+        values = evaluate(mean, queries)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (1024,)
+    assert peak < 8_000_000
+
+
 def test_evaluate_dimension_mismatch():
     mean = fit(line_data(0.0), UNIT_GAUSS_1D, k_max=1, epsilon=0.0)
     with pytest.raises(ValueError, match="dimension"):
