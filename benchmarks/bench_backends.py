@@ -44,10 +44,9 @@ def bench_primitives(n, d, repeat=7):
 
     rows = []
     for label, impl in impls:
-        sqdist, score = np.full(n, np.inf), np.full(n, np.inf)
-        back = (np.empty(n), np.empty(n))
+        sqdist = np.full(n, np.inf)
         t_scan = best_of(repeat, lambda: impl.farthest_scan(
-            points, 0, sqdist, score, *back, 0, 0.5, 0.0, 1.0))
+            points, 0, sqdist, 0, 0.5, 0.0, 1.0))
         t_gram = best_of(repeat, lambda: impl.mean_gram(points, center, 0, 0.5, 0.0, 1.0))
         rows.append((label, t_scan, t_gram))
     return rows

@@ -1,10 +1,11 @@
 """Backend selection for the hot inner loops.
 
 Two primitives: `farthest_scan`, one fused pass over the points that
-makes a point a farthest-first center, returns the kernel row mean of that
-center and the next farthest candidate; and `mean_gram`, a kernel row mean
-alone. The compiled extension (`_fastcore.c`) is preferred when present;
-the numpy implementation is the fallback. Set SKM_BACKEND=numpy or
+makes a point a farthest-first center, lowers the distances to the chosen
+set in place and returns the kernel row mean of that center and the
+farthest point; and `mean_gram`, a kernel row mean alone. The compiled
+extension (`_fastcore.c`) is preferred when present; the numpy
+implementation is the fallback. Set SKM_BACKEND=numpy or
 SKM_BACKEND=compiled to force a choice (forcing "compiled" raises if the
 extension was not built).
 """

@@ -1,5 +1,7 @@
 /* Compiled inner loops: the fused farthest-first scan and kernel row means.
- * Signatures match skm._backend._numpy_impl exactly.
+ * Signatures match skm._backend._numpy_impl exactly. The scan lowers one
+ * distance buffer in place and returns the farthest point, so a
+ * farthest-first step reads and writes each distance once.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the expected shape; anything else raises TypeError or
@@ -15,7 +17,7 @@ enum { SHAPE_NONE = -1, SHAPE_SQEXP = 0, SHAPE_EXP = 1, SHAPE_POWER = 2 };
 
 /* The buffers one call holds; released together whatever the outcome. */
 typedef struct {
-    Py_buffer view[6];
+    Py_buffer view[2];
     int count;
 } Views;
 
@@ -82,21 +84,18 @@ static inline double shape(int kind, double r2, double a, double b)
 
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
 {
-    PyObject *po, *so, *co, *so_out, *co_out;
-    Py_ssize_t j, next = -1;
+    PyObject *po, *so;
+    Py_ssize_t j, far = -1;
     int kind;
-    double a, b, c, acc = 0.0, top = -INFINITY, best = -1.0;
+    double a, b, c, acc = 0.0, top = -1.0;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OnOOOOiddd", &po, &j, &so, &co, &so_out, &co_out,
-                          &kind, &a, &b, &c) || check_kind(kind, 1) < 0)
+    if (!PyArg_ParseTuple(args, "OnOiddd", &po, &j, &so, &kind, &a, &b, &c)
+        || check_kind(kind, 1) < 0)
         return NULL;
     const double *x = borrow(&vs, po, "points", 2, -1, 0);
     Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    const double *sq = x ? borrow(&vs, so, "sqdist", 1, n, 0) : NULL;
-    const double *score = sq ? borrow(&vs, co, "score", 1, n, 0) : NULL;
-    double *sq_out = score ? borrow(&vs, so_out, "sqdist_out", 1, n, 1) : NULL;
-    double *score_out = sq_out ? borrow(&vs, co_out, "score_out", 1, n, 1) : NULL;
-    if (score_out != NULL && (j < 0 || j >= n))
+    double *sq = x ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
+    if (sq != NULL && (j < 0 || j >= n))
         PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", j, n);
     if (PyErr_Occurred()) {
         release(&vs);
@@ -108,20 +107,16 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
         double r2 = sqdist(x + i * d, y, d);
         if (kind != SHAPE_NONE)
             acc += shape(kind, r2, a, b);
-        double s2 = sq[i] < r2 ? sq[i] : r2;
-        double s = i == j ? -1.0 : (score[i] < s2 ? score[i] : s2);
-        sq_out[i] = s2;
-        score_out[i] = s;
-        if (s2 > top)
-            top = s2;
-        if (s > best) {  /* strict: ties keep the lowest index */
-            best = s;
-            next = i;
+        if (r2 < sq[i])
+            sq[i] = r2;
+        if (sq[i] > top) {  /* strict: ties keep the lowest index */
+            top = sq[i];
+            far = i;
         }
     }
     Py_END_ALLOW_THREADS
     release(&vs);
-    return Py_BuildValue("ddn", kind == SHAPE_NONE ? 0.0 : c * acc / n, top, next);
+    return Py_BuildValue("dn", kind == SHAPE_NONE ? 0.0 : c * acc / n, far);
 }
 
 static PyObject *mean_gram(PyObject *self, PyObject *args)
@@ -151,8 +146,7 @@ static PyObject *mean_gram(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
-     "farthest_scan(points, j, sqdist, score, sqdist_out, score_out, kind, a, b, c)"
-     " -> (kappa_j, max sqdist_out, next index or -1)"},
+     "farthest_scan(points, j, sqdist, kind, a, b, c) -> (kappa_j, farthest index)"},
     {"mean_gram", mean_gram, METH_VARARGS, "mean_gram(points, y, kind, a, b, c) -> float"},
     {NULL, NULL, 0, NULL},
 };

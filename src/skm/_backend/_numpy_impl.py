@@ -1,9 +1,10 @@
 """Pure-numpy implementations of the hot inner loops.
 
 The primitives are `farthest_scan` (one fused farthest-first step with the
-kernel row mean of the new center) and `mean_gram` (a kernel row mean
-alone). Used when the compiled extension is unavailable, or when
-SKM_BACKEND=numpy. Signatures match skm._backend._fastcore exactly.
+kernel row mean of the new center, lowering one distance buffer in place)
+and `mean_gram` (a kernel row mean alone). Used when the compiled
+extension is unavailable, or when SKM_BACKEND=numpy. Signatures match
+skm._backend._fastcore exactly.
 """
 
 import numpy as np
@@ -27,24 +28,19 @@ def _row_mean(r2, kind, a, b, c):
     return c * float(vals.sum()) / r2.shape[0]
 
 
-def farthest_scan(points, j, sqdist, score, sqdist_out, score_out, kind, a, b, c):
+def farthest_scan(points, j, sqdist, kind, a, b, c):
     """Make point j a center in one pass over points.
 
-    Writes sqdist_out = min(sqdist, ||points - points[j]||^2) and score_out,
-    which is the same except that chosen and banned points (score -1) and j
-    itself hold -1. Returns (kappa_j, max of sqdist_out, the index of the
-    largest nonnegative score_out, lowest index on ties, or -1 if none):
-    kappa_j is the mean of the radial shape over ||points - points[j]||, or
-    0.0 when kind is SHAPE_NONE.
+    Lowers sqdist in place to min(sqdist, ||points - points[j]||^2) and
+    returns (kappa_j, the index of the largest sqdist, lowest index on
+    ties): kappa_j is the mean of the radial shape over
+    ||points - points[j]||, or 0.0 when kind is SHAPE_NONE.
     """
     diff = points - points[j]
     r2 = np.einsum("ij,ij->i", diff, diff)
     kappa = 0.0 if kind == SHAPE_NONE else _row_mean(r2, kind, a, b, c)
-    np.minimum(sqdist, r2, out=sqdist_out)
-    np.minimum(score, sqdist_out, out=score_out)
-    score_out[j] = -1.0
-    nxt = int(np.argmax(score_out))
-    return kappa, float(np.max(sqdist_out)), nxt if score_out[nxt] >= 0.0 else -1
+    np.minimum(sqdist, r2, out=sqdist)
+    return kappa, int(np.argmax(sqdist))
 
 
 def mean_gram(points, y, kind, a, b, c):

@@ -10,7 +10,8 @@ simplex projection when needed.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,21 @@ class ProportionEstimate:
 
     pi_hat: np.ndarray
     was_projected: bool
-    residual: float
+    # (test mean, its inner products with the class means, the class Gram
+    # matrix): what the residual needs besides pi_hat.
+    _terms: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """||test_mean - sum_i pi_i class_mean_i||^2, floored at 0.
+
+        Computed on first read: its test-test Gram sum costs O(n_test^2)
+        kernel values, which a bandwidth search has no use for.
+        """
+        test_mean, test_inner, gram = self._terms
+        value = (mean_inner(test_mean, test_mean) - 2.0 * float(self.pi_hat @ test_inner)
+                 + float(self.pi_hat @ gram @ self.pi_hat))
+        return max(value, 0.0)
 
 
 def mean_inner(mean_a: SparseKernelMean, mean_b: SparseKernelMean) -> float:
@@ -99,7 +114,6 @@ def estimate_from_means(train_means, test_mean) -> ProportionEstimate:
         for j in range(i, n_classes):
             gram[i, j] = gram[j, i] = mean_inner(train_means[i], train_means[j])
     test_inner = np.array([mean_inner(m, test_mean) for m in train_means])
-    test_sq = mean_inner(test_mean, test_mean)
 
     # Differences against the last class mean.
     last = n_classes - 1
@@ -126,9 +140,7 @@ def estimate_from_means(train_means, test_mean) -> ProportionEstimate:
     if np.any(pi_hat < 0.0):
         pi_hat = project_simplex(pi_hat)
         was_projected = True
-    residual = test_sq - 2.0 * float(pi_hat @ test_inner) + float(pi_hat @ gram @ pi_hat)
-    return ProportionEstimate(pi_hat=pi_hat, was_projected=was_projected,
-                              residual=max(residual, 0.0))
+    return ProportionEstimate(pi_hat, was_projected, (test_mean, test_inner, gram))
 
 
 def _fit_means(samples, spec, sparse, epsilon, k_max, seed):

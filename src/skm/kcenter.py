@@ -51,54 +51,30 @@ def _resolve_first(n: int, first, seed: int) -> int:
 class FarthestFirst:
     """In-place farthest-first state shared by kcenter_greedy and the fit.
 
-    sqdist holds each point's squared distance to the chosen set; score
-    equals sqdist except that chosen and banned points hold -1, so a ban
-    costs O(1). A step is one fused backend scan: `propose(j)` writes the
-    state with j added into back buffers and returns j's kernel row mean
-    (the fit's kappa_j; 0.0 without `shape`), and `accept()` swaps the
-    buffers in. A proposal that is never accepted leaves the state as it
-    was.
+    sqdist holds each point's squared distance to the chosen set. `add(j)`
+    makes point j a center by one fused backend scan, which lowers sqdist
+    in place, and returns j's kernel row mean (the fit's kappa_j; 0.0
+    without `shape`). `farthest` is then the point farthest from the set,
+    ties to the lowest index; once the radius is 0 it is a chosen point or
+    a duplicate of one.
     """
 
     def __init__(self, points, shape=None):
         self.points = points
         self.shape = (_backend.SHAPE_NONE, 0.0, 0.0, 0.0) if shape is None else shape
-        n = points.shape[0]
-        self.sqdist = np.full(n, np.inf, dtype=np.float64)
-        self.score = np.full(n, np.inf, dtype=np.float64)
-        self._back = (np.empty(n), np.empty(n))
-        self._proposed = None
-        self._next = None
-
-    def propose(self, j: int) -> float:
-        """Scan for point j as the next center, into the back buffers; return kappa_j."""
-        kappa, top, nxt = _backend.farthest_scan(
-            self.points, int(j), self.sqdist, self.score, *self._back, *self.shape)
-        self._proposed = (top, nxt)
-        return kappa
-
-    def accept(self) -> float:
-        """Make the proposed point a center; return the new coverage radius."""
-        top, self._next = self._proposed
-        self._proposed = None
-        (self.sqdist, self.score), self._back = self._back, (self.sqdist, self.score)
-        return math.sqrt(top)
+        self.sqdist = np.full(points.shape[0], np.inf, dtype=np.float64)
+        self.farthest = -1
 
     def add(self, j: int) -> float:
-        """Make point j a center with one O(nd) scan; return the coverage radius."""
-        self.propose(j)
-        return self.accept()
+        """Make point j a center with one O(nd) scan; return kappa_j."""
+        kappa, self.farthest = _backend.farthest_scan(
+            self.points, int(j), self.sqdist, *self.shape)
+        return kappa
 
-    def ban(self, j: int) -> None:
-        self.score[j] = -1.0
-        self._next = None
-
-    def next(self) -> int:
-        """Unchosen, unbanned point farthest from the set (ties: lowest index); -1 if none."""
-        if self._next is None:
-            idx = int(np.argmax(self.score))
-            self._next = idx if self.score[idx] >= 0.0 else -1
-        return self._next
+    @property
+    def radius(self) -> float:
+        """Coverage radius: the distance from the farthest point to the set."""
+        return math.sqrt(self.sqdist[self.farthest])
 
 
 def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
@@ -107,28 +83,33 @@ def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
     The first center is either the explicit index `first` or is drawn
     uniformly using `seed`. Every later center is the point farthest from
     the current set; ties break toward the lowest index, which makes the
-    result independent of how the scan is scheduled.
+    result independent of how the scan is scheduled. Once the coverage
+    radius is 0, the remaining centers are the lowest unchosen indices.
     """
     pts = np.ascontiguousarray(data.points, dtype=np.float64)
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
     order = np.empty(k, dtype=np.int64)
-    radius = np.empty(k, dtype=np.float64)
+    radius = np.zeros(k, dtype=np.float64)
     scan = FarthestFirst(pts)
 
-    cur = _resolve_first(n, first, seed)
+    order[0] = _resolve_first(n, first, seed)
     for t in range(k):
-        order[t] = cur
-        radius[t] = scan.add(cur)
-        if t + 1 < k:
-            cur = scan.next()
-    if k > 1 and radius[k - 2] == 0.0:
+        scan.add(order[t])
+        radius[t] = scan.radius
+        if radius[t] == 0.0 or t + 1 == k:
+            break
+        order[t + 1] = scan.farthest
+    if t + 1 < k:
         warnings.warn(
             "k exceeds the number of distinct points; selection contains "
             "duplicates of earlier centers",
             stacklevel=2,
         )
+        unchosen = np.ones(n, dtype=bool)
+        unchosen[order[:t + 1]] = False
+        order[t + 1:] = np.flatnonzero(unchosen)[:k - t - 1]
     return Selection(order, np.sqrt(scan.sqdist), radius, scan.sqdist)
 
 

@@ -61,7 +61,8 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
     Each round moves every active point to the weighted average of the
     support, by one kernel sum against alpha * [support | 1], and retires
     the points whose step was below gamma. A point whose weight total
-    underflows to zero stays where it is and is marked not converged.
+    underflows (to zero or to a subnormal, where the quotient would be
+    rounding noise) stays where it is and is marked not converged.
     """
     x = np.array(x0, dtype=np.float64)
     iterations = np.full(x.shape[0], max_iter, dtype=np.int64)
@@ -73,10 +74,11 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
             break
         sums = kernel_sums(mean, x[active], coef)
         wsum = sums[:, -1]
-        dead = wsum == 0.0
+        dead = wsum < np.finfo(np.float64).tiny
         if dead.any():
             warnings.warn(
-                "all kernel weights underflowed to zero; point left stationary",
+                "kernel weights underflowed below the smallest normal float; "
+                "point left stationary",
                 stacklevel=3,
             )
             iterations[active[dead]] = it

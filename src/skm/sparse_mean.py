@@ -45,8 +45,9 @@ class Step:
     m is the support size after the step. An accepted step records E_m,
     the stop-rule ratio |E_{m-1} - E_m| / |E_1 - E_m| (0 at m = 1), the
     coverage radius after the step (nan for a fixed candidate order) and
-    the candidate's pivot. A skipped step sets the numbers to nan and
-    records the reason in skip.
+    the candidate's pivot. A skipped step is a numerically dependent
+    candidate: its numbers are nan and skip holds the reason. It is the
+    last step of a farthest-first fit.
     """
 
     index: int
@@ -65,6 +66,8 @@ class FitDiagnostics:
     epsilon: float
     density_projected: bool
     radius_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # Dependent candidates: the one that stopped a greedy fit, or the points
+    # a fixed-order fit dropped.
     skipped: tuple = ()
     method: str = "greedy"
     steps: tuple = ()  # the accepted Steps, in order
@@ -92,66 +95,66 @@ def default_k_max(n: int) -> int:
 
 def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
               order=None):
-    """The select/extend/skip loop: yield one Step per candidate tried.
+    """The select/extend loop: yield one Step per candidate tried.
 
     Candidates come from farthest-first traversal started at `first` (or a
     point drawn with `seed`), or from the fixed sequence `order`. A
-    candidate whose section is numerically dependent on the support is
-    skipped and banned; the loop moves on to the next one. It ends when the
-    support holds k_max points, no candidate is left, or the support
-    covers every point exactly. The caller applies the stop rule by
-    leaving the loop.
+    candidate whose section is numerically dependent on the support yields
+    a skip Step with the reason. Farthest-first traversal then ends, as
+    pivoted Cholesky stops at its first pivot below tolerance; a fixed
+    order drops the candidate and moves on. The loop also ends when the
+    support holds k_max points, the order runs out, or the support covers
+    every point exactly. The caller applies the stop rule by leaving the
+    loop.
     """
     if order is None:
         # One fused scan per candidate that passes the pivot check gives
-        # kappa_j and the farthest-first update together.
+        # kappa_j and the farthest-first update together. A failed step
+        # ends the loop, so a scan is never undone.
         scan = kcenter.FarthestFirst(weights.points, weights.params)
-        pick, kappa = scan.next, scan.propose
+        kappa = scan.add
         cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     else:
         scan = kappa = None
         rest = iter(order)
-        pick = lambda: int(next(rest, -1))
-        cand = pick()
+        cand = int(next(rest, -1))
     while cand >= 0 and weights.m < k_max:
         try:
             pivot = weights.extend(cand, kappa)
         except NearSingularError as exc:
-            logger.info("skipping numerically dependent support candidate %d", cand)
-            if scan is not None:
-                scan.ban(cand)
+            logger.info("support candidate %d is numerically dependent", cand)
             yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
+            if scan is not None:
+                return
         else:
-            radius = math.nan if scan is None else scan.accept()
+            radius = math.nan if scan is None else scan.radius
             e = weights.e_trace
             ratio = 0.0 if weights.m == 1 else progress_ratio(
                 float(e[0]), float(e[-2]), float(e[-1]))
             yield Step(cand, weights.m, float(e[-1]), ratio, radius, pivot)
             if radius == 0.0:
                 return  # every point coincides with a center; exact already
-        cand = pick()
+        cand = int(next(rest, -1)) if scan is None else scan.farthest
 
 
-def _finalize(spec, pts, indices, alpha, e_trace, k_max, epsilon, density_mode,
-              method, steps=(), skipped=()):
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if density_mode:
-        alpha = project_simplex(alpha)
+def _finalize(spec, weights, steps, k_max, epsilon, density_mode, method):
+    alpha = project_simplex(weights.alpha) if density_mode else weights.alpha
+    accepted = tuple(s for s in steps if s.skip is None)
     diag = FitDiagnostics(
-        e_trace=np.array(e_trace, dtype=np.float64),
+        e_trace=weights.e_trace.copy(),
         k_max=int(k_max),
         epsilon=float(epsilon),
         density_projected=bool(density_mode),
-        radius_trace=np.array([s.radius for s in steps if not math.isnan(s.radius)]),
-        skipped=tuple(sorted(skipped)),
+        radius_trace=np.array([s.radius for s in accepted if not math.isnan(s.radius)]),
+        skipped=tuple(sorted(s.index for s in steps if s.skip is not None)),
         method=method,
-        steps=tuple(steps),
+        steps=accepted,
     )
     return SparseKernelMean(
         spec=spec,
-        support=pts[indices],
+        support=weights.points[weights.indices],
         alpha=alpha,
-        support_indices=np.array(indices, dtype=np.int64),
+        support_indices=weights.indices.copy(),
         diagnostics=diag,
     )
 
@@ -162,15 +165,14 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
 
     Each round extends the farthest-first selection by one point and
     refreshes the weights; fitting stops at the first support size k0 <=
-    k_max whose relative error progress is at most epsilon. Points whose
-    sections are numerically dependent on the current support are skipped.
-    With density_mode the final weights are projected onto the probability
-    simplex.
+    k_max whose relative error progress is at most epsilon, or at the
+    first farthest candidate whose section is numerically dependent on the
+    support (listed in `diagnostics.skipped`). With density_mode the final
+    weights are projected onto the probability simplex.
 
     Total work is O(n k0 d + k0^3).
     """
-    pts = np.ascontiguousarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
+    n = np.asarray(data.points).shape[0]
     if k_max is None:
         k_max = default_k_max(n)
     if not 1 <= k_max <= n:
@@ -179,26 +181,19 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
     weights = CholeskyWeights(data, spec)
-    steps, skipped = [], []
+    steps = []
     for step in fit_steps(weights, k_max, first=first, seed=seed):
-        if step.skip is not None:
-            skipped.append(step.index)  # a saturated fit skips thousands: keep indices only
-            continue
         steps.append(step)
-        if step.m > 1 and step.ratio <= epsilon:
+        if step.skip is None and step.m > 1 and step.ratio <= epsilon:
             break
-    return _finalize(spec, pts, weights.indices, weights.alpha, weights.e_trace, k_max,
-                     epsilon, density_mode, "greedy", steps, skipped)
+    return _finalize(spec, weights, steps, k_max, epsilon, density_mode, "greedy")
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
     """Extend the weights along `order`, dropping numerically dependent points."""
     weights = CholeskyWeights(data, spec)
     steps = list(fit_steps(weights, len(order), order=order))
-    return _finalize(spec, weights.points, weights.indices, weights.alpha, weights.e_trace,
-                     len(order), 0.0, density_mode, method,
-                     [s for s in steps if s.skip is None],
-                     [s.index for s in steps if s.skip is not None])
+    return _finalize(spec, weights, steps, len(order), 0.0, density_mode, method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -294,15 +289,14 @@ def incoherence(data, spec: RadialKernelSpec, support_indices) -> float:
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
     if indices.size == 0:
         raise ValueError("support is empty")
+    if np.unique(indices).size == pts.shape[0]:
+        raise ValueError("support covers every index; incoherence is undefined")
     scan = kcenter.FarthestFirst(pts)
     for j in indices:
         scan.add(j)
-    # Chosen points score -1, so the maximum runs over excluded points only.
-    farthest = scan.next()
-    if farthest < 0:
-        raise ValueError("support covers every index; incoherence is undefined")
-    coverage = math.sqrt(float(scan.sqdist[farthest]))
-    return float(gram_at_dist(spec, coverage))
+    # Chosen points sit at distance 0, so the radius is the maximum over
+    # the excluded points.
+    return float(gram_at_dist(spec, scan.radius))
 
 
 def bound_value(n: int, support_size: int, c: float, nu: float) -> float:

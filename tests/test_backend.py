@@ -2,12 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from skm import _backend
 from skm._backend import BACKEND, SHAPE_NONE, SHAPE_SQEXP, _numpy_impl
+from skm.dataio import DataSet
+from skm.kcenter import kcenter_greedy
+from skm.kernels import RadialKernelSpec
+from skm.sparse_mean import fit
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -26,12 +34,6 @@ def random_case(rng, n=200, d=4):
     return points, y
 
 
-def scan_buffers(n, sqdist=None, score=None):
-    sqdist = np.full(n, np.inf) if sqdist is None else np.array(sqdist, dtype=float)
-    score = sqdist.copy() if score is None else np.array(score, dtype=float)
-    return sqdist, score, np.empty(n), np.empty(n)
-
-
 def test_backend_name_is_reported():
     assert BACKEND in ("numpy", "compiled")
 
@@ -40,47 +42,38 @@ def test_farthest_scan_backends_agree(fastcore):
     rng = np.random.default_rng(0)
     for kind, a, b in [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5), (SHAPE_NONE, 0.0, 0.0)]:
         points, _ = random_case(rng)
-        state = {impl: scan_buffers(points.shape[0]) for impl in (_numpy_impl, fastcore)}
+        sqdist = {impl: np.full(points.shape[0], np.inf) for impl in (_numpy_impl, fastcore)}
         j = 0
         for _ in range(12):  # a chain of scans exercises the running minimum
-            got = {}
-            for impl, (sq, score, sq_out, score_out) in state.items():
-                got[impl] = impl.farthest_scan(points, j, sq, score, sq_out, score_out,
-                                               kind, a, b, 0.9)
-                state[impl] = (sq_out, score_out, sq, score)
-            (k_np, top_np, next_np), (k_c, top_c, next_c) = got[_numpy_impl], got[fastcore]
+            (k_np, far_np), (k_c, far_c) = (
+                impl.farthest_scan(points, j, sq, kind, a, b, 0.9) for impl, sq in sqdist.items())
             assert_allclose(k_c, k_np, rtol=1e-12)
-            assert_allclose(top_c, top_np, rtol=1e-14)
-            assert next_c == next_np
-            for front_np, front_c in zip(state[_numpy_impl][:2], state[fastcore][:2]):
-                assert_allclose(front_c, front_np, rtol=1e-14)
+            assert far_c == far_np
+            assert_allclose(sqdist[fastcore], sqdist[_numpy_impl], rtol=1e-14)
             if kind == SHAPE_NONE:
                 assert k_np == k_c == 0.0
-            j = next_np
+            j = far_np
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_farthest_scan_semantics(impl):
     points = np.array([[0.0], [-1.0], [1.0], [3.0], [5.0]])
-    sq, score, sq_out, score_out = scan_buffers(5)
-    score[4] = -1.0  # banned: stays out of the running
-    kappa, top, nxt = impl.farthest_scan(points, 0, sq, score, sq_out, score_out,
-                                         SHAPE_SQEXP, 0.5, 0.0, 2.0)
+    sq = np.full(5, np.inf)
+    kappa, far = impl.farthest_scan(points, 0, sq, SHAPE_SQEXP, 0.5, 0.0, 2.0)
     r2 = np.array([0.0, 1.0, 1.0, 9.0, 25.0])
     assert_allclose(kappa, 2.0 * np.exp(-0.5 * r2).mean(), rtol=1e-14)
-    assert_array_equal(sq_out, r2)
-    assert_array_equal(score_out, [-1.0, 1.0, 1.0, 9.0, -1.0])
-    assert (top, nxt) == (25.0, 3)
-    # 1 and 2 tie at distance 1 from {0, 3}: the lowest index wins.
-    kappa, top, nxt = impl.farthest_scan(points, 3, sq_out, score_out, sq, score,
-                                         SHAPE_NONE, 0.0, 0.0, 0.0)
+    assert_array_equal(sq, r2)
+    assert far == 4
+    kappa, far = impl.farthest_scan(points, 4, sq, SHAPE_NONE, 0.0, 0.0, 0.0)
     assert kappa == 0.0
-    assert_array_equal(score, [-1.0, 1.0, 1.0, -1.0, -1.0])
-    assert (top, nxt) == (4.0, 1)
-    # Once every point is chosen or banned there is no next candidate.
-    sq, score, sq_out, score_out = scan_buffers(5, score=[-1.0, -1.0, 0.5, -1.0, -1.0])
-    assert impl.farthest_scan(points, 2, sq, score, sq_out, score_out,
-                              SHAPE_NONE, 0.0, 0.0, 0.0)[2] == -1
+    assert_array_equal(sq, [0.0, 1.0, 1.0, 4.0, 0.0])
+    assert far == 3
+    # 1 and 2 tie at distance 1 from {0, 3, 4}: the lowest index wins.
+    assert impl.farthest_scan(points, 3, sq, SHAPE_NONE, 0.0, 0.0, 0.0)[1] == 1
+    assert_array_equal(sq, [0.0, 1.0, 1.0, 0.0, 0.0])
+    # Once every distance is 0, the farthest point is index 0.
+    sq = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+    assert impl.farthest_scan(points, 4, sq, SHAPE_NONE, 0.0, 0.0, 0.0)[1] == 0
 
 
 @pytest.mark.parametrize("kind,a,b", [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5)])
@@ -99,15 +92,15 @@ def test_mean_gram_rejects_unknown_kind(impl):
         impl.mean_gram(points, np.zeros(2), 7, 1.0, 1.0, 1.0)
     for kind in (7, -2):
         with pytest.raises(ValueError):
-            impl.farthest_scan(points, 0, *scan_buffers(3), kind, 1.0, 1.0, 1.0)
+            impl.farthest_scan(points, 0, np.full(3, np.inf), kind, 1.0, 1.0, 1.0)
 
 
 def test_compiled_rejects_bad_buffers(fastcore):
     points = np.zeros((4, 3))
-    good = scan_buffers(4)
+    good = np.full(4, np.inf)
 
-    def scan(pts=points, j=0, bufs=good):
-        return fastcore.farthest_scan(pts, j, *bufs, SHAPE_SQEXP, 1.0, 0.0, 1.0)
+    def scan(pts=points, j=0, sqdist=good):
+        return fastcore.farthest_scan(pts, j, sqdist, SHAPE_SQEXP, 1.0, 0.0, 1.0)
 
     scan()
     with pytest.raises(TypeError):
@@ -119,11 +112,15 @@ def test_compiled_rejects_bad_buffers(fastcore):
     with pytest.raises(ValueError):
         scan(pts=np.zeros(12))  # 1-D
     with pytest.raises(ValueError):
-        scan(bufs=(good[0][:3],) + good[1:])  # length mismatch
-    readonly = good[2].copy()
+        scan(sqdist=good[:3])  # length mismatch
+    with pytest.raises(TypeError):
+        scan(sqdist=good.astype(np.float32))
+    with pytest.raises(ValueError):
+        scan(sqdist=np.full((4, 6), np.inf)[:, 0])  # not contiguous
+    readonly = good.copy()
     readonly.setflags(write=False)
     with pytest.raises(ValueError):
-        scan(bufs=good[:2] + (readonly, good[3]))
+        scan(sqdist=readonly)
     for j in (-1, 4):
         with pytest.raises(ValueError):
             scan(j=j)
@@ -193,6 +190,40 @@ def test_fit_agrees_across_backends(fastcore):
     assert_allclose(a["alpha"], b["alpha"], rtol=1e-9, atol=1e-12)
     assert_allclose(a["e"], b["e"], rtol=1e-12)
     assert_allclose(a["radius"], b["radius"], rtol=1e-15)
+
+
+def _fit_and_select(impl, points, sigma, k, first):
+    """fit and kcenter_greedy with both backend primitives taken from impl."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        patch.setattr(_backend, "mean_gram", impl.mean_gram)
+        warnings.simplefilter("ignore")  # k may exceed the distinct points
+        data = DataSet(points)
+        spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)
+        return fit(data, spec, k_max=k, epsilon=0.0, first=first), kcenter_greedy(data, k, first=first)
+
+
+@given(data=st.data())
+def test_fit_and_selection_agree_across_backends(fastcore, data):
+    n = data.draw(st.integers(1, 30), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    # Half-integer coordinates make distance ties exact; repeated rows make
+    # duplicates, and wide bandwidths make dependent candidates.
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                              min_size=1, max_size=n), label="rows")
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n),
+                      label="picks")
+    points = 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+    sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
+    k = n - data.draw(st.integers(0, n - 1), label="n - k")
+    first = data.draw(st.integers(0, n - 1), label="first")
+    mean_np, sel_np = _fit_and_select(_numpy_impl, points, sigma, k, first)
+    mean_c, sel_c = _fit_and_select(fastcore, points, sigma, k, first)
+    assert_array_equal(mean_c.support_indices, mean_np.support_indices)
+    assert mean_c.diagnostics.skipped == mean_np.diagnostics.skipped
+    assert_allclose(mean_c.diagnostics.e_trace, mean_np.diagnostics.e_trace, rtol=1e-12)
+    assert_array_equal(sel_c.order, sel_np.order)
+    assert_array_equal(sel_c.radius_trace, sel_np.radius_trace)
 
 
 def test_forcing_unknown_backend_errors():

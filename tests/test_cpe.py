@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from skm.cpe import (
     dirichlet_sample,
+    estimate_from_means,
     estimate_proportions,
     l1_error,
     mean_inner,
@@ -223,6 +224,31 @@ def test_search_bandwidth_sparse_on_three_large_blobs(lo, hi):
     sigma, info = search_bandwidth(train, lo, hi, GAUSS_2D, sparse=True)
     assert lo <= sigma <= hi
     assert info["validation_l1"] < 0.2
+
+
+def test_search_bandwidth_never_forms_the_test_test_gram_sum(monkeypatch):
+    # With sparse class means, the only full-by-full inner product is the
+    # test mean with itself, which only the residual needs.
+    kinds = []
+
+    def recording(mean_a, mean_b):
+        kinds.append((mean_a.diagnostics.method, mean_b.diagnostics.method))
+        return mean_inner(mean_a, mean_b)
+
+    monkeypatch.setattr("skm.cpe.mean_inner", recording)
+    rng = np.random.default_rng(13)
+    train = class_samples(rng, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 300, scale=0.8)
+    sigma, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True,
+                                   validation_size=300)
+    # The sigma found while every evaluation still paid for the residual.
+    assert sigma == pytest.approx(2.343346376913074, rel=1e-12)
+    assert kinds and ("full", "full") not in kinds
+    test = DataSet(np.vstack([t.points[:50] for t in train]))
+    estimate = estimate_from_means([fit(t, GAUSS_2D, k_max=20) for t in train],
+                                   full_mean(test, GAUSS_2D))
+    assert ("full", "full") not in kinds
+    assert estimate.residual >= 0.0  # formed when it is read
+    assert kinds[-1] == ("full", "full")
 
 
 def test_search_bandwidth_validates_interval():

@@ -66,11 +66,13 @@ def test_greedy_seeded_first_is_reproducible():
 
 
 def test_greedy_duplicate_points_warn_when_k_exceeds_distinct():
-    data = line_data(0.0, 0.0, 5.0)
+    data = line_data(5.0, 0.0, 0.0, 5.0, 0.0)
     with pytest.warns(UserWarning, match="distinct"):
-        sel = kcenter_greedy(data, 3, first=0)
-    assert len(set(sel.order.tolist())) == 3  # indices stay distinct
-    assert sel.radius_trace[-1] == 0.0
+        sel = kcenter_greedy(data, 5, first=3)
+    # Indices stay distinct: once the radius is 0, the lowest unchosen ones.
+    assert_array_equal(sel.order, [3, 1, 0, 2, 4])
+    assert_array_equal(sel.radius_trace, [5.0, 0.0, 0.0, 0.0, 0.0])
+    assert_array_equal(sel.dist_to_set, np.zeros(5))
 
 
 # ------------------------------------------------------ in-place farthest-first
@@ -78,9 +80,10 @@ def test_greedy_duplicate_points_warn_when_k_exceeds_distinct():
 def test_extend_single_point_line():
     data = line_data(0.0, 1.0, 10.0)
     scan = FarthestFirst(data.points)
-    scan.add(0)
-    assert scan.next() == 2
-    assert scan.add(2) == 1.0
+    assert scan.add(0) == 0.0  # no kernel shape: no row mean
+    assert (scan.farthest, scan.radius) == (2, 10.0)
+    scan.add(2)
+    assert (scan.farthest, scan.radius) == (1, 1.0)
     assert_array_equal(np.sqrt(scan.sqdist), [0.0, 1.0, 0.0])
 
 
@@ -88,15 +91,16 @@ def test_extend_to_full_cover():
     data = line_data(0.0, 2.0)
     scan = FarthestFirst(data.points)
     scan.add(0)
-    assert scan.add(scan.next()) == 0.0
-    assert scan.next() == -1
+    scan.add(scan.farthest)
+    assert scan.radius == 0.0
+    assert scan.farthest == 0  # every distance is 0: the lowest index
 
 
 def test_extend_tie_breaks_to_lower_index():
     data = line_data(0.0, -1.0, 1.0)  # both neighbors at distance 1 from 0
     scan = FarthestFirst(data.points)
     scan.add(0)
-    assert scan.next() == 1
+    assert scan.farthest == 1
 
 
 def test_extend_chain_equals_greedy():
@@ -107,10 +111,11 @@ def test_extend_chain_equals_greedy():
         first = int(rng.integers(data.n))
         direct = kcenter_greedy(data, k, first=first)
         scan = FarthestFirst(data.points)
-        order, radii = [first], [scan.add(first)]
+        order, radii = [], []
         while len(order) < k:
-            order.append(scan.next())
-            radii.append(scan.add(order[-1]))
+            order.append(scan.farthest if order else first)
+            scan.add(order[-1])
+            radii.append(scan.radius)
         assert_array_equal(order, direct.order)
         assert_array_equal(np.sqrt(scan.sqdist), direct.dist_to_set)
         assert_array_equal(radii, direct.radius_trace)
@@ -146,19 +151,6 @@ def test_dist_zero_exactly_on_chosen():
     chosen[sel.order] = True
     assert np.all(sel.dist_to_set[chosen] == 0.0)
     assert np.all(sel.dist_to_set[~chosen] > 0.0)
-
-
-def test_next_skips_banned_points():
-    data = line_data(0.0, 1.0, 10.0, 9.5)
-    scan = FarthestFirst(data.points)
-    scan.add(0)
-    assert scan.next() == 2
-    scan.ban(2)
-    assert scan.next() == 3
-    scan.add(3)
-    assert scan.next() == 1  # a ban outlives later distance updates
-    scan.ban(1)
-    assert scan.next() == -1
 
 
 # -------------------------------------------------------------------- brute force

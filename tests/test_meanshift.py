@@ -183,6 +183,17 @@ def test_mean_shift_all_leaves_an_underflowing_point_alone():
     assert_allclose(result.shifted[keep], alone.shifted, rtol=0, atol=1e-12)
 
 
+def test_subnormal_weight_total_counts_as_underflow():
+    # Both weights are below the smallest normal float: exp(-743) * 0.5 is
+    # subnormal, and a quotient of subnormals has lost most of its digits.
+    support = DataSet(np.array([[1.928], [2.0]]))
+    mean = full_mean(support, RadialKernelSpec("gaussian", dim=1, sigma=0.05))
+    with pytest.warns(UserWarning, match="underflow"):
+        result = mean_shift_all(DataSet(np.zeros((1, 1))), mean, gamma=1e-6)
+    assert_array_equal(result.shifted, [[0.0]])
+    assert not result.converged[0] and result.iterations[0] == 1
+
+
 def per_point_shift_oracle(points, support, alpha, sigma, gamma, max_iter):
     """Each point on its own: weighted average of the support until the step < gamma."""
     shifted, iterations, converged = [], [], []
@@ -190,7 +201,7 @@ def per_point_shift_oracle(points, support, alpha, sigma, gamma, max_iter):
         x, its, ok = np.array(x, dtype=float), max_iter, False
         for it in range(1, max_iter + 1):
             w = alpha * np.exp(-((support - x) ** 2).sum(axis=1) / (2.0 * sigma**2))
-            if w.sum() == 0.0:
+            if w.sum() < np.finfo(np.float64).tiny:
                 its = it
                 break
             new_x = w @ support / w.sum()

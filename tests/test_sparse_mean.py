@@ -240,29 +240,27 @@ def test_fit_loop_tie_breaks_to_lower_index():
     assert_array_equal(mean.support_indices, [0, 1])
 
 
-def test_fit_loop_bans_dependent_candidates_and_moves_on():
-    # A wide bandwidth makes most farthest candidates numerically dependent.
+def test_fit_loop_stops_at_first_dependent_candidate():
+    # A wide bandwidth makes a farthest candidate numerically dependent early.
     rng = np.random.default_rng(20)
     data = DataSet(rng.normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
-    skipped = [s.index for s in steps if s.skip is not None]
-    assert skipped and sorted(skipped) == list(mean.diagnostics.skipped)
-    assert mean.diagnostics.steps == tuple(s for s in steps if s.skip is None)
-    assert len(steps) == mean.k0 + len(skipped)
-    assert not set(skipped) & set(mean.support_indices.tolist())
-    assert all("dependent" in s.skip for s in steps if s.skip is not None)
-    # Replay: every tried candidate is the farthest point that is neither
-    # chosen nor banned, ties to the lowest index.
+    *accepted, last = steps
+    assert last.skip is not None and "dependent" in last.skip
+    assert all(s.skip is None for s in accepted)
+    assert mean.diagnostics.skipped == (last.index,)
+    assert mean.diagnostics.steps == tuple(accepted)
+    assert mean.k0 == len(accepted) < 300
+    assert last.index not in mean.support_indices
+    # Replay: every tried candidate is the farthest point from the support,
+    # ties to the lowest index.
     sqdist = np.full(data.n, np.inf)
-    excluded = np.zeros(data.n, dtype=bool)
     for t, step in enumerate(steps):
         if t > 0:
-            assert step.index == int(np.argmax(np.where(excluded, -1.0, sqdist)))
-        excluded[step.index] = True
-        if step.skip is None:
-            sqdist = np.minimum(sqdist, ((data.points - data.points[step.index]) ** 2).sum(axis=1))
+            assert step.index == int(np.argmax(sqdist))
+        sqdist = np.minimum(sqdist, ((data.points - data.points[step.index]) ** 2).sum(axis=1))
 
 
 def _count_backend_calls(monkeypatch):
@@ -286,14 +284,31 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
 
 
 def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
-    # eps = 0 and a wide bandwidth: most farthest candidates are dependent.
+    # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
-    at_pivot = sum(1 for s in steps if s.skip is not None and "pivot" in s.skip)
-    assert at_pivot > 100
-    assert calls == {"farthest_scan": len(steps) - at_pivot, "mean_gram": 0}
+    assert "pivot" in steps[-1].skip
+    assert calls == {"farthest_scan": len(steps) - 1, "mean_gram": 0}
+
+
+@pytest.mark.parametrize("n", [4000, 8000])
+def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch, n):
+    # eps = 0 at sigma = 10: most points are numerically dependent on a
+    # support of about 20, so trying every farthest point would cost O(n^2).
+    tried = []
+    extend = CholeskyWeights.extend
+
+    def counted(self, j, kappa=None):
+        tried.append(j)
+        return extend(self, j, kappa)
+
+    monkeypatch.setattr(CholeskyWeights, "extend", counted)
+    data = DataSet(np.random.default_rng(24).normal(size=(n, 2)))
+    mean = fit(data, RadialKernelSpec("gaussian", dim=2, sigma=10.0), k_max=200, epsilon=0.0)
+    assert mean.k0 < 40
+    assert len(tried) <= mean.k0 + 1
 
 
 def test_bordered_weights_match_dense_solve_at_every_step():
