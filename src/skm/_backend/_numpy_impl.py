@@ -34,8 +34,11 @@ def farthest_scan(points, j, sqdist, kind, a, b, c):
     Lowers sqdist in place to min(sqdist, ||points - points[j]||^2) and
     returns (kappa_j, the index of the largest sqdist, lowest index on
     ties): kappa_j is the mean of the radial shape over
-    ||points - points[j]||, or 0.0 when kind is SHAPE_NONE.
+    ||points - points[j]||, or 0.0 when kind is SHAPE_NONE. A j outside
+    [0, n) raises ValueError before sqdist changes.
     """
+    if not 0 <= j < points.shape[0]:
+        raise ValueError(f"index {j} out of range for n={points.shape[0]}")
     diff = points - points[j]
     r2 = np.einsum("ij,ij->i", diff, diff)
     kappa = 0.0 if kind == SHAPE_NONE else _row_mean(r2, kind, a, b, c)

@@ -14,9 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .sparse_mean import SparseKernelMean, kernel_sums
+from .sparse_mean import _BLOCK_ENTRIES, SparseKernelMean, kernel_sums
 
 
 @dataclass(frozen=True)
@@ -131,42 +132,33 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
     """Single-linkage merge of converged points within merge_dist.
 
     shift_result is a ShiftResult or an array of converged positions.
-    Chains of nearby points collapse into one cluster. Labels are dense ids
-    in order of first appearance; each cluster's mode is the mean of its
-    members' converged positions.
+    Clusters are the connected components of the graph joining points at
+    most merge_dist apart, found from distance blocks of at most 2^18
+    entries: O(n^2 d) time, flat memory. Labels are dense ids in order of
+    first appearance; each mode is the mean of its members' positions.
     """
+    # Only clustering needs csgraph, and importing it adds about 3 MB of RSS.
+    from scipy.sparse.csgraph import connected_components
     if not merge_dist > 0:
         raise ValueError(f"merge_dist must be positive, got {merge_dist}")
     pts = _shifted_array(shift_result)
     n = pts.shape[0]
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    block = 1024
-    for start in range(0, n, block):
-        rows = pts[start:start + block]
-        close = cdist(rows, pts) <= merge_dist
-        for local_i, neighbors in enumerate(close):
-            i = start + local_i
-            for j in np.nonzero(neighbors)[0]:
-                if j <= i:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    # np.unique sorts roots ascending; roots are minimal member indices, so
-    # label ids already follow first appearance order.
-    n_clusters = labels.max() + 1
-    modes = np.vstack([pts[labels == c].mean(axis=0) for c in range(n_clusters)])
-    return Clustering(labels=labels, modes=modes)
+    if n == 0:
+        raise ValueError("no points to cluster")
+    labels = np.arange(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        i, j = np.nonzero(cdist(pts[start:start + rows], pts) <= merge_dist)
+        a, b = labels[start + i], labels[j]
+        join = a != b
+        if join.any():
+            # Bool edges: csr sums duplicate pairs, and bool sums cannot wrap to 0.
+            graph = csr_matrix((np.ones(join.sum(), bool), (a[join], b[join])), shape=(n, n))
+            labels = connected_components(graph, directed=False)[1][labels]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]  # rank of each first index
+    sums = np.column_stack([np.bincount(labels, weights=col) for col in pts.T])
+    return Clustering(labels=labels, modes=sums / np.bincount(labels)[:, None])
 
 
 def _shifted_array(obj) -> np.ndarray:

@@ -33,8 +33,8 @@ from .kernels import (
 
 logger = logging.getLogger(__name__)
 
-# A kernel block holds at most this many entries (2 MB), so the memory of a
-# kernel sum stays flat whatever the support size.
+# A kernel or distance block holds at most this many entries (2 MB), so the
+# memory of a kernel sum or of mode clustering stays flat whatever the size.
 _BLOCK_ENTRIES = 2**18
 
 
@@ -287,9 +287,12 @@ def incoherence(data, spec: RadialKernelSpec, support_indices) -> float:
     """
     pts = np.ascontiguousarray(data.points, dtype=np.float64)
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
+    n = pts.shape[0]
     if indices.size == 0:
         raise ValueError("support is empty")
-    if np.unique(indices).size == pts.shape[0]:
+    if np.any((indices < 0) | (indices >= n)):
+        raise ValueError(f"support indices must lie in [0, {n})")
+    if np.unique(indices).size == n:
         raise ValueError("support covers every index; incoherence is undefined")
     scan = kcenter.FarthestFirst(pts)
     for j in indices:

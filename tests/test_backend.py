@@ -15,7 +15,7 @@ from skm._backend import BACKEND, SHAPE_NONE, SHAPE_SQEXP, _numpy_impl
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
 from skm.kernels import RadialKernelSpec
-from skm.sparse_mean import fit
+from skm.sparse_mean import fit, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -74,6 +74,11 @@ def test_farthest_scan_semantics(impl):
     # Once every distance is 0, the farthest point is index 0.
     sq = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
     assert impl.farthest_scan(points, 4, sq, SHAPE_NONE, 0.0, 0.0, 0.0)[1] == 0
+    # An index outside [0, n) is an error on both backends, not a wrap.
+    for j in (-1, 5):
+        with pytest.raises(ValueError, match=f"index {j} out of range for n=5"):
+            impl.farthest_scan(points, j, sq, SHAPE_NONE, 0.0, 0.0, 0.0)
+    assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("kind,a,b", [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5)])
@@ -121,9 +126,6 @@ def test_compiled_rejects_bad_buffers(fastcore):
     readonly.setflags(write=False)
     with pytest.raises(ValueError):
         scan(sqdist=readonly)
-    for j in (-1, 4):
-        with pytest.raises(ValueError):
-            scan(j=j)
     with pytest.raises(ValueError):
         fastcore.mean_gram(points, np.zeros(2), SHAPE_SQEXP, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -224,6 +226,15 @@ def test_fit_and_selection_agree_across_backends(fastcore, data):
     assert_allclose(mean_c.diagnostics.e_trace, mean_np.diagnostics.e_trace, rtol=1e-12)
     assert_array_equal(sel_c.order, sel_np.order)
     assert_array_equal(sel_c.radius_trace, sel_np.radius_trace)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("j", [-1, 3])
+def test_incoherence_rejects_indices_outside_the_data(impl, j, monkeypatch):
+    monkeypatch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+    data = DataSet(np.array([[0.0], [1.0], [3.0]]))
+    with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
+        incoherence(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0), [0, j])
 
 
 def test_forcing_unknown_backend_errors():

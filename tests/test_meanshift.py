@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from skm.dataio import DataSet
 from skm.kernels import RadialKernelSpec
@@ -242,6 +244,77 @@ def test_batched_shift_matches_per_point_loop(data):
 
 # ---------------------------------------------------------------- cluster_modes
 
+def union_find_oracle(points, merge_dist):
+    """Single linkage by a union-find over every pair within merge_dist."""
+    n = points.shape[0]
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(cdist(points, points) <= merge_dist)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    # Each root is its set's lowest index, so sorted roots number the
+    # clusters in order of first appearance.
+    _, labels = np.unique([find(i) for i in range(n)], return_inverse=True)
+    modes = np.vstack([points[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+    return labels, modes
+
+
+def assert_matches_union_find(points, merge_dist):
+    clustering = cluster_modes(points, merge_dist)
+    labels, modes = union_find_oracle(points, merge_dist)
+    assert_array_equal(clustering.labels, labels)
+    # bincount sums each cluster in index order, numpy's mean pairwise.
+    scale = max(np.abs(points).max(), np.finfo(np.float64).tiny)
+    assert_allclose(clustering.modes, modes, rtol=1e-12, atol=1e-12 * scale)
+    return clustering
+
+
+@given(data=st.data())
+def test_cluster_modes_matches_union_find(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    # Half-integer coordinates put some pairs exactly at merge_dist = 1 or
+    # 10; repeated picks make duplicate rows.
+    rows = data.draw(arrays(np.float64, (n, d), elements=st.integers(-10, 10)), label="rows")
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                      label="picks")
+    merge_dist = 10.0 ** data.draw(st.floats(-1, 1), label="log10 merge_dist")
+    assert_matches_union_find(0.5 * rows[picks], merge_dist)
+
+
+def test_cluster_modes_merges_across_row_blocks():
+    # 1500 points give 174 rows per 2^18-entry block, so clusters span blocks.
+    points = np.random.default_rng(5).standard_normal((1500, 2))
+    clustering = assert_matches_union_find(points, 0.1)
+    assert 1 < clustering.n_clusters < 1500
+
+
+def test_cluster_modes_memory_is_flat_on_collapsed_points():
+    # Every point is within merge_dist of a third of the input: a search
+    # that keeps all close pairs, or one 1024-row distance block (25 MB),
+    # would hold O(n^2) memory.
+    rng = np.random.default_rng(6)
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    points = np.repeat(centers, 1000, axis=0) + rng.uniform(-5e-5, 5e-5, (3000, 2))
+    points = points[rng.permutation(3000)]
+    tracemalloc.start()
+    try:
+        clustering = cluster_modes(points, merge_dist=0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clustering.n_clusters == 3
+    assert_allclose(clustering.modes[clustering.labels], points, rtol=0, atol=1e-4)
+    assert peak < 12_000_000
+
+
 def test_cluster_modes_all_identical_one_cluster():
     data = DataSet(np.zeros((7, 2)) + 1.5)
     result = mean_shift_all(data, full_mean(data, DENS2), gamma=1e-6)
@@ -264,6 +337,8 @@ def test_cluster_modes_chain_merges_single_linkage():
 
     clustering = cluster_modes(FakeShift(), merge_dist=1.0)
     assert clustering.n_clusters == 1  # a-b and b-c close, a-c not
+    # A pair exactly merge_dist apart is close.
+    assert_array_equal(cluster_modes(np.array([[0.0], [1.0], [3.0]]), 1.0).labels, [0, 0, 1])
 
 
 def test_cluster_modes_validates_merge_dist():
@@ -272,6 +347,8 @@ def test_cluster_modes_validates_merge_dist():
 
     with pytest.raises(ValueError):
         cluster_modes(FakeShift(), merge_dist=0.0)
+    with pytest.raises(ValueError, match="no points"):
+        cluster_modes(np.zeros((0, 2)), merge_dist=1.0)
 
 
 # ----------------------------------------------------------- discrepancy_index

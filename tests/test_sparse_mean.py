@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -116,6 +118,43 @@ def test_fit_density_mode_projects_weights():
     assert mean.diagnostics.density_projected
     assert abs(mean.alpha.sum() - 1.0) <= 1e-12
     assert np.all(mean.alpha >= 0.0)
+
+
+@given(data=st.data())
+def test_fit_trace_and_weights_on_small_data_with_duplicates(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                              min_size=1, max_size=n), label="rows")
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n),
+                      label="picks")
+    points = 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+    sigma = 10.0 ** data.draw(st.floats(-1, 2), label="log10 sigma")
+    epsilon = data.draw(st.sampled_from([0.0, 1e-8]), label="epsilon")
+    density_mode = data.draw(st.booleans(), label="density_mode")
+    spec = RadialKernelSpec("gaussian", dim=d, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = fit(DataSet(points), spec, epsilon=epsilon, density_mode=density_mode)
+    e = mean.diagnostics.e_trace
+    assert np.all(np.diff(e) <= 1e-12 * np.maximum(1.0, np.abs(e[:-1])))
+    if density_mode:
+        assert np.all(mean.alpha >= 0.0)
+        assert abs(mean.alpha.sum() - 1.0) <= 1e-12
+    if np.unique(points, axis=0).shape[0] == 1:
+        assert mean.k0 == 1
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (1, 1), (1, 2), (50, 1)])
+@pytest.mark.parametrize("density_mode", [False, True])
+def test_fit_constant_data_is_one_support_point(shape, density_mode):
+    spec = RadialKernelSpec("gaussian", dim=shape[1], sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = fit(DataSet(np.full(shape, 2.5)), spec, epsilon=0.0,
+                   density_mode=density_mode)
+    assert mean.k0 == 1
+    assert_allclose(mean.alpha, [1.0], rtol=1e-14)
 
 
 def test_fit_validates_arguments():
