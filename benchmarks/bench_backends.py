@@ -1,22 +1,22 @@
-"""Compare the compiled and numpy backends on the hot loops and a full fit.
+"""Compare the compiled and numpy backends on the scan and a full fit.
 
-The primitive timings run in-process against both implementations. The
-end-to-end fit runs in subprocesses because the backend is chosen at
-import time (SKM_BACKEND).
+Both timings run in one process. The scan is timed against each
+implementation directly; the end-to-end fit swaps the implementation in
+by replacing `skm._backend.farthest_scan`, the one backend primitive.
 
 Usage: python benchmarks/bench_backends.py [--n 20000] [--d 5] [--kmax 300]
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
+import skm
+from skm import _backend
 from skm._backend import _numpy_impl
+from skm.dataio import DataSet
+from skm.kernels import RadialKernelSpec
 
 try:
     from skm._backend import _fastcore
@@ -33,46 +33,18 @@ def best_of(repeat, fn):
     return best
 
 
-def bench_primitives(n, d, repeat=7):
-    rng = np.random.default_rng(0)
-    points = np.ascontiguousarray(rng.normal(size=(n, d)))
-    center = np.ascontiguousarray(rng.normal(size=d))
-
-    impls = [("numpy", _numpy_impl)]
-    if _fastcore is not None:
-        impls.append(("compiled", _fastcore))
-
-    rows = []
-    for label, impl in impls:
-        sqdist = np.full(n, np.inf)
-        t_scan = best_of(repeat, lambda: impl.farthest_scan(
-            points, 0, sqdist, 0, 0.5, 0.0, 1.0))
-        t_gram = best_of(repeat, lambda: impl.mean_gram(points, center, 0, 0.5, 0.0, 1.0))
-        rows.append((label, t_scan, t_gram))
-    return rows
+def bench_scan(impl, points, repeat=7):
+    sqdist = np.full(points.shape[0], np.inf)
+    return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, 0, 0.5, 0.0, 1.0))
 
 
-def bench_fit(n, d, kmax, backend):
-    script = f"""
-import json, time
-import numpy as np
-import skm
-from skm.dataio import DataSet
-from skm.kernels import RadialKernelSpec
-
-data = DataSet(np.random.default_rng(1).normal(size=({n}, {d})))
-spec = RadialKernelSpec("gaussian", dim={d}, sigma=2.0)
-best = float("inf")
-for _ in range(3):
-    start = time.perf_counter()
-    skm.fit(data, spec, k_max={kmax}, epsilon=0.0, first=0)
-    best = min(best, time.perf_counter() - start)
-print(json.dumps({{"backend": skm.BACKEND, "seconds": best}}))
-"""
-    env = dict(os.environ, SKM_BACKEND=backend)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+def bench_fit(impl, data, spec, kmax, repeat=3):
+    scan = _backend.farthest_scan
+    _backend.farthest_scan = impl.farthest_scan
+    try:
+        return best_of(repeat, lambda: skm.fit(data, spec, k_max=kmax, epsilon=0.0, first=0))
+    finally:
+        _backend.farthest_scan = scan
 
 
 def main():
@@ -82,24 +54,20 @@ def main():
     parser.add_argument("--kmax", type=int, default=300)
     args = parser.parse_args()
 
-    print(f"primitives on n={args.n}, d={args.d} (best of 7):")
-    rows = bench_primitives(args.n, args.d)
-    print(f"  {'backend':9s} {'farthest_scan':>14s} {'mean_gram':>11s}")
-    for label, t_scan, t_gram in rows:
-        print(f"  {label:9s} {t_scan * 1e3:11.3f} ms {t_gram * 1e3:8.3f} ms")
-    if len(rows) == 2:
-        speedups = [rows[0][i] / rows[1][i] for i in (1, 2)]
-        print(f"  speedup   {speedups[0]:11.2f} x  {speedups[1]:8.2f} x")
+    points = np.ascontiguousarray(np.random.default_rng(0).normal(size=(args.n, args.d)))
+    data = DataSet(np.random.default_rng(1).normal(size=(args.n, args.d)))
+    spec = RadialKernelSpec("gaussian", dim=args.d, sigma=2.0)
+    impls = [("numpy", _numpy_impl)] + ([("compiled", _fastcore)] if _fastcore else [])
+    rows = [(label, bench_scan(impl, points), bench_fit(impl, data, spec, args.kmax))
+            for label, impl in impls]
 
-    print(f"\nend-to-end fit (n={args.n}, d={args.d}, k_max={args.kmax}, best of 3):")
-    backends = ["numpy"] + (["compiled"] if _fastcore is not None else [])
-    results = {}
-    for backend in backends:
-        result = bench_fit(args.n, args.d, args.kmax, backend)
-        results[backend] = result["seconds"]
-        print(f"  {backend:9s} {result['seconds']:.3f} s")
-    if len(results) == 2:
-        print(f"  speedup   {results['numpy'] / results['compiled']:.2f} x")
+    print(f"n={args.n}, d={args.d}, k_max={args.kmax}: farthest_scan best of 7, "
+          "fit best of 3")
+    print(f"  {'backend':9s} {'farthest_scan':>14s} {'fit':>9s}")
+    for label, t_scan, t_fit in rows:
+        print(f"  {label:9s} {t_scan * 1e3:11.3f} ms {t_fit:7.3f} s")
+    if len(rows) == 2:
+        print(f"  speedup   {rows[0][1] / rows[1][1]:11.2f} x  {rows[0][2] / rows[1][2]:6.2f} x")
     if _fastcore is None:
         print("  (compiled extension not built; numpy fallback only)")
 

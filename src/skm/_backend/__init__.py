@@ -1,16 +1,12 @@
-"""Backend selection for the hot inner loops.
+"""The one hot primitive, from the compiled extension if it imports.
 
-Two primitives: `farthest_scan`, one fused pass over the points that
-makes a point a farthest-first center, lowers the distances to the chosen
-set in place and returns the kernel row mean of that center and the
-farthest point; and `mean_gram`, a kernel row mean alone. The compiled
-extension (`_fastcore.c`) is preferred when present; the numpy
-implementation is the fallback. Set SKM_BACKEND=numpy or
-SKM_BACKEND=compiled to force a choice (forcing "compiled" raises if the
-extension was not built).
+`farthest_scan` is one fused pass over the points that makes a point a
+farthest-first center, lowers the distances to the chosen set in place
+and returns the kernel row mean of that center and the farthest point.
+It comes from the compiled extension (`_fastcore.c`) when that was built,
+and from the numpy implementation otherwise; `BACKEND` names which. Every
+other kernel sum is a numpy block sum in `skm.sparse_mean`.
 """
-
-import os
 
 from . import _numpy_impl
 
@@ -19,24 +15,11 @@ SHAPE_SQEXP = _numpy_impl.SHAPE_SQEXP
 SHAPE_EXP = _numpy_impl.SHAPE_EXP
 SHAPE_POWER = _numpy_impl.SHAPE_POWER
 
-_forced = os.environ.get("SKM_BACKEND", "").strip().lower()
-if _forced not in ("", "numpy", "compiled"):
-    raise ValueError(
-        f"SKM_BACKEND must be 'numpy' or 'compiled', got {_forced!r}"
-    )
-
-if _forced == "numpy":
+try:
+    from . import _fastcore as _impl
+    BACKEND = "compiled"
+except ImportError:
     _impl = _numpy_impl
     BACKEND = "numpy"
-else:
-    try:
-        from . import _fastcore as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        if _forced == "compiled":
-            raise
-        _impl = _numpy_impl
-        BACKEND = "numpy"
 
 farthest_scan = _impl.farthest_scan
-mean_gram = _impl.mean_gram

@@ -1,11 +1,12 @@
-/* Compiled inner loops: the fused farthest-first scan and kernel row means.
- * Signatures match skm._backend._numpy_impl exactly. The scan lowers one
- * distance buffer in place and returns the farthest point, so a
- * farthest-first step reads and writes each distance once.
+/* Compiled inner loop: the fused farthest-first scan with the kernel row
+ * mean of the new center. The signature matches skm._backend._numpy_impl
+ * exactly. The scan lowers one distance buffer in place and returns the
+ * farthest point, so a farthest-first step reads and writes each distance
+ * once.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the expected shape; anything else raises TypeError or
- * ValueError before a single element is read. The O(nd) scans release the
+ * ValueError before a single element is read. The O(nd) scan releases the
  * GIL.
  */
 #define PY_SSIZE_T_CLEAN
@@ -55,9 +56,9 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
     return (double *)v->buf;
 }
 
-static int check_kind(int kind, int allow_none)
+static int check_kind(int kind)
 {
-    if ((kind >= SHAPE_SQEXP && kind <= SHAPE_POWER) || (allow_none && kind == SHAPE_NONE))
+    if (kind >= SHAPE_NONE && kind <= SHAPE_POWER)
         return 0;
     PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
     return -1;
@@ -90,7 +91,7 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     double a, b, c, acc = 0.0, top = -1.0;
     Views vs = {.count = 0};
     if (!PyArg_ParseTuple(args, "OnOiddd", &po, &j, &so, &kind, &a, &b, &c)
-        || check_kind(kind, 1) < 0)
+        || check_kind(kind) < 0)
         return NULL;
     const double *x = borrow(&vs, po, "points", 2, -1, 0);
     Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
@@ -119,35 +120,9 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     return Py_BuildValue("dn", kind == SHAPE_NONE ? 0.0 : c * acc / n, far);
 }
 
-static PyObject *mean_gram(PyObject *self, PyObject *args)
-{
-    PyObject *po, *yo;
-    int kind;
-    double a, b, c, acc = 0.0;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OOiddd", &po, &yo, &kind, &a, &b, &c) || check_kind(kind, 0) < 0)
-        return NULL;
-    const double *x = borrow(&vs, po, "points", 2, -1, 0);
-    Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    const double *y = x ? borrow(&vs, yo, "y", 1, d, 0) : NULL;
-    if (y != NULL && n == 0)
-        PyErr_SetString(PyExc_ValueError, "points is empty");
-    if (PyErr_Occurred()) {
-        release(&vs);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++)
-        acc += shape(kind, sqdist(x + i * d, y, d), a, b);
-    Py_END_ALLOW_THREADS
-    release(&vs);
-    return PyFloat_FromDouble(c * acc / n);
-}
-
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
      "farthest_scan(points, j, sqdist, kind, a, b, c) -> (kappa_j, farthest index)"},
-    {"mean_gram", mean_gram, METH_VARARGS, "mean_gram(points, y, kind, a, b, c) -> float"},
     {NULL, NULL, 0, NULL},
 };
 

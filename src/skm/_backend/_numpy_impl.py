@@ -1,9 +1,8 @@
-"""Pure-numpy implementations of the hot inner loops.
+"""Pure-numpy implementation of the hot inner loop.
 
-The primitives are `farthest_scan` (one fused farthest-first step with the
-kernel row mean of the new center, lowering one distance buffer in place)
-and `mean_gram` (a kernel row mean alone). Used when the compiled
-extension is unavailable, or when SKM_BACKEND=numpy. Signatures match
+The one primitive is `farthest_scan`: a fused farthest-first step with the
+kernel row mean of the new center, lowering one distance buffer in place.
+Used when the compiled extension is unavailable. The signature matches
 skm._backend._fastcore exactly.
 """
 
@@ -44,10 +43,4 @@ def farthest_scan(points, j, sqdist, kind, a, b, c):
     kappa = 0.0 if kind == SHAPE_NONE else _row_mean(r2, kind, a, b, c)
     np.minimum(sqdist, r2, out=sqdist)
     return kappa, int(np.argmax(sqdist))
-
-
-def mean_gram(points, y, kind, a, b, c):
-    """Mean over rows of the radial shape applied to ||points[i] - y||."""
-    diff = points - y
-    return _row_mean(np.einsum("ij,ij->i", diff, diff), kind, a, b, c)
 

@@ -14,8 +14,10 @@ matrix. The weights follow by the bordered update
     alpha <- [alpha - t u; t],   u = K^{-1} b = L^{-T} w,
     t = (kappa_new - b' alpha) / p,
 
-so a step costs two triangular solves, O(m^2), plus the O(nd) kappa scan,
-which the fit fuses with its farthest-first scan.
+so a step costs two triangular solves, O(m^2), plus kappa_new, an O(nd)
+kernel row mean that the caller supplies: the greedy fit fuses it with its
+farthest-first scan, and a fixed-order fit reads it from one block sum over
+the whole order.
 K^{-1} is never formed; `inv_k` derives it from the factor on request.
 The quantity E_m = -alpha' kappa equals the squared approximation error
 minus the constant ||zbar||^2; it is nonincreasing in m and drives the
@@ -27,7 +29,6 @@ import math
 import numpy as np
 from scipy.linalg import blas, cho_solve
 
-from . import _backend
 from .errors import NearSingularError
 from .kernels import _apply_shape, g_zero, gram_params
 
@@ -39,13 +40,6 @@ SINGULARITY_REL_TOL = 1e-9
 # Computed error indicators must not rise; an increase beyond this relative
 # slack means the factor has lost accuracy.
 _E_INCREASE_REL_TOL = 1e-12
-
-
-def kappa_entry(data, spec, j: int) -> float:
-    """(1/n) sum_l <z_l, z_j>, one O(nd) scan."""
-    pts = np.ascontiguousarray(data.points, dtype=np.float64)
-    kind, a, b, c = gram_params(spec)
-    return _backend.mean_gram(pts, pts[int(j)], kind, a, b, c)
 
 
 class CholeskyWeights:
@@ -92,11 +86,11 @@ class CholeskyWeights:
         inv = cho_solve((lower, True), np.eye(m), check_finite=False)
         return 0.5 * (inv + inv.T)
 
-    def extend(self, j: int, kappa=None) -> float:
+    def extend(self, j: int, kappa) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
-        kappa(j) supplies kappa_j, the O(nd) part of the step; it is called
-        only once the pivot has passed, and defaults to one `mean_gram` scan.
+        kappa(j) supplies kappa_j = (1/n) sum_l <z_l, z_j>; it is called only
+        once the pivot has passed, so a scan behind it never has to be undone.
         Raises NearSingularError, leaving the state unchanged, when the
         pivot falls to the singularity tolerance (e.g. a duplicate support
         point), or when the step would raise the error indicator, which is
@@ -123,8 +117,7 @@ class CholeskyWeights:
             self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
             self._indices, self._kappa, self._e = (
                 np.resize(a, cap) for a in (self._indices, self._kappa, self._e))
-        self._kappa[m] = (_backend.mean_gram(self.points, self.points[j], *self.params)
-                          if kappa is None else kappa(j))
+        self._kappa[m] = kappa(j)
         u = blas.dtpsv(m, self._packed[:row], w, trans=0) if m else w
         t = (self._kappa[m] - float(b @ self.alpha)) / pivot
         alpha = np.append(self.alpha - t * u, t)

@@ -20,7 +20,7 @@ from .errors import SkmError
 from .kernels import RadialKernelSpec
 from .sparse_mean import (
     SparseKernelMean,
-    default_k_max,
+    _support_budget,
     fit,
     fit_with_support,
     full_mean,
@@ -147,9 +147,8 @@ def _fit_means(samples, spec, sparse, epsilon, k_max, seed):
     means = []
     for sample in samples:
         if sparse:
-            budget = k_max if k_max is not None else default_k_max(sample.n)
-            budget = max(1, min(budget, sample.n))
-            means.append(fit(sample, spec, k_max=budget, epsilon=epsilon, seed=seed))
+            means.append(fit(sample, spec, k_max=_support_budget(k_max, sample.n),
+                             epsilon=epsilon, seed=seed))
         else:
             means.append(full_mean(sample, spec))
     return means
@@ -252,11 +251,8 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
     if sparse:
         from .kcenter import kcenter_greedy
 
-        supports = []
-        for fit_set in fit_sets:
-            budget_k = k_max if k_max is not None else default_k_max(fit_set.n)
-            budget_k = max(1, min(budget_k, fit_set.n))
-            supports.append(kcenter_greedy(fit_set, budget_k, seed=seed).order)
+        supports = [kcenter_greedy(fs, _support_budget(k_max, fs.n), seed=seed).order
+                    for fs in fit_sets]
 
     def objective(log_sigma: float) -> float:
         spec = spec_template.with_sigma(math.exp(log_sigma))

@@ -17,7 +17,7 @@ from .kernels import RadialKernelSpec
 from .sparse_mean import (
     SparseKernelMean,
     _check_compatible,
-    default_k_max,
+    _support_budget,
     evaluate,
     fit,
     full_mean,
@@ -134,10 +134,8 @@ def fit_sample_means(samples, spec: RadialKernelSpec, mode: str,
             fit_data = sample
             eval_sets.append(None)
         if sparse:
-            budget = k_max if k_max is not None else default_k_max(fit_data.n)
-            budget = max(1, min(budget, fit_data.n))
-            means.append(fit(fit_data, spec, k_max=budget, epsilon=epsilon,
-                             density_mode=(mode == "sym_kl"), seed=seed))
+            means.append(fit(fit_data, spec, k_max=_support_budget(k_max, fit_data.n),
+                             epsilon=epsilon, density_mode=(mode == "sym_kl"), seed=seed))
         else:
             means.append(full_mean(fit_data, spec))
     return means, eval_sets

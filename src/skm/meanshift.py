@@ -162,8 +162,9 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
 
 
 def _shifted_array(obj) -> np.ndarray:
-    arr = getattr(obj, "shifted", obj)
-    return np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    """Positions as rows; a 1-D array is n points in one dimension, as in DataSet."""
+    arr = np.asarray(getattr(obj, "shifted", obj), dtype=np.float64)
+    return arr.reshape(-1, 1) if arr.ndim < 2 else arr
 
 
 def discrepancy_index(shifted_a, shifted_b, delta: float) -> float:

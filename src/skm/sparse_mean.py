@@ -15,21 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import kcenter
-from .coefficients import (
-    CholeskyWeights,
-    kappa_entry,
-    progress_ratio,
-    project_simplex,
-)
+from .coefficients import CholeskyWeights, progress_ratio, project_simplex
 from .errors import NearSingularError
-from .kernels import (
-    RadialKernelSpec,
-    eval_params,
-    gram_at_dist,
-    gram_matrix,
-    gram_params,
-    kernel_block,
-)
+from .kernels import RadialKernelSpec, eval_params, gram_at_dist, gram_params, kernel_block
 
 logger = logging.getLogger(__name__)
 
@@ -93,6 +81,11 @@ def default_k_max(n: int) -> int:
     return max(1, min(n, int(3.0 * math.sqrt(n))))
 
 
+def _support_budget(k_max, n: int) -> int:
+    """k_max, or default_k_max(n) when it is None, clipped to [1, n]."""
+    return max(1, min(n, default_k_max(n) if k_max is None else k_max))
+
+
 def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
               order=None):
     """The select/extend loop: yield one Step per candidate tried.
@@ -115,7 +108,12 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
         kappa = scan.add
         cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     else:
-        scan = kappa = None
+        # kappa of the whole order in one block sum; a dropped point wastes a row.
+        order = np.asarray(order, dtype=np.int64)
+        pts = weights.points
+        kappas = block_sums(weights.params, pts[order], pts, np.full(len(pts), 1.0 / len(pts)))
+        kappa = dict(zip(order.tolist(), kappas.tolist())).__getitem__
+        scan = None
         rest = iter(order)
         cand = int(next(rest, -1))
     while cand >= 0 and weights.m < k_max:
@@ -248,19 +246,23 @@ def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
     )
 
 
-def kernel_sums(mean: SparseKernelMean, queries, coef) -> np.ndarray:
-    """sum_i phi(q, x_i) coef_i for each row q of the 2-D float64 `queries`.
+def block_sums(params, xs, ys, coef) -> np.ndarray:
+    """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D float64 `xs`.
 
-    coef has one row per support point (shape (k0,) or (k0, p)). The kernel
-    values are formed in row blocks of at most 2^18 entries, or one row
-    when the support is larger.
+    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). The
+    kernel values are formed in row blocks of at most 2^18 entries, or one
+    row when ys is longer, so memory stays flat whatever the sizes.
     """
-    params = eval_params(mean.spec)
-    out = np.empty((queries.shape[0],) + coef.shape[1:])
-    rows = max(1, _BLOCK_ENTRIES // mean.k0)
-    for i in range(0, queries.shape[0], rows):
-        out[i:i + rows] = kernel_block(params, queries[i:i + rows], mean.support) @ coef
+    out = np.empty((xs.shape[0],) + coef.shape[1:])
+    rows = max(1, _BLOCK_ENTRIES // ys.shape[0])
+    for i in range(0, xs.shape[0], rows):
+        out[i:i + rows] = kernel_block(params, xs[i:i + rows], ys) @ coef
     return out
+
+
+def kernel_sums(mean: SparseKernelMean, queries, coef) -> np.ndarray:
+    """sum_i phi(q, x_i) coef_i for each row q of `queries`, by block_sums."""
+    return block_sums(eval_params(mean.spec), queries, mean.support, coef)
 
 
 def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
@@ -314,10 +316,9 @@ def bound_value(n: int, support_size: int, c: float, nu: float) -> float:
 
 
 def mean_gram_inner(a: SparseKernelMean, b: SparseKernelMean) -> float:
-    """<mean_a, mean_b> = sum_ij alpha_i beta_j g(||x_i - y_j||)."""
+    """<mean_a, mean_b> = sum_ij alpha_i beta_j g(||x_i - y_j||), in flat memory."""
     _check_compatible(a, b)
-    cross = gram_matrix(a.spec, a.support, b.support)
-    return float(a.alpha @ cross @ b.alpha)
+    return float(a.alpha @ block_sums(gram_params(a.spec), a.support, b.support, b.alpha))
 
 
 def _check_compatible(a: SparseKernelMean, b: SparseKernelMean) -> None:
@@ -326,14 +327,14 @@ def _check_compatible(a: SparseKernelMean, b: SparseKernelMean) -> None:
 
 
 def squared_mean_norm(data, spec: RadialKernelSpec, max_points: int = 5000) -> float:
-    """||zbar||^2 by the full O(n^2) Gram sum. Audit paths only."""
-    pts = np.asarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
+    """||zbar||^2 by the full O(n^2) Gram sum, in flat memory. Audit paths only."""
+    n = np.asarray(data.points).shape[0]
     if n > max_points:
         raise ValueError(
             f"refusing the O(n^2) mean-norm computation for n={n} > {max_points}"
         )
-    return float(gram_matrix(spec, pts).mean())
+    full = full_mean(data, spec)
+    return mean_gram_inner(full, full)
 
 
 def residual_norm(data, spec: RadialKernelSpec, mean: SparseKernelMean,
@@ -342,18 +343,10 @@ def residual_norm(data, spec: RadialKernelSpec, mean: SparseKernelMean,
 
     Valid for any weight vector, including simplex-projected ones.
     """
-    pts = np.asarray(data.points, dtype=np.float64)
     zbar_sq = squared_mean_norm(data, spec, max_points=max_points)
-    if mean.support_indices is not None:
-        kappa = np.array([kappa_entry(data, spec, int(j)) for j in mean.support_indices])
-    else:
-        from . import _backend
-
-        kind, a_, b_, c_ = gram_params(spec)
-        kappa = np.array([
-            _backend.mean_gram(np.ascontiguousarray(pts), row, kind, a_, b_, c_)
-            for row in mean.support
-        ])
-    gram = gram_matrix(spec, mean.support)
-    value = zbar_sq - 2.0 * float(mean.alpha @ kappa) + float(mean.alpha @ gram @ mean.alpha)
+    pts = np.asarray(data.points, dtype=np.float64)
+    params = gram_params(spec)
+    kappa = block_sums(params, mean.support, pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
+    inner = block_sums(params, mean.support, mean.support, mean.alpha)
+    value = zbar_sq - 2.0 * float(mean.alpha @ kappa) + float(mean.alpha @ inner)
     return math.sqrt(max(value, 0.0))

@@ -112,9 +112,10 @@ def test_c03_incremental_algebra():
         data = DataSet(pts)
         spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
+        kappa = gram_matrix(spec, pts).mean(axis=1)
         state = CholeskyWeights(data, spec)
         for idx in sel.order:
-            state.extend(idx)
+            state.extend(idx, kappa.__getitem__)
         direct = np.linalg.inv(gram_matrix(spec, pts[sel.order]))
         rel = np.linalg.norm(state.inv_k - direct) / np.linalg.norm(direct)
         assert rel < 1e-8
@@ -127,10 +128,11 @@ def test_c03_incremental_algebra():
                                 sigma=float(rng.uniform(0.8, 2.0)))
         m = int(rng.integers(1, min(n, 10)))
         order = rng.permutation(n)[:m]
+        gram = gram_matrix(spec, data.points)
+        kappa = gram.mean(axis=1)
         state = CholeskyWeights(data, spec)
         for idx in order:
-            state.extend(idx)
-        gram = gram_matrix(spec, data.points)
+            state.extend(idx, kappa.__getitem__)
         kappa_full = gram[order].mean(axis=1)
         sub = gram[np.ix_(order, order)]
         lhs = (gram.mean() - 2.0 * state.alpha @ kappa_full

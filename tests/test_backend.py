@@ -1,7 +1,3 @@
-import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -29,9 +25,7 @@ def impl(request):
 
 
 def random_case(rng, n=200, d=4):
-    points = np.ascontiguousarray(rng.normal(size=(n, d)))
-    y = np.ascontiguousarray(rng.normal(size=d))
-    return points, y
+    return np.ascontiguousarray(rng.normal(size=(n, d)))
 
 
 def test_backend_name_is_reported():
@@ -41,7 +35,7 @@ def test_backend_name_is_reported():
 def test_farthest_scan_backends_agree(fastcore):
     rng = np.random.default_rng(0)
     for kind, a, b in [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5), (SHAPE_NONE, 0.0, 0.0)]:
-        points, _ = random_case(rng)
+        points = random_case(rng)
         sqdist = {impl: np.full(points.shape[0], np.inf) for impl in (_numpy_impl, fastcore)}
         j = 0
         for _ in range(12):  # a chain of scans exercises the running minimum
@@ -81,20 +75,9 @@ def test_farthest_scan_semantics(impl):
     assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("kind,a,b", [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5)])
-def test_mean_gram_backends_agree(fastcore, kind, a, b):
-    rng = np.random.default_rng(1)
-    points, y = random_case(rng)
-    got_np = _numpy_impl.mean_gram(points, y, kind, a, b, 0.9)
-    got_c = fastcore.mean_gram(points, y, kind, a, b, 0.9)
-    assert_allclose(got_np, got_c, rtol=1e-12)
-
-
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_mean_gram_rejects_unknown_kind(impl):
+def test_farthest_scan_rejects_unknown_kind(impl):
     points = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        impl.mean_gram(points, np.zeros(2), 7, 1.0, 1.0, 1.0)
     for kind in (7, -2):
         with pytest.raises(ValueError):
             impl.farthest_scan(points, 0, np.full(3, np.inf), kind, 1.0, 1.0, 1.0)
@@ -126,79 +109,31 @@ def test_compiled_rejects_bad_buffers(fastcore):
     readonly.setflags(write=False)
     with pytest.raises(ValueError):
         scan(sqdist=readonly)
-    with pytest.raises(ValueError):
-        fastcore.mean_gram(points, np.zeros(2), SHAPE_SQEXP, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        fastcore.mean_gram(np.zeros((0, 3)), np.zeros(3), SHAPE_SQEXP, 1.0, 0.0, 1.0)
-    with pytest.raises(TypeError):
-        fastcore.mean_gram(points, np.zeros(3, dtype=np.float32), SHAPE_SQEXP, 1.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_mean_gram_matches_direct_formula(impl):
-    rng = np.random.default_rng(3)
-    points, y = random_case(rng, n=37)
-    r2 = ((points - y) ** 2).sum(axis=1)
-    expected = 0.7 * np.exp(-0.4 * r2).mean()
-    assert_allclose(impl.mean_gram(points, y, 0, 0.4, 0.0, 0.7), expected,
-                    rtol=1e-12)
-
-
-def _run_fit_subprocess(backend, extension=None):
-    """Run one fit in a subprocess under a forced backend, return the outputs.
-
-    extension is a compiled backend to install as skm._backend._fastcore
-    before skm is imported.
-    """
-    script = f"""
-import importlib.util
-import json
-import sys
-
-if {extension!r} is not None:
-    spec = importlib.util.spec_from_file_location("skm._backend._fastcore", {extension!r})
-    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[spec.name])
-
-import numpy as np
-import skm
-from skm.dataio import DataSet
-from skm.kernels import RadialKernelSpec
-
-rng = np.random.default_rng(5)
-data = DataSet(rng.normal(size=(300, 3)))
-spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
-mean = skm.fit(data, spec, k_max=25, epsilon=0.0, first=0)
-out = {{
-    "backend": skm.BACKEND,
-    "indices": mean.support_indices.tolist(),
-    "alpha": mean.alpha.tolist(),
-    "e": mean.diagnostics.e_trace.tolist(),
-    "radius": mean.diagnostics.radius_trace.tolist(),
-}}
-print(json.dumps(out))
-"""
-    env = dict(os.environ, SKM_BACKEND=backend)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+def _fit_with(impl):
+    """One fit with `farthest_scan` taken from impl."""
+    rng = np.random.default_rng(5)
+    data = DataSet(rng.normal(size=(300, 3)))
+    spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        return fit(data, spec, k_max=25, epsilon=0.0, first=0)
 
 
 def test_fit_agrees_across_backends(fastcore):
-    a = _run_fit_subprocess("numpy")
-    b = _run_fit_subprocess("compiled", fastcore.__file__)
-    assert a["backend"] == "numpy" and b["backend"] == "compiled"
-    assert a["indices"] == b["indices"]
-    assert_allclose(a["alpha"], b["alpha"], rtol=1e-9, atol=1e-12)
-    assert_allclose(a["e"], b["e"], rtol=1e-12)
-    assert_allclose(a["radius"], b["radius"], rtol=1e-15)
+    a = _fit_with(_numpy_impl)
+    b = _fit_with(fastcore)
+    assert_array_equal(a.support_indices, b.support_indices)
+    assert_allclose(a.alpha, b.alpha, rtol=1e-9, atol=1e-12)
+    assert_allclose(a.diagnostics.e_trace, b.diagnostics.e_trace, rtol=1e-12)
+    assert_allclose(a.diagnostics.radius_trace, b.diagnostics.radius_trace, rtol=1e-15)
 
 
 def _fit_and_select(impl, points, sigma, k, first):
-    """fit and kcenter_greedy with both backend primitives taken from impl."""
+    """fit and kcenter_greedy with `farthest_scan` taken from impl."""
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
-        patch.setattr(_backend, "mean_gram", impl.mean_gram)
         warnings.simplefilter("ignore")  # k may exceed the distinct points
         data = DataSet(points)
         spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)
@@ -235,13 +170,3 @@ def test_incoherence_rejects_indices_outside_the_data(impl, j, monkeypatch):
     data = DataSet(np.array([[0.0], [1.0], [3.0]]))
     with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
         incoherence(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0), [0, j])
-
-
-def test_forcing_unknown_backend_errors():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import skm"],
-        env=dict(os.environ, SKM_BACKEND="quantum"),
-        capture_output=True, text=True,
-    )
-    assert proc.returncode != 0
-    assert "SKM_BACKEND" in proc.stderr

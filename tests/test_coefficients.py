@@ -5,15 +5,11 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from skm.coefficients import (
-    CholeskyWeights,
-    kappa_entry,
-    project_simplex,
-    stop_rule,
-)
+from skm.coefficients import CholeskyWeights, project_simplex, stop_rule
 from skm.dataio import DataSet
 from skm.errors import NearSingularError
 from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
+from skm.sparse_mean import fit_steps
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
 
@@ -22,31 +18,46 @@ def line_data(*values):
     return DataSet(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
+def row_means(data, spec):
+    """kappa_j = (1/n) sum_l <z_l, z_j> from the dense Gram matrix, as extend's callable."""
+    return gram_matrix(spec, data.points).mean(axis=1).__getitem__
+
+
 def grow_state(data, spec, order):
     state = CholeskyWeights(data, spec)
+    kappa = row_means(data, spec)
     for idx in order:
-        state.extend(idx)
+        state.extend(idx, kappa)
     return state
 
 
-# ----------------------------------------------------------------- kappa_entry
+def fixed_order_kappa(data, spec, order):
+    """The kappa a fixed-order fit reads from its one block sum over the order."""
+    weights = CholeskyWeights(data, spec)
+    steps = list(fit_steps(weights, len(order), order=order))
+    assert all(s.skip is None for s in steps)
+    return weights.kappa
+
+
+# --------------------------------------------------------- fixed-order kappa
 
 def test_kappa_single_point_is_c():
     data = line_data(0.7)
-    assert kappa_entry(data, UNIT_GAUSS_1D, 0) == g_zero(UNIT_GAUSS_1D)
+    assert fixed_order_kappa(data, UNIT_GAUSS_1D, [0])[0] == g_zero(UNIT_GAUSS_1D)
 
 
 def test_kappa_identical_points_is_c():
     data = line_data(2.0, 2.0, 2.0)
-    for j in range(3):
-        assert_allclose(kappa_entry(data, UNIT_GAUSS_1D, j),
-                        g_zero(UNIT_GAUSS_1D), rtol=1e-15)
+    for j in range(3):  # one point at a time: the three are dependent
+        assert_allclose(fixed_order_kappa(data, UNIT_GAUSS_1D, [j]),
+                        [g_zero(UNIT_GAUSS_1D)], rtol=1e-15)
 
 
 def test_kappa_two_point_hand_sum():
     data = line_data(0.0, 1.0)
     expected = (1.0 + math.exp(-0.5)) / 2.0  # = 0.80327 to five digits
-    assert_allclose(kappa_entry(data, UNIT_GAUSS_1D, 0), expected, rtol=1e-14)
+    assert_allclose(fixed_order_kappa(data, UNIT_GAUSS_1D, [0, 1]), [expected, expected],
+                    rtol=1e-14)
 
 
 def test_kappa_matches_gram_row_mean():
@@ -54,8 +65,9 @@ def test_kappa_matches_gram_row_mean():
     data = DataSet(rng.normal(size=(25, 3)))
     spec = RadialKernelSpec("laplacian", dim=3, gamma=0.8, normalization="density")
     gram = gram_matrix(spec, data.points)
-    for j in (0, 7, 24):
-        assert_allclose(kappa_entry(data, spec, j), gram[j].mean(), rtol=1e-12)
+    order = [0, 7, 24]
+    assert_allclose(fixed_order_kappa(data, spec, order), gram[order].mean(axis=1),
+                    rtol=1e-12)
 
 
 # ------------------------------------------------------- single-point support
@@ -98,14 +110,14 @@ def test_extend_duplicate_support_raises():
     data = line_data(0.0, 0.0, 5.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(NearSingularError):
-        state.extend(1)
+        state.extend(1, row_means(data, UNIT_GAUSS_1D))
 
 
 def test_extend_rejects_index_already_in_support():
     data = line_data(0.0, 5.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(ValueError, match="already"):
-        state.extend(0)
+        state.extend(0, row_means(data, UNIT_GAUSS_1D))
 
 
 def test_extend_matches_direct_inverse_oracle():

@@ -341,6 +341,13 @@ def test_cluster_modes_chain_merges_single_linkage():
     assert_array_equal(cluster_modes(np.array([[0.0], [1.0], [3.0]]), 1.0).labels, [0, 0, 1])
 
 
+def test_cluster_modes_reads_1d_array_as_points_on_a_line():
+    clusters = cluster_modes(np.array([0.0, 5.0, 10.0]), 1.0)
+    assert clusters.n_clusters == 3
+    assert_array_equal(clusters.labels, [0, 1, 2])
+    assert_array_equal(clusters.modes, [[0.0], [5.0], [10.0]])
+
+
 def test_cluster_modes_validates_merge_dist():
     class FakeShift:
         shifted = np.zeros((2, 1))
@@ -369,6 +376,10 @@ def test_discrepancy_half_displaced():
     moved = pts.copy()
     moved[:5] += 5.0
     assert discrepancy_index(pts, moved, 1.0) == 0.5
+
+
+def test_discrepancy_reads_1d_arrays_as_points_on_a_line():
+    assert discrepancy_index(np.array([0.0, 1.0]), np.array([0.0, 5.0]), 1.0) == 0.5
 
 
 def test_discrepancy_symmetric_and_bounded():

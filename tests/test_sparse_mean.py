@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from skm.sparse_mean import (
     fit_with_support,
     full_mean,
     incoherence,
+    mean_gram_inner,
     random_selection_fit,
     residual_norm,
     squared_mean_norm,
@@ -303,9 +305,11 @@ def test_fit_loop_stops_at_first_dependent_candidate():
 
 
 def _count_backend_calls(monkeypatch):
+    """Count the calls of every primitive the backend exports."""
     from skm import _backend
 
-    calls = {"farthest_scan": 0, "mean_gram": 0}
+    calls = {name: 0 for name, value in vars(_backend).items()
+             if callable(value) and not name.startswith("_")}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(_backend, name)):
             calls[_name] += 1
@@ -319,7 +323,7 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
-    assert calls == {"farthest_scan": 60, "mean_gram": 0}
+    assert calls == {"farthest_scan": 60}
 
 
 def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
@@ -329,7 +333,18 @@ def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
     assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps) - 1, "mean_gram": 0}
+    assert calls == {"farthest_scan": len(steps) - 1}
+
+
+def test_fixed_order_fits_make_no_backend_call(monkeypatch):
+    # Their kappa is one block sum over the order, not a scan per point.
+    data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    order = kcenter_greedy(data, 30, first=0).order
+    calls = _count_backend_calls(monkeypatch)
+    assert fit_with_support(data, spec, order).k0 == 30
+    assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
+    assert sum(calls.values()) == 0
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
@@ -339,7 +354,7 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
     tried = []
     extend = CholeskyWeights.extend
 
-    def counted(self, j, kappa=None):
+    def counted(self, j, kappa):
         tried.append(j)
         return extend(self, j, kappa)
 
@@ -585,6 +600,44 @@ def test_full_mean_weights_are_uniform_simplex():
     mean = full_mean(data, spec)
     assert_allclose(mean.alpha, np.full(9, 1.0 / 9.0))
     assert mean.diagnostics.method == "full"
+
+
+def test_residual_norm_matches_dense_gram_sums():
+    rng = np.random.default_rng(26)
+    data = DataSet(rng.normal(size=(60, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=0.7, normalization="density", space="l2")
+    mean = fit(data, spec, k_max=12, epsilon=0.0, density_mode=True)
+    gram = gram_matrix(spec, data.points)
+    idx = mean.support_indices
+    expected = math.sqrt(gram.mean() - 2.0 * mean.alpha @ gram[idx].mean(axis=1)
+                         + mean.alpha @ gram[np.ix_(idx, idx)] @ mean.alpha)
+    assert_allclose(squared_mean_norm(data, spec), gram.mean(), rtol=1e-13)
+    assert_allclose(residual_norm(data, spec, mean), expected, rtol=1e-10)
+    # A mean known only by its support points gives the same residual.
+    anonymous = dataclasses.replace(mean, support_indices=None)
+    assert_allclose(residual_norm(data, spec, anonymous), expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["squared_mean_norm", "residual_norm", "mean_gram_inner"])
+def test_gram_sums_of_full_means_stay_in_flat_memory(name):
+    # A dense 5000 x 5000 Gram matrix is 200 MB; row blocks of 2^18 entries
+    # keep each sum near 2 MB.
+    data = DataSet(np.random.default_rng(27).normal(size=(5000, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    full = full_mean(data, spec)
+    run = {
+        "squared_mean_norm": lambda: squared_mean_norm(data, spec),
+        "residual_norm": lambda: residual_norm(data, spec, full),
+        "mean_gram_inner": lambda: mean_gram_inner(full, full),
+    }[name]
+    tracemalloc.start()
+    try:
+        value = run()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 8_000_000
 
 
 def test_squared_mean_norm_guard():
