@@ -281,7 +281,7 @@ def _cmd_audit(args) -> int:
         )
     spec = parse_kernel_spec(args.kernel, data.d)
     first, seed = _parse_first(args.first, args.seed)
-    k_max = args.kmax if args.kmax is not None else min(data.n - 1, data.n)
+    k_max = args.kmax if args.kmax is not None else max(1, data.n - 1)
     mean = fit(data, spec, k_max=k_max, epsilon=0.0, first=first, seed=seed)
     zbar_sq = squared_mean_norm(data, spec, max_points=args.max_points)
     from .kernels import g_zero, gram_at_dist
@@ -474,8 +474,8 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
 def _cmd_bench(args) -> int:
     data = load_csv(args.input, has_header=args.header)
     spec = parse_kernel_spec(args.kernel, data.d)
-    if args.kmax > data.n:
-        raise SkmError(f"--kmax {args.kmax} exceeds n={data.n}")
+    if not 1 <= args.kmax <= data.n:
+        raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
     first, seed = _parse_first(args.first, args.seed)
     rows = _bench_curve(data, spec, args.kmax, first, seed)
     if args.random_seeds > 0:

@@ -9,19 +9,21 @@ Adding a support point is one step of partial pivoted Cholesky. With b the
 inner products between the new section and the current support and
 w = L^{-1} b, the lower factor L of K gains the row [w', sqrt(p)], where
 the pivot p = g(0) - w'w is the Schur complement of K in the bordered Gram
-matrix. The weights follow by the bordered update
+matrix. The state carries v = L^{-1} kappa instead of alpha; it gains the
+one entry
 
-    alpha <- [alpha - t u; t],   u = K^{-1} b = L^{-T} w,
-    t = (kappa_new - b' alpha) / p,
+    v_m = (kappa_new - w'v) / sqrt(p),
 
-so a step costs two triangular solves, O(m^2), plus kappa_new, an O(nd)
+so a step costs one triangular solve, O(m^2), plus kappa_new, an O(nd)
 kernel row mean that the caller supplies: the greedy fit fuses it with its
 farthest-first scan, and a fixed-order fit reads it from one block sum over
 the whole order.
-K^{-1} is never formed; `inv_k` derives it from the factor on request.
-The quantity E_m = -alpha' kappa equals the squared approximation error
-minus the constant ||zbar||^2; it is nonincreasing in m and drives the
-stopping rule.
+The quantity E_m = -alpha' kappa = -||v||^2 equals the squared
+approximation error minus the constant ||zbar||^2 and drives the stopping
+rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
+point either. The weights alpha = L^{-T} v cost one more triangular solve
+when read, and K^{-1} is never formed; `inv_k` derives it from the factor
+on request.
 """
 
 import math
@@ -33,17 +35,14 @@ from .errors import NearSingularError
 from .kernels import _apply_shape, g_zero, gram_params
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
-# support section. Below ~1e-9 the bordered update amplifies rounding error
-# by ~1e9 and the weight vector degrades within a few further steps.
+# support section. A pivot p bounds the condition number of K below by
+# g(0)/p, so below ~1e-9 the weights L^{-T} v carry rounding error
+# amplified by ~1e9 and degrade within a few further steps.
 SINGULARITY_REL_TOL = 1e-9
-
-# Computed error indicators must not rise; an increase beyond this relative
-# slack means the factor has lost accuracy.
-_E_INCREASE_REL_TOL = 1e-12
 
 
 class CholeskyWeights:
-    """Support, Cholesky factor, kappa, weights and error trace, grown in place.
+    """Support, Cholesky factor, kappa, v = L^{-1} kappa and E trace, grown in place.
 
     Row i of the lower factor is stored at offset i(i+1)/2 of one flat
     buffer, so the leading m rows are a contiguous packed triangle that
@@ -58,10 +57,10 @@ class CholeskyWeights:
         self.points = np.ascontiguousarray(data.points, dtype=np.float64)
         self.params = gram_params(spec)
         self.m = 0
-        self.alpha = np.empty(0)
         self._packed = np.empty(16 * 17 // 2)
         self._indices = np.empty(16, dtype=np.int64)
         self._kappa = np.empty(16)
+        self._v = np.empty(16)
         self._e = np.empty(16)
 
     @property
@@ -74,8 +73,18 @@ class CholeskyWeights:
 
     @property
     def e_trace(self) -> np.ndarray:
-        """E_1 .. E_m, E_t = -alpha' kappa at support size t."""
+        """E_1 .. E_m, E_t = -alpha' kappa = -||v||^2 at support size t."""
         return self._e[:self.m]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Weights K^{-1} kappa = L^{-T} v, by one triangular solve."""
+        m = self.m
+        if m == 0:
+            return np.empty(0)
+        # The packed rows of L are the packed columns of the upper factor
+        # L', so trans=0 solves L' alpha = v (and trans=1 solves L w = b).
+        return blas.dtpsv(m, self._packed[:m * (m + 1) // 2], self._v[:m], trans=0)
 
     @property
     def inv_k(self) -> np.ndarray:
@@ -93,9 +102,7 @@ class CholeskyWeights:
         once the pivot has passed, so a scan behind it never has to be undone.
         Raises NearSingularError, leaving the state unchanged, when the
         pivot falls to the singularity tolerance (e.g. a duplicate support
-        point), or when the step would raise the error indicator, which is
-        impossible in exact arithmetic and therefore signals numerical
-        breakdown.
+        point).
         """
         j = int(j)
         m, row = self.m, self.m * (self.m + 1) // 2
@@ -103,8 +110,6 @@ class CholeskyWeights:
             raise ValueError(f"index {j} is already in the support")
         diff = self.points[self.indices] - self.points[j]
         b = _apply_shape(self.params, np.einsum("ij,ij->i", diff, diff))
-        # The packed rows of L are the packed columns of the upper factor
-        # L', so trans=1 solves L w = b and trans=0 solves L' u = w.
         w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b
         pivot = self.c - float(w @ w)
         if pivot <= SINGULARITY_REL_TOL * self.c:
@@ -115,25 +120,16 @@ class CholeskyWeights:
         if m == self._indices.shape[0]:  # full: double every buffer
             cap = 2 * m
             self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
-            self._indices, self._kappa, self._e = (
-                np.resize(a, cap) for a in (self._indices, self._kappa, self._e))
+            self._indices, self._kappa, self._v, self._e = (
+                np.resize(a, cap) for a in (self._indices, self._kappa, self._v, self._e))
+        root = math.sqrt(pivot)
         self._kappa[m] = kappa(j)
-        u = blas.dtpsv(m, self._packed[:row], w, trans=0) if m else w
-        t = (self._kappa[m] - float(b @ self.alpha)) / pivot
-        alpha = np.append(self.alpha - t * u, t)
-        e_new = -float(alpha @ self._kappa[:m + 1])
-        e_old = float(self._e[m - 1]) if m else math.inf
-        if e_new > e_old + _E_INCREASE_REL_TOL * max(1.0, abs(e_old)):
-            raise NearSingularError(
-                f"adding support point {j} would raise the error "
-                f"indicator ({e_old:.12e} -> {e_new:.12e}); the update is no "
-                "longer numerically accurate"
-            )
+        v_new = (self._kappa[m] - float(w @ self._v[:m])) / root
         self._packed[row:row + m] = w
-        self._packed[row + m] = math.sqrt(pivot)
+        self._packed[row + m] = root
         self._indices[m] = j
-        self._e[m] = e_new
-        self.alpha = alpha
+        self._v[m] = v_new
+        self._e[m] = (self._e[m - 1] if m else 0.0) - v_new * v_new
         self.m = m + 1
         return pivot
 

@@ -21,14 +21,18 @@ class Selection:
     """Chosen center indices plus per-point distances to the chosen set.
 
     order: chosen indices in selection order.
-    dist_to_set: Euclidean distance from every point to its nearest center.
     radius_trace: coverage radius (max of dist_to_set) after each step.
+    sqdist: squared Euclidean distance from every point to its nearest center.
     """
 
     order: np.ndarray
-    dist_to_set: np.ndarray
     radius_trace: np.ndarray
-    sqdist: np.ndarray  # squared distances; basis for exact incremental updates
+    sqdist: np.ndarray
+
+    @property
+    def dist_to_set(self) -> np.ndarray:
+        """Euclidean distance from every point to its nearest center."""
+        return np.sqrt(self.sqdist)
 
     @property
     def m(self) -> int:
@@ -110,7 +114,7 @@ def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
         unchosen = np.ones(n, dtype=bool)
         unchosen[order[:t + 1]] = False
         order[t + 1:] = np.flatnonzero(unchosen)[:k - t - 1]
-    return Selection(order, np.sqrt(scan.sqdist), radius, scan.sqdist)
+    return Selection(order, radius, scan.sqdist)
 
 
 def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):

@@ -3,8 +3,9 @@
 A sparse kernel mean approximates the full mean (1/n) sum_i phi(., x_i)
 by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
 come from farthest-first traversal, weights from pivoted Cholesky steps
-with a bordered update, and the support stops growing once the relative
-error progress falls below epsilon.
+that carry v = L^{-1} kappa (one triangular solve each; alpha = L^{-T} v
+is solved for once, at the end), and the support stops growing once the
+relative error progress falls below epsilon.
 """
 
 import logging

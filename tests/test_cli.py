@@ -293,6 +293,29 @@ def test_kmax_too_large_returns_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_bench_kmax_below_one_returns_two(tmp_path, capsys, kmax):
+    x = synth_csv(tmp_path, n=30)
+    out = tmp_path / "curve.csv"
+    rc = main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+               "--kmax", kmax, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "kmax" in capsys.readouterr().err
+
+
+def test_audit_one_point_file_defaults_to_one_support_point(tmp_path):
+    x = tmp_path / "one.csv"
+    x.write_text("0.5,1.5\n")
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[0] == "1"
+
+
 # ---------------------------------------------------------------- determinism
 
 def test_same_seed_gives_byte_identical_outputs(tmp_path):

@@ -110,7 +110,7 @@ def test_fit_e_trace_matches_alpha_kappa():
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     mean = fit(data, spec, k_max=10, epsilon=0.0)
     assert mean.diagnostics.e_trace.shape == (10,)
-    assert np.all(np.diff(mean.diagnostics.e_trace) <= 1e-12)
+    assert np.all(np.diff(mean.diagnostics.e_trace) <= 0)
 
 
 def test_fit_density_mode_projects_weights():
@@ -139,7 +139,7 @@ def test_fit_trace_and_weights_on_small_data_with_duplicates(data):
         warnings.simplefilter("error")
         mean = fit(DataSet(points), spec, epsilon=epsilon, density_mode=density_mode)
     e = mean.diagnostics.e_trace
-    assert np.all(np.diff(e) <= 1e-12 * np.maximum(1.0, np.abs(e[:-1])))
+    assert np.all(np.diff(e) <= 0)
     if density_mode:
         assert np.all(mean.alpha >= 0.0)
         assert abs(mean.alpha.sum() - 1.0) <= 1e-12
@@ -365,12 +365,12 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
     assert len(tried) <= mean.k0 + 1
 
 
-def test_bordered_weights_match_dense_solve_at_every_step():
+def test_weights_match_dense_solve_at_every_step():
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
     weights = CholeskyWeights(data, spec)
-    history = [(step, weights.alpha.copy()) for step in fit_steps(weights, 300, first=0)]
+    history = [(step, weights.alpha) for step in fit_steps(weights, 300, first=0)]
     assert weights.m == 300 and len(history) == 300
     support = data.points[weights.indices]
     gram = gram_matrix(spec, support)
@@ -522,6 +522,17 @@ def test_random_selection_deterministic_per_seed():
     assert np.array_equal(a.support_indices, b.support_indices)
     c = random_selection_fit(data, spec, k=9, seed=8)
     assert not np.array_equal(a.support_indices, c.support_indices)
+
+
+def test_random_selection_drops_dependent_points_and_keeps_e_monotone():
+    # At sigma = 5 on 1000 points most of a 94-point random support is
+    # numerically dependent on the points drawn before it.
+    data = DataSet(np.random.default_rng(1).normal(size=(1000, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=5.0)
+    mean = random_selection_fit(data, spec, k=94, seed=1)
+    assert len(mean.diagnostics.skipped) > 0
+    assert mean.k0 + len(mean.diagnostics.skipped) == 94
+    assert np.all(np.diff(mean.diagnostics.e_trace) <= 0)
 
 
 def test_random_selection_k_one():
