@@ -34,8 +34,8 @@ def best_of(repeat, fn):
 
 
 def bench_scan(impl, points, repeat=7):
-    sqdist = np.full(points.shape[0], np.inf)
-    return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, 0, 0.5, 0.0, 1.0))
+    sqdist, r2 = np.full(points.shape[0], np.inf), np.empty(points.shape[0])
+    return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, r2))
 
 
 def bench_fit(impl, data, spec, kmax, repeat=3):

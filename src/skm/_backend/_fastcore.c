@@ -1,24 +1,23 @@
-/* Compiled inner loop: the fused farthest-first scan with the kernel row
- * mean of the new center. The signature matches skm._backend._numpy_impl
- * exactly. The scan lowers one distance buffer in place and returns the
- * farthest point, so a farthest-first step reads and writes each distance
- * once.
+/* Compiled inner loop: the farthest-first scan. The signature matches
+ * skm._backend._numpy_impl exactly. The scan writes each point's squared
+ * distance to the new center into a caller's buffer, lowers a second
+ * buffer of distances to the chosen set in place and returns the farthest
+ * point, so a farthest-first step reads and writes each distance once.
+ * The kernel row mean of the new center is computed from the first buffer
+ * in numpy, by the one shape function in skm.kernels.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
- * float64 of the expected shape; anything else raises TypeError or
+ * float64 of the right shape; anything else raises TypeError or
  * ValueError before a single element is read. The O(nd) scan releases the
  * GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <math.h>
 #include <string.h>
-
-enum { SHAPE_NONE = -1, SHAPE_SQEXP = 0, SHAPE_EXP = 1, SHAPE_POWER = 2 };
 
 /* The buffers one call holds; released together whatever the outcome. */
 typedef struct {
-    Py_buffer view[2];
+    Py_buffer view[3];
     int count;
 } Views;
 
@@ -56,14 +55,6 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
     return (double *)v->buf;
 }
 
-static int check_kind(int kind)
-{
-    if (kind >= SHAPE_NONE && kind <= SHAPE_POWER)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
-    return -1;
-}
-
 static inline double sqdist(const double *x, const double *y, Py_ssize_t d)
 {
     double acc = 0.0;
@@ -74,29 +65,19 @@ static inline double sqdist(const double *x, const double *y, Py_ssize_t d)
     return acc;
 }
 
-static inline double shape(int kind, double r2, double a, double b)
-{
-    if (kind == SHAPE_SQEXP)
-        return exp(-a * r2);
-    if (kind == SHAPE_EXP)
-        return exp(-a * sqrt(r2));
-    return pow(1.0 + a * r2, -b);
-}
-
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
 {
-    PyObject *po, *so;
+    PyObject *po, *so, *ro;
     Py_ssize_t j, far = -1;
-    int kind;
-    double a, b, c, acc = 0.0, top = -1.0;
+    double top = -1.0;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OnOiddd", &po, &j, &so, &kind, &a, &b, &c)
-        || check_kind(kind) < 0)
+    if (!PyArg_ParseTuple(args, "OnOO", &po, &j, &so, &ro))
         return NULL;
     const double *x = borrow(&vs, po, "points", 2, -1, 0);
     Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
     double *sq = x ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
-    if (sq != NULL && (j < 0 || j >= n))
+    double *r2 = sq ? borrow(&vs, ro, "r2", 1, n, 1) : NULL;
+    if (r2 != NULL && (j < 0 || j >= n))
         PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", j, n);
     if (PyErr_Occurred()) {
         release(&vs);
@@ -105,11 +86,10 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     const double *y = x + j * d;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double r2 = sqdist(x + i * d, y, d);
-        if (kind != SHAPE_NONE)
-            acc += shape(kind, r2, a, b);
-        if (r2 < sq[i])
-            sq[i] = r2;
+        double s = sqdist(x + i * d, y, d);
+        r2[i] = s;
+        if (s < sq[i])
+            sq[i] = s;
         if (sq[i] > top) {  /* strict: ties keep the lowest index */
             top = sq[i];
             far = i;
@@ -117,12 +97,12 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     }
     Py_END_ALLOW_THREADS
     release(&vs);
-    return Py_BuildValue("dn", kind == SHAPE_NONE ? 0.0 : c * acc / n, far);
+    return PyLong_FromSsize_t(far);
 }
 
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
-     "farthest_scan(points, j, sqdist, kind, a, b, c) -> (kappa_j, farthest index)"},
+     "farthest_scan(points, j, sqdist, r2) -> farthest index"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,9 +15,9 @@ one entry
     v_m = (kappa_new - w'v) / sqrt(p),
 
 so a step costs one triangular solve, O(m^2), plus kappa_new, an O(nd)
-kernel row mean that the caller supplies: the greedy fit fuses it with its
-farthest-first scan, and a fixed-order fit reads it from one block sum over
-the whole order.
+kernel row mean that the caller supplies: the greedy fit takes it from the
+distances of its farthest-first scan, and a fixed-order fit reads it from
+one block sum over the whole order.
 The quantity E_m = -alpha' kappa = -||v||^2 equals the squared
 approximation error minus the constant ||zbar||^2 and drives the stopping
 rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
@@ -101,13 +101,11 @@ class CholeskyWeights:
         kappa(j) supplies kappa_j = (1/n) sum_l <z_l, z_j>; it is called only
         once the pivot has passed, so a scan behind it never has to be undone.
         Raises NearSingularError, leaving the state unchanged, when the
-        pivot falls to the singularity tolerance (e.g. a duplicate support
-        point).
+        pivot falls to the singularity tolerance (e.g. an index already in
+        the support, or a duplicate of a support point).
         """
         j = int(j)
         m, row = self.m, self.m * (self.m + 1) // 2
-        if np.any(self.indices == j):
-            raise ValueError(f"index {j} is already in the support")
         diff = self.points[self.indices] - self.points[j]
         b = _apply_shape(self.params, np.einsum("ij,ij->i", diff, diff))
         w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from . import _backend
 from .errors import DegenerateDataError, KernelSpecError
 
 FAMILIES = ("gaussian", "laplacian", "student")
@@ -36,8 +35,14 @@ _FAMILY_PARAMS = {
 }
 
 
+# Radial shape codes: the profile c * shape(r) of a ShapeParams.
+SHAPE_SQEXP = 0  # c * exp(-a * r^2)
+SHAPE_EXP = 1    # c * exp(-a * r)
+SHAPE_POWER = 2  # c * (1 + a * r^2) ** (-b)
+
+
 class ShapeParams(NamedTuple):
-    """A radial profile c * shape_kind(r) with shape codes from _backend."""
+    """A radial profile c * shape_kind(r), kind one of the SHAPE_* codes."""
 
     kind: int
     a: float
@@ -150,10 +155,10 @@ def eval_params(spec: RadialKernelSpec) -> ShapeParams:
     """Profile of phi itself: phi(x, x') = c * shape(||x - x'||)."""
     c = _normalization_constant(spec)
     if spec.family == "gaussian":
-        return ShapeParams(_backend.SHAPE_SQEXP, 1.0 / (2.0 * spec.sigma**2), 0.0, c)
+        return ShapeParams(SHAPE_SQEXP, 1.0 / (2.0 * spec.sigma**2), 0.0, c)
     if spec.family == "laplacian":
-        return ShapeParams(_backend.SHAPE_EXP, 1.0 / spec.gamma, 0.0, c)
-    return ShapeParams(_backend.SHAPE_POWER, 1.0 / spec.beta, spec.alpha, c)
+        return ShapeParams(SHAPE_EXP, 1.0 / spec.gamma, 0.0, c)
+    return ShapeParams(SHAPE_POWER, 1.0 / spec.beta, spec.alpha, c)
 
 
 def gram_params(spec: RadialKernelSpec) -> ShapeParams:
@@ -167,7 +172,7 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
         #   = c^2 (pi sigma^2)^{d/2} exp(-r^2 / (4 sigma^2))
         sigma = spec.sigma
         c_l2 = c * c * (math.pi * sigma * sigma) ** (d / 2.0)
-        return ShapeParams(_backend.SHAPE_SQEXP, 1.0 / (4.0 * sigma**2), 0.0, c_l2)
+        return ShapeParams(SHAPE_SQEXP, 1.0 / (4.0 * sigma**2), 0.0, c_l2)
     if spec.family == "student":
         # At the Cauchy exponent the density-normalized section is the
         # isotropic Cauchy law with scale sqrt(beta); convolving two of
@@ -176,7 +181,7 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
         c_dens = _density_constant("student", d, alpha=spec.alpha, beta=beta)
         c_conv = _density_constant("student", d, alpha=spec.alpha, beta=4.0 * beta)
         c_l2 = (c / c_dens) ** 2 * c_conv
-        return ShapeParams(_backend.SHAPE_POWER, 1.0 / (4.0 * beta), spec.alpha, c_l2)
+        return ShapeParams(SHAPE_POWER, 1.0 / (4.0 * beta), spec.alpha, c_l2)
     raise KernelSpecError(
         f"no closed-form L2 inner product for {spec.family}"
     )
@@ -185,12 +190,12 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
 def _apply_shape(params: ShapeParams, r2):
     """c * shape(r), computed in place on the float64 array r2 of squared distances."""
     kind, a, b, c = params
-    if kind == _backend.SHAPE_POWER:
+    if kind == SHAPE_POWER:
         r2 *= a
         r2 += 1.0
         np.power(r2, -b, out=r2)
     else:
-        if kind == _backend.SHAPE_EXP:
+        if kind == SHAPE_EXP:
             np.sqrt(r2, out=r2)
         r2 *= -a
         np.exp(r2, out=r2)

@@ -102,8 +102,8 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
     loop.
     """
     if order is None:
-        # One fused scan per candidate that passes the pivot check gives
-        # kappa_j and the farthest-first update together. A failed step
+        # One scan per candidate that passes the pivot check gives the
+        # farthest-first update, and its distances give kappa_j. A failed step
         # ends the loop, so a scan is never undone.
         scan = kcenter.FarthestFirst(weights.points, weights.params)
         kappa = scan.add

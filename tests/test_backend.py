@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from skm import _backend
-from skm._backend import BACKEND, SHAPE_NONE, SHAPE_SQEXP, _numpy_impl
+from skm._backend import BACKEND, _numpy_impl
 from skm.dataio import DataSet
-from skm.kcenter import kcenter_greedy
-from skm.kernels import RadialKernelSpec
-from skm.sparse_mean import fit, incoherence
+from skm.kcenter import FarthestFirst, kcenter_greedy
+from skm.kernels import SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, RadialKernelSpec, ShapeParams
+from skm.sparse_mean import block_sums, fit, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -34,61 +34,65 @@ def test_backend_name_is_reported():
 
 def test_farthest_scan_backends_agree(fastcore):
     rng = np.random.default_rng(0)
-    for kind, a, b in [(0, 0.37, 0.0), (1, 1.2, 0.0), (2, 0.8, 2.5), (SHAPE_NONE, 0.0, 0.0)]:
-        points = random_case(rng)
-        sqdist = {impl: np.full(points.shape[0], np.inf) for impl in (_numpy_impl, fastcore)}
-        j = 0
-        for _ in range(12):  # a chain of scans exercises the running minimum
-            (k_np, far_np), (k_c, far_c) = (
-                impl.farthest_scan(points, j, sq, kind, a, b, 0.9) for impl, sq in sqdist.items())
-            assert_allclose(k_c, k_np, rtol=1e-12)
-            assert far_c == far_np
-            assert_allclose(sqdist[fastcore], sqdist[_numpy_impl], rtol=1e-14)
-            if kind == SHAPE_NONE:
-                assert k_np == k_c == 0.0
-            j = far_np
+    points = random_case(rng)
+    n = points.shape[0]
+    bufs = {impl: (np.full(n, np.inf), np.empty(n)) for impl in (_numpy_impl, fastcore)}
+    j = 0
+    for _ in range(12):  # a chain of scans exercises the running minimum
+        far_np, far_c = (impl.farthest_scan(points, j, sq, r2) for impl, (sq, r2) in bufs.items())
+        assert far_c == far_np
+        for k in range(2):
+            assert_allclose(bufs[fastcore][k], bufs[_numpy_impl][k], rtol=1e-14)
+        j = far_np
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_farthest_scan_semantics(impl):
     points = np.array([[0.0], [-1.0], [1.0], [3.0], [5.0]])
-    sq = np.full(5, np.inf)
-    kappa, far = impl.farthest_scan(points, 0, sq, SHAPE_SQEXP, 0.5, 0.0, 2.0)
-    r2 = np.array([0.0, 1.0, 1.0, 9.0, 25.0])
-    assert_allclose(kappa, 2.0 * np.exp(-0.5 * r2).mean(), rtol=1e-14)
+    sq, r2 = np.full(5, np.inf), np.empty(5)
+    assert impl.farthest_scan(points, 0, sq, r2) == 4
+    assert_array_equal(r2, [0.0, 1.0, 1.0, 9.0, 25.0])
     assert_array_equal(sq, r2)
-    assert far == 4
-    kappa, far = impl.farthest_scan(points, 4, sq, SHAPE_NONE, 0.0, 0.0, 0.0)
-    assert kappa == 0.0
+    assert impl.farthest_scan(points, 4, sq, r2) == 3
+    assert_array_equal(r2, [25.0, 36.0, 16.0, 4.0, 0.0])
     assert_array_equal(sq, [0.0, 1.0, 1.0, 4.0, 0.0])
-    assert far == 3
     # 1 and 2 tie at distance 1 from {0, 3, 4}: the lowest index wins.
-    assert impl.farthest_scan(points, 3, sq, SHAPE_NONE, 0.0, 0.0, 0.0)[1] == 1
+    assert impl.farthest_scan(points, 3, sq, r2) == 1
     assert_array_equal(sq, [0.0, 1.0, 1.0, 0.0, 0.0])
     # Once every distance is 0, the farthest point is index 0.
     sq = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
-    assert impl.farthest_scan(points, 4, sq, SHAPE_NONE, 0.0, 0.0, 0.0)[1] == 0
+    assert impl.farthest_scan(points, 4, sq, r2) == 0
     # An index outside [0, n) is an error on both backends, not a wrap.
+    r2[:] = -1.0
     for j in (-1, 5):
         with pytest.raises(ValueError, match=f"index {j} out of range for n=5"):
-            impl.farthest_scan(points, j, sq, SHAPE_NONE, 0.0, 0.0, 0.0)
+            impl.farthest_scan(points, j, sq, r2)
     assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
+    assert_array_equal(r2, np.full(5, -1.0))
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_farthest_scan_rejects_unknown_kind(impl):
-    points = np.zeros((3, 2))
-    for kind in (7, -2):
-        with pytest.raises(ValueError):
-            impl.farthest_scan(points, 0, np.full(3, np.inf), kind, 1.0, 1.0, 1.0)
+@pytest.mark.parametrize("params", [ShapeParams(SHAPE_SQEXP, 0.37, 0.0, 0.9),
+                                    ShapeParams(SHAPE_EXP, 1.2, 0.0, 0.9),
+                                    ShapeParams(SHAPE_POWER, 0.8, 2.5, 0.9)],
+                         ids=["sqexp", "exp", "power"])
+def test_kappa_matches_block_sum(impl, params, monkeypatch):
+    monkeypatch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+    points = random_case(np.random.default_rng(1))
+    n = points.shape[0]
+    scan = FarthestFirst(points, params)
+    for j in (0, 17, n - 1):
+        expected = block_sums(params, points[[j]], points, np.full(n, 1.0 / n))[0]
+        assert_allclose(scan.add(j), expected, rtol=1e-13)
 
 
 def test_compiled_rejects_bad_buffers(fastcore):
     points = np.zeros((4, 3))
     good = np.full(4, np.inf)
+    buf = np.empty(4)
 
-    def scan(pts=points, j=0, sqdist=good):
-        return fastcore.farthest_scan(pts, j, sqdist, SHAPE_SQEXP, 1.0, 0.0, 1.0)
+    def scan(pts=points, j=0, sqdist=good, r2=buf):
+        return fastcore.farthest_scan(pts, j, sqdist, r2)
 
     scan()
     with pytest.raises(TypeError):
@@ -99,16 +103,17 @@ def test_compiled_rejects_bad_buffers(fastcore):
         scan(pts=np.zeros((4, 6))[:, ::2])  # not contiguous
     with pytest.raises(ValueError):
         scan(pts=np.zeros(12))  # 1-D
-    with pytest.raises(ValueError):
-        scan(sqdist=good[:3])  # length mismatch
-    with pytest.raises(TypeError):
-        scan(sqdist=good.astype(np.float32))
-    with pytest.raises(ValueError):
-        scan(sqdist=np.full((4, 6), np.inf)[:, 0])  # not contiguous
     readonly = good.copy()
     readonly.setflags(write=False)
-    with pytest.raises(ValueError):
-        scan(sqdist=readonly)
+    for name in ("sqdist", "r2"):
+        with pytest.raises(ValueError):
+            scan(**{name: good[:3].copy()})  # length mismatch
+        with pytest.raises(TypeError):
+            scan(**{name: good.astype(np.float32)})
+        with pytest.raises(ValueError):
+            scan(**{name: np.full((4, 6), np.inf)[:, 0]})  # not contiguous
+        with pytest.raises(ValueError):
+            scan(**{name: readonly})
 
 
 def _fit_with(impl):

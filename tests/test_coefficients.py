@@ -114,10 +114,16 @@ def test_extend_duplicate_support_raises():
 
 
 def test_extend_rejects_index_already_in_support():
+    # A repeated index has pivot g(0) - g(0) = 0, so the pivot check rejects
+    # it and leaves the state as it was.
     data = line_data(0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0])
-    with pytest.raises(ValueError, match="already"):
-        state.extend(0, row_means(data, UNIT_GAUSS_1D))
+    state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
+    e_trace = state.e_trace.copy()
+    for j in (0, 1):
+        with pytest.raises(NearSingularError, match=f"support point {j} is numerically dependent"):
+            state.extend(j, row_means(data, UNIT_GAUSS_1D))
+    assert state.m == 2
+    assert_allclose(state.e_trace, e_trace, rtol=0)
 
 
 def test_extend_matches_direct_inverse_oracle():
