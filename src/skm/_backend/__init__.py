@@ -1,12 +1,16 @@
-"""The one hot primitive, from the compiled extension if it imports.
+"""The two hot primitives, from the compiled extension if it imports.
 
 `farthest_scan` is one pass over the points that makes a point a
 farthest-first center: it writes the squared distances to that center
 into a caller's buffer, lowers the distances to the chosen set in place
-and returns the farthest point. It comes from the compiled extension
-(`_fastcore.c`) when that was built, and from the numpy implementation
-otherwise; `BACKEND` names which. Kernel values are not computed here:
-`skm.kernels` applies the one shape function to the distances.
+and returns the farthest point. `factor_order` is pivoted Cholesky along
+a fixed candidate order in one call: from the Gram block of the order it
+writes the packed lower factor of the candidates it keeps and every
+candidate's pivot, so a fixed-support fit takes no Python step per point.
+Both come from the compiled extension (`_fastcore.c`) when that was
+built, and from the numpy implementation otherwise; `BACKEND` names
+which. Kernel values are not computed here: `skm.kernels` applies the one
+shape function to the distances.
 """
 
 try:
@@ -17,3 +21,4 @@ except ImportError:
     BACKEND = "numpy"
 
 farthest_scan = _impl.farthest_scan
+factor_order = _impl.factor_order

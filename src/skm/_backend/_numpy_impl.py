@@ -1,12 +1,17 @@
-"""Pure-numpy implementation of the hot inner loop.
+"""Pure-numpy implementation of the hot inner loops.
 
-The one primitive is `farthest_scan`: a farthest-first step that writes
-the squared distances to the new center into a caller's buffer and lowers
-one distance buffer in place. Used when the compiled extension is
-unavailable. The signature matches skm._backend._fastcore exactly.
+`farthest_scan` is a farthest-first step that writes the squared distances
+to the new center into a caller's buffer and lowers one distance buffer in
+place. `factor_order` is pivoted Cholesky along a fixed candidate order.
+Used when the compiled extension is unavailable. The signatures match
+skm._backend._fastcore exactly, and so do the buffer checks of
+`factor_order`.
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import blas
 
 
 def farthest_scan(points, j, sqdist, r2):
@@ -23,3 +28,49 @@ def farthest_scan(points, j, sqdist, r2):
     np.einsum("ij,ij->i", diff, diff, out=r2)
     np.minimum(sqdist, r2, out=sqdist)
     return int(np.argmax(sqdist))
+
+
+def _borrow(a, name, ndim, rows, writable=False):
+    """a itself, once it is a C-contiguous float64 array as the C checks it."""
+    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
+        raise TypeError(f"{name} must be a float64 array")
+    if a.ndim != ndim or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-D array")
+    if rows >= 0 and a.shape[0] != rows:
+        raise ValueError(f"{name} has the wrong length")
+    if writable and not a.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+    return a
+
+
+def factor_order(gram, threshold, packed, pivots):
+    """Pivoted Cholesky of the m x m Gram block `gram` along its row order.
+
+    Candidate i has pivot gram[i, i] - w'w, where L w = gram[i, kept] over
+    the candidates kept before it, and is kept when the pivot exceeds
+    `threshold`. Writes every pivot into `pivots` (length m), the packed
+    rows of the kept points' lower factor L into the head of `packed`
+    (length m(m+1)/2), and returns the number kept. Buffers of the wrong
+    dtype, layout or length raise TypeError or ValueError before a single
+    element is read.
+    """
+    _borrow(gram, "gram", 2, -1)
+    m = gram.shape[0]
+    if gram.shape[1] != m:
+        raise ValueError("gram must be square")
+    _borrow(packed, "packed", 1, m * (m + 1) // 2, writable=True)
+    _borrow(pivots, "pivots", 1, m, writable=True)
+    kept = []
+    row = 0
+    for i in range(m):
+        k = len(kept)
+        # The packed rows of L are the packed columns of L', so trans=1
+        # solves L w = b.
+        w = blas.dtpsv(k, packed[:row], gram[i, kept], trans=1) if k else gram[i, :0]
+        pivots[i] = gram[i, i] - float(w @ w)
+        if pivots[i] > threshold:
+            packed[row:row + k] = w
+            packed[row + k] = math.sqrt(pivots[i])
+            row += k + 1
+            kept.append(i)
+    return len(kept)

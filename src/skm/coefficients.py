@@ -16,8 +16,11 @@ one entry
 
 so a step costs one triangular solve, O(m^2), plus kappa_new, an O(nd)
 kernel row mean that the caller supplies: the greedy fit takes it from the
-distances of its farthest-first scan, and a fixed-order fit reads it from
-one block sum over the whole order.
+distances of its farthest-first scan. A fixed order of candidates is
+factored in one backend call instead (`factor`): from the Gram block of
+the order, `_backend.factor_order` runs the same steps in compiled code,
+and one more triangular solve gives v from kappa of the kept points, which
+the caller reads from one block sum.
 The quantity E_m = -alpha' kappa = -||v||^2 equals the squared
 approximation error minus the constant ||zbar||^2 and drives the stopping
 rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
@@ -31,8 +34,9 @@ import math
 import numpy as np
 from scipy.linalg import blas, cho_solve
 
+from . import _backend
 from .errors import NearSingularError
-from .kernels import _apply_shape, g_zero, gram_params
+from .kernels import _apply_shape, g_zero, gram_params, kernel_block
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
 # support section. A pivot p bounds the condition number of K below by
@@ -116,7 +120,7 @@ class CholeskyWeights:
                 f"current support (pivot {pivot:.3e})"
             )
         if m == self._indices.shape[0]:  # full: double every buffer
-            cap = 2 * m
+            cap = max(16, 2 * m)
             self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
             self._indices, self._kappa, self._v, self._e = (
                 np.resize(a, cap) for a in (self._indices, self._kappa, self._v, self._e))
@@ -131,6 +135,33 @@ class CholeskyWeights:
         self.m = m + 1
         return pivot
 
+    def factor(self, order, kappa):
+        """Factor the support along `order` in one backend call.
+
+        The state must be empty. The result is that of `extend` along order,
+        each candidate that raises NearSingularError dropped. kappa(indices)
+        supplies kappa_j for the kept points; it is called once every pivot
+        is known, so a dropped point costs no kernel row mean. Returns the
+        kept mask over order and every candidate's pivot. The work is one
+        m x m Gram block and O(m^3 / 3) flops in `_backend.factor_order`.
+        """
+        if self.m:
+            raise ValueError("factor needs an empty state")
+        order = np.asarray(order, dtype=np.int64)
+        m = order.shape[0]
+        threshold = SINGULARITY_REL_TOL * self.c
+        packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
+        k = _backend.factor_order(kernel_block(self.params, self.points[order]),
+                                  threshold, packed, pivots)
+        kept = pivots > threshold
+        self._packed, self._indices = packed, order[kept]
+        self._kappa = np.asarray(kappa(self._indices), dtype=np.float64)
+        self._v = (blas.dtpsv(k, packed[:k * (k + 1) // 2], self._kappa, trans=1)
+                   if k else np.empty(0))
+        # E_m = E_{m-1} - v_m^2, summed in the same order as extend.
+        self._e = -np.cumsum(self._v * self._v)
+        self.m = k
+        return kept, pivots
 
 def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
     """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""

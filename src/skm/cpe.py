@@ -171,7 +171,10 @@ def estimate_proportions(train, test, spec: RadialKernelSpec, sparse: bool = Fal
 
 
 def _golden_section(fn, lo: float, hi: float, max_iter: int):
-    """Deterministic golden-section minimizer on [lo, hi]."""
+    """Deterministic golden-section minimizer on [lo, hi] in max(2, max_iter) evaluations.
+
+    Returns the best point, its value and the number of evaluations made.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -188,7 +191,7 @@ def _golden_section(fn, lo: float, hi: float, max_iter: int):
             d = a + inv_phi * (b - a)
             fd = fn(d)
         evals += 1
-    return (c, fc) if fc <= fd else (d, fd)
+    return ((c, fc) if fc <= fd else (d, fd)) + (evals,)
 
 
 def _apportion(pi, total: int) -> np.ndarray:
@@ -220,6 +223,8 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         raise ValueError("bandwidth search applies to gaussian kernels only")
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if max_iter < 2:
+        raise ValueError(f"max_iter must be at least 2 (the first bracket), got {max_iter}")
     train = list(train)
     n_classes = len(train)
     if n_classes < 2:
@@ -264,9 +269,9 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         estimate = estimate_from_means(means, full_mean(validation, spec))
         return l1_error(pi_true, estimate.pi_hat)
 
-    best_log, best_err = _golden_section(objective, math.log(lo), math.log(hi),
-                                         max_iter=max_iter)
+    best_log, best_err, evals = _golden_section(objective, math.log(lo), math.log(hi),
+                                                max_iter=max_iter)
     sigma = math.exp(best_log)
     logger.info("bandwidth search: sigma=%.6g validation l1=%.4g", sigma, best_err)
     return sigma, {"validation_l1": best_err, "pi_true": pi_true,
-                   "evaluations": max_iter}
+                   "evaluations": evals}

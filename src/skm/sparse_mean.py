@@ -5,12 +5,14 @@ by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
 come from farthest-first traversal, weights from pivoted Cholesky steps
 that carry v = L^{-1} kappa (one triangular solve each; alpha = L^{-T} v
 is solved for once, at the end), and the support stops growing once the
-relative error progress falls below epsilon.
+relative error progress falls below epsilon. A fixed support is factored
+in one backend call instead of one step per point.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -87,67 +89,51 @@ def _support_budget(k_max, n: int) -> int:
     return max(1, min(n, default_k_max(n) if k_max is None else k_max))
 
 
-def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0,
-              order=None):
-    """The select/extend loop: yield one Step per candidate tried.
+def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0):
+    """The greedy select/extend loop: yield one Step per candidate tried.
 
     Candidates come from farthest-first traversal started at `first` (or a
-    point drawn with `seed`), or from the fixed sequence `order`. A
-    candidate whose section is numerically dependent on the support yields
-    a skip Step with the reason. Farthest-first traversal then ends, as
-    pivoted Cholesky stops at its first pivot below tolerance; a fixed
-    order drops the candidate and moves on. The loop also ends when the
-    support holds k_max points, the order runs out, or the support covers
-    every point exactly. The caller applies the stop rule by leaving the
-    loop.
+    point drawn with `seed`). A candidate whose section is numerically
+    dependent on the support yields a skip Step with the reason and ends
+    the loop, as pivoted Cholesky stops at its first pivot below
+    tolerance. The loop also ends when the support holds k_max points or
+    covers every point exactly. The caller applies the stop rule by
+    leaving the loop. A fixed candidate order takes no such loop: see
+    `fit_with_support`.
     """
-    if order is None:
-        # One scan per candidate that passes the pivot check gives the
-        # farthest-first update, and its distances give kappa_j. A failed step
-        # ends the loop, so a scan is never undone.
-        scan = kcenter.FarthestFirst(weights.points, weights.params)
-        kappa = scan.add
-        cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
-    else:
-        # kappa of the whole order in one block sum; a dropped point wastes a row.
-        order = np.asarray(order, dtype=np.int64)
-        pts = weights.points
-        kappas = block_sums(weights.params, pts[order], pts, np.full(len(pts), 1.0 / len(pts)))
-        kappa = dict(zip(order.tolist(), kappas.tolist())).__getitem__
-        scan = None
-        rest = iter(order)
-        cand = int(next(rest, -1))
-    while cand >= 0 and weights.m < k_max:
+    # One scan per candidate that passes the pivot check gives the
+    # farthest-first update, and its distances give kappa_j. A failed step
+    # ends the loop, so a scan is never undone.
+    scan = kcenter.FarthestFirst(weights.points, weights.params)
+    cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
+    while weights.m < k_max:
         try:
-            pivot = weights.extend(cand, kappa)
+            pivot = weights.extend(cand, scan.add)
         except NearSingularError as exc:
             logger.info("support candidate %d is numerically dependent", cand)
             yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
-            if scan is not None:
-                return
-        else:
-            radius = math.nan if scan is None else scan.radius
-            e = weights.e_trace
-            ratio = 0.0 if weights.m == 1 else progress_ratio(
-                float(e[0]), float(e[-2]), float(e[-1]))
-            yield Step(cand, weights.m, float(e[-1]), ratio, radius, pivot)
-            if radius == 0.0:
-                return  # every point coincides with a center; exact already
-        cand = int(next(rest, -1)) if scan is None else scan.farthest
+            return
+        e = weights.e_trace
+        ratio = 0.0 if weights.m == 1 else progress_ratio(
+            float(e[0]), float(e[-2]), float(e[-1]))
+        yield Step(cand, weights.m, float(e[-1]), ratio, scan.radius, pivot)
+        if scan.radius == 0.0:
+            return  # every point coincides with a center; exact already
+        cand = scan.farthest
 
 
-def _finalize(spec, weights, steps, k_max, epsilon, density_mode, method):
+def _finalize(spec, weights, steps, skipped, k_max, epsilon, density_mode, method):
+    """The fitted mean from the weight state, its accepted Steps and skipped indices."""
     alpha = project_simplex(weights.alpha) if density_mode else weights.alpha
-    accepted = tuple(s for s in steps if s.skip is None)
     diag = FitDiagnostics(
         e_trace=weights.e_trace.copy(),
         k_max=int(k_max),
         epsilon=float(epsilon),
         density_projected=bool(density_mode),
-        radius_trace=np.array([s.radius for s in accepted if not math.isnan(s.radius)]),
-        skipped=tuple(sorted(s.index for s in steps if s.skip is not None)),
+        radius_trace=np.array([s.radius for s in steps if not math.isnan(s.radius)]),
+        skipped=tuple(sorted(skipped)),
         method=method,
-        steps=accepted,
+        steps=tuple(steps),
     )
     return SparseKernelMean(
         spec=spec,
@@ -180,19 +166,44 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
     weights = CholeskyWeights(data, spec)
-    steps = []
+    steps, skipped = [], []
     for step in fit_steps(weights, k_max, first=first, seed=seed):
+        if step.skip is not None:
+            skipped.append(step.index)
+            continue
         steps.append(step)
-        if step.skip is None and step.m > 1 and step.ratio <= epsilon:
+        if step.m > 1 and step.ratio <= epsilon:
             break
-    return _finalize(spec, weights, steps, k_max, epsilon, density_mode, "greedy")
+    return _finalize(spec, weights, steps, skipped, k_max, epsilon, density_mode, "greedy")
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
-    """Extend the weights along `order`, dropping numerically dependent points."""
+    """Factor the weights along `order` in one pass, dropping numerically dependent points.
+
+    The factor comes from one `CholeskyWeights.factor` call, and kappa of
+    the points it keeps from one block sum. The accepted Steps are those
+    extending along the order would record, with a nan radius.
+    """
     weights = CholeskyWeights(data, spec)
-    steps = list(fit_steps(weights, len(order), order=order))
-    return _finalize(spec, weights, steps, len(order), 0.0, density_mode, method)
+    pts = weights.points
+    coef = np.full(len(pts), 1.0 / len(pts))
+
+    def kappa(indices):
+        return block_sums(weights.params, pts[indices], pts, coef)
+
+    kept, pivots = weights.factor(order, kappa)
+    skipped = order[~kept].tolist()
+    if skipped:
+        logger.info("dropped %d of %d support candidates as numerically dependent",
+                    len(skipped), len(order))
+    e = weights.e_trace
+    # |E_{m-1} - E_m| / |E_1 - E_m| for every m, 0 at m = 1 and on a flat
+    # trace, as progress_ratio defines it.
+    span, last = np.abs(e[0] - e), np.abs(np.diff(e, prepend=e[0]))
+    ratios = np.divide(last, span, out=np.zeros_like(e), where=span != 0.0)
+    steps = list(map(Step, weights.indices.tolist(), range(1, weights.m + 1), e.tolist(),
+                     ratios.tolist(), repeat(math.nan), pivots[kept].tolist()))
+    return _finalize(spec, weights, steps, skipped, len(order), 0.0, density_mode, method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -207,13 +218,15 @@ def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
 
 def fit_with_support(data, spec: RadialKernelSpec, support_indices,
                      density_mode: bool = False) -> SparseKernelMean:
-    """Weights for a fixed support, by pivoted Cholesky steps in the given order.
+    """Weights for a fixed support, by pivoted Cholesky in the given order.
 
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
-    A support point that is numerically dependent on the points before it
-    is dropped and listed in `diagnostics.skipped`, so `support_indices`
-    may come back shorter than the input.
+    It costs one block sum for kappa, one Gram block of the support and one
+    compiled factorisation (`_backend.factor_order`), with no Python step
+    per support point. A support point that is numerically dependent on
+    the points before it is dropped and listed in `diagnostics.skipped`, so
+    `support_indices` may come back shorter than the input.
     """
     n = np.asarray(data.points).shape[0]
     indices = np.asarray(support_indices, dtype=np.int64).ravel()

@@ -8,10 +8,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
+from skm.coefficients import SINGULARITY_REL_TOL, CholeskyWeights
 from skm.dataio import DataSet
+from skm.errors import NearSingularError
 from skm.kcenter import FarthestFirst, kcenter_greedy
-from skm.kernels import SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, RadialKernelSpec, ShapeParams
-from skm.sparse_mean import block_sums, fit, incoherence
+from skm.kernels import (
+    SHAPE_EXP,
+    SHAPE_POWER,
+    SHAPE_SQEXP,
+    RadialKernelSpec,
+    ShapeParams,
+    g_zero,
+    gram_matrix,
+)
+from skm.sparse_mean import block_sums, fit, fit_with_support, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -114,6 +124,122 @@ def test_compiled_rejects_bad_buffers(fastcore):
             scan(**{name: np.full((4, 6), np.inf)[:, 0]})  # not contiguous
         with pytest.raises(ValueError):
             scan(**{name: readonly})
+
+
+def _factor(impl, gram, threshold):
+    m = gram.shape[0]
+    packed, pivots = np.full(m * (m + 1) // 2, np.nan), np.empty(m)
+    kept = impl.factor_order(gram, threshold, packed, pivots)
+    assert kept == np.count_nonzero(pivots > threshold)
+    return pivots > threshold, pivots, packed[:kept * (kept + 1) // 2]
+
+
+@given(data=st.data())
+def test_factor_order_backends_agree(fastcore, data):
+    n = data.draw(st.integers(1, 30), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    # Half-integer coordinates with repeated rows: duplicates have a zero
+    # pivot, and wide bandwidths make near-dependent candidates.
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+                              min_size=1, max_size=n), label="rows")
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n),
+                      label="picks")
+    points = 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+    sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
+    spec = RadialKernelSpec("gaussian", dim=d, sigma=sigma)
+    gram, c = gram_matrix(spec, points), g_zero(spec)
+    kept_np, pivots_np, packed_np = _factor(_numpy_impl, gram, SINGULARITY_REL_TOL * c)
+    kept_c, pivots_c, packed_c = _factor(fastcore, gram, SINGULARITY_REL_TOL * c)
+    assert_array_equal(kept_c, kept_np)
+    assert kept_np[0] and np.all(pivots_np <= c)
+    # Each backend's factor reproduces the Gram block of the kept points.
+    block = gram[np.ix_(kept_np, kept_np)]
+    for packed in (packed_np, packed_c):
+        lower = np.zeros(block.shape)
+        lower[np.tril_indices(block.shape[0])] = packed
+        assert_allclose(lower @ lower.T, block, rtol=0, atol=1e-14 * c)
+    # The two sum in different orders, and the difference grows with the
+    # condition sqrt(g(0) / p) of L, at most 3.2e4 at the 1e-9 g(0) pivot floor.
+    cond = np.sqrt(c / pivots_np[kept_np].min())
+    assert_allclose(pivots_c, pivots_np, rtol=0, atol=1e-14 * cond * c)
+    assert_allclose(packed_c, packed_np, rtol=0, atol=1e-12 * cond * np.sqrt(c))
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_factor_order_semantics(impl):
+    # Two points at distance 1 and a duplicate of the first, unit Gaussian:
+    # the duplicate has pivot 0 and leaves no row behind.
+    g = np.exp(-0.5)
+    gram = np.array([[1.0, g, 1.0], [g, 1.0, g], [1.0, g, 1.0]])
+    kept, pivots, packed = _factor(impl, gram, 1e-9)
+    assert_array_equal(kept, [True, True, False])
+    assert_allclose(pivots, [1.0, 1.0 - g * g, 0.0], rtol=0, atol=1e-15)
+    assert_allclose(packed, [1.0, g, np.sqrt(1.0 - g * g)], rtol=1e-15)
+    # A candidate is kept only when its pivot exceeds the threshold.
+    kept, _, _ = _factor(impl, gram[:2, :2].copy(), 1.0 - g * g)
+    assert_array_equal(kept, [True, False])
+    assert impl.factor_order(np.empty((0, 0)), 1e-9, np.empty(0), np.empty(0)) == 0
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_factor_order_rejects_bad_buffers(impl):
+    gram = np.eye(4)
+
+    def factor(gram=gram, packed=None, pivots=None):
+        packed = np.empty(10) if packed is None else packed
+        pivots = np.empty(4) if pivots is None else pivots
+        return impl.factor_order(gram, 1e-9, packed, pivots)
+
+    assert factor() == 4
+    readonly = np.empty(10)
+    readonly.setflags(write=False)
+    with pytest.raises(ValueError, match="gram must be square"):
+        factor(gram=np.eye(4)[:, :3].copy())
+    with pytest.raises(TypeError):
+        factor(gram=gram.astype(np.float32))
+    with pytest.raises(TypeError):
+        factor(gram=[[1.0]])
+    with pytest.raises(ValueError):
+        factor(gram=np.eye(8)[::2, ::2])  # not contiguous
+    with pytest.raises(ValueError):
+        factor(gram=np.ones(4))  # 1-D
+    for name, good in (("packed", np.empty(10)), ("pivots", np.empty(4))):
+        with pytest.raises(ValueError, match=f"{name} has the wrong length"):
+            factor(**{name: good[:-1].copy()})
+        with pytest.raises(TypeError, match=f"{name} must be a float64 array"):
+            factor(**{name: good.astype(np.float32)})
+        with pytest.raises(ValueError, match=f"{name} must be a C-contiguous"):
+            factor(**{name: np.empty((good.size, 2))[:, 0]})
+        with pytest.raises(ValueError, match=f"{name} must be writable"):
+            factor(**{name: readonly[:good.size]})
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("sigma", [1.0, 5.0])
+def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatch):
+    # The 134-support blob input of the wide-bandwidth fit_with_support test;
+    # at sigma = 5 most of the supports are dropped.
+    monkeypatch.setattr(_backend, "factor_order", impl.factor_order)
+    rng = np.random.default_rng(20)
+    centers = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
+    data = DataSet(np.vstack([c + rng.standard_normal((667, 2)) for c in centers]))
+    support = kcenter_greedy(data, 134, first=0).order
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=sigma)
+    mean = fit_with_support(data, spec, support)
+
+    state, skipped = CholeskyWeights(data, spec), []
+    n = data.points.shape[0]
+    kappa = dict(zip(support.tolist(), block_sums(state.params, data.points[support],
+                                                   data.points, np.full(n, 1.0 / n))))
+    for j in support.tolist():
+        try:
+            state.extend(j, kappa.__getitem__)
+        except NearSingularError:
+            skipped.append(j)
+    assert mean.diagnostics.skipped == tuple(sorted(skipped))
+    assert_array_equal(mean.support_indices, state.indices)
+    assert_allclose(mean.diagnostics.e_trace, state.e_trace, rtol=1e-12)
+    assert (len(skipped) > 0) == (sigma == 5.0)
 
 
 def _fit_with(impl):

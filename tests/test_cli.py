@@ -273,6 +273,26 @@ def test_conflicting_sigma_flags_return_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("iters", ["1", "0", "-5"])
+def test_cpe_search_iters_below_two_returns_two(tmp_path, capsys, iters):
+    from skm.dataio import DataSet
+
+    rng = np.random.default_rng(3)
+    trains = []
+    for i, center in enumerate((-4.0, 4.0)):
+        path = tmp_path / f"t{i}.csv"
+        save_csv(DataSet(center + 0.5 * rng.standard_normal((40, 1))), path)
+        trains.append(str(path))
+    test_path = tmp_path / "test.csv"
+    save_csv(DataSet(rng.standard_normal((20, 1))), test_path)
+    out = tmp_path / "pi.json"
+    rc = main(["cpe", "--train", *trains, "--test", str(test_path),
+               "--sigma-search", "0.2,5.0", "--search-iters", iters, "--out", str(out)])
+    assert rc == 2
+    assert "max_iter must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_returns_two(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "nope.csv"),
                "--kernel", "gaussian:sigma=1.0", "--out", str(tmp_path / "m.json")])

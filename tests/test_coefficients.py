@@ -9,7 +9,7 @@ from skm.coefficients import CholeskyWeights, project_simplex, stop_rule
 from skm.dataio import DataSet
 from skm.errors import NearSingularError
 from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
-from skm.sparse_mean import fit_steps
+from skm.sparse_mean import fit_with_support
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
 
@@ -32,11 +32,19 @@ def grow_state(data, spec, order):
 
 
 def fixed_order_kappa(data, spec, order):
-    """The kappa a fixed-order fit reads from its one block sum over the order."""
-    weights = CholeskyWeights(data, spec)
-    steps = list(fit_steps(weights, len(order), order=order))
-    assert all(s.skip is None for s in steps)
-    return weights.kappa
+    """The kappa fit_with_support keeps in its weight state for `order`."""
+    states = []
+    factor = CholeskyWeights.factor
+
+    def spy(self, *args):
+        states.append(self)
+        return factor(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CholeskyWeights, "factor", spy)
+        mean = fit_with_support(data, spec, order)
+    assert mean.diagnostics.skipped == ()
+    return states[0].kappa
 
 
 # --------------------------------------------------------- fixed-order kappa

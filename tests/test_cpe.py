@@ -251,6 +251,29 @@ def test_search_bandwidth_never_forms_the_test_test_gram_sum(monkeypatch):
     assert kinds[-1] == ("full", "full")
 
 
+@pytest.mark.parametrize("max_iter", [2, 3, 12])
+def test_search_bandwidth_reports_the_evaluations_it_made(max_iter, monkeypatch):
+    calls = []
+
+    def counted(pi_true, pi_hat):  # called once per objective evaluation
+        calls.append(1)
+        return l1_error(pi_true, pi_hat)
+
+    monkeypatch.setattr("skm.cpe.l1_error", counted)
+    rng = np.random.default_rng(14)
+    train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
+    _, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, max_iter=max_iter)
+    assert info["evaluations"] == len(calls) == max_iter
+
+
+@pytest.mark.parametrize("max_iter", [1, 0, -5])
+def test_search_bandwidth_rejects_fewer_than_two_evaluations(max_iter):
+    rng = np.random.default_rng(14)
+    train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
+    with pytest.raises(ValueError, match="max_iter must be at least 2"):
+        search_bandwidth(train, 0.2, 5.0, GAUSS_2D, max_iter=max_iter)
+
+
 def test_search_bandwidth_validates_interval():
     rng = np.random.default_rng(11)
     train = class_samples(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)

@@ -323,7 +323,7 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
-    assert calls == {"farthest_scan": 60}
+    assert calls == {"farthest_scan": 60, "factor_order": 0}
 
 
 def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
@@ -333,18 +333,20 @@ def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
     assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps) - 1}
+    assert calls == {"farthest_scan": len(steps) - 1, "factor_order": 0}
 
 
-def test_fixed_order_fits_make_no_backend_call(monkeypatch):
-    # Their kappa is one block sum over the order, not a scan per point.
+def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
+    # Their kappa is one block sum over the order, not a scan per point, and
+    # their factor is one backend call, not one extend per point.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
+    monkeypatch.setattr(CholeskyWeights, "extend", None)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert sum(calls.values()) == 0
+    assert calls == {"farthest_scan": 0, "factor_order": 2}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
