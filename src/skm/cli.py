@@ -376,6 +376,8 @@ def _cmd_meanshift(args) -> int:
     gamma = args.gamma if args.gamma is not None else 1e-3 * sigma
     merge = args.merge if args.merge is not None else sigma
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}:density", data.d)
+    if not merge > 0:
+        raise ValueError(f"--merge must be positive, got {merge}")
     start = time.perf_counter()
     if args.sparse:
         mean = fit(data, spec, k_max=args.kmax, epsilon=args.eps,

@@ -10,6 +10,7 @@ compared by the fraction of points shifted apart (discrepancy index) and
 by the empirical Hausdorff distance between the induced partitions.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
+from .kcenter import FarthestFirst
 from .sparse_mean import _BLOCK_ENTRIES, SparseKernelMean, kernel_sums
+
+# Relative slack of the cover's triangle-inequality tests. It absorbs the
+# rounding gap between the scan's squared distances and cdist's.
+_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,34 +137,96 @@ def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
 def cluster_modes(shift_result, merge_dist: float) -> Clustering:
     """Single-linkage merge of converged points within merge_dist.
 
-    shift_result is a ShiftResult or an array of converged positions.
-    Clusters are the connected components of the graph joining points at
-    most merge_dist apart, found from distance blocks of at most 2^18
-    entries: O(n^2 d) time, flat memory. Labels are dense ids in order of
-    first appearance; each mode is the mean of its members' positions.
+    shift_result is a ShiftResult or an array of finite converged
+    positions. Clusters are the connected components of the graph joining
+    points at most merge_dist apart. A farthest-first cover splits the
+    points into cells (see `_cover`); a cell of diameter below merge_dist
+    is one node with no distance formed, and only the cell pairs the
+    triangle inequality cannot rule out are compared, in blocks of at most
+    2^18 distances. Time is O(sqrt(n) n d) for the cover plus the pairs it
+    leaves, O(n^2 d) in the worst case; memory is O(n) plus one block.
+    Labels are dense ids in order of first appearance; each mode is the
+    mean of its members' positions.
     """
-    # Only clustering needs csgraph, and importing it adds about 3 MB of RSS.
-    from scipy.sparse.csgraph import connected_components
     if not merge_dist > 0:
         raise ValueError(f"merge_dist must be positive, got {merge_dist}")
-    pts = _shifted_array(shift_result)
+    pts = np.ascontiguousarray(_shifted_array(shift_result))
     n = pts.shape[0]
     if n == 0:
         raise ValueError("no points to cluster")
-    labels = np.arange(n)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        i, j = np.nonzero(cdist(pts[start:start + rows], pts) <= merge_dist)
-        a, b = labels[start + i], labels[j]
-        join = a != b
-        if join.any():
-            # Bool edges: csr sums duplicate pairs, and bool sums cannot wrap to 0.
-            graph = csr_matrix((np.ones(join.sum(), bool), (a[join], b[join])), shape=(n, n))
-            labels = connected_components(graph, directed=False)[1][labels]
+    if not np.isfinite(pts).all():
+        raise ValueError("cannot cluster non-finite positions (NaN or inf)")
+    leaders, cell, rho = _cover(pts, merge_dist)
+    n_cells = leaders.shape[0]
+    # A cell of diameter at most 2 rho < merge_dist is a clique, so one node;
+    # every point of any other cell starts as a node of its own.
+    clique = 2.0 * rho <= merge_dist * (1.0 - _MARGIN)
+    labels = np.where(clique[cell], cell, n_cells + np.arange(n))
+    # Cells a and b can hold a close pair only if d(l_a, l_b) <= rho_a + rho_b + r.
+    reach = np.triu(cdist(pts[leaders], pts[leaders])
+                    <= (rho[:, None] + rho + merge_dist) * (1.0 + _MARGIN), 1)
+    np.fill_diagonal(reach, ~clique)
+    order = np.argsort(cell, kind="stable")
+    cuts = np.cumsum(np.bincount(cell, minlength=n_cells))
+    members = np.split(order, cuts[:-1])
+    heads, tails, pending = [], [], 0
+    for a in np.flatnonzero(reach.any(axis=1)):
+        cols = np.concatenate([members[b] for b in np.flatnonzero(reach[a])])
+        col_pts, col_labels = pts[cols], labels[cols]
+        step = max(1, _BLOCK_ENTRIES // cols.shape[0])
+        for start in range(0, members[a].shape[0], step):
+            rows = members[a][start:start + step]
+            i, j = np.nonzero(cdist(pts[rows], col_pts) <= merge_dist)
+            head, tail = labels[rows[i]], col_labels[j]
+            join = head != tail
+            heads.append(head[join])
+            tails.append(tail[join])
+            pending += rows.shape[0] * cols.shape[0]
+            if pending >= _BLOCK_ENTRIES:
+                labels = _join(labels, heads, tails)
+                col_labels = labels[cols]
+                heads, tails, pending = [], [], 0
+    labels = _join(labels, heads, tails)
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[inverse]  # rank of each first index
     sums = np.column_stack([np.bincount(labels, weights=col) for col in pts.T])
     return Clustering(labels=labels, modes=sums / np.bincount(labels)[:, None])
+
+
+def _cover(pts, merge_dist):
+    """Farthest-first cover of pts from index 0, stopped at radius merge_dist/2.
+
+    Adds leaders until the coverage radius is at most merge_dist/2 (less
+    the margin) or there are isqrt(n) of them. Returns the leader indices,
+    each point's cell (the index of its nearest leader in `leaders`) and
+    each cell's radius, the largest distance from its leader to a member.
+    """
+    n = pts.shape[0]
+    scan = FarthestFirst(pts)
+    scan.add(0)
+    leaders = [0]
+    cell = np.zeros(n, dtype=np.intp)
+    cap = max(1, math.isqrt(n))
+    while scan.radius > 0.5 * merge_dist * (1.0 - _MARGIN) and len(leaders) < cap:
+        leaders.append(scan.farthest)
+        scan.add(leaders[-1])
+        cell[scan.r2 <= scan.sqdist] = len(leaders) - 1
+    rho2 = np.zeros(len(leaders))
+    np.maximum.at(rho2, cell, scan.sqdist)
+    return np.array(leaders), cell, np.sqrt(rho2)
+
+
+def _join(labels, heads, tails):
+    """Relabel by the connected components of the edges heads[k] - tails[k]."""
+    if not any(h.shape[0] for h in heads):
+        return labels
+    # Only clustering needs csgraph, and importing it adds about 3 MB of RSS.
+    from scipy.sparse.csgraph import connected_components
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    n_nodes = int(labels.max()) + 1
+    # Bool edges: csr sums duplicate pairs, and bool sums cannot wrap to 0.
+    graph = csr_matrix((np.ones(heads.shape[0], bool), (heads, tails)), shape=(n_nodes, n_nodes))
+    return connected_components(graph, directed=False)[1][labels]
 
 
 def _shifted_array(obj) -> np.ndarray:

@@ -41,3 +41,15 @@ def fastcore(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def impl(request):
+    """The backend module named by the indirect parameter.
+
+    "skm._backend._numpy_impl" or "skm._backend._fastcore", the latter
+    built from the source tree. Session-scoped, so property tests can use it.
+    """
+    if request.param == "skm._backend._fastcore":
+        return request.getfixturevalue("fastcore")
+    return importlib.import_module(request.param)

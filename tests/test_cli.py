@@ -224,6 +224,23 @@ def test_meanshift_labels_and_compare(tmp_path):
     assert doc["hausdorff"] == 0.0
 
 
+@pytest.mark.parametrize("merge", ["0", "-1", "nan"])
+def test_meanshift_rejects_bad_merge_before_shifting(tmp_path, capsys, monkeypatch, merge):
+    import skm.cli
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("mean_shift_all ran before --merge was checked")
+
+    monkeypatch.setattr(skm.cli, "mean_shift_all", no_shift)
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    labels = tmp_path / "labels.csv"
+    rc = main(["meanshift", "--input", str(x), "--sigma", "0.8", "--merge", merge,
+               "--out-labels", str(labels)])
+    assert rc == 2
+    assert "--merge must be positive" in capsys.readouterr().err
+    assert not labels.exists()
+
+
 def test_bench_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"

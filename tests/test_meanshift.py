@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.spatial.distance import cdist
 
+from skm import _backend, meanshift
 from skm.dataio import DataSet
 from skm.kernels import RadialKernelSpec
 from skm.meanshift import (
@@ -23,6 +24,7 @@ from skm.meanshift import (
 )
 from skm.sparse_mean import fit, full_mean
 
+BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 SIGMA = 0.8
 DENS = RadialKernelSpec("gaussian", dim=1, sigma=SIGMA, normalization="density")
 DENS2 = RadialKernelSpec("gaussian", dim=2, sigma=SIGMA, normalization="density")
@@ -276,34 +278,53 @@ def assert_matches_union_find(points, merge_dist):
     return clustering
 
 
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
 @given(data=st.data())
-def test_cluster_modes_matches_union_find(data):
-    n = data.draw(st.integers(1, 40), label="n")
+def test_cluster_modes_matches_union_find(impl, data):
+    # Up to 120 points make covers of up to 10 leaders, some of them cells
+    # too wide to be cliques.
+    n = data.draw(st.integers(1, 120), label="n")
     d = data.draw(st.integers(1, 3), label="d")
     # Half-integer coordinates put some pairs exactly at merge_dist = 1 or
-    # 10; repeated picks make duplicate rows.
+    # 10, and with merge_dist in {0.5, 1, 2} cell radii and leader distances
+    # land exactly on the cover's bounds r/2 and rho_a + rho_b + r.
+    # Repeated picks make duplicate rows.
     rows = data.draw(arrays(np.float64, (n, d), elements=st.integers(-10, 10)), label="rows")
     picks = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                       label="picks")
-    merge_dist = 10.0 ** data.draw(st.floats(-1, 1), label="log10 merge_dist")
-    assert_matches_union_find(0.5 * rows[picks], merge_dist)
+    merge_dist = data.draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                                     st.floats(-1, 1).map(lambda e: 10.0 ** e)),
+                           label="merge_dist")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        assert_matches_union_find(0.5 * rows[picks], merge_dist)
 
 
 def test_cluster_modes_merges_across_row_blocks():
-    # 1500 points give 174 rows per 2^18-entry block, so clusters span blocks.
-    points = np.random.default_rng(5).standard_normal((1500, 2))
+    # The cover spends its 39 leaders on the first point and 38 of 40 far
+    # outliers, so the 1500 normal points form one cell that is compared
+    # with itself in 174-row blocks of 2^18 entries: clusters span blocks,
+    # and the components of the close pairs are merged between blocks.
+    angles = 2.0 * np.pi * np.arange(40) / 40
+    points = np.vstack([np.random.default_rng(5).standard_normal((1500, 2)),
+                        100.0 * np.column_stack([np.cos(angles), np.sin(angles)])])
     clustering = assert_matches_union_find(points, 0.1)
-    assert 1 < clustering.n_clusters < 1500
+    assert 40 < clustering.n_clusters < 1540
+
+
+def collapsed_points():
+    """3000 points within 1e-4 of three modes 3 apart, shuffled."""
+    rng = np.random.default_rng(6)
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    points = np.repeat(centers, 1000, axis=0) + rng.uniform(-5e-5, 5e-5, (3000, 2))
+    return points[rng.permutation(3000)]
 
 
 def test_cluster_modes_memory_is_flat_on_collapsed_points():
     # Every point is within merge_dist of a third of the input: a search
     # that keeps all close pairs, or one 1024-row distance block (25 MB),
     # would hold O(n^2) memory.
-    rng = np.random.default_rng(6)
-    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-    points = np.repeat(centers, 1000, axis=0) + rng.uniform(-5e-5, 5e-5, (3000, 2))
-    points = points[rng.permutation(3000)]
+    points = collapsed_points()
     tracemalloc.start()
     try:
         clustering = cluster_modes(points, merge_dist=0.8)
@@ -313,6 +334,50 @@ def test_cluster_modes_memory_is_flat_on_collapsed_points():
     assert clustering.n_clusters == 3
     assert_allclose(clustering.modes[clustering.labels], points, rtol=0, atol=1e-4)
     assert peak < 12_000_000
+
+
+@pytest.fixture
+def cdist_entries(monkeypatch):
+    """A list that collects rows x cols of every distance block clustering forms."""
+    entries = []
+
+    def spy(xa, xb, *args, **kwargs):
+        entries.append(len(xa) * len(xb))
+        return cdist(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(meanshift, "cdist", spy)
+    return entries
+
+
+def test_cluster_modes_forms_only_the_leader_distances_on_collapsed_points(cdist_entries):
+    # Three leaders cover the points at radius 1e-4 < merge_dist / 2, so each
+    # cell is a clique, and leaders 3 apart cannot hold a pair within 0.8.
+    points = collapsed_points()
+    clustering = cluster_modes(points, merge_dist=0.8)
+    assert cdist_entries == [3 * 3]
+    # The oracle would loop over all 3e6 close pairs; its labels are the
+    # modes numbered in order of first appearance.
+    _, first, group = np.unique(np.round(points / 3.0), axis=0,
+                                return_index=True, return_inverse=True)
+    assert_array_equal(clustering.labels, np.argsort(np.argsort(first))[group.ravel()])
+
+
+def test_cluster_modes_scans_only_neighbouring_cells_of_a_chain(cdist_entries):
+    # One cluster strung out over 3000 points: every point is close only to
+    # its two neighbours, so most cell pairs are too far apart to scan.
+    n = 3000
+    points = np.column_stack([0.5 * np.arange(n), np.zeros(n)])
+    points = points[np.random.default_rng(7).permutation(n)]
+    clustering = assert_matches_union_find(points, 0.6)
+    assert clustering.n_clusters == 1
+    assert sum(cdist_entries) < n * n / 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_modes_rejects_non_finite_positions(bad):
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [bad, bad]])
+    with pytest.raises(ValueError, match="non-finite"):
+        cluster_modes(points, merge_dist=1.0)
 
 
 def test_cluster_modes_all_identical_one_cluster():
