@@ -346,9 +346,8 @@ def _cmd_cpe(args) -> int:
         template = parse_kernel_spec(f"gaussian:sigma={0.5 * (lo + hi)}", dim)
         start = time.perf_counter()
         sigma, _info = search_bandwidth(
-            train, lo, hi, template, sparse=args.sparse, epsilon=args.eps,
-            k_max=args.kmax, max_iter=args.search_iters, seed=args.seed,
-            omega=args.omega,
+            train, lo, hi, template, sparse=args.sparse, k_max=args.kmax,
+            max_iter=args.search_iters, seed=args.seed, omega=args.omega,
         )
         timings["sigma_search_s"] = time.perf_counter() - start
     else:
@@ -378,6 +377,10 @@ def _cmd_meanshift(args) -> int:
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}:density", data.d)
     if not merge > 0:
         raise ValueError(f"--merge must be positive, got {merge}")
+    if not gamma > 0:
+        raise ValueError(f"--gamma must be positive, got {gamma}")
+    if args.max_iter < 1:
+        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     start = time.perf_counter()
     if args.sparse:
         mean = fit(data, spec, k_max=args.kmax, epsilon=args.eps,

@@ -14,13 +14,14 @@ one entry
 
     v_m = (kappa_new - w'v) / sqrt(p),
 
-so a step costs one triangular solve, O(m^2), plus kappa_new, an O(nd)
-kernel row mean that the caller supplies: the greedy fit takes it from the
-distances of its farthest-first scan. A fixed order of candidates is
-factored in one backend call instead (`factor`): from the Gram block of
-the order, `_backend.factor_order` runs the same steps in compiled code,
-and one more triangular solve gives v from kappa of the kept points, which
-the caller reads from one block sum.
+so a step costs one triangular solve, O(m^2), plus kappa_new, an O(n)
+kernel row mean. Both b and kappa_new come from one row of squared
+distances, from the new point to every point, which the greedy fit's
+farthest-first scan has just written: b from its entries at the support,
+kappa_new from all of them. A fixed order of candidates is factored in one
+backend call instead (`factor`): from the Gram block of the order,
+`_backend.factor_order` runs the same steps in compiled code, one block
+sum gives kappa of the kept points, and one more triangular solve gives v.
 The quantity E_m = -alpha' kappa = -||v||^2 equals the squared
 approximation error minus the constant ||zbar||^2 and drives the stopping
 rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
@@ -36,7 +37,7 @@ from scipy.linalg import blas, cho_solve
 
 from . import _backend
 from .errors import NearSingularError
-from .kernels import _apply_shape, g_zero, gram_params, kernel_block
+from .kernels import _apply_shape, block_sums, g_zero, gram_params, kernel_block
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
 # support section. A pivot p bounds the condition number of K below by
@@ -99,19 +100,20 @@ class CholeskyWeights:
         inv = cho_solve((lower, True), np.eye(m), check_finite=False)
         return 0.5 * (inv + inv.T)
 
-    def extend(self, j: int, kappa) -> float:
+    def extend(self, j: int, r2) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
-        kappa(j) supplies kappa_j = (1/n) sum_l <z_l, z_j>; it is called only
-        once the pivot has passed, so a scan behind it never has to be undone.
-        Raises NearSingularError, leaving the state unchanged, when the
-        pivot falls to the singularity tolerance (e.g. an index already in
-        the support, or a duplicate of a support point).
+        r2 holds the squared distances from point j to every point, as
+        `FarthestFirst.add(j)` leaves them. Its entries at the support give
+        j's Gram row. Raises NearSingularError, leaving the state and r2
+        unchanged, when the pivot falls to the singularity tolerance (e.g.
+        an index already in the support, or a duplicate of a support
+        point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> is taken from r2
+        in place, which overwrites it.
         """
         j = int(j)
         m, row = self.m, self.m * (self.m + 1) // 2
-        diff = self.points[self.indices] - self.points[j]
-        b = _apply_shape(self.params, np.einsum("ij,ij->i", diff, diff))
+        b = _apply_shape(self.params, r2[self.indices])
         w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b
         pivot = self.c - float(w @ w)
         if pivot <= SINGULARITY_REL_TOL * self.c:
@@ -125,7 +127,8 @@ class CholeskyWeights:
             self._indices, self._kappa, self._v, self._e = (
                 np.resize(a, cap) for a in (self._indices, self._kappa, self._v, self._e))
         root = math.sqrt(pivot)
-        self._kappa[m] = kappa(j)
+        shape_sum = float(_apply_shape(self.params._replace(c=1.0), r2).sum())
+        self._kappa[m] = self.params.c * shape_sum / r2.shape[0]
         v_new = (self._kappa[m] - float(w @ self._v[:m])) / root
         self._packed[row:row + m] = w
         self._packed[row + m] = root
@@ -135,27 +138,28 @@ class CholeskyWeights:
         self.m = m + 1
         return pivot
 
-    def factor(self, order, kappa):
+    def factor(self, order):
         """Factor the support along `order` in one backend call.
 
         The state must be empty. The result is that of `extend` along order,
-        each candidate that raises NearSingularError dropped. kappa(indices)
-        supplies kappa_j for the kept points; it is called once every pivot
-        is known, so a dropped point costs no kernel row mean. Returns the
-        kept mask over order and every candidate's pivot. The work is one
-        m x m Gram block and O(m^3 / 3) flops in `_backend.factor_order`.
+        each candidate that raises NearSingularError dropped. kappa of the
+        kept points comes from one block sum once every pivot is known, so
+        a dropped point costs no kernel row mean. Returns the kept mask
+        over order and every candidate's pivot. The work is one m x m Gram
+        block and O(m^3 / 3) flops in `_backend.factor_order`.
         """
         if self.m:
             raise ValueError("factor needs an empty state")
         order = np.asarray(order, dtype=np.int64)
-        m = order.shape[0]
+        m, n = order.shape[0], self.points.shape[0]
         threshold = SINGULARITY_REL_TOL * self.c
         packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
         k = _backend.factor_order(kernel_block(self.params, self.points[order]),
                                   threshold, packed, pivots)
         kept = pivots > threshold
         self._packed, self._indices = packed, order[kept]
-        self._kappa = np.asarray(kappa(self._indices), dtype=np.float64)
+        self._kappa = block_sums(self.params, self.points[self._indices], self.points,
+                                 np.full(n, 1.0 / n))
         self._v = (blas.dtpsv(k, packed[:k * (k + 1) // 2], self._kappa, trans=1)
                    if k else np.empty(0))
         # E_m = E_{m-1} - v_m^2, summed in the same order as extend.

@@ -206,9 +206,8 @@ def _apportion(pi, total: int) -> np.ndarray:
 
 
 def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpec,
-                     sparse: bool = False, epsilon: float = 1e-10, k_max=None,
-                     max_iter: int = 20, seed: int = 0, omega: float = 1.0,
-                     validation_size: int = 1000):
+                     sparse: bool = False, k_max=None, max_iter: int = 20,
+                     seed: int = 0, omega: float = 1.0, validation_size: int = 1000):
     """Pick a Gaussian bandwidth by minimizing validation recovery error.
 
     Each training sample is interleave-split; the even halves become the
@@ -217,7 +216,10 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
     minimizes the l1 distance between the known weights and the estimate.
 
     With sparse fitting the supports are selected once (they do not depend
-    on sigma) and only the weights are re-solved per candidate sigma.
+    on sigma) and only the weights are re-solved per candidate sigma. Each
+    support is the farthest-first selection of the full budget
+    (`kcenter_greedy`, k_max or floor(3 sqrt(n))), not a stopped greedy fit,
+    so no error tolerance enters the search.
     """
     if spec_template.family != "gaussian":
         raise ValueError("bandwidth search applies to gaussian kernels only")

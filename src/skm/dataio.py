@@ -177,15 +177,19 @@ def load_model(path) -> ModelRecord:
         )
     try:
         spec = _spec_from_dict(doc["kernel"])
+        k0, alpha = doc["k0"], np.array(doc["alpha"], dtype=np.float64)
         record = ModelRecord(
             spec=spec,
             support=np.array(doc["support"], dtype=np.float64),
-            alpha=np.array(doc["alpha"], dtype=np.float64),
-            k0=doc["k0"],
+            alpha=alpha,
+            k0=alpha.size,
             epsilon=float(doc["epsilon"]),
             density_mode=bool(doc["density_mode"]),
             e_trace=np.array(doc.get("e_trace", []), dtype=np.float64),
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from None
+    if type(k0) is not int or k0 != record.k0:
+        raise DataFormatError(f"{path}: k0 must be the integer number of weights "
+                              f"{record.k0}, got {k0!r}")
     return record

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _backend
-from .kernels import _apply_shape
 
 
 @dataclass(frozen=True)
@@ -54,33 +53,26 @@ def _resolve_first(n: int, first, seed: int) -> int:
 
 
 class FarthestFirst:
-    """In-place farthest-first state shared by kcenter_greedy and the fit.
+    """In-place farthest-first state shared by kcenter_greedy, the fit and clustering.
 
     sqdist holds each point's squared distance to the chosen set. `add(j)`
     makes point j a center by one backend scan, which writes the squared
-    distances to j into the buffer r2 and lowers sqdist in place. With a
-    `shape` it then returns j's kernel row mean (the fit's kappa_j),
-    applying the one shape function of `skm.kernels` to r2; without one
-    it returns 0.0. `farthest` is then the point farthest from the set,
-    ties to the lowest index; once the radius is 0 it is a chosen point or
-    a duplicate of one.
+    distances to j into the buffer r2 and lowers sqdist in place; the fit
+    reads j's Gram row and kernel row mean from r2. `farthest` is then the
+    point farthest from the set, ties to the lowest index; once the radius
+    is 0 it is a chosen point or a duplicate of one.
     """
 
-    def __init__(self, points, shape=None):
+    def __init__(self, points):
         self.points = points
         n = points.shape[0]
         self.sqdist = np.full(n, np.inf, dtype=np.float64)
         self.r2 = np.empty(n, dtype=np.float64)
-        self.shape = shape
         self.farthest = -1
 
-    def add(self, j: int) -> float:
-        """Make point j a center with one O(nd) scan; return kappa_j."""
+    def add(self, j: int) -> None:
+        """Make point j a center with one O(nd) scan."""
         self.farthest = _backend.farthest_scan(self.points, int(j), self.sqdist, self.r2)
-        if self.shape is None:
-            return 0.0
-        kind, a, b, c = self.shape
-        return c * float(_apply_shape((kind, a, b, 1.0), self.r2).sum()) / self.r2.shape[0]
 
     @property
     def radius(self) -> float:

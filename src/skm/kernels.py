@@ -40,6 +40,10 @@ SHAPE_SQEXP = 0  # c * exp(-a * r^2)
 SHAPE_EXP = 1    # c * exp(-a * r)
 SHAPE_POWER = 2  # c * (1 + a * r^2) ** (-b)
 
+# A kernel or distance block holds at most this many entries (2 MB), so the
+# memory of a kernel sum or of mode clustering stays flat whatever the size.
+_BLOCK_ENTRIES = 2**18
+
 
 class ShapeParams(NamedTuple):
     """A radial profile c * shape_kind(r), kind one of the SHAPE_* codes."""
@@ -253,6 +257,20 @@ def kernel_block(params: ShapeParams, xs, ys=None):
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
     return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
+
+
+def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
+    """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D float64 `xs`.
+
+    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). The
+    kernel values are formed in row blocks of at most 2^18 entries, or one
+    row when ys is longer, so memory stays flat whatever the sizes.
+    """
+    out = np.empty((xs.shape[0],) + coef.shape[1:])
+    rows = max(1, _BLOCK_ENTRIES // ys.shape[0])
+    for i in range(0, xs.shape[0], rows):
+        out[i:i + rows] = kernel_block(params, xs[i:i + rows], ys) @ coef
+    return out
 
 
 def kernel_matrix(spec: RadialKernelSpec, xs, ys=None):

@@ -19,7 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 from .kcenter import FarthestFirst
-from .sparse_mean import _BLOCK_ENTRIES, SparseKernelMean, kernel_sums
+from .kernels import _BLOCK_ENTRIES
+from .sparse_mean import SparseKernelMean, kernel_sums
 
 # Relative slack of the cover's triangle-inequality tests. It absorbs the
 # rounding gap between the scan's squared distances and cdist's.
@@ -71,6 +72,11 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
     underflows (to zero or to a subnormal, where the quotient would be
     rounding noise) stays where it is and is marked not converged.
     """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_backend(mean)
     x = np.array(x0, dtype=np.float64)
     iterations = np.full(x.shape[0], max_iter, dtype=np.int64)
     converged = np.zeros(x.shape[0], dtype=bool)
@@ -102,9 +108,6 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
 
 def shift_point(x0, mean: SparseKernelMean, gamma: float, max_iter: int = 500):
     """Shift one point to its density mode; returns the converged position."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    _check_backend(mean)
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     if x0.shape[0] != mean.spec.dim:
         raise ValueError("point dimension does not match the kernel dimension")
@@ -115,9 +118,6 @@ def shift_point(x0, mean: SparseKernelMean, gamma: float, max_iter: int = 500):
 def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
                    max_iter: int = 500) -> ShiftResult:
     """Shift every data point; the points still moving advance together."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    _check_backend(mean)
     pts = np.asarray(data.points, dtype=np.float64)
     if pts.shape[1] != mean.spec.dim:
         raise ValueError("data dimension does not match the kernel dimension")

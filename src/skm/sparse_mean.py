@@ -20,13 +20,9 @@ import numpy as np
 from . import kcenter
 from .coefficients import CholeskyWeights, progress_ratio, project_simplex
 from .errors import NearSingularError
-from .kernels import RadialKernelSpec, eval_params, gram_at_dist, gram_params, kernel_block
+from .kernels import RadialKernelSpec, block_sums, eval_params, gram_at_dist, gram_params
 
 logger = logging.getLogger(__name__)
-
-# A kernel or distance block holds at most this many entries (2 MB), so the
-# memory of a kernel sum or of mode clustering stays flat whatever the size.
-_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,22 +89,22 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0):
     """The greedy select/extend loop: yield one Step per candidate tried.
 
     Candidates come from farthest-first traversal started at `first` (or a
-    point drawn with `seed`). A candidate whose section is numerically
-    dependent on the support yields a skip Step with the reason and ends
-    the loop, as pivoted Cholesky stops at its first pivot below
-    tolerance. The loop also ends when the support holds k_max points or
-    covers every point exactly. The caller applies the stop rule by
-    leaving the loop. A fixed candidate order takes no such loop: see
+    point drawn with `seed`). Each candidate costs one O(nd) scan, whose
+    row of squared distances gives `weights.extend` both the candidate's
+    Gram row and its kernel row mean. A candidate whose section is
+    numerically dependent on the support yields a skip Step with the
+    reason and ends the loop, as pivoted Cholesky stops at its first pivot
+    below tolerance. The loop also ends when the support holds k_max
+    points or covers every point exactly. The caller applies the stop rule
+    by leaving the loop. A fixed candidate order takes no such loop: see
     `fit_with_support`.
     """
-    # One scan per candidate that passes the pivot check gives the
-    # farthest-first update, and its distances give kappa_j. A failed step
-    # ends the loop, so a scan is never undone.
-    scan = kcenter.FarthestFirst(weights.points, weights.params)
+    scan = kcenter.FarthestFirst(weights.points)
     cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     while weights.m < k_max:
+        scan.add(cand)
         try:
-            pivot = weights.extend(cand, scan.add)
+            pivot = weights.extend(cand, scan.r2)
         except NearSingularError as exc:
             logger.info("support candidate %d is numerically dependent", cand)
             yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
@@ -180,18 +176,12 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
     """Factor the weights along `order` in one pass, dropping numerically dependent points.
 
-    The factor comes from one `CholeskyWeights.factor` call, and kappa of
-    the points it keeps from one block sum. The accepted Steps are those
-    extending along the order would record, with a nan radius.
+    The factor and kappa of the points it keeps come from one
+    `CholeskyWeights.factor` call. The accepted Steps are those extending
+    along the order would record, with a nan radius.
     """
     weights = CholeskyWeights(data, spec)
-    pts = weights.points
-    coef = np.full(len(pts), 1.0 / len(pts))
-
-    def kappa(indices):
-        return block_sums(weights.params, pts[indices], pts, coef)
-
-    kept, pivots = weights.factor(order, kappa)
+    kept, pivots = weights.factor(order)
     skipped = order[~kept].tolist()
     if skipped:
         logger.info("dropped %d of %d support candidates as numerically dependent",
@@ -258,20 +248,6 @@ def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
         support_indices=np.arange(n, dtype=np.int64),
         diagnostics=diag,
     )
-
-
-def block_sums(params, xs, ys, coef) -> np.ndarray:
-    """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D float64 `xs`.
-
-    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). The
-    kernel values are formed in row blocks of at most 2^18 entries, or one
-    row when ys is longer, so memory stays flat whatever the sizes.
-    """
-    out = np.empty((xs.shape[0],) + coef.shape[1:])
-    rows = max(1, _BLOCK_ENTRIES // ys.shape[0])
-    for i in range(0, xs.shape[0], rows):
-        out[i:i + rows] = kernel_block(params, xs[i:i + rows], ys) @ coef
-    return out
 
 
 def kernel_sums(mean: SparseKernelMean, queries, coef) -> np.ndarray:

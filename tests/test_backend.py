@@ -17,11 +17,11 @@ from skm.kernels import (
     SHAPE_POWER,
     SHAPE_SQEXP,
     RadialKernelSpec,
-    ShapeParams,
+    block_sums,
     g_zero,
     gram_matrix,
 )
-from skm.sparse_mean import block_sums, fit, fit_with_support, incoherence
+from skm.sparse_mean import fit, fit_with_support, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -74,18 +74,26 @@ def test_farthest_scan_semantics(impl):
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-@pytest.mark.parametrize("params", [ShapeParams(SHAPE_SQEXP, 0.37, 0.0, 0.9),
-                                    ShapeParams(SHAPE_EXP, 1.2, 0.0, 0.9),
-                                    ShapeParams(SHAPE_POWER, 0.8, 2.5, 0.9)],
-                         ids=["sqexp", "exp", "power"])
-def test_kappa_matches_block_sum(impl, params, monkeypatch):
+@pytest.mark.parametrize("spec, kind", [
+    (RadialKernelSpec("gaussian", dim=4, sigma=1.6, normalization="density"), SHAPE_SQEXP),
+    (RadialKernelSpec("laplacian", dim=4, gamma=0.8, normalization="density"), SHAPE_EXP),
+    (RadialKernelSpec("student", dim=4, alpha=2.5, beta=1.25, normalization="density"),
+     SHAPE_POWER),
+], ids=["sqexp", "exp", "power"])
+def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
+    # extend takes kappa_j from the scan's distance row; block_sums forms it
+    # from cdist, the path of the fixed-order fits.
     monkeypatch.setattr(_backend, "farthest_scan", impl.farthest_scan)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
-    scan = FarthestFirst(points, params)
-    for j in (0, 17, n - 1):
-        expected = block_sums(params, points[[j]], points, np.full(n, 1.0 / n))[0]
-        assert_allclose(scan.add(j), expected, rtol=1e-13)
+    state, scan = CholeskyWeights(DataSet(points), spec), FarthestFirst(points)
+    assert state.params.kind == kind and state.params.c != 1.0
+    order = [0, 17, n - 1]
+    for j in order:
+        scan.add(j)
+        state.extend(j, scan.r2)
+    expected = block_sums(state.params, points[order], points, np.full(n, 1.0 / n))
+    assert_allclose(state.kappa, expected, rtol=1e-13)
 
 
 def test_compiled_rejects_bad_buffers(fastcore):
@@ -221,12 +229,9 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     mean = fit_with_support(data, spec, support)
 
     state, skipped = CholeskyWeights(data, spec), []
-    n = data.points.shape[0]
-    kappa = dict(zip(support.tolist(), block_sums(state.params, data.points[support],
-                                                   data.points, np.full(n, 1.0 / n))))
     for j in support.tolist():
         try:
-            state.extend(j, kappa.__getitem__)
+            state.extend(j, ((data.points - data.points[j]) ** 2).sum(axis=1))
         except NearSingularError:
             skipped.append(j)
     assert mean.diagnostics.skipped == tuple(sorted(skipped))

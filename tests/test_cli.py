@@ -47,6 +47,21 @@ def test_fit_eval_round_trip(tmp_path, capsys):
     assert all(v >= 0.0 for v in parsed)
 
 
+def test_eval_rejects_a_model_whose_k0_is_not_its_weight_count(tmp_path, capsys):
+    x = synth_csv(tmp_path)
+    model = tmp_path / "m.json"
+    assert main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+                 "--kmax", "30", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["k0"] = 3
+    model.write_text(json.dumps(doc))
+    values = tmp_path / "v.csv"
+    rc = main(["eval", "--model", str(model), "--queries", str(x), "--out", str(values)])
+    assert rc == 2
+    assert "k0" in capsys.readouterr().err
+    assert not values.exists()
+
+
 def test_fit_trace_export(tmp_path):
     x = synth_csv(tmp_path)
     model = tmp_path / "m.json"
@@ -238,6 +253,30 @@ def test_meanshift_rejects_bad_merge_before_shifting(tmp_path, capsys, monkeypat
                "--out-labels", str(labels)])
     assert rc == 2
     assert "--merge must be positive" in capsys.readouterr().err
+    assert not labels.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gamma", "0", "--gamma must be positive"),
+    ("--gamma", "nan", "--gamma must be positive"),
+    ("--max-iter", "0", "--max-iter must be at least 1"),
+    ("--max-iter", "-2", "--max-iter must be at least 1"),
+])
+def test_meanshift_rejects_bad_stop_flags_before_fitting(tmp_path, capsys, monkeypatch,
+                                                         flag, value, message):
+    import skm.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError(f"meanshift fitted before {flag} was checked")
+
+    for name in ("fit", "full_mean", "mean_shift_all"):
+        monkeypatch.setattr(skm.cli, name, no_fit)
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    labels = tmp_path / "labels.csv"
+    rc = main(["meanshift", "--input", str(x), "--sigma", "0.8", "--sparse", flag, value,
+               "--out-labels", str(labels)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not labels.exists()
 
 

@@ -18,16 +18,15 @@ def line_data(*values):
     return DataSet(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
-def row_means(data, spec):
-    """kappa_j = (1/n) sum_l <z_l, z_j> from the dense Gram matrix, as extend's callable."""
-    return gram_matrix(spec, data.points).mean(axis=1).__getitem__
+def sqdist_row(data, j):
+    """Squared distances from point j to every point, as extend reads them."""
+    return ((data.points - data.points[j]) ** 2).sum(axis=1)
 
 
 def grow_state(data, spec, order):
     state = CholeskyWeights(data, spec)
-    kappa = row_means(data, spec)
     for idx in order:
-        state.extend(idx, kappa)
+        state.extend(idx, sqdist_row(data, idx))
     return state
 
 
@@ -118,7 +117,20 @@ def test_extend_duplicate_support_raises():
     data = line_data(0.0, 0.0, 5.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(NearSingularError):
-        state.extend(1, row_means(data, UNIT_GAUSS_1D))
+        state.extend(1, sqdist_row(data, 1))
+
+
+def test_dependent_extend_changes_neither_state_nor_distances():
+    data = line_data(0.0, 3.0, 0.0, 5.0)
+    state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
+    before = (state.m, state.indices.copy(), state.kappa.copy(), state.e_trace.copy())
+    r2 = sqdist_row(data, 2)  # point 2 duplicates point 0
+    with pytest.raises(NearSingularError, match="support point 2 is numerically dependent"):
+        state.extend(2, r2)
+    assert state.m == before[0]
+    for now, then in zip((state.indices, state.kappa, state.e_trace), before[1:]):
+        np.testing.assert_array_equal(now, then)
+    np.testing.assert_array_equal(r2, sqdist_row(data, 2))
 
 
 def test_extend_rejects_index_already_in_support():
@@ -129,7 +141,7 @@ def test_extend_rejects_index_already_in_support():
     e_trace = state.e_trace.copy()
     for j in (0, 1):
         with pytest.raises(NearSingularError, match=f"support point {j} is numerically dependent"):
-            state.extend(j, row_means(data, UNIT_GAUSS_1D))
+            state.extend(j, sqdist_row(data, j))
     assert state.m == 2
     assert_allclose(state.e_trace, e_trace, rtol=0)
 

@@ -140,6 +140,18 @@ def test_model_alpha_length_mismatch(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("k0", [3, 6, 5.0, "x", True, None])
+def test_model_k0_must_be_the_weight_count(tmp_path, k0):
+    record = random_record(np.random.default_rng(2), k=5)
+    path = tmp_path / "m.json"
+    save_model(record, path)
+    doc = json.loads(path.read_text())
+    doc["k0"] = k0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="k0 must be the integer number of weights 5"):
+        load_model(path)
+
+
 def test_model_unknown_version(tmp_path):
     record = random_record(np.random.default_rng(3))
     path = tmp_path / "m.json"

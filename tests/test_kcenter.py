@@ -80,7 +80,8 @@ def test_greedy_duplicate_points_warn_when_k_exceeds_distinct():
 def test_extend_single_point_line():
     data = line_data(0.0, 1.0, 10.0)
     scan = FarthestFirst(data.points)
-    assert scan.add(0) == 0.0  # no kernel shape: no row mean
+    scan.add(0)
+    assert_array_equal(scan.r2, [0.0, 1.0, 100.0])  # squared distances to point 0
     assert (scan.farthest, scan.radius) == (2, 10.0)
     scan.add(2)
     assert (scan.farthest, scan.radius) == (1, 1.0)

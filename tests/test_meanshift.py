@@ -110,6 +110,17 @@ def test_shift_validates_gamma_and_dimension():
         shift_point([0.0, 1.0], mean, gamma=1e-3)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_shift_rejects_max_iter_below_one(max_iter):
+    # With no iteration allowed every point would come back unshifted.
+    data = DataSet(np.array([[0.0], [1.0]]))
+    mean = full_mean(data, DENS)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        shift_point([0.5], mean, gamma=1e-3, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        mean_shift_all(data, mean, gamma=1e-3, max_iter=max_iter)
+
+
 # --------------------------------------------------------------- mean_shift_all
 
 def test_mean_shift_all_single_point_unchanged():

@@ -326,14 +326,15 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     assert calls == {"farthest_scan": 60, "factor_order": 0}
 
 
-def test_candidates_rejected_at_the_pivot_cost_no_scan(monkeypatch):
-    # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate.
+def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
+    # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate,
+    # whose scan gave extend the distance row that showed it dependent.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
     assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps) - 1, "factor_order": 0}
+    assert calls == {"farthest_scan": len(steps), "factor_order": 0}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
@@ -356,9 +357,9 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
     tried = []
     extend = CholeskyWeights.extend
 
-    def counted(self, j, kappa):
+    def counted(self, j, r2):
         tried.append(j)
-        return extend(self, j, kappa)
+        return extend(self, j, r2)
 
     monkeypatch.setattr(CholeskyWeights, "extend", counted)
     data = DataSet(np.random.default_rng(24).normal(size=(n, 2)))
