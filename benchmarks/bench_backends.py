@@ -1,9 +1,12 @@
-"""Compare the compiled and numpy backends on the scan, a full fit and a fixed-support fit.
+"""Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
-All timings run in one process. The scan is timed against each
-implementation directly. The end-to-end fit swaps the implementation in by
-replacing `skm._backend.farthest_scan`; `fit_with_support` on the
-floor(3 sqrt(n)) farthest-first support swaps in `skm._backend.factor_order`.
+All timings run in one process. The scan and the distance block are timed
+against each implementation directly. The distance block is timed on one
+kernel-sum block at the evaluate shapes of the fit-tall and fit-deep
+benchmark workloads (k0 supports in d dimensions, 2^18 // k0 query rows).
+The end-to-end fit and `fit_with_support` on the floor(3 sqrt(n))
+farthest-first support swap every `skm._backend` primitive for the
+implementation's own.
 
 Usage: python benchmarks/bench_backends.py [--n 20000] [--d 5] [--kmax 300]
 """
@@ -18,13 +21,17 @@ from skm import _backend
 from skm._backend import _numpy_impl
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
-from skm.kernels import RadialKernelSpec
+from skm.kernels import _BLOCK_ENTRIES, RadialKernelSpec
 from skm.sparse_mean import default_k_max, fit_with_support
 
 try:
     from skm._backend import _fastcore
 except ImportError:
     _fastcore = None
+
+PRIMITIVES = ("farthest_scan", "sqdist_block", "factor_order")
+# (workload, d, k0) of the evaluate step of the fit benchmarks.
+EVAL_SHAPES = (("fit-tall", 8, 150), ("fit-deep", 5, 600))
 
 
 def best_of(repeat, fn):
@@ -41,23 +48,31 @@ def bench_scan(impl, points, repeat=7):
     return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, r2))
 
 
-def swapped(impl, name, repeat, fn):
-    """best_of(repeat, fn) with `_backend.<name>` taken from impl."""
-    saved = getattr(_backend, name)
-    setattr(_backend, name, getattr(impl, name))
+def bench_sqdist(impl, d, m, repeat=7):
+    rng = np.random.default_rng(2)
+    xs, ys = rng.normal(size=(_BLOCK_ENTRIES // m, d)), rng.normal(size=(m, d))
+    out = np.empty((xs.shape[0], m))
+    return best_of(repeat, lambda: impl.sqdist_block(xs, ys, out))
+
+
+def swapped(impl, repeat, fn):
+    """best_of(repeat, fn) with every `_backend` primitive taken from impl."""
+    saved = {name: getattr(_backend, name) for name in PRIMITIVES}
+    for name in PRIMITIVES:
+        setattr(_backend, name, getattr(impl, name))
     try:
         return best_of(repeat, fn)
     finally:
-        setattr(_backend, name, saved)
+        for name, primitive in saved.items():
+            setattr(_backend, name, primitive)
 
 
 def bench_fit(impl, data, spec, kmax, repeat=3):
-    return swapped(impl, "farthest_scan", repeat,
-                   lambda: skm.fit(data, spec, k_max=kmax, epsilon=0.0, first=0))
+    return swapped(impl, repeat, lambda: skm.fit(data, spec, k_max=kmax, epsilon=0.0, first=0))
 
 
 def bench_fixed(impl, data, spec, support, repeat=5):
-    return swapped(impl, "factor_order", repeat, lambda: fit_with_support(data, spec, support))
+    return swapped(impl, repeat, lambda: fit_with_support(data, spec, support))
 
 
 def main():
@@ -84,6 +99,17 @@ def main():
     if len(rows) == 2:
         print(f"  speedup   {rows[0][1] / rows[1][1]:11.2f} x  {rows[0][2] / rows[1][2]:6.2f} x"
               f" {rows[0][3] / rows[1][3]:15.2f} x")
+
+    print("sqdist_block on one kernel-sum block of 2^18 // k0 query rows, best of 7")
+    print(f"  {'workload':9s} {'rows x k0 x d':>15s} {'backend':9s} {'block':>9s} {'per entry':>10s}")
+    for name, d, m in EVAL_SHAPES:
+        entries = _BLOCK_ENTRIES // m * m
+        times = [bench_sqdist(impl, d, m) for _, impl in impls]
+        for (label, _), t in zip(impls, times):
+            shape = f"{entries // m} x {m} x {d}"
+            print(f"  {name:9s} {shape:>15s} {label:9s} {t * 1e3:6.3f} ms {t / entries * 1e9:5.2f} ns")
+        if len(times) == 2:
+            print(f"  {'':9s} {'':15s} {'speedup':9s} {times[0] / times[1]:6.2f} x")
     if _fastcore is None:
         print("  (compiled extension not built; numpy fallback only)")
 

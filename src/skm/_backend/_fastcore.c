@@ -1,6 +1,6 @@
-/* Compiled inner loops: the farthest-first scan and the fixed-order
- * pivoted Cholesky factorisation. The signatures match
- * skm._backend._numpy_impl exactly.
+/* Compiled inner loops: the farthest-first scan, the squared-distance
+ * block under every kernel sum and the fixed-order pivoted Cholesky
+ * factorisation. The signatures match skm._backend._numpy_impl exactly.
  *
  * The scan writes each point's squared distance to the new center into a
  * caller's buffer, lowers a second buffer of distances to the chosen set
@@ -9,13 +9,22 @@
  * computed from the first buffer in numpy, by the one shape function in
  * skm.kernels.
  *
+ * The distance block writes ||x_i - y_j||^2 into out[i, j], summing the
+ * coordinates in the order k = 0..d-1 as scipy's cdist "sqeuclidean"
+ * does, so the two are bit-identical. The rows of ys are copied TILE at a
+ * time into a coordinate-major scratch of TILE x d doubles, whatever the
+ * number of rows, and the loop runs along the contiguous entries of a
+ * tile. Its clones for AVX-512 and AVX2 are picked at load time, and
+ * floating-point contraction is off for it: a fused multiply-add would
+ * round t*t + o once instead of twice and differ from cdist.
+ *
  * The factorisation takes the Gram block of a candidate order and keeps
  * each candidate whose pivot passes a threshold, writing the packed rows
  * of the lower factor of the kept points and every candidate's pivot.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the right shape; anything else raises TypeError or
- * ValueError before a single element is read. Both loops release the GIL.
+ * ValueError before a single element is read. The loops release the GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -115,6 +124,88 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     return PyLong_FromSsize_t(far);
 }
 
+/* Rows of ys copied per tile: 2 KB of each coordinate, so a tile and
+ * one output row segment stay in L1 for the whole of the x loop. */
+#define TILE 256
+
+/* Contraction stays off in the source whatever the build flags: the x86-64
+ * clones have FMA, and a fused o + t*t rounds once where cdist rounds
+ * twice. */
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#define SQDIST_ATTRS
+#elif defined(__GNUC__) && defined(__x86_64__)
+#define SQDIST_ATTRS __attribute__((target_clones("avx512f", "avx2", "default"), \
+                                    optimize("fp-contract=off")))
+#elif defined(__GNUC__)
+#define SQDIST_ATTRS __attribute__((optimize("fp-contract=off")))
+#else
+#define SQDIST_ATTRS
+#endif
+
+/* out[i, j] = sum_k (x_ik - y_jk)^2 for the nx rows of x against the ny
+ * rows of y, in the tiles of ys that fit `tile` (TILE x d doubles). */
+static SQDIST_ATTRS void sqdist_tiles(const double *x, Py_ssize_t nx, const double *y,
+                                      Py_ssize_t ny, Py_ssize_t d, double *out,
+                                      double *tile)
+{
+    for (Py_ssize_t j0 = 0; j0 < ny; j0 += TILE) {
+        Py_ssize_t w = ny - j0 < TILE ? ny - j0 : TILE;
+        for (Py_ssize_t j = 0; j < w; j++)
+            for (Py_ssize_t k = 0; k < d; k++)
+                tile[k * w + j] = y[(j0 + j) * d + k];
+        for (Py_ssize_t i = 0; i < nx; i++) {
+            const double *xi = x + i * d;
+            double *o = out + i * ny + j0;
+            for (Py_ssize_t j = 0; j < w; j++) {
+                double t = xi[0] - tile[j];
+                o[j] = t * t;
+            }
+            for (Py_ssize_t k = 1; k < d; k++) {
+                const double xk = xi[k], *tk = tile + k * w;
+                for (Py_ssize_t j = 0; j < w; j++) {
+                    double t = xk - tk[j];
+                    o[j] += t * t;
+                }
+            }
+        }
+    }
+}
+
+static PyObject *sqdist_block(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *yo, *oo;
+    Views vs = {.count = 0};
+    if (!PyArg_ParseTuple(args, "OOO", &xo, &yo, &oo))
+        return NULL;
+    const double *x = borrow(&vs, xo, "xs", 2, -1, 0);
+    Py_ssize_t nx = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
+    const double *y = x ? borrow(&vs, yo, "ys", 2, -1, 0) : NULL;
+    Py_ssize_t ny = y ? vs.view[1].shape[0] : 0;
+    if (y != NULL && vs.view[1].shape[1] != d)
+        PyErr_Format(PyExc_ValueError, "ys has %zd columns, xs has %zd",
+                     vs.view[1].shape[1], d);
+    double *out = PyErr_Occurred() ? NULL : borrow(&vs, oo, "out", 2, nx, 1);
+    if (out != NULL && vs.view[2].shape[1] != ny)
+        PyErr_SetString(PyExc_ValueError, "out must have one column per row of ys");
+    double *tile = NULL;
+    if (!PyErr_Occurred() && d > 0 && (tile = PyMem_Malloc(TILE * d * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    if (PyErr_Occurred()) {
+        release(&vs);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    if (d == 0)
+        memset(out, 0, nx * ny * sizeof(double));
+    else
+        sqdist_tiles(x, nx, y, ny, d, out, tile);
+    Py_END_ALLOW_THREADS
+    PyMem_Free(tile);
+    release(&vs);
+    Py_RETURN_NONE;
+}
+
 /* Candidate i is kept when its pivot g_ii - w'w, with w = L^{-1} g_i over
  * the kept points before it, exceeds the threshold. w goes straight into
  * the next packed row of L, so a dropped candidate is overwritten by the
@@ -170,6 +261,8 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
      "farthest_scan(points, j, sqdist, r2) -> farthest index"},
+    {"sqdist_block", sqdist_block, METH_VARARGS,
+     "sqdist_block(xs, ys, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,
      "factor_order(gram, threshold, packed, pivots) -> kept count"},
     {NULL, NULL, 0, NULL},

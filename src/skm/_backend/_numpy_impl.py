@@ -2,16 +2,18 @@
 
 `farthest_scan` is a farthest-first step that writes the squared distances
 to the new center into a caller's buffer and lowers one distance buffer in
-place. `factor_order` is pivoted Cholesky along a fixed candidate order.
+place. `sqdist_block` is scipy's cdist "sqeuclidean" into a caller's
+buffer. `factor_order` is pivoted Cholesky along a fixed candidate order.
 Used when the compiled extension is unavailable. The signatures match
 skm._backend._fastcore exactly, and so do the buffer checks of
-`factor_order`.
+`sqdist_block` and `factor_order`.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import blas
+from scipy.spatial.distance import cdist
 
 
 def farthest_scan(points, j, sqdist, r2):
@@ -41,6 +43,23 @@ def _borrow(a, name, ndim, rows, writable=False):
     if writable and not a.flags.writeable:
         raise ValueError(f"{name} must be writable")
     return a
+
+
+def sqdist_block(xs, ys, out):
+    """Write ||xs_i - ys_j||^2 into out[i, j].
+
+    xs and ys are C-contiguous float64 with the same number of columns, out
+    is a writable C-contiguous float64 array of shape (len(xs), len(ys)).
+    Buffers that are not raise TypeError or ValueError before out changes.
+    """
+    _borrow(xs, "xs", 2, -1)
+    _borrow(ys, "ys", 2, -1)
+    if ys.shape[1] != xs.shape[1]:
+        raise ValueError(f"ys has {ys.shape[1]} columns, xs has {xs.shape[1]}")
+    _borrow(out, "out", 2, xs.shape[0], writable=True)
+    if out.shape[1] != ys.shape[0]:
+        raise ValueError("out must have one column per row of ys")
+    cdist(xs, ys, "sqeuclidean", out=out)
 
 
 def factor_order(gram, threshold, packed, pivots):

@@ -168,8 +168,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--mode", choices=("rkhs", "symkl"), default="rkhs")
     p.add_argument("--sparse", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--eps", type=float, default=None, help="with --sparse (default 1e-10)")
+    p.add_argument("--kmax", type=int, default=None, help="with --sparse")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--sidecar", default=None, help="JSON with k0 and timings")
@@ -178,8 +178,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--sparse", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--eps", type=float, default=None, help="with --sparse (default 1e-10)")
+    p.add_argument("--kmax", type=int, default=None, help="with --sparse")
     p.add_argument("--header", action="store_true")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--sigma", type=float, default=None)
@@ -198,8 +198,8 @@ def build_parser() -> _Parser:
     p.add_argument("--merge", type=float, default=None,
                    help="mode merge distance (default sigma)")
     p.add_argument("--sparse", action="store_true")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--eps", type=float, default=None, help="with --sparse (default 1e-8)")
+    p.add_argument("--kmax", type=int, default=None, help="with --sparse")
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--header", action="store_true")
     p.add_argument("--out-labels", default=None)
@@ -303,7 +303,21 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+def _sparse_fit_options(args, epsilon):
+    """(epsilon, k_max) of a --sparse fit, `epsilon` when --eps is not given.
+
+    --eps and --kmax set nothing without --sparse, so they are usage errors.
+    """
+    if not args.sparse:
+        for flag, value in (("--eps", args.eps), ("--kmax", args.kmax)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only with --sparse")
+        return None, None
+    return (epsilon if args.eps is None else args.eps), args.kmax
+
+
 def _cmd_embed(args) -> int:
+    eps, k_max = _sparse_fit_options(args, 1e-10)
     samples = [load_csv(path, has_header=args.header) for path in args.inputs]
     dims = {s.d for s in samples}
     if len(dims) != 1:
@@ -312,7 +326,7 @@ def _cmd_embed(args) -> int:
     mode = "sym_kl" if args.mode == "symkl" else "rkhs"
     start = time.perf_counter()
     dm = distance_matrix(samples, spec, mode=mode, sparse=args.sparse,
-                         k_max=args.kmax, epsilon=args.eps, seed=args.seed)
+                         k_max=k_max, epsilon=eps, seed=args.seed)
     elapsed = time.perf_counter() - start
     _timed("embed", elapsed)
     rows = [[label] + [float(v) for v in row]
@@ -324,13 +338,14 @@ def _cmd_embed(args) -> int:
             "labels": list(dm.labels),
             "support_sizes": list(dm.support_sizes),
             "sparse": bool(args.sparse),
-            "epsilon": args.eps,
+            "epsilon": eps,
             "seconds": elapsed,
         })
     return 0
 
 
 def _cmd_cpe(args) -> int:
+    eps, k_max = _sparse_fit_options(args, 1e-10)
     train = [load_csv(path, has_header=args.header) for path in args.train]
     test = load_csv(args.test, has_header=args.header)
     dims = {s.d for s in train} | {test.d}
@@ -346,7 +361,7 @@ def _cmd_cpe(args) -> int:
         template = parse_kernel_spec(f"gaussian:sigma={0.5 * (lo + hi)}", dim)
         start = time.perf_counter()
         sigma, _info = search_bandwidth(
-            train, lo, hi, template, sparse=args.sparse, k_max=args.kmax,
+            train, lo, hi, template, sparse=args.sparse, k_max=k_max,
             max_iter=args.search_iters, seed=args.seed, omega=args.omega,
         )
         timings["sigma_search_s"] = time.perf_counter() - start
@@ -355,7 +370,7 @@ def _cmd_cpe(args) -> int:
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}", dim)
     start = time.perf_counter()
     estimate = estimate_proportions(train, test, spec, sparse=args.sparse,
-                                    epsilon=args.eps, k_max=args.kmax,
+                                    epsilon=eps, k_max=k_max,
                                     seed=args.seed)
     timings["estimate_s"] = time.perf_counter() - start
     _timed("cpe", sum(timings.values()))
@@ -370,6 +385,7 @@ def _cmd_cpe(args) -> int:
 
 
 def _cmd_meanshift(args) -> int:
+    eps, k_max = _sparse_fit_options(args, 1e-8)
     data = load_csv(args.input, has_header=args.header)
     sigma = args.sigma if args.sigma is not None else bandwidth_iqr(data)
     gamma = args.gamma if args.gamma is not None else 1e-3 * sigma
@@ -383,7 +399,7 @@ def _cmd_meanshift(args) -> int:
         raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     start = time.perf_counter()
     if args.sparse:
-        mean = fit(data, spec, k_max=args.kmax, epsilon=args.eps,
+        mean = fit(data, spec, k_max=k_max, epsilon=eps,
                    density_mode=True, seed=args.seed)
     else:
         mean = full_mean(data, spec)

@@ -76,10 +76,15 @@ class ModelRecord:
             )
         if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha))):
             raise DataFormatError("model contains non-finite values")
+        k0 = self.k0
+        if (not isinstance(k0, (int, np.integer)) or isinstance(k0, bool)
+                or k0 != alpha.shape[0]):
+            raise DataFormatError(f"k0 must be the integer number of weights "
+                                  f"{alpha.shape[0]}, got {k0!r}")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "e_trace", e_trace)
-        object.__setattr__(self, "k0", int(self.k0))
+        object.__setattr__(self, "k0", int(k0))
 
 
 def load_csv(path, has_header: bool = False) -> DataSet:
@@ -176,20 +181,16 @@ def load_model(path) -> ModelRecord:
             f"(this build reads version {MODEL_VERSION})"
         )
     try:
-        spec = _spec_from_dict(doc["kernel"])
-        k0, alpha = doc["k0"], np.array(doc["alpha"], dtype=np.float64)
-        record = ModelRecord(
-            spec=spec,
+        return ModelRecord(
+            spec=_spec_from_dict(doc["kernel"]),
             support=np.array(doc["support"], dtype=np.float64),
-            alpha=alpha,
-            k0=alpha.size,
+            alpha=np.array(doc["alpha"], dtype=np.float64),
+            k0=doc["k0"],
             epsilon=float(doc["epsilon"]),
             density_mode=bool(doc["density_mode"]),
             e_trace=np.array(doc.get("e_trace", []), dtype=np.float64),
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from None
-    if type(k0) is not int or k0 != record.k0:
-        raise DataFormatError(f"{path}: k0 must be the integer number of weights "
-                              f"{record.k0}, got {k0!r}")
-    return record
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
+from . import _backend
 from .errors import DegenerateDataError, KernelSpecError
 
 FAMILIES = ("gaussian", "laplacian", "student")
@@ -253,10 +254,16 @@ def g_zero(spec: RadialKernelSpec) -> float:
 
 
 def kernel_block(params: ShapeParams, xs, ys=None):
-    """Matrix of c * shape(||x_i - y_j||) from exact squared differences."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
+    """Matrix of c * shape(||x_i - y_j||) from exact squared differences.
+
+    The squared distances come from `_backend.sqdist_block` and are
+    bit-identical to scipy's cdist(xs, ys, "sqeuclidean") on either backend.
+    """
+    xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.float64))
+    ys = xs if ys is None else np.atleast_2d(np.ascontiguousarray(ys, dtype=np.float64))
+    out = np.empty((xs.shape[0], ys.shape[0]))
+    _backend.sqdist_block(xs, ys, out)
+    return _apply_shape(params, out)
 
 
 def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:

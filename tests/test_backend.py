@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import cdist
 
 from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
@@ -17,9 +18,12 @@ from skm.kernels import (
     SHAPE_POWER,
     SHAPE_SQEXP,
     RadialKernelSpec,
+    ShapeParams,
+    _apply_shape,
     block_sums,
     g_zero,
     gram_matrix,
+    kernel_block,
 )
 from skm.sparse_mean import fit, fit_with_support, incoherence
 
@@ -124,6 +128,78 @@ def test_compiled_rejects_bad_buffers(fastcore):
             scan(**{name: np.full((4, 6), np.inf)[:, 0]})  # not contiguous
         with pytest.raises(ValueError):
             scan(**{name: readonly})
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 8, 17])
+def test_sqdist_block_is_cdist(impl, d):
+    # Row counts on both sides of the compiled loop's 256-row tiles. The
+    # sum runs over k = 0..d-1 as cdist's does, so the two are bit-identical;
+    # a fused multiply-add in the vectorised clones would break that. With
+    # no coordinates every distance is 0.
+    rng = np.random.default_rng(d)
+    xs = random_case(rng, n=40, d=d) * rng.uniform(0.1, 30.0, size=d)
+    for m in (1, 255, 256, 257, 600, 3000):
+        ys = random_case(rng, n=m, d=d)
+        for x in (xs, xs[:0]):
+            out = np.full((x.shape[0], m), np.nan)
+            assert impl.sqdist_block(x, ys, out) is None
+            assert_array_equal(out, cdist(x, ys, "sqeuclidean"))
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@given(data=st.data())
+def test_sqdist_block_matches_cdist_on_random_shapes(impl, data):
+    nx = data.draw(st.integers(0, 30), label="nx")
+    m = data.draw(st.integers(1, 700), label="m")
+    d = data.draw(st.integers(1, 20), label="d")
+    scale = data.draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    xs = random_case(rng, n=nx, d=d) * scale
+    ys = random_case(rng, n=m, d=d) * scale
+    if data.draw(st.booleans(), label="shared rows") and nx:
+        ys[rng.integers(m, size=nx)] = xs  # exact zeros
+    out = np.empty((nx, m))
+    impl.sqdist_block(xs, ys, out)
+    assert_array_equal(out, cdist(xs, ys, "sqeuclidean"))
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_sqdist_block_rejects_bad_buffers_before_writing(impl):
+    xs, ys = np.zeros((4, 3)), np.ones((5, 3))
+    readonly = np.full((4, 5), -1.0)
+    readonly.setflags(write=False)
+    cases = [
+        (TypeError, "xs must be a float64 array", {"xs": xs.astype(np.float32)}),
+        (TypeError, "ys must be a float64 array", {"ys": np.ones((5, 3), np.int64)}),
+        (ValueError, "xs must be a C-contiguous 2-D", {"xs": np.zeros((4, 6))[:, ::2]}),
+        (ValueError, "ys must be a C-contiguous 2-D", {"ys": np.ones(15)}),
+        (ValueError, "ys has 2 columns, xs has 3", {"ys": np.ones((5, 2))}),
+        (TypeError, "out must be a float64 array", {"out": np.full((4, 5), -1.0, np.float32)}),
+        (ValueError, "out must be a C-contiguous 2-D", {"out": np.full((4, 10), -1.0)[:, ::2]}),
+        (ValueError, "out has the wrong length", {"out": np.full((5, 5), -1.0)}),
+        (ValueError, "out must have one column per row of ys", {"out": np.full((4, 6), -1.0)}),
+        (ValueError, "out must be writable", {"out": readonly}),
+    ]
+    for error, message, bad in cases:
+        args = {"xs": xs, "ys": ys, "out": np.full((4, 5), -1.0)} | bad
+        sentinel = args["out"].base if args["out"].base is not None else args["out"]
+        with pytest.raises(error, match=message):
+            impl.sqdist_block(args["xs"], args["ys"], args["out"])
+        assert np.all(sentinel == -1.0), message
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_kernel_block_is_the_shape_of_cdist(impl, monkeypatch):
+    # Any layout goes in; 1-D rows are one point each.
+    monkeypatch.setattr(_backend, "sqdist_block", impl.sqdist_block)
+    params = ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(size=(6, 300)).T, rng.normal(size=(40, 6))
+    for x, y in ((xs, ys), (xs[::7], None), (ys[0], ys[1:])):
+        expected = _apply_shape(params, cdist(np.atleast_2d(x),
+                                              np.atleast_2d(x if y is None else y), "sqeuclidean"))
+        assert_array_equal(kernel_block(params, x, y), expected)
 
 
 def _factor(impl, gram, threshold):

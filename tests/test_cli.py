@@ -280,6 +280,39 @@ def test_meanshift_rejects_bad_stop_flags_before_fitting(tmp_path, capsys, monke
     assert not labels.exists()
 
 
+def _sparse_command(tmp_path, command):
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    y = synth_csv(tmp_path, "y.csv", n=40)
+    out = tmp_path / "out"
+    return out, {
+        "embed": ["embed", str(x), str(x), "--kernel", "gaussian:sigma=1.0", "--out", str(out)],
+        "cpe": ["cpe", "--train", str(x), str(y), "--test", str(x), "--sigma", "1.0",
+                "--out", str(out)],
+        "meanshift": ["meanshift", "--input", str(x), "--sigma", "0.8",
+                      "--out-labels", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["embed", "cpe", "meanshift"])
+@pytest.mark.parametrize("flag, value", [("--eps", "1e-6"), ("--kmax", "7")])
+def test_sparse_fit_flags_without_sparse_are_usage_errors(tmp_path, capsys, command,
+                                                          flag, value):
+    out, argv = _sparse_command(tmp_path, command)
+    assert main(argv + [flag, value]) == 1
+    assert f"{flag} applies only with --sparse" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + [flag, value, "--sparse"]) == 0
+    assert out.exists()
+
+
+def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path):
+    out, argv = _sparse_command(tmp_path, "embed")
+    sidecar = tmp_path / "d.json"
+    for extra, epsilon in (([], None), (["--sparse"], 1e-10), (["--sparse", "--eps", "0"], 0.0)):
+        assert main(argv + extra + ["--sidecar", str(sidecar)]) == 0
+        assert json.loads(sidecar.read_text())["epsilon"] == epsilon
+
+
 def test_bench_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"

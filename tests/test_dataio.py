@@ -181,3 +181,17 @@ def test_model_record_validates_invariants():
     with pytest.raises(DataFormatError, match="dimension"):
         ModelRecord(spec=spec, support=np.zeros((3, 1)), alpha=np.zeros(3),
                     k0=3, epsilon=0.0, density_mode=False)
+
+
+@pytest.mark.parametrize("k0", [3, 5.7, 5.0, True, "5"])
+def test_model_record_k0_must_be_the_weight_count(tmp_path, k0):
+    # A record save_model could write but load_model would refuse is not built.
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    with pytest.raises(DataFormatError, match="k0 must be the integer number of weights 5"):
+        ModelRecord(spec=spec, support=np.zeros((5, 2)), alpha=np.ones(5),
+                    k0=k0, epsilon=0.0, density_mode=False)
+    record = ModelRecord(spec=spec, support=np.zeros((5, 2)), alpha=np.ones(5),
+                         k0=np.int64(5), epsilon=0.0, density_mode=False)
+    assert type(record.k0) is int
+    save_model(record, tmp_path / "m.json")
+    assert load_model(tmp_path / "m.json").k0 == 5
