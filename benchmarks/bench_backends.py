@@ -1,10 +1,14 @@
 """Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
-All timings run in one process. The scan and the distance block are timed
-against each implementation directly. The distance block is timed on one
-kernel-sum block at the evaluate shapes of the fit-tall and fit-deep
-benchmark workloads (k0 supports in d dimensions, 2^18 // k0 query rows).
-The end-to-end fit and `fit_with_support` on the floor(3 sqrt(n))
+All timings run in one process. The scan, the distance block and the
+kernel sums are timed against each implementation directly. The distance
+block is timed on one 2^18-entry block at the evaluate shapes of the
+fit-tall and fit-deep benchmark workloads (k0 supports in d dimensions,
+2^18 // k0 query rows). The kernel sums are timed on the whole evaluate
+of those workloads (100000 queries x 150 supports in d=8, 50000 x 600 in
+d=5, one Gaussian column) and on one full mean-shift round of the apps
+workload (2000 points x 2000 supports in d=2, p = d + 1 columns). The
+end-to-end fit and `fit_with_support` on the floor(3 sqrt(n))
 farthest-first support swap every `skm._backend` primitive for the
 implementation's own.
 
@@ -21,7 +25,7 @@ from skm import _backend
 from skm._backend import _numpy_impl
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
-from skm.kernels import _BLOCK_ENTRIES, RadialKernelSpec
+from skm.kernels import _BLOCK_ENTRIES, SHAPE_SQEXP, RadialKernelSpec
 from skm.sparse_mean import default_k_max, fit_with_support
 
 try:
@@ -29,9 +33,13 @@ try:
 except ImportError:
     _fastcore = None
 
-PRIMITIVES = ("farthest_scan", "sqdist_block", "factor_order")
+PRIMITIVES = ("farthest_scan", "sqdist_block", "kernel_sums", "factor_order")
 # (workload, d, k0) of the evaluate step of the fit benchmarks.
 EVAL_SHAPES = (("fit-tall", 8, 150), ("fit-deep", 5, 600))
+# (op, queries, supports, d, coef columns) of the benchmark's kernel sums:
+# the two evaluate steps and a round of the full mean shift.
+SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 600, 5, 1),
+              ("meanshift_full", 2000, 2000, 2, 3))
 
 
 def best_of(repeat, fn):
@@ -53,6 +61,14 @@ def bench_sqdist(impl, d, m, repeat=7):
     xs, ys = rng.normal(size=(_BLOCK_ENTRIES // m, d)), rng.normal(size=(m, d))
     out = np.empty((xs.shape[0], m))
     return best_of(repeat, lambda: impl.sqdist_block(xs, ys, out))
+
+
+def bench_sums(impl, nx, m, d, p, repeat=5):
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(size=(nx, d)), rng.normal(size=(m, d))
+    coef = rng.random(m) if p == 1 else rng.random((m, p))
+    out = np.empty((nx,) + coef.shape[1:])
+    return best_of(repeat, lambda: impl.kernel_sums(xs, ys, coef, SHAPE_SQEXP, 0.5, 0.0, 1.0, out))
 
 
 def swapped(impl, repeat, fn):
@@ -100,7 +116,7 @@ def main():
         print(f"  speedup   {rows[0][1] / rows[1][1]:11.2f} x  {rows[0][2] / rows[1][2]:6.2f} x"
               f" {rows[0][3] / rows[1][3]:15.2f} x")
 
-    print("sqdist_block on one kernel-sum block of 2^18 // k0 query rows, best of 7")
+    print("sqdist_block on one 2^18-entry block of 2^18 // k0 query rows, best of 7")
     print(f"  {'workload':9s} {'rows x k0 x d':>15s} {'backend':9s} {'block':>9s} {'per entry':>10s}")
     for name, d, m in EVAL_SHAPES:
         entries = _BLOCK_ENTRIES // m * m
@@ -110,6 +126,16 @@ def main():
             print(f"  {name:9s} {shape:>15s} {label:9s} {t * 1e3:6.3f} ms {t / entries * 1e9:5.2f} ns")
         if len(times) == 2:
             print(f"  {'':9s} {'':15s} {'speedup':9s} {times[0] / times[1]:6.2f} x")
+
+    print("kernel_sums, Gaussian, best of 5")
+    print(f"  {'op':15s} {'queries x k0 x d, p':>22s} {'backend':9s} {'sums':>10s} {'per entry':>10s}")
+    for name, nx, m, d, p in SUM_SHAPES:
+        times = [bench_sums(impl, nx, m, d, p) for _, impl in impls]
+        for (label, _), t in zip(impls, times):
+            shape = f"{nx} x {m} x {d}, {p}"
+            print(f"  {name:15s} {shape:>22s} {label:9s} {t * 1e3:7.2f} ms {t / (nx * m) * 1e9:5.2f} ns")
+        if len(times) == 2:
+            print(f"  {'':15s} {'':22s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
     if _fastcore is None:
         print("  (compiled extension not built; numpy fallback only)")
 

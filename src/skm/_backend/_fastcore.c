@@ -1,13 +1,14 @@
 /* Compiled inner loops: the farthest-first scan, the squared-distance
- * block under every kernel sum and the fixed-order pivoted Cholesky
- * factorisation. The signatures match skm._backend._numpy_impl exactly.
+ * block under every Gram block, the kernel sums and the fixed-order
+ * pivoted Cholesky factorisation. The signatures match
+ * skm._backend._numpy_impl exactly.
  *
  * The scan writes each point's squared distance to the new center into a
  * caller's buffer, lowers a second buffer of distances to the chosen set
  * in place and returns the farthest point, so a farthest-first step reads
  * and writes each distance once. The kernel row mean of the new center is
- * computed from the first buffer in numpy, by the one shape function in
- * skm.kernels.
+ * computed from the first buffer in numpy, by the one numpy shape
+ * function (skm._backend._shape).
  *
  * The distance block writes ||x_i - y_j||^2 into out[i, j], summing the
  * coordinates in the order k = 0..d-1 as scipy's cdist "sqeuclidean"
@@ -18,22 +19,43 @@
  * floating-point contraction is off for it: a fused multiply-add would
  * round t*t + o once instead of twice and differ from cdist.
  *
+ * The kernel sums write c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
+ * out[i, q] in one pass over the same tiles: the tile's coef rows are
+ * copied coordinate-major beside its coordinates, each x row's distances
+ * to the tile go into one row buffer with the distance block's arithmetic,
+ * the shape is applied in place and the row is dotted with each coef
+ * column in 8 fixed partial sums. On x86-64 glibc the shape calls the
+ * vector exp and pow of libmvec, so the sums differ from the numpy
+ * backend's in the last bits, and between the AVX-512, AVX2 and SSE2
+ * clones too; the distances stay bit-identical to cdist.
+ *
  * The factorisation takes the Gram block of a candidate order and keeps
  * each candidate whose pivot passes a threshold, writing the packed rows
  * of the lower factor of the kept points and every candidate's pivot.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the right shape; anything else raises TypeError or
- * ValueError before a single element is read. The loops release the GIL.
+ * ValueError before a single element is read. The loops release the GIL
+ * and start no threads.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <string.h>
 
+/* glibc's libmvec has vector exp and pow, but <math.h> declares them only
+ * under -ffast-math, which would also let the compiler contract the
+ * distance sums. Declared here, and built with -fno-math-errno and
+ * -lmvec, the shape loops of each target clone call the vector variant
+ * of its width. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((__simd__("notinbranch"))) double exp(double);
+__attribute__((__simd__("notinbranch"))) double pow(double, double);
+#endif
+
 /* The buffers one call holds; released together whatever the outcome. */
 typedef struct {
-    Py_buffer view[3];
+    Py_buffer view[4];
     int count;
 } Views;
 
@@ -43,8 +65,8 @@ static void release(Views *vs)
         PyBuffer_Release(&vs->view[--vs->count]);
 }
 
-/* Borrow obj as a C-contiguous float64 array with ndim dimensions and
- * rows entries along the first (-1: any number). */
+/* Borrow obj as a C-contiguous float64 array with ndim dimensions (0: 1
+ * or 2) and rows entries along the first (-1: any number). */
 static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
                       Py_ssize_t rows, int writable)
 {
@@ -56,8 +78,12 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
         PyErr_Format(PyExc_TypeError, "%s must be a float64 array", name);
         return NULL;
     }
-    if (v->ndim != ndim || !PyBuffer_IsContiguous(v, 'C')) {
-        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous %d-D array", name, ndim);
+    if ((ndim ? v->ndim != ndim : v->ndim < 1 || v->ndim > 2)
+        || !PyBuffer_IsContiguous(v, 'C')) {
+        if (ndim)
+            PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous %d-D array", name, ndim);
+        else
+            PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous 1-D or 2-D array", name);
         return NULL;
     }
     if (rows >= 0 && v->shape[0] != rows) {
@@ -130,18 +156,51 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
 
 /* Contraction stays off in the source whatever the build flags: the x86-64
  * clones have FMA, and a fused o + t*t rounds once where cdist rounds
- * twice. */
+ * twice. NO_CONTRACT keeps it off in the distance helper too, should a
+ * compiler not inline it into the tile loops. */
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
+#define NO_CONTRACT
 #define SQDIST_ATTRS
-#elif defined(__GNUC__) && defined(__x86_64__)
-#define SQDIST_ATTRS __attribute__((target_clones("avx512f", "avx2", "default"), \
-                                    optimize("fp-contract=off")))
 #elif defined(__GNUC__)
-#define SQDIST_ATTRS __attribute__((optimize("fp-contract=off")))
+#define NO_CONTRACT __attribute__((optimize("fp-contract=off")))
+#if defined(__x86_64__)
+#define SQDIST_ATTRS __attribute__((target_clones("avx512f", "avx2", "default"))) NO_CONTRACT
 #else
+#define SQDIST_ATTRS NO_CONTRACT
+#endif
+#else
+#define NO_CONTRACT
 #define SQDIST_ATTRS
 #endif
+
+/* Copy rows j0 .. j0 + w - 1 of the C-contiguous n x cols array src into
+ * the coordinate-major tile: tile[k * w + j] = src[j0 + j, k]. */
+static inline void load_tile(double *tile, const double *src, Py_ssize_t j0, Py_ssize_t w,
+                             Py_ssize_t cols)
+{
+    for (Py_ssize_t j = 0; j < w; j++)
+        for (Py_ssize_t k = 0; k < cols; k++)
+            tile[k * w + j] = src[(j0 + j) * cols + k];
+}
+
+/* o[j] = sum_k (xi[k] - tile[k * w + j])^2 over the w rows of a tile, in
+ * the order k = 0..d-1 as cdist sums them; d >= 1. */
+static inline NO_CONTRACT void dist_row(double *o, const double *xi, const double *tile,
+                                        Py_ssize_t w, Py_ssize_t d)
+{
+    for (Py_ssize_t j = 0; j < w; j++) {
+        double t = xi[0] - tile[j];
+        o[j] = t * t;
+    }
+    for (Py_ssize_t k = 1; k < d; k++) {
+        const double xk = xi[k], *tk = tile + k * w;
+        for (Py_ssize_t j = 0; j < w; j++) {
+            double t = xk - tk[j];
+            o[j] += t * t;
+        }
+    }
+}
 
 /* out[i, j] = sum_k (x_ik - y_jk)^2 for the nx rows of x against the ny
  * rows of y, in the tiles of ys that fit `tile` (TILE x d doubles). */
@@ -151,24 +210,9 @@ static SQDIST_ATTRS void sqdist_tiles(const double *x, Py_ssize_t nx, const doub
 {
     for (Py_ssize_t j0 = 0; j0 < ny; j0 += TILE) {
         Py_ssize_t w = ny - j0 < TILE ? ny - j0 : TILE;
-        for (Py_ssize_t j = 0; j < w; j++)
-            for (Py_ssize_t k = 0; k < d; k++)
-                tile[k * w + j] = y[(j0 + j) * d + k];
-        for (Py_ssize_t i = 0; i < nx; i++) {
-            const double *xi = x + i * d;
-            double *o = out + i * ny + j0;
-            for (Py_ssize_t j = 0; j < w; j++) {
-                double t = xi[0] - tile[j];
-                o[j] = t * t;
-            }
-            for (Py_ssize_t k = 1; k < d; k++) {
-                const double xk = xi[k], *tk = tile + k * w;
-                for (Py_ssize_t j = 0; j < w; j++) {
-                    double t = xk - tk[j];
-                    o[j] += t * t;
-                }
-            }
-        }
+        load_tile(tile, y, j0, w, d);
+        for (Py_ssize_t i = 0; i < nx; i++)
+            dist_row(out + i * ny + j0, x + i * d, tile, w, d);
     }
 }
 
@@ -202,6 +246,102 @@ static PyObject *sqdist_block(PyObject *self, PyObject *args)
         sqdist_tiles(x, nx, y, ny, d, out, tile);
     Py_END_ALLOW_THREADS
     PyMem_Free(tile);
+    release(&vs);
+    Py_RETURN_NONE;
+}
+
+/* Radial shape codes, as skm._backend._shape numbers them. */
+enum { SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER };
+
+/* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows
+ * of x against the ny rows of y and the p columns of coef. scratch holds
+ * TILE x (d + p + 1) doubles: a tile of ys and of coef, coordinate-major,
+ * and the row of one x's kernel values against the tile. */
+static SQDIST_ATTRS void kernel_tiles(const double *x, Py_ssize_t nx, const double *y,
+                                      Py_ssize_t ny, Py_ssize_t d, const double *coef,
+                                      Py_ssize_t p, int kind, double a, double b, double c,
+                                      double *out, double *scratch)
+{
+    double *tile = scratch, *ctile = tile + TILE * d, *r = ctile + TILE * p;
+    const double na = -a, nb = -b;
+    memset(out, 0, nx * p * sizeof(double));
+    for (Py_ssize_t j0 = 0; j0 < ny; j0 += TILE) {
+        Py_ssize_t w = ny - j0 < TILE ? ny - j0 : TILE;
+        load_tile(tile, y, j0, w, d);
+        load_tile(ctile, coef, j0, w, p);
+        for (Py_ssize_t i = 0; i < nx; i++) {
+            if (d == 0)
+                memset(r, 0, w * sizeof(double));
+            else
+                dist_row(r, x + i * d, tile, w, d);
+            switch (kind) {
+            case SHAPE_SQEXP:
+                for (Py_ssize_t j = 0; j < w; j++)
+                    r[j] = exp(r[j] * na);
+                break;
+            case SHAPE_EXP:
+                for (Py_ssize_t j = 0; j < w; j++)
+                    r[j] = exp(sqrt(r[j]) * na);
+                break;
+            default:
+                for (Py_ssize_t j = 0; j < w; j++)
+                    r[j] = pow(r[j] * a + 1.0, nb);
+            }
+            /* 8 independent partial sums: one vector of them per clone,
+             * where a serial sum waits on each add. */
+            for (Py_ssize_t q = 0; q < p; q++) {
+                const double *cq = ctile + q * w;
+                double s[8] = {0.0};
+                Py_ssize_t j = 0;
+                for (; j + 8 <= w; j += 8)
+                    for (int l = 0; l < 8; l++)
+                        s[l] += r[j + l] * cq[j + l];
+                for (int l = 0; j < w; j++, l++)
+                    s[l] += r[j] * cq[j];
+                out[i * p + q] += c * (((s[0] + s[1]) + (s[2] + s[3]))
+                                       + ((s[4] + s[5]) + (s[6] + s[7])));
+            }
+        }
+    }
+}
+
+static PyObject *kernel_sums(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *yo, *co, *oo;
+    int kind;
+    double a, b, c;
+    Views vs = {.count = 0};
+    if (!PyArg_ParseTuple(args, "OOOidddO", &xo, &yo, &co, &kind, &a, &b, &c, &oo))
+        return NULL;
+    if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
+        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
+        return NULL;
+    }
+    const double *x = borrow(&vs, xo, "xs", 2, -1, 0);
+    Py_ssize_t nx = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
+    const double *y = x ? borrow(&vs, yo, "ys", 2, -1, 0) : NULL;
+    Py_ssize_t ny = y ? vs.view[1].shape[0] : 0;
+    if (y != NULL && vs.view[1].shape[1] != d)
+        PyErr_Format(PyExc_ValueError, "ys has %zd columns, xs has %zd",
+                     vs.view[1].shape[1], d);
+    const double *coef = PyErr_Occurred() ? NULL : borrow(&vs, co, "coef", 0, ny, 0);
+    int ndim = coef ? vs.view[2].ndim : 0;
+    Py_ssize_t p = ndim == 2 ? vs.view[2].shape[1] : 1;
+    double *out = coef ? borrow(&vs, oo, "out", ndim, nx, 1) : NULL;
+    if (out != NULL && ndim == 2 && vs.view[3].shape[1] != p)
+        PyErr_SetString(PyExc_ValueError, "out must have one column per column of coef");
+    double *scratch = NULL;
+    if (!PyErr_Occurred()
+        && (scratch = PyMem_Malloc(TILE * (d + p + 1) * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    if (PyErr_Occurred()) {
+        release(&vs);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    kernel_tiles(x, nx, y, ny, d, coef, p, kind, a, b, c, out, scratch);
+    Py_END_ALLOW_THREADS
+    PyMem_Free(scratch);
     release(&vs);
     Py_RETURN_NONE;
 }
@@ -263,6 +403,8 @@ static PyMethodDef methods[] = {
      "farthest_scan(points, j, sqdist, r2) -> farthest index"},
     {"sqdist_block", sqdist_block, METH_VARARGS,
      "sqdist_block(xs, ys, out) -> None"},
+    {"kernel_sums", kernel_sums, METH_VARARGS,
+     "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,
      "factor_order(gram, threshold, packed, pivots) -> kept count"},
     {NULL, NULL, 0, NULL},

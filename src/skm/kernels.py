@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import _backend
+from ._backend._shape import _BLOCK_ENTRIES, SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
 from .errors import DegenerateDataError, KernelSpecError
 
 FAMILIES = ("gaussian", "laplacian", "student")
@@ -34,16 +35,6 @@ _FAMILY_PARAMS = {
     "laplacian": ("gamma",),
     "student": ("alpha", "beta"),
 }
-
-
-# Radial shape codes: the profile c * shape(r) of a ShapeParams.
-SHAPE_SQEXP = 0  # c * exp(-a * r^2)
-SHAPE_EXP = 1    # c * exp(-a * r)
-SHAPE_POWER = 2  # c * (1 + a * r^2) ** (-b)
-
-# A kernel or distance block holds at most this many entries (2 MB), so the
-# memory of a kernel sum or of mode clustering stays flat whatever the size.
-_BLOCK_ENTRIES = 2**18
 
 
 class ShapeParams(NamedTuple):
@@ -192,23 +183,6 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
     )
 
 
-def _apply_shape(params: ShapeParams, r2):
-    """c * shape(r), computed in place on the float64 array r2 of squared distances."""
-    kind, a, b, c = params
-    if kind == SHAPE_POWER:
-        r2 *= a
-        r2 += 1.0
-        np.power(r2, -b, out=r2)
-    else:
-        if kind == SHAPE_EXP:
-            np.sqrt(r2, out=r2)
-        r2 *= -a
-        np.exp(r2, out=r2)
-    if c != 1.0:
-        r2 *= c
-    return r2
-
-
 def _at_dist(params: ShapeParams, r):
     r2 = np.array(r, dtype=np.float64)
     r2 *= r2
@@ -267,16 +241,18 @@ def kernel_block(params: ShapeParams, xs, ys=None):
 
 
 def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
-    """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D float64 `xs`.
+    """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D `xs`.
 
-    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). The
-    kernel values are formed in row blocks of at most 2^18 entries, or one
-    row when ys is longer, so memory stays flat whatever the sizes.
+    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). One
+    `_backend.kernel_sums` call forms the sums without a kernel block: the
+    compiled backend tiles ys and keeps its scratch to a few tiles, and the
+    numpy backend works in blocks of at most 2^18 entries, so memory stays
+    flat whatever the sizes. The compiled sums use libmvec's exp and pow on
+    x86-64 glibc and differ from the numpy backend's in the last bits.
     """
+    xs, ys, coef = (np.ascontiguousarray(v, dtype=np.float64) for v in (xs, ys, coef))
     out = np.empty((xs.shape[0],) + coef.shape[1:])
-    rows = max(1, _BLOCK_ENTRIES // ys.shape[0])
-    for i in range(0, xs.shape[0], rows):
-        out[i:i + rows] = kernel_block(params, xs[i:i + rows], ys) @ coef
+    _backend.kernel_sums(xs, ys, coef, *params, out)
     return out
 
 

@@ -3,8 +3,10 @@ and build the compiled backend for the parity tests."""
 
 import importlib.util
 import os
+import platform
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -26,15 +28,19 @@ def fastcore(tmp_path_factory):
     """The compiled backend, built from `_fastcore.c` with gcc and imported.
 
     Built from the source tree on every run, so the parity tests check the
-    C as it is now, whether or not an installed build exists.
+    C as it is now, whether or not an installed build exists. On x86-64
+    Linux it takes setup.py's flags for glibc's vector exp and pow.
     """
     if shutil.which("gcc") is None:
         pytest.skip("gcc is not available")
     src = Path(_SRC) / "skm" / "_backend" / "_fastcore.c"
     out = tmp_path_factory.mktemp("fastcore") / ("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    vector_math = sys.platform == "linux" and platform.machine() == "x86_64"
     subprocess.run(
-        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC",
-         "-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out)],
+        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC"]
+        + (["-fno-math-errno"] if vector_math else [])
+        + ["-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out)]
+        + (["-lmvec"] if vector_math else []),
         check=True, capture_output=True, text=True,
     )
     spec = importlib.util.spec_from_file_location("_fastcore", out)

@@ -1,4 +1,7 @@
+import platform
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +24,13 @@ from skm.kernels import (
     ShapeParams,
     _apply_shape,
     block_sums,
+    eval_params,
     g_zero,
     gram_matrix,
     kernel_block,
 )
-from skm.sparse_mean import fit, fit_with_support, incoherence
+from skm.meanshift import cluster_modes, mean_shift_all
+from skm.sparse_mean import evaluate, fit, fit_with_support, full_mean, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 
@@ -86,8 +91,9 @@ def test_farthest_scan_semantics(impl):
 ], ids=["sqexp", "exp", "power"])
 def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
     # extend takes kappa_j from the scan's distance row; block_sums forms it
-    # from cdist, the path of the fixed-order fits.
+    # in one kernel sum, the path of the fixed-order fits.
     monkeypatch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+    monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
     state, scan = CholeskyWeights(DataSet(points), spec), FarthestFirst(points)
@@ -200,6 +206,145 @@ def test_kernel_block_is_the_shape_of_cdist(impl, monkeypatch):
         expected = _apply_shape(params, cdist(np.atleast_2d(x),
                                               np.atleast_2d(x if y is None else y), "sqeuclidean"))
         assert_array_equal(kernel_block(params, x, y), expected)
+
+
+# A kernel sum may differ from kernel_block(...) @ coef by this much per
+# unit of sum_j |coef_j| * c: the compiled exp and pow (libmvec, per ISA
+# clone) and the 8 partial sums round differently from numpy's exp and
+# matrix product. Observed differences are below 1e-15.
+SUM_RTOL = 1e-13
+
+SHAPES = [ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0), ShapeParams(SHAPE_EXP, 0.8, 0.0, 1.5),
+          ShapeParams(SHAPE_POWER, 0.5, 2.5, 0.7)]
+
+
+def _kernel_sums(impl, params, xs, ys, coef):
+    out = np.full((xs.shape[0],) + coef.shape[1:], -1.0)
+    assert impl.kernel_sums(xs, ys, coef, *params, out) is None
+    return out
+
+
+def _assert_sums_close(got, params, xs, ys, coef, block=None):
+    block = kernel_block(params, xs, ys) if block is None else block
+    tol = SUM_RTOL * params.c * np.abs(coef).sum(axis=0)
+    assert np.all(np.abs(got - block @ coef) <= tol)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_kernel_sums_match_the_kernel_block(impl, params, d):
+    # Row counts on both sides of the compiled loop's 256-row tiles and of
+    # its 8 partial sums; coef with one column, as a vector or not, and
+    # with three.
+    rng = np.random.default_rng(d)
+    xs = random_case(rng, n=1000, d=d)
+    for m in (1, 255, 256, 257, 600, 3000):
+        ys = random_case(rng, n=m, d=d) * 1.5
+        for x in (xs[:0], xs[:1], xs):
+            block = kernel_block(params, x, ys)
+            for coef in (rng.normal(size=m), rng.normal(size=(m, 1)), rng.normal(size=(m, 3))):
+                got = _kernel_sums(impl, params, x, ys, coef)
+                _assert_sums_close(got, params, x, ys, coef, block)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@given(data=st.data())
+def test_kernel_sums_match_the_kernel_block_on_random_shapes(impl, data):
+    nx = data.draw(st.integers(0, 30), label="nx")
+    m = data.draw(st.integers(1, 700), label="m")
+    d = data.draw(st.integers(1, 12), label="d")
+    p = data.draw(st.integers(0, 4), label="p (0: a vector)")
+    kind = data.draw(st.sampled_from([SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER]), label="kind")
+    a = data.draw(st.sampled_from([1e-6, 0.05, 1.0, 30.0]), label="a")
+    b = data.draw(st.sampled_from([0.5, 1.0, 3.5]), label="b") if kind == SHAPE_POWER else 0.0
+    c = data.draw(st.sampled_from([1.0, 0.37, 12.0]), label="c")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    xs, ys = random_case(rng, n=nx, d=d), random_case(rng, n=m, d=d)
+    if data.draw(st.booleans(), label="shared rows") and nx:
+        ys[rng.integers(m, size=nx)] = xs  # exact zeros
+    coef = rng.normal(size=(m, p) if p else m)
+    params = ShapeParams(kind, a, b, c)
+    _assert_sums_close(_kernel_sums(impl, params, xs, ys, coef), params, xs, ys, coef)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_kernel_sums_reject_bad_buffers_before_writing(impl):
+    xs, ys, coef = np.zeros((4, 3)), np.ones((5, 3)), np.ones((5, 2))
+    readonly = np.full((4, 2), -1.0)
+    readonly.setflags(write=False)
+    cases = [
+        (ValueError, "unknown shape kind 3", {"kind": 3}),
+        (TypeError, "xs must be a float64 array", {"xs": xs.astype(np.float32)}),
+        (TypeError, "ys must be a float64 array", {"ys": np.ones((5, 3), np.int64)}),
+        (TypeError, "coef must be a float64 array", {"coef": coef.astype(np.float32)}),
+        (TypeError, "out must be a float64 array", {"out": np.full((4, 2), -1.0, np.float32)}),
+        (ValueError, "xs must be a C-contiguous 2-D", {"xs": np.zeros((4, 6))[:, ::2]}),
+        (ValueError, "ys must be a C-contiguous 2-D", {"ys": np.ones(15)}),
+        (ValueError, "coef must be a C-contiguous 1-D or 2-D", {"coef": np.ones((5, 4))[:, ::2]}),
+        (ValueError, "coef must be a C-contiguous 1-D or 2-D", {"coef": np.ones((5, 2, 1))}),
+        (ValueError, "out must be a C-contiguous 2-D", {"out": np.full((4, 4), -1.0)[:, ::2]}),
+        (ValueError, "ys has 2 columns, xs has 3", {"ys": np.ones((5, 2))}),
+        (ValueError, "coef has the wrong length", {"coef": np.ones((6, 2))}),
+        (ValueError, "out has the wrong length", {"out": np.full((5, 2), -1.0)}),
+        (ValueError, "out must have one column per column of coef", {"out": np.full((4, 3), -1.0)}),
+        (ValueError, "out must be a C-contiguous 1-D", {"coef": np.ones(5)}),
+        (ValueError, "out must be a C-contiguous 2-D", {"out": np.full(4, -1.0)}),
+        (ValueError, "out must be writable", {"out": readonly}),
+    ]
+    for error, message, bad in cases:
+        args = {"xs": xs, "ys": ys, "coef": coef, "kind": SHAPE_SQEXP,
+                "out": np.full((4, 2), -1.0)} | bad
+        sentinel = args["out"].base if args["out"].base is not None else args["out"]
+        with pytest.raises(error, match=message):
+            impl.kernel_sums(args["xs"], args["ys"], args["coef"], args["kind"], 0.5, 0.0, 1.0,
+                             args["out"])
+        assert np.all(sentinel == -1.0), message
+
+
+@pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="libmvec is glibc's, for x86-64")
+def test_compiled_kernel_sums_call_the_vector_exp(fastcore):
+    # Without -fno-math-errno, -lmvec or the simd declarations gcc calls the
+    # scalar exp and pow; the sums would still pass, only slower.
+    symbols = Path(fastcore.__file__).read_bytes()
+    for name in (b"_ZGVeN8v_exp", b"_ZGVdN4v_exp", b"_ZGVeN8vv_pow", b"_ZGVdN4vv_pow"):
+        assert name in symbols, name
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_evaluate_takes_any_query_layout(impl, monkeypatch):
+    monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
+    rng = np.random.default_rng(8)
+    mean = fit(DataSet(rng.normal(size=(400, 3))), RadialKernelSpec("gaussian", dim=3, sigma=0.7),
+               k_max=40, epsilon=0.0, first=0)
+    grid = rng.integers(-3, 4, size=(300, 6))
+    queries = grid[:, ::2].astype(np.float64)
+    expected = evaluate(mean, np.ascontiguousarray(queries))
+    for layout in (np.asfortranarray(queries), queries, grid[:, ::2], grid[::-1, ::2][::-1]):
+        assert_array_equal(evaluate(mean, layout), expected)
+    _assert_sums_close(expected, eval_params(mean.spec), queries, mean.support, mean.alpha)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_mean_shift_sums_over_the_support_and_its_weights(impl, monkeypatch):
+    # One round is one kernel sum against alpha * [support | 1], p = d + 1.
+    monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
+    rng = np.random.default_rng(9)
+    centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+    data = DataSet(np.vstack([c + 0.5 * rng.standard_normal((200, 2)) for c in centers]))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=0.8, normalization="density")
+    mean = full_mean(data, spec)
+    weights = kernel_block(eval_params(spec), data.points, mean.support) * mean.alpha
+    expected = weights @ mean.support / weights.sum(axis=1, keepdims=True)
+    one = mean_shift_all(data, mean, gamma=1e-3, max_iter=1)
+    assert_allclose(one.shifted, expected, rtol=1e-12, atol=1e-12)
+    result = mean_shift_all(data, mean, gamma=1e-6)
+    assert result.converged.all()
+    clusters = cluster_modes(result, 0.8)
+    assert clusters.n_clusters == 3
+    assert_allclose(np.sort(clusters.modes[:, 0]), [0.0, 0.0, 4.0], atol=0.2)
 
 
 def _factor(impl, gram, threshold):
@@ -336,9 +481,10 @@ def test_fit_agrees_across_backends(fastcore):
 
 
 def _fit_and_select(impl, points, sigma, k, first):
-    """fit and kcenter_greedy with `farthest_scan` taken from impl."""
+    """fit and kcenter_greedy with `farthest_scan` and `kernel_sums` taken from impl."""
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        patch.setattr(_backend, "kernel_sums", impl.kernel_sums)
         warnings.simplefilter("ignore")  # k may exceed the distinct points
         data = DataSet(points)
         spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)

@@ -323,7 +323,8 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
-    assert calls == {"farthest_scan": 60, "sqdist_block": 0, "factor_order": 0}
+    assert calls == {"farthest_scan": 60, "sqdist_block": 0, "kernel_sums": 0,
+                     "factor_order": 0}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
@@ -334,14 +335,15 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
     assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps), "sqdist_block": 0, "factor_order": 0}
+    assert calls == {"farthest_scan": len(steps), "sqdist_block": 0, "kernel_sums": 0,
+                     "factor_order": 0}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
-    # Their kappa is one block sum over the order, not a scan per point, and
-    # their factor is one backend call, not one extend per point. Each fit
-    # forms two distance blocks: the Gram block of the order and the kappa
-    # block of the kept points against the 400 points.
+    # Their kappa is one kernel sum over the order, not a scan per point,
+    # and their factor is one backend call, not one extend per point. Each
+    # fit forms one distance block, the Gram block of the order, and one
+    # kernel sum, the kappa of the kept points against the 400 points.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
@@ -349,7 +351,8 @@ def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
     monkeypatch.setattr(CholeskyWeights, "extend", None)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "sqdist_block": 4, "factor_order": 2}
+    assert calls == {"farthest_scan": 0, "sqdist_block": 2, "kernel_sums": 2,
+                     "factor_order": 2}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
