@@ -1,16 +1,17 @@
 """Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
-All timings run in one process. The scan, the distance block and the
-kernel sums are timed against each implementation directly. The distance
-block is timed on one 2^18-entry block at the evaluate shapes of the
-fit-tall and fit-deep benchmark workloads (k0 supports in d dimensions,
-2^18 // k0 query rows). The kernel sums are timed on the whole evaluate
-of those workloads (100000 queries x 150 supports in d=8, 50000 x 600 in
-d=5, one Gaussian column) and on one full mean-shift round of the apps
-workload (2000 points x 2000 supports in d=2, p = d + 1 columns). The
-end-to-end fit and `fit_with_support` on the floor(3 sqrt(n))
-farthest-first support swap every `skm._backend` primitive for the
-implementation's own.
+All timings run in one process. The scan, the kernel sums and the factor
+step are timed against each implementation directly. The kernel sums are
+timed on the whole evaluate of the fit-tall and fit-deep benchmark
+workloads (100000 queries x 150 supports in d=8, 50000 x 600 in d=5, one
+Gaussian column) and on one full mean-shift round of the apps workload
+(2000 points x 2000 supports in d=2, p = d + 1 columns). `factor_order`
+is timed on the farthest-first order of standard-normal points, Gaussian
+sigma = 1: at the last greedy step of fit-deep (row 599 of 600 in d=5),
+and on whole fixed orders of 94 points in d=2 (the CPE bandwidth search's
+size) and of 600 in d=5. The end-to-end fit and `fit_with_support` on the
+floor(3 sqrt(n)) farthest-first support swap every `skm._backend`
+primitive for the implementation's own.
 
 Usage: python benchmarks/bench_backends.py [--n 20000] [--d 5] [--kmax 300]
 """
@@ -25,7 +26,7 @@ from skm import _backend
 from skm._backend import _numpy_impl
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
-from skm.kernels import _BLOCK_ENTRIES, SHAPE_SQEXP, RadialKernelSpec
+from skm.kernels import SHAPE_SQEXP, RadialKernelSpec
 from skm.sparse_mean import default_k_max, fit_with_support
 
 try:
@@ -33,13 +34,15 @@ try:
 except ImportError:
     _fastcore = None
 
-PRIMITIVES = ("farthest_scan", "sqdist_block", "kernel_sums", "factor_order")
-# (workload, d, k0) of the evaluate step of the fit benchmarks.
-EVAL_SHAPES = (("fit-tall", 8, 150), ("fit-deep", 5, 600))
+PRIMITIVES = ("farthest_scan", "kernel_sums", "factor_order")
 # (op, queries, supports, d, coef columns) of the benchmark's kernel sums:
 # the two evaluate steps and a round of the full mean shift.
 SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 600, 5, 1),
               ("meanshift_full", 2000, 2000, 2, 3))
+# (op, points, d, m, start) of the factor steps: the last greedy step of
+# fit-deep and two whole fixed orders.
+FACTOR_SHAPES = (("greedy step", 10_000, 5, 600, 599), ("fixed order", 1000, 2, 94, 0),
+                 ("fixed order", 10_000, 5, 600, 0))
 
 
 def best_of(repeat, fn):
@@ -56,19 +59,23 @@ def bench_scan(impl, points, repeat=7):
     return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, r2))
 
 
-def bench_sqdist(impl, d, m, repeat=7):
-    rng = np.random.default_rng(2)
-    xs, ys = rng.normal(size=(_BLOCK_ENTRIES // m, d)), rng.normal(size=(m, d))
-    out = np.empty((xs.shape[0], m))
-    return best_of(repeat, lambda: impl.sqdist_block(xs, ys, out))
-
-
 def bench_sums(impl, nx, m, d, p, repeat=5):
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(size=(nx, d)), rng.normal(size=(m, d))
     coef = rng.random(m) if p == 1 else rng.random((m, p))
     out = np.empty((nx,) + coef.shape[1:])
     return best_of(repeat, lambda: impl.kernel_sums(xs, ys, coef, SHAPE_SQEXP, 0.5, 0.0, 1.0, out))
+
+
+def bench_factor(impl, n, d, m, start, repeat=7):
+    """factor_order on rows start..m-1 of a farthest-first order, rows before start factored."""
+    data = DataSet(np.random.default_rng(4).normal(size=(n, d)))
+    points = data.points[kcenter_greedy(data, m, first=0).order]
+    packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
+    args = (SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9)
+    head = start * (start + 1) // 2
+    impl.factor_order(points[:start], *args, 0, packed[:head], pivots[:start])
+    return best_of(repeat, lambda: impl.factor_order(points, *args, start, packed, pivots))
 
 
 def swapped(impl, repeat, fn):
@@ -116,17 +123,6 @@ def main():
         print(f"  speedup   {rows[0][1] / rows[1][1]:11.2f} x  {rows[0][2] / rows[1][2]:6.2f} x"
               f" {rows[0][3] / rows[1][3]:15.2f} x")
 
-    print("sqdist_block on one 2^18-entry block of 2^18 // k0 query rows, best of 7")
-    print(f"  {'workload':9s} {'rows x k0 x d':>15s} {'backend':9s} {'block':>9s} {'per entry':>10s}")
-    for name, d, m in EVAL_SHAPES:
-        entries = _BLOCK_ENTRIES // m * m
-        times = [bench_sqdist(impl, d, m) for _, impl in impls]
-        for (label, _), t in zip(impls, times):
-            shape = f"{entries // m} x {m} x {d}"
-            print(f"  {name:9s} {shape:>15s} {label:9s} {t * 1e3:6.3f} ms {t / entries * 1e9:5.2f} ns")
-        if len(times) == 2:
-            print(f"  {'':9s} {'':15s} {'speedup':9s} {times[0] / times[1]:6.2f} x")
-
     print("kernel_sums, Gaussian, best of 5")
     print(f"  {'op':15s} {'queries x k0 x d, p':>22s} {'backend':9s} {'sums':>10s} {'per entry':>10s}")
     for name, nx, m, d, p in SUM_SHAPES:
@@ -136,6 +132,16 @@ def main():
             print(f"  {name:15s} {shape:>22s} {label:9s} {t * 1e3:7.2f} ms {t / (nx * m) * 1e9:5.2f} ns")
         if len(times) == 2:
             print(f"  {'':15s} {'':22s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
+
+    print("factor_order, Gaussian sigma = 1, farthest-first order, best of 7")
+    print(f"  {'op':12s} {'rows of m x d':>20s} {'backend':9s} {'factor':>10s}")
+    for name, n, d, m, start in FACTOR_SHAPES:
+        times = [bench_factor(impl, n, d, m, start) for _, impl in impls]
+        for (label, _), t in zip(impls, times):
+            shape = f"{start}..{m - 1} of {m} x {d}"
+            print(f"  {name:12s} {shape:>20s} {label:9s} {t * 1e3:7.3f} ms")
+        if len(times) == 2:
+            print(f"  {'':12s} {'':20s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
     if _fastcore is None:
         print("  (compiled extension not built; numpy fallback only)")
 

@@ -1,6 +1,5 @@
-/* Compiled inner loops: the farthest-first scan, the squared-distance
- * block under every Gram block, the kernel sums and the fixed-order
- * pivoted Cholesky factorisation. The signatures match
+/* Compiled inner loops: the farthest-first scan, the kernel sums and the
+ * pivoted Cholesky step of both fits. The signatures match
  * skm._backend._numpy_impl exactly.
  *
  * The scan writes each point's squared distance to the new center into a
@@ -10,28 +9,25 @@
  * computed from the first buffer in numpy, by the one numpy shape
  * function (skm._backend._shape).
  *
- * The distance block writes ||x_i - y_j||^2 into out[i, j], summing the
- * coordinates in the order k = 0..d-1 as scipy's cdist "sqeuclidean"
- * does, so the two are bit-identical. The rows of ys are copied TILE at a
- * time into a coordinate-major scratch of TILE x d doubles, whatever the
- * number of rows, and the loop runs along the contiguous entries of a
- * tile. Its clones for AVX-512 and AVX2 are picked at load time, and
- * floating-point contraction is off for it: a fused multiply-add would
- * round t*t + o once instead of twice and differ from cdist.
- *
  * The kernel sums write c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
- * out[i, q] in one pass over the same tiles: the tile's coef rows are
- * copied coordinate-major beside its coordinates, each x row's distances
- * to the tile go into one row buffer with the distance block's arithmetic,
- * the shape is applied in place and the row is dotted with each coef
- * column in 8 fixed partial sums. On x86-64 glibc the shape calls the
- * vector exp and pow of libmvec, so the sums differ from the numpy
+ * out[i, q] in one pass over tiles of ys: the rows of ys and of coef are
+ * copied TILE at a time into a coordinate-major scratch, each x row's
+ * distances to the tile go into one row buffer, the shape is applied in
+ * place and the row is dotted with each coef column in 8 fixed partial
+ * sums. The distances sum the coordinates in the order k = 0..d-1 as
+ * scipy's cdist "sqeuclidean" does, with floating-point contraction off,
+ * so they are bit-identical to cdist's. The loops are cloned for AVX-512
+ * and AVX2, picked at load time. On x86-64 glibc the shape calls the
+ * vector exp and pow of libmvec, so kernel values differ from the numpy
  * backend's in the last bits, and between the AVX-512, AVX2 and SSE2
- * clones too; the distances stay bit-identical to cdist.
+ * clones too.
  *
- * The factorisation takes the Gram block of a candidate order and keeps
- * each candidate whose pivot passes a threshold, writing the packed rows
- * of the lower factor of the kept points and every candidate's pivot.
+ * The factorisation is partial pivoted Cholesky along the rows of a point
+ * array: each candidate's Gram row against the kept points is formed with
+ * the same distance, shape and dot code, solved against the packed lower
+ * factor, and the candidate is kept when its pivot passes a threshold. The
+ * greedy fit runs it on one new candidate at a time, a fixed-order fit on
+ * the whole order at once.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 of the right shape; anything else raises TypeError or
@@ -156,45 +152,50 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
 
 /* Contraction stays off in the source whatever the build flags: the x86-64
  * clones have FMA, and a fused o + t*t rounds once where cdist rounds
- * twice. NO_CONTRACT keeps it off in the distance helper too, should a
- * compiler not inline it into the tile loops. */
+ * twice. NO_CONTRACT keeps it off in the helpers too, should a compiler
+ * not inline them into the cloned loops. */
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #define NO_CONTRACT
-#define SQDIST_ATTRS
+#define CLONED
 #elif defined(__GNUC__)
 #define NO_CONTRACT __attribute__((optimize("fp-contract=off")))
 #if defined(__x86_64__)
-#define SQDIST_ATTRS __attribute__((target_clones("avx512f", "avx2", "default"))) NO_CONTRACT
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default"))) NO_CONTRACT
 #else
-#define SQDIST_ATTRS NO_CONTRACT
+#define CLONED NO_CONTRACT
 #endif
 #else
 #define NO_CONTRACT
-#define SQDIST_ATTRS
+#define CLONED
 #endif
 
 /* Copy rows j0 .. j0 + w - 1 of the C-contiguous n x cols array src into
- * the coordinate-major tile: tile[k * w + j] = src[j0 + j, k]. */
+ * the coordinate-major tile with ld entries per coordinate:
+ * tile[k * ld + j] = src[j0 + j, k]. */
 static inline void load_tile(double *tile, const double *src, Py_ssize_t j0, Py_ssize_t w,
-                             Py_ssize_t cols)
+                             Py_ssize_t ld, Py_ssize_t cols)
 {
     for (Py_ssize_t j = 0; j < w; j++)
         for (Py_ssize_t k = 0; k < cols; k++)
-            tile[k * w + j] = src[(j0 + j) * cols + k];
+            tile[k * ld + j] = src[(j0 + j) * cols + k];
 }
 
-/* o[j] = sum_k (xi[k] - tile[k * w + j])^2 over the w rows of a tile, in
- * the order k = 0..d-1 as cdist sums them; d >= 1. */
+/* o[j] = sum_k (xi[k] - tile[k * ld + j])^2 over the first w rows of a
+ * tile, in the order k = 0..d-1 as cdist sums them; no coordinates give 0. */
 static inline NO_CONTRACT void dist_row(double *o, const double *xi, const double *tile,
-                                        Py_ssize_t w, Py_ssize_t d)
+                                        Py_ssize_t w, Py_ssize_t ld, Py_ssize_t d)
 {
+    if (d == 0) {
+        memset(o, 0, w * sizeof(double));
+        return;
+    }
     for (Py_ssize_t j = 0; j < w; j++) {
         double t = xi[0] - tile[j];
         o[j] = t * t;
     }
     for (Py_ssize_t k = 1; k < d; k++) {
-        const double xk = xi[k], *tk = tile + k * w;
+        const double xk = xi[k], *tk = tile + k * ld;
         for (Py_ssize_t j = 0; j < w; j++) {
             double t = xk - tk[j];
             o[j] += t * t;
@@ -202,105 +203,63 @@ static inline NO_CONTRACT void dist_row(double *o, const double *xi, const doubl
     }
 }
 
-/* out[i, j] = sum_k (x_ik - y_jk)^2 for the nx rows of x against the ny
- * rows of y, in the tiles of ys that fit `tile` (TILE x d doubles). */
-static SQDIST_ATTRS void sqdist_tiles(const double *x, Py_ssize_t nx, const double *y,
-                                      Py_ssize_t ny, Py_ssize_t d, double *out,
-                                      double *tile)
-{
-    for (Py_ssize_t j0 = 0; j0 < ny; j0 += TILE) {
-        Py_ssize_t w = ny - j0 < TILE ? ny - j0 : TILE;
-        load_tile(tile, y, j0, w, d);
-        for (Py_ssize_t i = 0; i < nx; i++)
-            dist_row(out + i * ny + j0, x + i * d, tile, w, d);
-    }
-}
-
-static PyObject *sqdist_block(PyObject *self, PyObject *args)
-{
-    PyObject *xo, *yo, *oo;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OOO", &xo, &yo, &oo))
-        return NULL;
-    const double *x = borrow(&vs, xo, "xs", 2, -1, 0);
-    Py_ssize_t nx = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    const double *y = x ? borrow(&vs, yo, "ys", 2, -1, 0) : NULL;
-    Py_ssize_t ny = y ? vs.view[1].shape[0] : 0;
-    if (y != NULL && vs.view[1].shape[1] != d)
-        PyErr_Format(PyExc_ValueError, "ys has %zd columns, xs has %zd",
-                     vs.view[1].shape[1], d);
-    double *out = PyErr_Occurred() ? NULL : borrow(&vs, oo, "out", 2, nx, 1);
-    if (out != NULL && vs.view[2].shape[1] != ny)
-        PyErr_SetString(PyExc_ValueError, "out must have one column per row of ys");
-    double *tile = NULL;
-    if (!PyErr_Occurred() && d > 0 && (tile = PyMem_Malloc(TILE * d * sizeof(double))) == NULL)
-        PyErr_NoMemory();
-    if (PyErr_Occurred()) {
-        release(&vs);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    if (d == 0)
-        memset(out, 0, nx * ny * sizeof(double));
-    else
-        sqdist_tiles(x, nx, y, ny, d, out, tile);
-    Py_END_ALLOW_THREADS
-    PyMem_Free(tile);
-    release(&vs);
-    Py_RETURN_NONE;
-}
-
 /* Radial shape codes, as skm._backend._shape numbers them. */
 enum { SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER };
+
+/* r[j] = shape(r[j]) for the w squared distances of one row, each kind
+ * in a loop of its own so that every clone calls libmvec's vector exp or
+ * pow of its width. */
+static inline NO_CONTRACT void shape_row(double *r, Py_ssize_t w, int kind, double a, double b)
+{
+    const double na = -a, nb = -b;
+    switch (kind) {
+    case SHAPE_SQEXP:
+        for (Py_ssize_t j = 0; j < w; j++)
+            r[j] = exp(r[j] * na);
+        break;
+    case SHAPE_EXP:
+        for (Py_ssize_t j = 0; j < w; j++)
+            r[j] = exp(sqrt(r[j]) * na);
+        break;
+    default:
+        for (Py_ssize_t j = 0; j < w; j++)
+            r[j] = pow(r[j] * a + 1.0, nb);
+    }
+}
+
+/* sum_j u[j] v[j] in 8 independent partial sums: one vector of them per
+ * clone, where a serial sum waits on each add. */
+static inline NO_CONTRACT double dot(const double *u, const double *v, Py_ssize_t w)
+{
+    double s[8] = {0.0};
+    Py_ssize_t j = 0;
+    for (; j + 8 <= w; j += 8)
+        for (int l = 0; l < 8; l++)
+            s[l] += u[j + l] * v[j + l];
+    for (int l = 0; j < w; j++, l++)
+        s[l] += u[j] * v[j];
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
 
 /* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows
  * of x against the ny rows of y and the p columns of coef. scratch holds
  * TILE x (d + p + 1) doubles: a tile of ys and of coef, coordinate-major,
  * and the row of one x's kernel values against the tile. */
-static SQDIST_ATTRS void kernel_tiles(const double *x, Py_ssize_t nx, const double *y,
-                                      Py_ssize_t ny, Py_ssize_t d, const double *coef,
-                                      Py_ssize_t p, int kind, double a, double b, double c,
-                                      double *out, double *scratch)
+static CLONED void kernel_tiles(const double *x, Py_ssize_t nx, const double *y, Py_ssize_t ny,
+                                Py_ssize_t d, const double *coef, Py_ssize_t p, int kind,
+                                double a, double b, double c, double *out, double *scratch)
 {
     double *tile = scratch, *ctile = tile + TILE * d, *r = ctile + TILE * p;
-    const double na = -a, nb = -b;
     memset(out, 0, nx * p * sizeof(double));
     for (Py_ssize_t j0 = 0; j0 < ny; j0 += TILE) {
         Py_ssize_t w = ny - j0 < TILE ? ny - j0 : TILE;
-        load_tile(tile, y, j0, w, d);
-        load_tile(ctile, coef, j0, w, p);
+        load_tile(tile, y, j0, w, w, d);
+        load_tile(ctile, coef, j0, w, w, p);
         for (Py_ssize_t i = 0; i < nx; i++) {
-            if (d == 0)
-                memset(r, 0, w * sizeof(double));
-            else
-                dist_row(r, x + i * d, tile, w, d);
-            switch (kind) {
-            case SHAPE_SQEXP:
-                for (Py_ssize_t j = 0; j < w; j++)
-                    r[j] = exp(r[j] * na);
-                break;
-            case SHAPE_EXP:
-                for (Py_ssize_t j = 0; j < w; j++)
-                    r[j] = exp(sqrt(r[j]) * na);
-                break;
-            default:
-                for (Py_ssize_t j = 0; j < w; j++)
-                    r[j] = pow(r[j] * a + 1.0, nb);
-            }
-            /* 8 independent partial sums: one vector of them per clone,
-             * where a serial sum waits on each add. */
-            for (Py_ssize_t q = 0; q < p; q++) {
-                const double *cq = ctile + q * w;
-                double s[8] = {0.0};
-                Py_ssize_t j = 0;
-                for (; j + 8 <= w; j += 8)
-                    for (int l = 0; l < 8; l++)
-                        s[l] += r[j + l] * cq[j + l];
-                for (int l = 0; j < w; j++, l++)
-                    s[l] += r[j] * cq[j];
-                out[i * p + q] += c * (((s[0] + s[1]) + (s[2] + s[3]))
-                                       + ((s[4] + s[5]) + (s[6] + s[7])));
-            }
+            dist_row(r, x + i * d, tile, w, w, d);
+            shape_row(r, w, kind, a, b);
+            for (Py_ssize_t q = 0; q < p; q++)
+                out[i * p + q] += c * dot(r, ctile + q * w, w);
         }
     }
 }
@@ -346,54 +305,75 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Candidate i is kept when its pivot g_ii - w'w, with w = L^{-1} g_i over
- * the kept points before it, exceeds the threshold. w goes straight into
- * the next packed row of L, so a dropped candidate is overwritten by the
- * next one and nothing has to be undone. */
+/* Partial pivoted Cholesky of the m rows of x from row start on; the rows
+ * before start are kept already, with their packed factor in place.
+ * Candidate i's Gram row against the kept points, c * shape(||x_i -
+ * x_t||^2), goes straight into the next packed row w of L and is solved
+ * there, w_t = (g_t - L_t . w) / L_tt. Its pivot is c - w'w, since g_ii =
+ * c * shape(0) = c for every shape. When the pivot exceeds the threshold
+ * the row gets sqrt(pivot) and the candidate is kept; otherwise the next
+ * candidate overwrites it and nothing has to be undone. kt holds m x d
+ * doubles: the kept points, coordinate-major with m entries per
+ * coordinate. Returns the number kept. */
+static CLONED Py_ssize_t factor_rows(const double *x, Py_ssize_t m, Py_ssize_t d, int kind,
+                                     double a, double b, double c, double threshold,
+                                     Py_ssize_t start, double *packed, double *pivots,
+                                     double *kt)
+{
+    Py_ssize_t kept = start;
+    load_tile(kt, x, 0, start, m, d);
+    for (Py_ssize_t i = start; i < m; i++) {
+        double *w = packed + kept * (kept + 1) / 2;
+        dist_row(w, x + i * d, kt, kept, m, d);
+        shape_row(w, kept, kind, a, b);
+        for (Py_ssize_t t = 0; t < kept; t++)
+            w[t] *= c;
+        for (Py_ssize_t t = 0; t < kept; t++) {
+            const double *row = packed + t * (t + 1) / 2;
+            w[t] = (w[t] - dot(row, w, t)) / row[t];
+        }
+        pivots[i] = c - dot(w, w, kept);
+        if (pivots[i] > threshold) {
+            w[kept] = sqrt(pivots[i]);
+            load_tile(kt + kept, x, i, 1, m, d);
+            kept++;
+        }
+    }
+    return kept;
+}
+
 static PyObject *factor_order(PyObject *self, PyObject *args)
 {
-    PyObject *go, *lo, *po;
-    double threshold;
-    Py_ssize_t kept = 0;
+    PyObject *xo, *lo, *po;
+    int kind;
+    double a, b, c, threshold;
+    Py_ssize_t start, kept;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OdOO", &go, &threshold, &lo, &po))
+    if (!PyArg_ParseTuple(args, "OiddddnOO", &xo, &kind, &a, &b, &c, &threshold, &start,
+                          &lo, &po))
         return NULL;
-    const double *g = borrow(&vs, go, "gram", 2, -1, 0);
-    Py_ssize_t m = g ? vs.view[0].shape[0] : 0;
-    if (g != NULL && vs.view[0].shape[1] != m)
-        PyErr_SetString(PyExc_ValueError, "gram must be square");
+    if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
+        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
+        return NULL;
+    }
+    const double *x = borrow(&vs, xo, "points", 2, -1, 0);
+    Py_ssize_t m = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
+    if (x != NULL && (start < 0 || start > m))
+        PyErr_Format(PyExc_ValueError, "start %zd out of range for m=%zd", start, m);
     double *packed = PyErr_Occurred() ? NULL
                    : borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 1);
     double *pivots = packed ? borrow(&vs, po, "pivots", 1, m, 1) : NULL;
-    if (pivots == NULL) {
+    double *kt = NULL;
+    if (pivots != NULL && (kt = PyMem_Malloc((m * d + 1) * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    if (kt == NULL) {
         release(&vs);
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < m; i++) {
-        const double *gi = g + i * m;
-        double *w = packed + kept * (kept + 1) / 2;
-        double ww = 0.0;
-        /* Forward substitution L w = g_i, restricted to the kept points:
-         * row t of L belongs to the t-th kept candidate before i. */
-        for (Py_ssize_t l = 0, t = 0; l < i; l++) {
-            if (!(pivots[l] > threshold))
-                continue;
-            const double *row = packed + t * (t + 1) / 2;
-            double acc = gi[l];
-            for (Py_ssize_t s = 0; s < t; s++)
-                acc -= row[s] * w[s];
-            w[t] = acc / row[t];
-            ww += w[t] * w[t];
-            t++;
-        }
-        pivots[i] = gi[i] - ww;
-        if (pivots[i] > threshold) {
-            w[kept] = sqrt(pivots[i]);
-            kept++;
-        }
-    }
+    kept = factor_rows(x, m, d, kind, a, b, c, threshold, start, packed, pivots, kt);
     Py_END_ALLOW_THREADS
+    PyMem_Free(kt);
     release(&vs);
     return PyLong_FromSsize_t(kept);
 }
@@ -401,12 +381,10 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
      "farthest_scan(points, j, sqdist, r2) -> farthest index"},
-    {"sqdist_block", sqdist_block, METH_VARARGS,
-     "sqdist_block(xs, ys, out) -> None"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,
-     "factor_order(gram, threshold, packed, pivots) -> kept count"},
+     "factor_order(points, kind, a, b, c, threshold, start, packed, pivots) -> kept count"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,12 +2,12 @@
 
 `farthest_scan` is a farthest-first step that writes the squared distances
 to the new center into a caller's buffer and lowers one distance buffer in
-place. `sqdist_block` is scipy's cdist "sqeuclidean" into a caller's
-buffer. `kernel_sums` forms kernel sums in blocks of cdist, the shape and
-a matrix product. `factor_order` is pivoted Cholesky along a fixed
-candidate order. Used when the compiled extension is unavailable. The
+place. `kernel_sums` forms kernel sums in blocks of cdist, the shape and
+a matrix product. `factor_order` is pivoted Cholesky along the rows of a
+point array, with Gram rows from cdist blocks and one BLAS triangular
+solve per candidate. Used when the compiled extension is unavailable. The
 signatures match skm._backend._fastcore exactly, and so do the buffer
-checks of `sqdist_block`, `kernel_sums` and `factor_order`.
+checks of `kernel_sums` and `factor_order`.
 """
 
 import math
@@ -51,33 +51,16 @@ def _borrow(a, name, ndim, rows, writable=False):
     return a
 
 
-def sqdist_block(xs, ys, out):
-    """Write ||xs_i - ys_j||^2 into out[i, j].
-
-    xs and ys are C-contiguous float64 with the same number of columns, out
-    is a writable C-contiguous float64 array of shape (len(xs), len(ys)).
-    Buffers that are not raise TypeError or ValueError before out changes.
-    """
-    _borrow(xs, "xs", 2, -1)
-    _borrow(ys, "ys", 2, -1)
-    if ys.shape[1] != xs.shape[1]:
-        raise ValueError(f"ys has {ys.shape[1]} columns, xs has {xs.shape[1]}")
-    _borrow(out, "out", 2, xs.shape[0], writable=True)
-    if out.shape[1] != ys.shape[0]:
-        raise ValueError("out must have one column per row of ys")
-    cdist(xs, ys, "sqeuclidean", out=out)
-
-
 def kernel_sums(xs, ys, coef, kind, a, b, c, out):
     """Write c * sum_j shape_kind(||xs_i - ys_j||^2) coef[j] into out[i].
 
-    xs and ys are as for `sqdist_block`. coef is C-contiguous float64 of
-    shape (len(ys),) or (len(ys), p), and out a writable C-contiguous
-    float64 array of shape (len(xs),) or (len(xs), p) to match. kind is a
-    SHAPE_* code of `skm._backend._shape`. Bad buffers or an unknown kind
-    raise TypeError or ValueError before out changes. The kernel values
-    are formed in row blocks of at most 2^18 entries, or one row when ys
-    is longer.
+    xs and ys are C-contiguous float64 with the same number of columns,
+    coef is C-contiguous float64 of shape (len(ys),) or (len(ys), p), and
+    out a writable C-contiguous float64 array of shape (len(xs),) or
+    (len(xs), p) to match. kind is a SHAPE_* code of `skm._backend._shape`.
+    Bad buffers or an unknown kind raise TypeError or ValueError before out
+    changes. The kernel values are formed in row blocks of at most 2^18
+    entries, or one row when ys is longer.
     """
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind}")
@@ -95,34 +78,45 @@ def kernel_sums(xs, ys, coef, kind, a, b, c, out):
         np.matmul(_apply_shape((kind, a, b, c), block), coef, out=out[i:i + rows])
 
 
-def factor_order(gram, threshold, packed, pivots):
-    """Pivoted Cholesky of the m x m Gram block `gram` along its row order.
+def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
+    """Pivoted Cholesky along the rows of points, from row `start` on.
 
-    Candidate i has pivot gram[i, i] - w'w, where L w = gram[i, kept] over
-    the candidates kept before it, and is kept when the pivot exceeds
-    `threshold`. Writes every pivot into `pivots` (length m), the packed
-    rows of the kept points' lower factor L into the head of `packed`
-    (length m(m+1)/2), and returns the number kept. Buffers of the wrong
-    dtype, layout or length raise TypeError or ValueError before a single
-    element is read.
+    points holds the (m, d) candidates in order. The rows before `start`
+    are the support kept so far, whose packed lower factor L already fills
+    the head of `packed` (length m(m+1)/2); pivots[:start] is neither read
+    nor written. Candidate i >= start has Gram row g = c * shape_kind(||x_i
+    - x_t||^2) over the kept points t and pivot c - w'w, where L w = g, and
+    is kept when the pivot exceeds `threshold`: w and sqrt(pivot) become
+    the next packed row of L. Writes every candidate's pivot into `pivots`
+    (length m) and returns the number kept, start included. The Gram rows
+    are formed in row blocks of at most 2^18 distances. Bad buffers, an
+    unknown kind or a start outside [0, m] raise TypeError or ValueError
+    before a single element is written.
     """
-    _borrow(gram, "gram", 2, -1)
-    m = gram.shape[0]
-    if gram.shape[1] != m:
-        raise ValueError("gram must be square")
+    if kind not in SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {kind}")
+    _borrow(points, "points", 2, -1)
+    m = points.shape[0]
+    if not 0 <= start <= m:
+        raise ValueError(f"start {start} out of range for m={m}")
     _borrow(packed, "packed", 1, m * (m + 1) // 2, writable=True)
     _borrow(pivots, "pivots", 1, m, writable=True)
-    kept = []
-    row = 0
-    for i in range(m):
-        k = len(kept)
-        # The packed rows of L are the packed columns of L', so trans=1
-        # solves L w = b.
-        w = blas.dtpsv(k, packed[:row], gram[i, kept], trans=1) if k else gram[i, :0]
-        pivots[i] = gram[i, i] - float(w @ w)
-        if pivots[i] > threshold:
-            packed[row:row + k] = w
-            packed[row + k] = math.sqrt(pivots[i])
-            row += k + 1
-            kept.append(i)
+    kept = list(range(start))
+    row = start * (start + 1) // 2
+    rows = max(1, _BLOCK_ENTRIES // max(1, m))
+    for i0 in range(start, m, rows):
+        i1 = min(m, i0 + rows)
+        block = _apply_shape((kind, a, b, c), cdist(points[i0:i1], points[:i1], "sqeuclidean"))
+        for i in range(i0, i1):
+            k = len(kept)
+            # The packed rows of L are the packed columns of L', so trans=1
+            # solves L w = g.
+            g = block[i - i0, kept]
+            w = blas.dtpsv(k, packed[:row], g, trans=1) if k else g
+            pivots[i] = c - float(w @ w)
+            if pivots[i] > threshold:
+                packed[row:row + k] = w
+                packed[row + k] = math.sqrt(pivots[i])
+                row += k + 1
+                kept.append(i)
     return len(kept)

@@ -15,14 +15,15 @@ one entry
     v_m = (kappa_new - w'v) / sqrt(p),
 
 so a step costs one triangular solve, O(m^2), plus kappa_new, an O(n)
-kernel row mean. Both b and kappa_new come from one row of squared
-distances, from the new point to every point, which the greedy fit's
-farthest-first scan has just written: b from its entries at the support,
-kappa_new from all of them. A fixed order of candidates is factored in one
-backend call instead (`factor`): from the Gram block of the order,
-`_backend.factor_order` runs the same steps in compiled code, one block
-sum gives kappa of the kept points, and one more triangular solve gives v.
-The quantity E_m = -alpha' kappa = -||v||^2 equals the squared
+kernel row mean. The step itself is one call of `_backend.factor_order`,
+one of the backend's three primitives, on the support and the new point:
+it forms b from their coordinates, solves for w and writes the new row of
+L. kappa_new comes from the row of squared distances from the new point
+to every point that the greedy fit's farthest-first scan has just
+written. A fixed order of candidates is factored by one call of the same
+primitive on the whole order instead (`factor`); one block sum gives
+kappa of the kept points, and one more triangular solve gives v. The
+quantity E_m = -alpha' kappa = -||v||^2 equals the squared
 approximation error minus the constant ||zbar||^2 and drives the stopping
 rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
 point either. The weights alpha = L^{-T} v cost one more triangular solve
@@ -30,14 +31,12 @@ when read, and K^{-1} is never formed; `inv_k` derives it from the factor
 on request.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import blas, cho_solve
 
 from . import _backend
 from .errors import NearSingularError
-from .kernels import _apply_shape, block_sums, g_zero, gram_params, kernel_block
+from .kernels import _apply_shape, block_sums, g_zero, gram_params
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
 # support section. A pivot p bounds the condition number of K below by
@@ -51,8 +50,10 @@ class CholeskyWeights:
 
     Row i of the lower factor is stored at offset i(i+1)/2 of one flat
     buffer, so the leading m rows are a contiguous packed triangle that
-    BLAS solves against without a copy. All buffers double when full, so
-    memory stays O(m^2) for m support points whatever the budget.
+    BLAS solves against without a copy. The support's coordinates are kept
+    row by row beside it, for the backend to form Gram rows from. All
+    buffers double when full, so memory stays O(m^2) for m support points
+    whatever the budget.
     """
 
     def __init__(self, data, spec):
@@ -61,8 +62,11 @@ class CholeskyWeights:
             raise ValueError(f"g(0) must be positive, got {self.c}")
         self.points = np.ascontiguousarray(data.points, dtype=np.float64)
         self.params = gram_params(spec)
+        self.threshold = SINGULARITY_REL_TOL * self.c
         self.m = 0
+        self._support = np.empty((16, self.points.shape[1]))
         self._packed = np.empty(16 * 17 // 2)
+        self._pivots = np.empty(16)
         self._indices = np.empty(16, dtype=np.int64)
         self._kappa = np.empty(16)
         self._v = np.empty(16)
@@ -103,35 +107,38 @@ class CholeskyWeights:
     def extend(self, j: int, r2) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
-        r2 holds the squared distances from point j to every point, as
-        `FarthestFirst.add(j)` leaves them. Its entries at the support give
-        j's Gram row. Raises NearSingularError, leaving the state and r2
-        unchanged, when the pivot falls to the singularity tolerance (e.g.
-        an index already in the support, or a duplicate of a support
-        point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> is taken from r2
-        in place, which overwrites it.
+        The step is one `_backend.factor_order` call on the support and
+        point j, which forms j's Gram row and writes the new row [w',
+        sqrt(pivot)] of the factor. Raises NearSingularError, leaving the
+        state and r2 unchanged, when the pivot falls to the singularity
+        tolerance (e.g. an index already in the support, or a duplicate of
+        a support point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> is
+        taken in place from r2, the squared distances from point j to every
+        point as `FarthestFirst.add(j)` leaves them, which overwrites it.
         """
         j = int(j)
-        m, row = self.m, self.m * (self.m + 1) // 2
-        b = _apply_shape(self.params, r2[self.indices])
-        w = blas.dtpsv(m, self._packed[:row], b, trans=1) if m else b
-        pivot = self.c - float(w @ w)
-        if pivot <= SINGULARITY_REL_TOL * self.c:
+        m = self.m
+        if m == self._indices.shape[0]:  # full: double every buffer
+            cap = max(16, 2 * m)
+            self._support = np.resize(self._support, (cap, self._support.shape[1]))
+            self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
+            self._pivots, self._indices, self._kappa, self._v, self._e = (
+                np.resize(a, cap)
+                for a in (self._pivots, self._indices, self._kappa, self._v, self._e))
+        self._support[m] = self.points[j]
+        row = m * (m + 1) // 2
+        kept = _backend.factor_order(self._support[:m + 1], *self.params, self.threshold, m,
+                                     self._packed[:row + m + 1], self._pivots[:m + 1])
+        pivot = float(self._pivots[m])
+        if kept == m:
             raise NearSingularError(
                 f"support point {j} is numerically dependent on the "
                 f"current support (pivot {pivot:.3e})"
             )
-        if m == self._indices.shape[0]:  # full: double every buffer
-            cap = max(16, 2 * m)
-            self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
-            self._indices, self._kappa, self._v, self._e = (
-                np.resize(a, cap) for a in (self._indices, self._kappa, self._v, self._e))
-        root = math.sqrt(pivot)
+        w, root = self._packed[row:row + m], self._packed[row + m]
         shape_sum = float(_apply_shape(self.params._replace(c=1.0), r2).sum())
         self._kappa[m] = self.params.c * shape_sum / r2.shape[0]
         v_new = (self._kappa[m] - float(w @ self._v[:m])) / root
-        self._packed[row:row + m] = w
-        self._packed[row + m] = root
         self._indices[m] = j
         self._v[m] = v_new
         self._e[m] = (self._e[m - 1] if m else 0.0) - v_new * v_new
@@ -142,30 +149,31 @@ class CholeskyWeights:
         """Factor the support along `order` in one backend call.
 
         The state must be empty. The result is that of `extend` along order,
-        each candidate that raises NearSingularError dropped. kappa of the
-        kept points comes from one block sum once every pivot is known, so
-        a dropped point costs no kernel row mean. Returns the kept mask
-        over order and every candidate's pivot. The work is one m x m Gram
-        block and O(m^3 / 3) flops in `_backend.factor_order`.
+        each candidate that raises NearSingularError dropped: both are
+        `_backend.factor_order`, here on the whole order at once. kappa of
+        the kept points comes from one block sum once every pivot is known,
+        so a dropped point costs no kernel row mean. Returns the kept mask
+        over order and every candidate's pivot. The work is O(m^3 / 3)
+        flops and O(md) memory besides the factor.
         """
         if self.m:
             raise ValueError("factor needs an empty state")
         order = np.asarray(order, dtype=np.int64)
         m, n = order.shape[0], self.points.shape[0]
-        threshold = SINGULARITY_REL_TOL * self.c
+        support = self.points[order]
         packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-        k = _backend.factor_order(kernel_block(self.params, self.points[order]),
-                                  threshold, packed, pivots)
-        kept = pivots > threshold
-        self._packed, self._indices = packed, order[kept]
-        self._kappa = block_sums(self.params, self.points[self._indices], self.points,
-                                 np.full(n, 1.0 / n))
+        k = _backend.factor_order(support, *self.params, self.threshold, 0, packed, pivots)
+        kept = pivots > self.threshold
+        self._support, self._packed, self._pivots = support[kept], packed, pivots[kept]
+        self._indices = order[kept]
+        self._kappa = block_sums(self.params, self._support, self.points, np.full(n, 1.0 / n))
         self._v = (blas.dtpsv(k, packed[:k * (k + 1) // 2], self._kappa, trans=1)
                    if k else np.empty(0))
         # E_m = E_{m-1} - v_m^2, summed in the same order as extend.
         self._e = -np.cumsum(self._v * self._v)
         self.m = k
         return kept, pivots
+
 
 def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
     """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""

@@ -166,6 +166,20 @@ def save_model(record: ModelRecord, path) -> None:
         fh.write("\n")
 
 
+def _field(path, doc, name, convert, *default):
+    """convert(doc[name]), or of the default for an absent field; errors name both."""
+    try:
+        return convert(doc.get(name, *default) if default else doc[name])
+    except KeyError:
+        raise DataFormatError(f"{path}: missing model field {name!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad model field {name!r}: {exc}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
 def load_model(path) -> ModelRecord:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -180,15 +194,18 @@ def load_model(path) -> ModelRecord:
             f"{path}: unsupported model version {version!r} "
             f"(this build reads version {MODEL_VERSION})"
         )
+    support, alpha, epsilon, e_trace = (
+        _field(path, doc, "support", _floats), _field(path, doc, "alpha", _floats),
+        _field(path, doc, "epsilon", float), _field(path, doc, "e_trace", _floats, []))
     try:
         return ModelRecord(
             spec=_spec_from_dict(doc["kernel"]),
-            support=np.array(doc["support"], dtype=np.float64),
-            alpha=np.array(doc["alpha"], dtype=np.float64),
+            support=support,
+            alpha=alpha,
             k0=doc["k0"],
-            epsilon=float(doc["epsilon"]),
+            epsilon=epsilon,
             density_mode=bool(doc["density_mode"]),
-            e_trace=np.array(doc.get("e_trace", []), dtype=np.float64),
+            e_trace=e_trace,
         )
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from None

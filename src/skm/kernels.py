@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from . import _backend
 from ._backend._shape import _BLOCK_ENTRIES, SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
@@ -228,16 +228,14 @@ def g_zero(spec: RadialKernelSpec) -> float:
 
 
 def kernel_block(params: ShapeParams, xs, ys=None):
-    """Matrix of c * shape(||x_i - y_j||) from exact squared differences.
+    """Matrix of c * shape(||x_i - y_j||) from cdist's squared distances.
 
-    The squared distances come from `_backend.sqdist_block` and are
-    bit-identical to scipy's cdist(xs, ys, "sqeuclidean") on either backend.
+    The reference that `kernel_matrix` and `gram_matrix` give the tests;
+    the package's own kernel sums and Gram rows never form such a block.
     """
-    xs = np.atleast_2d(np.ascontiguousarray(xs, dtype=np.float64))
-    ys = xs if ys is None else np.atleast_2d(np.ascontiguousarray(ys, dtype=np.float64))
-    out = np.empty((xs.shape[0], ys.shape[0]))
-    _backend.sqdist_block(xs, ys, out)
-    return _apply_shape(params, out)
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
 
 
 def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:

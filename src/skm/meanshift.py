@@ -19,8 +19,8 @@ from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 from .kcenter import FarthestFirst
-from .kernels import _BLOCK_ENTRIES
-from .sparse_mean import SparseKernelMean, kernel_sums
+from .kernels import _BLOCK_ENTRIES, block_sums, eval_params
+from .sparse_mean import SparseKernelMean
 
 # Relative slack of the cover's triangle-inequality tests. It absorbs the
 # rounding gap between the scan's squared distances and cdist's.
@@ -80,12 +80,13 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
     x = np.array(x0, dtype=np.float64)
     iterations = np.full(x.shape[0], max_iter, dtype=np.int64)
     converged = np.zeros(x.shape[0], dtype=bool)
+    params = eval_params(mean.spec)
     coef = mean.alpha[:, None] * np.hstack([mean.support, np.ones((mean.k0, 1))])
     active = np.arange(x.shape[0])
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        sums = kernel_sums(mean, x[active], coef)
+        sums = block_sums(params, x[active], mean.support, coef)
         wsum = sums[:, -1]
         dead = wsum < np.finfo(np.float64).tiny
         if dead.any():

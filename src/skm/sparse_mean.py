@@ -156,8 +156,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     n = np.asarray(data.points).shape[0]
     if k_max is None:
         k_max = default_k_max(n)
-    if not 1 <= k_max <= n:
-        raise ValueError(f"k_max must satisfy 1 <= k_max <= n (k_max={k_max}, n={n})")
+    if not 1 <= k_max <= n or k_max != int(k_max):
+        raise ValueError(f"k_max must be an integer with 1 <= k_max <= n (k_max={k_max}, n={n})")
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
@@ -212,11 +212,12 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
 
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
-    It costs one block sum for kappa, one Gram block of the support and one
-    compiled factorisation (`_backend.factor_order`), with no Python step
-    per support point. A support point that is numerically dependent on
-    the points before it is dropped and listed in `diagnostics.skipped`, so
-    `support_indices` may come back shorter than the input.
+    It costs one block sum for kappa and one factorisation call
+    (`_backend.factor_order`, which forms the Gram rows it needs itself),
+    with no Python step per support point. A support point that is
+    numerically dependent on the points before it is dropped and listed in
+    `diagnostics.skipped`, so `support_indices` may come back shorter than
+    the input.
     """
     n = np.asarray(data.points).shape[0]
     indices = np.asarray(support_indices, dtype=np.int64).ravel()
@@ -250,11 +251,6 @@ def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
     )
 
 
-def kernel_sums(mean: SparseKernelMean, queries, coef) -> np.ndarray:
-    """sum_i phi(q, x_i) coef_i for each row q of `queries`, by block_sums."""
-    return block_sums(eval_params(mean.spec), queries, mean.support, coef)
-
-
 def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
     """Evaluate sum_i alpha_i phi(q, x_i) at each query row."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -262,7 +258,7 @@ def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {queries.shape[1]}, kernel expects {mean.spec.dim}"
         )
-    return kernel_sums(mean, queries, mean.alpha)
+    return block_sums(eval_params(mean.spec), queries, mean.support, mean.alpha)
 
 
 def evaluate_full(data, spec: RadialKernelSpec, queries) -> np.ndarray:

@@ -26,7 +26,6 @@ from skm.kernels import (
     block_sums,
     eval_params,
     g_zero,
-    gram_matrix,
     kernel_block,
 )
 from skm.meanshift import cluster_modes, mean_shift_all
@@ -137,68 +136,10 @@ def test_compiled_rejects_bad_buffers(fastcore):
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-@pytest.mark.parametrize("d", [0, 1, 2, 5, 8, 17])
-def test_sqdist_block_is_cdist(impl, d):
-    # Row counts on both sides of the compiled loop's 256-row tiles. The
-    # sum runs over k = 0..d-1 as cdist's does, so the two are bit-identical;
-    # a fused multiply-add in the vectorised clones would break that. With
-    # no coordinates every distance is 0.
-    rng = np.random.default_rng(d)
-    xs = random_case(rng, n=40, d=d) * rng.uniform(0.1, 30.0, size=d)
-    for m in (1, 255, 256, 257, 600, 3000):
-        ys = random_case(rng, n=m, d=d)
-        for x in (xs, xs[:0]):
-            out = np.full((x.shape[0], m), np.nan)
-            assert impl.sqdist_block(x, ys, out) is None
-            assert_array_equal(out, cdist(x, ys, "sqeuclidean"))
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-@given(data=st.data())
-def test_sqdist_block_matches_cdist_on_random_shapes(impl, data):
-    nx = data.draw(st.integers(0, 30), label="nx")
-    m = data.draw(st.integers(1, 700), label="m")
-    d = data.draw(st.integers(1, 20), label="d")
-    scale = data.draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]), label="scale")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    xs = random_case(rng, n=nx, d=d) * scale
-    ys = random_case(rng, n=m, d=d) * scale
-    if data.draw(st.booleans(), label="shared rows") and nx:
-        ys[rng.integers(m, size=nx)] = xs  # exact zeros
-    out = np.empty((nx, m))
-    impl.sqdist_block(xs, ys, out)
-    assert_array_equal(out, cdist(xs, ys, "sqeuclidean"))
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_sqdist_block_rejects_bad_buffers_before_writing(impl):
-    xs, ys = np.zeros((4, 3)), np.ones((5, 3))
-    readonly = np.full((4, 5), -1.0)
-    readonly.setflags(write=False)
-    cases = [
-        (TypeError, "xs must be a float64 array", {"xs": xs.astype(np.float32)}),
-        (TypeError, "ys must be a float64 array", {"ys": np.ones((5, 3), np.int64)}),
-        (ValueError, "xs must be a C-contiguous 2-D", {"xs": np.zeros((4, 6))[:, ::2]}),
-        (ValueError, "ys must be a C-contiguous 2-D", {"ys": np.ones(15)}),
-        (ValueError, "ys has 2 columns, xs has 3", {"ys": np.ones((5, 2))}),
-        (TypeError, "out must be a float64 array", {"out": np.full((4, 5), -1.0, np.float32)}),
-        (ValueError, "out must be a C-contiguous 2-D", {"out": np.full((4, 10), -1.0)[:, ::2]}),
-        (ValueError, "out has the wrong length", {"out": np.full((5, 5), -1.0)}),
-        (ValueError, "out must have one column per row of ys", {"out": np.full((4, 6), -1.0)}),
-        (ValueError, "out must be writable", {"out": readonly}),
-    ]
-    for error, message, bad in cases:
-        args = {"xs": xs, "ys": ys, "out": np.full((4, 5), -1.0)} | bad
-        sentinel = args["out"].base if args["out"].base is not None else args["out"]
-        with pytest.raises(error, match=message):
-            impl.sqdist_block(args["xs"], args["ys"], args["out"])
-        assert np.all(sentinel == -1.0), message
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_kernel_block_is_the_shape_of_cdist(impl, monkeypatch):
-    # Any layout goes in; 1-D rows are one point each.
-    monkeypatch.setattr(_backend, "sqdist_block", impl.sqdist_block)
+def test_kernel_block_is_the_shape_of_cdist(impl):
+    # Any layout goes in; 1-D rows are one point each. kernel_block is the
+    # tests' reference for the Gram rows each backend's factor_order forms
+    # itself, so a full factor reproduces it.
     params = ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0)
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(size=(6, 300)).T, rng.normal(size=(40, 6))
@@ -206,6 +147,10 @@ def test_kernel_block_is_the_shape_of_cdist(impl, monkeypatch):
         expected = _apply_shape(params, cdist(np.atleast_2d(x),
                                               np.atleast_2d(x if y is None else y), "sqeuclidean"))
         assert_array_equal(kernel_block(params, x, y), expected)
+    kept, _, packed = _factor(impl, ys, params, 1e-9 * params.c)
+    assert kept.all()
+    assert_allclose(_lower(packed) @ _lower(packed).T, kernel_block(params, ys),
+                    rtol=0, atol=1e-14 * params.c)
 
 
 # A kernel sum may differ from kernel_block(...) @ coef by this much per
@@ -347,42 +292,67 @@ def test_mean_shift_sums_over_the_support_and_its_weights(impl, monkeypatch):
     assert_allclose(np.sort(clusters.modes[:, 0]), [0.0, 0.0, 4.0], atol=0.2)
 
 
-def _factor(impl, gram, threshold):
-    m = gram.shape[0]
-    packed, pivots = np.full(m * (m + 1) // 2, np.nan), np.empty(m)
-    kept = impl.factor_order(gram, threshold, packed, pivots)
-    assert kept == np.count_nonzero(pivots > threshold)
-    return pivots > threshold, pivots, packed[:kept * (kept + 1) // 2]
+def _factor(impl, points, params, threshold, start=0, packed=None):
+    """factor_order from `start` on: the kept mask, every pivot and the packed factor.
+
+    packed, when given, holds the factor of the first `start` rows.
+    """
+    m = points.shape[0]
+    full = np.full(m * (m + 1) // 2, np.nan)
+    if packed is not None:
+        full[:packed.size] = packed
+    pivots = np.full(m, np.nan)
+    kept = impl.factor_order(points, *params, threshold, start, full, pivots)
+    mask = np.r_[np.ones(start, dtype=bool), pivots[start:] > threshold]
+    assert kept == np.count_nonzero(mask)
+    assert np.isnan(pivots[:start]).all()
+    return mask, pivots, full[:kept * (kept + 1) // 2]
 
 
-@given(data=st.data())
-def test_factor_order_backends_agree(fastcore, data):
-    n = data.draw(st.integers(1, 30), label="n")
+def _lower(packed):
+    """The lower triangular matrix whose rows `packed` holds."""
+    k = int(np.sqrt(2 * packed.size + 0.25) - 0.5)
+    lower = np.zeros((k, k))
+    lower[np.tril_indices(k)] = packed
+    return lower
+
+
+# The backends' pivots may differ by this much per unit of g(0) times the
+# condition sqrt(g(0) / p) of L: they form the Gram rows with different
+# exp and pow (libmvec against numpy) and solve in different orders.
+PIVOT_ATOL = 1e-14
+
+
+def _dup_points(data, n_max=30):
+    """Half-integer points with repeated rows: duplicates have a zero
+    pivot, and wide bandwidths make near-dependent candidates."""
+    n = data.draw(st.integers(1, n_max), label="n")
     d = data.draw(st.integers(1, 3), label="d")
-    # Half-integer coordinates with repeated rows: duplicates have a zero
-    # pivot, and wide bandwidths make near-dependent candidates.
     rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
                               min_size=1, max_size=n), label="rows")
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n),
                       label="picks")
-    points = 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+    return 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+
+
+@given(data=st.data())
+def test_factor_order_backends_agree(fastcore, data):
+    points = _dup_points(data)
     sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
-    spec = RadialKernelSpec("gaussian", dim=d, sigma=sigma)
-    gram, c = gram_matrix(spec, points), g_zero(spec)
-    kept_np, pivots_np, packed_np = _factor(_numpy_impl, gram, SINGULARITY_REL_TOL * c)
-    kept_c, pivots_c, packed_c = _factor(fastcore, gram, SINGULARITY_REL_TOL * c)
+    spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)
+    params, c = eval_params(spec), g_zero(spec)
+    kept_np, pivots_np, packed_np = _factor(_numpy_impl, points, params, SINGULARITY_REL_TOL * c)
+    kept_c, pivots_c, packed_c = _factor(fastcore, points, params, SINGULARITY_REL_TOL * c)
     assert_array_equal(kept_c, kept_np)
     assert kept_np[0] and np.all(pivots_np <= c)
     # Each backend's factor reproduces the Gram block of the kept points.
-    block = gram[np.ix_(kept_np, kept_np)]
+    block = kernel_block(params, points[kept_np])
     for packed in (packed_np, packed_c):
-        lower = np.zeros(block.shape)
-        lower[np.tril_indices(block.shape[0])] = packed
-        assert_allclose(lower @ lower.T, block, rtol=0, atol=1e-14 * c)
-    # The two sum in different orders, and the difference grows with the
-    # condition sqrt(g(0) / p) of L, at most 3.2e4 at the 1e-9 g(0) pivot floor.
+        assert_allclose(_lower(packed) @ _lower(packed).T, block, rtol=0, atol=1e-14 * c)
+    # The difference grows with the condition sqrt(g(0) / p) of L, at most
+    # 3.2e4 at the 1e-9 g(0) pivot floor.
     cond = np.sqrt(c / pivots_np[kept_np].min())
-    assert_allclose(pivots_c, pivots_np, rtol=0, atol=1e-14 * cond * c)
+    assert_allclose(pivots_c, pivots_np, rtol=0, atol=PIVOT_ATOL * cond * c)
     assert_allclose(packed_c, packed_np, rtol=0, atol=1e-12 * cond * np.sqrt(c))
 
 
@@ -391,49 +361,119 @@ def test_factor_order_semantics(impl):
     # Two points at distance 1 and a duplicate of the first, unit Gaussian:
     # the duplicate has pivot 0 and leaves no row behind.
     g = np.exp(-0.5)
-    gram = np.array([[1.0, g, 1.0], [g, 1.0, g], [1.0, g, 1.0]])
-    kept, pivots, packed = _factor(impl, gram, 1e-9)
+    points, params = np.array([[0.0], [1.0], [0.0]]), ShapeParams(SHAPE_SQEXP, 0.5, 0.0, 1.0)
+    kept, pivots, packed = _factor(impl, points, params, 1e-9)
     assert_array_equal(kept, [True, True, False])
     assert_allclose(pivots, [1.0, 1.0 - g * g, 0.0], rtol=0, atol=1e-15)
     assert_allclose(packed, [1.0, g, np.sqrt(1.0 - g * g)], rtol=1e-15)
     # A candidate is kept only when its pivot exceeds the threshold.
-    kept, _, _ = _factor(impl, gram[:2, :2].copy(), 1.0 - g * g)
+    kept, _, _ = _factor(impl, points[:2].copy(), params, 1.0 - g * g)
     assert_array_equal(kept, [True, False])
-    assert impl.factor_order(np.empty((0, 0)), 1e-9, np.empty(0), np.empty(0)) == 0
+    # From start = 1 the first row is the support, its factor given.
+    kept, pivots, packed_1 = _factor(impl, points, params, 1e-9, start=1, packed=packed[:1])
+    assert_array_equal(kept, [True, True, False])
+    assert_array_equal(packed_1, packed)
+    assert_array_equal(pivots[1:], _factor(impl, points, params, 1e-9)[1][1:])
+    assert impl.factor_order(np.empty((0, 1)), *params, 1e-9, 0, np.empty(0), np.empty(0)) == 0
+    # From start = m there is nothing to factor, and nothing is written.
+    packed, pivots = np.array([1.0]), np.array([-1.0])
+    assert impl.factor_order(points[:1].copy(), *params, 1e-9, 1, packed, pivots) == 1
+    assert packed[0] == 1.0 and pivots[0] == -1.0
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
+@pytest.mark.parametrize("m, d", [(40, 1), (300, 3), (600, 5)])
+def test_factor_order_resumes_bit_identically(impl, params, m, d):
+    # Factoring [0, m) in one call is factoring [0, s) and then the kept
+    # rows of [0, s) with [s, m) from start = kept: the packed factor, the
+    # pivots and the kept count are bit-identical. m = 600 spans two row
+    # blocks of the numpy backend; repeated rows are dropped.
+    rng = np.random.default_rng(m)
+    points = random_case(rng, n=m, d=d)
+    points[rng.integers(m, size=m // 10)] = points[rng.integers(m, size=m // 10)]
+    threshold = SINGULARITY_REL_TOL * params.c
+    kept, pivots, packed = _factor(impl, points, params, threshold)
+    assert 1 < np.count_nonzero(kept) < m
+    for s in (0, 1, 7, m // 2, m - 1, m):
+        head, head_pivots, head_packed = _factor(impl, points[:s].copy(), params, threshold)
+        rest = np.ascontiguousarray(np.vstack([points[:s][head], points[s:]]))
+        k = int(head.sum())
+        tail, tail_pivots, tail_packed = _factor(impl, rest, params, threshold, start=k,
+                                                 packed=head_packed)
+        assert_array_equal(np.r_[head, tail[k:]], kept)
+        assert_array_equal(np.r_[head_pivots, tail_pivots[k:]], pivots)
+        assert_array_equal(tail_packed, packed)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_factor_order_rejects_bad_buffers(impl):
-    gram = np.eye(4)
-
-    def factor(gram=gram, packed=None, pivots=None):
-        packed = np.empty(10) if packed is None else packed
-        pivots = np.empty(4) if pivots is None else pivots
-        return impl.factor_order(gram, 1e-9, packed, pivots)
-
-    assert factor() == 4
-    readonly = np.empty(10)
+    points = np.eye(4)
+    readonly = np.full(10, -1.0)
     readonly.setflags(write=False)
-    with pytest.raises(ValueError, match="gram must be square"):
-        factor(gram=np.eye(4)[:, :3].copy())
+    cases = [
+        (ValueError, "unknown shape kind 3", {"kind": 3}),
+        (ValueError, "unknown shape kind -1", {"kind": -1}),
+        (TypeError, "points must be a float64 array", {"points": points.astype(np.float32)}),
+        (ValueError, "points must be a C-contiguous 2-D", {"points": np.eye(8)[::2, ::2]}),
+        (ValueError, "points must be a C-contiguous 2-D", {"points": np.ones(4)}),
+        (ValueError, "start -1 out of range for m=4", {"start": -1}),
+        (ValueError, "start 5 out of range for m=4", {"start": 5}),
+        (ValueError, "packed has the wrong length", {"packed": np.full(9, -1.0)}),
+        (ValueError, "pivots has the wrong length", {"pivots": np.full(3, -1.0)}),
+        (TypeError, "packed must be a float64 array", {"packed": np.full(10, -1.0, np.float32)}),
+        (TypeError, "pivots must be a float64 array", {"pivots": np.full(4, -1.0, np.float32)}),
+        (ValueError, "packed must be a C-contiguous 1-D", {"packed": np.full((10, 2), -1.0)[:, 0]}),
+        (ValueError, "pivots must be a C-contiguous 1-D", {"pivots": np.full((4, 2), -1.0)[:, 0]}),
+        (ValueError, "packed must be writable", {"packed": readonly}),
+        (ValueError, "pivots must be writable", {"pivots": readonly[:4]}),
+    ]
+    for error, message, bad in cases:
+        args = {"points": points, "kind": SHAPE_SQEXP, "start": 0,
+                "packed": np.full(10, -1.0), "pivots": np.full(4, -1.0)} | bad
+        with pytest.raises(error, match=message):
+            impl.factor_order(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9, args["start"],
+                              args["packed"], args["pivots"])
+        for name in ("packed", "pivots"):
+            sentinel = args[name].base if args[name].base is not None else args[name]
+            assert np.all(sentinel == -1.0), message
+    packed, pivots = np.full(10, -1.0), np.full(4, -1.0)
     with pytest.raises(TypeError):
-        factor(gram=gram.astype(np.float32))
-    with pytest.raises(TypeError):
-        factor(gram=[[1.0]])
-    with pytest.raises(ValueError):
-        factor(gram=np.eye(8)[::2, ::2])  # not contiguous
-    with pytest.raises(ValueError):
-        factor(gram=np.ones(4))  # 1-D
-    # Zeros, not np.empty: a float32 cast of leftover memory can overflow.
-    for name, good in (("packed", np.zeros(10)), ("pivots", np.zeros(4))):
-        with pytest.raises(ValueError, match=f"{name} has the wrong length"):
-            factor(**{name: good[:-1].copy()})
-        with pytest.raises(TypeError, match=f"{name} must be a float64 array"):
-            factor(**{name: good.astype(np.float32)})
-        with pytest.raises(ValueError, match=f"{name} must be a C-contiguous"):
-            factor(**{name: np.empty((good.size, 2))[:, 0]})
-        with pytest.raises(ValueError, match=f"{name} must be writable"):
-            factor(**{name: readonly[:good.size]})
+        impl.factor_order([[1.0]], SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots)
+    assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots) == 4
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("spec", [
+    RadialKernelSpec("gaussian", dim=2, sigma=3.0),
+    RadialKernelSpec("laplacian", dim=2, gamma=4.0, normalization="density"),
+    RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density", space="l2"),
+], ids=["sqexp", "exp", "power"])
+def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
+    # Both are factor_order, one row at a time or the whole order at once,
+    # so the packed factor and the pivots of the kept points are
+    # bit-identical. A random order of 150 points, 40 of them repeated
+    # rows, drops some of them.
+    monkeypatch.setattr(_backend, "factor_order", impl.factor_order)
+    rng = np.random.default_rng(11)
+    points = random_case(rng, n=400, d=2)
+    points[:40] = points[rng.integers(40, 400, size=40)]
+    data = DataSet(points)
+    order = rng.permutation(400)[:150]
+    stepped, pivots, skipped = CholeskyWeights(data, spec), [], []
+    for j in order.tolist():
+        try:
+            pivots.append(stepped.extend(j, ((data.points - data.points[j]) ** 2).sum(axis=1)))
+        except NearSingularError:
+            skipped.append(j)
+    factored = CholeskyWeights(data, spec)
+    kept, all_pivots = factored.factor(order)
+    assert skipped and order[~kept].tolist() == skipped
+    assert_array_equal(factored.indices, stepped.indices)
+    assert_array_equal(all_pivots[kept], pivots)
+    m = stepped.m
+    assert_array_equal(factored._packed[:m * (m + 1) // 2], stepped._packed[:m * (m + 1) // 2])
+    assert_allclose(factored.e_trace, stepped.e_trace, rtol=1e-12)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -462,12 +502,13 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
 
 
 def _fit_with(impl):
-    """One fit with `farthest_scan` taken from impl."""
+    """One fit with `farthest_scan` and `factor_order` taken from impl."""
     rng = np.random.default_rng(5)
     data = DataSet(rng.normal(size=(300, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        patch.setattr(_backend, "factor_order", impl.factor_order)
         return fit(data, spec, k_max=25, epsilon=0.0, first=0)
 
 
@@ -481,10 +522,10 @@ def test_fit_agrees_across_backends(fastcore):
 
 
 def _fit_and_select(impl, points, sigma, k, first):
-    """fit and kcenter_greedy with `farthest_scan` and `kernel_sums` taken from impl."""
+    """fit and kcenter_greedy with every `_backend` primitive taken from impl."""
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
-        patch.setattr(_backend, "kernel_sums", impl.kernel_sums)
+        for name in ("farthest_scan", "kernel_sums", "factor_order"):
+            patch.setattr(_backend, name, getattr(impl, name))
         warnings.simplefilter("ignore")  # k may exceed the distinct points
         data = DataSet(points)
         spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)
@@ -493,15 +534,9 @@ def _fit_and_select(impl, points, sigma, k, first):
 
 @given(data=st.data())
 def test_fit_and_selection_agree_across_backends(fastcore, data):
-    n = data.draw(st.integers(1, 30), label="n")
-    d = data.draw(st.integers(1, 3), label="d")
-    # Half-integer coordinates make distance ties exact; repeated rows make
-    # duplicates, and wide bandwidths make dependent candidates.
-    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
-                              min_size=1, max_size=n), label="rows")
-    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n),
-                      label="picks")
-    points = 0.5 * np.array([rows[i] for i in picks], dtype=np.float64)
+    # Half-integer coordinates also make distance ties exact.
+    points = _dup_points(data)
+    n = points.shape[0]
     sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
     k = n - data.draw(st.integers(0, n - 1), label="n - k")
     first = data.draw(st.integers(0, n - 1), label="first")

@@ -152,6 +152,23 @@ def test_model_k0_must_be_the_weight_count(tmp_path, k0):
         load_model(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("support", [[0.0, 1.0], [2.0]]),
+    ("support", [["a", "b"]] * 5),
+    ("e_trace", [[0.0], [1.0, 2.0]]),
+    ("epsilon", "abc"),
+], ids=["ragged support", "non-numeric support", "ragged e_trace", "non-numeric epsilon"])
+def test_model_bad_field_names_the_file_and_the_field(tmp_path, name, value):
+    record = random_record(np.random.default_rng(2), k=5)
+    path = tmp_path / "m.json"
+    save_model(record, path)
+    doc = json.loads(path.read_text())
+    doc[name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"m.json: bad model field '{name}'"):
+        load_model(path)
+
+
 def test_model_unknown_version(tmp_path):
     record = random_record(np.random.default_rng(3))
     path = tmp_path / "m.json"

@@ -165,6 +165,9 @@ def test_fit_validates_arguments():
         fit(data, UNIT_GAUSS_1D, k_max=0)
     with pytest.raises(ValueError):
         fit(data, UNIT_GAUSS_1D, k_max=3)
+    # A budget of 1.5 would grow the support to 2 and record k_max = 1.
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        fit(data, UNIT_GAUSS_1D, k_max=1.5)
     with pytest.raises(ValueError):
         fit(data, UNIT_GAUSS_1D, epsilon=-1.0)
 
@@ -319,31 +322,32 @@ def _count_backend_calls(monkeypatch):
 
 
 def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
+    # Each accepted step is one scan and one factor step, a factor_order
+    # call on the support and the new point.
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
-    assert calls == {"farthest_scan": 60, "sqdist_block": 0, "kernel_sums": 0,
-                     "factor_order": 0}
+    assert calls == {"farthest_scan": 60, "kernel_sums": 0, "factor_order": 60}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
     # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate,
-    # whose scan gave extend the distance row that showed it dependent.
+    # whose one factor step showed it dependent.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     calls = _count_backend_calls(monkeypatch)
     steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
     assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps), "sqdist_block": 0, "kernel_sums": 0,
-                     "factor_order": 0}
+    assert calls == {"farthest_scan": len(steps), "kernel_sums": 0,
+                     "factor_order": len(steps)}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
     # Their kappa is one kernel sum over the order, not a scan per point,
     # and their factor is one backend call, not one extend per point. Each
-    # fit forms one distance block, the Gram block of the order, and one
-    # kernel sum, the kappa of the kept points against the 400 points.
+    # fit makes one kernel sum, the kappa of the kept points against the
+    # 400 points, and forms no Gram block.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
@@ -351,8 +355,7 @@ def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
     monkeypatch.setattr(CholeskyWeights, "extend", None)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "sqdist_block": 2, "kernel_sums": 2,
-                     "factor_order": 2}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "factor_order": 2}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
