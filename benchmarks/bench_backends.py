@@ -1,7 +1,10 @@
 """Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
 All timings run in one process. The scan, the kernel sums and the factor
-step are timed against each implementation directly. The kernel sums are
+step are timed against each implementation directly. The scan is timed
+at the fit-tall and fit-deep benchmark shapes (100000 x 8 and 10000 x 5
+standard-normal points, coordinate-major), without a shape and with the
+Gaussian shape whose sum gives a greedy step its kappa. The kernel sums are
 timed on the whole evaluate of the fit-tall and fit-deep benchmark
 workloads (100000 queries x 150 supports in d=8, 50000 x 600 in d=5, one
 Gaussian column) and on one full mean-shift round of the apps workload
@@ -35,6 +38,8 @@ except ImportError:
     _fastcore = None
 
 PRIMITIVES = ("farthest_scan", "kernel_sums", "factor_order")
+# (op, points, d) of the benchmark's scans.
+SCAN_SHAPES = (("fit-tall", 100_000, 8), ("fit-deep", 10_000, 5))
 # (op, queries, supports, d, coef columns) of the benchmark's kernel sums:
 # the two evaluate steps and a round of the full mean shift.
 SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 600, 5, 1),
@@ -54,9 +59,10 @@ def best_of(repeat, fn):
     return best
 
 
-def bench_scan(impl, points, repeat=7):
-    sqdist, r2 = np.full(points.shape[0], np.inf), np.empty(points.shape[0])
-    return best_of(repeat, lambda: impl.farthest_scan(points, 0, sqdist, r2))
+def bench_scan(impl, n, d, shape, repeat=7):
+    coords = np.ascontiguousarray(np.random.default_rng(0).normal(size=(d, n)))
+    sqdist, r2 = np.full(n, np.inf), np.empty(n)
+    return best_of(repeat, lambda: impl.farthest_scan(coords, 0, sqdist, r2, shape))
 
 
 def bench_sums(impl, nx, m, d, p, repeat=5):
@@ -105,23 +111,32 @@ def main():
     parser.add_argument("--kmax", type=int, default=300)
     args = parser.parse_args()
 
-    points = np.ascontiguousarray(np.random.default_rng(0).normal(size=(args.n, args.d)))
     data = DataSet(np.random.default_rng(1).normal(size=(args.n, args.d)))
     spec = RadialKernelSpec("gaussian", dim=args.d, sigma=2.0)
     support = kcenter_greedy(data, default_k_max(args.n), first=0).order
     impls = [("numpy", _numpy_impl)] + ([("compiled", _fastcore)] if _fastcore else [])
-    rows = [(label, bench_scan(impl, points), bench_fit(impl, data, spec, args.kmax),
-             bench_fixed(impl, data, spec, support))
+    rows = [(label, bench_fit(impl, data, spec, args.kmax), bench_fixed(impl, data, spec, support))
             for label, impl in impls]
 
-    print(f"n={args.n}, d={args.d}, k_max={args.kmax}: farthest_scan best of 7, "
-          f"fit best of 3, fit_with_support on {support.size} supports best of 5")
-    print(f"  {'backend':9s} {'farthest_scan':>14s} {'fit':>9s} {'fit_with_support':>17s}")
-    for label, t_scan, t_fit, t_fixed in rows:
-        print(f"  {label:9s} {t_scan * 1e3:11.3f} ms {t_fit:7.3f} s {t_fixed * 1e3:14.3f} ms")
+    print(f"n={args.n}, d={args.d}, k_max={args.kmax}: fit best of 3, "
+          f"fit_with_support on {support.size} supports best of 5")
+    print(f"  {'backend':9s} {'fit':>9s} {'fit_with_support':>17s}")
+    for label, t_fit, t_fixed in rows:
+        print(f"  {label:9s} {t_fit:7.3f} s {t_fixed * 1e3:14.3f} ms")
     if len(rows) == 2:
-        print(f"  speedup   {rows[0][1] / rows[1][1]:11.2f} x  {rows[0][2] / rows[1][2]:6.2f} x"
-              f" {rows[0][3] / rows[1][3]:15.2f} x")
+        print(f"  speedup   {rows[0][1] / rows[1][1]:6.2f} x {rows[0][2] / rows[1][2]:15.2f} x")
+
+    print("farthest_scan from point 0, best of 7; shape: Gaussian, summed in the same pass")
+    print(f"  {'op':9s} {'n x d':>10s} {'backend':9s} {'no shape':>18s} {'shape':>18s}")
+    for name, n, d in SCAN_SHAPES:
+        times = [[bench_scan(impl, n, d, shape) for shape in (None, (SHAPE_SQEXP, 0.5, 0.0))]
+                 for _, impl in impls]
+        for (label, _), pair in zip(impls, times):
+            cells = " ".join(f"{t * 1e3:7.3f} ms {t / n * 1e9:5.2f} ns" for t in pair)
+            print(f"  {name:9s} {f'{n} x {d}':>10s} {label:9s} {cells}")
+        if len(times) == 2:
+            print(f"  {'':9s} {'':10s} {'speedup':9s} {times[0][0] / times[1][0]:10.2f} x"
+                  f" {times[0][1] / times[1][1]:15.2f} x")
 
     print("kernel_sums, Gaussian, best of 5")
     print(f"  {'op':15s} {'queries x k0 x d, p':>22s} {'backend':9s} {'sums':>10s} {'per entry':>10s}")

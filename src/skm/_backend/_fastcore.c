@@ -2,12 +2,16 @@
  * pivoted Cholesky step of both fits. The signatures match
  * skm._backend._numpy_impl exactly.
  *
- * The scan writes each point's squared distance to the new center into a
- * caller's buffer, lowers a second buffer of distances to the chosen set
- * in place and returns the farthest point, so a farthest-first step reads
- * and writes each distance once. The kernel row mean of the new center is
- * computed from the first buffer in numpy, by the one numpy shape
- * function (skm._backend._shape).
+ * The scan reads a coordinate-major (d, n) copy of the points in tiles of
+ * TILE points. For each tile it writes the squared distances to the new
+ * center into a caller's buffer, lowers a second buffer of distances to
+ * the chosen set in place and takes the tile's farthest point, so a
+ * farthest-first step reads and writes each distance once. Given a shape,
+ * it also applies the shape to the tile's distances while they are in L1
+ * and sums it, which gives the greedy fit the kernel row mean of the new
+ * center from the same pass. The distances sum the coordinates in the
+ * order k = 0..d-1, as the numpy scan does, so both backends pick the same
+ * points.
  *
  * The kernel sums write c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
  * out[i, q] in one pass over tiles of ys: the rows of ys and of coef are
@@ -93,61 +97,9 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
     return (double *)v->buf;
 }
 
-static inline double sqdist(const double *x, const double *y, Py_ssize_t d)
-{
-    double acc = 0.0;
-    for (Py_ssize_t k = 0; k < d; k++) {
-        double diff = x[k] - y[k];
-        acc += diff * diff;
-    }
-    return acc;
-}
-
-/* The scan runs its distance loop n times per step. Starting the function
- * on a 64-byte line fixes where that loop falls against cache-line and
- * 32-byte fetch boundaries, so adding code elsewhere in this file cannot
- * slow it: placed 48 bytes past a line, the same machine code scanned
- * 1e5 x 8 points about 10% slower on an AVX-512 Xeon. */
-#if defined(__GNUC__)
-__attribute__((aligned(64)))
-#endif
-static PyObject *farthest_scan(PyObject *self, PyObject *args)
-{
-    PyObject *po, *so, *ro;
-    Py_ssize_t j, far = -1;
-    double top = -1.0;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OnOO", &po, &j, &so, &ro))
-        return NULL;
-    const double *x = borrow(&vs, po, "points", 2, -1, 0);
-    Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    double *sq = x ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
-    double *r2 = sq ? borrow(&vs, ro, "r2", 1, n, 1) : NULL;
-    if (r2 != NULL && (j < 0 || j >= n))
-        PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", j, n);
-    if (PyErr_Occurred()) {
-        release(&vs);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    const double *y = x + j * d;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double s = sqdist(x + i * d, y, d);
-        r2[i] = s;
-        if (s < sq[i])
-            sq[i] = s;
-        if (sq[i] > top) {  /* strict: ties keep the lowest index */
-            top = sq[i];
-            far = i;
-        }
-    }
-    Py_END_ALLOW_THREADS
-    release(&vs);
-    return PyLong_FromSsize_t(far);
-}
-
-/* Rows of ys copied per tile: 2 KB of each coordinate, so a tile and
- * one output row segment stay in L1 for the whole of the x loop. */
+/* Rows of ys copied per tile, or points per scan tile: 2 KB of each
+ * coordinate, so a tile and one output row segment stay in L1 for the
+ * whole of the x loop, and a scan tile's distances for its shape. */
 #define TILE 256
 
 /* Contraction stays off in the source whatever the build flags: the x86-64
@@ -239,6 +191,111 @@ static inline NO_CONTRACT double dot(const double *u, const double *v, Py_ssize_
     for (int l = 0; j < w; j++, l++)
         s[l] += u[j] * v[j];
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/* q[j] = min(q[j], r[j]) over w entries; returns the largest new q[j]
+ * (-1 if all are NaN), kept in 8 partial maxima as `dot` keeps its sums. */
+static inline double lower_max(double *restrict q, const double *restrict r, Py_ssize_t w)
+{
+    double m[8] = {-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0};
+    Py_ssize_t j = 0;
+    for (; j + 8 <= w; j += 8)
+        for (int l = 0; l < 8; l++) {
+            q[j + l] = r[j + l] < q[j + l] ? r[j + l] : q[j + l];
+            m[l] = q[j + l] > m[l] ? q[j + l] : m[l];
+        }
+    for (int l = 0; j < w; j++, l++) {
+        q[j] = r[j] < q[j] ? r[j] : q[j];
+        m[l] = q[j] > m[l] ? q[j] : m[l];
+    }
+    for (int l = 1; l < 8; l++)
+        m[0] = m[l] > m[0] ? m[l] : m[0];
+    return m[0];
+}
+
+/* One farthest-first pass for the center y over the n points of the
+ * coordinate-major d x n array xt, TILE points at a time: r2[i] = ||x_i -
+ * y||^2, sq[i] = min(sq[i], r2[i]), and the index of the largest sq,
+ * lowest on ties, is returned. With a shape kind >= 0, each tile's
+ * shape(r2) is formed in buf (TILE doubles) while the tile is in L1 and
+ * added to *shape_sum in 8 partial sums that run across the tiles. */
+static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d, const double *y,
+                                    double *sq, double *r2, int kind, double a, double b,
+                                    double *shape_sum, double *buf)
+{
+    Py_ssize_t far = -1;
+    double top = -1.0, s[8] = {0.0};
+    for (Py_ssize_t i0 = 0; i0 < n; i0 += TILE) {
+        Py_ssize_t w = n - i0 < TILE ? n - i0 : TILE, j;
+        double *r = r2 + i0, *q = sq + i0, mx;
+        dist_row(r, y, xt + i0, w, n, d);
+        mx = lower_max(q, r, w);
+        if (mx > top) {  /* strict: a tie with an earlier tile keeps its index */
+            top = mx;
+            for (j = 0; q[j] != mx; j++)
+                ;
+            far = i0 + j;
+        }
+        if (kind >= 0) {
+            memcpy(buf, r, w * sizeof(double));
+            shape_row(buf, w, kind, a, b);
+            for (j = 0; j + 8 <= w; j += 8)
+                for (int l = 0; l < 8; l++)
+                    s[l] += buf[j + l];
+            for (int l = 0; j < w; j++, l++)
+                s[l] += buf[j];
+        }
+    }
+    *shape_sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    return far;
+}
+
+static PyObject *farthest_scan(PyObject *self, PyObject *args)
+{
+    PyObject *po, *so, *ro, *shape = Py_None;
+    Py_ssize_t j, far;
+    int kind = -1;
+    double a = 0.0, b = 0.0, shape_sum;
+    Views vs = {.count = 0};
+    if (!PyArg_ParseTuple(args, "OnOO|O", &po, &j, &so, &ro, &shape))
+        return NULL;
+    if (shape != Py_None) {
+        if (!PyTuple_Check(shape)) {
+            PyErr_SetString(PyExc_TypeError, "shape must be None or a (kind, a, b) tuple");
+            return NULL;
+        }
+        if (!PyArg_ParseTuple(shape, "idd;shape must be None or a (kind, a, b) tuple",
+                              &kind, &a, &b))
+            return NULL;
+        if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
+            PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
+            return NULL;
+        }
+    }
+    const double *xt = borrow(&vs, po, "coords", 2, -1, 0);
+    Py_ssize_t d = xt ? vs.view[0].shape[0] : 0, n = xt ? vs.view[0].shape[1] : 0;
+    double *sq = xt ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
+    double *r2 = sq ? borrow(&vs, ro, "r2", 1, n, 1) : NULL;
+    if (r2 != NULL && (j < 0 || j >= n))
+        PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", j, n);
+    double *buf = NULL;
+    if (!PyErr_Occurred() && (buf = PyMem_Malloc((TILE + d) * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    if (PyErr_Occurred()) {
+        release(&vs);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    double *y = buf + TILE;
+    for (Py_ssize_t k = 0; k < d; k++)
+        y[k] = xt[k * n + j];
+    far = scan_tiles(xt, n, d, y, sq, r2, kind, a, b, &shape_sum, buf);
+    Py_END_ALLOW_THREADS
+    PyMem_Free(buf);
+    release(&vs);
+    if (shape == Py_None)
+        return Py_BuildValue("nO", far, Py_None);
+    return Py_BuildValue("nd", far, shape_sum);
 }
 
 /* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows
@@ -380,7 +437,7 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
-     "farthest_scan(points, j, sqdist, r2) -> farthest index"},
+     "farthest_scan(coords, j, sqdist, r2, shape=None) -> (farthest index, shape sum)"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,

@@ -1,13 +1,14 @@
 """Pure-numpy implementation of the hot inner loops.
 
-`farthest_scan` is a farthest-first step that writes the squared distances
-to the new center into a caller's buffer and lowers one distance buffer in
-place. `kernel_sums` forms kernel sums in blocks of cdist, the shape and
-a matrix product. `factor_order` is pivoted Cholesky along the rows of a
-point array, with Gram rows from cdist blocks and one BLAS triangular
-solve per candidate. Used when the compiled extension is unavailable. The
-signatures match skm._backend._fastcore exactly, and so do the buffer
-checks of `kernel_sums` and `factor_order`.
+`farthest_scan` is a farthest-first step over the coordinate-major points
+that writes the squared distances to the new center into a caller's
+buffer, lowers one distance buffer in place and can sum a shape of the
+new distances. `kernel_sums` forms kernel sums in blocks of cdist, the
+shape and a matrix product. `factor_order` is pivoted Cholesky along the
+rows of a point array, with Gram rows from cdist blocks and one BLAS
+triangular solve per candidate. Used when the compiled extension is
+unavailable. The signatures match skm._backend._fastcore exactly, and so
+do the buffer checks of `kernel_sums` and `factor_order`.
 """
 
 import math
@@ -19,20 +20,29 @@ from scipy.spatial.distance import cdist
 from ._shape import _BLOCK_ENTRIES, SHAPE_KINDS, _apply_shape
 
 
-def farthest_scan(points, j, sqdist, r2):
-    """Make point j a center in one pass over points.
+def farthest_scan(coords, j, sqdist, r2, shape=None):
+    """Make point j a center in one pass over the coordinate-major points.
 
-    Writes ||points - points[j]||^2 into r2, lowers sqdist in place to
-    min(sqdist, r2) and returns the index of the largest sqdist, lowest
-    index on ties. A j outside [0, n) raises ValueError before either
-    buffer changes.
+    coords is the (d, n) transpose of the points. Writes ||x_i - x_j||^2
+    into r2, summing the coordinates in order, lowers sqdist in place to
+    min(sqdist, r2) and returns (the index of the largest sqdist, lowest
+    index on ties; the shape sum). With shape = (kind, a, b) the shape sum
+    is sum_i shape_kind(r2[i]), else None. An unknown kind or a j outside
+    [0, n) raises ValueError before either buffer changes.
     """
-    if not 0 <= j < points.shape[0]:
-        raise ValueError(f"index {j} out of range for n={points.shape[0]}")
-    diff = points - points[j]
-    np.einsum("ij,ij->i", diff, diff, out=r2)
+    if shape is not None and shape[0] not in SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {shape[0]}")
+    n = coords.shape[1]
+    if not 0 <= j < n:
+        raise ValueError(f"index {j} out of range for n={n}")
+    diff = coords - coords[:, j:j + 1]
+    diff *= diff
+    np.sum(diff, axis=0, out=r2)
     np.minimum(sqdist, r2, out=sqdist)
-    return int(np.argmax(sqdist))
+    far = int(np.argmax(sqdist))
+    if shape is None:
+        return far, None
+    return far, float(_apply_shape((*shape, 1.0), r2.copy()).sum())
 
 
 def _borrow(a, name, ndim, rows, writable=False):

@@ -18,14 +18,14 @@ so a step costs one triangular solve, O(m^2), plus kappa_new, an O(n)
 kernel row mean. The step itself is one call of `_backend.factor_order`,
 one of the backend's three primitives, on the support and the new point:
 it forms b from their coordinates, solves for w and writes the new row of
-L. kappa_new comes from the row of squared distances from the new point
-to every point that the greedy fit's farthest-first scan has just
-written. A fixed order of candidates is factored by one call of the same
-primitive on the whole order instead (`factor`); one block sum gives
-kappa of the kept points, and one more triangular solve gives v. The
-quantity E_m = -alpha' kappa = -||v||^2 equals the squared
-approximation error minus the constant ||zbar||^2 and drives the stopping
-rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
+L. kappa_new is c/n times the Gram shape summed over the squared
+distances from the new point to every point, which the greedy fit's
+farthest-first scan returns from the same pass that picks the point. A
+fixed order of candidates is factored by one call of the same primitive
+on the whole order instead (`factor`); one block sum gives kappa of the
+kept points, and one more triangular solve gives v. The quantity E_m =
+-alpha' kappa = -||v||^2 equals the squared approximation error minus
+the constant ||zbar||^2 and drives the stopping rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
 point either. The weights alpha = L^{-T} v cost one more triangular solve
 when read, and K^{-1} is never formed; `inv_k` derives it from the factor
 on request.
@@ -36,7 +36,7 @@ from scipy.linalg import blas, cho_solve
 
 from . import _backend
 from .errors import NearSingularError
-from .kernels import _apply_shape, block_sums, g_zero, gram_params
+from .kernels import block_sums, g_zero, gram_params
 
 # Pivots at or below this fraction of g(0) signal a (near-)dependent
 # support section. A pivot p bounds the condition number of K below by
@@ -62,6 +62,8 @@ class CholeskyWeights:
             raise ValueError(f"g(0) must be positive, got {self.c}")
         self.points = np.ascontiguousarray(data.points, dtype=np.float64)
         self.params = gram_params(spec)
+        # The Gram shape without its constant c, as the scan sums it for extend.
+        self.shape = tuple(self.params[:3])
         self.threshold = SINGULARITY_REL_TOL * self.c
         self.m = 0
         self._support = np.empty((16, self.points.shape[1]))
@@ -104,17 +106,18 @@ class CholeskyWeights:
         inv = cho_solve((lower, True), np.eye(m), check_finite=False)
         return 0.5 * (inv + inv.T)
 
-    def extend(self, j: int, r2) -> float:
+    def extend(self, j: int, shape_sum: float) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
         The step is one `_backend.factor_order` call on the support and
         point j, which forms j's Gram row and writes the new row [w',
         sqrt(pivot)] of the factor. Raises NearSingularError, leaving the
-        state and r2 unchanged, when the pivot falls to the singularity
-        tolerance (e.g. an index already in the support, or a duplicate of
-        a support point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> is
-        taken in place from r2, the squared distances from point j to every
-        point as `FarthestFirst.add(j)` leaves them, which overwrites it.
+        state unchanged, when the pivot falls to the singularity tolerance
+        (e.g. an index already in the support, or a duplicate of a support
+        point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> = c * shape_sum /
+        n, where shape_sum is the Gram shape `self.shape` summed over the
+        squared distances from point j to every point, as
+        `FarthestFirst.add(j, self.shape)` returns it.
         """
         j = int(j)
         m = self.m
@@ -136,8 +139,7 @@ class CholeskyWeights:
                 f"current support (pivot {pivot:.3e})"
             )
         w, root = self._packed[row:row + m], self._packed[row + m]
-        shape_sum = float(_apply_shape(self.params._replace(c=1.0), r2).sum())
-        self._kappa[m] = self.params.c * shape_sum / r2.shape[0]
+        self._kappa[m] = self.params.c * shape_sum / self.points.shape[0]
         v_new = (self._kappa[m] - float(w @ self._v[:m])) / root
         self._indices[m] = j
         self._v[m] = v_new

@@ -43,36 +43,57 @@ class Selection:
         return float(self.radius_trace[-1])
 
 
+def _integer_in(name: str, value, low: int, high: int, bounds: str, n: int) -> int:
+    """value as an int, once it is an integer, not a bool, in [low, high].
+
+    bounds states the range in terms of n, for the error message.
+    """
+    try:
+        ok = (not isinstance(value, (bool, np.bool_)) and value == int(value)
+              and low <= value <= high)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer with {bounds} ({name}={value!r}, n={n})")
+    return int(value)
+
+
 def _resolve_first(n: int, first, seed: int) -> int:
     if first is None:
         return int(np.random.default_rng(seed).integers(n))
-    first = int(first)
-    if not 0 <= first < n:
-        raise ValueError(f"first index {first} out of range for n={n}")
-    return first
+    return _integer_in("first", first, 0, n - 1, "0 <= first < n", n)
 
 
 class FarthestFirst:
     """In-place farthest-first state shared by kcenter_greedy, the fit and clustering.
 
-    sqdist holds each point's squared distance to the chosen set. `add(j)`
-    makes point j a center by one backend scan, which writes the squared
-    distances to j into the buffer r2 and lowers sqdist in place; the fit
-    reads j's Gram row and kernel row mean from r2. `farthest` is then the
-    point farthest from the set, ties to the lowest index; once the radius
-    is 0 it is a chosen point or a duplicate of one.
+    sqdist holds each point's squared distance to the chosen set. The state
+    keeps one coordinate-major (d, n) copy of the points, for the scans to
+    read a coordinate of consecutive points at a time, and frees it with
+    itself. `add(j)` makes point j a center by one backend scan, which
+    writes the squared distances to j into the buffer r2 and lowers sqdist
+    in place; given a shape, the same pass returns the sum of the shape
+    over r2, from which the fit takes j's kernel row mean. `farthest` is
+    then the point farthest from the set, ties to the lowest index; once
+    the radius is 0 it is a chosen point or a duplicate of one.
     """
 
     def __init__(self, points):
-        self.points = points
-        n = points.shape[0]
+        self.coords = np.ascontiguousarray(points.T, dtype=np.float64)
+        n = self.coords.shape[1]
         self.sqdist = np.full(n, np.inf, dtype=np.float64)
         self.r2 = np.empty(n, dtype=np.float64)
         self.farthest = -1
 
-    def add(self, j: int) -> None:
-        """Make point j a center with one O(nd) scan."""
-        self.farthest = _backend.farthest_scan(self.points, int(j), self.sqdist, self.r2)
+    def add(self, j: int, shape=None):
+        """Make point j a center with one O(nd) scan.
+
+        Returns sum_i shape_kind(r2[i]) for shape = (kind, a, b), or None
+        without a shape.
+        """
+        self.farthest, shape_sum = _backend.farthest_scan(
+            self.coords, int(j), self.sqdist, self.r2, shape)
+        return shape_sum
 
     @property
     def radius(self) -> float:
@@ -91,8 +112,7 @@ def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
     """
     pts = np.ascontiguousarray(data.points, dtype=np.float64)
     n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
+    k = _integer_in("k", k, 1, n, "1 <= k <= n", n)
     order = np.empty(k, dtype=np.int64)
     radius = np.zeros(k, dtype=np.float64)
     scan = FarthestFirst(pts)
@@ -124,8 +144,7 @@ def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):
     """
     pts = np.asarray(data.points, dtype=np.float64)
     n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
+    k = _integer_in("k", k, 1, n, "1 <= k <= n", n)
     if math.comb(n, k) > max_subsets or n > 4096:
         raise ValueError(
             f"instance too large for brute force (C({n},{k}) subsets)"

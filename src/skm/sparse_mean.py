@@ -89,22 +89,22 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0):
     """The greedy select/extend loop: yield one Step per candidate tried.
 
     Candidates come from farthest-first traversal started at `first` (or a
-    point drawn with `seed`). Each candidate costs one O(nd) scan, whose
-    row of squared distances gives `weights.extend` both the candidate's
-    Gram row and its kernel row mean. A candidate whose section is
-    numerically dependent on the support yields a skip Step with the
-    reason and ends the loop, as pivoted Cholesky stops at its first pivot
-    below tolerance. The loop also ends when the support holds k_max
-    points or covers every point exactly. The caller applies the stop rule
-    by leaving the loop. A fixed candidate order takes no such loop: see
-    `fit_with_support`.
+    point drawn with `seed`). Each candidate costs one O(nd) scan, which
+    also sums the Gram shape over the candidate's distances to every
+    point, so `weights.extend` takes its kernel row mean from one number.
+    A candidate whose section is numerically dependent on the support
+    yields a skip Step with the reason and ends the loop, as pivoted
+    Cholesky stops at its first pivot below tolerance. The loop also ends
+    when the support holds k_max points or covers every point exactly. The
+    caller applies the stop rule by leaving the loop. A fixed candidate
+    order takes no such loop: see `fit_with_support`.
     """
     scan = kcenter.FarthestFirst(weights.points)
     cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
     while weights.m < k_max:
-        scan.add(cand)
+        shape_sum = scan.add(cand, weights.shape)
         try:
-            pivot = weights.extend(cand, scan.r2)
+            pivot = weights.extend(cand, shape_sum)
         except NearSingularError as exc:
             logger.info("support candidate %d is numerically dependent", cand)
             yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
@@ -200,8 +200,7 @@ def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
                          density_mode: bool = False) -> SparseKernelMean:
     """Baseline: support drawn uniformly without replacement, no early stop."""
     n = np.asarray(data.points).shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
+    k = kcenter._integer_in("k", k, 1, n, "1 <= k <= n", n)
     order = np.random.default_rng(seed).choice(n, size=k, replace=False)
     return _fixed_order_fit(data, spec, order, density_mode, "random")
 

@@ -17,6 +17,7 @@ from skm.coefficients import CholeskyWeights
 from skm.cpe import dirichlet_sample, estimate_from_means, estimate_proportions, l1_error
 from skm.dataio import DataSet
 from skm.divergences import distance_matrix
+from skm.kcenter import FarthestFirst
 from skm.kernels import (
     RadialKernelSpec,
     bandwidth_iqr,
@@ -114,7 +115,7 @@ def test_c03_incremental_algebra():
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
         state = CholeskyWeights(data, spec)
         for idx in sel.order:
-            state.extend(idx, ((pts - pts[idx]) ** 2).sum(axis=1))
+            state.extend(idx, FarthestFirst(pts).add(idx, state.shape))
         direct = np.linalg.inv(gram_matrix(spec, pts[sel.order]))
         rel = np.linalg.norm(state.inv_k - direct) / np.linalg.norm(direct)
         assert rel < 1e-8
@@ -130,7 +131,7 @@ def test_c03_incremental_algebra():
         gram = gram_matrix(spec, data.points)
         state = CholeskyWeights(data, spec)
         for idx in order:
-            state.extend(idx, ((data.points - data.points[idx]) ** 2).sum(axis=1))
+            state.extend(idx, FarthestFirst(data.points).add(idx, state.shape))
         kappa_full = gram[order].mean(axis=1)
         sub = gram[np.ix_(order, order)]
         lhs = (gram.mean() - 2.0 * state.alpha @ kappa_full

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from skm.coefficients import CholeskyWeights, project_simplex, stop_rule
 from skm.dataio import DataSet
 from skm.errors import NearSingularError
-from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
+from skm.kcenter import FarthestFirst
+from skm.kernels import RadialKernelSpec, _apply_shape, g_zero, gram_matrix
 from skm.sparse_mean import fit_with_support
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
@@ -19,14 +20,19 @@ def line_data(*values):
 
 
 def sqdist_row(data, j):
-    """Squared distances from point j to every point, as extend reads them."""
+    """Squared distances from point j to every point, as the scan writes them."""
     return ((data.points - data.points[j]) ** 2).sum(axis=1)
+
+
+def shape_sum(state, data, j):
+    """The Gram shape summed over point j's squared distances, as extend takes it."""
+    return float(_apply_shape((*state.shape, 1.0), sqdist_row(data, j)).sum())
 
 
 def grow_state(data, spec, order):
     state = CholeskyWeights(data, spec)
     for idx in order:
-        state.extend(idx, sqdist_row(data, idx))
+        state.extend(idx, shape_sum(state, data, idx))
     return state
 
 
@@ -117,20 +123,21 @@ def test_extend_duplicate_support_raises():
     data = line_data(0.0, 0.0, 5.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0])
     with pytest.raises(NearSingularError):
-        state.extend(1, sqdist_row(data, 1))
+        state.extend(1, shape_sum(state, data, 1))
 
 
 def test_dependent_extend_changes_neither_state_nor_distances():
     data = line_data(0.0, 3.0, 0.0, 5.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
     before = (state.m, state.indices.copy(), state.kappa.copy(), state.e_trace.copy())
-    r2 = sqdist_row(data, 2)  # point 2 duplicates point 0
+    scan = FarthestFirst(data.points)
+    total = scan.add(2, state.shape)  # point 2 duplicates point 0
     with pytest.raises(NearSingularError, match="support point 2 is numerically dependent"):
-        state.extend(2, r2)
+        state.extend(2, total)
     assert state.m == before[0]
     for now, then in zip((state.indices, state.kappa, state.e_trace), before[1:]):
         np.testing.assert_array_equal(now, then)
-    np.testing.assert_array_equal(r2, sqdist_row(data, 2))
+    np.testing.assert_array_equal(scan.r2, sqdist_row(data, 2))
 
 
 def test_extend_rejects_index_already_in_support():
@@ -141,7 +148,7 @@ def test_extend_rejects_index_already_in_support():
     e_trace = state.e_trace.copy()
     for j in (0, 1):
         with pytest.raises(NearSingularError, match=f"support point {j} is numerically dependent"):
-            state.extend(j, sqdist_row(data, j))
+            state.extend(j, shape_sum(state, data, j))
     assert state.m == 2
     assert_allclose(state.e_trace, e_trace, rtol=0)
 

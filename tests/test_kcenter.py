@@ -58,6 +58,25 @@ def test_greedy_validates_k():
         kcenter_greedy(data, 3)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2", float("nan")])
+def test_greedy_rejects_a_non_integral_or_bool_k(k):
+    with pytest.raises(ValueError, match=r"k must be an integer with 1 <= k <= n \(k="):
+        kcenter_greedy(line_data(0.0, 1.0, 3.0), k)
+
+
+@pytest.mark.parametrize("first", [2.7, True, np.bool_(False), -1, 3, float("inf")])
+def test_greedy_rejects_a_non_integral_bool_or_outside_first(first):
+    # int(first) would start a float at its floor and True at point 1.
+    with pytest.raises(ValueError, match=r"first must be an integer with 0 <= first < n \(first="):
+        kcenter_greedy(line_data(0.0, 1.0, 3.0), 2, first=first)
+
+
+def test_greedy_takes_integral_first_and_k_of_any_type():
+    data = line_data(0.0, 1.0, 3.0)
+    for first, k in ((2.0, 2.0), (np.int64(2), np.int32(2))):
+        assert_array_equal(kcenter_greedy(data, k, first=first).order, [2, 0])
+
+
 def test_greedy_seeded_first_is_reproducible():
     data = DataSet(np.random.default_rng(1).normal(size=(30, 2)))
     a = kcenter_greedy(data, 5, seed=42)

@@ -170,6 +170,12 @@ def test_fit_validates_arguments():
         fit(data, UNIT_GAUSS_1D, k_max=1.5)
     with pytest.raises(ValueError):
         fit(data, UNIT_GAUSS_1D, epsilon=-1.0)
+    # The first support point is an index: 0.5 would start at 0, True at 1.
+    for first in (0.5, True):
+        with pytest.raises(ValueError, match="first must be an integer"):
+            fit(data, UNIT_GAUSS_1D, first=first)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        random_selection_fit(data, UNIT_GAUSS_1D, 1.5)
 
 
 def test_fit_support_rows_come_from_data():
@@ -365,9 +371,9 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
     tried = []
     extend = CholeskyWeights.extend
 
-    def counted(self, j, r2):
+    def counted(self, j, shape_sum):
         tried.append(j)
-        return extend(self, j, r2)
+        return extend(self, j, shape_sum)
 
     monkeypatch.setattr(CholeskyWeights, "extend", counted)
     data = DataSet(np.random.default_rng(24).normal(size=(n, 2)))
