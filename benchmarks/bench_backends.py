@@ -61,15 +61,14 @@ def best_of(repeat, fn):
 
 def bench_scan(impl, n, d, shape, repeat=7):
     coords = np.ascontiguousarray(np.random.default_rng(0).normal(size=(d, n)))
-    sqdist, r2 = np.full(n, np.inf), np.empty(n)
-    return best_of(repeat, lambda: impl.farthest_scan(coords, 0, sqdist, r2, shape))
+    sqdist = np.full(n, np.inf)
+    return best_of(repeat, lambda: impl.farthest_scan(coords, 0, sqdist, shape))
 
 
 def bench_sums(impl, nx, m, d, p, repeat=5):
     rng = np.random.default_rng(3)
     xs, ys = rng.normal(size=(nx, d)), rng.normal(size=(m, d))
-    coef = rng.random(m) if p == 1 else rng.random((m, p))
-    out = np.empty((nx,) + coef.shape[1:])
+    coef, out = rng.random((m, p)), np.empty((nx, p))
     return best_of(repeat, lambda: impl.kernel_sums(xs, ys, coef, SHAPE_SQEXP, 0.5, 0.0, 1.0, out))
 
 

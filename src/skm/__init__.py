@@ -7,7 +7,7 @@ estimation, and mean-shift clustering.
 """
 
 from ._backend import BACKEND
-from .coefficients import project_simplex, stop_rule
+from .coefficients import project_simplex
 from .cpe import (
     ProportionEstimate,
     dirichlet_sample,
@@ -31,7 +31,7 @@ from .errors import (
     NearSingularError,
     SkmError,
 )
-from .kcenter import Selection, kcenter_brute, kcenter_greedy
+from .kcenter import Selection, kcenter_greedy
 from .kernels import (
     RadialKernelSpec,
     bandwidth_iqr,
@@ -97,7 +97,6 @@ __all__ = [
     "gram_inner",
     "hausdorff_clustering_distance",
     "incoherence",
-    "kcenter_brute",
     "kcenter_greedy",
     "kernel_eval",
     "kl_divergence",
@@ -114,6 +113,5 @@ __all__ = [
     "save_csv",
     "save_model",
     "shift_point",
-    "stop_rule",
     "symmetrized_kl",
 ]

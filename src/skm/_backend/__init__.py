@@ -1,15 +1,14 @@
 """The three hot primitives, from the compiled extension if it imports.
 
 `farthest_scan` is one pass over a coordinate-major (d, n) copy of the
-points that makes a point a farthest-first center: it writes the squared
-distances to that center into a caller's buffer, lowers the distances to
-the chosen set in place and returns the farthest point. Given a shape
-(kind, a, b), the same pass also returns the sum of the shape over the
-new distances, from which a greedy fit step takes the new center's
-kernel row mean. `kernel_sums` writes c * sum_j shape(||x_i - y_j||^2)
-coef_j for each row x_i into a caller's buffer without forming a kernel
-block; every kernel sum (evaluate, the mean-shift rounds, the kappa of a
-fixed-order fit) is one call.
+points that makes a point a farthest-first center: it lowers the squared
+distances to the chosen set in place and returns the farthest point.
+Given a shape (kind, a, b), the same pass also returns the sum of the
+shape over the distances to the new center, from which a greedy fit step
+takes the new center's kernel row mean. `kernel_sums` writes c * sum_j
+shape(||x_i - y_j||^2) coef[j, q] into out[i, q] for a 2-D coef and out,
+without forming a kernel block; every kernel sum (evaluate, the
+mean-shift rounds, the kappa of a fixed-order fit) is one call.
 `factor_order` is pivoted Cholesky along the rows of a point array from
 a given row on: it forms each candidate's Gram row against the kept
 points itself, writes the packed lower factor of the candidates it keeps

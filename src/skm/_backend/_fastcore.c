@@ -3,22 +3,22 @@
  * skm._backend._numpy_impl exactly.
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
- * TILE points. For each tile it writes the squared distances to the new
- * center into a caller's buffer, lowers a second buffer of distances to
+ * TILE points. For each tile it forms the squared distances to the new
+ * center in a TILE-double buffer, lowers a caller's buffer of distances to
  * the chosen set in place and takes the tile's farthest point, so a
- * farthest-first step reads and writes each distance once. Given a shape,
- * it also applies the shape to the tile's distances while they are in L1
+ * farthest-first step writes each distance once. Given a shape, it then
+ * applies the shape to the tile's distances in place while they are in L1
  * and sums it, which gives the greedy fit the kernel row mean of the new
  * center from the same pass. The distances sum the coordinates in the
  * order k = 0..d-1, as the numpy scan does, so both backends pick the same
  * points.
  *
  * The kernel sums write c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
- * out[i, q] in one pass over tiles of ys: the rows of ys and of coef are
- * copied TILE at a time into a coordinate-major scratch, each x row's
- * distances to the tile go into one row buffer, the shape is applied in
- * place and the row is dotted with each coef column in 8 fixed partial
- * sums. The distances sum the coordinates in the order k = 0..d-1 as
+ * out[i, q] of the (nx, p) out for a (ny, p) coef, in one pass over tiles of ys: the
+ * rows of ys and of coef are copied TILE at a time into a coordinate-major
+ * scratch, each x row's distances to the tile go into one row buffer, the
+ * shape is applied in place and the row is dotted with each coef column in
+ * 8 fixed partial sums. The distances sum the coordinates in the order k = 0..d-1 as
  * scipy's cdist "sqeuclidean" does, with floating-point contraction off,
  * so they are bit-identical to cdist's. The loops are cloned for AVX-512
  * and AVX2, picked at load time. On x86-64 glibc the shape calls the
@@ -65,8 +65,8 @@ static void release(Views *vs)
         PyBuffer_Release(&vs->view[--vs->count]);
 }
 
-/* Borrow obj as a C-contiguous float64 array with ndim dimensions (0: 1
- * or 2) and rows entries along the first (-1: any number). */
+/* Borrow obj as a C-contiguous float64 array with ndim dimensions and rows
+ * entries along the first (-1: any number). */
 static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
                       Py_ssize_t rows, int writable)
 {
@@ -78,12 +78,8 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
         PyErr_Format(PyExc_TypeError, "%s must be a float64 array", name);
         return NULL;
     }
-    if ((ndim ? v->ndim != ndim : v->ndim < 1 || v->ndim > 2)
-        || !PyBuffer_IsContiguous(v, 'C')) {
-        if (ndim)
-            PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous %d-D array", name, ndim);
-        else
-            PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous 1-D or 2-D array", name);
+    if (v->ndim != ndim || !PyBuffer_IsContiguous(v, 'C')) {
+        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous %d-D array", name, ndim);
         return NULL;
     }
     if (rows >= 0 && v->shape[0] != rows) {
@@ -214,20 +210,21 @@ static inline double lower_max(double *restrict q, const double *restrict r, Py_
 }
 
 /* One farthest-first pass for the center y over the n points of the
- * coordinate-major d x n array xt, TILE points at a time: r2[i] = ||x_i -
- * y||^2, sq[i] = min(sq[i], r2[i]), and the index of the largest sq,
- * lowest on ties, is returned. With a shape kind >= 0, each tile's
- * shape(r2) is formed in buf (TILE doubles) while the tile is in L1 and
- * added to *shape_sum in 8 partial sums that run across the tiles. */
+ * coordinate-major d x n array xt, TILE points at a time: each tile's
+ * squared distances ||x_i - y||^2 are formed in r (TILE doubles), sq[i] =
+ * min(sq[i], ||x_i - y||^2), and the index of the largest sq, lowest on
+ * ties, is returned. With a shape kind >= 0, shape(r) is then formed in
+ * place while the tile is in L1 and added to *shape_sum in 8 partial sums
+ * that run across the tiles. */
 static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d, const double *y,
-                                    double *sq, double *r2, int kind, double a, double b,
-                                    double *shape_sum, double *buf)
+                                    double *sq, int kind, double a, double b, double *shape_sum,
+                                    double *r)
 {
     Py_ssize_t far = -1;
     double top = -1.0, s[8] = {0.0};
     for (Py_ssize_t i0 = 0; i0 < n; i0 += TILE) {
         Py_ssize_t w = n - i0 < TILE ? n - i0 : TILE, j;
-        double *r = r2 + i0, *q = sq + i0, mx;
+        double *q = sq + i0, mx;
         dist_row(r, y, xt + i0, w, n, d);
         mx = lower_max(q, r, w);
         if (mx > top) {  /* strict: a tie with an earlier tile keeps its index */
@@ -237,13 +234,12 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
             far = i0 + j;
         }
         if (kind >= 0) {
-            memcpy(buf, r, w * sizeof(double));
-            shape_row(buf, w, kind, a, b);
+            shape_row(r, w, kind, a, b);
             for (j = 0; j + 8 <= w; j += 8)
                 for (int l = 0; l < 8; l++)
-                    s[l] += buf[j + l];
+                    s[l] += r[j + l];
             for (int l = 0; j < w; j++, l++)
-                s[l] += buf[j];
+                s[l] += r[j];
         }
     }
     *shape_sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
@@ -252,12 +248,12 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
 
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
 {
-    PyObject *po, *so, *ro, *shape = Py_None;
+    PyObject *po, *so, *shape = Py_None;
     Py_ssize_t j, far;
     int kind = -1;
     double a = 0.0, b = 0.0, shape_sum;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OnOO|O", &po, &j, &so, &ro, &shape))
+    if (!PyArg_ParseTuple(args, "OnO|O", &po, &j, &so, &shape))
         return NULL;
     if (shape != Py_None) {
         if (!PyTuple_Check(shape)) {
@@ -275,8 +271,7 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     const double *xt = borrow(&vs, po, "coords", 2, -1, 0);
     Py_ssize_t d = xt ? vs.view[0].shape[0] : 0, n = xt ? vs.view[0].shape[1] : 0;
     double *sq = xt ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
-    double *r2 = sq ? borrow(&vs, ro, "r2", 1, n, 1) : NULL;
-    if (r2 != NULL && (j < 0 || j >= n))
+    if (sq != NULL && (j < 0 || j >= n))
         PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", j, n);
     double *buf = NULL;
     if (!PyErr_Occurred() && (buf = PyMem_Malloc((TILE + d) * sizeof(double))) == NULL)
@@ -289,7 +284,7 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     double *y = buf + TILE;
     for (Py_ssize_t k = 0; k < d; k++)
         y[k] = xt[k * n + j];
-    far = scan_tiles(xt, n, d, y, sq, r2, kind, a, b, &shape_sum, buf);
+    far = scan_tiles(xt, n, d, y, sq, kind, a, b, &shape_sum, buf);
     Py_END_ALLOW_THREADS
     PyMem_Free(buf);
     release(&vs);
@@ -340,11 +335,10 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     if (y != NULL && vs.view[1].shape[1] != d)
         PyErr_Format(PyExc_ValueError, "ys has %zd columns, xs has %zd",
                      vs.view[1].shape[1], d);
-    const double *coef = PyErr_Occurred() ? NULL : borrow(&vs, co, "coef", 0, ny, 0);
-    int ndim = coef ? vs.view[2].ndim : 0;
-    Py_ssize_t p = ndim == 2 ? vs.view[2].shape[1] : 1;
-    double *out = coef ? borrow(&vs, oo, "out", ndim, nx, 1) : NULL;
-    if (out != NULL && ndim == 2 && vs.view[3].shape[1] != p)
+    const double *coef = PyErr_Occurred() ? NULL : borrow(&vs, co, "coef", 2, ny, 0);
+    Py_ssize_t p = coef ? vs.view[2].shape[1] : 0;
+    double *out = coef ? borrow(&vs, oo, "out", 2, nx, 1) : NULL;
+    if (out != NULL && vs.view[3].shape[1] != p)
         PyErr_SetString(PyExc_ValueError, "out must have one column per column of coef");
     double *scratch = NULL;
     if (!PyErr_Occurred()
@@ -437,7 +431,7 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
-     "farthest_scan(coords, j, sqdist, r2, shape=None) -> (farthest index, shape sum)"},
+     "farthest_scan(coords, j, sqdist, shape=None) -> (farthest index, shape sum)"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,

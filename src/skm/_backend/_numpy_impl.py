@@ -1,17 +1,17 @@
 """Pure-numpy implementation of the hot inner loops.
 
 `farthest_scan` is a farthest-first step over the coordinate-major points
-that writes the squared distances to the new center into a caller's
-buffer, lowers one distance buffer in place and can sum a shape of the
-new distances. `kernel_sums` forms kernel sums in blocks of cdist, the
-shape and a matrix product. `factor_order` is pivoted Cholesky along the
-rows of a point array, with Gram rows from cdist blocks and one BLAS
-triangular solve per candidate. Used when the compiled extension is
-unavailable. The signatures match skm._backend._fastcore exactly, and so
-do the buffer checks of `kernel_sums` and `factor_order`.
+that lowers one distance buffer in place and can sum a shape of the
+distances to the new center. `kernel_sums` forms kernel sums against a
+2-D coef in blocks of cdist, the shape and a matrix product.
+`factor_order` is pivoted Cholesky along the rows of a point array, with
+Gram rows from cdist blocks and one BLAS triangular solve per candidate.
+Used when the compiled extension is unavailable. The signatures and the
+buffer checks match skm._backend._fastcore exactly.
 """
 
 import math
+import numbers
 
 import numpy as np
 from scipy.linalg import blas
@@ -20,40 +20,45 @@ from scipy.spatial.distance import cdist
 from ._shape import _BLOCK_ENTRIES, SHAPE_KINDS, _apply_shape
 
 
-def farthest_scan(coords, j, sqdist, r2, shape=None):
+def farthest_scan(coords, j, sqdist, shape=None):
     """Make point j a center in one pass over the coordinate-major points.
 
-    coords is the (d, n) transpose of the points. Writes ||x_i - x_j||^2
-    into r2, summing the coordinates in order, lowers sqdist in place to
+    coords is the (d, n) transpose of the points. Forms r2[i] = ||x_i -
+    x_j||^2, summing the coordinates in order, lowers sqdist in place to
     min(sqdist, r2) and returns (the index of the largest sqdist, lowest
     index on ties; the shape sum). With shape = (kind, a, b) the shape sum
-    is sum_i shape_kind(r2[i]), else None. An unknown kind or a j outside
-    [0, n) raises ValueError before either buffer changes.
+    is sum_i shape_kind(r2[i]), else None. A shape that is not such a tuple
+    raises TypeError, and an unknown kind, bad buffers or a j outside [0,
+    n) raise TypeError or ValueError, before sqdist changes.
     """
-    if shape is not None and shape[0] not in SHAPE_KINDS:
-        raise ValueError(f"unknown shape kind {shape[0]}")
+    if shape is not None:
+        if not (isinstance(shape, tuple) and len(shape) == 3
+                and isinstance(shape[0], numbers.Integral)
+                and all(isinstance(v, numbers.Real) for v in shape[1:])):
+            raise TypeError("shape must be None or a (kind, a, b) tuple")
+        if shape[0] not in SHAPE_KINDS:
+            raise ValueError(f"unknown shape kind {shape[0]}")
+    _borrow(coords, "coords", 2, -1)
     n = coords.shape[1]
+    _borrow(sqdist, "sqdist", 1, n, writable=True)
     if not 0 <= j < n:
         raise ValueError(f"index {j} out of range for n={n}")
     diff = coords - coords[:, j:j + 1]
     diff *= diff
-    np.sum(diff, axis=0, out=r2)
+    r2 = diff.sum(axis=0)
     np.minimum(sqdist, r2, out=sqdist)
     far = int(np.argmax(sqdist))
     if shape is None:
         return far, None
-    return far, float(_apply_shape((*shape, 1.0), r2.copy()).sum())
+    return far, float(_apply_shape((*shape, 1.0), r2).sum())
 
 
 def _borrow(a, name, ndim, rows, writable=False):
-    """a itself, once it is a C-contiguous float64 array as the C checks it.
-
-    ndim 0 accepts a 1-D or a 2-D array.
-    """
+    """a itself, once it is a C-contiguous float64 array as the C checks it."""
     if not isinstance(a, np.ndarray) or a.dtype != np.float64:
         raise TypeError(f"{name} must be a float64 array")
-    if (a.ndim not in (1, 2) if ndim == 0 else a.ndim != ndim) or not a.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous {ndim or '1-D or 2'}-D array")
+    if a.ndim != ndim or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {ndim}-D array")
     if rows >= 0 and a.shape[0] != rows:
         raise ValueError(f"{name} has the wrong length")
     if writable and not a.flags.writeable:
@@ -62,15 +67,15 @@ def _borrow(a, name, ndim, rows, writable=False):
 
 
 def kernel_sums(xs, ys, coef, kind, a, b, c, out):
-    """Write c * sum_j shape_kind(||xs_i - ys_j||^2) coef[j] into out[i].
+    """Write c * sum_j shape_kind(||xs_i - ys_j||^2) coef[j, q] into out[i, q].
 
     xs and ys are C-contiguous float64 with the same number of columns,
-    coef is C-contiguous float64 of shape (len(ys),) or (len(ys), p), and
-    out a writable C-contiguous float64 array of shape (len(xs),) or
-    (len(xs), p) to match. kind is a SHAPE_* code of `skm._backend._shape`.
-    Bad buffers or an unknown kind raise TypeError or ValueError before out
-    changes. The kernel values are formed in row blocks of at most 2^18
-    entries, or one row when ys is longer.
+    coef is C-contiguous float64 of shape (len(ys), p), and out a writable
+    C-contiguous float64 array of shape (len(xs), p). kind is a SHAPE_*
+    code of `skm._backend._shape`. Bad buffers or an unknown kind raise
+    TypeError or ValueError before out changes. The kernel values are
+    formed in row blocks of at most 2^18 entries, or one row when ys is
+    longer.
     """
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind}")
@@ -78,9 +83,9 @@ def kernel_sums(xs, ys, coef, kind, a, b, c, out):
     _borrow(ys, "ys", 2, -1)
     if ys.shape[1] != xs.shape[1]:
         raise ValueError(f"ys has {ys.shape[1]} columns, xs has {xs.shape[1]}")
-    _borrow(coef, "coef", 0, ys.shape[0])
-    _borrow(out, "out", coef.ndim, xs.shape[0], writable=True)
-    if out.shape[1:] != coef.shape[1:]:
+    _borrow(coef, "coef", 2, ys.shape[0])
+    _borrow(out, "out", 2, xs.shape[0], writable=True)
+    if out.shape[1] != coef.shape[1]:
         raise ValueError("out must have one column per column of coef")
     rows = max(1, _BLOCK_ENTRIES // max(1, ys.shape[0]))
     for i in range(0, xs.shape[0], rows):

@@ -81,15 +81,6 @@ def _timed(label, seconds):
     print(f"[skm] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
-def _parse_first(text, seed):
-    """--first accepts an explicit index or 'seed:<s>'."""
-    if text is None:
-        return None, seed
-    if text.startswith("seed:"):
-        return None, int(text[len("seed:"):])
-    return int(text), seed
-
-
 def _model_record(mean: SparseKernelMean) -> ModelRecord:
     return ModelRecord(
         spec=mean.spec,
@@ -133,7 +124,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--density", action="store_true",
                    help="project the weights onto the probability simplex")
-    p.add_argument("--first", default=None, help="<index> or seed:<s>")
+    p.add_argument("--first", type=int, default=None,
+                   help="index of the first center (default: drawn with --seed)")
     p.add_argument("--header", action="store_true", help="input has a header row")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None,
@@ -148,7 +140,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", parents=[common], help="k-center selection only")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--first", default=None, help="<index> or seed:<s>")
+    p.add_argument("--first", type=int, default=None,
+                   help="index of the first center (default: drawn with --seed)")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
 
@@ -157,7 +150,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--first", default=None)
+    p.add_argument("--first", type=int, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--max-points", type=int, default=5000)
     p.add_argument("--out", default=None)
@@ -215,7 +208,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--first", default=None)
+    p.add_argument("--first", type=int, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--random-seeds", type=int, default=0,
                    help="if > 0, add a random-selection baseline over this many seeds")
@@ -234,10 +227,9 @@ def build_parser() -> _Parser:
 def _cmd_fit(args) -> int:
     data = load_csv(args.input, has_header=args.header)
     spec = parse_kernel_spec(args.kernel, data.d)
-    first, seed = _parse_first(args.first, args.seed)
     start = time.perf_counter()
     mean = fit(data, spec, k_max=args.kmax, epsilon=args.eps,
-               density_mode=args.density, first=first, seed=seed)
+               density_mode=args.density, first=args.first, seed=args.seed)
     elapsed = time.perf_counter() - start
     save_model(_model_record(mean), args.out)
     if args.trace:
@@ -263,9 +255,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_select(args) -> int:
     data = load_csv(args.input, has_header=args.header)
-    first, seed = _parse_first(args.first, args.seed)
     start = time.perf_counter()
-    sel = kcenter.kcenter_greedy(data, args.k, first=first, seed=seed)
+    sel = kcenter.kcenter_greedy(data, args.k, first=args.first, seed=args.seed)
     _timed("select", time.perf_counter() - start)
     rows = [[m + 1, int(idx), float(radius)]
             for m, (idx, radius) in enumerate(zip(sel.order, sel.radius_trace))]
@@ -280,9 +271,8 @@ def _cmd_audit(args) -> int:
             f"audit is O(n^2); refusing n={data.n} > --max-points={args.max_points}"
         )
     spec = parse_kernel_spec(args.kernel, data.d)
-    first, seed = _parse_first(args.first, args.seed)
     k_max = args.kmax if args.kmax is not None else max(1, data.n - 1)
-    mean = fit(data, spec, k_max=k_max, epsilon=0.0, first=first, seed=seed)
+    mean = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first, seed=args.seed)
     zbar_sq = squared_mean_norm(data, spec, max_points=args.max_points)
     from .kernels import g_zero, gram_at_dist
 
@@ -438,7 +428,7 @@ def _bench_curve(data, spec, k_max, first, seed):
     """Greedy error trace with cumulative wall time per support size."""
     start = time.perf_counter()
     return [(step.m, step.e, (time.perf_counter() - start) * 1e3)
-            for step in fit_steps(CholeskyWeights(data, spec), k_max, first=first, seed=seed)
+            for step in fit_steps(CholeskyWeights(data, spec, k_max), first=first, seed=seed)
             if step.skip is None]
 
 
@@ -497,11 +487,10 @@ def _cmd_bench(args) -> int:
     spec = parse_kernel_spec(args.kernel, data.d)
     if not 1 <= args.kmax <= data.n:
         raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
-    first, seed = _parse_first(args.first, args.seed)
-    rows = _bench_curve(data, spec, args.kmax, first, seed)
+    rows = _bench_curve(data, spec, args.kmax, args.first, args.seed)
     if args.random_seeds > 0:
         report = bench_compare(data, spec, args.kmax,
-                               seeds=range(args.random_seeds), first=first)
+                               seeds=range(args.random_seeds), first=args.first)
         e_random = report["e_random_mean"]
         out_rows = [[m, e, ms, float(e_random[m - 1])] for m, e, ms in rows]
         _write_csv(args.out, ["m", "e", "wall_ms", "e_random_mean"], out_rows)

@@ -25,14 +25,14 @@ fixed order of candidates is factored by one call of the same primitive
 on the whole order instead (`factor`); one block sum gives kappa of the
 kept points, and one more triangular solve gives v. The quantity E_m =
 -alpha' kappa = -||v||^2 equals the squared approximation error minus
-the constant ||zbar||^2 and drives the stopping rule. It is kept as E_m = E_{m-1} - v_m^2, which never rises in floating
-point either. The weights alpha = L^{-T} v cost one more triangular solve
-when read, and K^{-1} is never formed; `inv_k` derives it from the factor
-on request.
+the constant ||zbar||^2 and drives the stopping rule. It is kept as E_m =
+E_{m-1} - v_m^2, which never rises in floating point either. The weights
+alpha = L^{-T} v cost one more triangular solve when read, and K^{-1} is
+never formed.
 """
 
 import numpy as np
-from scipy.linalg import blas, cho_solve
+from scipy.linalg import blas
 
 from . import _backend
 from .errors import NearSingularError
@@ -46,17 +46,19 @@ SINGULARITY_REL_TOL = 1e-9
 
 
 class CholeskyWeights:
-    """Support, Cholesky factor, kappa, v = L^{-1} kappa and E trace, grown in place.
+    """Support, Cholesky factor, kappa, v = L^{-1} kappa and E trace, filled in place.
 
     Row i of the lower factor is stored at offset i(i+1)/2 of one flat
     buffer, so the leading m rows are a contiguous packed triangle that
     BLAS solves against without a copy. The support's coordinates are kept
-    row by row beside it, for the backend to form Gram rows from. All
-    buffers double when full, so memory stays O(m^2) for m support points
-    whatever the budget.
+    row by row beside it, for the backend to form Gram rows from. The
+    support, kappa, v, E and pivot buffers are allocated once, for
+    `capacity` support points, and a full state rejects a further point.
+    The factor alone doubles as the support grows, up to the capacity, so
+    its memory is O(m^2) for m support points whatever the budget.
     """
 
-    def __init__(self, data, spec):
+    def __init__(self, data, spec, capacity: int):
         self.c = g_zero(spec)
         if not self.c > 0.0:
             raise ValueError(f"g(0) must be positive, got {self.c}")
@@ -65,14 +67,13 @@ class CholeskyWeights:
         # The Gram shape without its constant c, as the scan sums it for extend.
         self.shape = tuple(self.params[:3])
         self.threshold = SINGULARITY_REL_TOL * self.c
+        self.capacity = int(capacity)
         self.m = 0
-        self._support = np.empty((16, self.points.shape[1]))
-        self._packed = np.empty(16 * 17 // 2)
-        self._pivots = np.empty(16)
-        self._indices = np.empty(16, dtype=np.int64)
-        self._kappa = np.empty(16)
-        self._v = np.empty(16)
-        self._e = np.empty(16)
+        cap = self.capacity
+        self._support = np.empty((cap, self.points.shape[1]))
+        self._packed = np.empty(0)  # grown by extend, or set by factor
+        self._pivots, self._kappa, self._v, self._e = (np.empty(cap) for _ in range(4))
+        self._indices = np.empty(cap, dtype=np.int64)
 
     @property
     def indices(self) -> np.ndarray:
@@ -97,15 +98,6 @@ class CholeskyWeights:
         # L', so trans=0 solves L' alpha = v (and trans=1 solves L w = b).
         return blas.dtpsv(m, self._packed[:m * (m + 1) // 2], self._v[:m], trans=0)
 
-    @property
-    def inv_k(self) -> np.ndarray:
-        """Inverse support Gram matrix, derived from the factor in O(m^3)."""
-        m = self.m
-        lower = np.zeros((m, m))
-        lower[np.tril_indices(m)] = self._packed[:m * (m + 1) // 2]
-        inv = cho_solve((lower, True), np.eye(m), check_finite=False)
-        return 0.5 * (inv + inv.T)
-
     def extend(self, j: int, shape_sum: float) -> float:
         """Add support point j by one pivoted Cholesky step; return its pivot.
 
@@ -117,19 +109,20 @@ class CholeskyWeights:
         point). Otherwise kappa_j = (1/n) sum_l <z_l, z_j> = c * shape_sum /
         n, where shape_sum is the Gram shape `self.shape` summed over the
         squared distances from point j to every point, as
-        `FarthestFirst.add(j, self.shape)` returns it.
+        `FarthestFirst.add(j, self.shape)` returns it. A full state raises
+        ValueError, also unchanged.
         """
         j = int(j)
         m = self.m
-        if m == self._indices.shape[0]:  # full: double every buffer
-            cap = max(16, 2 * m)
-            self._support = np.resize(self._support, (cap, self._support.shape[1]))
-            self._packed = np.resize(self._packed, cap * (cap + 1) // 2)
-            self._pivots, self._indices, self._kappa, self._v, self._e = (
-                np.resize(a, cap)
-                for a in (self._pivots, self._indices, self._kappa, self._v, self._e))
+        if m == self.capacity:
+            raise ValueError(f"the weight state is full ({m} support points)")
         self._support[m] = self.points[j]
         row = m * (m + 1) // 2
+        if row + m + 1 > self._packed.shape[0]:  # double the factor, up to the capacity
+            rows = min(self.capacity, max(16, 2 * m))
+            packed = np.empty(rows * (rows + 1) // 2)
+            packed[:row] = self._packed[:row]
+            self._packed = packed
         kept = _backend.factor_order(self._support[:m + 1], *self.params, self.threshold, m,
                                      self._packed[:row + m + 1], self._pivots[:m + 1])
         pivot = float(self._pivots[m])
@@ -150,29 +143,33 @@ class CholeskyWeights:
     def factor(self, order):
         """Factor the support along `order` in one backend call.
 
-        The state must be empty. The result is that of `extend` along order,
-        each candidate that raises NearSingularError dropped: both are
-        `_backend.factor_order`, here on the whole order at once. kappa of
-        the kept points comes from one block sum once every pivot is known,
-        so a dropped point costs no kernel row mean. Returns the kept mask
-        over order and every candidate's pivot. The work is O(m^3 / 3)
-        flops and O(md) memory besides the factor.
+        The state must be empty, with capacity len(order); otherwise
+        ValueError leaves it unchanged. The result is that of `extend` along
+        order, each candidate that raises NearSingularError dropped: both
+        are `_backend.factor_order`, here on the whole order at once, into
+        the state's own buffers. kappa of the kept points comes from one
+        block sum once every pivot is known, so a dropped point costs no
+        kernel row mean. Returns the kept mask over order and every
+        candidate's pivot. The work is O(m^3 / 3) flops and O(md) memory
+        besides the factor.
         """
-        if self.m:
-            raise ValueError("factor needs an empty state")
         order = np.asarray(order, dtype=np.int64)
         m, n = order.shape[0], self.points.shape[0]
-        support = self.points[order]
-        packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-        k = _backend.factor_order(support, *self.params, self.threshold, 0, packed, pivots)
+        if self.m or m != self.capacity:
+            raise ValueError(f"factor needs an empty state of capacity {m} "
+                             f"(m={self.m}, capacity={self.capacity})")
+        support = self._support
+        np.take(self.points, order, axis=0, out=support)
+        self._packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
+        k = _backend.factor_order(support, *self.params, self.threshold, 0, self._packed, pivots)
         kept = pivots > self.threshold
-        self._support, self._packed, self._pivots = support[kept], packed, pivots[kept]
-        self._indices = order[kept]
-        self._kappa = block_sums(self.params, self._support, self.points, np.full(n, 1.0 / n))
-        self._v = (blas.dtpsv(k, packed[:k * (k + 1) // 2], self._kappa, trans=1)
-                   if k else np.empty(0))
+        support[:k] = support[kept]
+        self._indices[:k] = order[kept]
+        self._kappa[:k] = block_sums(self.params, support[:k], self.points, np.full(n, 1.0 / n))
+        if k:
+            self._v[:k] = blas.dtpsv(k, self._packed[:k * (k + 1) // 2], self._kappa[:k], trans=1)
         # E_m = E_{m-1} - v_m^2, summed in the same order as extend.
-        self._e = -np.cumsum(self._v * self._v)
+        self._e[:k] = -np.cumsum(self._v[:k] * self._v[:k])
         self.m = k
         return kept, pivots
 
@@ -181,21 +178,6 @@ def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
     """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""
     den = abs(e_first - e_last)
     return 0.0 if den == 0.0 else abs(e_prev - e_last) / den
-
-
-def stop_rule(e_trace, epsilon: float) -> bool:
-    """Relative-progress test |E_{m-1} - E_m| / |E_1 - E_m| <= epsilon.
-
-    A flat trace (E_1 == E_m) defines the ratio as 0, i.e. stop: nothing is
-    being gained.
-    """
-    e_trace = np.asarray(e_trace, dtype=np.float64)
-    if e_trace.shape[0] < 2:
-        raise ValueError("stop rule needs at least two error values")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    ratio = progress_ratio(float(e_trace[0]), float(e_trace[-2]), float(e_trace[-1]))
-    return ratio <= epsilon
 
 
 def project_simplex(values):

@@ -8,10 +8,8 @@ is at most twice the optimal radius for the same k.
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _backend
 
@@ -71,28 +69,27 @@ class FarthestFirst:
     keeps one coordinate-major (d, n) copy of the points, for the scans to
     read a coordinate of consecutive points at a time, and frees it with
     itself. `add(j)` makes point j a center by one backend scan, which
-    writes the squared distances to j into the buffer r2 and lowers sqdist
-    in place; given a shape, the same pass returns the sum of the shape
-    over r2, from which the fit takes j's kernel row mean. `farthest` is
-    then the point farthest from the set, ties to the lowest index; once
-    the radius is 0 it is a chosen point or a duplicate of one.
+    lowers sqdist in place to the squared distances to j where they are
+    smaller; given a shape, the same pass returns the sum of the shape over
+    the squared distances to j, from which the fit takes j's kernel row
+    mean. `farthest` is then the point farthest from the set, ties to the
+    lowest index; once the radius is 0 it is a chosen point or a duplicate
+    of one.
     """
 
     def __init__(self, points):
         self.coords = np.ascontiguousarray(points.T, dtype=np.float64)
         n = self.coords.shape[1]
         self.sqdist = np.full(n, np.inf, dtype=np.float64)
-        self.r2 = np.empty(n, dtype=np.float64)
         self.farthest = -1
 
     def add(self, j: int, shape=None):
         """Make point j a center with one O(nd) scan.
 
-        Returns sum_i shape_kind(r2[i]) for shape = (kind, a, b), or None
-        without a shape.
+        Returns sum_i shape_kind(||x_i - x_j||^2) for shape = (kind, a, b),
+        or None without a shape.
         """
-        self.farthest, shape_sum = _backend.farthest_scan(
-            self.coords, int(j), self.sqdist, self.r2, shape)
+        self.farthest, shape_sum = _backend.farthest_scan(self.coords, int(j), self.sqdist, shape)
         return shape_sum
 
     @property
@@ -134,32 +131,3 @@ def kcenter_greedy(data, k: int, first=None, seed: int = 0) -> Selection:
         unchosen[order[:t + 1]] = False
         order[t + 1:] = np.flatnonzero(unchosen)[:k - t - 1]
     return Selection(order, radius, scan.sqdist)
-
-
-def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):
-    """Exact k-center by exhaustive enumeration. Test oracle only.
-
-    Returns (best index tuple, optimal coverage radius). Guarded against
-    instances with more than max_subsets candidate subsets.
-    """
-    pts = np.asarray(data.points, dtype=np.float64)
-    n = pts.shape[0]
-    k = _integer_in("k", k, 1, n, "1 <= k <= n", n)
-    if math.comb(n, k) > max_subsets or n > 4096:
-        raise ValueError(
-            f"instance too large for brute force (C({n},{k}) subsets)"
-        )
-    dists = cdist(pts, pts)
-    best_w = math.inf
-    best = None
-    all_idx = np.arange(n)
-    for subset in combinations(range(n), k):
-        rest = np.setdiff1d(all_idx, subset, assume_unique=True)
-        if rest.size == 0:
-            w = 0.0
-        else:
-            w = float(dists[np.ix_(rest, subset)].min(axis=1).max())
-        if w < best_w:
-            best_w = w
-            best = subset
-    return best, best_w

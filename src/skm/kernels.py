@@ -241,7 +241,8 @@ def kernel_block(params: ShapeParams, xs, ys=None):
 def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
     """sum_j c * shape(||x - y_j||) coef_j for each row x of the 2-D `xs`.
 
-    coef has one row per row of ys (shape (len(ys),) or (len(ys), p)). One
+    coef has one row per row of ys, of shape (len(ys), p) or (len(ys),); a
+    1-D coef is summed as one column and gives a 1-D result. One
     `_backend.kernel_sums` call forms the sums without a kernel block: the
     compiled backend tiles ys and keeps its scratch to a few tiles, and the
     numpy backend works in blocks of at most 2^18 entries, so memory stays
@@ -249,9 +250,10 @@ def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
     x86-64 glibc and differ from the numpy backend's in the last bits.
     """
     xs, ys, coef = (np.ascontiguousarray(v, dtype=np.float64) for v in (xs, ys, coef))
-    out = np.empty((xs.shape[0],) + coef.shape[1:])
-    _backend.kernel_sums(xs, ys, coef, *params, out)
-    return out
+    columns = coef.reshape(-1, 1) if coef.ndim == 1 else coef
+    out = np.empty((xs.shape[0], columns.shape[1]))
+    _backend.kernel_sums(xs, ys, columns, *params, out)
+    return out[:, 0] if coef.ndim == 1 else out
 
 
 def kernel_matrix(spec: RadialKernelSpec, xs, ys=None):
@@ -342,13 +344,3 @@ def parse_kernel_spec(text: str, dim: int) -> RadialKernelSpec:
         else:
             raise KernelSpecError(f"unrecognized kernel spec token {token!r}")
     return RadialKernelSpec(**kwargs)
-
-
-def format_kernel_spec(spec: RadialKernelSpec) -> str:
-    """Canonical string form accepted back by parse_kernel_spec."""
-    parts = [spec.family]
-    for name in _FAMILY_PARAMS[spec.family]:
-        parts.append(f"{name}={getattr(spec, name)!r}")
-    parts.append(spec.normalization)
-    parts.append(spec.space)
-    return ":".join(parts)

@@ -198,20 +198,24 @@ def _cover(pts, merge_dist):
     """Farthest-first cover of pts from index 0, stopped at radius merge_dist/2.
 
     Adds leaders until the coverage radius is at most merge_dist/2 (less
-    the margin) or there are isqrt(n) of them. Returns the leader indices,
-    each point's cell (the index of its nearest leader in `leaders`) and
-    each cell's radius, the largest distance from its leader to a member.
+    the margin) or there are isqrt(n) of them. A point joins a new leader's
+    cell when its distance to the leaders drops. Returns the leader
+    indices, each point's cell (the index in `leaders` of its nearest
+    leader, the earliest on ties) and each cell's radius, the largest
+    distance from its leader to a member.
     """
     n = pts.shape[0]
     scan = FarthestFirst(pts)
     scan.add(0)
     leaders = [0]
     cell = np.zeros(n, dtype=np.intp)
+    before = np.empty(n)
     cap = max(1, math.isqrt(n))
     while scan.radius > 0.5 * merge_dist * (1.0 - _MARGIN) and len(leaders) < cap:
         leaders.append(scan.farthest)
+        np.copyto(before, scan.sqdist)
         scan.add(leaders[-1])
-        cell[scan.r2 <= scan.sqdist] = len(leaders) - 1
+        cell[scan.sqdist < before] = len(leaders) - 1
     rho2 = np.zeros(len(leaders))
     np.maximum.at(rho2, cell, scan.sqdist)
     return np.array(leaders), cell, np.sqrt(rho2)

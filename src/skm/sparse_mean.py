@@ -85,7 +85,7 @@ def _support_budget(k_max, n: int) -> int:
     return max(1, min(n, default_k_max(n) if k_max is None else k_max))
 
 
-def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0):
+def fit_steps(weights: CholeskyWeights, first=None, seed: int = 0):
     """The greedy select/extend loop: yield one Step per candidate tried.
 
     Candidates come from farthest-first traversal started at `first` (or a
@@ -95,13 +95,13 @@ def fit_steps(weights: CholeskyWeights, k_max: int, first=None, seed: int = 0):
     A candidate whose section is numerically dependent on the support
     yields a skip Step with the reason and ends the loop, as pivoted
     Cholesky stops at its first pivot below tolerance. The loop also ends
-    when the support holds k_max points or covers every point exactly. The
-    caller applies the stop rule by leaving the loop. A fixed candidate
+    when the support fills the capacity of `weights` or covers every point
+    exactly. The caller applies the stop rule by leaving the loop. A fixed candidate
     order takes no such loop: see `fit_with_support`.
     """
     scan = kcenter.FarthestFirst(weights.points)
     cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
-    while weights.m < k_max:
+    while weights.m < weights.capacity:
         shape_sum = scan.add(cand, weights.shape)
         try:
             pivot = weights.extend(cand, shape_sum)
@@ -161,9 +161,9 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
-    weights = CholeskyWeights(data, spec)
+    weights = CholeskyWeights(data, spec, k_max)
     steps, skipped = [], []
-    for step in fit_steps(weights, k_max, first=first, seed=seed):
+    for step in fit_steps(weights, first=first, seed=seed):
         if step.skip is not None:
             skipped.append(step.index)
             continue
@@ -180,7 +180,7 @@ def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMea
     `CholeskyWeights.factor` call. The accepted Steps are those extending
     along the order would record, with a nan radius.
     """
-    weights = CholeskyWeights(data, spec)
+    weights = CholeskyWeights(data, spec, len(order))
     kept, pivots = weights.factor(order)
     skipped = order[~kept].tolist()
     if skipped:
@@ -320,18 +320,3 @@ def squared_mean_norm(data, spec: RadialKernelSpec, max_points: int = 5000) -> f
         )
     full = full_mean(data, spec)
     return mean_gram_inner(full, full)
-
-
-def residual_norm(data, spec: RadialKernelSpec, mean: SparseKernelMean,
-                  max_points: int = 5000) -> float:
-    """||zbar - mean||_H via Gram sums; O(n^2), audit paths only.
-
-    Valid for any weight vector, including simplex-projected ones.
-    """
-    zbar_sq = squared_mean_norm(data, spec, max_points=max_points)
-    pts = np.asarray(data.points, dtype=np.float64)
-    params = gram_params(spec)
-    kappa = block_sums(params, mean.support, pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
-    inner = block_sums(params, mean.support, mean.support, mean.alpha)
-    value = zbar_sq - 2.0 * float(mean.alpha @ kappa) + float(mean.alpha @ inner)
-    return math.sqrt(max(value, 0.0))

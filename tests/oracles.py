@@ -1,0 +1,46 @@
+"""Exact references that the tests check the package against.
+
+Kept out of the package: no fit needs them, and each costs far more than
+the code it checks.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+from scipy.linalg import cho_solve
+from scipy.spatial.distance import cdist
+
+
+def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):
+    """Exact k-center by exhaustive enumeration.
+
+    Returns (best index tuple, optimal coverage radius). Guarded against
+    instances with more than max_subsets candidate subsets.
+    """
+    pts = np.asarray(data.points, dtype=np.float64)
+    n = pts.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n (k={k}, n={n})")
+    if math.comb(n, k) > max_subsets or n > 4096:
+        raise ValueError(f"instance too large for brute force (C({n},{k}) subsets)")
+    dists = cdist(pts, pts)
+    best_w = math.inf
+    best = None
+    all_idx = np.arange(n)
+    for subset in combinations(range(n), k):
+        rest = np.setdiff1d(all_idx, subset, assume_unique=True)
+        w = float(dists[np.ix_(rest, subset)].min(axis=1).max()) if rest.size else 0.0
+        if w < best_w:
+            best_w = w
+            best = subset
+    return best, best_w
+
+
+def inverse_gram(state):
+    """K^{-1} of a CholeskyWeights support, solved from its packed factor in O(m^3)."""
+    m = state.m
+    lower = np.zeros((m, m))
+    lower[np.tril_indices(m)] = state._packed[:m * (m + 1) // 2]
+    inv = cho_solve((lower, True), np.eye(m), check_finite=False)
+    return 0.5 * (inv + inv.T)

@@ -51,44 +51,39 @@ def test_farthest_scan_backends_agree(fastcore):
     for n in (1, 255, 256, 257, 3000, 100_000):
         for d in (1, 2, 5, 8, 17):
             coords = np.ascontiguousarray(rng.normal(size=(d, n)))
-            bufs = {impl: (np.full(n, np.inf), np.empty(n)) for impl in (_numpy_impl, fastcore)}
+            sqdist = {impl: np.full(n, np.inf) for impl in (_numpy_impl, fastcore)}
             j = 0
             for _ in range(6):  # a chain of scans exercises the running minimum
-                (far_np, _), (far_c, _) = (impl.farthest_scan(coords, j, sq, r2)
-                                           for impl, (sq, r2) in bufs.items())
+                (far_np, _), (far_c, _) = (impl.farthest_scan(coords, j, sq)
+                                           for impl, sq in sqdist.items())
                 assert far_c == far_np
-                for k in range(2):
-                    assert_array_equal(bufs[fastcore][k], bufs[_numpy_impl][k])
+                assert_array_equal(sqdist[fastcore], sqdist[_numpy_impl])
                 j = far_np
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_farthest_scan_semantics(impl):
     coords = np.array([[0.0, -1.0, 1.0, 3.0, 5.0]])  # five points in d = 1
-    sq, r2 = np.full(5, np.inf), np.empty(5)
-    assert impl.farthest_scan(coords, 0, sq, r2) == (4, None)
-    assert_array_equal(r2, [0.0, 1.0, 1.0, 9.0, 25.0])
-    assert_array_equal(sq, r2)
-    assert impl.farthest_scan(coords, 4, sq, r2) == (3, None)
-    assert_array_equal(r2, [25.0, 36.0, 16.0, 4.0, 0.0])
+    sq = np.full(5, np.inf)
+    assert impl.farthest_scan(coords, 0, sq) == (4, None)
+    assert_array_equal(sq, [0.0, 1.0, 1.0, 9.0, 25.0])
+    assert impl.farthest_scan(coords, 4, sq) == (3, None)
     assert_array_equal(sq, [0.0, 1.0, 1.0, 4.0, 0.0])
     # 1 and 2 tie at distance 1 from {0, 3, 4}: the lowest index wins.
-    assert impl.farthest_scan(coords, 3, sq, r2) == (1, None)
+    assert impl.farthest_scan(coords, 3, sq) == (1, None)
     assert_array_equal(sq, [0.0, 1.0, 1.0, 0.0, 0.0])
     # Once every distance is 0, the farthest point is index 0.
     sq = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
-    assert impl.farthest_scan(coords, 4, sq, r2) == (0, None)
+    assert impl.farthest_scan(coords, 4, sq) == (0, None)
     # An index outside [0, n) or an unknown shape kind is an error on both
-    # backends, not a wrap, and raises before either buffer changes.
-    r2[:] = -1.0
+    # backends, not a wrap, and raises before sqdist changes.
     for j in (-1, 5):
         with pytest.raises(ValueError, match=f"index {j} out of range for n=5"):
-            impl.farthest_scan(coords, j, sq, r2)
+            impl.farthest_scan(coords, j, sq)
     for kind in (-1, 3):
         with pytest.raises(ValueError, match=f"unknown shape kind {kind}"):
-            impl.farthest_scan(coords, 0, sq, r2, (kind, 0.5, 0.0))
+            impl.farthest_scan(coords, 0, sq, (kind, 0.5, 0.0))
     assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
-    assert_array_equal(r2, np.full(5, -1.0))
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -102,7 +97,7 @@ def test_farthest_scan_ties_keep_the_lowest_index(impl, values, farthest):
     coords[0, 0] = 0.0
     for i, x in values.items():
         coords[0, i] = x
-    assert impl.farthest_scan(coords, 0, np.full(600, np.inf), np.empty(600))[0] == farthest
+    assert impl.farthest_scan(coords, 0, np.full(600, np.inf))[0] == farthest
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -119,49 +114,44 @@ def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
     monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
-    state, scan = CholeskyWeights(DataSet(points), spec), FarthestFirst(points)
-    assert state.params.kind == kind and state.params.c != 1.0
     order = [0, 17, n - 1]
+    state, scan = CholeskyWeights(DataSet(points), spec, len(order)), FarthestFirst(points)
+    assert state.params.kind == kind and state.params.c != 1.0
     for j in order:
         state.extend(j, scan.add(j, state.shape))
     expected = block_sums(state.params, points[order], points, np.full(n, 1.0 / n))
     assert_allclose(state.kappa, expected, rtol=1e-13)
 
 
-def test_compiled_rejects_bad_buffers(fastcore):
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_farthest_scan_rejects_bad_buffers(impl):
+    # Both backends check the buffers the same way, and a call that raises
+    # leaves sqdist as it was.
     coords = np.zeros((3, 4))  # four points in d = 3
-    good = np.full(4, np.inf)
-    buf = np.empty(4)
-
-    def scan(pts=coords, j=0, sqdist=good, r2=buf, shape=None):
-        return fastcore.farthest_scan(pts, j, sqdist, r2, shape)
-
-    scan()
-    with pytest.raises(TypeError):
-        scan(pts=coords.astype(np.float32))
-    with pytest.raises(TypeError):
-        scan(pts=[[0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        scan(pts=np.zeros((3, 8))[:, ::2])  # not contiguous
-    with pytest.raises(ValueError):
-        scan(pts=np.zeros(12))  # 1-D
-    readonly = good.copy()
+    readonly = np.full(4, -1.0)
     readonly.setflags(write=False)
-    for name in ("sqdist", "r2"):
-        with pytest.raises(ValueError):
-            scan(**{name: good[:3].copy()})  # length mismatch
-        with pytest.raises(TypeError):
-            scan(**{name: good.astype(np.float32)})
-        with pytest.raises(ValueError):
-            scan(**{name: np.full((4, 6), np.inf)[:, 0]})  # not contiguous
-        with pytest.raises(ValueError):
-            scan(**{name: readonly})
-    sq, r2 = np.full(4, -1.0), np.full(4, -1.0)
-    for shape in ([SHAPE_SQEXP, 0.5, 0.0], (SHAPE_SQEXP, 0.5), (SHAPE_SQEXP, "a", 0.0)):
-        with pytest.raises(TypeError):
-            scan(sqdist=sq, r2=r2, shape=shape)
-    assert_array_equal(sq, np.full(4, -1.0))
-    assert_array_equal(r2, np.full(4, -1.0))
+    cases = [
+        (TypeError, "coords must be a float64 array", {"coords": coords.astype(np.float32)}),
+        (TypeError, "float64 array|bytes-like", {"coords": [[0.0, 0.0, 0.0, 0.0]]}),
+        (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros((3, 8))[:, ::2]}),
+        (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros(12)}),
+        (ValueError, "sqdist has the wrong length", {"sqdist": np.full(3, -1.0)}),
+        (TypeError, "sqdist must be a float64 array", {"sqdist": np.full(4, -1.0, np.float32)}),
+        (ValueError, "sqdist must be a C-contiguous 1-D", {"sqdist": np.full((4, 6), -1.0)[:, 0]}),
+        (ValueError, "sqdist must be writable", {"sqdist": readonly}),
+        (TypeError, "shape must be None or a", {"shape": [SHAPE_SQEXP, 0.5, 0.0]}),
+        (TypeError, "shape must be None or a", {"shape": (SHAPE_SQEXP, 0.5)}),
+        (TypeError, "shape must be None or a|real number", {"shape": (SHAPE_SQEXP, "a", 0.0)}),
+    ]
+    for error, message, bad in cases:
+        args = {"coords": coords, "sqdist": np.full(4, -1.0), "shape": None} | bad
+        with pytest.raises(error, match=message):
+            impl.farthest_scan(args["coords"], 0, args["sqdist"], args["shape"])
+        sentinel = args["sqdist"].base if args["sqdist"].base is not None else args["sqdist"]
+        assert np.all(sentinel == -1.0), message
+    sq = np.full(4, np.inf)
+    assert impl.farthest_scan(coords, 0, sq) == (0, None)
+    assert_array_equal(sq, np.zeros(4))
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -201,14 +191,13 @@ def test_farthest_scan_shape_sum_is_a_kernel_sum(impl, params):
     points = random_case(np.random.default_rng(6), n=3000, d=5)
     coords = np.ascontiguousarray(points.T)
     unit = params._replace(c=1.0)
-    plain, shaped = (np.full(3000, np.inf), np.empty(3000)), (np.full(3000, np.inf), np.empty(3000))
+    plain, shaped = np.full(3000, np.inf), np.full(3000, np.inf)
     for j in (0, 1234, 2999):
-        far, none = impl.farthest_scan(coords, j, *plain)
+        far, none = impl.farthest_scan(coords, j, plain)
         assert none is None
-        far_shaped, total = impl.farthest_scan(coords, j, *shaped, unit[:3])
+        far_shaped, total = impl.farthest_scan(coords, j, shaped, unit[:3])
         assert far_shaped == far
-        assert_array_equal(shaped[0], plain[0])
-        assert_array_equal(shaped[1], plain[1])
+        assert_array_equal(shaped, plain)
         expected = block_sums(unit, points[j:j + 1], points, np.ones(3000))[0]
         assert_allclose(total, expected, rtol=SUM_RTOL)
 
@@ -230,15 +219,14 @@ def _assert_sums_close(got, params, xs, ys, coef, block=None):
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_kernel_sums_match_the_kernel_block(impl, params, d):
     # Row counts on both sides of the compiled loop's 256-row tiles and of
-    # its 8 partial sums; coef with one column, as a vector or not, and
-    # with three.
+    # its 8 partial sums; coef with one column and with three.
     rng = np.random.default_rng(d)
     xs = random_case(rng, n=1000, d=d)
     for m in (1, 255, 256, 257, 600, 3000):
         ys = random_case(rng, n=m, d=d) * 1.5
         for x in (xs[:0], xs[:1], xs):
             block = kernel_block(params, x, ys)
-            for coef in (rng.normal(size=m), rng.normal(size=(m, 1)), rng.normal(size=(m, 3))):
+            for coef in (rng.normal(size=(m, 1)), rng.normal(size=(m, 3))):
                 got = _kernel_sums(impl, params, x, ys, coef)
                 _assert_sums_close(got, params, x, ys, coef, block)
 
@@ -249,7 +237,7 @@ def test_kernel_sums_match_the_kernel_block_on_random_shapes(impl, data):
     nx = data.draw(st.integers(0, 30), label="nx")
     m = data.draw(st.integers(1, 700), label="m")
     d = data.draw(st.integers(1, 12), label="d")
-    p = data.draw(st.integers(0, 4), label="p (0: a vector)")
+    p = data.draw(st.integers(1, 4), label="p")
     kind = data.draw(st.sampled_from([SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER]), label="kind")
     a = data.draw(st.sampled_from([1e-6, 0.05, 1.0, 30.0]), label="a")
     b = data.draw(st.sampled_from([0.5, 1.0, 3.5]), label="b") if kind == SHAPE_POWER else 0.0
@@ -258,7 +246,7 @@ def test_kernel_sums_match_the_kernel_block_on_random_shapes(impl, data):
     xs, ys = random_case(rng, n=nx, d=d), random_case(rng, n=m, d=d)
     if data.draw(st.booleans(), label="shared rows") and nx:
         ys[rng.integers(m, size=nx)] = xs  # exact zeros
-    coef = rng.normal(size=(m, p) if p else m)
+    coef = rng.normal(size=(m, p))
     params = ShapeParams(kind, a, b, c)
     _assert_sums_close(_kernel_sums(impl, params, xs, ys, coef), params, xs, ys, coef)
 
@@ -276,15 +264,17 @@ def test_kernel_sums_reject_bad_buffers_before_writing(impl):
         (TypeError, "out must be a float64 array", {"out": np.full((4, 2), -1.0, np.float32)}),
         (ValueError, "xs must be a C-contiguous 2-D", {"xs": np.zeros((4, 6))[:, ::2]}),
         (ValueError, "ys must be a C-contiguous 2-D", {"ys": np.ones(15)}),
-        (ValueError, "coef must be a C-contiguous 1-D or 2-D", {"coef": np.ones((5, 4))[:, ::2]}),
-        (ValueError, "coef must be a C-contiguous 1-D or 2-D", {"coef": np.ones((5, 2, 1))}),
+        (ValueError, "coef must be a C-contiguous 2-D", {"coef": np.ones((5, 4))[:, ::2]}),
+        (ValueError, "coef must be a C-contiguous 2-D", {"coef": np.ones((5, 2, 1))}),
+        (ValueError, "coef must be a C-contiguous 2-D", {"coef": np.ones(5)}),
         (ValueError, "out must be a C-contiguous 2-D", {"out": np.full((4, 4), -1.0)[:, ::2]}),
         (ValueError, "ys has 2 columns, xs has 3", {"ys": np.ones((5, 2))}),
         (ValueError, "coef has the wrong length", {"coef": np.ones((6, 2))}),
         (ValueError, "out has the wrong length", {"out": np.full((5, 2), -1.0)}),
         (ValueError, "out must have one column per column of coef", {"out": np.full((4, 3), -1.0)}),
-        (ValueError, "out must be a C-contiguous 1-D", {"coef": np.ones(5)}),
         (ValueError, "out must be a C-contiguous 2-D", {"out": np.full(4, -1.0)}),
+        (ValueError, "coef must be a C-contiguous 2-D",
+         {"coef": np.ones(5), "out": np.full(4, -1.0)}),
         (ValueError, "out must be writable", {"out": readonly}),
     ]
     for error, message, bad in cases:
@@ -510,13 +500,13 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     points[:40] = points[rng.integers(40, 400, size=40)]
     data = DataSet(points)
     order = rng.permutation(400)[:150]
-    stepped, pivots, skipped = CholeskyWeights(data, spec), [], []
+    stepped, pivots, skipped = CholeskyWeights(data, spec, 150), [], []
     for j in order.tolist():
         try:
             pivots.append(stepped.extend(j, FarthestFirst(data.points).add(j, stepped.shape)))
         except NearSingularError:
             skipped.append(j)
-    factored = CholeskyWeights(data, spec)
+    factored = CholeskyWeights(data, spec, 150)
     kept, all_pivots = factored.factor(order)
     assert skipped and order[~kept].tolist() == skipped
     assert_array_equal(factored.indices, stepped.indices)
@@ -539,7 +529,7 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     spec = RadialKernelSpec("gaussian", dim=2, sigma=sigma)
     mean = fit_with_support(data, spec, support)
 
-    state, skipped = CholeskyWeights(data, spec), []
+    state, skipped = CholeskyWeights(data, spec, 134), []
     for j in support.tolist():
         try:
             state.extend(j, FarthestFirst(data.points).add(j, state.shape))
@@ -549,6 +539,49 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     assert_array_equal(mean.support_indices, state.indices)
     assert_allclose(mean.diagnostics.e_trace, state.e_trace, rtol=1e-12)
     assert (len(skipped) > 0) == (sigma == 5.0)
+
+
+def _state_copy(state):
+    """The filled part of every buffer of a CholeskyWeights state."""
+    m = state.m
+    return (m, state._support[:m].copy(), state._packed[:m * (m + 1) // 2].copy(),
+            state.indices.copy(), state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy())
+
+
+def _assert_state_is(state, saved):
+    assert state.m == saved[0]
+    for now, then in zip(_state_copy(state)[1:], saved[1:]):
+        assert_array_equal(now, then)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatch):
+    # Each buffer is allocated once for the capacity: extend at capacity
+    # raises, and factor needs an empty state of capacity len(order); both
+    # leave the state as it was.
+    for name in ("farthest_scan", "kernel_sums", "factor_order"):
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
+    data = DataSet(random_case(np.random.default_rng(12), n=50, d=2))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=0.5)
+    state = CholeskyWeights(data, spec, 3)
+    for j in (0, 1, 2):
+        state.extend(j, FarthestFirst(data.points).add(j, state.shape))
+    saved = _state_copy(state)
+    with pytest.raises(ValueError, match="full"):
+        state.extend(3, FarthestFirst(data.points).add(3, state.shape))
+    _assert_state_is(state, saved)
+    with pytest.raises(ValueError, match="empty state of capacity 3"):
+        state.factor([3, 4, 5])
+    _assert_state_is(state, saved)
+    empty = CholeskyWeights(data, spec, 3)
+    for order in ([3, 4], [3, 4, 5, 6]):
+        with pytest.raises(ValueError, match=f"empty state of capacity {len(order)}"):
+            empty.factor(order)
+        assert empty.m == 0
+    kept, _ = empty.factor([0, 1, 2])
+    assert kept.all() and empty.m == 3
+    assert_array_equal(empty.indices, saved[3])
+    assert_array_equal(empty._packed, saved[2])  # the whole triangle, 3 rows
 
 
 def _fit_with(impl):

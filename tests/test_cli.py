@@ -107,13 +107,23 @@ def test_select_emits_order_and_radius(tmp_path):
 
 
 def test_select_accepts_seed_syntax(tmp_path):
+    # Without --first, --seed draws the first center.
     x = synth_csv(tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["select", "--input", str(x), "--k", "5", "--first", "seed:3",
-          "--out", str(out1)])
-    main(["select", "--input", str(x), "--k", "5", "--first", "seed:3",
-          "--out", str(out2)])
+    main(["select", "--input", str(x), "--k", "5", "--seed", "3", "--out", str(out1)])
+    main(["select", "--input", str(x), "--k", "5", "--seed", "3", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "select", "audit", "bench"])
+def test_first_takes_an_index_only(tmp_path, capsys, command):
+    x = synth_csv(tmp_path)
+    extra = {"fit": ["--kernel", "gaussian:sigma=1", "--out", str(tmp_path / "m.json")],
+             "select": ["--k", "5"], "audit": ["--kernel", "gaussian:sigma=1"],
+             "bench": ["--kernel", "gaussian:sigma=1", "--kmax", "5"]}[command]
+    rc = main([command, "--input", str(x), "--first", "seed:3"] + extra)
+    assert rc == 1
+    assert "--first" in capsys.readouterr().err
 
 
 def test_audit_bound_dominates_residual(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from oracles import inverse_gram
 
-from skm.coefficients import CholeskyWeights, project_simplex, stop_rule
+from skm.coefficients import CholeskyWeights, progress_ratio, project_simplex
 from skm.dataio import DataSet
 from skm.errors import NearSingularError
 from skm.kcenter import FarthestFirst
@@ -29,8 +30,8 @@ def shape_sum(state, data, j):
     return float(_apply_shape((*state.shape, 1.0), sqdist_row(data, j)).sum())
 
 
-def grow_state(data, spec, order):
-    state = CholeskyWeights(data, spec)
+def grow_state(data, spec, order, capacity=None):
+    state = CholeskyWeights(data, spec, len(order) if capacity is None else capacity)
     for idx in order:
         state.extend(idx, shape_sum(state, data, idx))
     return state
@@ -88,7 +89,7 @@ def test_kappa_matches_gram_row_mean():
 def test_init_state_unit_gaussian_inverse():
     data = line_data(0.0, 1.0)
     state = grow_state(data, UNIT_GAUSS_1D, [0])
-    assert_allclose(state.inv_k, [[1.0]])
+    assert_allclose(inverse_gram(state), [[1.0]])
 
 
 def test_init_state_two_point_example():
@@ -121,14 +122,14 @@ def test_extend_full_support_two_points():
 
 def test_extend_duplicate_support_raises():
     data = line_data(0.0, 0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0])
+    state = grow_state(data, UNIT_GAUSS_1D, [0], capacity=2)
     with pytest.raises(NearSingularError):
         state.extend(1, shape_sum(state, data, 1))
 
 
 def test_dependent_extend_changes_neither_state_nor_distances():
     data = line_data(0.0, 3.0, 0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
+    state = grow_state(data, UNIT_GAUSS_1D, [0, 1], capacity=3)
     before = (state.m, state.indices.copy(), state.kappa.copy(), state.e_trace.copy())
     scan = FarthestFirst(data.points)
     total = scan.add(2, state.shape)  # point 2 duplicates point 0
@@ -137,14 +138,14 @@ def test_dependent_extend_changes_neither_state_nor_distances():
     assert state.m == before[0]
     for now, then in zip((state.indices, state.kappa, state.e_trace), before[1:]):
         np.testing.assert_array_equal(now, then)
-    np.testing.assert_array_equal(scan.r2, sqdist_row(data, 2))
+    np.testing.assert_array_equal(scan.sqdist, sqdist_row(data, 2))
 
 
 def test_extend_rejects_index_already_in_support():
     # A repeated index has pivot g(0) - g(0) = 0, so the pivot check rejects
     # it and leaves the state as it was.
     data = line_data(0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
+    state = grow_state(data, UNIT_GAUSS_1D, [0, 1], capacity=3)
     e_trace = state.e_trace.copy()
     for j in (0, 1):
         with pytest.raises(NearSingularError, match=f"support point {j} is numerically dependent"):
@@ -160,7 +161,7 @@ def test_extend_matches_direct_inverse_oracle():
     order = [2, 0, 5, 3, 1]
     state = grow_state(data, spec, order)
     direct = np.linalg.inv(gram_matrix(spec, data.points[order]))
-    assert np.linalg.norm(state.inv_k - direct) / np.linalg.norm(direct) < 1e-8
+    assert np.linalg.norm(inverse_gram(state) - direct) / np.linalg.norm(direct) < 1e-8
 
 
 def test_inverse_stays_exactly_symmetric():
@@ -168,14 +169,15 @@ def test_inverse_stays_exactly_symmetric():
     data = DataSet(rng.uniform(-4, 4, size=(12, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     state = grow_state(data, spec, list(range(8)))
-    assert np.array_equal(state.inv_k, state.inv_k.T)
+    inv = inverse_gram(state)
+    assert np.array_equal(inv, inv.T)
 
 
 def test_alpha_equals_inv_k_times_kappa():
     rng = np.random.default_rng(3)
     data = DataSet(rng.uniform(-4, 4, size=(10, 1)))
     state = grow_state(data, UNIT_GAUSS_1D, [0, 4, 8, 2])
-    assert_allclose(state.alpha, state.inv_k @ state.kappa, rtol=1e-10)
+    assert_allclose(state.alpha, inverse_gram(state) @ state.kappa, rtol=1e-10)
 
 
 def test_e_trace_nonincreasing_along_extensions():
@@ -233,22 +235,13 @@ def test_extension_agrees_with_direct_solve():
     assert np.linalg.norm(state.alpha - direct) <= 1e-7 * np.linalg.norm(direct)
 
 
-# ------------------------------------------------------------------- stop_rule
+# -------------------------------------------------------------- progress_ratio
 
-def test_stop_rule_examples():
-    assert stop_rule([-1.0, -2.0], 0.1) is False          # ratio exactly 1
-    assert stop_rule([-1.0, -2.0, -2.0], 1e-6) is True    # flat tail, ratio 0
-    assert stop_rule([-1.0, -1.0], 1e-9) is True          # degenerate, defined as 0
-
-
-def test_stop_rule_needs_two_entries():
-    with pytest.raises(ValueError):
-        stop_rule([-1.0], 0.1)
-
-
-def test_stop_rule_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
-        stop_rule([-1.0, -2.0], -0.5)
+def test_progress_ratio_examples():
+    assert progress_ratio(-1.0, -1.0, -2.0) == 1.0     # the first step gains it all
+    assert progress_ratio(-1.0, -2.0, -2.0) == 0.0     # flat tail
+    assert progress_ratio(-1.0, -1.0, -1.0) == 0.0     # flat trace, defined as 0
+    assert progress_ratio(-1.0, -3.0, -5.0) == 0.5
 
 
 # -------------------------------------------------------------- project_simplex

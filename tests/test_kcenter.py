@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
+from oracles import kcenter_brute
 
 from skm.dataio import DataSet
-from skm.kcenter import (
-    FarthestFirst,
-    Selection,
-    kcenter_brute,
-    kcenter_greedy,
-)
+from skm.kcenter import FarthestFirst, Selection, kcenter_greedy
 
 
 def line_data(*values):
@@ -100,7 +96,7 @@ def test_extend_single_point_line():
     data = line_data(0.0, 1.0, 10.0)
     scan = FarthestFirst(data.points)
     scan.add(0)
-    assert_array_equal(scan.r2, [0.0, 1.0, 100.0])  # squared distances to point 0
+    assert_array_equal(scan.sqdist, [0.0, 1.0, 100.0])  # squared distances to point 0
     assert (scan.farthest, scan.radius) == (2, 10.0)
     scan.add(2)
     assert (scan.farthest, scan.radius) == (1, 1.0)

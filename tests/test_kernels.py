@@ -8,10 +8,10 @@ from scipy.integrate import dblquad, quad
 from skm.dataio import DataSet
 from skm.errors import DegenerateDataError, KernelSpecError
 from skm.kernels import (
+    _FAMILY_PARAMS,
     RadialKernelSpec,
     bandwidth_iqr,
     bandwidth_jaakkola,
-    format_kernel_spec,
     g_zero,
     gram_at_dist,
     gram_inner,
@@ -290,6 +290,12 @@ def test_parse_kernel_spec_defaults_and_order():
     spec = parse_kernel_spec("student:l2:beta=2.0:alpha=1.0", dim=1)
     assert spec.space == "l2" and spec.normalization == "unit"
     assert spec.alpha == 1.0 and spec.beta == 2.0
+
+
+def format_kernel_spec(spec):
+    """The canonical string form of spec, all of its fields spelled out."""
+    params = [f"{name}={getattr(spec, name)!r}" for name in _FAMILY_PARAMS[spec.family]]
+    return ":".join([spec.family, *params, spec.normalization, spec.space])
 
 
 def test_parse_format_round_trip():

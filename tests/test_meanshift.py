@@ -311,6 +311,31 @@ def test_cluster_modes_matches_union_find(impl, data):
         assert_matches_union_find(0.5 * rows[picks], merge_dist)
 
 
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@given(data=st.data())
+def test_cover_cells_hold_the_nearest_leader(impl, data):
+    # Half-integer coordinates make the squared distances exact and put
+    # many points at the same distance from two leaders: such a point stays
+    # in the earlier leader's cell. Each cell radius is the largest distance
+    # from its leader to a member.
+    n = data.draw(st.integers(1, 150), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    pts = 0.5 * data.draw(arrays(np.float64, (n, d), elements=st.integers(-6, 6)), label="rows")
+    merge_dist = data.draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]), label="merge_dist")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+        leaders, cell, rho = meanshift._cover(pts, merge_dist)
+    assert leaders[0] == 0 and len(set(leaders.tolist())) == leaders.shape[0]
+    sq = cdist(pts, pts[leaders], "sqeuclidean")
+    assert_array_equal(cell, np.argmin(sq, axis=1))
+    rho2 = np.zeros(leaders.shape[0])
+    for a in range(leaders.shape[0]):
+        rho2[a] = sq[cell == a, a].max()
+    assert_array_equal(rho, np.sqrt(rho2))
+    covered = np.sqrt(sq.min(axis=1).max()) <= 0.5 * merge_dist * (1.0 - meanshift._MARGIN)
+    assert covered or leaders.shape[0] == max(1, int(np.sqrt(n)))
+
+
 def test_cluster_modes_merges_across_row_blocks():
     # The cover spends its 39 leaders on the first point and 38 of 40 far
     # outliers, so the 1500 normal points form one cell that is compared

@@ -14,7 +14,14 @@ from scipy.integrate import quad
 from skm.coefficients import CholeskyWeights
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
-from skm.kernels import RadialKernelSpec, g_zero, gram_at_dist, gram_matrix
+from skm.kernels import (
+    RadialKernelSpec,
+    block_sums,
+    g_zero,
+    gram_at_dist,
+    gram_matrix,
+    gram_params,
+)
 from skm.sparse_mean import (
     bound_value,
     default_k_max,
@@ -27,7 +34,6 @@ from skm.sparse_mean import (
     incoherence,
     mean_gram_inner,
     random_selection_fit,
-    residual_norm,
     squared_mean_norm,
 )
 
@@ -36,6 +42,17 @@ UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
 
 def line_data(*values):
     return DataSet(np.asarray(values, dtype=float).reshape(-1, 1))
+
+
+def residual_norm(data, spec, mean, max_points=5000):
+    """||zbar - mean||_H via Gram sums in flat memory; valid for any weights."""
+    zbar_sq = squared_mean_norm(data, spec, max_points=max_points)
+    pts = np.asarray(data.points, dtype=np.float64)
+    params = gram_params(spec)
+    kappa = block_sums(params, mean.support, pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
+    inner = block_sums(params, mean.support, mean.support, mean.alpha)
+    value = zbar_sq - 2.0 * float(mean.alpha @ kappa) + float(mean.alpha @ inner)
+    return math.sqrt(max(value, 0.0))
 
 
 def incoherence_double_loop(data, spec, support):
@@ -296,7 +313,7 @@ def test_fit_loop_stops_at_first_dependent_candidate():
     data = DataSet(rng.normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
-    steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
+    steps = list(fit_steps(CholeskyWeights(data, spec, 300), first=0))
     *accepted, last = steps
     assert last.skip is not None and "dependent" in last.skip
     assert all(s.skip is None for s in accepted)
@@ -343,7 +360,7 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     calls = _count_backend_calls(monkeypatch)
-    steps = list(fit_steps(CholeskyWeights(data, spec), 300, first=0))
+    steps = list(fit_steps(CholeskyWeights(data, spec, 300), first=0))
     assert "pivot" in steps[-1].skip
     assert calls == {"farthest_scan": len(steps), "kernel_sums": 0,
                      "factor_order": len(steps)}
@@ -386,8 +403,8 @@ def test_weights_match_dense_solve_at_every_step():
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
-    weights = CholeskyWeights(data, spec)
-    history = [(step, weights.alpha) for step in fit_steps(weights, 300, first=0)]
+    weights = CholeskyWeights(data, spec, 300)
+    history = [(step, weights.alpha) for step in fit_steps(weights, first=0)]
     assert weights.m == 300 and len(history) == 300
     support = data.points[weights.indices]
     gram = gram_matrix(spec, support)
