@@ -15,7 +15,7 @@ from .cpe import (
     l1_error,
     mean_inner,
 )
-from .dataio import DataSet, ModelRecord, load_csv, load_model, save_csv, save_model
+from .dataio import DataSet, load_csv, load_model, save_csv, save_model
 from .divergences import (
     DistanceMatrix,
     distance_matrix,
@@ -72,7 +72,6 @@ __all__ = [
     "DegenerateDataError",
     "DistanceMatrix",
     "KernelSpecError",
-    "ModelRecord",
     "NearSingularError",
     "ProportionEstimate",
     "RadialKernelSpec",

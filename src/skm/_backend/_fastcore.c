@@ -71,6 +71,10 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
                       Py_ssize_t rows, int writable)
 {
     Py_buffer *v = &vs->view[vs->count];
+    if (!PyObject_CheckBuffer(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a float64 array", name);
+        return NULL;
+    }
     if (PyObject_GetBuffer(obj, v, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
         return NULL;
     vs->count++;
@@ -256,13 +260,10 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OnO|O", &po, &j, &so, &shape))
         return NULL;
     if (shape != Py_None) {
-        if (!PyTuple_Check(shape)) {
+        if (!PyTuple_Check(shape) || !PyArg_ParseTuple(shape, "idd", &kind, &a, &b)) {
             PyErr_SetString(PyExc_TypeError, "shape must be None or a (kind, a, b) tuple");
             return NULL;
         }
-        if (!PyArg_ParseTuple(shape, "idd;shape must be None or a (kind, a, b) tuple",
-                              &kind, &a, &b))
-            return NULL;
         if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
             PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
             return NULL;

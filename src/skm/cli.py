@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Data tables are CSV with a header row, scalar results are JSON, and
-timings always go to stderr so data files stay clean. All randomness
-derives from --seed. Exit codes: 0 success, 1 usage error, 2 data or
-numeric error.
+Data tables are CSV with a header row and scalar results are JSON. A
+command that succeeds ends stderr with one line, a JSON stats document:
+"command", "backend", "seconds" (the whole command) and the command's
+own figures, phase times among them. No timing goes to stdout or a data
+file. All randomness derives from --seed. Exit codes: 0 success, 1
+usage error, 2 data or numeric error.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import numpy as np
 from . import _backend, kcenter
 from .coefficients import CholeskyWeights
 from .cpe import estimate_proportions, search_bandwidth
-from .dataio import ModelRecord, load_csv, load_model, save_csv, save_model
+from .dataio import DataSet, load_csv, load_model, save_csv, save_model
 from .divergences import distance_matrix, kl_divergence, sample_gaussian_mean
 from .errors import SkmError
 from .kernels import bandwidth_iqr, parse_kernel_spec
@@ -28,14 +30,11 @@ from .meanshift import (
     mean_shift_all,
 )
 from .sparse_mean import (
-    FitDiagnostics,
-    SparseKernelMean,
     bound_value,
     evaluate,
     fit,
     fit_steps,
     full_mean,
-    incoherence,
     random_selection_fit,
     squared_mean_norm,
 )
@@ -77,37 +76,10 @@ def _write_json(path, doc):
             fh.write(text)
 
 
-def _timed(label, seconds):
-    print(f"[skm] {label}: {seconds:.3f}s", file=sys.stderr)
-
-
-def _model_record(mean: SparseKernelMean) -> ModelRecord:
-    return ModelRecord(
-        spec=mean.spec,
-        support=mean.support,
-        alpha=mean.alpha,
-        k0=mean.k0,
-        epsilon=mean.diagnostics.epsilon,
-        density_mode=mean.diagnostics.density_projected,
-        e_trace=mean.diagnostics.e_trace,
-    )
-
-
-def _mean_from_record(record: ModelRecord) -> SparseKernelMean:
-    diag = FitDiagnostics(
-        e_trace=record.e_trace,
-        k_max=record.k0,
-        epsilon=record.epsilon,
-        density_projected=record.density_mode,
-        method="loaded",
-    )
-    return SparseKernelMean(
-        spec=record.spec,
-        support=record.support,
-        alpha=record.alpha,
-        support_indices=None,
-        diagnostics=diag,
-    )
+def _clocked(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), its wall time in seconds)."""
+    start = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - start
 
 
 def build_parser() -> _Parser:
@@ -165,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, default=None, help="with --sparse")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--sidecar", default=None, help="JSON with k0 and timings")
 
     p = sub.add_parser("cpe", parents=[common], help="class proportion estimation")
     p.add_argument("--train", nargs="+", required=True)
@@ -213,8 +184,6 @@ def build_parser() -> _Parser:
     p.add_argument("--random-seeds", type=int, default=0,
                    help="if > 0, add a random-selection baseline over this many seeds")
     p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None,
-                   help="where to write the divergence report JSON (default stderr)")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
     p.add_argument("--dataset", choices=sorted(DATASETS), required=True)
@@ -224,47 +193,37 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     data = load_csv(args.input, has_header=args.header)
     spec = parse_kernel_spec(args.kernel, data.d)
-    start = time.perf_counter()
-    mean = fit(data, spec, k_max=args.kmax, epsilon=args.eps,
-               density_mode=args.density, first=args.first, seed=args.seed)
-    elapsed = time.perf_counter() - start
-    save_model(_model_record(mean), args.out)
+    mean, fit_s = _clocked(fit, data, spec, k_max=args.kmax, epsilon=args.eps,
+                           density_mode=args.density, first=args.first, seed=args.seed)
+    save_model(mean, args.out)
     if args.trace:
         rows = [[s.m, s.e, s.ratio] for s in mean.diagnostics.steps]
         _write_csv(args.trace, ["m", "e", "ratio"], rows)
-    print(
-        f"[skm] fit: n={data.n} d={data.d} k0={mean.k0} "
-        f"backend={_backend.BACKEND} seconds={elapsed:.3f}",
-        file=sys.stderr,
-    )
-    return 0
+    return {"n": data.n, "d": data.d, "k0": mean.k0, "fit_s": fit_s}
 
 
-def _cmd_eval(args) -> int:
-    record = load_model(args.model)
+def _cmd_eval(args) -> dict:
+    mean = load_model(args.model)
     queries = load_csv(args.queries, has_header=args.header)
-    start = time.perf_counter()
-    values = evaluate(_mean_from_record(record), queries.points)
-    _timed("eval", time.perf_counter() - start)
+    values, eval_s = _clocked(evaluate, mean, queries.points)
     _write_csv(args.out, ["value"], [[float(v)] for v in values])
-    return 0
+    return {"eval_s": eval_s}
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args) -> dict:
     data = load_csv(args.input, has_header=args.header)
-    start = time.perf_counter()
-    sel = kcenter.kcenter_greedy(data, args.k, first=args.first, seed=args.seed)
-    _timed("select", time.perf_counter() - start)
+    sel, select_s = _clocked(kcenter.kcenter_greedy, data, args.k, first=args.first,
+                             seed=args.seed)
     rows = [[m + 1, int(idx), float(radius)]
             for m, (idx, radius) in enumerate(zip(sel.order, sel.radius_trace))]
     _write_csv(args.out, ["m", "index", "radius"], rows)
-    return 0
+    return {"select_s": select_s}
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> dict:
     data = load_csv(args.input, has_header=args.header)
     if data.n > args.max_points:
         raise SkmError(
@@ -290,7 +249,7 @@ def _cmd_audit(args) -> int:
             bnd = 0.0
         rows.append([m + 1, float(e_trace[m]), residual, float(radii[m]), nu, bnd])
     _write_csv(args.out, ["m", "e", "residual", "radius", "nu", "bound"], rows)
-    return 0
+    return {"n": data.n, "k0": mean.k0}
 
 
 def _sparse_fit_options(args, epsilon):
@@ -306,7 +265,7 @@ def _sparse_fit_options(args, epsilon):
     return (epsilon if args.eps is None else args.eps), args.kmax
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args) -> dict:
     eps, k_max = _sparse_fit_options(args, 1e-10)
     samples = [load_csv(path, has_header=args.header) for path in args.inputs]
     dims = {s.d for s in samples}
@@ -314,27 +273,17 @@ def _cmd_embed(args) -> int:
         raise SkmError(f"samples have mixed dimensions {sorted(dims)}")
     spec = parse_kernel_spec(args.kernel, samples[0].d)
     mode = "sym_kl" if args.mode == "symkl" else "rkhs"
-    start = time.perf_counter()
-    dm = distance_matrix(samples, spec, mode=mode, sparse=args.sparse,
-                         k_max=k_max, epsilon=eps, seed=args.seed)
-    elapsed = time.perf_counter() - start
-    _timed("embed", elapsed)
+    dm, embed_s = _clocked(distance_matrix, samples, spec, mode=mode, sparse=args.sparse,
+                           k_max=k_max, epsilon=eps, seed=args.seed)
     rows = [[label] + [float(v) for v in row]
             for label, row in zip(dm.labels, dm.matrix)]
     _write_csv(args.out, ["label"] + list(dm.labels), rows)
-    if args.sidecar:
-        _write_json(args.sidecar, {
-            "mode": dm.mode,
-            "labels": list(dm.labels),
-            "support_sizes": list(dm.support_sizes),
-            "sparse": bool(args.sparse),
-            "epsilon": eps,
-            "seconds": elapsed,
-        })
-    return 0
+    return {"mode": dm.mode, "labels": list(dm.labels),
+            "support_sizes": list(dm.support_sizes), "sparse": args.sparse,
+            "epsilon": eps, "embed_s": embed_s}
 
 
-def _cmd_cpe(args) -> int:
+def _cmd_cpe(args) -> dict:
     eps, k_max = _sparse_fit_options(args, 1e-10)
     train = [load_csv(path, has_header=args.header) for path in args.train]
     test = load_csv(args.test, has_header=args.header)
@@ -342,39 +291,33 @@ def _cmd_cpe(args) -> int:
     if len(dims) != 1:
         raise SkmError(f"samples have mixed dimensions {sorted(dims)}")
     dim = test.d
-    timings = {}
+    stats = {}
     if args.sigma_search is not None:
         try:
             lo, hi = (float(v) for v in args.sigma_search.split(","))
         except ValueError:
             raise UsageError("--sigma-search expects LO,HI") from None
         template = parse_kernel_spec(f"gaussian:sigma={0.5 * (lo + hi)}", dim)
-        start = time.perf_counter()
-        sigma, _info = search_bandwidth(
-            train, lo, hi, template, sparse=args.sparse, k_max=k_max,
+        (sigma, _info), stats["sigma_search_s"] = _clocked(
+            search_bandwidth, train, lo, hi, template, sparse=args.sparse, k_max=k_max,
             max_iter=args.search_iters, seed=args.seed, omega=args.omega,
         )
-        timings["sigma_search_s"] = time.perf_counter() - start
     else:
         sigma = args.sigma
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}", dim)
-    start = time.perf_counter()
-    estimate = estimate_proportions(train, test, spec, sparse=args.sparse,
-                                    epsilon=eps, k_max=k_max,
-                                    seed=args.seed)
-    timings["estimate_s"] = time.perf_counter() - start
-    _timed("cpe", sum(timings.values()))
+    estimate, stats["estimate_s"] = _clocked(
+        estimate_proportions, train, test, spec, sparse=args.sparse, epsilon=eps,
+        k_max=k_max, seed=args.seed)
     _write_json(args.out, {
         "pi_hat": [float(v) for v in estimate.pi_hat],
         "was_projected": estimate.was_projected,
         "residual": estimate.residual,
         "sigma": sigma,
-        "timings": timings,
     })
-    return 0
+    return stats
 
 
-def _cmd_meanshift(args) -> int:
+def _cmd_meanshift(args) -> dict:
     eps, k_max = _sparse_fit_options(args, 1e-8)
     data = load_csv(args.input, has_header=args.header)
     sigma = args.sigma if args.sigma is not None else bandwidth_iqr(data)
@@ -395,19 +338,11 @@ def _cmd_meanshift(args) -> int:
         mean = full_mean(data, spec)
     result = mean_shift_all(data, mean, gamma, max_iter=args.max_iter)
     clustering = cluster_modes(result, merge)
-    elapsed = time.perf_counter() - start
-    print(
-        f"[skm] meanshift: n={data.n} k0={mean.k0} clusters="
-        f"{clustering.n_clusters} kernel_evals={result.kernel_evals} "
-        f"seconds={elapsed:.3f}",
-        file=sys.stderr,
-    )
+    meanshift_s = time.perf_counter() - start
     if args.out_labels:
         _write_csv(args.out_labels, ["label"],
                    [[int(v)] for v in clustering.labels])
     if args.out_shifted:
-        from .dataio import DataSet
-
         save_csv(DataSet(result.shifted, name="shifted"), args.out_shifted,
                  header=[f"x{i}" for i in range(data.d)])
     if args.compare:
@@ -421,15 +356,19 @@ def _cmd_meanshift(args) -> int:
             "merge_dist": merge,
         }
         _write_json(args.metrics_out, metrics)
-    return 0
+    return {"n": data.n, "k0": mean.k0, "clusters": clustering.n_clusters,
+            "kernel_evals": result.kernel_evals, "meanshift_s": meanshift_s}
 
 
 def _bench_curve(data, spec, k_max, first, seed):
-    """Greedy error trace with cumulative wall time per support size."""
+    """[m, E_m] rows of the greedy fit, and the cumulative wall time in ms at each."""
+    rows, wall_ms = [], []
     start = time.perf_counter()
-    return [(step.m, step.e, (time.perf_counter() - start) * 1e3)
-            for step in fit_steps(CholeskyWeights(data, spec, k_max), first=first, seed=seed)
-            if step.skip is None]
+    for step in fit_steps(CholeskyWeights(data, spec, k_max), first=first, seed=seed):
+        if step.skip is None:
+            rows.append([step.m, step.e])
+            wall_ms.append((time.perf_counter() - start) * 1e3)
+    return rows, wall_ms
 
 
 def _pad_curve(e_trace, k_max):
@@ -482,33 +421,28 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     return report
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     data = load_csv(args.input, has_header=args.header)
     spec = parse_kernel_spec(args.kernel, data.d)
     if not 1 <= args.kmax <= data.n:
         raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
-    rows = _bench_curve(data, spec, args.kmax, args.first, args.seed)
+    rows, wall_ms = _bench_curve(data, spec, args.kmax, args.first, args.seed)
+    stats, header = {"wall_ms": wall_ms}, ["m", "e"]
     if args.random_seeds > 0:
         report = bench_compare(data, spec, args.kmax,
                                seeds=range(args.random_seeds), first=args.first)
-        e_random = report["e_random_mean"]
-        out_rows = [[m, e, ms, float(e_random[m - 1])] for m, e, ms in rows]
-        _write_csv(args.out, ["m", "e", "wall_ms", "e_random_mean"], out_rows)
-        doc = {k: v for k, v in report.items()
-               if not isinstance(v, np.ndarray)}
-        if args.report:
-            _write_json(args.report, doc)
-        else:
-            print(json.dumps(doc), file=sys.stderr)
-    else:
-        _write_csv(args.out, ["m", "e", "wall_ms"], [list(r) for r in rows])
-    return 0
+        header.append("e_random_mean")
+        for row in rows:
+            row.append(float(report["e_random_mean"][row[0] - 1]))
+        stats.update((k, v) for k, v in report.items() if not isinstance(v, np.ndarray))
+    _write_csv(args.out, header, rows)
+    return stats
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     data = make_dataset(args.dataset, args.n, seed=args.seed)
     save_csv(data, args.out)
-    return 0
+    return {}
 
 
 _COMMANDS = {
@@ -525,16 +459,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; on success the last stderr line is its stats document."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        stats, seconds = _clocked(_COMMANDS[args.command], args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SkmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    doc = {"command": args.command, "backend": _backend.BACKEND, "seconds": seconds}
+    print(json.dumps(doc | stats), file=sys.stderr)
+    return 0
 
 
 def entry() -> None:

@@ -9,12 +9,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError
 from .kernels import RadialKernelSpec, _FAMILY_PARAMS
+from .sparse_mean import FitDiagnostics, SparseKernelMean
 
 MODEL_FORMAT = "skm-model"
 MODEL_VERSION = 1
@@ -46,45 +47,6 @@ class DataSet:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class ModelRecord:
-    """Persistable form of a fitted sparse kernel mean."""
-
-    spec: RadialKernelSpec
-    support: np.ndarray
-    alpha: np.ndarray
-    k0: int
-    epsilon: float
-    density_mode: bool
-    e_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        support = np.atleast_2d(np.asarray(self.support, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64).ravel()
-        e_trace = np.asarray(self.e_trace, dtype=np.float64).ravel()
-        if support.shape[0] != alpha.shape[0]:
-            raise DataFormatError(
-                f"alpha has length {alpha.shape[0]} but support has "
-                f"{support.shape[0]} rows"
-            )
-        if support.shape[1] != self.spec.dim:
-            raise DataFormatError(
-                f"support dimension {support.shape[1]} does not match kernel "
-                f"dimension {self.spec.dim}"
-            )
-        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha))):
-            raise DataFormatError("model contains non-finite values")
-        k0 = self.k0
-        if (not isinstance(k0, (int, np.integer)) or isinstance(k0, bool)
-                or k0 != alpha.shape[0]):
-            raise DataFormatError(f"k0 must be the integer number of weights "
-                                  f"{alpha.shape[0]}, got {k0!r}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "e_trace", e_trace)
-        object.__setattr__(self, "k0", int(k0))
 
 
 def load_csv(path, has_header: bool = False) -> DataSet:
@@ -149,17 +111,19 @@ def _spec_from_dict(doc: dict) -> RadialKernelSpec:
         raise DataFormatError(f"bad kernel section in model file: {exc}") from None
 
 
-def save_model(record: ModelRecord, path) -> None:
+def save_model(mean: SparseKernelMean, path) -> None:
+    """Write a fitted mean, its epsilon, weight mode and E_m trace as a model file."""
+    diag = mean.diagnostics
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "kernel": _spec_to_dict(record.spec),
-        "k0": record.k0,
-        "epsilon": record.epsilon,
-        "density_mode": bool(record.density_mode),
-        "support": [[float(v) for v in row] for row in record.support],
-        "alpha": [float(v) for v in record.alpha],
-        "e_trace": [float(v) for v in record.e_trace],
+        "kernel": _spec_to_dict(mean.spec),
+        "k0": mean.k0,
+        "epsilon": float(diag.epsilon),
+        "density_mode": bool(diag.density_projected),
+        "support": [[float(v) for v in row] for row in mean.support],
+        "alpha": [float(v) for v in mean.alpha],
+        "e_trace": [float(v) for v in diag.e_trace],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -180,7 +144,12 @@ def _floats(value) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
-def load_model(path) -> ModelRecord:
+def load_model(path) -> SparseKernelMean:
+    """The mean a model file holds, with no support indices and method "loaded".
+
+    Every field is checked, and a bad one raises DataFormatError naming
+    the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -197,17 +166,26 @@ def load_model(path) -> ModelRecord:
     support, alpha, epsilon, e_trace = (
         _field(path, doc, "support", _floats), _field(path, doc, "alpha", _floats),
         _field(path, doc, "epsilon", float), _field(path, doc, "e_trace", _floats, []))
+    support, alpha, e_trace = np.atleast_2d(support), alpha.ravel(), e_trace.ravel()
     try:
-        return ModelRecord(
-            spec=_spec_from_dict(doc["kernel"]),
-            support=support,
-            alpha=alpha,
-            k0=doc["k0"],
-            epsilon=epsilon,
-            density_mode=bool(doc["density_mode"]),
-            e_trace=e_trace,
-        )
+        spec = _spec_from_dict(doc["kernel"])
+        k0, density_mode = doc["k0"], bool(doc["density_mode"])
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from None
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+    if support.shape[0] != alpha.shape[0]:
+        raise DataFormatError(f"{path}: alpha has length {alpha.shape[0]} but support has "
+                              f"{support.shape[0]} rows")
+    if support.ndim != 2 or support.shape[1] != spec.dim:
+        raise DataFormatError(f"{path}: support of shape {support.shape} does not match "
+                              f"kernel dimension {spec.dim}")
+    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha))):
+        raise DataFormatError(f"{path}: model contains non-finite values")
+    if type(k0) is not int or k0 != alpha.shape[0]:
+        raise DataFormatError(f"{path}: k0 must be the integer number of weights "
+                              f"{alpha.shape[0]}, got {k0!r}")
+    diag = FitDiagnostics(e_trace=e_trace, k_max=k0, epsilon=epsilon,
+                          density_projected=density_mode, method="loaded")
+    return SparseKernelMean(spec=spec, support=support, alpha=alpha,
+                            support_indices=None, diagnostics=diag)

@@ -81,8 +81,13 @@ def default_k_max(n: int) -> int:
 
 
 def _support_budget(k_max, n: int) -> int:
-    """k_max, or default_k_max(n) when it is None, clipped to [1, n]."""
-    return max(1, min(n, default_k_max(n) if k_max is None else k_max))
+    """k_max clipped to n, or default_k_max(n) when it is None.
+
+    A bool, a non-integral k_max or one below 1 raises ValueError.
+    """
+    if k_max is None:
+        return default_k_max(n)
+    return min(n, kcenter._integer_in("k_max", k_max, 1, math.inf, "k_max >= 1", n))
 
 
 def fit_steps(weights: CholeskyWeights, first=None, seed: int = 0):

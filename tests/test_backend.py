@@ -132,7 +132,7 @@ def test_farthest_scan_rejects_bad_buffers(impl):
     readonly.setflags(write=False)
     cases = [
         (TypeError, "coords must be a float64 array", {"coords": coords.astype(np.float32)}),
-        (TypeError, "float64 array|bytes-like", {"coords": [[0.0, 0.0, 0.0, 0.0]]}),
+        (TypeError, "coords must be a float64 array", {"coords": [[0.0, 0.0, 0.0, 0.0]]}),
         (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros((3, 8))[:, ::2]}),
         (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros(12)}),
         (ValueError, "sqdist has the wrong length", {"sqdist": np.full(3, -1.0)}),
@@ -141,7 +141,7 @@ def test_farthest_scan_rejects_bad_buffers(impl):
         (ValueError, "sqdist must be writable", {"sqdist": readonly}),
         (TypeError, "shape must be None or a", {"shape": [SHAPE_SQEXP, 0.5, 0.0]}),
         (TypeError, "shape must be None or a", {"shape": (SHAPE_SQEXP, 0.5)}),
-        (TypeError, "shape must be None or a|real number", {"shape": (SHAPE_SQEXP, "a", 0.0)}),
+        (TypeError, "shape must be None or a", {"shape": (SHAPE_SQEXP, "a", 0.0)}),
     ]
     for error, message, bad in cases:
         args = {"coords": coords, "sqdist": np.full(4, -1.0), "shape": None} | bad
@@ -260,6 +260,7 @@ def test_kernel_sums_reject_bad_buffers_before_writing(impl):
         (ValueError, "unknown shape kind 3", {"kind": 3}),
         (TypeError, "xs must be a float64 array", {"xs": xs.astype(np.float32)}),
         (TypeError, "ys must be a float64 array", {"ys": np.ones((5, 3), np.int64)}),
+        (TypeError, "xs must be a float64 array", {"xs": xs.tolist()}),
         (TypeError, "coef must be a float64 array", {"coef": coef.astype(np.float32)}),
         (TypeError, "out must be a float64 array", {"out": np.full((4, 2), -1.0, np.float32)}),
         (ValueError, "xs must be a C-contiguous 2-D", {"xs": np.zeros((4, 6))[:, ::2]}),
@@ -455,6 +456,7 @@ def test_factor_order_rejects_bad_buffers(impl):
         (ValueError, "unknown shape kind 3", {"kind": 3}),
         (ValueError, "unknown shape kind -1", {"kind": -1}),
         (TypeError, "points must be a float64 array", {"points": points.astype(np.float32)}),
+        (TypeError, "points must be a float64 array", {"points": points.tolist()}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.eye(8)[::2, ::2]}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.ones(4)}),
         (ValueError, "start -1 out of range for m=4", {"start": -1}),
@@ -478,8 +480,6 @@ def test_factor_order_rejects_bad_buffers(impl):
             sentinel = args[name].base if args[name].base is not None else args[name]
             assert np.all(sentinel == -1.0), message
     packed, pivots = np.full(10, -1.0), np.full(4, -1.0)
-    with pytest.raises(TypeError):
-        impl.factor_order([[1.0]], SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots)
     assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots) == 4
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import skm
 from skm.cli import main
 from skm.dataio import load_csv, load_model, save_csv
 from skm.synth import make_dataset
@@ -16,6 +17,13 @@ def synth_csv(tmp_path, name="x.csv", dataset="banana", n=120, seed=0):
     assert main(["synth", "--dataset", dataset, "--n", str(n),
                  "--seed", str(seed), "--out", str(path)]) == 0
     return path
+
+
+def stats_doc(capsys):
+    """The stats document of the last command: the last line of stderr."""
+    doc = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert isinstance(doc, dict)
+    return doc
 
 
 # ------------------------------------------------------------------- plumbing
@@ -34,8 +42,8 @@ def test_fit_eval_round_trip(tmp_path, capsys):
                "--kmax", "30", "--eps", "1e-8", "--density",
                "--out", str(model)])
     assert rc == 0
-    record = load_model(model)
-    assert record.density_mode and record.k0 <= 30
+    mean = load_model(model)
+    assert mean.diagnostics.density_projected and mean.k0 <= 30
     values = tmp_path / "v.csv"
     rc = main(["eval", "--model", str(model), "--queries", str(x),
                "--out", str(values)])
@@ -75,7 +83,7 @@ def test_fit_trace_export(tmp_path):
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) == 12
     e = [r[1] for r in rows]
-    assert all(b <= a + 1e-12 for a, b in zip(e, e[1:]))  # nonincreasing
+    assert all(b <= a for a, b in zip(e, e[1:]))  # nonincreasing
     # ratio column reproduces the stopping-rule quantity
     for m in range(1, len(e)):
         den = abs(e[0] - e[m])
@@ -86,10 +94,12 @@ def test_fit_trace_export(tmp_path):
 def test_fit_summary_goes_to_stderr(tmp_path, capsys):
     x = synth_csv(tmp_path)
     model = tmp_path / "m.json"
+    capsys.readouterr()
     main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
           "--kmax", "10", "--out", str(model)])
-    err = capsys.readouterr().err
-    assert "n=120" in err and "k0=" in err and "seconds=" in err
+    doc = stats_doc(capsys)
+    assert doc["n"] == 120 and doc["d"] == 2 and doc["k0"] == load_model(model).k0
+    assert doc["seconds"] >= doc["fit_s"] > 0
 
 
 def test_select_emits_order_and_radius(tmp_path):
@@ -139,19 +149,20 @@ def test_audit_bound_dominates_residual(tmp_path):
         assert residual <= bound + 1e-9
 
 
-def test_embed_matrix_and_sidecar(tmp_path):
+def test_embed_matrix_and_sidecar(tmp_path, capsys):
     paths = [str(synth_csv(tmp_path, f"s{i}.csv", "blobs2", 80, seed=i))
              for i in range(3)]
     out = tmp_path / "d.csv"
-    sidecar = tmp_path / "d.json"
+    capsys.readouterr()
     rc = main(["embed", *paths, "--kernel", "gaussian:sigma=1.0",
-               "--mode", "rkhs", "--sparse", "--eps", "1e-8",
-               "--out", str(out), "--sidecar", str(sidecar)])
+               "--mode", "rkhs", "--sparse", "--eps", "1e-8", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4 and lines[0].startswith("label,")
-    doc = json.loads(sidecar.read_text())
+    doc = stats_doc(capsys)
     assert len(doc["support_sizes"]) == 3 and doc["mode"] == "rkhs"
+    assert doc["labels"] == ["s0", "s1", "s2"] and doc["sparse"] is True
+    assert doc["epsilon"] == 1e-8 and doc["embed_s"] > 0
 
 
 def test_embed_symkl_mode(tmp_path):
@@ -188,7 +199,7 @@ def test_cpe_json_output(tmp_path, capsys):
     assert doc["sigma"] == 1.0
 
 
-def test_cpe_sigma_search(tmp_path):
+def test_cpe_sigma_search(tmp_path, capsys):
     rng = np.random.default_rng(1)
     trains = []
     from skm.dataio import DataSet
@@ -206,7 +217,9 @@ def test_cpe_sigma_search(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert 0.2 <= doc["sigma"] <= 5.0
-    assert "sigma_search_s" in doc["timings"]
+    assert "timings" not in doc
+    stats = stats_doc(capsys)
+    assert stats["sigma_search_s"] > 0 and stats["estimate_s"] > 0
 
 
 def test_cpe_sparse_sigma_search_on_three_blobs(tmp_path):
@@ -315,12 +328,21 @@ def test_sparse_fit_flags_without_sparse_are_usage_errors(tmp_path, capsys, comm
     assert out.exists()
 
 
-def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path):
+@pytest.mark.parametrize("command", ["embed", "cpe", "meanshift"])
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_sparse_kmax_below_one_returns_two(tmp_path, capsys, command, kmax):
+    out, argv = _sparse_command(tmp_path, command)
+    assert main(argv + ["--sparse", "--kmax", kmax]) == 2
+    assert "k_max must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
     out, argv = _sparse_command(tmp_path, "embed")
-    sidecar = tmp_path / "d.json"
     for extra, epsilon in (([], None), (["--sparse"], 1e-10), (["--sparse", "--eps", "0"], 0.0)):
-        assert main(argv + extra + ["--sidecar", str(sidecar)]) == 0
-        assert json.loads(sidecar.read_text())["epsilon"] == epsilon
+        capsys.readouterr()
+        assert main(argv + extra) == 0
+        assert stats_doc(capsys)["epsilon"] == epsilon
 
 
 def test_bench_curve_matches_fit_diagnostics(tmp_path):
@@ -330,7 +352,7 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
                "--kmax", "15", "--first", "0", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "m,e,wall_ms"
+    assert lines[0] == "m,e"
     e_curve = np.array([float(line.split(",")[1]) for line in lines[1:]])
 
     import skm
@@ -344,18 +366,83 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
 def test_bench_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
-    report = tmp_path / "report.json"
+    capsys.readouterr()
     rc = main(["bench", "--input", str(x),
                "--kernel", "gaussian:sigma=1.0:density",
-               "--kmax", "20", "--random-seeds", "3",
-               "--out", str(out), "--report", str(report)])
+               "--kmax", "20", "--random-seeds", "3", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "m,e,wall_ms,e_random_mean"
-    doc = json.loads(report.read_text())
+    assert lines[0] == "m,e,e_random_mean"
+    doc = stats_doc(capsys)
+    assert doc["k"] == 20 and doc["seeds"] == [0, 1, 2]
+    wall_ms = doc["wall_ms"]
+    assert len(wall_ms) == len(lines) - 1 and wall_ms == sorted(wall_ms)
     for key in ("kl_full_sparse_greedy", "kl_sparse_full_greedy",
                 "kl_full_sparse_random", "kl_sparse_full_random"):
         assert np.isfinite(doc[key])
+
+
+# ------------------------------------------------------------ stats document
+
+def _command_argv(command, x, y, model, out):
+    """An ordinary run of `command`, its data files under `out`, some on stdout."""
+    return {
+        "synth": ["synth", "--dataset", "banana", "--n", "30", "--out", str(out / "s.csv")],
+        "fit": ["fit", "--input", x, "--kernel", "gaussian:sigma=1.0", "--kmax", "10",
+                "--out", str(out / "m.json"), "--trace", str(out / "trace.csv")],
+        "eval": ["eval", "--model", model, "--queries", x],
+        "select": ["select", "--input", x, "--k", "5"],
+        "audit": ["audit", "--input", x, "--kernel", "gaussian:sigma=1.0", "--kmax", "10",
+                  "--out", str(out / "audit.csv")],
+        "embed": ["embed", x, y, "--kernel", "gaussian:sigma=1.0", "--sparse",
+                  "--out", str(out / "d.csv")],
+        "cpe": ["cpe", "--train", x, y, "--test", x, "--sigma", "1.0"],
+        "meanshift": ["meanshift", "--input", x, "--sigma", "0.8", "--sparse",
+                      "--out-labels", str(out / "labels.csv"),
+                      "--out-shifted", str(out / "shifted.csv")],
+        "bench": ["bench", "--input", x, "--kernel", "gaussian:sigma=1.0:density",
+                  "--kmax", "8", "--random-seeds", "2", "--out", str(out / "curve.csv")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "eval", "select", "audit", "embed",
+                                     "cpe", "meanshift", "bench"])
+def test_every_command_ends_stderr_with_its_stats_document(tmp_path, capsys, command):
+    x = str(synth_csv(tmp_path, "x.csv", "blobs2", 40))
+    y = str(synth_csv(tmp_path, "y.csv", "blobs2", 40, seed=1))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--input", x, "--kernel", "gaussian:sigma=1.0",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        assert main(_command_argv(command, x, y, str(model), out)) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.err.splitlines()[-1])
+        assert isinstance(doc, dict) and doc["command"] == command
+        assert doc["backend"] == skm.BACKEND and doc["seconds"] > 0
+        files = [path.read_text() for path in sorted(out.iterdir())]
+        timings = [key for key in doc if key in ("seconds", "wall_ms") or key.endswith("_s")]
+        for text in [captured.out, *files]:
+            assert not any(key in text for key in timings + ["timings"]), text
+        outputs.append((captured.out, files))
+    # A timing would differ between two runs; the data written do not.
+    assert outputs[0] == outputs[1]
+
+
+def test_module_fit_writes_only_the_stats_document_to_stderr(tmp_path):
+    x = synth_csv(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "skm.cli", "fit", "--input", str(x),
+         "--kernel", "gaussian:sigma=1.0", "--kmax", "10", "--out", str(tmp_path / "m.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    doc = json.loads(proc.stderr)
+    assert set(doc) == {"command", "backend", "seconds", "n", "d", "k0", "fit_s"}
+    assert (doc["command"], doc["n"], doc["d"], doc["k0"]) == ("fit", 120, 2, 10)
 
 
 # ------------------------------------------------------------------ exit codes

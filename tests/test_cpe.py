@@ -214,6 +214,19 @@ def test_search_bandwidth_sparse_uses_fixed_supports():
     assert info["validation_l1"] < 0.5
 
 
+@pytest.mark.parametrize("k_max", [0, -3, 1.5, True])
+def test_sparse_fits_reject_a_budget_that_is_not_a_positive_integer(k_max):
+    rng = np.random.default_rng(11)
+    train = class_samples(rng, [(-4.0, 0.0), (4.0, 0.0)], 30)
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        estimate_proportions(train, train[0], GAUSS_2D, sparse=True, k_max=k_max)
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        search_bandwidth(train, 0.1, 10.0, GAUSS_2D, sparse=True, k_max=k_max)
+    # A budget above a sample's size is clipped to it.
+    estimate = estimate_proportions(train, train[0], GAUSS_2D, sparse=True, k_max=1000)
+    assert_allclose(estimate.pi_hat, [1.0, 0.0], atol=1e-6)
+
+
 @pytest.mark.parametrize("lo, hi", [(0.2, 5.0), (0.5, 2.0)])
 def test_search_bandwidth_sparse_on_three_large_blobs(lo, hi):
     # With 2000 points per class the fixed supports chosen by farthest-first

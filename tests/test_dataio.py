@@ -6,7 +6,6 @@ from numpy.testing import assert_array_equal
 
 from skm.dataio import (
     DataSet,
-    ModelRecord,
     load_csv,
     load_model,
     save_csv,
@@ -14,6 +13,7 @@ from skm.dataio import (
 )
 from skm.errors import DataFormatError
 from skm.kernels import RadialKernelSpec
+from skm.sparse_mean import FitDiagnostics, SparseKernelMean, fit
 
 
 # -------------------------------------------------------------------- load_csv
@@ -99,56 +99,69 @@ def test_dataset_promotes_vector_to_column():
 
 # ------------------------------------------------------------------ model files
 
-def random_record(rng, k=5, d=2):
+def random_mean(rng, k=5, d=2):
     spec = RadialKernelSpec("gaussian", dim=d, sigma=float(rng.uniform(0.1, 3.0)),
                             normalization="density")
-    return ModelRecord(
-        spec=spec,
-        support=rng.normal(size=(k, d)),
-        alpha=rng.normal(size=k),
-        k0=k,
-        epsilon=1e-8,
-        density_mode=bool(rng.integers(2)),
-        e_trace=np.sort(rng.normal(size=k))[::-1].copy(),
-    )
+    diag = FitDiagnostics(e_trace=np.sort(rng.normal(size=k))[::-1].copy(), k_max=k,
+                          epsilon=1e-8, density_projected=bool(rng.integers(2)))
+    return SparseKernelMean(spec=spec, support=rng.normal(size=(k, d)),
+                            alpha=rng.normal(size=k), support_indices=None, diagnostics=diag)
+
+
+def saved_doc(tmp_path, k=5):
+    """A model file of a random mean with k weights, and its parsed document."""
+    path = tmp_path / "m.json"
+    save_model(random_mean(np.random.default_rng(2), k=k), path)
+    return path, json.loads(path.read_text())
 
 
 def test_model_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     for trial in range(10):
-        record = random_record(rng, k=int(rng.integers(1, 9)))
+        mean = random_mean(rng, k=int(rng.integers(1, 9)))
         path = tmp_path / f"m{trial}.json"
-        save_model(record, path)
+        save_model(mean, path)
         back = load_model(path)
-        assert back.spec == record.spec
-        assert_array_equal(back.support, record.support)
-        assert_array_equal(back.alpha, record.alpha)
-        assert_array_equal(back.e_trace, record.e_trace)
-        assert back.k0 == record.k0
-        assert back.epsilon == record.epsilon
-        assert back.density_mode == record.density_mode
+        assert back.spec == mean.spec
+        assert_array_equal(back.support, mean.support)
+        assert_array_equal(back.alpha, mean.alpha)
+        assert_array_equal(back.diagnostics.e_trace, mean.diagnostics.e_trace)
+        assert back.k0 == mean.k0
+        assert back.diagnostics.epsilon == mean.diagnostics.epsilon
+        assert back.diagnostics.density_projected == mean.diagnostics.density_projected
+
+
+def test_model_round_trip_of_a_fit(tmp_path):
+    rng = np.random.default_rng(4)
+    data = DataSet(rng.normal(size=(200, 3)))
+    spec = RadialKernelSpec("laplacian", dim=3, gamma=1.5)
+    mean = fit(data, spec, k_max=40, epsilon=1e-6, density_mode=True, seed=1)
+    save_model(mean, tmp_path / "m.json")
+    back = load_model(tmp_path / "m.json")
+    assert back.spec == spec and back.k0 == mean.k0
+    assert_array_equal(back.support, mean.support)
+    assert_array_equal(back.alpha, mean.alpha)
+    assert_array_equal(back.diagnostics.e_trace, mean.diagnostics.e_trace)
+    assert back.support_indices is None
+    assert (back.diagnostics.k_max, back.diagnostics.epsilon, back.diagnostics.method,
+            back.diagnostics.density_projected) == (mean.k0, 1e-6, "loaded", True)
 
 
 def test_model_alpha_length_mismatch(tmp_path):
-    record = random_record(np.random.default_rng(2))
-    path = tmp_path / "m.json"
-    save_model(record, path)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path)
     doc["alpha"] = doc["alpha"][:-1]
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError, match="alpha has length"):
+    with pytest.raises(DataFormatError, match="m.json: alpha has length"):
         load_model(path)
 
 
-@pytest.mark.parametrize("k0", [3, 6, 5.0, "x", True, None])
+@pytest.mark.parametrize("k0", [3, 6, 5.0, 5.7, "x", "5", True, None])
 def test_model_k0_must_be_the_weight_count(tmp_path, k0):
-    record = random_record(np.random.default_rng(2), k=5)
-    path = tmp_path / "m.json"
-    save_model(record, path)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path)
     doc["k0"] = k0
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataFormatError, match="k0 must be the integer number of weights 5"):
+    with pytest.raises(DataFormatError,
+                       match="m.json: k0 must be the integer number of weights 5"):
         load_model(path)
 
 
@@ -159,10 +172,7 @@ def test_model_k0_must_be_the_weight_count(tmp_path, k0):
     ("epsilon", "abc"),
 ], ids=["ragged support", "non-numeric support", "ragged e_trace", "non-numeric epsilon"])
 def test_model_bad_field_names_the_file_and_the_field(tmp_path, name, value):
-    record = random_record(np.random.default_rng(2), k=5)
-    path = tmp_path / "m.json"
-    save_model(record, path)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path)
     doc[name] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=f"m.json: bad model field '{name}'"):
@@ -170,10 +180,7 @@ def test_model_bad_field_names_the_file_and_the_field(tmp_path, name, value):
 
 
 def test_model_unknown_version(tmp_path):
-    record = random_record(np.random.default_rng(3))
-    path = tmp_path / "m.json"
-    save_model(record, path)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path)
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match="version"):
@@ -190,25 +197,18 @@ def test_model_not_a_model_file(tmp_path):
         load_model(path)
 
 
-def test_model_record_validates_invariants():
-    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
-    with pytest.raises(DataFormatError, match="alpha has length"):
-        ModelRecord(spec=spec, support=np.zeros((3, 2)), alpha=np.zeros(2),
-                    k0=3, epsilon=0.0, density_mode=False)
-    with pytest.raises(DataFormatError, match="dimension"):
-        ModelRecord(spec=spec, support=np.zeros((3, 1)), alpha=np.zeros(3),
-                    k0=3, epsilon=0.0, density_mode=False)
-
-
-@pytest.mark.parametrize("k0", [3, 5.7, 5.0, True, "5"])
-def test_model_record_k0_must_be_the_weight_count(tmp_path, k0):
-    # A record save_model could write but load_model would refuse is not built.
-    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
-    with pytest.raises(DataFormatError, match="k0 must be the integer number of weights 5"):
-        ModelRecord(spec=spec, support=np.zeros((5, 2)), alpha=np.ones(5),
-                    k0=k0, epsilon=0.0, density_mode=False)
-    record = ModelRecord(spec=spec, support=np.zeros((5, 2)), alpha=np.ones(5),
-                         k0=np.int64(5), epsilon=0.0, density_mode=False)
-    assert type(record.k0) is int
-    save_model(record, tmp_path / "m.json")
-    assert load_model(tmp_path / "m.json").k0 == 5
+def test_model_record_validates_invariants(tmp_path):
+    # A hand-edited file whose support does not fit the kernel, or whose
+    # support or weights are not finite, is refused with the file named.
+    path, doc = saved_doc(tmp_path)
+    for field, edit, message in (
+        ("kernel", lambda v: v | {"dim": 3}, r"support of shape \(5, 2\) does not match "
+                                             "kernel dimension 3"),
+        ("support", lambda v: [[row] for row in v], r"support of shape \(5, 1, 2\) does not "
+                                                    "match kernel dimension 2"),
+        ("support", lambda v: [[float("nan"), 0.0]] + v[1:], "non-finite"),
+        ("alpha", lambda v: v[:-1] + [float("inf")], "non-finite"),
+    ):
+        path.write_text(json.dumps(doc | {field: edit(doc[field])}))
+        with pytest.raises(DataFormatError, match=f"m.json: .*{message}"):
+            load_model(path)

@@ -213,6 +213,17 @@ def two_identical_samples():
     return [DataSet(pts, name="a"), DataSet(pts.copy(), name="b")]
 
 
+@pytest.mark.parametrize("k_max", [0, -3, 1.5, True])
+def test_distance_matrix_rejects_a_budget_that_is_not_a_positive_integer(k_max):
+    rng = np.random.default_rng(3)
+    samples = [DataSet(rng.normal(size=(20, 1))) for _ in range(2)]
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        distance_matrix(samples, UNIT_GAUSS_1D, sparse=True, k_max=k_max)
+    # A budget above a sample's size is clipped to it.
+    dm = distance_matrix(samples, UNIT_GAUSS_1D, sparse=True, k_max=1000)
+    assert dm.support_sizes[0] <= 20
+
+
 def test_distance_matrix_identical_samples_rkhs():
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     dm = distance_matrix(two_identical_samples(), spec, mode="rkhs", sparse=False)
