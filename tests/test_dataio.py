@@ -155,11 +155,25 @@ def test_model_alpha_length_mismatch(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("k0", [3, 6, 5.0, 5.7, "x", "5", True, None])
+@pytest.mark.parametrize("k0", [3, 6, 5.0, "x", True, None])
 def test_model_k0_must_be_the_weight_count(tmp_path, k0):
     path, doc = saved_doc(tmp_path)
     doc["k0"] = k0
     path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError,
+                       match="m.json: k0 must be the integer number of weights 5"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("k0", [3, 5.7, 5.0, True, "5"])
+def test_model_record_k0_must_be_the_weight_count(tmp_path, k0):
+    # save_model writes k0 as the integer weight count, so every file it
+    # writes loads; the same file with any other k0 is refused.
+    path, doc = saved_doc(tmp_path)
+    assert type(doc["k0"]) is int and doc["k0"] == len(doc["alpha"]) == 5
+    back = load_model(path)
+    assert type(back.k0) is int and back.k0 == 5
+    path.write_text(json.dumps(doc | {"k0": k0}))
     with pytest.raises(DataFormatError,
                        match="m.json: k0 must be the integer number of weights 5"):
         load_model(path)
