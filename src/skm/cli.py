@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from . import _backend, kcenter
-from .coefficients import CholeskyWeights
 from .cpe import estimate_proportions, search_bandwidth
 from .dataio import DataSet, load_csv, load_model, save_csv, save_model
 from .divergences import distance_matrix, kl_divergence, sample_gaussian_mean
@@ -33,7 +32,6 @@ from .sparse_mean import (
     bound_value,
     evaluate,
     fit,
-    fit_steps,
     full_mean,
     random_selection_fit,
     squared_mean_norm,
@@ -200,7 +198,8 @@ def _cmd_fit(args) -> dict:
                            density_mode=args.density, first=args.first, seed=args.seed)
     save_model(mean, args.out)
     if args.trace:
-        rows = [[s.m, s.e, s.ratio] for s in mean.diagnostics.steps]
+        diag = mean.diagnostics
+        rows = zip(range(1, mean.k0 + 1), diag.e_trace.tolist(), diag.ratio_trace.tolist())
         _write_csv(args.trace, ["m", "e", "ratio"], rows)
     return {"n": data.n, "d": data.d, "k0": mean.k0, "fit_s": fit_s}
 
@@ -360,36 +359,19 @@ def _cmd_meanshift(args) -> dict:
             "kernel_evals": result.kernel_evals, "meanshift_s": meanshift_s}
 
 
-def _bench_curve(data, spec, k_max, first, seed):
-    """[m, E_m] rows of the greedy fit, and the cumulative wall time in ms at each."""
-    rows, wall_ms = [], []
-    start = time.perf_counter()
-    for step in fit_steps(CholeskyWeights(data, spec, k_max), first=first, seed=seed):
-        if step.skip is None:
-            rows.append([step.m, step.e])
-            wall_ms.append((time.perf_counter() - start) * 1e3)
-    return rows, wall_ms
-
-
-def _pad_curve(e_trace, k_max):
-    e = list(e_trace)
-    if len(e) < k_max:
-        e.extend([e[-1]] * (k_max - len(e)))
-    return np.array(e[:k_max])
-
-
 def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
-    """Greedy-vs-random error curves and divergences against the full mean.
+    """The random baseline's mean error curve, and greedy and random divergences.
 
-    Greedy runs use `first` when given (one deterministic curve), otherwise
-    the seed picks the first center. The random baseline redraws its
-    support per seed. Each directed divergence D(p || q) is estimated on a
-    seeded sample drawn from p, so a density-normalized kernel is required.
+    Each divergence is taken against the full mean. Greedy runs use
+    `first` when given (one deterministic fit), otherwise the seed picks
+    the first center. The random baseline redraws its support per seed.
+    Each directed divergence D(p || q) is estimated on a seeded sample
+    drawn from p, so a density-normalized kernel is required.
     """
     if spec.normalization != "density":
         raise ValueError("bench_compare requires a density-normalized kernel")
     seeds = list(seeds)
-    greedy_curves, random_curves = [], []
+    random_curves = []
     kl_rows = {"greedy": [], "random": []}
     reference = full_mean(data, spec)
     for seed in seeds:
@@ -399,8 +381,8 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
                      first=first, seed=seed)
         rand = random_selection_fit(data, spec, k_max, seed=seed,
                                     density_mode=True)
-        greedy_curves.append(_pad_curve(greedy.diagnostics.e_trace, k_max))
-        random_curves.append(_pad_curve(rand.diagnostics.e_trace, k_max))
+        # A dropped dependent point shortens the curve; its last E holds.
+        random_curves.append(np.pad(rand.diagnostics.e_trace, (0, k_max - rand.k0), "edge"))
         for label, mean in (("greedy", greedy), ("random", rand)):
             mean_draws = sample_gaussian_mean(mean, kl_eval_size,
                                               seed=eval_seed + 1)
@@ -411,7 +393,6 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     report = {
         "k": int(k_max),
         "seeds": [int(s) for s in seeds],
-        "e_greedy_mean": np.mean(greedy_curves, axis=0),
         "e_random_mean": np.mean(random_curves, axis=0),
     }
     for label, rows in kl_rows.items():
@@ -426,8 +407,10 @@ def _cmd_bench(args) -> dict:
     spec = parse_kernel_spec(args.kernel, data.d)
     if not 1 <= args.kmax <= data.n:
         raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
-    rows, wall_ms = _bench_curve(data, spec, args.kmax, args.first, args.seed)
-    stats, header = {"wall_ms": wall_ms}, ["m", "e"]
+    diag = fit(data, spec, k_max=args.kmax, epsilon=0.0, first=args.first,
+               seed=args.seed).diagnostics
+    rows = [[m, e] for m, e in enumerate(diag.e_trace.tolist(), start=1)]
+    stats, header = {"wall_ms": (diag.seconds_trace * 1e3).tolist()}, ["m", "e"]
     if args.random_seeds > 0:
         report = bench_compare(data, spec, args.kmax,
                                seeds=range(args.random_seeds), first=args.first)

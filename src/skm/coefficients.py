@@ -84,6 +84,11 @@ class CholeskyWeights:
         return self._kappa[:self.m]
 
     @property
+    def pivots(self) -> np.ndarray:
+        """The Cholesky pivot of each support point."""
+        return self._pivots[:self.m]
+
+    @property
     def e_trace(self) -> np.ndarray:
         """E_1 .. E_m, E_t = -alpha' kappa = -||v||^2 at support size t."""
         return self._e[:self.m]
@@ -99,7 +104,7 @@ class CholeskyWeights:
         return blas.dtpsv(m, self._packed[:m * (m + 1) // 2], self._v[:m], trans=0)
 
     def extend(self, j: int, shape_sum: float) -> float:
-        """Add support point j by one pivoted Cholesky step; return its pivot.
+        """Add support point j by one pivoted Cholesky step; return the new E_m.
 
         The step is one `_backend.factor_order` call on the support and
         point j, which forms j's Gram row and writes the new row [w',
@@ -125,20 +130,20 @@ class CholeskyWeights:
             self._packed = packed
         kept = _backend.factor_order(self._support[:m + 1], *self.params, self.threshold, m,
                                      self._packed[:row + m + 1], self._pivots[:m + 1])
-        pivot = float(self._pivots[m])
         if kept == m:
             raise NearSingularError(
                 f"support point {j} is numerically dependent on the "
-                f"current support (pivot {pivot:.3e})"
+                f"current support (pivot {self._pivots[m]:.3e})"
             )
         w, root = self._packed[row:row + m], self._packed[row + m]
         self._kappa[m] = self.params.c * shape_sum / self.points.shape[0]
         v_new = (self._kappa[m] - float(w @ self._v[:m])) / root
+        e_new = float((self._e[m - 1] if m else 0.0) - v_new * v_new)
         self._indices[m] = j
         self._v[m] = v_new
-        self._e[m] = (self._e[m - 1] if m else 0.0) - v_new * v_new
+        self._e[m] = e_new
         self.m = m + 1
-        return pivot
+        return e_new
 
     def factor(self, order):
         """Factor the support along `order` in one backend call.
@@ -149,9 +154,8 @@ class CholeskyWeights:
         are `_backend.factor_order`, here on the whole order at once, into
         the state's own buffers. kappa of the kept points comes from one
         block sum once every pivot is known, so a dropped point costs no
-        kernel row mean. Returns the kept mask over order and every
-        candidate's pivot. The work is O(m^3 / 3) flops and O(md) memory
-        besides the factor.
+        kernel row mean. Returns the kept mask over order. The work is
+        O(m^3 / 3) flops and O(md) memory besides the factor.
         """
         order = np.asarray(order, dtype=np.int64)
         m, n = order.shape[0], self.points.shape[0]
@@ -160,10 +164,12 @@ class CholeskyWeights:
                              f"(m={self.m}, capacity={self.capacity})")
         support = self._support
         np.take(self.points, order, axis=0, out=support)
-        self._packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-        k = _backend.factor_order(support, *self.params, self.threshold, 0, self._packed, pivots)
-        kept = pivots > self.threshold
+        self._packed = np.empty(m * (m + 1) // 2)
+        k = _backend.factor_order(support, *self.params, self.threshold, 0, self._packed,
+                                  self._pivots)
+        kept = self._pivots > self.threshold
         support[:k] = support[kept]
+        self._pivots[:k] = self._pivots[kept]
         self._indices[:k] = order[kept]
         self._kappa[:k] = block_sums(self.params, support[:k], self.points, np.full(n, 1.0 / n))
         if k:
@@ -171,7 +177,7 @@ class CholeskyWeights:
         # E_m = E_{m-1} - v_m^2, summed in the same order as extend.
         self._e[:k] = -np.cumsum(self._v[:k] * self._v[:k])
         self.m = k
-        return kept, pivots
+        return kept
 
 
 def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:

@@ -11,8 +11,8 @@ in one backend call instead of one step per point.
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -25,39 +25,41 @@ from .kernels import RadialKernelSpec, block_sums, eval_params, gram_at_dist, gr
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    """One candidate tried by the fit loop.
-
-    m is the support size after the step. An accepted step records E_m,
-    the stop-rule ratio |E_{m-1} - E_m| / |E_1 - E_m| (0 at m = 1), the
-    coverage radius after the step (nan for a fixed candidate order) and
-    the candidate's pivot. A skipped step is a numerically dependent
-    candidate: its numbers are nan and skip holds the reason. It is the
-    last step of a farthest-first fit.
-    """
-
-    index: int
-    m: int
-    e: float
-    ratio: float
-    radius: float
-    pivot: float
-    skip: Optional[str] = None
+def _empty():
+    return np.empty(0)
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """The record of a fit, one entry per support point in fit order.
+
+    e_trace holds E_1 .. E_k0 and pivots each point's Cholesky pivot. A
+    greedy fit also records radius_trace, the coverage radius after each
+    step, and seconds_trace, the seconds from the start of the fit to the
+    end of each step; a fixed-order fit leaves both empty. skipped lists
+    the dependent candidates: the one that stopped a greedy fit, or the
+    points a fixed-order fit dropped.
+    """
+
     e_trace: np.ndarray
     k_max: int
     epsilon: float
     density_projected: bool
-    radius_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # Dependent candidates: the one that stopped a greedy fit, or the points
-    # a fixed-order fit dropped.
+    radius_trace: np.ndarray = field(default_factory=_empty)
     skipped: tuple = ()
     method: str = "greedy"
-    steps: tuple = ()  # the accepted Steps, in order
+    pivots: np.ndarray = field(default_factory=_empty)
+    seconds_trace: np.ndarray = field(default_factory=_empty)
+
+    @property
+    def ratio_trace(self) -> np.ndarray:
+        """The stop-rule ratio at every support size, as progress_ratio defines it.
+
+        |E_{m-1} - E_m| / |E_1 - E_m|, 0 at m = 1 and on a flat trace.
+        """
+        e = self.e_trace
+        span, last = np.abs(e[:1] - e), np.abs(np.diff(e, prepend=e[:1]))
+        return np.divide(last, span, out=np.zeros_like(e), where=span != 0.0)
 
 
 @dataclass(frozen=True)
@@ -90,51 +92,18 @@ def _support_budget(k_max, n: int) -> int:
     return min(n, kcenter._integer_in("k_max", k_max, 1, math.inf, "k_max >= 1", n))
 
 
-def fit_steps(weights: CholeskyWeights, first=None, seed: int = 0):
-    """The greedy select/extend loop: yield one Step per candidate tried.
-
-    Candidates come from farthest-first traversal started at `first` (or a
-    point drawn with `seed`). Each candidate costs one O(nd) scan, which
-    also sums the Gram shape over the candidate's distances to every
-    point, so `weights.extend` takes its kernel row mean from one number.
-    A candidate whose section is numerically dependent on the support
-    yields a skip Step with the reason and ends the loop, as pivoted
-    Cholesky stops at its first pivot below tolerance. The loop also ends
-    when the support fills the capacity of `weights` or covers every point
-    exactly. The caller applies the stop rule by leaving the loop. A fixed candidate
-    order takes no such loop: see `fit_with_support`.
-    """
-    scan = kcenter.FarthestFirst(weights.points)
-    cand = kcenter._resolve_first(weights.points.shape[0], first, seed)
-    while weights.m < weights.capacity:
-        shape_sum = scan.add(cand, weights.shape)
-        try:
-            pivot = weights.extend(cand, shape_sum)
-        except NearSingularError as exc:
-            logger.info("support candidate %d is numerically dependent", cand)
-            yield Step(cand, weights.m, math.nan, math.nan, math.nan, math.nan, str(exc))
-            return
-        e = weights.e_trace
-        ratio = 0.0 if weights.m == 1 else progress_ratio(
-            float(e[0]), float(e[-2]), float(e[-1]))
-        yield Step(cand, weights.m, float(e[-1]), ratio, scan.radius, pivot)
-        if scan.radius == 0.0:
-            return  # every point coincides with a center; exact already
-        cand = scan.farthest
-
-
-def _finalize(spec, weights, steps, skipped, k_max, epsilon, density_mode, method):
-    """The fitted mean from the weight state, its accepted Steps and skipped indices."""
+def _finalize(spec, weights, skipped, k_max, epsilon, density_mode, method, **traces):
+    """The fitted mean from the weight state, the skipped indices and a greedy fit's traces."""
     alpha = project_simplex(weights.alpha) if density_mode else weights.alpha
     diag = FitDiagnostics(
         e_trace=weights.e_trace.copy(),
         k_max=int(k_max),
         epsilon=float(epsilon),
         density_projected=bool(density_mode),
-        radius_trace=np.array([s.radius for s in steps if not math.isnan(s.radius)]),
         skipped=tuple(sorted(skipped)),
         method=method,
-        steps=tuple(steps),
+        pivots=weights.pivots.copy(),
+        **traces,
     )
     return SparseKernelMean(
         spec=spec,
@@ -149,56 +118,67 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
         density_mode: bool = False, first=None, seed: int = 0) -> SparseKernelMean:
     """Fit a sparse kernel mean by lockstep selection and weight updates.
 
-    Each round extends the farthest-first selection by one point and
-    refreshes the weights; fitting stops at the first support size k0 <=
-    k_max whose relative error progress is at most epsilon, or at the
-    first farthest candidate whose section is numerically dependent on the
-    support (listed in `diagnostics.skipped`). With density_mode the final
-    weights are projected onto the probability simplex.
+    Candidates come from farthest-first traversal started at `first` (or a
+    point drawn with `seed`). Each costs one O(nd) scan, which also sums
+    the Gram shape over the candidate's distances to every point, so
+    `CholeskyWeights.extend` takes its kernel row mean from one number.
+    Fitting stops at the first support size k0 <= k_max whose relative
+    error progress (`progress_ratio`) is at most epsilon, once the support
+    covers every point exactly, or at the first farthest candidate whose
+    section is numerically dependent on the support (listed in
+    `diagnostics.skipped`), as pivoted Cholesky stops at its first pivot
+    below tolerance. With density_mode the final weights are projected onto
+    the probability simplex. A fixed candidate order takes no such loop:
+    see `fit_with_support`.
 
     Total work is O(n k0 d + k0^3).
     """
     n = np.asarray(data.points).shape[0]
     if k_max is None:
         k_max = default_k_max(n)
-    if not 1 <= k_max <= n or k_max != int(k_max):
-        raise ValueError(f"k_max must be an integer with 1 <= k_max <= n (k_max={k_max}, n={n})")
-    if epsilon < 0:
+    k_max = kcenter._integer_in("k_max", k_max, 1, n, "1 <= k_max <= n", n)
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
+    start = time.perf_counter()
     weights = CholeskyWeights(data, spec, k_max)
-    steps, skipped = [], []
-    for step in fit_steps(weights, first=first, seed=seed):
-        if step.skip is not None:
-            skipped.append(step.index)
-            continue
-        steps.append(step)
-        if step.m > 1 and step.ratio <= epsilon:
+    scan = kcenter.FarthestFirst(weights.points)
+    cand = kcenter._resolve_first(n, first, seed)
+    radii, seconds, skipped = np.empty(k_max), np.empty(k_max), ()
+    for m in range(k_max):
+        shape_sum = scan.add(cand, weights.shape)
+        try:
+            e_m = weights.extend(cand, shape_sum)
+        except NearSingularError as exc:
+            logger.info("the fit stops at a dependent candidate: %s", exc)
+            skipped = (cand,)
             break
-    return _finalize(spec, weights, steps, skipped, k_max, epsilon, density_mode, "greedy")
+        radii[m] = radius = scan.radius
+        seconds[m] = time.perf_counter() - start
+        if m == 0:
+            e_first = e_m
+        elif progress_ratio(e_first, e_prev, e_m) <= epsilon:
+            break
+        if radius == 0.0:
+            break  # every point coincides with a center; exact already
+        e_prev, cand = e_m, scan.farthest
+    k0 = weights.m
+    return _finalize(spec, weights, skipped, k_max, epsilon, density_mode, "greedy",
+                     radius_trace=radii[:k0].copy(), seconds_trace=seconds[:k0].copy())
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
     """Factor the weights along `order` in one pass, dropping numerically dependent points.
 
     The factor and kappa of the points it keeps come from one
-    `CholeskyWeights.factor` call. The accepted Steps are those extending
-    along the order would record, with a nan radius.
+    `CholeskyWeights.factor` call.
     """
     weights = CholeskyWeights(data, spec, len(order))
-    kept, pivots = weights.factor(order)
-    skipped = order[~kept].tolist()
+    skipped = order[~weights.factor(order)].tolist()
     if skipped:
         logger.info("dropped %d of %d support candidates as numerically dependent",
                     len(skipped), len(order))
-    e = weights.e_trace
-    # |E_{m-1} - E_m| / |E_1 - E_m| for every m, 0 at m = 1 and on a flat
-    # trace, as progress_ratio defines it.
-    span, last = np.abs(e[0] - e), np.abs(np.diff(e, prepend=e[0]))
-    ratios = np.divide(last, span, out=np.zeros_like(e), where=span != 0.0)
-    steps = list(map(Step, weights.indices.tolist(), range(1, weights.m + 1), e.tolist(),
-                     ratios.tolist(), repeat(math.nan), pivots[kept].tolist()))
-    return _finalize(spec, weights, steps, skipped, len(order), 0.0, density_mode, method)
+    return _finalize(spec, weights, skipped, len(order), 0.0, density_mode, method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,

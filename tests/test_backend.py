@@ -500,17 +500,17 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     points[:40] = points[rng.integers(40, 400, size=40)]
     data = DataSet(points)
     order = rng.permutation(400)[:150]
-    stepped, pivots, skipped = CholeskyWeights(data, spec, 150), [], []
+    stepped, skipped = CholeskyWeights(data, spec, 150), []
     for j in order.tolist():
         try:
-            pivots.append(stepped.extend(j, FarthestFirst(data.points).add(j, stepped.shape)))
+            stepped.extend(j, FarthestFirst(data.points).add(j, stepped.shape))
         except NearSingularError:
             skipped.append(j)
     factored = CholeskyWeights(data, spec, 150)
-    kept, all_pivots = factored.factor(order)
+    kept = factored.factor(order)
     assert skipped and order[~kept].tolist() == skipped
     assert_array_equal(factored.indices, stepped.indices)
-    assert_array_equal(all_pivots[kept], pivots)
+    assert_array_equal(factored.pivots, stepped.pivots)
     m = stepped.m
     assert_array_equal(factored._packed[:m * (m + 1) // 2], stepped._packed[:m * (m + 1) // 2])
     assert_allclose(factored.e_trace, stepped.e_trace, rtol=1e-12)
@@ -545,7 +545,8 @@ def _state_copy(state):
     """The filled part of every buffer of a CholeskyWeights state."""
     m = state.m
     return (m, state._support[:m].copy(), state._packed[:m * (m + 1) // 2].copy(),
-            state.indices.copy(), state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy())
+            state.indices.copy(), state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy(),
+            state.pivots.copy())
 
 
 def _assert_state_is(state, saved):
@@ -578,7 +579,7 @@ def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatc
         with pytest.raises(ValueError, match=f"empty state of capacity {len(order)}"):
             empty.factor(order)
         assert empty.m == 0
-    kept, _ = empty.factor([0, 1, 2])
+    kept = empty.factor([0, 1, 2])
     assert kept.all() and empty.m == 3
     assert_array_equal(empty.indices, saved[3])
     assert_array_equal(empty._packed, saved[2])  # the whole triangle, 3 rows

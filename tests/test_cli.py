@@ -363,6 +363,21 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
     assert_allclose(e_curve, mean.diagnostics.e_trace, rtol=0, atol=0)
 
 
+def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
+    # At sigma = 10 the fit stops at an exactly flat step after 19 points;
+    # the bench curve stops there too.
+    x = tmp_path / "x.csv"
+    save_csv(skm.DataSet(np.random.default_rng(23).normal(size=(4000, 2))), x)
+    common = ["--input", str(x), "--kernel", "gaussian:sigma=10", "--kmax", "200",
+              "--seed", "1"]
+    curve, trace = tmp_path / "curve.csv", tmp_path / "trace.csv"
+    assert main(["bench", *common, "--out", str(curve)]) == 0
+    assert main(["fit", *common, "--eps", "0", "--out", str(tmp_path / "m.json"),
+                 "--trace", str(trace)]) == 0
+    rows = [line.rsplit(",", 1)[0] for line in trace.read_text().splitlines()]
+    assert curve.read_text().splitlines() == rows and len(rows) == 1 + 19
+
+
 def test_bench_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
@@ -490,6 +505,16 @@ def test_bad_kernel_returns_two(tmp_path, capsys):
     rc = main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=-1",
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
+
+
+def test_fit_nan_eps_returns_two(tmp_path, capsys):
+    x = synth_csv(tmp_path)
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0", "--eps", "nan",
+               "--out", str(model)])
+    assert rc == 2
+    assert "epsilon must be nonnegative" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_kmax_too_large_returns_two(tmp_path, capsys):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-from skm.coefficients import CholeskyWeights
+from skm.coefficients import CholeskyWeights, progress_ratio
 from skm.dataio import DataSet
-from skm.kcenter import kcenter_greedy
+from skm.kcenter import FarthestFirst, kcenter_greedy
 from skm.kernels import (
     RadialKernelSpec,
     block_sums,
@@ -28,7 +28,6 @@ from skm.sparse_mean import (
     evaluate,
     evaluate_full,
     fit,
-    fit_steps,
     fit_with_support,
     full_mean,
     incoherence,
@@ -195,6 +194,21 @@ def test_fit_validates_arguments():
         random_selection_fit(data, UNIT_GAUSS_1D, 1.5)
 
 
+@pytest.mark.parametrize("k_max", [True, "3", 2.5, 5])
+def test_fit_rejects_a_k_max_that_is_not_an_integer_in_range(k_max):
+    # True would fit one point, and "3" used to raise a bare TypeError.
+    with pytest.raises(ValueError, match="k_max must be an integer with 1 <= k_max <= n"):
+        fit(line_data(0.0, 1.0, 2.0, 3.0), UNIT_GAUSS_1D, k_max=k_max)
+
+
+def test_fit_rejects_a_nan_epsilon():
+    # No ratio is <= nan, so the fit would run to its budget.
+    data = DataSet(np.random.default_rng(26).normal(size=(400, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        fit(data, spec, epsilon=float("nan"))
+
+
 def test_fit_support_rows_come_from_data():
     data = DataSet(np.random.default_rng(5).normal(size=(25, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
@@ -307,27 +321,46 @@ def test_fit_loop_tie_breaks_to_lower_index():
     assert_array_equal(mean.support_indices, [0, 1])
 
 
-def test_fit_loop_stops_at_first_dependent_candidate():
+def test_fit_loop_stops_at_first_dependent_candidate(caplog):
     # A wide bandwidth makes a farthest candidate numerically dependent early.
     rng = np.random.default_rng(20)
     data = DataSet(rng.normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
-    mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
-    steps = list(fit_steps(CholeskyWeights(data, spec, 300), first=0))
-    *accepted, last = steps
-    assert last.skip is not None and "dependent" in last.skip
-    assert all(s.skip is None for s in accepted)
-    assert mean.diagnostics.skipped == (last.index,)
-    assert mean.diagnostics.steps == tuple(accepted)
-    assert mean.k0 == len(accepted) < 300
-    assert last.index not in mean.support_indices
+    with caplog.at_level("INFO", logger="skm.sparse_mean"):
+        mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
+    diag = mean.diagnostics
+    (last,) = diag.skipped
+    assert "numerically dependent" in caplog.text
+    assert mean.k0 < 300 and last not in mean.support_indices
+    # One record entry per accepted point, each pivot above the tolerance.
+    for trace in (diag.e_trace, diag.ratio_trace, diag.radius_trace, diag.pivots,
+                  diag.seconds_trace):
+        assert trace.shape == (mean.k0,)
+    assert np.all(diag.pivots > 1e-9 * g_zero(spec))
+    assert np.all(np.diff(diag.seconds_trace) >= 0.0)
+    # The same factor step drops the skipped candidate after the support.
+    order = np.r_[mean.support_indices, last]
+    assert fit_with_support(data, spec, order).diagnostics.skipped == (last,)
     # Replay: every tried candidate is the farthest point from the support,
     # ties to the lowest index.
     sqdist = np.full(data.n, np.inf)
-    for t, step in enumerate(steps):
+    for t, index in enumerate(order):
         if t > 0:
-            assert step.index == int(np.argmax(sqdist))
-        sqdist = np.minimum(sqdist, ((data.points - data.points[step.index]) ** 2).sum(axis=1))
+            assert index == int(np.argmax(sqdist))
+        sqdist = np.minimum(sqdist, ((data.points - data.points[index]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("sigma, epsilon", [(0.7, 0.0), (0.7, 1e-3), (10.0, 0.0)])
+def test_ratio_trace_is_progress_ratio_at_every_greedy_step(sigma, epsilon):
+    data = DataSet(np.random.default_rng(27).normal(size=(400, 2)))
+    mean = fit(data, RadialKernelSpec("gaussian", dim=2, sigma=sigma), k_max=80,
+               epsilon=epsilon, first=0)
+    e, ratios = mean.diagnostics.e_trace.tolist(), mean.diagnostics.ratio_trace.tolist()
+    assert ratios[0] == 0.0 and len(ratios) == mean.k0 > 2
+    for m in range(1, mean.k0):
+        assert ratios[m] == progress_ratio(e[0], e[m - 1], e[m])
+    # The fit stopped at the first ratio at most epsilon, or at its budget.
+    assert all(r > epsilon for r in ratios[1:-1])
 
 
 def _count_backend_calls(monkeypatch):
@@ -354,16 +387,17 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     assert calls == {"farthest_scan": 60, "kernel_sums": 0, "factor_order": 60}
 
 
-def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch):
+def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate,
     # whose one factor step showed it dependent.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     calls = _count_backend_calls(monkeypatch)
-    steps = list(fit_steps(CholeskyWeights(data, spec, 300), first=0))
-    assert "pivot" in steps[-1].skip
-    assert calls == {"farthest_scan": len(steps), "kernel_sums": 0,
-                     "factor_order": len(steps)}
+    with caplog.at_level("INFO", logger="skm.sparse_mean"):
+        mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
+    assert len(mean.diagnostics.skipped) == 1 and "pivot" in caplog.text
+    tried = mean.k0 + 1
+    assert calls == {"farthest_scan": tried, "kernel_sums": 0, "factor_order": tried}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
@@ -403,17 +437,19 @@ def test_weights_match_dense_solve_at_every_step():
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
-    weights = CholeskyWeights(data, spec, 300)
-    history = [(step, weights.alpha) for step in fit_steps(weights, first=0)]
-    assert weights.m == 300 and len(history) == 300
-    support = data.points[weights.indices]
+    order = kcenter_greedy(data, 300, first=0).order
+    weights, scan, history = CholeskyWeights(data, spec, 300), FarthestFirst(data.points), []
+    for j in order:
+        history.append((weights.extend(j, scan.add(j, weights.shape)), weights.alpha))
+    assert_array_equal(fit(data, spec, k_max=300, epsilon=0.0, first=0).support_indices, order)
+    support = data.points[order]
     gram = gram_matrix(spec, support)
     kappa = gram_matrix(spec, support, data.points).mean(axis=1)
-    for m, (step, alpha) in enumerate(history, start=1):
+    for m, (e, alpha) in enumerate(history, start=1):
         direct = scipy.linalg.solve(gram[:m, :m], kappa[:m], assume_a="pos")
         rel = np.linalg.norm(alpha - direct) / np.linalg.norm(direct)
         assert rel < 1e-10, (m, rel)
-        assert_allclose(step.e, -direct @ kappa[:m], rtol=1e-10)
+        assert_allclose(e, -direct @ kappa[:m], rtol=1e-10)
 
 
 def test_fit_memory_grows_with_support_not_budget():
