@@ -1,20 +1,22 @@
 """Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
-All timings run in one process. The scan, the kernel sums and the factor
-step are timed against each implementation directly. The scan is timed
-at the fit-tall and fit-deep benchmark shapes (100000 x 8 and 10000 x 5
-standard-normal points, coordinate-major), without a shape and with the
-Gaussian shape whose sum gives a greedy step its kappa. The kernel sums are
-timed on the whole evaluate of the fit-tall and fit-deep benchmark
-workloads (100000 queries x 150 supports in d=8, 50000 x 600 in d=5, one
-Gaussian column) and on one full mean-shift round of the apps workload
-(2000 points x 2000 supports in d=2, p = d + 1 columns). `factor_order`
-is timed on the farthest-first order of standard-normal points, Gaussian
-sigma = 1: at the last greedy step of fit-deep (row 599 of 600 in d=5),
-and on whole fixed orders of 94 points in d=2 (the CPE bandwidth search's
-size) and of 600 in d=5. The end-to-end fit and `fit_with_support` on the
-floor(3 sqrt(n)) farthest-first support swap every `skm._backend`
-primitive for the implementation's own.
+All timings run in one process. The four primitives are timed against
+each implementation directly. The scan is timed at the fit-tall and
+fit-deep benchmark shapes (100000 x 8 and 10000 x 5 standard-normal
+points, coordinate-major). The kernel sums are timed on the whole
+evaluate of the fit-tall and fit-deep benchmark workloads (100000 queries
+x 150 supports in d=8, 50000 x 600 in d=5, one Gaussian column) and on one
+full mean-shift round of the apps workload (2000 points x 2000 supports in
+d=2, p = d + 1 columns). `factor_order` is timed on whole fixed orders of
+farthest-first standard-normal points, Gaussian sigma = 1: 94 points in
+d=2 (the CPE bandwidth search's size) and 600 in d=5. `greedy_fit` is
+timed as one call with room for the whole factor, on the greedy fits of
+the benchmark: fit-deep's (10000 x 5, sigma = 1, k_max 600, eps = 0 from
+point 0) and the apps workload's saturated fit (4000 x 2 from its seed,
+sigma = 10, k_max 200, eps = 0, the first point drawn with seed 0, which
+stops at a dependent candidate after 20 points). The end-to-end fit and
+`fit_with_support` on the floor(3 sqrt(n)) farthest-first support swap
+every `skm._backend` primitive for the implementation's own.
 
 Usage: python benchmarks/bench_backends.py [--n 20000] [--d 5] [--kmax 300]
 """
@@ -27,9 +29,10 @@ import numpy as np
 import skm
 from skm import _backend
 from skm._backend import _numpy_impl
+from skm.coefficients import SINGULARITY_REL_TOL
 from skm.dataio import DataSet
-from skm.kcenter import kcenter_greedy
-from skm.kernels import SHAPE_SQEXP, RadialKernelSpec
+from skm.kcenter import _resolve_first, kcenter_greedy
+from skm.kernels import SHAPE_SQEXP, RadialKernelSpec, gram_params
 from skm.sparse_mean import default_k_max, fit_with_support
 
 try:
@@ -37,32 +40,35 @@ try:
 except ImportError:
     _fastcore = None
 
-PRIMITIVES = ("farthest_scan", "kernel_sums", "factor_order")
+PRIMITIVES = _numpy_impl.__all__
 # (op, points, d) of the benchmark's scans.
 SCAN_SHAPES = (("fit-tall", 100_000, 8), ("fit-deep", 10_000, 5))
 # (op, queries, supports, d, coef columns) of the benchmark's kernel sums:
 # the two evaluate steps and a round of the full mean shift.
 SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 600, 5, 1),
               ("meanshift_full", 2000, 2000, 2, 3))
-# (op, points, d, m, start) of the factor steps: the last greedy step of
-# fit-deep and two whole fixed orders.
-FACTOR_SHAPES = (("greedy step", 10_000, 5, 600, 599), ("fixed order", 1000, 2, 94, 0),
-                 ("fixed order", 10_000, 5, 600, 0))
+# (op, points, d, m) of the whole fixed orders factored.
+FACTOR_SHAPES = (("fixed order", 1000, 2, 94), ("fixed order", 10_000, 5, 600))
+# (op, points of seed, n, d, sigma, k_max, first) of the benchmark's greedy fits.
+GREEDY_FITS = (("fit-deep", 4, 10_000, 5, 1.0, 600, 0),
+               ("fit_saturated", 20150301, 4000, 2, 10.0, 200, None))
 
 
-def best_of(repeat, fn):
+def best_of(repeat, fn, setup=None):
     best = float("inf")
     for _ in range(repeat):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def bench_scan(impl, n, d, shape, repeat=7):
+def bench_scan(impl, n, d, repeat=7):
     coords = np.ascontiguousarray(np.random.default_rng(0).normal(size=(d, n)))
     sqdist = np.full(n, np.inf)
-    return best_of(repeat, lambda: impl.farthest_scan(coords, 0, sqdist, shape))
+    return best_of(repeat, lambda: impl.farthest_scan(coords, 0, sqdist))
 
 
 def bench_sums(impl, nx, m, d, p, repeat=5):
@@ -72,15 +78,34 @@ def bench_sums(impl, nx, m, d, p, repeat=5):
     return best_of(repeat, lambda: impl.kernel_sums(xs, ys, coef, SHAPE_SQEXP, 0.5, 0.0, 1.0, out))
 
 
-def bench_factor(impl, n, d, m, start, repeat=7):
-    """factor_order on rows start..m-1 of a farthest-first order, rows before start factored."""
+def bench_factor(impl, n, d, m, repeat=7):
+    """factor_order on the whole of a farthest-first order of m points."""
     data = DataSet(np.random.default_rng(4).normal(size=(n, d)))
     points = data.points[kcenter_greedy(data, m, first=0).order]
     packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
     args = (SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9)
-    head = start * (start + 1) // 2
-    impl.factor_order(points[:start], *args, 0, packed[:head], pivots[:start])
-    return best_of(repeat, lambda: impl.factor_order(points, *args, start, packed, pivots))
+    return best_of(repeat, lambda: impl.factor_order(points, *args, 0, packed, pivots))
+
+
+def bench_greedy(impl, seed, n, d, sigma, k_max, first, repeat=7):
+    """One greedy_fit call from support size 0, the factor with room for k_max rows.
+
+    Returns the best time and the number of points the fit kept.
+    """
+    points = np.random.default_rng(seed).standard_normal((n, d))
+    coords = np.ascontiguousarray(points.T)
+    params = gram_params(RadialKernelSpec("gaussian", dim=d, sigma=sigma))
+    first = _resolve_first(n, first, 0)
+    sqdist, indices = np.empty(n), np.empty(k_max, dtype=np.int64)
+    packed = np.empty(k_max * (k_max + 1) // 2)
+    record = np.empty((len(_numpy_impl.RECORD_ROWS), k_max))
+    kept = []
+
+    def run():
+        kept.append(impl.greedy_fit(coords, sqdist, *params, SINGULARITY_REL_TOL * params.c,
+                                    0.0, 0.0, first, 0, indices, packed, record)[0])
+
+    return best_of(repeat, run, setup=lambda: sqdist.fill(np.inf)), kept[-1]
 
 
 def swapped(impl, repeat, fn):
@@ -125,17 +150,14 @@ def main():
     if len(rows) == 2:
         print(f"  speedup   {rows[0][1] / rows[1][1]:6.2f} x {rows[0][2] / rows[1][2]:15.2f} x")
 
-    print("farthest_scan from point 0, best of 7; shape: Gaussian, summed in the same pass")
-    print(f"  {'op':9s} {'n x d':>10s} {'backend':9s} {'no shape':>18s} {'shape':>18s}")
+    print("farthest_scan from point 0, best of 7")
+    print(f"  {'op':9s} {'n x d':>10s} {'backend':9s} {'scan':>10s} {'per point':>9s}")
     for name, n, d in SCAN_SHAPES:
-        times = [[bench_scan(impl, n, d, shape) for shape in (None, (SHAPE_SQEXP, 0.5, 0.0))]
-                 for _, impl in impls]
-        for (label, _), pair in zip(impls, times):
-            cells = " ".join(f"{t * 1e3:7.3f} ms {t / n * 1e9:5.2f} ns" for t in pair)
-            print(f"  {name:9s} {f'{n} x {d}':>10s} {label:9s} {cells}")
+        times = [bench_scan(impl, n, d) for _, impl in impls]
+        for (label, _), t in zip(impls, times):
+            print(f"  {name:9s} {f'{n} x {d}':>10s} {label:9s} {t * 1e3:7.3f} ms {t / n * 1e9:6.2f} ns")
         if len(times) == 2:
-            print(f"  {'':9s} {'':10s} {'speedup':9s} {times[0][0] / times[1][0]:10.2f} x"
-                  f" {times[0][1] / times[1][1]:15.2f} x")
+            print(f"  {'':9s} {'':10s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
 
     print("kernel_sums, Gaussian, best of 5")
     print(f"  {'op':15s} {'queries x k0 x d, p':>22s} {'backend':9s} {'sums':>10s} {'per entry':>10s}")
@@ -148,14 +170,23 @@ def main():
             print(f"  {'':15s} {'':22s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
 
     print("factor_order, Gaussian sigma = 1, farthest-first order, best of 7")
-    print(f"  {'op':12s} {'rows of m x d':>20s} {'backend':9s} {'factor':>10s}")
-    for name, n, d, m, start in FACTOR_SHAPES:
-        times = [bench_factor(impl, n, d, m, start) for _, impl in impls]
+    print(f"  {'op':12s} {'m x d':>9s} {'backend':9s} {'factor':>10s}")
+    for name, n, d, m in FACTOR_SHAPES:
+        times = [bench_factor(impl, n, d, m) for _, impl in impls]
         for (label, _), t in zip(impls, times):
-            shape = f"{start}..{m - 1} of {m} x {d}"
-            print(f"  {name:12s} {shape:>20s} {label:9s} {t * 1e3:7.3f} ms")
+            print(f"  {name:12s} {f'{m} x {d}':>9s} {label:9s} {t * 1e3:7.3f} ms")
         if len(times) == 2:
-            print(f"  {'':12s} {'':20s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
+            print(f"  {'':12s} {'':9s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
+
+    print("greedy_fit, one call for the whole fit, Gaussian, eps = 0, best of 7")
+    print(f"  {'op':13s} {'n x d':>10s} {'k0':>4s} {'backend':9s} {'fit':>10s} {'per step':>10s}")
+    for name, seed, n, d, sigma, k_max, first in GREEDY_FITS:
+        runs = [bench_greedy(impl, seed, n, d, sigma, k_max, first) for _, impl in impls]
+        for (label, _), (t, k0) in zip(impls, runs):
+            print(f"  {name:13s} {f'{n} x {d}':>10s} {k0:4d} {label:9s} {t * 1e3:7.3f} ms"
+                  f" {t / k0 * 1e6:7.2f} us")
+        if len(runs) == 2:
+            print(f"  {'':13s} {'':10s} {'':4s} {'speedup':9s} {runs[0][0] / runs[1][0]:7.2f} x")
     if _fastcore is None:
         print("  (compiled extension not built; numpy fallback only)")
 

@@ -28,7 +28,6 @@ from .errors import (
     DataFormatError,
     DegenerateDataError,
     KernelSpecError,
-    NearSingularError,
     SkmError,
 )
 from .kcenter import Selection, kcenter_greedy
@@ -72,7 +71,6 @@ __all__ = [
     "DegenerateDataError",
     "DistanceMatrix",
     "KernelSpecError",
-    "NearSingularError",
     "ProportionEstimate",
     "RadialKernelSpec",
     "Selection",

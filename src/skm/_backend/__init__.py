@@ -1,32 +1,56 @@
-"""The three hot primitives, from the compiled extension if it imports.
+"""The four hot primitives, from the compiled extension if it imports.
 
 `farthest_scan` is one pass over a coordinate-major (d, n) copy of the
 points that makes a point a farthest-first center: it lowers the squared
 distances to the chosen set in place and returns the farthest point.
-Given a shape (kind, a, b), the same pass also returns the sum of the
-shape over the distances to the new center, from which a greedy fit step
-takes the new center's kernel row mean. `kernel_sums` writes c * sum_j
-shape(||x_i - y_j||^2) coef[j, q] into out[i, q] for a 2-D coef and out,
-without forming a kernel block; every kernel sum (evaluate, the
-mean-shift rounds, the kappa of a fixed-order fit) is one call.
-`factor_order` is pivoted Cholesky along the rows of a point array from
-a given row on: it forms each candidate's Gram row against the kept
-points itself, writes the packed lower factor of the candidates it keeps
-and every candidate's pivot, and keeps no m x m block. A greedy step is
-one call on one new row, a fixed-order fit one call on the whole order.
-All three come from the compiled extension (`_fastcore.c`) when that was
+`kernel_sums` writes c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
+out[i, q] for a 2-D coef and out, without forming a kernel block; every
+kernel sum (evaluate, the mean-shift rounds, the kappa of a fixed-order
+fit) is one call. `factor_order` is pivoted Cholesky along the rows of a
+point array from a given row on: it forms each candidate's Gram row
+against the kept points itself, writes the packed lower factor of the
+candidates it keeps and every candidate's pivot, and keeps no m x m
+block; a fixed-order fit is one call on the whole order. `greedy_fit`
+runs the greedy fit's steps: per step a farthest-first scan that also
+sums the Gram shape over the new center's distances (its kernel row
+mean), one `factor_order` step, v_m, E_m, the coverage radius, the
+step's time and the stop tests, until a test holds or the packed factor
+is full, when the caller doubles it and calls again.
+
+All four come from the compiled extension (`_fastcore.c`) when that was
 built, and from the numpy implementation otherwise; `BACKEND` names
 which. The compiled kernel values use libmvec's vector exp and pow on
-x86-64 glibc, so they differ from the numpy ones in the last bits.
+x86-64 glibc, so they differ from the numpy ones in the last bits. The
+compiled `greedy_fit` forms w'v of each v_m with its own dot where the
+numpy one uses BLAS, so its E_m and the weights alpha may differ from
+the numpy backend's in the last bits too; its supports, skipped
+candidates, pivots and radii may not. An extension built from an older
+`_fastcore.c` that lacks a primitive raises ImportError.
 """
+
+from . import _numpy_impl
+
+
+def _complete(module):
+    """module, once it has every primitive of the numpy implementation."""
+    missing = [name for name in _numpy_impl.__all__ if not hasattr(module, name)]
+    if missing:
+        raise ImportError(
+            f"the compiled backend {getattr(module, '__file__', module)} lacks "
+            f"{', '.join(missing)}: it was built from an older _fastcore.c; rebuild it "
+            f"with `python setup.py build_ext --inplace`, or delete it to use numpy")
+    return module
+
 
 try:
     from . import _fastcore as _impl
     BACKEND = "compiled"
 except ImportError:
-    from . import _numpy_impl as _impl
+    _impl = _numpy_impl
     BACKEND = "numpy"
+_complete(_impl)
 
 farthest_scan = _impl.farthest_scan
 kernel_sums = _impl.kernel_sums
 factor_order = _impl.factor_order
+greedy_fit = _impl.greedy_fit

@@ -1,14 +1,16 @@
-/* Compiled inner loops: the farthest-first scan, the kernel sums and the
- * pivoted Cholesky step of both fits. The signatures match
- * skm._backend._numpy_impl exactly.
+/* Compiled inner loops: the farthest-first scan, the kernel sums, the
+ * pivoted Cholesky step of both fits and the greedy fit's whole loop. The
+ * signatures match skm._backend._numpy_impl exactly.
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
  * TILE points. For each tile it forms the squared distances to the new
  * center in a TILE-double buffer, lowers a caller's buffer of distances to
  * the chosen set in place and takes the tile's farthest point, so a
- * farthest-first step writes each distance once. Given a shape, it then
- * applies the shape to the tile's distances in place while they are in L1
- * and sums it, which gives the greedy fit the kernel row mean of the new
+ * farthest-first step writes each distance once. The tile's maximum is
+ * taken over the int64 bit patterns of the distances, which order as the
+ * non-negative doubles do and which gcc vectorises. In the greedy fit the
+ * scan then applies the shape to the tile's distances in place while they
+ * are in L1 and sums it, which gives the kernel row mean of the new
  * center from the same pass. The distances sum the coordinates in the
  * order k = 0..d-1, as the numpy scan does, so both backends pick the same
  * points.
@@ -33,15 +35,25 @@
  * greedy fit runs it on one new candidate at a time, a fixed-order fit on
  * the whole order at once.
  *
+ * The greedy fit runs its steps in one call: the scan with the shape sum,
+ * one factor step, v_m and E_m, the radius, the step's time and the stop
+ * tests, until a test holds or the packed factor is full. It keeps the
+ * support's coordinates coordinate-major across the steps of a call. v_m
+ * takes w'v from the same 8-partial-sum dot as the factor, where the
+ * numpy backend uses BLAS, so E_m and the weights may differ from the
+ * numpy backend's in the last bits; the supports, pivots and radii do not.
+ *
  * Arrays arrive through the buffer protocol and must be C-contiguous
- * float64 of the right shape; anything else raises TypeError or
- * ValueError before a single element is read. The loops release the GIL
- * and start no threads.
+ * float64 (int64 for the greedy fit's support indices) of the right
+ * shape; anything else raises TypeError or ValueError before a single
+ * element is read. The loops release the GIL and start no threads.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* glibc's libmvec has vector exp and pow, but <math.h> declares them only
  * under -ffast-math, which would also let the compiler contract the
@@ -55,7 +67,7 @@ __attribute__((__simd__("notinbranch"))) double pow(double, double);
 
 /* The buffers one call holds; released together whatever the outcome. */
 typedef struct {
-    Py_buffer view[4];
+    Py_buffer view[5];
     int count;
 } Views;
 
@@ -65,21 +77,25 @@ static void release(Views *vs)
         PyBuffer_Release(&vs->view[--vs->count]);
 }
 
-/* Borrow obj as a C-contiguous float64 array with ndim dimensions and rows
- * entries along the first (-1: any number). */
-static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
-                      Py_ssize_t rows, int writable)
+/* Borrow obj as a C-contiguous array of 8-byte items with ndim dimensions
+ * and rows entries along the first (-1: any number): float64 items, or
+ * int64 ones for an `integer` array. */
+static void *borrow_any(Views *vs, PyObject *obj, const char *name, int ndim,
+                        Py_ssize_t rows, int writable, int integer)
 {
     Py_buffer *v = &vs->view[vs->count];
+    const char *type = integer ? "int64" : "float64";
     if (!PyObject_CheckBuffer(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a float64 array", name);
+        PyErr_Format(PyExc_TypeError, "%s must be a %s array", name, type);
         return NULL;
     }
     if (PyObject_GetBuffer(obj, v, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
         return NULL;
     vs->count++;
-    if (v->itemsize != 8 || v->format == NULL || strcmp(v->format, "d") != 0) {
-        PyErr_Format(PyExc_TypeError, "%s must be a float64 array", name);
+    if (v->itemsize != 8 || v->format == NULL
+        || (integer ? strcmp(v->format, "l") != 0 && strcmp(v->format, "q") != 0
+                    : strcmp(v->format, "d") != 0)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a %s array", name, type);
         return NULL;
     }
     if (v->ndim != ndim || !PyBuffer_IsContiguous(v, 'C')) {
@@ -94,7 +110,13 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
         PyErr_Format(PyExc_ValueError, "%s must be writable", name);
         return NULL;
     }
-    return (double *)v->buf;
+    return v->buf;
+}
+
+static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
+                      Py_ssize_t rows, int writable)
+{
+    return borrow_any(vs, obj, name, ndim, rows, writable, 0);
 }
 
 /* Rows of ys copied per tile, or points per scan tile: 2 KB of each
@@ -193,24 +215,27 @@ static inline NO_CONTRACT double dot(const double *u, const double *v, Py_ssize_
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* q[j] = min(q[j], r[j]) over w entries; returns the largest new q[j]
- * (-1 if all are NaN), kept in 8 partial maxima as `dot` keeps its sums. */
-static inline double lower_max(double *restrict q, const double *restrict r, Py_ssize_t w)
+static inline int64_t bits_of(double x)
 {
-    double m[8] = {-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0};
-    Py_ssize_t j = 0;
-    for (; j + 8 <= w; j += 8)
-        for (int l = 0; l < 8; l++) {
-            q[j + l] = r[j + l] < q[j + l] ? r[j + l] : q[j + l];
-            m[l] = q[j + l] > m[l] ? q[j + l] : m[l];
-        }
-    for (int l = 0; j < w; j++, l++) {
-        q[j] = r[j] < q[j] ? r[j] : q[j];
-        m[l] = q[j] > m[l] ? q[j] : m[l];
+    int64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+/* q[j] = min(q[j], r[j]) over w entries; returns the largest int64 bit
+ * pattern of the new q[j], or -1 for no entries. Squared distances are
+ * non-negative, and the bit patterns of non-negative doubles order as
+ * the doubles do. */
+static inline int64_t lower_max(double *restrict q, const double *restrict r, Py_ssize_t w)
+{
+    int64_t top = -1;
+    for (Py_ssize_t j = 0; j < w; j++) {
+        double t = r[j] < q[j] ? r[j] : q[j];
+        int64_t bits = bits_of(t);
+        q[j] = t;
+        top = bits > top ? bits : top;
     }
-    for (int l = 1; l < 8; l++)
-        m[0] = m[l] > m[0] ? m[l] : m[0];
-    return m[0];
+    return top;
 }
 
 /* One farthest-first pass for the center y over the n points of the
@@ -225,15 +250,17 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
                                     double *r)
 {
     Py_ssize_t far = -1;
-    double top = -1.0, s[8] = {0.0};
+    int64_t top = -1;
+    double s[8] = {0.0};
     for (Py_ssize_t i0 = 0; i0 < n; i0 += TILE) {
         Py_ssize_t w = n - i0 < TILE ? n - i0 : TILE, j;
-        double *q = sq + i0, mx;
+        double *q = sq + i0;
+        int64_t mx;
         dist_row(r, y, xt + i0, w, n, d);
         mx = lower_max(q, r, w);
         if (mx > top) {  /* strict: a tie with an earlier tile keeps its index */
             top = mx;
-            for (j = 0; q[j] != mx; j++)
+            for (j = 0; bits_of(q[j]) != mx; j++)
                 ;
             far = i0 + j;
         }
@@ -252,23 +279,12 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
 
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
 {
-    PyObject *po, *so, *shape = Py_None;
+    PyObject *po, *so;
     Py_ssize_t j, far;
-    int kind = -1;
-    double a = 0.0, b = 0.0, shape_sum;
+    double shape_sum;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OnO|O", &po, &j, &so, &shape))
+    if (!PyArg_ParseTuple(args, "OnO", &po, &j, &so))
         return NULL;
-    if (shape != Py_None) {
-        if (!PyTuple_Check(shape) || !PyArg_ParseTuple(shape, "idd", &kind, &a, &b)) {
-            PyErr_SetString(PyExc_TypeError, "shape must be None or a (kind, a, b) tuple");
-            return NULL;
-        }
-        if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
-            PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
-            return NULL;
-        }
-    }
     const double *xt = borrow(&vs, po, "coords", 2, -1, 0);
     Py_ssize_t d = xt ? vs.view[0].shape[0] : 0, n = xt ? vs.view[0].shape[1] : 0;
     double *sq = xt ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
@@ -285,13 +301,11 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     double *y = buf + TILE;
     for (Py_ssize_t k = 0; k < d; k++)
         y[k] = xt[k * n + j];
-    far = scan_tiles(xt, n, d, y, sq, kind, a, b, &shape_sum, buf);
+    far = scan_tiles(xt, n, d, y, sq, -1, 0.0, 0.0, &shape_sum, buf);
     Py_END_ALLOW_THREADS
     PyMem_Free(buf);
     release(&vs);
-    if (shape == Py_None)
-        return Py_BuildValue("nO", far, Py_None);
-    return Py_BuildValue("nd", far, shape_sum);
+    return PyLong_FromSsize_t(far);
 }
 
 /* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows
@@ -357,16 +371,35 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* One pivoted Cholesky step: the Gram row c * shape(||xi - x_t||^2) of
+ * the candidate xi against the kept points x_t, coordinate-major in kt
+ * with ld entries per coordinate, goes straight into the next packed row
+ * w of L, the one after the kept rows, and is solved there, w_t = (g_t -
+ * L_t . w) / L_tt. Returns the candidate's pivot c - w'w, since g_ii = c *
+ * shape(0) = c for every shape. */
+static inline NO_CONTRACT double pivot_row(double *packed, Py_ssize_t kept, const double *xi,
+                                           const double *kt, Py_ssize_t ld, Py_ssize_t d,
+                                           int kind, double a, double b, double c)
+{
+    double *w = packed + kept * (kept + 1) / 2;
+    dist_row(w, xi, kt, kept, ld, d);
+    shape_row(w, kept, kind, a, b);
+    for (Py_ssize_t t = 0; t < kept; t++)
+        w[t] *= c;
+    for (Py_ssize_t t = 0; t < kept; t++) {
+        const double *row = packed + t * (t + 1) / 2;
+        w[t] = (w[t] - dot(row, w, t)) / row[t];
+    }
+    return c - dot(w, w, kept);
+}
+
 /* Partial pivoted Cholesky of the m rows of x from row start on; the rows
- * before start are kept already, with their packed factor in place.
- * Candidate i's Gram row against the kept points, c * shape(||x_i -
- * x_t||^2), goes straight into the next packed row w of L and is solved
- * there, w_t = (g_t - L_t . w) / L_tt. Its pivot is c - w'w, since g_ii =
- * c * shape(0) = c for every shape. When the pivot exceeds the threshold
- * the row gets sqrt(pivot) and the candidate is kept; otherwise the next
- * candidate overwrites it and nothing has to be undone. kt holds m x d
- * doubles: the kept points, coordinate-major with m entries per
- * coordinate. Returns the number kept. */
+ * before start are kept already, with their packed factor in place. When
+ * a candidate's pivot exceeds the threshold its row gets sqrt(pivot) and
+ * the candidate is kept; otherwise the next candidate overwrites the row
+ * and nothing has to be undone. kt holds m x d doubles: the kept points,
+ * coordinate-major with m entries per coordinate. Returns the number
+ * kept. */
 static CLONED Py_ssize_t factor_rows(const double *x, Py_ssize_t m, Py_ssize_t d, int kind,
                                      double a, double b, double c, double threshold,
                                      Py_ssize_t start, double *packed, double *pivots,
@@ -375,18 +408,9 @@ static CLONED Py_ssize_t factor_rows(const double *x, Py_ssize_t m, Py_ssize_t d
     Py_ssize_t kept = start;
     load_tile(kt, x, 0, start, m, d);
     for (Py_ssize_t i = start; i < m; i++) {
-        double *w = packed + kept * (kept + 1) / 2;
-        dist_row(w, x + i * d, kt, kept, m, d);
-        shape_row(w, kept, kind, a, b);
-        for (Py_ssize_t t = 0; t < kept; t++)
-            w[t] *= c;
-        for (Py_ssize_t t = 0; t < kept; t++) {
-            const double *row = packed + t * (t + 1) / 2;
-            w[t] = (w[t] - dot(row, w, t)) / row[t];
-        }
-        pivots[i] = c - dot(w, w, kept);
+        pivots[i] = pivot_row(packed, kept, x + i * d, kt, m, d, kind, a, b, c);
         if (pivots[i] > threshold) {
-            w[kept] = sqrt(pivots[i]);
+            packed[kept * (kept + 1) / 2 + kept] = sqrt(pivots[i]);
             load_tile(kt + kept, x, i, 1, m, d);
             kept++;
         }
@@ -430,13 +454,165 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
     return PyLong_FromSsize_t(kept);
 }
 
+/* The greedy loop's stop tests, in the order it makes them, and the names
+ * greedy_fit returns for them. */
+enum { STOP_BUDGET, STOP_FULL, STOP_DEPENDENT, STOP_RATIO, STOP_RADIUS };
+static const char *const STOP_NAMES[] = {"budget", "full", "dependent", "ratio", "radius"};
+
+/* The rows of a greedy fit's record, each `cap` doubles long. */
+enum { REC_PIVOT, REC_KAPPA, REC_V, REC_E, REC_RADIUS, REC_SECONDS, REC_ROWS };
+
+static double seconds_since(const struct timespec *t0)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
+}
+
+/* Greedy fit steps from support size *m and candidate *cand, as
+ * skm._backend._numpy_impl.greedy_fit describes them, over the n points of
+ * the coordinate-major xt with their distances to the support in sq. The
+ * packed factor has room for `rows` rows and the record for `cap` points.
+ * scratch holds TILE + d + rows * d doubles: the scan's tile, the
+ * candidate's coordinates and the support's, coordinate-major with rows
+ * entries per coordinate. Leaves the new support size in *m and the
+ * dependent or next candidate in *cand, and returns the stop code. */
+static CLONED int greedy_steps(const double *xt, Py_ssize_t n, Py_ssize_t d, double *sq,
+                               int kind, double a, double b, double c, double threshold,
+                               double epsilon, double elapsed, Py_ssize_t *cand, Py_ssize_t *m,
+                               int64_t *indices, double *packed, Py_ssize_t rows,
+                               double *record, Py_ssize_t cap, double *scratch)
+{
+    double *pivots = record + REC_PIVOT * cap, *kappa = record + REC_KAPPA * cap,
+           *v = record + REC_V * cap, *e = record + REC_E * cap,
+           *radius = record + REC_RADIUS * cap, *seconds = record + REC_SECONDS * cap;
+    double *r = scratch, *y = r + TILE, *kt = y + d;
+    Py_ssize_t k = *m, j = *cand;
+    int stop;
+    struct timespec t0;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (Py_ssize_t t = 0; t < k; t++)
+        for (Py_ssize_t q = 0; q < d; q++)
+            kt[q * rows + t] = xt[q * n + indices[t]];
+    for (;;) {
+        if (k == cap) {
+            stop = STOP_BUDGET;
+            break;
+        }
+        if (k == rows) {
+            stop = STOP_FULL;
+            break;
+        }
+        double total, *w = packed + k * (k + 1) / 2;
+        for (Py_ssize_t q = 0; q < d; q++)
+            y[q] = xt[q * n + j];
+        Py_ssize_t far = scan_tiles(xt, n, d, y, sq, kind, a, b, &total, r);
+        pivots[k] = pivot_row(packed, k, y, kt, rows, d, kind, a, b, c);
+        if (!(pivots[k] > threshold)) {
+            stop = STOP_DEPENDENT;
+            break;
+        }
+        w[k] = sqrt(pivots[k]);
+        for (Py_ssize_t q = 0; q < d; q++)
+            kt[q * rows + k] = y[q];
+        kappa[k] = c * total / (double)n;
+        v[k] = (kappa[k] - dot(w, v, k)) / w[k];
+        e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
+        indices[k] = j;
+        radius[k] = sqrt(sq[far]);
+        seconds[k] = elapsed + seconds_since(&t0);
+        k++;
+        j = far;
+        if (k > 1) {
+            double span = fabs(e[0] - e[k - 1]);
+            if ((span == 0.0 ? 0.0 : fabs(e[k - 2] - e[k - 1]) / span) <= epsilon) {
+                stop = STOP_RATIO;
+                break;
+            }
+        }
+        if (radius[k - 1] == 0.0) {
+            stop = STOP_RADIUS;
+            break;
+        }
+    }
+    *m = k;
+    *cand = j;
+    return stop;
+}
+
+static PyObject *greedy_fit(PyObject *self, PyObject *args)
+{
+    PyObject *co, *so, *io, *lo, *ro;
+    int kind, stop;
+    double a, b, c, threshold, epsilon, elapsed;
+    Py_ssize_t cand, m, cap, rows = 0;
+    Views vs = {.count = 0};
+    if (!PyArg_ParseTuple(args, "OOiddddddnnOOO", &co, &so, &kind, &a, &b, &c, &threshold,
+                          &epsilon, &elapsed, &cand, &m, &io, &lo, &ro))
+        return NULL;
+    if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
+        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
+        return NULL;
+    }
+    const double *xt = borrow(&vs, co, "coords", 2, -1, 0);
+    Py_ssize_t d = xt ? vs.view[0].shape[0] : 0, n = xt ? vs.view[0].shape[1] : 0;
+    double *sq = xt ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
+    if (sq != NULL && (cand < 0 || cand >= n))
+        PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", cand, n);
+    int64_t *indices = PyErr_Occurred() ? NULL : borrow_any(&vs, io, "indices", 1, -1, 1, 1);
+    cap = indices ? vs.view[2].shape[0] : 0;
+    if (indices != NULL && (m < 0 || m > cap))
+        PyErr_Format(PyExc_ValueError, "m %zd out of range for capacity=%zd", m, cap);
+    for (Py_ssize_t t = 0; !PyErr_Occurred() && t < m; t++)
+        if (indices[t] < 0 || indices[t] >= n)
+            PyErr_Format(PyExc_ValueError, "support index %lld out of range for n=%zd",
+                         (long long)indices[t], n);
+    double *packed = PyErr_Occurred() ? NULL : borrow(&vs, lo, "packed", 1, -1, 1);
+    if (packed != NULL) {
+        Py_ssize_t len = vs.view[3].shape[0];
+        while ((rows + 1) * (rows + 2) / 2 <= len)
+            rows++;
+        if (rows * (rows + 1) / 2 != len || rows < m || rows > cap)
+            PyErr_SetString(PyExc_ValueError, "packed has the wrong length");
+    }
+    double *record = PyErr_Occurred() ? NULL : borrow(&vs, ro, "record", 2, REC_ROWS, 1);
+    if (record != NULL && vs.view[4].shape[1] != cap)
+        PyErr_SetString(PyExc_ValueError, "record must have one column per index");
+    /* scan_tiles finds no farthest point among negative or NaN distances */
+    if (!PyErr_Occurred()) {
+        Py_ssize_t i = 0;
+        while (i < n && sq[i] >= 0.0)
+            i++;
+        if (i < n)
+            PyErr_SetString(PyExc_ValueError, "sqdist must be non-negative");
+    }
+    double *scratch = NULL;
+    if (!PyErr_Occurred()
+        && (scratch = PyMem_Malloc((TILE + d + rows * d) * sizeof(double))) == NULL)
+        PyErr_NoMemory();
+    if (PyErr_Occurred()) {
+        release(&vs);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    stop = greedy_steps(xt, n, d, sq, kind, a, b, c, threshold, epsilon, elapsed, &cand, &m,
+                        indices, packed, rows, record, cap, scratch);
+    Py_END_ALLOW_THREADS
+    PyMem_Free(scratch);
+    release(&vs);
+    return Py_BuildValue("nns", m, cand, STOP_NAMES[stop]);
+}
+
 static PyMethodDef methods[] = {
     {"farthest_scan", farthest_scan, METH_VARARGS,
-     "farthest_scan(coords, j, sqdist, shape=None) -> (farthest index, shape sum)"},
+     "farthest_scan(coords, j, sqdist) -> farthest index"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"factor_order", factor_order, METH_VARARGS,
      "factor_order(points, kind, a, b, c, threshold, start, packed, pivots) -> kept count"},
+    {"greedy_fit", greedy_fit, METH_VARARGS,
+     "greedy_fit(coords, sqdist, kind, a, b, c, threshold, epsilon, elapsed, cand, m, "
+     "indices, packed, record) -> (m, cand, stop)"},
     {NULL, NULL, 0, NULL},
 };
 

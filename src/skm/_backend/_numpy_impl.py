@@ -1,17 +1,18 @@
 """Pure-numpy implementation of the hot inner loops.
 
 `farthest_scan` is a farthest-first step over the coordinate-major points
-that lowers one distance buffer in place and can sum a shape of the
-distances to the new center. `kernel_sums` forms kernel sums against a
-2-D coef in blocks of cdist, the shape and a matrix product.
+that lowers one distance buffer in place. `kernel_sums` forms kernel sums
+against a 2-D coef in blocks of cdist, the shape and a matrix product.
 `factor_order` is pivoted Cholesky along the rows of a point array, with
 Gram rows from cdist blocks and one BLAS triangular solve per candidate.
-Used when the compiled extension is unavailable. The signatures and the
+`greedy_fit` is the greedy fit's loop: per step the scan with the shape
+sum, one `factor_order` row, v_m by a BLAS dot and the stop tests. Used
+when the compiled extension is unavailable. The signatures and the
 buffer checks match skm._backend._fastcore exactly.
 """
 
 import math
-import numbers
+import time
 
 import numpy as np
 from scipy.linalg import blas
@@ -19,44 +20,41 @@ from scipy.spatial.distance import cdist
 
 from ._shape import _BLOCK_ENTRIES, SHAPE_KINDS, _apply_shape
 
+__all__ = ("farthest_scan", "kernel_sums", "factor_order", "greedy_fit")
 
-def farthest_scan(coords, j, sqdist, shape=None):
+# The rows of a greedy fit's record, in order.
+RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
+
+
+def farthest_scan(coords, j, sqdist):
     """Make point j a center in one pass over the coordinate-major points.
 
-    coords is the (d, n) transpose of the points. Forms r2[i] = ||x_i -
-    x_j||^2, summing the coordinates in order, lowers sqdist in place to
-    min(sqdist, r2) and returns (the index of the largest sqdist, lowest
-    index on ties; the shape sum). With shape = (kind, a, b) the shape sum
-    is sum_i shape_kind(r2[i]), else None. A shape that is not such a tuple
-    raises TypeError, and an unknown kind, bad buffers or a j outside [0,
-    n) raise TypeError or ValueError, before sqdist changes.
+    coords is the (d, n) transpose of the points. Lowers sqdist in place to
+    min(sqdist, ||x_i - x_j||^2), the coordinates summed in order, and
+    returns the index of the largest sqdist, lowest index on ties. Bad
+    buffers or a j outside [0, n) raise TypeError or ValueError before
+    sqdist changes.
     """
-    if shape is not None:
-        if not (isinstance(shape, tuple) and len(shape) == 3
-                and isinstance(shape[0], numbers.Integral)
-                and all(isinstance(v, numbers.Real) for v in shape[1:])):
-            raise TypeError("shape must be None or a (kind, a, b) tuple")
-        if shape[0] not in SHAPE_KINDS:
-            raise ValueError(f"unknown shape kind {shape[0]}")
     _borrow(coords, "coords", 2, -1)
     n = coords.shape[1]
     _borrow(sqdist, "sqdist", 1, n, writable=True)
     if not 0 <= j < n:
         raise ValueError(f"index {j} out of range for n={n}")
+    np.minimum(sqdist, _sqdist_to(coords, j), out=sqdist)
+    return int(np.argmax(sqdist))
+
+
+def _sqdist_to(coords, j):
+    """||x_i - x_j||^2 for every point i, summing the coordinates in order."""
     diff = coords - coords[:, j:j + 1]
     diff *= diff
-    r2 = diff.sum(axis=0)
-    np.minimum(sqdist, r2, out=sqdist)
-    far = int(np.argmax(sqdist))
-    if shape is None:
-        return far, None
-    return far, float(_apply_shape((*shape, 1.0), r2).sum())
+    return diff.sum(axis=0)
 
 
-def _borrow(a, name, ndim, rows, writable=False):
-    """a itself, once it is a C-contiguous float64 array as the C checks it."""
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
-        raise TypeError(f"{name} must be a float64 array")
+def _borrow(a, name, ndim, rows, writable=False, dtype=np.float64):
+    """a itself, once it is a C-contiguous array of dtype as the C checks it."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype:
+        raise TypeError(f"{name} must be a {np.dtype(dtype).name} array")
     if a.ndim != ndim or not a.flags.c_contiguous:
         raise ValueError(f"{name} must be a C-contiguous {ndim}-D array")
     if rows >= 0 and a.shape[0] != rows:
@@ -135,3 +133,87 @@ def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
                 row += k + 1
                 kept.append(i)
     return len(kept)
+
+
+def greedy_fit(coords, sqdist, kind, a, b, c, threshold, epsilon, elapsed, cand, m, indices,
+               packed, record):
+    """Run the greedy fit's steps from support size m until a stop test holds.
+
+    coords is the (d, n) transpose of the points and sqdist each point's
+    squared distance to the support so far. indices (int64) holds the
+    capacity's support indices, the first m filled, and record is (6,
+    capacity) with the rows RECORD_ROWS: each support point's pivot,
+    kappa, v = L^{-1} kappa entry, E, coverage radius after its step, and
+    the seconds of the fit at the end of its step (elapsed at the call
+    plus the call's own time). packed holds the packed lower factor of R
+    rows, m <= R <= capacity, its first m rows filled. A step makes `cand`
+    a center by a scan that also sums the shape over its distances, gives
+    kappa = c * sum / n, factors cand's row as `factor_order` does from
+    row m, keeps cand when its pivot exceeds `threshold`, and then sets
+    v_m = (kappa - w'v) / sqrt(pivot), E_m = E_{m-1} - v_m^2 and the radius
+    sqrt(max sqdist). The next candidate is the farthest point. Stops, in
+    this order of tests, at "budget" (m reached the capacity), "full" (m
+    reached R: double the factor and call again), "dependent" (cand's
+    pivot is at most threshold; cand is not kept), "ratio" (|E_{m-1} -
+    E_m| / |E_1 - E_m| <= epsilon, a flat trace giving 0, from the second
+    point on) and "radius" (the radius is 0). Returns (m, cand, stop),
+    cand the dependent candidate or the next one. Bad buffers, an unknown
+    kind, a cand or one of the first m indices outside [0, n), an m outside
+    [0, capacity], or a negative or NaN sqdist raise TypeError or
+    ValueError before a single element is written.
+    """
+    t0 = time.perf_counter() - elapsed
+    if kind not in SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {kind}")
+    _borrow(coords, "coords", 2, -1)
+    d, n = coords.shape
+    _borrow(sqdist, "sqdist", 1, n, writable=True)
+    if not 0 <= cand < n:
+        raise ValueError(f"index {cand} out of range for n={n}")
+    _borrow(indices, "indices", 1, -1, writable=True, dtype=np.int64)
+    cap = indices.shape[0]
+    if not 0 <= m <= cap:
+        raise ValueError(f"m {m} out of range for capacity={cap}")
+    bad = (indices[:m] < 0) | (indices[:m] >= n)
+    if bad.any():
+        raise ValueError(f"support index {indices[:m][bad][0]} out of range for n={n}")
+    _borrow(packed, "packed", 1, -1, writable=True)
+    rows = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
+    if rows * (rows + 1) // 2 != packed.shape[0] or not m <= rows <= cap:
+        raise ValueError("packed has the wrong length")
+    _borrow(record, "record", 2, len(RECORD_ROWS), writable=True)
+    if record.shape[1] != cap:
+        raise ValueError("record must have one column per index")
+    if not (sqdist >= 0.0).all():
+        raise ValueError("sqdist must be non-negative")
+    pivots, kappa, v, e, radius, seconds = record
+    support = np.empty((rows, d))
+    support[:m] = coords[:, indices[:m]].T
+    while True:
+        if m == cap:
+            return m, cand, "budget"
+        if m == rows:
+            return m, cand, "full"
+        r2 = _sqdist_to(coords, cand)
+        np.minimum(sqdist, r2, out=sqdist)
+        far = int(np.argmax(sqdist))
+        shape_sum = float(_apply_shape((kind, a, b, 1.0), r2).sum())
+        support[m] = coords[:, cand]
+        row = m * (m + 1) // 2
+        if factor_order(support[:m + 1], kind, a, b, c, threshold, m,
+                        packed[:row + m + 1], pivots[:m + 1]) == m:
+            return m, cand, "dependent"
+        w, root = packed[row:row + m], packed[row + m]
+        kappa[m] = c * shape_sum / n
+        v[m] = (kappa[m] - float(w @ v[:m])) / root
+        e[m] = (e[m - 1] if m else 0.0) - v[m] * v[m]
+        indices[m] = cand
+        radius[m] = math.sqrt(sqdist[far])
+        seconds[m] = time.perf_counter() - t0
+        m, cand = m + 1, far
+        if m > 1:
+            span = abs(e[0] - e[m - 1])
+            if (0.0 if span == 0.0 else abs(e[m - 2] - e[m - 1]) / span) <= epsilon:
+                return m, cand, "ratio"
+        if radius[m - 1] == 0.0:
+            return m, cand, "radius"

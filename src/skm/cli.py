@@ -363,8 +363,9 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     """The random baseline's mean error curve, and greedy and random divergences.
 
     Each divergence is taken against the full mean. Greedy runs use
-    `first` when given (one deterministic fit), otherwise the seed picks
-    the first center. The random baseline redraws its support per seed.
+    `first` when given (one deterministic fit, made once for every seed),
+    otherwise the seed picks the first center. The random baseline redraws
+    its support per seed.
     Each directed divergence D(p || q) is estimated on a seeded sample
     drawn from p, so a density-normalized kernel is required.
     """
@@ -374,11 +375,13 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     random_curves = []
     kl_rows = {"greedy": [], "random": []}
     reference = full_mean(data, spec)
+    if first is not None:
+        greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True, first=first)
     for seed in seeds:
         eval_seed = 7_000_000 + int(seed)
         ref_draws = sample_gaussian_mean(reference, kl_eval_size, seed=eval_seed)
-        greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True,
-                     first=first, seed=seed)
+        if first is None:
+            greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True, seed=seed)
         rand = random_selection_fit(data, spec, k_max, seed=seed,
                                     density_mode=True)
         # A dropped dependent point shortens the curve; its last E holds.

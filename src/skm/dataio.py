@@ -112,7 +112,11 @@ def _spec_from_dict(doc: dict) -> RadialKernelSpec:
 
 
 def save_model(mean: SparseKernelMean, path) -> None:
-    """Write a fitted mean, its epsilon, weight mode and E_m trace as a model file."""
+    """Write a fitted mean, its epsilon, weight mode and E_m trace as a model file.
+
+    A non-finite value, which JSON cannot hold, raises ValueError before
+    the file is opened.
+    """
     diag = mean.diagnostics
     doc = {
         "format": MODEL_FORMAT,
@@ -125,9 +129,9 @@ def save_model(mean: SparseKernelMean, path) -> None:
         "alpha": [float(v) for v in mean.alpha],
         "e_trace": [float(v) for v in diag.e_trace],
     }
+    text = json.dumps(doc, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _field(path, doc, name, convert, *default):
@@ -167,6 +171,11 @@ def load_model(path) -> SparseKernelMean:
         _field(path, doc, "support", _floats), _field(path, doc, "alpha", _floats),
         _field(path, doc, "epsilon", float), _field(path, doc, "e_trace", _floats, []))
     support, alpha, e_trace = np.atleast_2d(support), alpha.ravel(), e_trace.ravel()
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DataFormatError(f"{path}: bad model field 'epsilon': must be finite and "
+                              f"non-negative, got {epsilon!r}")
+    if not np.all(np.isfinite(e_trace)):
+        raise DataFormatError(f"{path}: bad model field 'e_trace': non-finite values")
     try:
         spec = _spec_from_dict(doc["kernel"])
         k0, density_mode = doc["k0"], bool(doc["density_mode"])

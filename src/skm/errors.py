@@ -15,8 +15,3 @@ class KernelSpecError(SkmError):
 
 class DegenerateDataError(SkmError):
     """Data has no spread, so a bandwidth heuristic would return zero."""
-
-
-class NearSingularError(SkmError):
-    """A support Gram update hit the singularity tolerance."""
-

@@ -70,11 +70,10 @@ class FarthestFirst:
     read a coordinate of consecutive points at a time, and frees it with
     itself. `add(j)` makes point j a center by one backend scan, which
     lowers sqdist in place to the squared distances to j where they are
-    smaller; given a shape, the same pass returns the sum of the shape over
-    the squared distances to j, from which the fit takes j's kernel row
-    mean. `farthest` is then the point farthest from the set, ties to the
-    lowest index; once the radius is 0 it is a chosen point or a duplicate
-    of one.
+    smaller. `farthest` is then the point farthest from the set, ties to
+    the lowest index; once the radius is 0 it is a chosen point or a
+    duplicate of one. The greedy fit hands coords and sqdist to
+    `_backend.greedy_fit`, which scans them itself.
     """
 
     def __init__(self, points):
@@ -83,14 +82,9 @@ class FarthestFirst:
         self.sqdist = np.full(n, np.inf, dtype=np.float64)
         self.farthest = -1
 
-    def add(self, j: int, shape=None):
-        """Make point j a center with one O(nd) scan.
-
-        Returns sum_i shape_kind(||x_i - x_j||^2) for shape = (kind, a, b),
-        or None without a shape.
-        """
-        self.farthest, shape_sum = _backend.farthest_scan(self.coords, int(j), self.sqdist, shape)
-        return shape_sum
+    def add(self, j: int) -> None:
+        """Make point j a center with one O(nd) scan."""
+        self.farthest = _backend.farthest_scan(self.coords, int(j), self.sqdist)
 
     @property
     def radius(self) -> float:

@@ -5,8 +5,9 @@ by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
 come from farthest-first traversal, weights from pivoted Cholesky steps
 that carry v = L^{-1} kappa (one triangular solve each; alpha = L^{-T} v
 is solved for once, at the end), and the support stops growing once the
-relative error progress falls below epsilon. A fixed support is factored
-in one backend call instead of one step per point.
+relative error progress falls below epsilon. The greedy steps run inside
+the backend, one call per doubling of the factor; a fixed support is
+factored in one backend call.
 """
 
 import logging
@@ -18,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kcenter
-from .coefficients import CholeskyWeights, progress_ratio, project_simplex
-from .errors import NearSingularError
+from .coefficients import CholeskyWeights, project_simplex
 from .kernels import RadialKernelSpec, block_sums, eval_params, gram_at_dist, gram_params
 
 logger = logging.getLogger(__name__)
@@ -53,9 +53,9 @@ class FitDiagnostics:
 
     @property
     def ratio_trace(self) -> np.ndarray:
-        """The stop-rule ratio at every support size, as progress_ratio defines it.
+        """The stop-rule ratio |E_{m-1} - E_m| / |E_1 - E_m| at every support size.
 
-        |E_{m-1} - E_m| / |E_1 - E_m|, 0 at m = 1 and on a flat trace.
+        0 at m = 1 and on a flat trace (E_1 == E_m).
         """
         e = self.e_trace
         span, last = np.abs(e[:1] - e), np.abs(np.diff(e, prepend=e[:1]))
@@ -120,10 +120,12 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
 
     Candidates come from farthest-first traversal started at `first` (or a
     point drawn with `seed`). Each costs one O(nd) scan, which also sums
-    the Gram shape over the candidate's distances to every point, so
-    `CholeskyWeights.extend` takes its kernel row mean from one number.
-    Fitting stops at the first support size k0 <= k_max whose relative
-    error progress (`progress_ratio`) is at most epsilon, once the support
+    the Gram shape over the candidate's distances to every point, so its
+    kernel row mean is one number, and one O(m^2) pivoted Cholesky step;
+    `CholeskyWeights.greedy` runs the steps in one backend call per
+    doubling of the factor, with no Python per step. Fitting stops at the
+    first support size k0 <= k_max whose relative error progress
+    (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose
     section is numerically dependent on the support (listed in
     `diagnostics.skipped`), as pivoted Cholesky stops at its first pivot
@@ -143,28 +145,17 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     start = time.perf_counter()
     weights = CholeskyWeights(data, spec, k_max)
     scan = kcenter.FarthestFirst(weights.points)
-    cand = kcenter._resolve_first(n, first, seed)
-    radii, seconds, skipped = np.empty(k_max), np.empty(k_max), ()
-    for m in range(k_max):
-        shape_sum = scan.add(cand, weights.shape)
-        try:
-            e_m = weights.extend(cand, shape_sum)
-        except NearSingularError as exc:
-            logger.info("the fit stops at a dependent candidate: %s", exc)
-            skipped = (cand,)
-            break
-        radii[m] = radius = scan.radius
-        seconds[m] = time.perf_counter() - start
-        if m == 0:
-            e_first = e_m
-        elif progress_ratio(e_first, e_prev, e_m) <= epsilon:
-            break
-        if radius == 0.0:
-            break  # every point coincides with a center; exact already
-        e_prev, cand = e_m, scan.farthest
+    stop, cand = weights.greedy(scan, kcenter._resolve_first(n, first, seed), epsilon, start)
+    skipped = ()
+    if stop == "dependent":
+        logger.info("the fit stops at a dependent candidate: support point %d is numerically "
+                    "dependent on the current support (pivot %.3e)",
+                    cand, weights._pivots[weights.m])
+        skipped = (cand,)
     k0 = weights.m
     return _finalize(spec, weights, skipped, k_max, epsilon, density_mode, "greedy",
-                     radius_trace=radii[:k0].copy(), seconds_trace=seconds[:k0].copy())
+                     radius_trace=weights.radii[:k0].copy(),
+                     seconds_trace=weights.seconds[:k0].copy())
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:

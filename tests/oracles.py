@@ -44,3 +44,9 @@ def inverse_gram(state):
     lower[np.tril_indices(m)] = state._packed[:m * (m + 1) // 2]
     inv = cho_solve((lower, True), np.eye(m), check_finite=False)
     return 0.5 * (inv + inv.T)
+
+
+def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
+    """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""
+    den = abs(e_first - e_last)
+    return 0.0 if den == 0.0 else abs(e_prev - e_last) / den

@@ -1,5 +1,9 @@
 import platform
+import shutil
+import subprocess
 import sys
+import time
+import types
 import warnings
 from pathlib import Path
 
@@ -14,7 +18,6 @@ from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
 from skm.coefficients import SINGULARITY_REL_TOL, CholeskyWeights
 from skm.dataio import DataSet
-from skm.errors import NearSingularError
 from skm.kcenter import FarthestFirst, kcenter_greedy
 from skm.kernels import (
     SHAPE_EXP,
@@ -33,6 +36,7 @@ from skm.meanshift import cluster_modes, mean_shift_all
 from skm.sparse_mean import evaluate, fit, fit_with_support, full_mean, incoherence
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
+PRIMITIVES = _numpy_impl.__all__
 
 
 def random_case(rng, n=200, d=4):
@@ -41,6 +45,28 @@ def random_case(rng, n=200, d=4):
 
 def test_backend_name_is_reported():
     assert BACKEND in ("numpy", "compiled")
+
+
+def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
+    # A stand-in for an extension built from an older _fastcore.c, with the
+    # first three primitives only.
+    stale = types.ModuleType("_fastcore")
+    stale.__file__ = "_fastcore.so"
+    for name in ("farthest_scan", "kernel_sums", "factor_order"):
+        setattr(stale, name, getattr(_numpy_impl, name))
+    with pytest.raises(ImportError, match=r"_fastcore.so lacks greedy_fit: .*"
+                                          r"`python setup.py build_ext --inplace`"):
+        _backend._complete(stale)
+    assert _backend._complete(_numpy_impl) is _numpy_impl
+    # The same stand-in as the package's _fastcore stops `import skm`.
+    src = Path(_backend.__file__).parent.parent
+    shutil.copytree(src, tmp_path / "skm", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    (tmp_path / "skm" / "_backend" / "_fastcore.py").write_text(
+        "from skm._backend._numpy_impl import farthest_scan, kernel_sums, factor_order\n")
+    proc = subprocess.run([sys.executable, "-c", "import skm"], cwd=tmp_path,
+                          env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "ImportError" in proc.stderr and "lacks greedy_fit" in proc.stderr
 
 
 def test_farthest_scan_backends_agree(fastcore):
@@ -54,8 +80,8 @@ def test_farthest_scan_backends_agree(fastcore):
             sqdist = {impl: np.full(n, np.inf) for impl in (_numpy_impl, fastcore)}
             j = 0
             for _ in range(6):  # a chain of scans exercises the running minimum
-                (far_np, _), (far_c, _) = (impl.farthest_scan(coords, j, sq)
-                                           for impl, sq in sqdist.items())
+                far_np, far_c = (impl.farthest_scan(coords, j, sq)
+                                 for impl, sq in sqdist.items())
                 assert far_c == far_np
                 assert_array_equal(sqdist[fastcore], sqdist[_numpy_impl])
                 j = far_np
@@ -65,24 +91,21 @@ def test_farthest_scan_backends_agree(fastcore):
 def test_farthest_scan_semantics(impl):
     coords = np.array([[0.0, -1.0, 1.0, 3.0, 5.0]])  # five points in d = 1
     sq = np.full(5, np.inf)
-    assert impl.farthest_scan(coords, 0, sq) == (4, None)
+    assert impl.farthest_scan(coords, 0, sq) == 4
     assert_array_equal(sq, [0.0, 1.0, 1.0, 9.0, 25.0])
-    assert impl.farthest_scan(coords, 4, sq) == (3, None)
+    assert impl.farthest_scan(coords, 4, sq) == 3
     assert_array_equal(sq, [0.0, 1.0, 1.0, 4.0, 0.0])
     # 1 and 2 tie at distance 1 from {0, 3, 4}: the lowest index wins.
-    assert impl.farthest_scan(coords, 3, sq) == (1, None)
+    assert impl.farthest_scan(coords, 3, sq) == 1
     assert_array_equal(sq, [0.0, 1.0, 1.0, 0.0, 0.0])
     # Once every distance is 0, the farthest point is index 0.
     sq = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
-    assert impl.farthest_scan(coords, 4, sq) == (0, None)
-    # An index outside [0, n) or an unknown shape kind is an error on both
-    # backends, not a wrap, and raises before sqdist changes.
+    assert impl.farthest_scan(coords, 4, sq) == 0
+    # An index outside [0, n) is an error on both backends, not a wrap, and
+    # raises before sqdist changes.
     for j in (-1, 5):
         with pytest.raises(ValueError, match=f"index {j} out of range for n=5"):
             impl.farthest_scan(coords, j, sq)
-    for kind in (-1, 3):
-        with pytest.raises(ValueError, match=f"unknown shape kind {kind}"):
-            impl.farthest_scan(coords, 0, sq, (kind, 0.5, 0.0))
     assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -97,7 +120,7 @@ def test_farthest_scan_ties_keep_the_lowest_index(impl, values, farthest):
     coords[0, 0] = 0.0
     for i, x in values.items():
         coords[0, i] = x
-    assert impl.farthest_scan(coords, 0, np.full(600, np.inf))[0] == farthest
+    assert impl.farthest_scan(coords, 0, np.full(600, np.inf)) == farthest
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -108,17 +131,17 @@ def test_farthest_scan_ties_keep_the_lowest_index(impl, values, farthest):
      SHAPE_POWER),
 ], ids=["sqexp", "exp", "power"])
 def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
-    # extend takes kappa_j from the shape sum of the scan that picked j;
-    # block_sums forms it in one kernel sum, the path of the fixed-order fits.
-    monkeypatch.setattr(_backend, "farthest_scan", impl.farthest_scan)
+    # A greedy step takes kappa_j from the shape sum of the scan that
+    # picked j; block_sums forms it in one kernel sum, the path of the
+    # fixed-order fits.
+    monkeypatch.setattr(_backend, "greedy_fit", impl.greedy_fit)
     monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
-    order = [0, 17, n - 1]
-    state, scan = CholeskyWeights(DataSet(points), spec, len(order)), FarthestFirst(points)
+    state, scan = CholeskyWeights(DataSet(points), spec, 3), FarthestFirst(points)
     assert state.params.kind == kind and state.params.c != 1.0
-    for j in order:
-        state.extend(j, scan.add(j, state.shape))
+    assert state.greedy(scan, 17, 0.0, time.perf_counter())[0] == "budget"
+    order = state.indices
     expected = block_sums(state.params, points[order], points, np.full(n, 1.0 / n))
     assert_allclose(state.kappa, expected, rtol=1e-13)
 
@@ -139,18 +162,15 @@ def test_farthest_scan_rejects_bad_buffers(impl):
         (TypeError, "sqdist must be a float64 array", {"sqdist": np.full(4, -1.0, np.float32)}),
         (ValueError, "sqdist must be a C-contiguous 1-D", {"sqdist": np.full((4, 6), -1.0)[:, 0]}),
         (ValueError, "sqdist must be writable", {"sqdist": readonly}),
-        (TypeError, "shape must be None or a", {"shape": [SHAPE_SQEXP, 0.5, 0.0]}),
-        (TypeError, "shape must be None or a", {"shape": (SHAPE_SQEXP, 0.5)}),
-        (TypeError, "shape must be None or a", {"shape": (SHAPE_SQEXP, "a", 0.0)}),
     ]
     for error, message, bad in cases:
-        args = {"coords": coords, "sqdist": np.full(4, -1.0), "shape": None} | bad
+        args = {"coords": coords, "sqdist": np.full(4, -1.0)} | bad
         with pytest.raises(error, match=message):
-            impl.farthest_scan(args["coords"], 0, args["sqdist"], args["shape"])
+            impl.farthest_scan(args["coords"], 0, args["sqdist"])
         sentinel = args["sqdist"].base if args["sqdist"].base is not None else args["sqdist"]
         assert np.all(sentinel == -1.0), message
     sq = np.full(4, np.inf)
-    assert impl.farthest_scan(coords, 0, sq) == (0, None)
+    assert impl.farthest_scan(coords, 0, sq) == 0
     assert_array_equal(sq, np.zeros(4))
 
 
@@ -185,21 +205,23 @@ SHAPES = [ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0), ShapeParams(SHAPE_EXP, 0.8, 0
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 def test_farthest_scan_shape_sum_is_a_kernel_sum(impl, params):
-    # A scan from point j given a shape returns sum_i shape(||x_i - x_j||^2),
-    # the kernel sum block_sums forms with c = 1, and leaves the distances
-    # and the pick as a scan without a shape does.
+    # The scan of a greedy_fit step from point j sums shape(||x_i -
+    # x_j||^2) over every point, for kappa_j = c * sum / n: the kernel sum
+    # block_sums forms with coef 1/n. It leaves the distances and the pick
+    # as farthest_scan does.
     points = random_case(np.random.default_rng(6), n=3000, d=5)
     coords = np.ascontiguousarray(points.T)
-    unit = params._replace(c=1.0)
     plain, shaped = np.full(3000, np.inf), np.full(3000, np.inf)
     for j in (0, 1234, 2999):
-        far, none = impl.farthest_scan(coords, j, plain)
-        assert none is None
-        far_shaped, total = impl.farthest_scan(coords, j, shaped, unit[:3])
+        far = impl.farthest_scan(coords, j, plain)
+        indices, packed, record = np.empty(1, dtype=np.int64), np.empty(1), np.empty((6, 1))
+        m, far_shaped, stop = impl.greedy_fit(coords, shaped, *params, 0.0, 0.0, 0.0, j, 0,
+                                              indices, packed, record)
+        assert (m, stop) == (1, "budget")
         assert far_shaped == far
         assert_array_equal(shaped, plain)
-        expected = block_sums(unit, points[j:j + 1], points, np.ones(3000))[0]
-        assert_allclose(total, expected, rtol=SUM_RTOL)
+        expected = block_sums(params, points[j:j + 1], points, np.full(3000, 1.0 / 3000))[0]
+        assert_allclose(record[1, 0], expected, rtol=SUM_RTOL)
 
 
 def _kernel_sums(impl, params, xs, ys, coef):
@@ -483,6 +505,166 @@ def test_factor_order_rejects_bad_buffers(impl):
     assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots) == 4
 
 
+def _greedy(impl, points, params, epsilon, first, capacity, rows=None):
+    """greedy_fit from point `first` until it stops at a test other than "full".
+
+    The packed factor starts with `rows` rows (default: the capacity) and
+    doubles, up to the capacity, whenever a call stops at "full", as
+    CholeskyWeights.greedy grows it. Returns (m, cand, stop, the number of
+    calls, sqdist, indices, packed, record), the buffers cut to m points.
+    """
+    coords = np.ascontiguousarray(points.T)
+    sqdist = np.full(points.shape[0], np.inf)
+    indices, record = np.full(capacity, -1), np.full((6, capacity), np.nan)
+    packed, m, cand, stop, calls = np.empty(0), 0, first, "full", 0
+    while stop == "full":
+        r = capacity if rows is None else min(capacity, max(rows, 2 * m))
+        grown = np.full(r * (r + 1) // 2, np.nan)
+        grown[:m * (m + 1) // 2] = packed[:m * (m + 1) // 2]
+        packed = grown
+        m, cand, stop = impl.greedy_fit(coords, sqdist, *params, SINGULARITY_REL_TOL * params.c,
+                                        epsilon, 0.0, cand, m, indices, packed, record)
+        calls += 1
+    return (m, cand, stop, calls, sqdist, indices[:m], packed[:m * (m + 1) // 2],
+            record[:, :m])
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-5])
+def test_greedy_fit_resumes_across_doublings_bit_identically(impl, params, epsilon):
+    # From 16 rows the factor doubles to 32, 64 and 100 as the support
+    # grows, one call each; the result is that of one call with room for
+    # the capacity, bit for bit, but for the seconds. At epsilon = 1e-5 the
+    # fits stop at the ratio test after 19 to 59 points.
+    points = random_case(np.random.default_rng(13), n=2000, d=3)
+    whole = _greedy(impl, points, params, epsilon, 7, 100)
+    resumed = _greedy(impl, points, params, epsilon, 7, 100, rows=16)
+    m, stop = whole[0], whole[2]
+    assert whole[3] == 1 and resumed[3] == 1 + (m > 16) + (m > 32) + (m > 64)
+    assert m > 16 and stop == {0.0: "budget", 1e-5: "ratio"}[epsilon]
+    assert resumed[:3] == whole[:3]
+    for now, then in zip(resumed[4:7], whole[4:7]):
+        assert_array_equal(now, then)
+    assert_array_equal(resumed[7][:5], whole[7][:5])
+    assert np.all(resumed[7][5] >= 0.0)  # each call's seconds count from its `elapsed`, 0
+
+
+def test_greedy_fit_resumes_at_a_dependent_stop(fastcore):
+    # A wide Gaussian stops at a dependent candidate after the factor
+    # doubled twice; both backends stop at the same one.
+    points = random_case(np.random.default_rng(14), n=1500, d=2)
+    params = ShapeParams(SHAPE_SQEXP, 0.5 / 3.0**2, 0.0, 1.0)
+    whole = _greedy(fastcore, points, params, 0.0, 0, 200)
+    assert whole[2] == "dependent" and 32 < whole[0] <= 64
+    runs = [_greedy(impl, points, params, 0.0, 0, 200, rows=16) for impl in (_numpy_impl, fastcore)]
+    for run in runs:
+        assert run[:3] == whole[:3] and run[3] == 3
+    assert_array_equal(runs[0][5], runs[1][5])  # the support
+    assert_array_equal(runs[0][7][4], runs[1][7][4])  # the radii
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_greedy_fit_stops_at_each_test(impl):
+    unit = ShapeParams(SHAPE_SQEXP, 0.5, 0.0, 1.0)
+    wide = ShapeParams(SHAPE_SQEXP, 0.5 / 1000.0**2, 0.0, 1.0)
+    line = np.array([[0.0], [1e-6], [10.0], [4.0]])
+    # "budget": the capacity is reached, and cand is the next farthest point.
+    m, cand, stop, _, sqdist, indices, _, record = _greedy(impl, line, unit, 0.0, 0, 2)
+    assert (m, cand, stop) == (2, 3, "budget")
+    assert_array_equal(indices, [0, 2])
+    assert_array_equal(record[4], [10.0, 4.0])
+    # "full": the packed factor is full; a call with m = rows returns at once.
+    coords, sqdist = np.ascontiguousarray(line.T), np.full(4, np.inf)
+    indices, packed, record = np.full(4, -1), np.full(3, np.nan), np.full((6, 4), np.nan)
+    args = (coords, sqdist, *unit, 1e-9, 0.0, 0.0)
+    assert impl.greedy_fit(*args, 0, 0, indices, packed, record) == (2, 3, "full")
+    assert_array_equal(indices, [0, 2, -1, -1])
+    assert not np.isnan(packed).any() and np.isnan(record[:, 2:]).all()
+    saved = (sqdist.copy(), packed.copy(), record.copy())
+    assert impl.greedy_fit(*args, 3, 2, indices, packed, record) == (2, 3, "full")
+    for now, then in zip((sqdist, packed, record), saved):
+        assert_array_equal(now, then)
+    # "dependent": at sigma = 1000, point 1 (1e-6 from point 0) has a pivot
+    # below the threshold; it is not kept, but its scan lowered sqdist.
+    m, cand, stop, _, sqdist, indices, packed, record = _greedy(impl, line[:3], wide, 0.0, 0, 3)
+    assert (m, cand, stop) == (2, 1, "dependent")
+    assert_array_equal(indices, [0, 2])
+    assert_array_equal(sqdist, [0.0, 0.0, 0.0])
+    # "ratio": |E_1 - E_2| / |E_1 - E_2| = 1 <= epsilon at the second point.
+    m, cand, stop, *_ = _greedy(impl, line, unit, 1.0, 0, 4)
+    assert (m, cand, stop) == (2, 3, "ratio")
+    # "radius": three distinct points are covered by three centers.
+    m, cand, stop, _, sqdist, indices, _, record = _greedy(impl, line[[0, 2, 3]], unit, 0.0, 0, 3)
+    assert (m, stop) == (3, "radius") and not sqdist.any()
+    assert record[4, -1] == 0.0
+    # The record: E_m = E_{m-1} - v_m^2, kappa and the pivots of the Gram block.
+    m, cand, stop, _, _, indices, packed, record = _greedy(impl, line, unit, 0.0, 0, 4)
+    pivots, kappa, v, e = record[:4]
+    assert_array_equal(e, -np.cumsum(v * v))
+    assert_allclose(kappa, kernel_block(unit, line[indices], line).mean(axis=1), rtol=1e-14)
+    assert_allclose(_lower(packed) @ _lower(packed).T, kernel_block(unit, line[indices]),
+                    rtol=0, atol=1e-15)
+    assert_allclose(pivots, np.diag(_lower(packed)) ** 2, rtol=1e-14)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_greedy_fit_rejects_bad_buffers(impl):
+    coords = np.ascontiguousarray(np.arange(12.0).reshape(3, 4))  # four points in d = 3
+    readonly, readonly_sqdist = np.full((6, 3), -1.0), np.full(4, -1.0)
+    readonly.setflags(write=False)
+    readonly_sqdist.setflags(write=False)
+    cases = [
+        (ValueError, "unknown shape kind 3", {"kind": 3}),
+        (ValueError, "unknown shape kind -1", {"kind": -1}),
+        (TypeError, "coords must be a float64 array", {"coords": coords.astype(np.float32)}),
+        (TypeError, "coords must be a float64 array", {"coords": coords.tolist()}),
+        (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros((3, 8))[:, ::2]}),
+        (ValueError, "sqdist has the wrong length", {"sqdist": np.full(3, -1.0)}),
+        (ValueError, "sqdist must be writable", {"sqdist": readonly_sqdist}),
+        (ValueError, "index -1 out of range for n=4", {"cand": -1}),
+        (ValueError, "index 4 out of range for n=4", {"cand": 4}),
+        (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1.0)}),
+        (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1, np.int32)}),
+        (ValueError, "indices must be a C-contiguous 1-D", {"indices": np.full((3, 2), -1)[:, 0]}),
+        (ValueError, "m -1 out of range for capacity=3", {"m": -1}),
+        (ValueError, "m 4 out of range for capacity=3", {"m": 4}),
+        (ValueError, "support index 4 out of range for n=4",
+         {"m": 2, "indices": np.array([0, 4, -1])}),
+        (ValueError, "support index -1 out of range for n=4", {"m": 1}),
+        (TypeError, "packed must be a float64 array", {"packed": np.full(6, -1.0, np.float32)}),
+        (ValueError, "packed has the wrong length", {"packed": np.full(5, -1.0)}),
+        (ValueError, "packed has the wrong length", {"packed": np.full(10, -1.0)}),
+        (ValueError, "packed has the wrong length",
+         {"packed": np.full(1, -1.0), "m": 2, "indices": np.array([0, 1, -1])}),
+        (ValueError, "packed must be writable", {"packed": readonly[1]}),
+        (ValueError, "record has the wrong length", {"record": np.full((5, 3), -1.0)}),
+        (ValueError, "record must have one column per index", {"record": np.full((6, 4), -1.0)}),
+        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(18, -1.0)}),
+        (ValueError, "record must be writable", {"record": readonly}),
+        (ValueError, "sqdist must be non-negative", {}),
+        (ValueError, "sqdist must be non-negative",
+         {"sqdist": np.array([np.inf, 0.0, np.nan, 1.0])}),
+    ]
+    for error, message, bad in cases:
+        args = {"coords": coords, "sqdist": np.full(4, -1.0), "kind": SHAPE_SQEXP, "cand": 0,
+                "m": 0, "indices": np.full(3, -1), "packed": np.full(6, -1.0),
+                "record": np.full((6, 3), -1.0)} | bad
+        buffers = {name: args[name] if args[name].base is None else args[name].base
+                   for name in ("sqdist", "indices", "packed", "record")
+                   if isinstance(args[name], np.ndarray)}
+        saved = {name: buf.copy() for name, buf in buffers.items()}
+        with pytest.raises(error, match=message):
+            impl.greedy_fit(args["coords"], args["sqdist"], args["kind"], 0.5, 0.0, 1.0, 1e-9,
+                            0.0, 0.0, args["cand"], args["m"], args["indices"], args["packed"],
+                            args["record"])
+        for name, buf in buffers.items():
+            assert_array_equal(buf, saved[name], err_msg=f"{message}: {name}")
+    sqdist, indices, packed, record = np.full(4, np.inf), np.full(3, -1), np.empty(6), np.empty((6, 3))
+    assert impl.greedy_fit(coords, sqdist, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0.0, 0.0, 0, 0,
+                           indices, packed, record) == (3, 2, "budget")
+
+
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("spec", [
     RadialKernelSpec("gaussian", dim=2, sigma=3.0),
@@ -490,23 +672,24 @@ def test_factor_order_rejects_bad_buffers(impl):
     RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density", space="l2"),
 ], ids=["sqexp", "exp", "power"])
 def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
-    # Both are factor_order, one row at a time or the whole order at once,
-    # so the packed factor and the pivots of the kept points are
-    # bit-identical. A random order of 150 points, 40 of them repeated
-    # rows, drops some of them.
+    # Both are factor_order steps, one row at a time inside greedy_fit or
+    # the whole order at once, so the packed factor and the pivots of the
+    # kept points are bit-identical. The greedy fit's order, with the
+    # dependent candidate it stops at, is factored, and factor drops that
+    # candidate. 40 of the 400 points repeat other rows moved by 1e-12, so
+    # every fit stops at a dependent candidate: sqexp and power after a
+    # few dozen points, exp at the first near-copy, after the 360 others.
     monkeypatch.setattr(_backend, "factor_order", impl.factor_order)
+    monkeypatch.setattr(_backend, "greedy_fit", impl.greedy_fit)
     rng = np.random.default_rng(11)
     points = random_case(rng, n=400, d=2)
-    points[:40] = points[rng.integers(40, 400, size=40)]
+    points[:40] = points[rng.integers(40, 400, size=40)] + 1e-12 * rng.normal(size=(40, 2))
     data = DataSet(points)
-    order = rng.permutation(400)[:150]
-    stepped, skipped = CholeskyWeights(data, spec, 150), []
-    for j in order.tolist():
-        try:
-            stepped.extend(j, FarthestFirst(data.points).add(j, stepped.shape))
-        except NearSingularError:
-            skipped.append(j)
-    factored = CholeskyWeights(data, spec, 150)
+    stepped = CholeskyWeights(data, spec, 400)
+    stop, cand = stepped.greedy(FarthestFirst(points), 0, 0.0, time.perf_counter())
+    skipped = [cand] if stop == "dependent" else []
+    order = np.r_[stepped.indices, skipped]
+    factored = CholeskyWeights(data, spec, order.size)
     kept = factored.factor(order)
     assert skipped and order[~kept].tolist() == skipped
     assert_array_equal(factored.indices, stepped.indices)
@@ -520,8 +703,11 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
 @pytest.mark.parametrize("sigma", [1.0, 5.0])
 def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatch):
     # The 134-support blob input of the wide-bandwidth fit_with_support test;
-    # at sigma = 5 most of the supports are dropped.
-    monkeypatch.setattr(_backend, "factor_order", impl.factor_order)
+    # at sigma = 5 most of the supports are dropped. The greedy fit takes
+    # the same farthest-first order and stops at its first dependent point,
+    # so it is the fixed-support fit up to there.
+    for name in PRIMITIVES:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
     rng = np.random.default_rng(20)
     centers = ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))
     data = DataSet(np.vstack([c + rng.standard_normal((667, 2)) for c in centers]))
@@ -529,24 +715,22 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     spec = RadialKernelSpec("gaussian", dim=2, sigma=sigma)
     mean = fit_with_support(data, spec, support)
 
-    state, skipped = CholeskyWeights(data, spec, 134), []
-    for j in support.tolist():
-        try:
-            state.extend(j, FarthestFirst(data.points).add(j, state.shape))
-        except NearSingularError:
-            skipped.append(j)
-    assert mean.diagnostics.skipped == tuple(sorted(skipped))
-    assert_array_equal(mean.support_indices, state.indices)
-    assert_allclose(mean.diagnostics.e_trace, state.e_trace, rtol=1e-12)
-    assert (len(skipped) > 0) == (sigma == 5.0)
+    greedy = fit(data, spec, k_max=134, epsilon=0.0, first=0)
+    k = greedy.k0
+    assert_array_equal(greedy.support_indices, support[:k])
+    assert_array_equal(mean.support_indices[:k], greedy.support_indices)
+    assert_allclose(mean.diagnostics.e_trace[:k], greedy.diagnostics.e_trace, rtol=1e-12)
+    skipped = mean.diagnostics.skipped
+    assert greedy.diagnostics.skipped == (() if k == 134 else (support[k],))
+    assert set(greedy.diagnostics.skipped) <= set(skipped)
+    assert (len(skipped) > 0) == (sigma == 5.0) == (k < 134)
 
 
 def _state_copy(state):
     """The filled part of every buffer of a CholeskyWeights state."""
     m = state.m
-    return (m, state._support[:m].copy(), state._packed[:m * (m + 1) // 2].copy(),
-            state.indices.copy(), state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy(),
-            state.pivots.copy())
+    return (m, state._packed[:m * (m + 1) // 2].copy(), state.indices.copy(),
+            state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy(), state.pivots.copy())
 
 
 def _assert_state_is(state, saved):
@@ -557,19 +741,18 @@ def _assert_state_is(state, saved):
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatch):
-    # Each buffer is allocated once for the capacity: extend at capacity
-    # raises, and factor needs an empty state of capacity len(order); both
-    # leave the state as it was.
-    for name in ("farthest_scan", "kernel_sums", "factor_order"):
+    # Each buffer is allocated once for the capacity: a greedy fit stops at
+    # the capacity, greedy needs an empty state, and factor needs an empty
+    # state of capacity len(order); each leaves the state as it was.
+    for name in PRIMITIVES:
         monkeypatch.setattr(_backend, name, getattr(impl, name))
     data = DataSet(random_case(np.random.default_rng(12), n=50, d=2))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=0.5)
     state = CholeskyWeights(data, spec, 3)
-    for j in (0, 1, 2):
-        state.extend(j, FarthestFirst(data.points).add(j, state.shape))
+    assert state.greedy(FarthestFirst(data.points), 0, 0.0, time.perf_counter())[0] == "budget"
     saved = _state_copy(state)
-    with pytest.raises(ValueError, match="full"):
-        state.extend(3, FarthestFirst(data.points).add(3, state.shape))
+    with pytest.raises(ValueError, match="empty state"):
+        state.greedy(FarthestFirst(data.points), 3, 0.0, time.perf_counter())
     _assert_state_is(state, saved)
     with pytest.raises(ValueError, match="empty state of capacity 3"):
         state.factor([3, 4, 5])
@@ -579,20 +762,20 @@ def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatc
         with pytest.raises(ValueError, match=f"empty state of capacity {len(order)}"):
             empty.factor(order)
         assert empty.m == 0
-    kept = empty.factor([0, 1, 2])
+    kept = empty.factor(saved[2])
     assert kept.all() and empty.m == 3
-    assert_array_equal(empty.indices, saved[3])
-    assert_array_equal(empty._packed, saved[2])  # the whole triangle, 3 rows
+    assert_array_equal(empty.indices, saved[2])
+    assert_array_equal(empty._packed, saved[1])  # the whole triangle, 3 rows
 
 
 def _fit_with(impl):
-    """One fit with `farthest_scan` and `factor_order` taken from impl."""
+    """One fit with every `_backend` primitive taken from impl."""
     rng = np.random.default_rng(5)
     data = DataSet(rng.normal(size=(300, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_backend, "farthest_scan", impl.farthest_scan)
-        patch.setattr(_backend, "factor_order", impl.factor_order)
+        for name in PRIMITIVES:
+            patch.setattr(_backend, name, getattr(impl, name))
         return fit(data, spec, k_max=25, epsilon=0.0, first=0)
 
 
@@ -608,7 +791,7 @@ def test_fit_agrees_across_backends(fastcore):
 def _fit_and_select(impl, points, sigma, k, first):
     """fit and kcenter_greedy with every `_backend` primitive taken from impl."""
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        for name in ("farthest_scan", "kernel_sums", "factor_order"):
+        for name in PRIMITIVES:
             patch.setattr(_backend, name, getattr(impl, name))
         warnings.simplefilter("ignore")  # k may exceed the distinct points
         data = DataSet(points)
@@ -645,7 +828,7 @@ def test_saturated_fit_agrees_across_backends_in_its_objective(fastcore):
     fits = []
     for impl in (_numpy_impl, fastcore):
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("farthest_scan", "kernel_sums", "factor_order"):
+            for name in PRIMITIVES:
                 patch.setattr(_backend, name, getattr(impl, name))
             fits.append(fit(DataSet(points), spec, k_max=200, epsilon=0.0))
     a, b = fits

@@ -397,6 +397,31 @@ def test_bench_random_baseline_report(tmp_path, capsys):
         assert np.isfinite(doc[key])
 
 
+def test_bench_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
+                                                                  monkeypatch):
+    # One greedy fit for the curve and one, with the density projection,
+    # for the KL figures of all three seeds: the seed does not change a
+    # fit from a given first point.
+    import skm.cli
+    fits = []
+    fit = skm.cli.fit
+
+    def counted(*args, **kwargs):
+        fits.append(kwargs.get("first"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(skm.cli, "fit", counted)
+    x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
+    out = tmp_path / "curve.csv"
+    capsys.readouterr()
+    assert main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+                 "--kmax", "20", "--random-seeds", "3", "--first", "0",
+                 "--out", str(out)]) == 0
+    assert fits == [0, 0]
+    doc = stats_doc(capsys)
+    assert doc["seeds"] == [0, 1, 2] and np.isfinite(doc["kl_full_sparse_greedy"])
+
+
 # ------------------------------------------------------------ stats document
 
 def _command_argv(command, x, y, model, out):

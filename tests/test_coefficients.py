@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
-from oracles import inverse_gram
+from numpy.testing import assert_allclose, assert_array_equal
+from oracles import inverse_gram, progress_ratio
 
-from skm.coefficients import CholeskyWeights, progress_ratio, project_simplex
+from skm.coefficients import CholeskyWeights, project_simplex
 from skm.dataio import DataSet
-from skm.errors import NearSingularError
-from skm.kcenter import FarthestFirst
-from skm.kernels import RadialKernelSpec, _apply_shape, g_zero, gram_matrix
+from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
 from skm.sparse_mean import fit_with_support
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
@@ -20,20 +18,14 @@ def line_data(*values):
     return DataSet(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
-def sqdist_row(data, j):
-    """Squared distances from point j to every point, as the scan writes them."""
-    return ((data.points - data.points[j]) ** 2).sum(axis=1)
+def grow_state(data, spec, order):
+    """The weight state factored along order, every point of which it keeps.
 
-
-def shape_sum(state, data, j):
-    """The Gram shape summed over point j's squared distances, as extend takes it."""
-    return float(_apply_shape((*state.shape, 1.0), sqdist_row(data, j)).sum())
-
-
-def grow_state(data, spec, order, capacity=None):
-    state = CholeskyWeights(data, spec, len(order) if capacity is None else capacity)
-    for idx in order:
-        state.extend(idx, shape_sum(state, data, idx))
+    `factor` along an order is the greedy fit's factor steps along it
+    (test_extend_along_an_order_is_factor_along_it).
+    """
+    state = CholeskyWeights(data, spec, len(order))
+    assert state.factor(order).all()
     return state
 
 
@@ -121,35 +113,34 @@ def test_extend_full_support_two_points():
 
 
 def test_extend_duplicate_support_raises():
+    # A duplicate of a support point has pivot 0: the step drops it.
     data = line_data(0.0, 0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0], capacity=2)
-    with pytest.raises(NearSingularError):
-        state.extend(1, shape_sum(state, data, 1))
+    state = CholeskyWeights(data, UNIT_GAUSS_1D, 2)
+    assert_array_equal(state.factor([0, 1]), [True, False])
+    assert state.m == 1
 
 
 def test_dependent_extend_changes_neither_state_nor_distances():
+    # Point 2 duplicates point 0: a factor along [0, 1, 2] drops it and
+    # leaves the state of a factor along [0, 1]. The dependent greedy
+    # step's scan is checked in test_greedy_fit_stops_at_each_test.
     data = line_data(0.0, 3.0, 0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0, 1], capacity=3)
+    state = grow_state(data, UNIT_GAUSS_1D, [0, 1])
     before = (state.m, state.indices.copy(), state.kappa.copy(), state.e_trace.copy())
-    scan = FarthestFirst(data.points)
-    total = scan.add(2, state.shape)  # point 2 duplicates point 0
-    with pytest.raises(NearSingularError, match="support point 2 is numerically dependent"):
-        state.extend(2, total)
+    state = CholeskyWeights(data, UNIT_GAUSS_1D, 3)
+    assert_array_equal(state.factor([0, 1, 2]), [True, True, False])
     assert state.m == before[0]
     for now, then in zip((state.indices, state.kappa, state.e_trace), before[1:]):
         np.testing.assert_array_equal(now, then)
-    np.testing.assert_array_equal(scan.sqdist, sqdist_row(data, 2))
 
 
 def test_extend_rejects_index_already_in_support():
     # A repeated index has pivot g(0) - g(0) = 0, so the pivot check rejects
     # it and leaves the state as it was.
     data = line_data(0.0, 5.0)
-    state = grow_state(data, UNIT_GAUSS_1D, [0, 1], capacity=3)
-    e_trace = state.e_trace.copy()
-    for j in (0, 1):
-        with pytest.raises(NearSingularError, match=f"support point {j} is numerically dependent"):
-            state.extend(j, shape_sum(state, data, j))
+    e_trace = grow_state(data, UNIT_GAUSS_1D, [0, 1]).e_trace.copy()
+    state = CholeskyWeights(data, UNIT_GAUSS_1D, 4)
+    assert_array_equal(state.factor([0, 1, 0, 1]), [True, True, False, False])
     assert state.m == 2
     assert_allclose(state.e_trace, e_trace, rtol=0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -190,6 +191,29 @@ def test_model_bad_field_names_the_file_and_the_field(tmp_path, name, value):
     doc[name] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=f"m.json: bad model field '{name}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("e_trace", [-1.0, float("nan")]),
+])
+def test_save_model_refuses_non_finite_values(tmp_path, field, value):
+    # JSON has no NaN or infinity: the model file is not written at all.
+    mean = random_mean(np.random.default_rng(3))
+    diag = dataclasses.replace(mean.diagnostics, **{field: np.asarray(value)})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(dataclasses.replace(mean, diagnostics=diag), tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1e-8),
+    ("e_trace", [-1.0, float("nan"), -2.0]), ("e_trace", [float("-inf")]),
+])
+def test_load_model_rejects_non_finite_or_negative_epsilon_and_e_trace(tmp_path, field, value):
+    path, doc = saved_doc(tmp_path)
+    path.write_text(json.dumps(doc | {field: value}))  # json writes NaN and Infinity
+    with pytest.raises(DataFormatError, match=f"m.json: bad model field '{field}'"):
         load_model(path)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -9,9 +10,11 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import progress_ratio
 from scipy.integrate import quad
+from scipy.linalg import blas
 
-from skm.coefficients import CholeskyWeights, progress_ratio
+from skm.coefficients import CholeskyWeights
 from skm.dataio import DataSet
 from skm.kcenter import FarthestFirst, kcenter_greedy
 from skm.kernels import (
@@ -377,14 +380,33 @@ def _count_backend_calls(monkeypatch):
     return calls
 
 
+def _count_numpy_steps(monkeypatch):
+    """Run greedy fits on the numpy backend and count the scans and factor
+    steps inside its greedy_fit."""
+    from skm import _backend
+    from skm._backend import _numpy_impl
+
+    steps = {"scans": 0, "factor_steps": 0}
+    monkeypatch.setattr(_backend, "greedy_fit", _numpy_impl.greedy_fit)
+    for name, key in (("_sqdist_to", "scans"), ("factor_order", "factor_steps")):
+        def counted(*args, _key=key, _fn=getattr(_numpy_impl, name)):
+            steps[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_numpy_impl, name, counted)
+    return steps
+
+
 def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     # Each accepted step is one scan and one factor step, a factor_order
-    # call on the support and the new point.
+    # step on the support and the new point, inside greedy_fit, which the
+    # fit calls once per doubling of the factor: 16, 32, then 60 rows.
+    steps = _count_numpy_steps(monkeypatch)
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
-    assert calls == {"farthest_scan": 60, "kernel_sums": 0, "factor_order": 60}
+    assert steps == {"scans": 60, "factor_steps": 60}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "factor_order": 0, "greedy_fit": 3}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
@@ -392,56 +414,57 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     # whose one factor step showed it dependent.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
+    steps = _count_numpy_steps(monkeypatch)
     calls = _count_backend_calls(monkeypatch)
     with caplog.at_level("INFO", logger="skm.sparse_mean"):
         mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
     assert len(mean.diagnostics.skipped) == 1 and "pivot" in caplog.text
     tried = mean.k0 + 1
-    assert calls == {"farthest_scan": tried, "kernel_sums": 0, "factor_order": tried}
+    assert steps == {"scans": tried, "factor_steps": tried}
+    assert 16 < tried <= 32  # so the factor doubled once
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "factor_order": 0, "greedy_fit": 2}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
     # Their kappa is one kernel sum over the order, not a scan per point,
-    # and their factor is one backend call, not one extend per point. Each
-    # fit makes one kernel sum, the kappa of the kept points against the
-    # 400 points, and forms no Gram block.
+    # and their factor is one backend call, not one greedy step per point.
+    # Each fit makes one kernel sum, the kappa of the kept points against
+    # the 400 points, and forms no Gram block.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
-    monkeypatch.setattr(CholeskyWeights, "extend", None)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "factor_order": 2}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "factor_order": 2, "greedy_fit": 0}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
 def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch, n):
     # eps = 0 at sigma = 10: most points are numerically dependent on a
     # support of about 20, so trying every farthest point would cost O(n^2).
-    tried = []
-    extend = CholeskyWeights.extend
-
-    def counted(self, j, shape_sum):
-        tried.append(j)
-        return extend(self, j, shape_sum)
-
-    monkeypatch.setattr(CholeskyWeights, "extend", counted)
+    tried = _count_numpy_steps(monkeypatch)
     data = DataSet(np.random.default_rng(24).normal(size=(n, 2)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=2, sigma=10.0), k_max=200, epsilon=0.0)
     assert mean.k0 < 40
-    assert len(tried) <= mean.k0 + 1
+    assert tried["factor_steps"] <= mean.k0 + 1
 
 
 def test_weights_match_dense_solve_at_every_step():
+    # One greedy state of 300 points holds every prefix: the leading m rows
+    # of its packed factor and v[:m] give the weights of its first m points.
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
     order = kcenter_greedy(data, 300, first=0).order
-    weights, scan, history = CholeskyWeights(data, spec, 300), FarthestFirst(data.points), []
-    for j in order:
-        history.append((weights.extend(j, scan.add(j, weights.shape)), weights.alpha))
+    state = CholeskyWeights(data, spec, 300)
+    state.greedy(FarthestFirst(data.points), 0, 0.0, time.perf_counter())
+    assert_array_equal(state.indices, order)
     assert_array_equal(fit(data, spec, k_max=300, epsilon=0.0, first=0).support_indices, order)
+    history = [(state.e_trace[m - 1],
+                blas.dtpsv(m, state._packed[:m * (m + 1) // 2], state._v[:m], trans=0))
+               for m in range(1, 301)]
+    assert_array_equal(history[-1][1], state.alpha)
     support = data.points[order]
     gram = gram_matrix(spec, support)
     kappa = gram_matrix(spec, support, data.points).mean(axis=1)
