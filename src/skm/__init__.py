@@ -36,8 +36,6 @@ from .kernels import (
     bandwidth_iqr,
     bandwidth_jaakkola,
     g_zero,
-    gram_inner,
-    kernel_eval,
     parse_kernel_spec,
 )
 from .meanshift import (
@@ -47,7 +45,6 @@ from .meanshift import (
     discrepancy_index,
     hausdorff_clustering_distance,
     mean_shift_all,
-    shift_point,
 )
 from .sparse_mean import (
     SparseKernelMean,
@@ -91,11 +88,9 @@ __all__ = [
     "fit_with_support",
     "full_mean",
     "g_zero",
-    "gram_inner",
     "hausdorff_clustering_distance",
     "incoherence",
     "kcenter_greedy",
-    "kernel_eval",
     "kl_divergence",
     "l1_error",
     "load_csv",
@@ -109,6 +104,5 @@ __all__ = [
     "sample_gaussian_mean",
     "save_csv",
     "save_model",
-    "shift_point",
     "symmetrized_kl",
 ]

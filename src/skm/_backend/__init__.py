@@ -2,7 +2,9 @@
 
 `farthest_scan` is one pass over a coordinate-major (d, n) copy of the
 points that makes a point a farthest-first center: it lowers the squared
-distances to the chosen set in place and returns the farthest point.
+distances to the chosen set in place and returns the farthest point; a
+farthest distance that is negative or NaN raises ValueError, with the
+distances already lowered.
 `kernel_sums` writes c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
 out[i, q] for a 2-D coef and out, without forming a kernel block; every
 kernel sum (evaluate, the mean-shift rounds, the kappa of a fixed-order

@@ -177,7 +177,7 @@ static inline NO_CONTRACT void dist_row(double *o, const double *xi, const doubl
     }
 }
 
-/* Radial shape codes, as skm._backend._shape numbers them. */
+/* Radial shape codes, as skm._backend._numpy_impl numbers them. */
 enum { SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER };
 
 /* r[j] = shape(r[j]) for the w squared distances of one row, each kind
@@ -304,8 +304,12 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     far = scan_tiles(xt, n, d, y, sq, -1, 0.0, 0.0, &shape_sum, buf);
     Py_END_ALLOW_THREADS
     PyMem_Free(buf);
+    /* scan_tiles finds no farthest point among negative or NaN distances;
+     * sq has already been lowered */
+    if (far < 0 || !(sq[far] >= 0.0))
+        PyErr_SetString(PyExc_ValueError, "the farthest sqdist entry is negative or NaN");
     release(&vs);
-    return PyLong_FromSsize_t(far);
+    return PyErr_Occurred() ? NULL : PyLong_FromSsize_t(far);
 }
 
 /* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows

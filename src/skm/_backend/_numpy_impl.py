@@ -1,4 +1,4 @@
-"""Pure-numpy implementation of the hot inner loops.
+"""Pure-numpy implementation of the hot inner loops, and the radial shape codes.
 
 `farthest_scan` is a farthest-first step over the coordinate-major points
 that lowers one distance buffer in place. `kernel_sums` forms kernel sums
@@ -9,6 +9,10 @@ Gram rows from cdist blocks and one BLAS triangular solve per candidate.
 sum, one `factor_order` row, v_m by a BLAS dot and the stop tests. Used
 when the compiled extension is unavailable. The signatures and the
 buffer checks match skm._backend._fastcore exactly.
+
+A profile is c * shape_kind(r) for a SHAPE_* kind below; the compiled
+backend numbers the kinds the same way, and `_apply_shape` is the one numpy
+shape function, which skm.kernels uses too.
 """
 
 import math
@@ -18,12 +22,40 @@ import numpy as np
 from scipy.linalg import blas
 from scipy.spatial.distance import cdist
 
-from ._shape import _BLOCK_ENTRIES, SHAPE_KINDS, _apply_shape
-
 __all__ = ("farthest_scan", "kernel_sums", "factor_order", "greedy_fit")
 
 # The rows of a greedy fit's record, in order.
 RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
+
+# A kernel or distance block holds at most this many entries (2 MB), so the
+# memory of a numpy kernel sum or of mode clustering stays flat whatever
+# the size.
+_BLOCK_ENTRIES = 2**18
+
+SHAPE_SQEXP = 0  # c * exp(-a * r^2)
+SHAPE_EXP = 1    # c * exp(-a * r)
+SHAPE_POWER = 2  # c * (1 + a * r^2) ** (-b)
+SHAPE_KINDS = (SHAPE_SQEXP, SHAPE_EXP, SHAPE_POWER)
+
+
+def _apply_shape(params, r2):
+    """c * shape(r), computed in place on the float64 array r2 of squared distances.
+
+    params is (kind, a, b, c), as a kernels.ShapeParams holds them.
+    """
+    kind, a, b, c = params
+    if kind == SHAPE_POWER:
+        r2 *= a
+        r2 += 1.0
+        np.power(r2, -b, out=r2)
+    else:
+        if kind == SHAPE_EXP:
+            np.sqrt(r2, out=r2)
+        r2 *= -a
+        np.exp(r2, out=r2)
+    if c != 1.0:
+        r2 *= c
+    return r2
 
 
 def farthest_scan(coords, j, sqdist):
@@ -33,7 +65,8 @@ def farthest_scan(coords, j, sqdist):
     min(sqdist, ||x_i - x_j||^2), the coordinates summed in order, and
     returns the index of the largest sqdist, lowest index on ties. Bad
     buffers or a j outside [0, n) raise TypeError or ValueError before
-    sqdist changes.
+    sqdist changes. A farthest entry that is negative or NaN raises
+    ValueError once sqdist has already been lowered.
     """
     _borrow(coords, "coords", 2, -1)
     n = coords.shape[1]
@@ -41,7 +74,10 @@ def farthest_scan(coords, j, sqdist):
     if not 0 <= j < n:
         raise ValueError(f"index {j} out of range for n={n}")
     np.minimum(sqdist, _sqdist_to(coords, j), out=sqdist)
-    return int(np.argmax(sqdist))
+    far = int(np.argmax(sqdist))
+    if not sqdist[far] >= 0.0:
+        raise ValueError("the farthest sqdist entry is negative or NaN")
+    return far
 
 
 def _sqdist_to(coords, j):
@@ -70,7 +106,7 @@ def kernel_sums(xs, ys, coef, kind, a, b, c, out):
     xs and ys are C-contiguous float64 with the same number of columns,
     coef is C-contiguous float64 of shape (len(ys), p), and out a writable
     C-contiguous float64 array of shape (len(xs), p). kind is a SHAPE_*
-    code of `skm._backend._shape`. Bad buffers or an unknown kind raise
+    code above. Bad buffers or an unknown kind raise
     TypeError or ValueError before out changes. The kernel values are
     formed in row blocks of at most 2^18 entries, or one row when ys is
     longer.

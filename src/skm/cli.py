@@ -21,7 +21,7 @@ from .cpe import estimate_proportions, search_bandwidth
 from .dataio import DataSet, load_csv, load_model, save_csv, save_model
 from .divergences import distance_matrix, kl_divergence, sample_gaussian_mean
 from .errors import SkmError
-from .kernels import bandwidth_iqr, parse_kernel_spec
+from .kernels import bandwidth_iqr, g_zero, gram_at_dist, parse_kernel_spec
 from .meanshift import (
     cluster_modes,
     discrepancy_index,
@@ -232,8 +232,6 @@ def _cmd_audit(args) -> dict:
     k_max = args.kmax if args.kmax is not None else max(1, data.n - 1)
     mean = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first, seed=args.seed)
     zbar_sq = squared_mean_norm(data, spec, max_points=args.max_points)
-    from .kernels import g_zero, gram_at_dist
-
     c = g_zero(spec)
     rows = []
     e_trace = mean.diagnostics.e_trace

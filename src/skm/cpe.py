@@ -16,12 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import project_simplex
+from .divergences import fit_sample_means, rkhs_distance
 from .errors import SkmError
 from .kernels import RadialKernelSpec
 from .sparse_mean import (
     SparseKernelMean,
     _support_budget,
-    fit,
     fit_with_support,
     full_mean,
     mean_gram_inner,
@@ -91,8 +91,6 @@ def _rcond(matrix: np.ndarray) -> float:
 
 
 def _closest_pair(means):
-    from .divergences import rkhs_distance
-
     best = (0, 1)
     best_d = math.inf
     for i in range(len(means)):
@@ -143,17 +141,6 @@ def estimate_from_means(train_means, test_mean) -> ProportionEstimate:
     return ProportionEstimate(pi_hat, was_projected, (test_mean, test_inner, gram))
 
 
-def _fit_means(samples, spec, sparse, epsilon, k_max, seed):
-    means = []
-    for sample in samples:
-        if sparse:
-            means.append(fit(sample, spec, k_max=_support_budget(k_max, sample.n),
-                             epsilon=epsilon, seed=seed))
-        else:
-            means.append(full_mean(sample, spec))
-    return means
-
-
 def estimate_proportions(train, test, spec: RadialKernelSpec, sparse: bool = False,
                          epsilon: float = 1e-10, k_max=None, seed: int = 0) -> ProportionEstimate:
     """Estimate the mixture weights of `test` over the `train` classes.
@@ -166,7 +153,8 @@ def estimate_proportions(train, test, spec: RadialKernelSpec, sparse: bool = Fal
     train = list(train)
     if len(train) < 2:
         raise ValueError("need at least 2 training samples")
-    means = _fit_means(train, spec, sparse, epsilon, k_max, seed)
+    means, _ = fit_sample_means(train, spec, "rkhs", sparse=sparse, k_max=k_max,
+                                epsilon=epsilon, seed=seed)
     return estimate_from_means(means, full_mean(test, spec))
 
 

@@ -1,4 +1,4 @@
-"""Radial kernels: pointwise evaluation, section inner products, bandwidths.
+"""Radial kernels: profiles, kernel sums, section inner products, bandwidths.
 
 A radial kernel has the form phi(x, x') = c * shape(||x - x'||_2). The
 constant c is either 1 ("unit" normalization) or chosen so that
@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from . import _backend
-from ._backend._shape import _BLOCK_ENTRIES, SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
+from ._backend._numpy_impl import SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
 from .errors import DegenerateDataError, KernelSpecError
 
 FAMILIES = ("gaussian", "laplacian", "student")
@@ -77,9 +77,9 @@ class RadialKernelSpec:
         for name in ("sigma", "gamma", "alpha", "beta"):
             value = getattr(self, name)
             if name in wanted:
-                if value is None or not (value > 0):
+                if value is None or not (0 < value < math.inf):
                     raise KernelSpecError(
-                        f"{self.family} kernel requires {name} > 0, got {value}"
+                        f"{self.family} kernel requires a finite {name} > 0, got {value}"
                     )
                 object.__setattr__(self, name, float(value))
             elif value is not None:
@@ -97,6 +97,19 @@ class RadialKernelSpec:
                 f"no closed-form L2 inner product for {self.family} "
                 "(supported: gaussian; student with alpha = (1 + d) / 2)"
             )
+        # Extreme parameters can overflow a profile's constants, which would
+        # make every kernel value inf or NaN.
+        named = ", ".join(f"{name}={getattr(self, name)}" for name in wanted)
+        for label, profile in (("kernel", eval_params), ("inner product", gram_params)):
+            try:
+                _, a, b, c = profile(self)
+            except (ZeroDivisionError, OverflowError):
+                a = b = c = math.nan
+            if not (all(map(math.isfinite, (a, b, c))) and a > 0 and c > 0):
+                raise KernelSpecError(
+                    f"{self.family} kernel {named} is out of range: its {label} profile "
+                    f"needs finite a, b, c with a, c > 0, got a={a}, b={b}, c={c}"
+                )
 
     def _has_l2_closed_form(self) -> bool:
         if self.family == "gaussian":
@@ -183,59 +196,16 @@ def gram_params(spec: RadialKernelSpec) -> ShapeParams:
     )
 
 
-def _at_dist(params: ShapeParams, r):
+def gram_at_dist(spec: RadialKernelSpec, r):
+    """Section inner product g evaluated at anchor distance r (elementwise over an array)."""
     r2 = np.array(r, dtype=np.float64)
     r2 *= r2
-    return _apply_shape(params, r2)
-
-
-def kernel_at_dist(spec: RadialKernelSpec, r):
-    """phi evaluated at anchor distance r (elementwise over an array)."""
-    return _at_dist(eval_params(spec), r)
-
-
-def gram_at_dist(spec: RadialKernelSpec, r):
-    """Section inner product g evaluated at anchor distance r."""
-    return _at_dist(gram_params(spec), r)
-
-
-def _check_dim(spec, x, name="point"):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != spec.dim:
-        raise ValueError(
-            f"{name} has dimension {x.shape[0]}, kernel expects {spec.dim}"
-        )
-    return x
-
-
-def kernel_eval(spec: RadialKernelSpec, x, x2) -> float:
-    """Pointwise kernel value phi(x, x2)."""
-    x = _check_dim(spec, x)
-    x2 = _check_dim(spec, x2)
-    return float(kernel_at_dist(spec, np.linalg.norm(x - x2)))
-
-
-def gram_inner(spec: RadialKernelSpec, x, x2) -> float:
-    """Inner product <phi(., x), phi(., x2)> in the spec's space."""
-    x = _check_dim(spec, x)
-    x2 = _check_dim(spec, x2)
-    return float(gram_at_dist(spec, np.linalg.norm(x - x2)))
+    return _apply_shape(gram_params(spec), r2)
 
 
 def g_zero(spec: RadialKernelSpec) -> float:
-    """The constant C = <phi(., x), phi(., x)>, independent of x."""
-    return float(gram_at_dist(spec, 0.0))
-
-
-def kernel_block(params: ShapeParams, xs, ys=None):
-    """Matrix of c * shape(||x_i - y_j||) from cdist's squared distances.
-
-    The reference that `kernel_matrix` and `gram_matrix` give the tests;
-    the package's own kernel sums and Gram rows never form such a block.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
+    """The constant C = <phi(., x), phi(., x)>, independent of x: every shape is 1 at r = 0."""
+    return float(gram_params(spec).c)
 
 
 def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
@@ -254,16 +224,6 @@ def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
     out = np.empty((xs.shape[0], columns.shape[1]))
     _backend.kernel_sums(xs, ys, columns, *params, out)
     return out[:, 0] if coef.ndim == 1 else out
-
-
-def kernel_matrix(spec: RadialKernelSpec, xs, ys=None):
-    """Matrix of phi(x_i, y_j) values."""
-    return kernel_block(eval_params(spec), xs, ys)
-
-
-def gram_matrix(spec: RadialKernelSpec, xs, ys=None):
-    """Matrix of section inner products g(||x_i - y_j||)."""
-    return kernel_block(gram_params(spec), xs, ys)
 
 
 def _points(data) -> np.ndarray:

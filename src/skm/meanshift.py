@@ -18,8 +18,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
+from ._backend._numpy_impl import _BLOCK_ENTRIES
 from .kcenter import FarthestFirst
-from .kernels import _BLOCK_ENTRIES, block_sums, eval_params
+from .kernels import block_sums, eval_params
 from .sparse_mean import SparseKernelMean
 
 # Relative slack of the cover's triangle-inequality tests. It absorbs the
@@ -105,15 +106,6 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
         converged[active[done]] = True
         active = active[~done]
     return x, iterations, converged
-
-
-def shift_point(x0, mean: SparseKernelMean, gamma: float, max_iter: int = 500):
-    """Shift one point to its density mode; returns the converged position."""
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.shape[0] != mean.spec.dim:
-        raise ValueError("point dimension does not match the kernel dimension")
-    x, _, _ = _shift(x0[None, :], mean, gamma, max_iter)
-    return x[0]
 
 
 def mean_shift_all(data, mean: SparseKernelMean, gamma: float,

@@ -158,6 +158,16 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
                      seconds_trace=weights.seconds[:k0].copy())
 
 
+def _support_indices(support_indices, n: int) -> np.ndarray:
+    """support_indices as a flat int64 array, once it is non-empty and inside [0, n)."""
+    indices = np.asarray(support_indices, dtype=np.int64).ravel()
+    if indices.size == 0:
+        raise ValueError("support is empty")
+    if np.any((indices < 0) | (indices >= n)):
+        raise ValueError(f"support indices must lie in [0, {n})")
+    return indices
+
+
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
     """Factor the weights along `order` in one pass, dropping numerically dependent points.
 
@@ -194,12 +204,7 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
     `diagnostics.skipped`, so `support_indices` may come back shorter than
     the input.
     """
-    n = np.asarray(data.points).shape[0]
-    indices = np.asarray(support_indices, dtype=np.int64).ravel()
-    if indices.size == 0:
-        raise ValueError("support is empty")
-    if np.any((indices < 0) | (indices >= n)):
-        raise ValueError(f"support indices must lie in [0, {n})")
+    indices = _support_indices(support_indices, np.asarray(data.points).shape[0])
     if np.unique(indices).size != indices.size:
         raise ValueError("support indices contain duplicates")
     return _fixed_order_fit(data, spec, indices, density_mode, "fixed-support")
@@ -249,12 +254,8 @@ def incoherence(data, spec: RadialKernelSpec, support_indices) -> float:
     memory rather than a double loop.
     """
     pts = np.ascontiguousarray(data.points, dtype=np.float64)
-    indices = np.asarray(support_indices, dtype=np.int64).ravel()
     n = pts.shape[0]
-    if indices.size == 0:
-        raise ValueError("support is empty")
-    if np.any((indices < 0) | (indices >= n)):
-        raise ValueError(f"support indices must lie in [0, {n})")
+    indices = _support_indices(support_indices, n)
     if np.unique(indices).size == n:
         raise ValueError("support covers every index; incoherence is undefined")
     scan = kcenter.FarthestFirst(pts)

@@ -11,6 +11,9 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.spatial.distance import cdist
 
+from skm._backend._numpy_impl import SHAPE_EXP, SHAPE_POWER, _apply_shape
+from skm.kernels import eval_params, gram_params
+
 
 def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):
     """Exact k-center by exhaustive enumeration.
@@ -50,3 +53,44 @@ def progress_ratio(e_first: float, e_prev: float, e_last: float) -> float:
     """|E_{m-1} - E_m| / |E_1 - E_m|; a flat trace (E_1 == E_m) gives 0."""
     den = abs(e_first - e_last)
     return 0.0 if den == 0.0 else abs(e_prev - e_last) / den
+
+
+def kernel_block(params, xs, ys=None):
+    """Matrix of c * shape(||x_i - y_j||) from cdist's squared distances.
+
+    The package's own kernel sums and Gram rows never form such a block; the
+    tests check them against it. Any layout goes in; 1-D rows are one point
+    each.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = xs if ys is None else np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    return _apply_shape(params, cdist(xs, ys, "sqeuclidean"))
+
+
+def kernel_matrix(spec, xs, ys=None):
+    """Matrix of phi(x_i, y_j) values."""
+    return kernel_block(eval_params(spec), xs, ys)
+
+
+def gram_matrix(spec, xs, ys=None):
+    """Matrix of section inner products g(||x_i - y_j||)."""
+    return kernel_block(gram_params(spec), xs, ys)
+
+
+def _pointwise(params, x, y) -> float:
+    """c * shape(||x - y||) for two points, from the profile's formula in Python floats."""
+    kind, a, b, c = params
+    r2 = sum((p - q) ** 2 for p, q in zip(np.ravel(x), np.ravel(y)))
+    if kind == SHAPE_POWER:
+        return c * (1.0 + a * r2) ** -b
+    return c * math.exp(-a * (math.sqrt(r2) if kind == SHAPE_EXP else r2))
+
+
+def kernel_eval(spec, x, y) -> float:
+    """Pointwise kernel value phi(x, y)."""
+    return _pointwise(eval_params(spec), x, y)
+
+
+def gram_inner(spec, x, y) -> float:
+    """Inner product <phi(., x), phi(., y)> in the spec's space."""
+    return _pointwise(gram_params(spec), x, y)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 from numpy.testing import assert_allclose
-from oracles import inverse_gram, kcenter_brute
+from oracles import gram_matrix, inverse_gram, kcenter_brute
 from scipy.integrate import quad
 
 import skm
@@ -24,7 +24,6 @@ from skm.kernels import (
     bandwidth_jaakkola,
     g_zero,
     gram_at_dist,
-    gram_matrix,
 )
 from skm.meanshift import (
     cluster_modes,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.spatial.distance import cdist
+from oracles import kernel_block
 
 from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
@@ -25,12 +25,10 @@ from skm.kernels import (
     SHAPE_SQEXP,
     RadialKernelSpec,
     ShapeParams,
-    _apply_shape,
     block_sums,
     eval_params,
     g_zero,
     gram_params,
-    kernel_block,
 )
 from skm.meanshift import cluster_modes, mean_shift_all
 from skm.sparse_mean import evaluate, fit, fit_with_support, full_mean, incoherence
@@ -149,7 +147,7 @@ def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_farthest_scan_rejects_bad_buffers(impl):
     # Both backends check the buffers the same way, and a call that raises
-    # leaves sqdist as it was.
+    # on a buffer leaves sqdist as it was.
     coords = np.zeros((3, 4))  # four points in d = 3
     readonly = np.full(4, -1.0)
     readonly.setflags(write=False)
@@ -172,20 +170,23 @@ def test_farthest_scan_rejects_bad_buffers(impl):
     sq = np.full(4, np.inf)
     assert impl.farthest_scan(coords, 0, sq) == 0
     assert_array_equal(sq, np.zeros(4))
+    # With no entry a non-negative number there is no farthest point: both
+    # backends raise once the scan has lowered sqdist, rather than return
+    # an index that reads a negative or NaN distance.
+    coords = np.array([[0.0, 1.0, 2.0, 3.0]])
+    for value in (-1.0, np.nan):
+        sq = np.full(4, value)
+        with pytest.raises(ValueError, match="the farthest sqdist entry is negative or NaN"):
+            impl.farthest_scan(coords, 2, sq)
+        assert_array_equal(sq, np.full(4, value))
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_kernel_block_is_the_shape_of_cdist(impl):
-    # Any layout goes in; 1-D rows are one point each. kernel_block is the
-    # tests' reference for the Gram rows each backend's factor_order forms
-    # itself, so a full factor reproduces it.
+    # kernel_block is the tests' reference for the Gram rows each backend's
+    # factor_order forms itself, so a full factor reproduces it.
     params = ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0)
-    rng = np.random.default_rng(3)
-    xs, ys = rng.normal(size=(6, 300)).T, rng.normal(size=(40, 6))
-    for x, y in ((xs, ys), (xs[::7], None), (ys[0], ys[1:])):
-        expected = _apply_shape(params, cdist(np.atleast_2d(x),
-                                              np.atleast_2d(x if y is None else y), "sqeuclidean"))
-        assert_array_equal(kernel_block(params, x, y), expected)
+    ys = np.random.default_rng(3).normal(size=(40, 6))
     kept, _, packed = _factor(impl, ys, params, 1e-9 * params.c)
     assert kept.all()
     assert_allclose(_lower(packed) @ _lower(packed).T, kernel_block(params, ys),

@@ -532,6 +532,23 @@ def test_bad_kernel_returns_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kernel", [
+    "gaussian:sigma=1e-300", "gaussian:sigma=1e200:l2:density",
+    "student:alpha=2:beta=1e-320:density", "laplacian:gamma=1e-310",
+    "gaussian:sigma=1e-160", "gaussian:sigma=inf",
+])
+def test_kernel_parameters_that_overflow_return_two(tmp_path, capsys, kernel):
+    x = synth_csv(tmp_path)
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    rc = main(["fit", "--input", str(x), "--kernel", kernel, "--out", str(model)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_fit_nan_eps_returns_two(tmp_path, capsys):
     x = synth_csv(tmp_path)
     model = tmp_path / "m.json"

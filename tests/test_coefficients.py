@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import inverse_gram, progress_ratio
+from oracles import gram_matrix, inverse_gram, progress_ratio
 
 from skm.coefficients import CholeskyWeights, project_simplex
 from skm.dataio import DataSet
-from skm.kernels import RadialKernelSpec, g_zero, gram_matrix
+from skm.kernels import RadialKernelSpec, g_zero
 from skm.sparse_mean import fit_with_support
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import kernel_matrix
 
 from skm.cpe import (
     dirichlet_sample,
@@ -12,7 +13,7 @@ from skm.cpe import (
 )
 from skm.dataio import DataSet
 from skm.errors import SkmError
-from skm.kernels import RadialKernelSpec, g_zero, kernel_matrix
+from skm.kernels import RadialKernelSpec, g_zero
 from skm.sparse_mean import fit, full_mean
 
 GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)

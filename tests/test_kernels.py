@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import gram_inner, gram_matrix, kernel_eval, kernel_matrix
 from scipy.integrate import dblquad, quad
 
 from skm.dataio import DataSet
@@ -13,14 +14,12 @@ from skm.kernels import (
     bandwidth_iqr,
     bandwidth_jaakkola,
     g_zero,
+    eval_params,
     gram_at_dist,
-    gram_inner,
-    gram_matrix,
-    kernel_at_dist,
-    kernel_eval,
-    kernel_matrix,
+    gram_params,
     parse_kernel_spec,
 )
+from skm.sparse_mean import evaluate, full_mean
 
 
 def unit_gaussian(dim=1, sigma=1.0, **kw):
@@ -49,7 +48,7 @@ def test_eval_density_gaussian_integrates_to_one():
 def test_eval_dimension_mismatch():
     spec = unit_gaussian(dim=2)
     with pytest.raises(ValueError, match="dimension"):
-        kernel_eval(spec, [0.0], [0.0, 1.0])
+        evaluate(full_mean(DataSet(np.array([[0.0, 1.0]])), spec), [0.0])
 
 
 # ------------------------------------------------------- density normalization
@@ -61,7 +60,7 @@ def test_eval_dimension_mismatch():
     RadialKernelSpec("student", dim=1, alpha=3.0, beta=0.5, normalization="density"),
 ])
 def test_density_integrates_to_one_1d(spec):
-    total, _ = quad(lambda t: float(kernel_at_dist(spec, abs(t))), -np.inf, np.inf)
+    total, _ = quad(lambda t: kernel_eval(spec, [t], [0.0]), -np.inf, np.inf)
     assert abs(total - 1.0) < 1e-6
 
 
@@ -74,7 +73,7 @@ def test_density_integrates_to_one_2d_tensor_quadrature(spec):
     lim = 40.0
 
     def f(y, x):
-        return float(kernel_at_dist(spec, math.hypot(x, y)))
+        return kernel_eval(spec, [x, y], [0.0, 0.0])
 
     total, _ = dblquad(f, -lim, lim, -lim, lim, epsabs=1e-9, epsrel=1e-9)
     assert abs(total - 1.0) < 1e-6
@@ -314,3 +313,32 @@ def test_parse_format_round_trip():
 def test_parse_kernel_spec_rejects(bad):
     with pytest.raises(KernelSpecError):
         parse_kernel_spec(bad, dim=1)
+
+
+# Parameters whose profile constants overflow, underflow or divide by zero,
+# with the parameter the error names.
+EXTREME_SPECS = [
+    ("gaussian:sigma=1e-300", "sigma"),
+    ("gaussian:sigma=1e200:l2:density", "sigma"),
+    ("student:alpha=2:beta=1e-320:density", "beta"),
+    ("laplacian:gamma=1e-310", "gamma"),
+    ("gaussian:sigma=1e-160", "sigma"),
+    ("gaussian:sigma=inf", "sigma"),
+    ("laplacian:gamma=nan", "gamma"),
+]
+
+
+@pytest.mark.parametrize("text, name", EXTREME_SPECS)
+def test_parse_kernel_spec_rejects_profiles_that_overflow(text, name):
+    with pytest.raises(KernelSpecError, match=name):
+        parse_kernel_spec(text, dim=2)
+
+
+def test_every_accepted_profile_is_finite_and_positive():
+    # Parameters near the ends of the accepted range still give finite
+    # profile constants with a, c > 0.
+    for text in ("gaussian:sigma=1e-150", "gaussian:sigma=1e150", "laplacian:gamma=1e300",
+                 "student:alpha=1.5:beta=1e-300:l2:density"):
+        spec = parse_kernel_spec(text, dim=2)
+        for _, a, b, c in (eval_params(spec), gram_params(spec)):
+            assert all(map(math.isfinite, (a, b, c))) and a > 0 and c > 0

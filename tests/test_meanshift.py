@@ -20,7 +20,6 @@ from skm.meanshift import (
     discrepancy_index,
     hausdorff_clustering_distance,
     mean_shift_all,
-    shift_point,
 )
 from skm.sparse_mean import fit, full_mean
 
@@ -53,18 +52,24 @@ def scalar_shift_oracle(x, centers, weights, sigma, gamma, max_iter=500):
     return x
 
 
-# ------------------------------------------------------------------ shift_point
+# ------------------------------------------------------------ one-point shift
+
+def shift_one(x0, mean, gamma, max_iter=500):
+    """The converged position of one point: mean_shift_all on a one-row DataSet."""
+    data = DataSet(np.asarray(x0, dtype=np.float64).reshape(1, -1))
+    return mean_shift_all(data, mean, gamma, max_iter=max_iter).shifted[0]
+
 
 def test_shift_single_support_is_fixed_point():
     mean = fit(DataSet(np.array([[2.0]])), DENS, k_max=1, epsilon=0.0,
                density_mode=True)
-    out = shift_point([5.0], mean, gamma=1e-6)
+    out = shift_one([5.0], mean, gamma=1e-6)
     assert_allclose(out, [2.0])
 
 
 def test_shift_midpoint_of_symmetric_pair_is_fixed():
     mean = full_mean(DataSet(np.array([[-1.0], [1.0]])), DENS)
-    out = shift_point([0.0], mean, gamma=1e-9)
+    out = shift_one([0.0], mean, gamma=1e-9)
     assert_allclose(out, [0.0])
 
 
@@ -72,7 +77,7 @@ def test_shift_converges_to_nearer_bump():
     data = DataSet(np.array([[0.0], [10.0]]))
     mean = full_mean(data, DENS)
     gamma = 1e-6
-    got = shift_point([4.2], mean, gamma=gamma)
+    got = shift_one([4.2], mean, gamma=gamma)
     oracle = scalar_shift_oracle(4.2, [0.0, 10.0], [0.5, 0.5], SIGMA, gamma)
     assert_allclose(got, [oracle], atol=1e-12)
     assert abs(got[0] - 0.0) < 1e-3  # nearer bump wins
@@ -81,7 +86,7 @@ def test_shift_converges_to_nearer_bump():
 def test_shift_underflow_far_from_support_warns_and_stays():
     mean = full_mean(DataSet(np.array([[0.0]])), DENS)
     with pytest.warns(UserWarning, match="underflow"):
-        out = shift_point([1e6], mean, gamma=1e-6)
+        out = shift_one([1e6], mean, gamma=1e-6)
     assert_allclose(out, [1e6])
 
 
@@ -92,22 +97,22 @@ def test_shift_rejects_signed_weights():
     if np.all(mean.alpha >= 0):
         object.__setattr__(mean, "alpha", mean.alpha - 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
-        shift_point([0.5], mean, gamma=1e-3)
+        shift_one([0.5], mean, gamma=1e-3)
 
 
 def test_shift_rejects_non_gaussian():
     spec = RadialKernelSpec("laplacian", dim=1, gamma=1.0, normalization="density")
     mean = full_mean(DataSet(np.array([[0.0]])), spec)
     with pytest.raises(ValueError, match="gaussian"):
-        shift_point([0.0], mean, gamma=1e-3)
+        shift_one([0.0], mean, gamma=1e-3)
 
 
 def test_shift_validates_gamma_and_dimension():
     mean = full_mean(DataSet(np.array([[0.0]])), DENS)
     with pytest.raises(ValueError):
-        shift_point([0.0], mean, gamma=0.0)
+        shift_one([0.0], mean, gamma=0.0)
     with pytest.raises(ValueError, match="dimension"):
-        shift_point([0.0, 1.0], mean, gamma=1e-3)
+        shift_one([0.0, 1.0], mean, gamma=1e-3)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -116,7 +121,7 @@ def test_shift_rejects_max_iter_below_one(max_iter):
     data = DataSet(np.array([[0.0], [1.0]]))
     mean = full_mean(data, DENS)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        shift_point([0.5], mean, gamma=1e-3, max_iter=max_iter)
+        shift_one([0.5], mean, gamma=1e-3, max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         mean_shift_all(data, mean, gamma=1e-3, max_iter=max_iter)
 
@@ -161,7 +166,7 @@ def test_mean_shift_final_step_below_gamma():
     # one more update from every converged point moves by less than gamma
     for row, ok in zip(result.shifted, result.converged):
         assert ok
-        again = shift_point(row, mean, gamma=np.inf, max_iter=1)
+        again = shift_one(row, mean, gamma=np.inf, max_iter=1)
         assert np.linalg.norm(again - row) < gamma
 
 

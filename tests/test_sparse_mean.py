@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import progress_ratio
+from oracles import gram_matrix, kernel_eval, progress_ratio
 from scipy.integrate import quad
 from scipy.linalg import blas
 
@@ -22,7 +22,6 @@ from skm.kernels import (
     block_sums,
     g_zero,
     gram_at_dist,
-    gram_matrix,
     gram_params,
 )
 from skm.sparse_mean import (
@@ -241,8 +240,6 @@ def test_evaluate_matches_double_loop_oracle():
     mean = fit(data, spec, k_max=6, epsilon=0.0)
     queries = rng.normal(size=(7, 2))
     got = evaluate(mean, queries)
-    from skm.kernels import kernel_eval
-
     for qi, q in enumerate(queries):
         expected = sum(
             a * kernel_eval(spec, q, s) for a, s in zip(mean.alpha, mean.support)
