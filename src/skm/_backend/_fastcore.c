@@ -1,6 +1,7 @@
 /* Compiled inner loops: the farthest-first scan, the kernel sums, the
- * pivoted Cholesky step of both fits and the greedy fit's whole loop. The
- * signatures match skm._backend._numpy_impl exactly.
+ * triangular solves against the packed factor, the pivoted Cholesky step
+ * of both fits and the greedy fit's whole loop. The signatures match
+ * skm._backend._numpy_impl exactly.
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
  * TILE points. For each tile it forms the squared distances to the new
@@ -8,7 +9,8 @@
  * the chosen set in place and takes the tile's farthest point, so a
  * farthest-first step writes each distance once. The tile's maximum is
  * taken over the int64 bit patterns of the distances, which order as the
- * non-negative doubles do and which gcc vectorises. In the greedy fit the
+ * non-negative doubles do and which gcc vectorises; a bare scan flags a
+ * NaN of either sign in the same pass and raises. In the greedy fit the
  * scan then applies the shape to the tile's distances in place while they
  * are in L1 and sums it, which gives the kernel row mean of the new
  * center from the same pass. The distances sum the coordinates in the
@@ -28,12 +30,17 @@
  * backend's in the last bits, and between the AVX-512, AVX2 and SSE2
  * clones too.
  *
+ * The triangular solves work in place on a caller's vector against the
+ * packed lower factor L, row i at offset i(i+1)/2: L x = b forward, row
+ * after row with the same 8-partial-sum dot, and L' x = b backward, as one
+ * axpy along each row of L from the last up.
+ *
  * The factorisation is partial pivoted Cholesky along the rows of a point
  * array: each candidate's Gram row against the kept points is formed with
- * the same distance, shape and dot code, solved against the packed lower
- * factor, and the candidate is kept when its pivot passes a threshold. The
- * greedy fit runs it on one new candidate at a time, a fixed-order fit on
- * the whole order at once.
+ * the same distance, shape and dot code, solved forward against the
+ * packed lower factor, and the candidate is kept when its pivot passes a
+ * threshold. The greedy fit runs it on one new candidate at a time, a
+ * fixed-order fit on the whole order at once.
  *
  * The greedy fit runs its steps in one call: the scan with the shape sum,
  * one factor step, v_m and E_m, the radius, the step's time and the stop
@@ -215,6 +222,30 @@ static inline NO_CONTRACT double dot(const double *u, const double *v, Py_ssize_
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
+/* x <- L^{-1} x over the first m rows of the packed lower factor L:
+ * x_t = (x_t - L_t . x) / L_tt, row after row. */
+static inline NO_CONTRACT void forward_rows(const double *packed, double *x, Py_ssize_t m)
+{
+    for (Py_ssize_t t = 0; t < m; t++) {
+        const double *row = packed + t * (t + 1) / 2;
+        x[t] = (x[t] - dot(row, x, t)) / row[t];
+    }
+}
+
+/* x <- L^{-T} x over the first m rows of the packed lower factor L: from
+ * the last row up, x_t /= L_tt and then x_s -= L_ts x_t for s < t, one
+ * axpy along row t. */
+static inline NO_CONTRACT void back_rows(const double *packed, double *x, Py_ssize_t m)
+{
+    for (Py_ssize_t t = m - 1; t >= 0; t--) {
+        const double *row = packed + t * (t + 1) / 2;
+        const double xt = x[t] / row[t];
+        x[t] = xt;
+        for (Py_ssize_t s = 0; s < t; s++)
+            x[s] -= row[s] * xt;
+    }
+}
+
 static inline int64_t bits_of(double x)
 {
     int64_t bits;
@@ -223,18 +254,24 @@ static inline int64_t bits_of(double x)
 }
 
 /* q[j] = min(q[j], r[j]) over w entries; returns the largest int64 bit
- * pattern of the new q[j], or -1 for no entries. Squared distances are
- * non-negative, and the bit patterns of non-negative doubles order as
- * the doubles do. */
-static inline int64_t lower_max(double *restrict q, const double *restrict r, Py_ssize_t w)
+ * pattern of the new q[j], or -1 for no entries, and, given a nan, sets
+ * *nan when a new q[j] is NaN. Squared distances are non-negative, and
+ * the bit patterns of non-negative doubles order as the doubles do; a NaN
+ * with its sign bit set has a negative pattern, so only the flag catches
+ * it. Inlined with nan NULL, the flag costs nothing. */
+static inline int64_t lower_max(double *restrict q, const double *restrict r, Py_ssize_t w,
+                                int64_t *nan)
 {
-    int64_t top = -1;
+    int64_t top = -1, bad = 0;
     for (Py_ssize_t j = 0; j < w; j++) {
         double t = r[j] < q[j] ? r[j] : q[j];
         int64_t bits = bits_of(t);
         q[j] = t;
         top = bits > top ? bits : top;
+        bad |= t != t;
     }
+    if (nan != NULL)
+        *nan |= bad;
     return top;
 }
 
@@ -242,22 +279,24 @@ static inline int64_t lower_max(double *restrict q, const double *restrict r, Py
  * coordinate-major d x n array xt, TILE points at a time: each tile's
  * squared distances ||x_i - y||^2 are formed in r (TILE doubles), sq[i] =
  * min(sq[i], ||x_i - y||^2), and the index of the largest sq, lowest on
- * ties, is returned. With a shape kind >= 0, shape(r) is then formed in
- * place while the tile is in L1 and added to *shape_sum in 8 partial sums
- * that run across the tiles. */
+ * ties, is returned, or -1 when a lowered sq is NaN. With a shape kind
+ * >= 0, shape(r) is then formed in place while the tile is in L1 and
+ * added to *shape_sum in 8 partial sums that run across the tiles. */
 static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d, const double *y,
                                     double *sq, int kind, double a, double b, double *shape_sum,
                                     double *r)
 {
     Py_ssize_t far = -1;
-    int64_t top = -1;
+    int64_t top = -1, nan = 0;
     double s[8] = {0.0};
     for (Py_ssize_t i0 = 0; i0 < n; i0 += TILE) {
         Py_ssize_t w = n - i0 < TILE ? n - i0 : TILE, j;
         double *q = sq + i0;
         int64_t mx;
         dist_row(r, y, xt + i0, w, n, d);
-        mx = lower_max(q, r, w);
+        /* The greedy fit checks its distances non-negative on entry, and
+         * the min of those and a distance is never NaN. */
+        mx = kind < 0 ? lower_max(q, r, w, &nan) : lower_max(q, r, w, NULL);
         if (mx > top) {  /* strict: a tie with an earlier tile keeps its index */
             top = mx;
             for (j = 0; bits_of(q[j]) != mx; j++)
@@ -274,7 +313,7 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
         }
     }
     *shape_sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-    return far;
+    return nan ? -1 : far;
 }
 
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
@@ -304,8 +343,8 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     far = scan_tiles(xt, n, d, y, sq, -1, 0.0, 0.0, &shape_sum, buf);
     Py_END_ALLOW_THREADS
     PyMem_Free(buf);
-    /* scan_tiles finds no farthest point among negative or NaN distances;
-     * sq has already been lowered */
+    /* scan_tiles finds no farthest point among negative distances, nor
+     * any when one is NaN; sq has already been lowered */
     if (far < 0 || !(sq[far] >= 0.0))
         PyErr_SetString(PyExc_ValueError, "the farthest sqdist entry is negative or NaN");
     release(&vs);
@@ -375,6 +414,39 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+static CLONED void solve_rows(const double *packed, double *x, Py_ssize_t m, int trans)
+{
+    if (trans)
+        back_rows(packed, x, m);
+    else
+        forward_rows(packed, x, m);
+}
+
+static PyObject *tri_solve(PyObject *self, PyObject *args)
+{
+    PyObject *lo, *xo;
+    int trans;
+    Views vs = {.count = 0};
+    if (!PyArg_ParseTuple(args, "OOi", &lo, &xo, &trans))
+        return NULL;
+    if (trans != 0 && trans != 1) {
+        PyErr_Format(PyExc_ValueError, "trans must be 0 or 1, got %d", trans);
+        return NULL;
+    }
+    double *x = borrow(&vs, xo, "x", 1, -1, 1);
+    Py_ssize_t m = x ? vs.view[0].shape[0] : 0;
+    const double *packed = x ? borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 0) : NULL;
+    if (packed == NULL) {
+        release(&vs);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    solve_rows(packed, x, m, trans);
+    Py_END_ALLOW_THREADS
+    release(&vs);
+    Py_RETURN_NONE;
+}
+
 /* One pivoted Cholesky step: the Gram row c * shape(||xi - x_t||^2) of
  * the candidate xi against the kept points x_t, coordinate-major in kt
  * with ld entries per coordinate, goes straight into the next packed row
@@ -390,10 +462,7 @@ static inline NO_CONTRACT double pivot_row(double *packed, Py_ssize_t kept, cons
     shape_row(w, kept, kind, a, b);
     for (Py_ssize_t t = 0; t < kept; t++)
         w[t] *= c;
-    for (Py_ssize_t t = 0; t < kept; t++) {
-        const double *row = packed + t * (t + 1) / 2;
-        w[t] = (w[t] - dot(row, w, t)) / row[t];
-    }
+    forward_rows(packed, w, kept);
     return c - dot(w, w, kept);
 }
 
@@ -612,6 +681,8 @@ static PyMethodDef methods[] = {
      "farthest_scan(coords, j, sqdist) -> farthest index"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
+    {"tri_solve", tri_solve, METH_VARARGS,
+     "tri_solve(packed, x, trans) -> None: x <- L^{-1} x (trans 0) or L^{-T} x (trans 1)"},
     {"factor_order", factor_order, METH_VARARGS,
      "factor_order(points, kind, a, b, c, threshold, start, packed, pivots) -> kept count"},
     {"greedy_fit", greedy_fit, METH_VARARGS,

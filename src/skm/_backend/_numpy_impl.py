@@ -3,12 +3,15 @@
 `farthest_scan` is a farthest-first step over the coordinate-major points
 that lowers one distance buffer in place. `kernel_sums` forms kernel sums
 against a 2-D coef in blocks of cdist, the shape and a matrix product.
-`factor_order` is pivoted Cholesky along the rows of a point array, with
-Gram rows from cdist blocks and one BLAS triangular solve per candidate.
+`tri_solve` is BLAS's packed triangular solve against the packed lower
+factor. `factor_order` is pivoted Cholesky along the rows of a point
+array, with Gram rows from cdist blocks and one `tri_solve` per candidate.
 `greedy_fit` is the greedy fit's loop: per step the scan with the shape
 sum, one `factor_order` row, v_m by a BLAS dot and the stop tests. Used
 when the compiled extension is unavailable. The signatures and the
-buffer checks match skm._backend._fastcore exactly.
+buffer checks match skm._backend._fastcore exactly. scipy is imported
+inside the functions that call it, so importing this module loads numpy
+alone.
 
 A profile is c * shape_kind(r) for a SHAPE_* kind below; the compiled
 backend numbers the kinds the same way, and `_apply_shape` is the one numpy
@@ -19,10 +22,8 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import blas
-from scipy.spatial.distance import cdist
 
-__all__ = ("farthest_scan", "kernel_sums", "factor_order", "greedy_fit")
+__all__ = ("farthest_scan", "kernel_sums", "tri_solve", "factor_order", "greedy_fit")
 
 # The rows of a greedy fit's record, in order.
 RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
@@ -121,10 +122,30 @@ def kernel_sums(xs, ys, coef, kind, a, b, c, out):
     _borrow(out, "out", 2, xs.shape[0], writable=True)
     if out.shape[1] != coef.shape[1]:
         raise ValueError("out must have one column per column of coef")
+    from scipy.spatial.distance import cdist
     rows = max(1, _BLOCK_ENTRIES // max(1, ys.shape[0]))
     for i in range(0, xs.shape[0], rows):
         block = cdist(xs[i:i + rows], ys, "sqeuclidean")
         np.matmul(_apply_shape((kind, a, b, c), block), coef, out=out[i:i + rows])
+
+
+def tri_solve(packed, x, trans):
+    """Solve against the packed lower factor L in place: x <- L^{-1} x, or L^{-T} x.
+
+    packed holds the m rows of L, row i at offset i(i+1)/2, and x (length
+    m) the right-hand side; trans is 0 for L, 1 for L'. Bad buffers or a
+    trans other than 0 or 1 raise TypeError or ValueError before x changes.
+    """
+    if trans not in (0, 1):
+        raise ValueError(f"trans must be 0 or 1, got {trans}")
+    _borrow(x, "x", 1, -1, writable=True)
+    m = x.shape[0]
+    _borrow(packed, "packed", 1, m * (m + 1) // 2)
+    if m:
+        from scipy.linalg import blas
+        # The packed rows of L are the packed columns of the upper factor
+        # L', so BLAS's trans is the opposite of ours.
+        x[:] = blas.dtpsv(m, packed, x, trans=1 - trans)
 
 
 def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
@@ -150,6 +171,7 @@ def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
         raise ValueError(f"start {start} out of range for m={m}")
     _borrow(packed, "packed", 1, m * (m + 1) // 2, writable=True)
     _borrow(pivots, "pivots", 1, m, writable=True)
+    from scipy.spatial.distance import cdist
     kept = list(range(start))
     row = start * (start + 1) // 2
     rows = max(1, _BLOCK_ENTRIES // max(1, m))
@@ -158,10 +180,8 @@ def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
         block = _apply_shape((kind, a, b, c), cdist(points[i0:i1], points[:i1], "sqeuclidean"))
         for i in range(i0, i1):
             k = len(kept)
-            # The packed rows of L are the packed columns of L', so trans=1
-            # solves L w = g.
-            g = block[i - i0, kept]
-            w = blas.dtpsv(k, packed[:row], g, trans=1) if k else g
+            w = block[i - i0, kept]
+            tri_solve(packed[:row], w, 0)
             pivots[i] = c - float(w @ w)
             if pivots[i] > threshold:
                 packed[row:row + k] = w

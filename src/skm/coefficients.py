@@ -22,19 +22,17 @@ every point, which gives kappa_new = c/n times that sum, and its
 factor step forms b from coordinates, solves for w and writes the new
 row of L as `_backend.factor_order` does. A fixed order of candidates is
 factored by one `factor_order` call on the whole order instead
-(`factor`); one block sum gives kappa of the kept points, and one more
-triangular solve gives v. The quantity E_m =
--alpha' kappa = -||v||^2 equals the squared approximation error minus
-the constant ||zbar||^2 and drives the stopping rule. It is kept as E_m =
-E_{m-1} - v_m^2, which never rises in floating point either. The weights
-alpha = L^{-T} v cost one more triangular solve when read, and K^{-1} is
-never formed.
+(`factor`); one block sum gives kappa of the kept points, and one
+`_backend.tri_solve` gives v. The quantity E_m = -alpha' kappa = -||v||^2
+equals the squared approximation error minus the constant ||zbar||^2 and
+drives the stopping rule. It is kept as E_m = E_{m-1} - v_m^2, which
+never rises in floating point either. The weights alpha = L^{-T} v cost
+one more `tri_solve` when read, and K^{-1} is never formed.
 """
 
 import time
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import _backend
 from ._backend._numpy_impl import RECORD_ROWS
@@ -52,11 +50,11 @@ class CholeskyWeights:
 
     Row i of the lower factor is stored at offset i(i+1)/2 of one flat
     buffer, so the leading m rows are a contiguous packed triangle that
-    BLAS solves against without a copy. The support indices and the
-    record buffers are allocated once, for `capacity` support points: one
-    array with a row per RECORD_ROWS entry, each point's pivot, kappa, v, E
-    and, in a greedy fit, the coverage radius and the seconds after its step.
-    The factor alone doubles as a greedy fit's support grows, up to the
+    `_backend.tri_solve` solves against without a copy. The support
+    indices and the record buffers are allocated once, for `capacity`
+    support points: one array with a row per RECORD_ROWS entry, each
+    point's pivot, kappa, v, E and, in a greedy fit, the coverage radius
+    and the seconds after its step. The factor alone doubles as a greedy fit's support grows, up to the
     capacity, so its memory is O(m^2) for m support points whatever the
     budget.
     """
@@ -98,11 +96,9 @@ class CholeskyWeights:
     def alpha(self) -> np.ndarray:
         """Weights K^{-1} kappa = L^{-T} v, by one triangular solve."""
         m = self.m
-        if m == 0:
-            return np.empty(0)
-        # The packed rows of L are the packed columns of the upper factor
-        # L', so trans=0 solves L' alpha = v (and trans=1 solves L w = b).
-        return blas.dtpsv(m, self._packed[:m * (m + 1) // 2], self._v[:m], trans=0)
+        alpha = self._v[:m].copy()
+        _backend.tri_solve(self._packed[:m * (m + 1) // 2], alpha, 1)
+        return alpha
 
     def greedy(self, scan, first: int, epsilon: float, start: float):
         """Grow an empty state along the farthest-first order from point `first`.
@@ -160,8 +156,8 @@ class CholeskyWeights:
         self._pivots[:k] = self._pivots[kept]
         self._indices[:k] = order[kept]
         self._kappa[:k] = block_sums(self.params, support[:k], self.points, np.full(n, 1.0 / n))
-        if k:
-            self._v[:k] = blas.dtpsv(k, self._packed[:k * (k + 1) // 2], self._kappa[:k], trans=1)
+        self._v[:k] = self._kappa[:k]
+        _backend.tri_solve(self._packed[:k * (k + 1) // 2], self._v[:k], 0)
         # E_m = E_{m-1} - v_m^2, summed in the same order as the greedy steps.
         self._e[:k] = -np.cumsum(self._v[:k] * self._v[:k])
         self.m = k

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import _backend
 from ._backend._numpy_impl import SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
@@ -261,6 +260,7 @@ def bandwidth_jaakkola(data, subsample_cap: int = 2000, seed: int = 0) -> float:
         idx = np.random.default_rng(seed).choice(n, subsample_cap, replace=False)
         idx.sort()
         pts = pts[idx]
+    from scipy.spatial.distance import pdist
     bw = float(np.median(pdist(pts)))
     if bw <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero")

@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
 
 from ._backend._numpy_impl import _BLOCK_ENTRIES
 from .kcenter import FarthestFirst
@@ -149,6 +147,7 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
         raise ValueError("no points to cluster")
     if not np.isfinite(pts).all():
         raise ValueError("cannot cluster non-finite positions (NaN or inf)")
+    from scipy.spatial.distance import cdist
     leaders, cell, rho = _cover(pts, merge_dist)
     n_cells = leaders.shape[0]
     # A cell of diameter at most 2 rho < merge_dist is a clique, so one node;
@@ -217,7 +216,8 @@ def _join(labels, heads, tails):
     """Relabel by the connected components of the edges heads[k] - tails[k]."""
     if not any(h.shape[0] for h in heads):
         return labels
-    # Only clustering needs csgraph, and importing it adds about 3 MB of RSS.
+    # Only clustering needs scipy.sparse, and importing it adds about 3 MB of RSS.
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     heads, tails = np.concatenate(heads), np.concatenate(tails)
     n_nodes = int(labels.max()) + 1

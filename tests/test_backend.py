@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -46,13 +47,13 @@ def test_backend_name_is_reported():
 
 
 def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
-    # A stand-in for an extension built from an older _fastcore.c, with the
-    # first three primitives only.
+    # A stand-in for an extension built from an older _fastcore.c, with
+    # three of the primitives only.
     stale = types.ModuleType("_fastcore")
     stale.__file__ = "_fastcore.so"
     for name in ("farthest_scan", "kernel_sums", "factor_order"):
         setattr(stale, name, getattr(_numpy_impl, name))
-    with pytest.raises(ImportError, match=r"_fastcore.so lacks greedy_fit: .*"
+    with pytest.raises(ImportError, match=r"_fastcore.so lacks tri_solve, greedy_fit: .*"
                                           r"`python setup.py build_ext --inplace`"):
         _backend._complete(stale)
     assert _backend._complete(_numpy_impl) is _numpy_impl
@@ -64,7 +65,7 @@ def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
     proc = subprocess.run([sys.executable, "-c", "import skm"], cwd=tmp_path,
                           env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "ImportError" in proc.stderr and "lacks greedy_fit" in proc.stderr
+    assert "ImportError" in proc.stderr and "lacks tri_solve, greedy_fit" in proc.stderr
 
 
 def test_farthest_scan_backends_agree(fastcore):
@@ -179,6 +180,13 @@ def test_farthest_scan_rejects_bad_buffers(impl):
         with pytest.raises(ValueError, match="the farthest sqdist entry is negative or NaN"):
             impl.farthest_scan(coords, 2, sq)
         assert_array_equal(sq, np.full(4, value))
+    # A NaN raises whatever its sign: with the sign bit set, its int64
+    # pattern orders below every distance, the larger ones here included.
+    sq = np.array([-np.nan, 5.0, 5.0])
+    assert np.signbit(sq[0])
+    with pytest.raises(ValueError, match="the farthest sqdist entry is negative or NaN"):
+        impl.farthest_scan(np.array([[0.0, 1.0, 2.0]]), 0, sq)
+    assert_array_equal(sq, [np.nan, 1.0, 4.0])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -506,6 +514,54 @@ def test_factor_order_rejects_bad_buffers(impl):
     assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots) == 4
 
 
+def _packed_factor(rng, m):
+    """The packed rows of a random, well-conditioned lower Cholesky factor of size m."""
+    a = rng.normal(size=(m, m))
+    lower = np.linalg.cholesky(a @ a.T / m + np.eye(m))
+    return lower[np.tril_indices(m)]
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("m", [0, 1, 2, 9, 17, 200])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_tri_solve_matches_a_dense_solve(impl, m, trans):
+    # trans 0 solves L x = b, trans 1 solves L' x = b, in place in x; the
+    # sizes span the dot's 8 partial sums and its remainder.
+    rng = np.random.default_rng(m)
+    packed, b = _packed_factor(rng, m), rng.normal(size=m)
+    x = b.copy()
+    assert impl.tri_solve(packed, x, trans) is None
+    expected = scipy.linalg.solve_triangular(_lower(packed), b, trans=trans, lower=True)
+    assert_allclose(x, expected, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_tri_solve_rejects_bad_buffers_before_writing(impl):
+    packed = _packed_factor(np.random.default_rng(1), 4)
+    readonly = np.full(4, -1.0)
+    readonly.setflags(write=False)
+    cases = [
+        (ValueError, "trans must be 0 or 1", {"trans": 2}),
+        (ValueError, "trans must be 0 or 1", {"trans": -1}),
+        (ValueError, "packed has the wrong length", {"packed": packed[:9]}),
+        (ValueError, "packed has the wrong length", {"x": np.full(3, -1.0)}),
+        (TypeError, "packed must be a float64 array", {"packed": packed.astype(np.float32)}),
+        (TypeError, "x must be a float64 array", {"x": np.full(4, -1.0, np.float32)}),
+        (TypeError, "x must be a float64 array", {"x": [-1.0] * 4}),
+        (ValueError, "packed must be a C-contiguous 1-D", {"packed": np.repeat(packed, 2)[::2]}),
+        (ValueError, "x must be a C-contiguous 1-D", {"x": np.full((4, 2), -1.0)[:, 0]}),
+        (ValueError, "x must be a C-contiguous 1-D", {"x": np.full((2, 2), -1.0)}),
+        (ValueError, "x must be writable", {"x": readonly}),
+    ]
+    for error, message, bad in cases:
+        args = {"packed": packed, "x": np.full(4, -1.0), "trans": 0} | bad
+        with pytest.raises(error, match=message):
+            impl.tri_solve(args["packed"], args["x"], args["trans"])
+        x = np.asarray(args["x"])
+        sentinel = x.base if x.base is not None else x
+        assert np.all(sentinel == -1.0), message
+
+
 def _greedy(impl, points, params, epsilon, first, capacity, rows=None):
     """greedy_fit from point `first` until it stops at a test other than "full".
 
@@ -549,6 +605,19 @@ def test_greedy_fit_resumes_across_doublings_bit_identically(impl, params, epsil
         assert_array_equal(now, then)
     assert_array_equal(resumed[7][:5], whole[7][:5])
     assert np.all(resumed[7][5] >= 0.0)  # each call's seconds count from its `elapsed`, 0
+
+
+@pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
+def test_compiled_forward_solve_is_the_greedy_fits_v(fastcore, params):
+    # greedy_fit's v_m = (kappa_m - w'v) / L_mm is the last row of the
+    # forward solve L v = kappa, with the same dot, so solving afresh on
+    # the packed factor and the recorded kappa gives its v bit for bit.
+    points = random_case(np.random.default_rng(15), n=1000, d=3)
+    m, _, _, _, _, _, packed, record = _greedy(fastcore, points, params, 0.0, 0, 70, rows=16)
+    assert m == 70
+    v = record[1].copy()
+    fastcore.tri_solve(packed, v, 0)
+    assert_array_equal(v, record[2])
 
 
 def test_greedy_fit_resumes_at_a_dependent_stop(fastcore):
@@ -849,3 +918,65 @@ def test_incoherence_rejects_indices_outside_the_data(impl, j, monkeypatch):
     data = DataSet(np.array([[0.0], [1.0], [3.0]]))
     with pytest.raises(ValueError, match=r"support indices must lie in \[0, 3\)"):
         incoherence(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0), [0, j])
+
+
+# Put the compiled backend built from the source tree where `import skm`
+# looks for it, or make that import fail so that skm falls back to numpy.
+_WITH_COMPILED = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("skm._backend._fastcore", {path!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+sys.modules[spec.name] = module
+"""
+_WITHOUT_COMPILED = """
+import sys
+sys.modules["skm._backend._fastcore"] = None
+"""
+_LOADS_NO_SCIPY = """
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def _run_without_scipy(fastcore, backend, script):
+    """Run script after `import skm, skm.cli` on the named backend, in a
+    fresh interpreter, and assert that no scipy module was loaded."""
+    setup = (_WITH_COMPILED.format(path=fastcore.__file__) if backend == "compiled"
+             else _WITHOUT_COMPILED)
+    script = (setup + "import skm, skm.cli\n"
+              f"assert skm.BACKEND == {backend!r}, skm.BACKEND\n" + script + _LOADS_NO_SCIPY)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_import_loads_no_scipy(fastcore, backend):
+    _run_without_scipy(fastcore, backend, "")
+
+
+def test_compiled_fits_and_commands_load_no_scipy(fastcore, tmp_path):
+    # The fit, its weights, evaluation, model files, selection and
+    # incoherence, and the CLI's fit, eval, select and audit, run on the
+    # compiled backend with numpy alone; the numpy backend's kernel sums
+    # and triangular solves, bandwidth_jaakkola and cluster_modes import
+    # scipy when they are called.
+    np.savetxt(tmp_path / "x.csv", np.random.default_rng(4).normal(size=(400, 2)), delimiter=",")
+    x, model = str(tmp_path / "x.csv"), str(tmp_path / "model.json")
+    _run_without_scipy(fastcore, "compiled", f"""
+import numpy as np
+data = skm.DataSet(np.random.default_rng(3).normal(size=(500, 2)))
+spec = skm.parse_kernel_spec("gaussian:sigma=0.7", 2)
+mean = skm.fit(data, spec, k_max=40)
+skm.save_model(mean, {model!r})
+values = skm.evaluate(skm.load_model({model!r}), data.points[:50])
+assert np.all(np.isfinite(values)) and mean.alpha.shape == (mean.k0,)
+skm.fit_with_support(data, spec, mean.support_indices)
+assert skm.kcenter_greedy(data, 20, first=0).order.shape == (20,)
+assert 0.0 < skm.incoherence(data, spec, mean.support_indices)
+for argv in (["fit", "--input", {x!r}, "--kernel", "gaussian:sigma=1", "--out", {model!r}],
+             ["eval", "--model", {model!r}, "--queries", {x!r}, "--out", "-"],
+             ["select", "--input", {x!r}, "--k", "30", "--out", "-"],
+             ["audit", "--input", {x!r}, "--kernel", "gaussian:sigma=1", "--out", "-"]):
+    assert skm.cli.main(argv) == 0, argv
+""")

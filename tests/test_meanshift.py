@@ -386,7 +386,9 @@ def cdist_entries(monkeypatch):
         entries.append(len(xa) * len(xb))
         return cdist(xa, xb, *args, **kwargs)
 
-    monkeypatch.setattr(meanshift, "cdist", spy)
+    # cluster_modes imports cdist when it is called, so the spy replaces it
+    # in scipy's module.
+    monkeypatch.setattr("scipy.spatial.distance.cdist", spy)
     return entries
 
 

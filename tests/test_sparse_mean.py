@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import gram_matrix, kernel_eval, progress_ratio
 from scipy.integrate import quad
-from scipy.linalg import blas
 
+from skm import _backend
 from skm.coefficients import CholeskyWeights
 from skm.dataio import DataSet
 from skm.kcenter import FarthestFirst, kcenter_greedy
@@ -365,8 +365,6 @@ def test_ratio_trace_is_progress_ratio_at_every_greedy_step(sigma, epsilon):
 
 def _count_backend_calls(monkeypatch):
     """Count the calls of every primitive the backend exports."""
-    from skm import _backend
-
     calls = {name: 0 for name, value in vars(_backend).items()
              if callable(value) and not name.startswith("_")}
     for name in calls:
@@ -380,7 +378,6 @@ def _count_backend_calls(monkeypatch):
 def _count_numpy_steps(monkeypatch):
     """Run greedy fits on the numpy backend and count the scans and factor
     steps inside its greedy_fit."""
-    from skm import _backend
     from skm._backend import _numpy_impl
 
     steps = {"scans": 0, "factor_steps": 0}
@@ -396,14 +393,16 @@ def _count_numpy_steps(monkeypatch):
 def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     # Each accepted step is one scan and one factor step, a factor_order
     # step on the support and the new point, inside greedy_fit, which the
-    # fit calls once per doubling of the factor: 16, 32, then 60 rows.
+    # fit calls once per doubling of the factor: 16, 32, then 60 rows. The
+    # weights cost one triangular solve.
     steps = _count_numpy_steps(monkeypatch)
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
     assert steps == {"scans": 60, "factor_steps": 60}
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "factor_order": 0, "greedy_fit": 3}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
+                     "greedy_fit": 3}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
@@ -419,21 +418,24 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     tried = mean.k0 + 1
     assert steps == {"scans": tried, "factor_steps": tried}
     assert 16 < tried <= 32  # so the factor doubled once
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "factor_order": 0, "greedy_fit": 2}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
+                     "greedy_fit": 2}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
     # Their kappa is one kernel sum over the order, not a scan per point,
     # and their factor is one backend call, not one greedy step per point.
     # Each fit makes one kernel sum, the kappa of the kept points against
-    # the 400 points, and forms no Gram block.
+    # the 400 points, and forms no Gram block, and two triangular solves:
+    # v = L^{-1} kappa and the weights.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "factor_order": 2, "greedy_fit": 0}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "tri_solve": 4, "factor_order": 2,
+                     "greedy_fit": 0}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
@@ -458,9 +460,11 @@ def test_weights_match_dense_solve_at_every_step():
     state.greedy(FarthestFirst(data.points), 0, 0.0, time.perf_counter())
     assert_array_equal(state.indices, order)
     assert_array_equal(fit(data, spec, k_max=300, epsilon=0.0, first=0).support_indices, order)
-    history = [(state.e_trace[m - 1],
-                blas.dtpsv(m, state._packed[:m * (m + 1) // 2], state._v[:m], trans=0))
-               for m in range(1, 301)]
+    history = []
+    for m in range(1, 301):
+        alpha = state._v[:m].copy()
+        _backend.tri_solve(state._packed[:m * (m + 1) // 2], alpha, 1)
+        history.append((state.e_trace[m - 1], alpha))
     assert_array_equal(history[-1][1], state.alpha)
     support = data.points[order]
     gram = gram_matrix(spec, support)
