@@ -35,7 +35,7 @@ primitive raises ImportError.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on
-the compiled backend a fit, its evaluation and selection load none.
+the compiled backend no function of the package loads any.
 """
 
 from . import _numpy_impl

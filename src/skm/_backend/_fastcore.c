@@ -255,16 +255,18 @@ static inline int64_t bits_of(double x)
 
 /* q[j] = min(q[j], r[j]) over w entries; returns the largest int64 bit
  * pattern of the new q[j], or -1 for no entries, and, given a nan, sets
- * *nan when a new q[j] is NaN. Squared distances are non-negative, and
- * the bit patterns of non-negative doubles order as the doubles do; a NaN
- * with its sign bit set has a negative pattern, so only the flag catches
- * it. Inlined with nan NULL, the flag costs nothing. */
+ * *nan when a new q[j] is NaN. Given a nan, a NaN of either q[j] or r[j]
+ * becomes the new q[j], as numpy's minimum propagates it. Squared
+ * distances are non-negative, and the bit patterns of non-negative doubles
+ * order as the doubles do; a NaN with its sign bit set has a negative
+ * pattern, so only the flag catches it. Inlined with nan NULL, the flag
+ * and the NaN test cost nothing. */
 static inline int64_t lower_max(double *restrict q, const double *restrict r, Py_ssize_t w,
                                 int64_t *nan)
 {
     int64_t top = -1, bad = 0;
     for (Py_ssize_t j = 0; j < w; j++) {
-        double t = r[j] < q[j] ? r[j] : q[j];
+        double t = r[j] < q[j] || (nan != NULL && r[j] != r[j]) ? r[j] : q[j];
         int64_t bits = bits_of(t);
         q[j] = t;
         top = bits > top ? bits : top;

@@ -15,7 +15,9 @@ alone.
 
 A profile is c * shape_kind(r) for a SHAPE_* kind below; the compiled
 backend numbers the kinds the same way, and `_apply_shape` is the one numpy
-shape function, which skm.kernels uses too.
+shape function, which skm.kernels uses too. `_distances`, Euclidean
+distances bit-identical to cdist's with numpy alone, serves mode
+clustering and `bandwidth_jaakkola` on either backend.
 """
 
 import math
@@ -32,6 +34,33 @@ RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
 # memory of a numpy kernel sum or of mode clustering stays flat whatever
 # the size.
 _BLOCK_ENTRIES = 2**18
+
+
+def _distances(xa, xb):
+    """Euclidean distances between the rows of xa and the rows of xb.
+
+    The squared differences are summed over the columns k = 0..d-1 in
+    order and the square root taken, as scipy's cdist does, so the two
+    agree bit for bit. The result is formed in row chunks of about 2^15
+    entries, each chunk's sum and column term in place in two buffers
+    that stay in cache; no broadcast temporary is formed.
+    """
+    out = np.zeros((xa.shape[0], xb.shape[0]))
+    rows = max(1, 2**15 // max(1, xb.shape[0]))
+    term = np.empty((min(rows, xa.shape[0]), xb.shape[0]))
+    xbt = np.ascontiguousarray(xb.T)
+    for i in range(0, xa.shape[0], rows):
+        acc = out[i:i + rows]
+        t = term[:acc.shape[0]]
+        for k in range(xa.shape[1]):
+            buf = t if k else acc
+            np.subtract(xa[i:i + rows, k, None], xbt[k], out=buf)
+            np.multiply(buf, buf, out=buf)
+            if k:
+                acc += t
+        np.sqrt(acc, out=acc)
+    return out
+
 
 SHAPE_SQEXP = 0  # c * exp(-a * r^2)
 SHAPE_EXP = 1    # c * exp(-a * r)

@@ -21,7 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _backend
-from ._backend._numpy_impl import SHAPE_EXP, SHAPE_POWER, SHAPE_SQEXP, _apply_shape
+from ._backend._numpy_impl import (
+    _BLOCK_ENTRIES,
+    SHAPE_EXP,
+    SHAPE_POWER,
+    SHAPE_SQEXP,
+    _apply_shape,
+    _distances,
+)
 from .errors import DegenerateDataError, KernelSpecError
 
 FAMILIES = ("gaussian", "laplacian", "student")
@@ -249,7 +256,11 @@ def bandwidth_iqr(data) -> float:
 
 
 def bandwidth_jaakkola(data, subsample_cap: int = 2000, seed: int = 0) -> float:
-    """Median pairwise Euclidean distance over a seeded subsample."""
+    """Median pairwise Euclidean distance over a seeded subsample.
+
+    The distances of the pairs i < j, bit for bit scipy's pdist, are
+    formed in row blocks of at most 2^18 entries.
+    """
     pts = _points(data)
     n = pts.shape[0]
     if n < 2:
@@ -260,8 +271,16 @@ def bandwidth_jaakkola(data, subsample_cap: int = 2000, seed: int = 0) -> float:
         idx = np.random.default_rng(seed).choice(n, subsample_cap, replace=False)
         idx.sort()
         pts = pts[idx]
-    from scipy.spatial.distance import pdist
-    bw = float(np.median(pdist(pts)))
+        n = subsample_cap
+    pairs = np.empty(n * (n - 1) // 2)
+    rows, at = max(1, _BLOCK_ENTRIES // n), 0
+    for i in range(0, n - 1, rows):
+        # Column c of row r holds the pair (i + r, i + 1 + c): it counts when c >= r.
+        block = _distances(pts[i:i + rows], pts[i + 1:])
+        upper = block[np.arange(block.shape[0])[:, None] <= np.arange(block.shape[1])]
+        pairs[at:at + upper.shape[0]] = upper
+        at += upper.shape[0]
+    bw = float(np.median(pairs))
     if bw <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero")
     return bw

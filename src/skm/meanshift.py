@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend._numpy_impl import _BLOCK_ENTRIES
+from ._backend._numpy_impl import _BLOCK_ENTRIES, _distances
 from .kcenter import FarthestFirst
 from .kernels import block_sums, eval_params
 from .sparse_mean import SparseKernelMean
 
 # Relative slack of the cover's triangle-inequality tests. It absorbs the
-# rounding gap between the scan's squared distances and cdist's.
+# rounding gap between the scan's squared distances and the Euclidean
+# distances of the comparisons.
 _MARGIN = 1e-12
 
 
@@ -147,7 +148,6 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
         raise ValueError("no points to cluster")
     if not np.isfinite(pts).all():
         raise ValueError("cannot cluster non-finite positions (NaN or inf)")
-    from scipy.spatial.distance import cdist
     leaders, cell, rho = _cover(pts, merge_dist)
     n_cells = leaders.shape[0]
     # A cell of diameter at most 2 rho < merge_dist is a clique, so one node;
@@ -155,7 +155,7 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
     clique = 2.0 * rho <= merge_dist * (1.0 - _MARGIN)
     labels = np.where(clique[cell], cell, n_cells + np.arange(n))
     # Cells a and b can hold a close pair only if d(l_a, l_b) <= rho_a + rho_b + r.
-    reach = np.triu(cdist(pts[leaders], pts[leaders])
+    reach = np.triu(_distances(pts[leaders], pts[leaders])
                     <= (rho[:, None] + rho + merge_dist) * (1.0 + _MARGIN), 1)
     np.fill_diagonal(reach, ~clique)
     order = np.argsort(cell, kind="stable")
@@ -168,7 +168,7 @@ def cluster_modes(shift_result, merge_dist: float) -> Clustering:
         step = max(1, _BLOCK_ENTRIES // cols.shape[0])
         for start in range(0, members[a].shape[0], step):
             rows = members[a][start:start + step]
-            i, j = np.nonzero(cdist(pts[rows], col_pts) <= merge_dist)
+            i, j = np.nonzero(_distances(pts[rows], col_pts) <= merge_dist)
             head, tail = labels[rows[i]], col_labels[j]
             join = head != tail
             heads.append(head[join])
@@ -213,17 +213,27 @@ def _cover(pts, merge_dist):
 
 
 def _join(labels, heads, tails):
-    """Relabel by the connected components of the edges heads[k] - tails[k]."""
+    """Relabel by the connected components of the edges heads[k] - tails[k].
+
+    Each component takes its smallest node id. A round hooks the larger
+    root of each edge that still joins two roots to the smallest root it
+    meets there, then jumps pointers (root = root[root]) until every node
+    points at a root; rounds repeat until no edge joins two roots.
+    """
     if not any(h.shape[0] for h in heads):
         return labels
-    # Only clustering needs scipy.sparse, and importing it adds about 3 MB of RSS.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
     heads, tails = np.concatenate(heads), np.concatenate(tails)
-    n_nodes = int(labels.max()) + 1
-    # Bool edges: csr sums duplicate pairs, and bool sums cannot wrap to 0.
-    graph = csr_matrix((np.ones(heads.shape[0], bool), (heads, tails)), shape=(n_nodes, n_nodes))
-    return connected_components(graph, directed=False)[1][labels]
+    root = np.arange(int(labels.max()) + 1)
+    while True:
+        a, b = root[heads], root[tails]
+        join = a != b
+        if not join.any():
+            return root[labels]
+        heads, tails, a, b = heads[join], tails[join], a[join], b[join]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def _shifted_array(obj) -> np.ndarray:

@@ -106,6 +106,13 @@ def test_farthest_scan_semantics(impl):
         with pytest.raises(ValueError, match=f"index {j} out of range for n=5"):
             impl.farthest_scan(coords, j, sq)
     assert_array_equal(sq, [0.0, 0.0, 0.0, 0.0, 0.0])
+    # A NaN distance (inf - inf) lowers its entry to NaN, as np.minimum
+    # does, and raises once sqdist has been lowered.
+    sq = np.full(3, np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="the farthest sqdist entry is negative or NaN"):
+        impl.farthest_scan(np.array([[np.inf, 0.0, 1.0]]), 0, sq)
+    assert_array_equal(sq, [np.nan, np.inf, np.inf])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -956,13 +963,16 @@ def test_import_loads_no_scipy(fastcore, backend):
 
 
 def test_compiled_fits_and_commands_load_no_scipy(fastcore, tmp_path):
-    # The fit, its weights, evaluation, model files, selection and
-    # incoherence, and the CLI's fit, eval, select and audit, run on the
-    # compiled backend with numpy alone; the numpy backend's kernel sums
-    # and triangular solves, bandwidth_jaakkola and cluster_modes import
-    # scipy when they are called.
-    np.savetxt(tmp_path / "x.csv", np.random.default_rng(4).normal(size=(400, 2)), delimiter=",")
-    x, model = str(tmp_path / "x.csv"), str(tmp_path / "model.json")
+    # On the compiled backend the fit, its weights, evaluation, model
+    # files, selection and incoherence, mean shift, mode clustering and
+    # bandwidth_jaakkola, and every CLI command below, run on numpy alone;
+    # only the numpy backend's kernel sums and triangular solves import
+    # scipy, when they are called.
+    rng = np.random.default_rng(4)
+    for name, offset in (("x", 0.0), ("y", 2.0)):
+        np.savetxt(tmp_path / f"{name}.csv", rng.normal(size=(400, 2)) + offset, delimiter=",")
+    x, y, model = (str(tmp_path / name) for name in ("x.csv", "y.csv", "model.json"))
+    labels = str(tmp_path / "labels.csv")
     _run_without_scipy(fastcore, "compiled", f"""
 import numpy as np
 data = skm.DataSet(np.random.default_rng(3).normal(size=(500, 2)))
@@ -974,9 +984,19 @@ assert np.all(np.isfinite(values)) and mean.alpha.shape == (mean.k0,)
 skm.fit_with_support(data, spec, mean.support_indices)
 assert skm.kcenter_greedy(data, 20, first=0).order.shape == (20,)
 assert 0.0 < skm.incoherence(data, spec, mean.support_indices)
+density = skm.parse_kernel_spec("gaussian:sigma=0.7:density", 2)
+shifted = skm.mean_shift_all(data, skm.fit(data, density, density_mode=True), 1e-3)
+assert skm.cluster_modes(shifted, 0.7).n_clusters >= 1
+assert skm.bandwidth_jaakkola(data) > 0.0
 for argv in (["fit", "--input", {x!r}, "--kernel", "gaussian:sigma=1", "--out", {model!r}],
              ["eval", "--model", {model!r}, "--queries", {x!r}, "--out", "-"],
              ["select", "--input", {x!r}, "--k", "30", "--out", "-"],
-             ["audit", "--input", {x!r}, "--kernel", "gaussian:sigma=1", "--out", "-"]):
+             ["audit", "--input", {x!r}, "--kernel", "gaussian:sigma=1", "--out", "-"],
+             ["meanshift", "--input", {x!r}, "--sigma", "0.8", "--out-labels", {labels!r}],
+             ["meanshift", "--input", {x!r}, "--sigma", "0.8", "--sparse",
+              "--out-labels", {labels!r}],
+             ["embed", {x!r}, {y!r}, "--kernel", "gaussian:sigma=1", "--sparse", "--out", "-"],
+             ["cpe", "--train", {x!r}, {y!r}, "--test", {x!r}, "--sparse",
+              "--sigma-search", "0.5,2", "--search-iters", "4", "--out", "-"]):
     assert skm.cli.main(argv) == 0, argv
 """)

@@ -146,6 +146,36 @@ def test_estimate_singular_system_names_colliding_pair():
         estimate_proportions(train, test, GAUSS_2D)
 
 
+def nearly_coincident_means(delta):
+    """Class means of 30 points, the same points moved by delta along the
+    first axis, and those moved by 5, with the class-0/2 mixture's test mean
+    and the condition number of the proportion system."""
+    pts = np.random.default_rng(7).normal(size=(30, 2))
+    means = [full_mean(DataSet(p), GAUSS_2D) for p in (pts, pts + [delta, 0.0], pts + 5.0)]
+    test = full_mean(DataSet(np.vstack([pts, pts + 5.0])), GAUSS_2D)
+    gram = np.array([[mean_inner(a, b) for b in means] for a in means])
+    system = gram[:2, :2] - gram[:2, 2][:, None] - gram[2, :2][None, :] + gram[2, 2]
+    s = np.linalg.svd(system, compute_uv=False)
+    return means, test, s[-1] / s[0]
+
+
+def test_estimate_solves_a_system_conditioned_above_the_tolerance():
+    # Classes 0 and 1 are 1e-3 apart: rcond about 5e-8 lies between 1e-12
+    # and 1e-6, so the system is solved, and the mixture's weight goes to
+    # class 0 and class 2.
+    means, test, rcond = nearly_coincident_means(1e-3)
+    assert 1e-12 < rcond < 1e-6
+    estimate = estimate_from_means(means, test)
+    assert l1_error([0.5, 0.0, 0.5], estimate.pi_hat) < 1e-6
+
+
+def test_estimate_refuses_a_system_conditioned_below_the_tolerance():
+    means, test, rcond = nearly_coincident_means(1e-6)
+    assert rcond < 1e-12
+    with pytest.raises(SkmError, match="training classes 0 and 1"):
+        estimate_from_means(means, test)
+
+
 def test_estimate_needs_two_classes():
     rng = np.random.default_rng(8)
     train = class_samples(rng, [(0.0, 0.0)], 10)

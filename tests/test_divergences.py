@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from oracles import kernel_matrix
 
+from skm import divergences
 from skm.dataio import DataSet
 from skm.divergences import (
     distance_matrix,
@@ -15,7 +16,7 @@ from skm.divergences import (
     symmetrized_kl,
 )
 from skm.kernels import RadialKernelSpec
-from skm.sparse_mean import evaluate, fit, full_mean
+from skm.sparse_mean import evaluate, fit, full_mean, mean_gram_inner
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
 DENS_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0,
@@ -313,3 +314,28 @@ def test_pairwise_matrix_reports_support_sizes():
                                         epsilon=1e-8)
     dm = pairwise_matrix(means, "rkhs", eval_sets, labels=["a", "b"])
     assert dm.support_sizes == tuple(m.k0 for m in means)
+
+
+def test_pairwise_matrix_forms_each_norm_once(monkeypatch):
+    # 8 means: 8 squared norms and 28 cross products, not 3 sums per pair,
+    # and every entry is rkhs_distance's, bit for bit.
+    rng = np.random.default_rng(14)
+    samples = [DataSet(rng.normal(size=(60, 2)) + [0.3 * i, 0.0], name=f"s{i}")
+               for i in range(8)]
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    means, _ = fit_sample_means(samples, spec, "rkhs", sparse=True, epsilon=1e-8)
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return mean_gram_inner(a, b)
+
+    monkeypatch.setattr(divergences, "mean_gram_inner", counting)
+    matrix = pairwise_matrix(means, "rkhs").matrix
+    assert len(calls) == 8 + 28
+    monkeypatch.undo()
+    expected = np.zeros((8, 8))
+    for i in range(8):
+        for j in range(i + 1, 8):
+            expected[i, j] = expected[j, i] = rkhs_distance(means[i], means[j])
+    assert_array_equal(matrix, expected)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from oracles import gram_inner, gram_matrix, kernel_eval, kernel_matrix
 from scipy.integrate import dblquad, quad
+from scipy.spatial.distance import pdist
 
 from skm.dataio import DataSet
 from skm.errors import DegenerateDataError, KernelSpecError
@@ -275,6 +276,22 @@ def test_bandwidth_jaakkola_subsample_deterministic():
     assert a == b
     full = bandwidth_jaakkola(data)
     assert abs(a - full) / full < 0.25  # subsample stays in the right ballpark
+
+
+@pytest.mark.parametrize("n, d, cap, scale, offset", [
+    (2, 1, 2000, 1.0, 0.0),
+    (57, 3, 2000, 1e-3, 5.0),
+    (600, 5, 2000, 1e6, -3e6),  # two row blocks of 436 rows
+    (1200, 2, 900, 1.0, 40.0),  # a subsample of 900 in four row blocks
+])
+def test_bandwidth_jaakkola_is_the_median_of_pdist(n, d, cap, scale, offset):
+    pts = offset + scale * np.random.default_rng(n).normal(size=(n, d))
+    expected = pts
+    if n > cap:
+        idx = np.random.default_rng(9).choice(n, cap, replace=False)
+        expected = pts[np.sort(idx)]
+    got = bandwidth_jaakkola(DataSet(pts), subsample_cap=cap, seed=9)
+    assert got == float(np.median(pdist(expected)))
 
 
 # ---------------------------------------------------------------- spec grammar

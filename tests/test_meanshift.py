@@ -262,6 +262,22 @@ def test_batched_shift_matches_per_point_loop(data):
 
 # ---------------------------------------------------------------- cluster_modes
 
+@pytest.mark.parametrize("na, nb, d", [
+    (1, 1, 1), (7, 5, 3), (300, 200, 2),  # two row chunks of 163 and 137 rows
+    (2, 40000, 4),                        # one row per chunk
+    (70000, 1, 1),                        # three chunks of up to 32768 rows
+    (5, 6, 0),
+])
+def test_distances_are_cdist_bit_for_bit(na, nb, d):
+    # The coordinates are summed in the order cdist sums them, at any scale
+    # and far from the origin.
+    rng = np.random.default_rng(na + nb + d)
+    for scale in (1e-3, 1.0, 1e6):
+        offset = scale * rng.normal(size=d) * 10.0
+        xa, xb = (offset + scale * rng.normal(size=(m, d)) for m in (na, nb))
+        assert_array_equal(meanshift._distances(xa, xb), cdist(xa, xb))
+
+
 def union_find_oracle(points, merge_dist):
     """Single linkage by a union-find over every pair within merge_dist."""
     n = points.shape[0]
@@ -381,14 +397,13 @@ def test_cluster_modes_memory_is_flat_on_collapsed_points():
 def cdist_entries(monkeypatch):
     """A list that collects rows x cols of every distance block clustering forms."""
     entries = []
+    distances = meanshift._distances
 
-    def spy(xa, xb, *args, **kwargs):
+    def spy(xa, xb):
         entries.append(len(xa) * len(xb))
-        return cdist(xa, xb, *args, **kwargs)
+        return distances(xa, xb)
 
-    # cluster_modes imports cdist when it is called, so the spy replaces it
-    # in scipy's module.
-    monkeypatch.setattr("scipy.spatial.distance.cdist", spy)
+    monkeypatch.setattr(meanshift, "_distances", spy)
     return entries
 
 
