@@ -10,7 +10,6 @@ usage error, 2 data or numeric error.
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -29,7 +28,6 @@ from .meanshift import (
     mean_shift_all,
 )
 from .sparse_mean import (
-    bound_value,
     evaluate,
     fit,
     full_mean,
@@ -63,6 +61,21 @@ def _write_csv(path, header, rows):
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_columns(path, columns):
+    """Write a dict of equal-length 1-D arrays as CSV, one column per key."""
+    _write_csv(path, list(columns), zip(*(v.tolist() for v in columns.values())))
+
+
+def _record_columns(diag) -> dict:
+    """A greedy fit's record, one row per step: m, e, ratio, radius, pivot.
+
+    Its seconds_trace stays out, since no timing goes to a data file.
+    """
+    e = diag.e_trace
+    return {"m": np.arange(1, e.size + 1), "e": e, "ratio": diag.ratio_trace,
+            "radius": diag.radius_trace, "pivot": diag.pivots}
 
 
 def _write_json(path, doc):
@@ -99,7 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--header", action="store_true", help="input has a header row")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None,
-                   help="also write the error trace as CSV (m, e, ratio)")
+                   help="also write the fit record as CSV (m, e, ratio, radius, pivot)")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a saved model")
     p.add_argument("--model", required=True)
@@ -116,13 +129,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("audit", parents=[common],
-                       help="per-prefix residuals, incoherence and error bounds")
+                       help="per-prefix residuals, incoherence and error bounds; "
+                            "optional random baseline")
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--first", type=int, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--max-points", type=int, default=5000)
+    p.add_argument("--random-seeds", type=int, default=0,
+                   help="if > 0, add a random-selection baseline over this many seeds "
+                        "(needs --kmax and a density kernel)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("embed", parents=[common],
@@ -172,17 +189,6 @@ def build_parser() -> _Parser:
                    help="discrepancy threshold (default 3 * sigma)")
     p.add_argument("--metrics-out", default=None)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="error-vs-sparsity curve; optional random baseline")
-    p.add_argument("--input", required=True)
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--first", type=int, default=None)
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--random-seeds", type=int, default=0,
-                   help="if > 0, add a random-selection baseline over this many seeds")
-    p.add_argument("--out", default=None)
-
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
     p.add_argument("--dataset", choices=sorted(DATASETS), required=True)
     p.add_argument("--n", type=int, required=True)
@@ -198,9 +204,7 @@ def _cmd_fit(args) -> dict:
                            density_mode=args.density, first=args.first, seed=args.seed)
     save_model(mean, args.out)
     if args.trace:
-        diag = mean.diagnostics
-        rows = zip(range(1, mean.k0 + 1), diag.e_trace.tolist(), diag.ratio_trace.tolist())
-        _write_csv(args.trace, ["m", "e", "ratio"], rows)
+        _write_columns(args.trace, _record_columns(mean.diagnostics))
     return {"n": data.n, "d": data.d, "k0": mean.k0, "fit_s": fit_s}
 
 
@@ -223,30 +227,37 @@ def _cmd_select(args) -> dict:
 
 
 def _cmd_audit(args) -> dict:
+    """The eps = 0 greedy fit's record, then per prefix the residual
+    ||zbar - mean_m||, nu = g(radius) and the bound (1 - m/n) sqrt((C^2 - nu^2) / C)."""
+    if args.random_seeds > 0 and args.kmax is None:
+        raise UsageError("--random-seeds needs --kmax")
     data = load_csv(args.input, has_header=args.header)
     if data.n > args.max_points:
         raise SkmError(
             f"audit is O(n^2); refusing n={data.n} > --max-points={args.max_points}"
         )
+    if args.kmax is not None and not 1 <= args.kmax <= data.n:
+        raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
     spec = parse_kernel_spec(args.kernel, data.d)
     k_max = args.kmax if args.kmax is not None else max(1, data.n - 1)
-    mean = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first, seed=args.seed)
+    diag = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first,
+               seed=args.seed).diagnostics
     zbar_sq = squared_mean_norm(data, spec, max_points=args.max_points)
     c = g_zero(spec)
-    rows = []
-    e_trace = mean.diagnostics.e_trace
-    radii = mean.diagnostics.radius_trace
-    for m in range(e_trace.shape[0]):
-        residual = math.sqrt(max(zbar_sq + e_trace[m], 0.0))
-        if m + 1 < data.n:
-            nu = float(gram_at_dist(spec, radii[m]))
-            bnd = bound_value(data.n, m + 1, c, nu)
-        else:
-            nu = c
-            bnd = 0.0
-        rows.append([m + 1, float(e_trace[m]), residual, float(radii[m]), nu, bnd])
-    _write_csv(args.out, ["m", "e", "residual", "radius", "nu", "bound"], rows)
-    return {"n": data.n, "k0": mean.k0}
+    columns = _record_columns(diag)
+    m = columns["m"]
+    # At m = n the radius is 0, so nu = C and the bound is 0.
+    nu = gram_at_dist(spec, diag.radius_trace)
+    columns.update(residual=np.sqrt(np.maximum(zbar_sq + diag.e_trace, 0.0)), nu=nu,
+                   bound=(1.0 - m / data.n) * np.sqrt((c * c - nu * nu) / c))
+    stats = {"n": data.n, "k0": m.size, "wall_ms": (diag.seconds_trace * 1e3).tolist()}
+    if args.random_seeds > 0:
+        report = bench_compare(data, spec, k_max, seeds=range(args.random_seeds),
+                               first=args.first)
+        columns["e_random_mean"] = report.pop("e_random_mean")[:m.size]
+        stats.update(report)
+    _write_columns(args.out, columns)
+    return stats
 
 
 def _sparse_fit_options(args, epsilon):
@@ -403,26 +414,6 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     return report
 
 
-def _cmd_bench(args) -> dict:
-    data = load_csv(args.input, has_header=args.header)
-    spec = parse_kernel_spec(args.kernel, data.d)
-    if not 1 <= args.kmax <= data.n:
-        raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
-    diag = fit(data, spec, k_max=args.kmax, epsilon=0.0, first=args.first,
-               seed=args.seed).diagnostics
-    rows = [[m, e] for m, e in enumerate(diag.e_trace.tolist(), start=1)]
-    stats, header = {"wall_ms": (diag.seconds_trace * 1e3).tolist()}, ["m", "e"]
-    if args.random_seeds > 0:
-        report = bench_compare(data, spec, args.kmax,
-                               seeds=range(args.random_seeds), first=args.first)
-        header.append("e_random_mean")
-        for row in rows:
-            row.append(float(report["e_random_mean"][row[0] - 1]))
-        stats.update((k, v) for k, v in report.items() if not isinstance(v, np.ndarray))
-    _write_csv(args.out, header, rows)
-    return stats
-
-
 def _cmd_synth(args) -> dict:
     data = make_dataset(args.dataset, args.n, seed=args.seed)
     save_csv(data, args.out)
@@ -437,7 +428,6 @@ _COMMANDS = {
     "embed": _cmd_embed,
     "cpe": _cmd_cpe,
     "meanshift": _cmd_meanshift,
-    "bench": _cmd_bench,
     "synth": _cmd_synth,
 }
 

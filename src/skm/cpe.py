@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import project_simplex
-from .divergences import fit_sample_means, rkhs_distance
+from .divergences import _rkhs_from_inners, fit_sample_means
 from .errors import SkmError
 from .kernels import RadialKernelSpec
 from .sparse_mean import (
@@ -90,12 +90,13 @@ def _rcond(matrix: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-def _closest_pair(means):
+def _closest_pair(gram):
+    """The closest pair (i, j), i < j, of class means and its distance, from their Gram matrix."""
     best = (0, 1)
     best_d = math.inf
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            d = rkhs_distance(means[i], means[j])
+    for i in range(gram.shape[0]):
+        for j in range(i + 1, gram.shape[0]):
+            d = _rkhs_from_inners(gram[i, i], gram[i, j], gram[j, j])
             if d < best_d:
                 best_d = d
                 best = (i, j)
@@ -125,7 +126,7 @@ def estimate_from_means(train_means, test_mean) -> ProportionEstimate:
 
     rcond = _rcond(d_hat)
     if rcond < RCOND_TOL:
-        (i, j), dist = _closest_pair(train_means)
+        (i, j), dist = _closest_pair(gram)
         raise SkmError(
             f"proportion system is singular (rcond {rcond:.2e}); training "
             f"classes {i} and {j} have nearly identical embeddings "

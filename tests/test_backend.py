@@ -803,6 +803,24 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     assert (len(skipped) > 0) == (sigma == 5.0) == (k < 134)
 
 
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("delta, kept", [(1e-4, True), (1e-5, False)])
+def test_pivot_rule_keeps_a_point_above_the_tolerance_and_drops_one_below(impl, delta, kept,
+                                                                          monkeypatch):
+    # Two points delta apart under the unit gaussian: the second pivot is
+    # 1 - exp(-delta^2), about delta^2, against the tolerance 1e-9 g(0). At
+    # 1e-4 it is 1.0e-8 and the point is kept; at 1e-5 it is 1.0e-10 and
+    # the point is dropped.
+    for name in PRIMITIVES:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
+    data = DataSet(np.array([[0.0], [delta]]))
+    mean = fit_with_support(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0), [0, 1])
+    assert mean.diagnostics.skipped == (() if kept else (1,))
+    assert mean.support_indices.tolist() == ([0, 1] if kept else [0])
+    if kept:
+        assert_allclose(mean.diagnostics.pivots[1], 1e-8, rtol=1e-7)
+
+
 def _state_copy(state):
     """The filled part of every buffer of a CholeskyWeights state."""
     m = state.m

@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import skm
 from skm.cli import main
 from skm.dataio import load_csv, load_model, save_csv
+from skm.kernels import gram_at_dist
 from skm.synth import make_dataset
 
 
@@ -79,7 +80,7 @@ def test_fit_trace_export(tmp_path):
                "--trace", str(trace)])
     assert rc == 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "m,e,ratio"
+    assert lines[0] == "m,e,ratio,radius,pivot"
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) == 12
     e = [r[1] for r in rows]
@@ -89,6 +90,15 @@ def test_fit_trace_export(tmp_path):
         den = abs(e[0] - e[m])
         expected = 0.0 if den == 0.0 else abs(e[m - 1] - e[m]) / den
         assert abs(rows[m][2] - expected) < 1e-15
+    # Every deterministic column of the record, bit for bit; no timing.
+    data = load_csv(x)
+    diag = skm.fit(data, skm.parse_kernel_spec("gaussian:sigma=1.0", data.d), k_max=12,
+                   epsilon=0.0).diagnostics
+    columns = np.array(rows).T
+    assert_array_equal(columns[0], np.arange(1, 13))
+    for column, expected in zip(columns[1:], (diag.e_trace, diag.ratio_trace,
+                                              diag.radius_trace, diag.pivots)):
+        assert_array_equal(column, expected)
 
 
 def test_fit_summary_goes_to_stderr(tmp_path, capsys):
@@ -125,12 +135,11 @@ def test_select_accepts_seed_syntax(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["fit", "select", "audit", "bench"])
+@pytest.mark.parametrize("command", ["fit", "select", "audit"])
 def test_first_takes_an_index_only(tmp_path, capsys, command):
     x = synth_csv(tmp_path)
     extra = {"fit": ["--kernel", "gaussian:sigma=1", "--out", str(tmp_path / "m.json")],
-             "select": ["--k", "5"], "audit": ["--kernel", "gaussian:sigma=1"],
-             "bench": ["--kernel", "gaussian:sigma=1", "--kmax", "5"]}[command]
+             "select": ["--k", "5"], "audit": ["--kernel", "gaussian:sigma=1"]}[command]
     rc = main([command, "--input", str(x), "--first", "seed:3"] + extra)
     assert rc == 1
     assert "--first" in capsys.readouterr().err
@@ -143,10 +152,29 @@ def test_audit_bound_dominates_residual(tmp_path):
                "--kmax", "20", "--first", "0", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "m,e,residual,radius,nu,bound"
+    assert lines[0] == "m,e,ratio,radius,pivot,residual,nu,bound"
     for line in lines[1:]:
-        m, e, residual, radius, nu, bound = (float(v) for v in line.split(","))
+        m, e, ratio, radius, pivot, residual, nu, bound = (float(v) for v in line.split(","))
         assert residual <= bound + 1e-9
+
+
+@pytest.mark.parametrize("kernel", ["gaussian:sigma=0.7", "laplacian:gamma=1.3:density",
+                                    "student:alpha=1.5:beta=2:density:l2"])
+def test_audit_nu_and_bound_are_bound_value_at_every_prefix(tmp_path, kernel):
+    # The columns are formed over whole arrays; each row is the scalar
+    # bound of its prefix, bit for bit.
+    x = synth_csv(tmp_path, n=80, seed=5)
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--input", str(x), "--kernel", kernel, "--kmax", "30",
+                 "--out", str(out)]) == 0
+    spec = skm.parse_kernel_spec(kernel, 2)
+    c = skm.g_zero(spec)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) > 10
+    for row in rows:
+        m, radius, nu, bound = int(row[0]), float(row[3]), float(row[6]), float(row[7])
+        assert nu == float(gram_at_dist(spec, radius))
+        assert bound == skm.bound_value(80, m, c, nu)
 
 
 def test_embed_matrix_and_sidecar(tmp_path, capsys):
@@ -345,14 +373,17 @@ def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
         assert stats_doc(capsys)["epsilon"] == epsilon
 
 
+# The error-vs-sparsity benchmark curve is the record of `fit --eps 0 --trace`
+# and of `audit`, and `audit --random-seeds` adds the random baseline.
+
 def test_bench_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"
-    rc = main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
                "--kmax", "15", "--first", "0", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "m,e"
+    assert lines[0] == "m,e,ratio,radius,pivot,residual,nu,bound"
     e_curve = np.array([float(line.split(",")[1]) for line in lines[1:]])
 
     import skm
@@ -365,29 +396,30 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
 
 def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
     # At sigma = 10 the fit stops at an exactly flat step after 19 points;
-    # the bench curve stops there too.
+    # the audit's record stops there too.
     x = tmp_path / "x.csv"
     save_csv(skm.DataSet(np.random.default_rng(23).normal(size=(4000, 2))), x)
     common = ["--input", str(x), "--kernel", "gaussian:sigma=10", "--kmax", "200",
               "--seed", "1"]
     curve, trace = tmp_path / "curve.csv", tmp_path / "trace.csv"
-    assert main(["bench", *common, "--out", str(curve)]) == 0
+    assert main(["audit", *common, "--out", str(curve)]) == 0
     assert main(["fit", *common, "--eps", "0", "--out", str(tmp_path / "m.json"),
                  "--trace", str(trace)]) == 0
-    rows = [line.rsplit(",", 1)[0] for line in trace.read_text().splitlines()]
-    assert curve.read_text().splitlines() == rows and len(rows) == 1 + 19
+    rows = trace.read_text().splitlines()
+    audit_rows = [",".join(line.split(",")[:5]) for line in curve.read_text().splitlines()]
+    assert audit_rows == rows and len(rows) == 1 + 19
 
 
 def test_bench_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
     capsys.readouterr()
-    rc = main(["bench", "--input", str(x),
+    rc = main(["audit", "--input", str(x),
                "--kernel", "gaussian:sigma=1.0:density",
                "--kmax", "20", "--random-seeds", "3", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "m,e,e_random_mean"
+    assert lines[0] == "m,e,ratio,radius,pivot,residual,nu,bound,e_random_mean"
     doc = stats_doc(capsys)
     assert doc["k"] == 20 and doc["seeds"] == [0, 1, 2]
     wall_ms = doc["wall_ms"]
@@ -414,7 +446,7 @@ def test_bench_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, cap
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
     capsys.readouterr()
-    assert main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+    assert main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
                  "--kmax", "20", "--random-seeds", "3", "--first", "0",
                  "--out", str(out)]) == 0
     assert fits == [0, 0]
@@ -432,21 +464,19 @@ def _command_argv(command, x, y, model, out):
                 "--out", str(out / "m.json"), "--trace", str(out / "trace.csv")],
         "eval": ["eval", "--model", model, "--queries", x],
         "select": ["select", "--input", x, "--k", "5"],
-        "audit": ["audit", "--input", x, "--kernel", "gaussian:sigma=1.0", "--kmax", "10",
-                  "--out", str(out / "audit.csv")],
+        "audit": ["audit", "--input", x, "--kernel", "gaussian:sigma=1.0:density",
+                  "--kmax", "8", "--random-seeds", "2", "--out", str(out / "audit.csv")],
         "embed": ["embed", x, y, "--kernel", "gaussian:sigma=1.0", "--sparse",
                   "--out", str(out / "d.csv")],
         "cpe": ["cpe", "--train", x, y, "--test", x, "--sigma", "1.0"],
         "meanshift": ["meanshift", "--input", x, "--sigma", "0.8", "--sparse",
                       "--out-labels", str(out / "labels.csv"),
                       "--out-shifted", str(out / "shifted.csv")],
-        "bench": ["bench", "--input", x, "--kernel", "gaussian:sigma=1.0:density",
-                  "--kmax", "8", "--random-seeds", "2", "--out", str(out / "curve.csv")],
     }[command]
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "eval", "select", "audit", "embed",
-                                     "cpe", "meanshift", "bench"])
+                                     "cpe", "meanshift"])
 def test_every_command_ends_stderr_with_its_stats_document(tmp_path, capsys, command):
     x = str(synth_csv(tmp_path, "x.csv", "blobs2", 40))
     y = str(synth_csv(tmp_path, "y.csv", "blobs2", 40, seed=1))
@@ -561,7 +591,7 @@ def test_fit_nan_eps_returns_two(tmp_path, capsys):
 
 def test_kmax_too_large_returns_two(tmp_path, capsys):
     x = synth_csv(tmp_path, n=30)
-    rc = main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
                "--kmax", "400"])
     assert rc == 2
 
@@ -570,7 +600,7 @@ def test_kmax_too_large_returns_two(tmp_path, capsys):
 def test_bench_kmax_below_one_returns_two(tmp_path, capsys, kmax):
     x = synth_csv(tmp_path, n=30)
     out = tmp_path / "curve.csv"
-    rc = main(["bench", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
                "--kmax", kmax, "--out", str(out)])
     assert rc == 2
     assert not out.exists()
@@ -587,6 +617,29 @@ def test_audit_one_point_file_defaults_to_one_support_point(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[0] == "1"
+    # The support is every point: nu = C and the bound is 0.
+    assert lines[1].split(",")[-2:] == ["1.0", "0.0"]
+
+
+def test_audit_random_seeds_needs_kmax(tmp_path, capsys):
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+               "--random-seeds", "2", "--out", str(out)])
+    assert rc == 1
+    assert "--random-seeds needs --kmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_point_guard_covers_the_random_baseline(tmp_path, capsys):
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+               "--kmax", "10", "--random-seeds", "2", "--max-points", "39",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--max-points=39" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- determinism

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from oracles import kernel_matrix
 
 from skm.cpe import (
+    _closest_pair,
     dirichlet_sample,
     estimate_from_means,
     estimate_proportions,
@@ -12,6 +13,7 @@ from skm.cpe import (
     search_bandwidth,
 )
 from skm.dataio import DataSet
+from skm.divergences import rkhs_distance
 from skm.errors import SkmError
 from skm.kernels import RadialKernelSpec, g_zero
 from skm.sparse_mean import fit, full_mean
@@ -144,6 +146,43 @@ def test_estimate_singular_system_names_colliding_pair():
     test = DataSet(pts + 1.0, name="test")
     with pytest.raises(SkmError, match="0 and 1"):
         estimate_proportions(train, test, GAUSS_2D)
+
+
+def test_singular_system_reads_the_pair_distances_from_the_gram_matrix(monkeypatch):
+    # The inputs above: the 6 class inner products and 3 test products
+    # name the colliding pair, with no further kernel sums, and the
+    # distance in the message is rkhs_distance's.
+    import skm.cpe
+    import skm.divergences
+
+    calls = []
+    counted = skm.cpe.mean_gram_inner
+
+    def counting(a, b):
+        calls.append(1)
+        return counted(a, b)
+
+    monkeypatch.setattr(skm.cpe, "mean_gram_inner", counting)
+    monkeypatch.setattr(skm.divergences, "mean_gram_inner", counting)
+    pts = np.random.default_rng(7).normal(size=(30, 2))
+    train = [DataSet(pts), DataSet(pts.copy()), DataSet(pts + 5.0)]
+    with pytest.raises(SkmError, match="0 and 1") as err:
+        estimate_proportions(train, DataSet(pts + 1.0), GAUSS_2D)
+    assert len(calls) == 9
+    means = [full_mean(t, GAUSS_2D) for t in train]
+    assert f"(distance {rkhs_distance(means[0], means[1]):.3e})" in str(err.value)
+
+
+def test_closest_pair_distance_is_rkhs_distance_bit_for_bit():
+    # The Gram matrix as estimate_from_means fills it, entry (i, j) for i <= j.
+    means, _, _ = nearly_coincident_means(1e-3)
+    gram = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            gram[i, j] = gram[j, i] = mean_inner(means[i], means[j])
+    pair, dist = _closest_pair(gram)
+    assert pair == (0, 1) and dist > 0.0
+    assert dist == rkhs_distance(means[0], means[1])
 
 
 def nearly_coincident_means(delta):
