@@ -11,7 +11,8 @@ full mean-shift round of the apps workload (2000 points x 2000 supports in
 d=2, p = d + 1 columns). `factor_order` is timed on whole fixed orders of
 farthest-first standard-normal points, Gaussian sigma = 1: 94 points in
 d=2 (the CPE bandwidth search's size) and 600 in d=5. `greedy_fit` is
-timed as one call with room for the whole factor, on the greedy fits of
+timed as the one call of a whole greedy fit, its coordinate-major copy of
+the points and the growth of its factor included, on the greedy fits of
 the benchmark: fit-deep's (10000 x 5, sigma = 1, k_max 600, eps = 0 from
 point 0) and the apps workload's saturated fit (4000 x 2 from its seed,
 sigma = 10, k_max 200, eps = 0, the first point drawn with seed 0, which
@@ -55,11 +56,9 @@ GREEDY_FITS = (("fit-deep", 4, 10_000, 5, 1.0, 600, 0),
                ("fit_saturated", 20150301, 4000, 2, 10.0, 200, None))
 
 
-def best_of(repeat, fn, setup=None):
+def best_of(repeat, fn):
     best = float("inf")
     for _ in range(repeat):
-        if setup is not None:
-            setup()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -85,28 +84,26 @@ def bench_factor(impl, n, d, m, repeat=7):
     points = data.points[kcenter_greedy(data, m, first=0).order]
     packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
     args = (SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9)
-    return best_of(repeat, lambda: impl.factor_order(points, *args, 0, packed, pivots))
+    return best_of(repeat, lambda: impl.factor_order(points, *args, packed, pivots))
 
 
 def bench_greedy(impl, seed, n, d, sigma, k_max, first, repeat=7):
-    """One greedy_fit call from support size 0, the factor with room for k_max rows.
+    """The one greedy_fit call of a whole fit with budget k_max.
 
     Returns the best time and the number of points the fit kept.
     """
     points = np.random.default_rng(seed).standard_normal((n, d))
-    coords = np.ascontiguousarray(points.T)
     params = gram_params(RadialKernelSpec("gaussian", dim=d, sigma=sigma))
     first = _resolve_first(n, first, 0)
-    sqdist, indices = np.empty(n), np.empty(k_max, dtype=np.int64)
-    packed = np.empty(k_max * (k_max + 1) // 2)
+    indices = np.empty(k_max, dtype=np.int64)
     record = np.empty((len(_numpy_impl.RECORD_ROWS), k_max))
     kept = []
 
     def run():
-        kept.append(impl.greedy_fit(coords, sqdist, *params, SINGULARITY_REL_TOL * params.c,
-                                    0.0, 0.0, first, 0, indices, packed, record)[0])
+        kept.append(impl.greedy_fit(points, *params, SINGULARITY_REL_TOL * params.c, 0.0,
+                                    first, indices, record)[0])
 
-    return best_of(repeat, run, setup=lambda: sqdist.fill(np.inf)), kept[-1]
+    return best_of(repeat, run), kept[-1]
 
 
 def swapped(impl, repeat, fn):

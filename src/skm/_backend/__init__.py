@@ -11,16 +11,18 @@ kernel sum (evaluate, the mean-shift rounds, the kappa of a fixed-order
 fit) is one call. `tri_solve` solves in place against a fit's packed
 lower factor L, L x = b (trans 0) or L' x = b (trans 1): v = L^{-1} kappa
 of a fixed-order fit and the weights alpha = L^{-T} v. `factor_order` is
-pivoted Cholesky along the rows of a point array from a given row on: it
-forms each candidate's Gram row against the kept points itself, solves
-it forward as `tri_solve` does, writes the packed lower factor of the
-candidates it keeps and every candidate's pivot, and keeps no m x m
-block; a fixed-order fit is one call on the whole order. `greedy_fit`
-runs the greedy fit's steps: per step a farthest-first scan that also
+pivoted Cholesky along the rows of a point array: it forms each
+candidate's Gram row against the kept points itself, solves it forward
+as `tri_solve` does, writes the packed lower factor of the candidates it
+keeps and every candidate's pivot, and keeps no m x m block; a
+fixed-order fit is one call on the whole order. `greedy_fit` is a whole
+greedy fit in one call: from the points it makes its own coordinate-major
+copy and distances, and per step runs a farthest-first scan that also
 sums the Gram shape over the new center's distances (its kernel row
-mean), one `factor_order` step, v_m, E_m, the coverage radius, the
-step's time and the stop tests, until a test holds or the packed factor
-is full, when the caller doubles it and calls again.
+mean), one pivoted Cholesky step as `factor_order` makes it, v_m, E_m,
+the coverage radius, the step's time and the stop tests, until a test
+holds. It grows the packed factor itself, from 16 rows, doubling up to
+the capacity, and returns its m kept rows.
 
 All five come from the compiled extension (`_fastcore.c`) when that was
 built, and from the numpy implementation otherwise; `BACKEND` names

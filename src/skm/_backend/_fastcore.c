@@ -5,8 +5,8 @@
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
  * TILE points. For each tile it forms the squared distances to the new
- * center in a TILE-double buffer, lowers a caller's buffer of distances to
- * the chosen set in place and takes the tile's farthest point, so a
+ * center in a TILE-double buffer, lowers a buffer of distances to the
+ * chosen set in place and takes the tile's farthest point, so a
  * farthest-first step writes each distance once. The tile's maximum is
  * taken over the int64 bit patterns of the distances, which order as the
  * non-negative doubles do and which gcc vectorises; a bare scan flags a
@@ -42,18 +42,23 @@
  * threshold. The greedy fit runs it on one new candidate at a time, a
  * fixed-order fit on the whole order at once.
  *
- * The greedy fit runs its steps in one call: the scan with the shape sum,
- * one factor step, v_m and E_m, the radius, the step's time and the stop
- * tests, until a test holds or the packed factor is full. It keeps the
- * support's coordinates coordinate-major across the steps of a call. v_m
- * takes w'v from the same 8-partial-sum dot as the factor, where the
- * numpy backend uses BLAS, so E_m and the weights may differ from the
- * numpy backend's in the last bits; the supports, pivots and radii do not.
+ * The greedy fit is one call: it copies the points coordinate-major, keeps
+ * their distances to the support and the support's coordinates, for the
+ * capacity, in a second block, and runs the steps: the scan with the
+ * shape sum, one factor step, v_m and E_m, the radius, the step's time
+ * and the stop tests. The packed factor is a bytearray of
+ * 16 rows that doubles, up to the capacity, each time it fills, resized
+ * with the GIL held between runs of the steps, and is returned cut to the
+ * rows kept. v_m takes w'v from the same 8-partial-sum dot as the
+ * factor, where the numpy backend uses BLAS, so E_m and the weights may
+ * differ from the numpy backend's in the last bits; the supports, pivots
+ * and radii do not.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 (int64 for the greedy fit's support indices) of the right
  * shape; anything else raises TypeError or ValueError before a single
- * element is read. The loops release the GIL and start no threads.
+ * element is read. Every allocation goes through Python's allocators. The
+ * loops release the GIL and start no threads.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -296,8 +301,8 @@ static CLONED Py_ssize_t scan_tiles(const double *xt, Py_ssize_t n, Py_ssize_t d
         double *q = sq + i0;
         int64_t mx;
         dist_row(r, y, xt + i0, w, n, d);
-        /* The greedy fit checks its distances non-negative on entry, and
-         * the min of those and a distance is never NaN. */
+        /* The greedy fit's distances start at +inf, and a NaN distance
+         * never replaces one, so none is NaN. */
         mx = kind < 0 ? lower_max(q, r, w, &nan) : lower_max(q, r, w, NULL);
         if (mx > top) {  /* strict: a tie with an earlier tile keeps its index */
             top = mx;
@@ -468,21 +473,17 @@ static inline NO_CONTRACT double pivot_row(double *packed, Py_ssize_t kept, cons
     return c - dot(w, w, kept);
 }
 
-/* Partial pivoted Cholesky of the m rows of x from row start on; the rows
- * before start are kept already, with their packed factor in place. When
- * a candidate's pivot exceeds the threshold its row gets sqrt(pivot) and
- * the candidate is kept; otherwise the next candidate overwrites the row
- * and nothing has to be undone. kt holds m x d doubles: the kept points,
- * coordinate-major with m entries per coordinate. Returns the number
- * kept. */
+/* Partial pivoted Cholesky of the m rows of x. When a candidate's pivot
+ * exceeds the threshold its row gets sqrt(pivot) and the candidate is
+ * kept; otherwise the next candidate overwrites the row and nothing has to
+ * be undone. kt holds m x d doubles: the kept points, coordinate-major
+ * with m entries per coordinate. Returns the number kept. */
 static CLONED Py_ssize_t factor_rows(const double *x, Py_ssize_t m, Py_ssize_t d, int kind,
                                      double a, double b, double c, double threshold,
-                                     Py_ssize_t start, double *packed, double *pivots,
-                                     double *kt)
+                                     double *packed, double *pivots, double *kt)
 {
-    Py_ssize_t kept = start;
-    load_tile(kt, x, 0, start, m, d);
-    for (Py_ssize_t i = start; i < m; i++) {
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t i = 0; i < m; i++) {
         pivots[i] = pivot_row(packed, kept, x + i * d, kt, m, d, kind, a, b, c);
         if (pivots[i] > threshold) {
             packed[kept * (kept + 1) / 2 + kept] = sqrt(pivots[i]);
@@ -498,10 +499,9 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
     PyObject *xo, *lo, *po;
     int kind;
     double a, b, c, threshold;
-    Py_ssize_t start, kept;
+    Py_ssize_t kept;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OiddddnOO", &xo, &kind, &a, &b, &c, &threshold, &start,
-                          &lo, &po))
+    if (!PyArg_ParseTuple(args, "OiddddOO", &xo, &kind, &a, &b, &c, &threshold, &lo, &po))
         return NULL;
     if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
         PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
@@ -509,10 +509,7 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
     }
     const double *x = borrow(&vs, xo, "points", 2, -1, 0);
     Py_ssize_t m = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    if (x != NULL && (start < 0 || start > m))
-        PyErr_Format(PyExc_ValueError, "start %zd out of range for m=%zd", start, m);
-    double *packed = PyErr_Occurred() ? NULL
-                   : borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 1);
+    double *packed = x ? borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 1) : NULL;
     double *pivots = packed ? borrow(&vs, po, "pivots", 1, m, 1) : NULL;
     double *kt = NULL;
     if (pivots != NULL && (kt = PyMem_Malloc((m * d + 1) * sizeof(double))) == NULL)
@@ -522,7 +519,7 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    kept = factor_rows(x, m, d, kind, a, b, c, threshold, start, packed, pivots, kt);
+    kept = factor_rows(x, m, d, kind, a, b, c, threshold, packed, pivots, kt);
     Py_END_ALLOW_THREADS
     PyMem_Free(kt);
     release(&vs);
@@ -530,9 +527,10 @@ static PyObject *factor_order(PyObject *self, PyObject *args)
 }
 
 /* The greedy loop's stop tests, in the order it makes them, and the names
- * greedy_fit returns for them. */
-enum { STOP_BUDGET, STOP_FULL, STOP_DEPENDENT, STOP_RATIO, STOP_RADIUS };
-static const char *const STOP_NAMES[] = {"budget", "full", "dependent", "ratio", "radius"};
+ * greedy_fit returns for them; between the budget and the dependent test,
+ * a full packed factor returns GROW, for the caller to double it. */
+enum { STOP_BUDGET, STOP_DEPENDENT, STOP_RATIO, STOP_RADIUS, GROW };
+static const char *const STOP_NAMES[] = {"budget", "dependent", "ratio", "radius"};
 
 /* The rows of a greedy fit's record, each `cap` doubles long. */
 enum { REC_PIVOT, REC_KAPPA, REC_V, REC_E, REC_RADIUS, REC_SECONDS, REC_ROWS };
@@ -548,14 +546,14 @@ static double seconds_since(const struct timespec *t0)
  * skm._backend._numpy_impl.greedy_fit describes them, over the n points of
  * the coordinate-major xt with their distances to the support in sq. The
  * packed factor has room for `rows` rows and the record for `cap` points.
- * scratch holds TILE + d + rows * d doubles: the scan's tile, the
- * candidate's coordinates and the support's, coordinate-major with rows
+ * scratch holds TILE + d + cap * d doubles: the scan's tile, the
+ * candidate's coordinates and the support's, coordinate-major with cap
  * entries per coordinate. Leaves the new support size in *m and the
  * dependent or next candidate in *cand, and returns the stop code. */
 static CLONED int greedy_steps(const double *xt, Py_ssize_t n, Py_ssize_t d, double *sq,
                                int kind, double a, double b, double c, double threshold,
-                               double epsilon, double elapsed, Py_ssize_t *cand, Py_ssize_t *m,
-                               int64_t *indices, double *packed, Py_ssize_t rows,
+                               double epsilon, const struct timespec *t0, Py_ssize_t *cand,
+                               Py_ssize_t *m, int64_t *indices, double *packed, Py_ssize_t rows,
                                double *record, Py_ssize_t cap, double *scratch)
 {
     double *pivots = record + REC_PIVOT * cap, *kappa = record + REC_KAPPA * cap,
@@ -564,38 +562,33 @@ static CLONED int greedy_steps(const double *xt, Py_ssize_t n, Py_ssize_t d, dou
     double *r = scratch, *y = r + TILE, *kt = y + d;
     Py_ssize_t k = *m, j = *cand;
     int stop;
-    struct timespec t0;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    for (Py_ssize_t t = 0; t < k; t++)
-        for (Py_ssize_t q = 0; q < d; q++)
-            kt[q * rows + t] = xt[q * n + indices[t]];
     for (;;) {
         if (k == cap) {
             stop = STOP_BUDGET;
             break;
         }
         if (k == rows) {
-            stop = STOP_FULL;
+            stop = GROW;
             break;
         }
         double total, *w = packed + k * (k + 1) / 2;
         for (Py_ssize_t q = 0; q < d; q++)
             y[q] = xt[q * n + j];
         Py_ssize_t far = scan_tiles(xt, n, d, y, sq, kind, a, b, &total, r);
-        pivots[k] = pivot_row(packed, k, y, kt, rows, d, kind, a, b, c);
+        pivots[k] = pivot_row(packed, k, y, kt, cap, d, kind, a, b, c);
         if (!(pivots[k] > threshold)) {
             stop = STOP_DEPENDENT;
             break;
         }
         w[k] = sqrt(pivots[k]);
         for (Py_ssize_t q = 0; q < d; q++)
-            kt[q * rows + k] = y[q];
+            kt[q * cap + k] = y[q];
         kappa[k] = c * total / (double)n;
         v[k] = (kappa[k] - dot(w, v, k)) / w[k];
         e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
         indices[k] = j;
         radius[k] = sqrt(sq[far]);
-        seconds[k] = elapsed + seconds_since(&t0);
+        seconds[k] = seconds_since(t0);
         k++;
         j = far;
         if (k > 1) {
@@ -617,65 +610,71 @@ static CLONED int greedy_steps(const double *xt, Py_ssize_t n, Py_ssize_t d, dou
 
 static PyObject *greedy_fit(PyObject *self, PyObject *args)
 {
-    PyObject *co, *so, *io, *lo, *ro;
-    int kind, stop;
-    double a, b, c, threshold, epsilon, elapsed;
-    Py_ssize_t cand, m, cap, rows = 0;
+    PyObject *xo, *io, *ro, *packed = NULL;
+    int kind, stop = GROW;
+    double a, b, c, threshold, epsilon;
+    Py_ssize_t cand, m = 0, cap;
+    struct timespec t0;
     Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OOiddddddnnOOO", &co, &so, &kind, &a, &b, &c, &threshold,
-                          &epsilon, &elapsed, &cand, &m, &io, &lo, &ro))
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    if (!PyArg_ParseTuple(args, "OidddddnOO", &xo, &kind, &a, &b, &c, &threshold, &epsilon,
+                          &cand, &io, &ro))
         return NULL;
     if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
         PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
         return NULL;
     }
-    const double *xt = borrow(&vs, co, "coords", 2, -1, 0);
-    Py_ssize_t d = xt ? vs.view[0].shape[0] : 0, n = xt ? vs.view[0].shape[1] : 0;
-    double *sq = xt ? borrow(&vs, so, "sqdist", 1, n, 1) : NULL;
-    if (sq != NULL && (cand < 0 || cand >= n))
+    const double *x = borrow(&vs, xo, "points", 2, -1, 0);
+    Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
+    if (x != NULL && (cand < 0 || cand >= n))
         PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", cand, n);
     int64_t *indices = PyErr_Occurred() ? NULL : borrow_any(&vs, io, "indices", 1, -1, 1, 1);
-    cap = indices ? vs.view[2].shape[0] : 0;
-    if (indices != NULL && (m < 0 || m > cap))
-        PyErr_Format(PyExc_ValueError, "m %zd out of range for capacity=%zd", m, cap);
-    for (Py_ssize_t t = 0; !PyErr_Occurred() && t < m; t++)
-        if (indices[t] < 0 || indices[t] >= n)
-            PyErr_Format(PyExc_ValueError, "support index %lld out of range for n=%zd",
-                         (long long)indices[t], n);
-    double *packed = PyErr_Occurred() ? NULL : borrow(&vs, lo, "packed", 1, -1, 1);
-    if (packed != NULL) {
-        Py_ssize_t len = vs.view[3].shape[0];
-        while ((rows + 1) * (rows + 2) / 2 <= len)
-            rows++;
-        if (rows * (rows + 1) / 2 != len || rows < m || rows > cap)
-            PyErr_SetString(PyExc_ValueError, "packed has the wrong length");
-    }
-    double *record = PyErr_Occurred() ? NULL : borrow(&vs, ro, "record", 2, REC_ROWS, 1);
-    if (record != NULL && vs.view[4].shape[1] != cap)
+    cap = indices ? vs.view[1].shape[0] : 0;
+    double *record = indices ? borrow(&vs, ro, "record", 2, REC_ROWS, 1) : NULL;
+    if (record != NULL && vs.view[2].shape[1] != cap)
         PyErr_SetString(PyExc_ValueError, "record must have one column per index");
-    /* scan_tiles finds no farthest point among negative or NaN distances */
-    if (!PyErr_Occurred()) {
-        Py_ssize_t i = 0;
-        while (i < n && sq[i] >= 0.0)
-            i++;
-        if (i < n)
-            PyErr_SetString(PyExc_ValueError, "sqdist must be non-negative");
-    }
-    double *scratch = NULL;
+    /* The points coordinate-major in a block of their own, the size of the
+     * (n, d) arrays a caller allocates and frees, so the heap can reuse their
+     * space (in one block with the distances, four fit and evaluate cycles on
+     * 100000 x 8 points peaked 6.5 MB higher); then the distances to the
+     * support and greedy_steps' scratch. */
+    double *xt = NULL, *sq = NULL;
     if (!PyErr_Occurred()
-        && (scratch = PyMem_Malloc((TILE + d + rows * d) * sizeof(double))) == NULL)
+        && ((xt = PyMem_Malloc(n * d * sizeof(double))) == NULL
+            || (sq = PyMem_Malloc((n + TILE + d + cap * d) * sizeof(double))) == NULL))
         PyErr_NoMemory();
-    if (PyErr_Occurred()) {
+    if (sq != NULL)
+        packed = PyByteArray_FromStringAndSize(NULL, 0);
+    if (packed == NULL) {
+        PyMem_Free(xt);
+        PyMem_Free(sq);
         release(&vs);
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    stop = greedy_steps(xt, n, d, sq, kind, a, b, c, threshold, epsilon, elapsed, &cand, &m,
-                        indices, packed, rows, record, cap, scratch);
+    load_tile(xt, x, 0, n, n, d);
+    for (Py_ssize_t i = 0; i < n; i++)
+        sq[i] = INFINITY;
     Py_END_ALLOW_THREADS
-    PyMem_Free(scratch);
+    while (stop == GROW) {
+        Py_ssize_t rows = 2 * m > 16 ? 2 * m : 16;
+        rows = rows < cap ? rows : cap;
+        if (PyByteArray_Resize(packed, rows * (rows + 1) / 2 * sizeof(double)) < 0)
+            break;
+        double *lower = (double *)PyByteArray_AS_STRING(packed);
+        Py_BEGIN_ALLOW_THREADS
+        stop = greedy_steps(xt, n, d, sq, kind, a, b, c, threshold, epsilon, &t0, &cand, &m,
+                            indices, lower, rows, record, cap, sq + n);
+        Py_END_ALLOW_THREADS
+    }
+    PyMem_Free(xt);
+    PyMem_Free(sq);
     release(&vs);
-    return Py_BuildValue("nns", m, cand, STOP_NAMES[stop]);
+    if (stop == GROW || PyByteArray_Resize(packed, m * (m + 1) / 2 * sizeof(double)) < 0) {
+        Py_DECREF(packed);
+        return NULL;
+    }
+    return Py_BuildValue("nnsN", m, cand, STOP_NAMES[stop], packed);
 }
 
 static PyMethodDef methods[] = {
@@ -686,10 +685,10 @@ static PyMethodDef methods[] = {
     {"tri_solve", tri_solve, METH_VARARGS,
      "tri_solve(packed, x, trans) -> None: x <- L^{-1} x (trans 0) or L^{-T} x (trans 1)"},
     {"factor_order", factor_order, METH_VARARGS,
-     "factor_order(points, kind, a, b, c, threshold, start, packed, pivots) -> kept count"},
+     "factor_order(points, kind, a, b, c, threshold, packed, pivots) -> kept count"},
     {"greedy_fit", greedy_fit, METH_VARARGS,
-     "greedy_fit(coords, sqdist, kind, a, b, c, threshold, epsilon, elapsed, cand, m, "
-     "indices, packed, record) -> (m, cand, stop)"},
+     "greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record) "
+     "-> (m, cand, stop, packed)"},
     {NULL, NULL, 0, NULL},
 };
 

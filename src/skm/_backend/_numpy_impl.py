@@ -6,12 +6,12 @@ against a 2-D coef in blocks of cdist, the shape and a matrix product.
 `tri_solve` is BLAS's packed triangular solve against the packed lower
 factor. `factor_order` is pivoted Cholesky along the rows of a point
 array, with Gram rows from cdist blocks and one `tri_solve` per candidate.
-`greedy_fit` is the greedy fit's loop: per step the scan with the shape
-sum, one `factor_order` row, v_m by a BLAS dot and the stop tests. Used
-when the compiled extension is unavailable. The signatures and the
-buffer checks match skm._backend._fastcore exactly. scipy is imported
-inside the functions that call it, so importing this module loads numpy
-alone.
+`greedy_fit` is a whole greedy fit: per step the scan with the shape
+sum, the Gram row from the scan's distances and one `tri_solve`, v_m by a
+BLAS dot and the stop tests. Used when the compiled extension is
+unavailable. The signatures and the buffer checks match
+skm._backend._fastcore exactly. scipy is imported inside the functions
+that call it, so importing this module loads numpy alone.
 
 A profile is c * shape_kind(r) for a SHAPE_* kind below; the compiled
 backend numbers the kinds the same way, and `_apply_shape` is the one numpy
@@ -177,119 +177,110 @@ def tri_solve(packed, x, trans):
         x[:] = blas.dtpsv(m, packed, x, trans=1 - trans)
 
 
-def factor_order(points, kind, a, b, c, threshold, start, packed, pivots):
-    """Pivoted Cholesky along the rows of points, from row `start` on.
+def factor_order(points, kind, a, b, c, threshold, packed, pivots):
+    """Pivoted Cholesky along the rows of points.
 
-    points holds the (m, d) candidates in order. The rows before `start`
-    are the support kept so far, whose packed lower factor L already fills
-    the head of `packed` (length m(m+1)/2); pivots[:start] is neither read
-    nor written. Candidate i >= start has Gram row g = c * shape_kind(||x_i
-    - x_t||^2) over the kept points t and pivot c - w'w, where L w = g, and
-    is kept when the pivot exceeds `threshold`: w and sqrt(pivot) become
-    the next packed row of L. Writes every candidate's pivot into `pivots`
-    (length m) and returns the number kept, start included. The Gram rows
-    are formed in row blocks of at most 2^18 distances. Bad buffers, an
-    unknown kind or a start outside [0, m] raise TypeError or ValueError
-    before a single element is written.
+    points holds the (m, d) candidates in order. Candidate i has Gram row
+    g = c * shape_kind(||x_i - x_t||^2) over the points t kept before it
+    and pivot c - w'w, where L w = g, and is kept when the pivot exceeds
+    `threshold`: w and sqrt(pivot) become the next row of the packed lower
+    factor L in `packed` (length m(m+1)/2). Writes every candidate's pivot
+    into `pivots` (length m) and returns the number kept. The Gram rows are
+    formed in row blocks of at most 2^18 distances. Bad buffers or an
+    unknown kind raise TypeError or ValueError before a single element is
+    written.
     """
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind}")
     _borrow(points, "points", 2, -1)
     m = points.shape[0]
-    if not 0 <= start <= m:
-        raise ValueError(f"start {start} out of range for m={m}")
     _borrow(packed, "packed", 1, m * (m + 1) // 2, writable=True)
     _borrow(pivots, "pivots", 1, m, writable=True)
     from scipy.spatial.distance import cdist
-    kept = list(range(start))
-    row = start * (start + 1) // 2
+    kept = []
     rows = max(1, _BLOCK_ENTRIES // max(1, m))
-    for i0 in range(start, m, rows):
+    for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)
         block = _apply_shape((kind, a, b, c), cdist(points[i0:i1], points[:i1], "sqeuclidean"))
         for i in range(i0, i1):
             k = len(kept)
+            row = k * (k + 1) // 2
             w = block[i - i0, kept]
             tri_solve(packed[:row], w, 0)
             pivots[i] = c - float(w @ w)
             if pivots[i] > threshold:
                 packed[row:row + k] = w
                 packed[row + k] = math.sqrt(pivots[i])
-                row += k + 1
                 kept.append(i)
     return len(kept)
 
 
-def greedy_fit(coords, sqdist, kind, a, b, c, threshold, epsilon, elapsed, cand, m, indices,
-               packed, record):
-    """Run the greedy fit's steps from support size m until a stop test holds.
+def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record):
+    """Run a greedy fit from point `first` until a stop test holds.
 
-    coords is the (d, n) transpose of the points and sqdist each point's
-    squared distance to the support so far. indices (int64) holds the
-    capacity's support indices, the first m filled, and record is (6,
-    capacity) with the rows RECORD_ROWS: each support point's pivot,
-    kappa, v = L^{-1} kappa entry, E, coverage radius after its step, and
-    the seconds of the fit at the end of its step (elapsed at the call
-    plus the call's own time). packed holds the packed lower factor of R
-    rows, m <= R <= capacity, its first m rows filled. A step makes `cand`
-    a center by a scan that also sums the shape over its distances, gives
-    kappa = c * sum / n, factors cand's row as `factor_order` does from
-    row m, keeps cand when its pivot exceeds `threshold`, and then sets
-    v_m = (kappa - w'v) / sqrt(pivot), E_m = E_{m-1} - v_m^2 and the radius
-    sqrt(max sqdist). The next candidate is the farthest point. Stops, in
-    this order of tests, at "budget" (m reached the capacity), "full" (m
-    reached R: double the factor and call again), "dependent" (cand's
-    pivot is at most threshold; cand is not kept), "ratio" (|E_{m-1} -
-    E_m| / |E_1 - E_m| <= epsilon, a flat trace giving 0, from the second
-    point on) and "radius" (the radius is 0). Returns (m, cand, stop),
-    cand the dependent candidate or the next one. Bad buffers, an unknown
-    kind, a cand or one of the first m indices outside [0, n), an m outside
-    [0, capacity], or a negative or NaN sqdist raise TypeError or
-    ValueError before a single element is written.
+    points is the (n, d) array of points; indices (int64) has one entry
+    per support point the capacity allows, and record is (6, capacity),
+    with the rows RECORD_ROWS: each support point's pivot, kappa, v =
+    L^{-1} kappa entry, E, coverage radius after its step, and the seconds
+    from the start of the call to the end of its step. The call copies the
+    points coordinate-major and keeps each point's squared distance to the
+    support. A step makes `cand` a center by a scan that also sums the
+    shape over its distances, gives kappa = c * sum / n, takes cand's Gram
+    row to the support from the same distances, solves it against the
+    packed lower factor L as `factor_order` does, keeps cand when its pivot
+    exceeds `threshold`, and then sets v_m = (kappa - w'v) / sqrt(pivot),
+    E_m = E_{m-1} - v_m^2 and the radius sqrt(max sqdist). The next
+    candidate is the farthest point. The packed factor starts at 16 rows
+    and doubles, up to the capacity, each time it fills. Stops, in this
+    order of tests, at "budget" (m reached the capacity), "dependent"
+    (cand's pivot is at most threshold; cand is not kept), "ratio"
+    (|E_{m-1} - E_m| / |E_1 - E_m| <= epsilon, a flat trace giving 0, from
+    the second point on) and "radius" (the radius is 0). Returns (m, cand,
+    stop, packed): cand the dependent candidate or the next one, packed
+    the m(m+1)/2 entries of L. Bad buffers, an unknown kind or a `first`
+    outside [0, n) raise TypeError or ValueError before a single element
+    is written.
     """
-    t0 = time.perf_counter() - elapsed
+    t0 = time.perf_counter()
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind}")
-    _borrow(coords, "coords", 2, -1)
-    d, n = coords.shape
-    _borrow(sqdist, "sqdist", 1, n, writable=True)
-    if not 0 <= cand < n:
-        raise ValueError(f"index {cand} out of range for n={n}")
+    _borrow(points, "points", 2, -1)
+    n = points.shape[0]
+    if not 0 <= first < n:
+        raise ValueError(f"index {first} out of range for n={n}")
     _borrow(indices, "indices", 1, -1, writable=True, dtype=np.int64)
     cap = indices.shape[0]
-    if not 0 <= m <= cap:
-        raise ValueError(f"m {m} out of range for capacity={cap}")
-    bad = (indices[:m] < 0) | (indices[:m] >= n)
-    if bad.any():
-        raise ValueError(f"support index {indices[:m][bad][0]} out of range for n={n}")
-    _borrow(packed, "packed", 1, -1, writable=True)
-    rows = (math.isqrt(8 * packed.shape[0] + 1) - 1) // 2
-    if rows * (rows + 1) // 2 != packed.shape[0] or not m <= rows <= cap:
-        raise ValueError("packed has the wrong length")
     _borrow(record, "record", 2, len(RECORD_ROWS), writable=True)
     if record.shape[1] != cap:
         raise ValueError("record must have one column per index")
-    if not (sqdist >= 0.0).all():
-        raise ValueError("sqdist must be non-negative")
     pivots, kappa, v, e, radius, seconds = record
-    support = np.empty((rows, d))
-    support[:m] = coords[:, indices[:m]].T
+    coords = np.ascontiguousarray(points.T)
+    sqdist = np.full(n, np.inf)
+    packed = np.empty(0)
+    m, cand = 0, first
     while True:
         if m == cap:
-            return m, cand, "budget"
-        if m == rows:
-            return m, cand, "full"
+            stop = "budget"
+            break
+        row = m * (m + 1) // 2
+        if row == packed.shape[0]:  # the factor is full: double it
+            rows = min(cap, max(16, 2 * m))
+            grown = np.empty(rows * (rows + 1) // 2)
+            grown[:row] = packed[:row]
+            packed = grown
         r2 = _sqdist_to(coords, cand)
         np.minimum(sqdist, r2, out=sqdist)
         far = int(np.argmax(sqdist))
-        shape_sum = float(_apply_shape((kind, a, b, 1.0), r2).sum())
-        support[m] = coords[:, cand]
-        row = m * (m + 1) // 2
-        if factor_order(support[:m + 1], kind, a, b, c, threshold, m,
-                        packed[:row + m + 1], pivots[:m + 1]) == m:
-            return m, cand, "dependent"
-        w, root = packed[row:row + m], packed[row + m]
-        kappa[m] = c * shape_sum / n
+        shape = _apply_shape((kind, a, b, 1.0), r2)
+        w = packed[row:row + m]
+        np.multiply(shape[indices[:m]], c, out=w)
+        tri_solve(packed[:row], w, 0)
+        pivots[m] = c - float(w @ w)
+        if not pivots[m] > threshold:
+            stop = "dependent"
+            break
+        root = packed[row + m] = math.sqrt(pivots[m])
+        kappa[m] = c * float(shape.sum()) / n
         v[m] = (kappa[m] - float(w @ v[:m])) / root
         e[m] = (e[m - 1] if m else 0.0) - v[m] * v[m]
         indices[m] = cand
@@ -299,6 +290,9 @@ def greedy_fit(coords, sqdist, kind, a, b, c, threshold, epsilon, elapsed, cand,
         if m > 1:
             span = abs(e[0] - e[m - 1])
             if (0.0 if span == 0.0 else abs(e[m - 2] - e[m - 1]) / span) <= epsilon:
-                return m, cand, "ratio"
+                stop = "ratio"
+                break
         if radius[m - 1] == 0.0:
-            return m, cand, "radius"
+            stop = "radius"
+            break
+    return m, cand, stop, packed[:m * (m + 1) // 2]

@@ -52,15 +52,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text):
+    """Write text to stdout when path is None or "-", else to the file at path."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_columns(path, columns):
@@ -79,12 +83,7 @@ def _record_columns(diag) -> dict:
 
 
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=1) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
 def _clocked(fn, *args, **kwargs):

@@ -15,22 +15,20 @@ one entry
     v_m = (kappa_new - w'v) / sqrt(p),
 
 so a step costs one triangular solve, O(m^2), plus kappa_new, an O(n)
-kernel row mean. The greedy fit runs its steps inside one backend call,
-`_backend.greedy_fit` (`greedy`): each step's farthest-first scan also
-sums the Gram shape over the squared distances from the new point to
-every point, which gives kappa_new = c/n times that sum, and its
-factor step forms b from coordinates, solves for w and writes the new
-row of L as `_backend.factor_order` does. A fixed order of candidates is
-factored by one `factor_order` call on the whole order instead
-(`factor`); one block sum gives kappa of the kept points, and one
-`_backend.tri_solve` gives v. The quantity E_m = -alpha' kappa = -||v||^2
-equals the squared approximation error minus the constant ||zbar||^2 and
-drives the stopping rule. It is kept as E_m = E_{m-1} - v_m^2, which
+kernel row mean. The whole greedy fit is one backend call,
+`_backend.greedy_fit` (`greedy`), which grows the packed factor itself:
+each step's farthest-first scan also sums the Gram shape over the
+squared distances from the new point to every point, which gives
+kappa_new = c/n times that sum, and its factor step forms b, solves for
+w and writes the new row of L as `_backend.factor_order` does. A fixed
+order of candidates is factored by one `factor_order` call on the whole
+order instead (`factor`); one block sum gives kappa of the kept points,
+and one `_backend.tri_solve` gives v. The quantity E_m = -alpha' kappa =
+-||v||^2 equals the squared approximation error minus the constant
+||zbar||^2 and drives the stopping rule. It is kept as E_m = E_{m-1} - v_m^2, which
 never rises in floating point either. The weights alpha = L^{-T} v cost
 one more `tri_solve` when read, and K^{-1} is never formed.
 """
-
-import time
 
 import numpy as np
 
@@ -54,9 +52,9 @@ class CholeskyWeights:
     indices and the record buffers are allocated once, for `capacity`
     support points: one array with a row per RECORD_ROWS entry, each
     point's pivot, kappa, v, E and, in a greedy fit, the coverage radius
-    and the seconds after its step. The factor alone doubles as a greedy fit's support grows, up to the
-    capacity, so its memory is O(m^2) for m support points whatever the
-    budget.
+    and the seconds after its step. The factor is the backend's: a greedy
+    fit grows it as the support grows and returns its m kept rows, so its
+    memory is O(m^2) for m support points whatever the budget.
     """
 
     def __init__(self, data, spec, capacity: int):
@@ -69,7 +67,7 @@ class CholeskyWeights:
         self.capacity = int(capacity)
         self.m = 0
         cap = self.capacity
-        self._packed = np.empty(0)  # grown by greedy, or set by factor
+        self._packed = np.empty(0)  # set by greedy or factor
         self._record = np.empty((len(RECORD_ROWS), cap))
         self._pivots, self._kappa, self._v, self._e, self.radii, self.seconds = self._record
         self._indices = np.empty(cap, dtype=np.int64)
@@ -100,32 +98,23 @@ class CholeskyWeights:
         _backend.tri_solve(self._packed[:m * (m + 1) // 2], alpha, 1)
         return alpha
 
-    def greedy(self, scan, first: int, epsilon: float, start: float):
+    def greedy(self, first: int, epsilon: float):
         """Grow an empty state along the farthest-first order from point `first`.
 
-        scan is a fresh `kcenter.FarthestFirst` of the points, and start
-        the `time.perf_counter()` at which the fit began. The steps run in
-        `_backend.greedy_fit` calls, one per doubling of the packed factor
-        (16 rows, then twice the support, up to the capacity), each
-        resuming where the last stopped. The fit stops at the capacity, at
-        a progress ratio |E_{m-1} - E_m| / |E_1 - E_m| at most epsilon, at
-        coverage radius 0, or at a candidate whose pivot is at most the
-        singularity threshold, which is not kept. Fills the state and its
-        radii and seconds, and returns (stop, cand): the name of the test
-        that held, and the dependent candidate or the next farthest point.
+        One `_backend.greedy_fit` call runs the whole fit. It stops at the
+        capacity, at a progress ratio |E_{m-1} - E_m| / |E_1 - E_m| at most
+        epsilon, at coverage radius 0, or at a candidate whose pivot is at
+        most the singularity threshold, which is not kept. Fills the state
+        and its radii and seconds, and returns (stop, cand): the name of the
+        test that held, and the dependent candidate or the next farthest
+        point.
         """
         if self.m:
             raise ValueError(f"greedy needs an empty state (m={self.m})")
-        m, cand, stop = 0, first, "full"
-        while stop == "full":
-            rows = min(self.capacity, max(16, 2 * m))
-            packed = np.empty(rows * (rows + 1) // 2)
-            packed[:m * (m + 1) // 2] = self._packed[:m * (m + 1) // 2]
-            self._packed = packed
-            m, cand, stop = _backend.greedy_fit(
-                scan.coords, scan.sqdist, *self.params, self.threshold, epsilon,
-                time.perf_counter() - start, cand, m, self._indices, packed, self._record)
-            self.m = m
+        self.m, cand, stop, packed = _backend.greedy_fit(
+            self.points, *self.params, self.threshold, epsilon, first, self._indices,
+            self._record)
+        self._packed = np.frombuffer(packed)
         return stop, cand
 
     def factor(self, order):
@@ -149,7 +138,7 @@ class CholeskyWeights:
                              f"(m={self.m}, capacity={self.capacity})")
         support = self.points[order]
         self._packed = np.empty(m * (m + 1) // 2)
-        k = _backend.factor_order(support, *self.params, self.threshold, 0, self._packed,
+        k = _backend.factor_order(support, *self.params, self.threshold, self._packed,
                                   self._pivots)
         kept = self._pivots > self.threshold
         support[:k] = support[kept]

@@ -216,6 +216,8 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if max_iter < 2:
         raise ValueError(f"max_iter must be at least 2 (the first bracket), got {max_iter}")
+    if not validation_size >= 1:
+        raise ValueError(f"validation_size must be at least 1, got {validation_size}")
     train = list(train)
     n_classes = len(train)
     if n_classes < 2:

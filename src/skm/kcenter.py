@@ -63,7 +63,7 @@ def _resolve_first(n: int, first, seed: int) -> int:
 
 
 class FarthestFirst:
-    """In-place farthest-first state shared by kcenter_greedy, the fit and clustering.
+    """In-place farthest-first state shared by kcenter_greedy, incoherence and clustering.
 
     sqdist holds each point's squared distance to the chosen set. The state
     keeps one coordinate-major (d, n) copy of the points, for the scans to
@@ -72,8 +72,7 @@ class FarthestFirst:
     lowers sqdist in place to the squared distances to j where they are
     smaller. `farthest` is then the point farthest from the set, ties to
     the lowest index; once the radius is 0 it is a chosen point or a
-    duplicate of one. The greedy fit hands coords and sqdist to
-    `_backend.greedy_fit`, which scans them itself.
+    duplicate of one.
     """
 
     def __init__(self, points):

@@ -5,14 +5,12 @@ by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
 come from farthest-first traversal, weights from pivoted Cholesky steps
 that carry v = L^{-1} kappa (one triangular solve each; alpha = L^{-T} v
 is solved for once, at the end), and the support stops growing once the
-relative error progress falls below epsilon. The greedy steps run inside
-the backend, one call per doubling of the factor; a fixed support is
-factored in one backend call.
+relative error progress falls below epsilon. The whole greedy fit is one
+backend call, and a fixed support is factored in one backend call.
 """
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,10 +33,10 @@ class FitDiagnostics:
 
     e_trace holds E_1 .. E_k0 and pivots each point's Cholesky pivot. A
     greedy fit also records radius_trace, the coverage radius after each
-    step, and seconds_trace, the seconds from the start of the fit to the
-    end of each step; a fixed-order fit leaves both empty. skipped lists
-    the dependent candidates: the one that stopped a greedy fit, or the
-    points a fixed-order fit dropped.
+    step, and seconds_trace, the seconds from the start of the backend's
+    fit call to the end of each step; a fixed-order fit leaves both empty.
+    skipped lists the dependent candidates: the one that stopped a greedy
+    fit, or the points a fixed-order fit dropped.
     """
 
     e_trace: np.ndarray
@@ -122,8 +120,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     point drawn with `seed`). Each costs one O(nd) scan, which also sums
     the Gram shape over the candidate's distances to every point, so its
     kernel row mean is one number, and one O(m^2) pivoted Cholesky step;
-    `CholeskyWeights.greedy` runs the steps in one backend call per
-    doubling of the factor, with no Python per step. Fitting stops at the
+    `CholeskyWeights.greedy` runs them all in one backend call, which grows
+    the packed factor itself, with no Python per step. Fitting stops at the
     first support size k0 <= k_max whose relative error progress
     (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose
@@ -142,10 +140,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
-    start = time.perf_counter()
     weights = CholeskyWeights(data, spec, k_max)
-    scan = kcenter.FarthestFirst(weights.points)
-    stop, cand = weights.greedy(scan, kcenter._resolve_first(n, first, seed), epsilon, start)
+    stop, cand = weights.greedy(kcenter._resolve_first(n, first, seed), epsilon)
     skipped = ()
     if stop == "dependent":
         logger.info("the fit stops at a dependent candidate: support point %d is numerically "
@@ -159,13 +155,20 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
 
 
 def _support_indices(support_indices, n: int) -> np.ndarray:
-    """support_indices as a flat int64 array, once it is non-empty and inside [0, n)."""
-    indices = np.asarray(support_indices, dtype=np.int64).ravel()
-    if indices.size == 0:
+    """support_indices as a flat int64 array, once it is non-empty, integral and inside [0, n).
+
+    A bool mask or a value that is not an integer raises ValueError rather
+    than being cast to an index.
+    """
+    values = np.asarray(support_indices).ravel()
+    if values.size == 0:
         raise ValueError("support is empty")
-    if np.any((indices < 0) | (indices >= n)):
+    kind = values.dtype.kind
+    if not (kind in "iu" or (kind == "f" and np.all(np.floor(values) == values))):
+        raise ValueError(f"support indices must be integers (got {values.dtype} values)")
+    if np.any((values < 0) | (values >= n)):
         raise ValueError(f"support indices must lie in [0, {n})")
-    return indices
+    return values.astype(np.int64)
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:

@@ -2,7 +2,6 @@ import platform
 import shutil
 import subprocess
 import sys
-import time
 import types
 import warnings
 from pathlib import Path
@@ -19,7 +18,7 @@ from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
 from skm.coefficients import SINGULARITY_REL_TOL, CholeskyWeights
 from skm.dataio import DataSet
-from skm.kcenter import FarthestFirst, kcenter_greedy
+from skm.kcenter import kcenter_greedy
 from skm.kernels import (
     SHAPE_EXP,
     SHAPE_POWER,
@@ -144,9 +143,9 @@ def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
     monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
-    state, scan = CholeskyWeights(DataSet(points), spec, 3), FarthestFirst(points)
+    state = CholeskyWeights(DataSet(points), spec, 3)
     assert state.params.kind == kind and state.params.c != 1.0
-    assert state.greedy(scan, 17, 0.0, time.perf_counter())[0] == "budget"
+    assert state.greedy(17, 0.0)[0] == "budget"
     order = state.indices
     expected = block_sums(state.params, points[order], points, np.full(n, 1.0 / n))
     assert_allclose(state.kappa, expected, rtol=1e-13)
@@ -223,21 +222,21 @@ SHAPES = [ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0), ShapeParams(SHAPE_EXP, 0.8, 0
 def test_farthest_scan_shape_sum_is_a_kernel_sum(impl, params):
     # The scan of a greedy_fit step from point j sums shape(||x_i -
     # x_j||^2) over every point, for kappa_j = c * sum / n: the kernel sum
-    # block_sums forms with coef 1/n. It leaves the distances and the pick
-    # as farthest_scan does.
+    # block_sums forms with coef 1/n. Its picks and radii are those of a
+    # chain of farthest_scan calls.
     points = random_case(np.random.default_rng(6), n=3000, d=5)
     coords = np.ascontiguousarray(points.T)
-    plain, shaped = np.full(3000, np.inf), np.full(3000, np.inf)
-    for j in (0, 1234, 2999):
-        far = impl.farthest_scan(coords, j, plain)
-        indices, packed, record = np.empty(1, dtype=np.int64), np.empty(1), np.empty((6, 1))
-        m, far_shaped, stop = impl.greedy_fit(coords, shaped, *params, 0.0, 0.0, 0.0, j, 0,
-                                              indices, packed, record)
-        assert (m, stop) == (1, "budget")
-        assert far_shaped == far
-        assert_array_equal(shaped, plain)
-        expected = block_sums(params, points[j:j + 1], points, np.full(3000, 1.0 / 3000))[0]
-        assert_allclose(record[1, 0], expected, rtol=SUM_RTOL)
+    sqdist, order, radii = np.full(3000, np.inf), [2999], []
+    for _ in range(3):
+        order.append(impl.farthest_scan(coords, order[-1], sqdist))
+        radii.append(np.sqrt(sqdist[order[-1]]))
+    indices, record = np.empty(3, dtype=np.int64), np.empty((6, 3))
+    m, cand, stop, _ = impl.greedy_fit(points, *params, 0.0, 0.0, 2999, indices, record)
+    assert (m, cand, stop) == (3, order[3], "budget")
+    assert_array_equal(indices, order[:3])
+    assert_array_equal(record[4], radii)
+    expected = block_sums(params, points[order[:3]], points, np.full(3000, 1.0 / 3000))
+    assert_allclose(record[1], expected, rtol=SUM_RTOL)
 
 
 def _kernel_sums(impl, params, xs, ys, coef):
@@ -371,20 +370,13 @@ def test_mean_shift_sums_over_the_support_and_its_weights(impl, monkeypatch):
     assert_allclose(np.sort(clusters.modes[:, 0]), [0.0, 0.0, 4.0], atol=0.2)
 
 
-def _factor(impl, points, params, threshold, start=0, packed=None):
-    """factor_order from `start` on: the kept mask, every pivot and the packed factor.
-
-    packed, when given, holds the factor of the first `start` rows.
-    """
+def _factor(impl, points, params, threshold):
+    """factor_order on the rows of points: the kept mask, every pivot and the packed factor."""
     m = points.shape[0]
-    full = np.full(m * (m + 1) // 2, np.nan)
-    if packed is not None:
-        full[:packed.size] = packed
-    pivots = np.full(m, np.nan)
-    kept = impl.factor_order(points, *params, threshold, start, full, pivots)
-    mask = np.r_[np.ones(start, dtype=bool), pivots[start:] > threshold]
+    full, pivots = np.full(m * (m + 1) // 2, np.nan), np.full(m, np.nan)
+    kept = impl.factor_order(points, *params, threshold, full, pivots)
+    mask = pivots > threshold
     assert kept == np.count_nonzero(mask)
-    assert np.isnan(pivots[:start]).all()
     return mask, pivots, full[:kept * (kept + 1) // 2]
 
 
@@ -448,26 +440,18 @@ def test_factor_order_semantics(impl):
     # A candidate is kept only when its pivot exceeds the threshold.
     kept, _, _ = _factor(impl, points[:2].copy(), params, 1.0 - g * g)
     assert_array_equal(kept, [True, False])
-    # From start = 1 the first row is the support, its factor given.
-    kept, pivots, packed_1 = _factor(impl, points, params, 1e-9, start=1, packed=packed[:1])
-    assert_array_equal(kept, [True, True, False])
-    assert_array_equal(packed_1, packed)
-    assert_array_equal(pivots[1:], _factor(impl, points, params, 1e-9)[1][1:])
-    assert impl.factor_order(np.empty((0, 1)), *params, 1e-9, 0, np.empty(0), np.empty(0)) == 0
-    # From start = m there is nothing to factor, and nothing is written.
-    packed, pivots = np.array([1.0]), np.array([-1.0])
-    assert impl.factor_order(points[:1].copy(), *params, 1e-9, 1, packed, pivots) == 1
-    assert packed[0] == 1.0 and pivots[0] == -1.0
+    assert impl.factor_order(np.empty((0, 1)), *params, 1e-9, np.empty(0), np.empty(0)) == 0
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 @pytest.mark.parametrize("m, d", [(40, 1), (300, 3), (600, 5)])
 def test_factor_order_resumes_bit_identically(impl, params, m, d):
-    # Factoring [0, m) in one call is factoring [0, s) and then the kept
-    # rows of [0, s) with [s, m) from start = kept: the packed factor, the
-    # pivots and the kept count are bit-identical. m = 600 spans two row
-    # blocks of the numpy backend; repeated rows are dropped.
+    # A row of the factor is final once written, and the rows after it
+    # resume from it: factoring [0, m) in one call begins with the factor
+    # of every head [0, s), its kept mask, pivots and packed rows bit for
+    # bit. m = 600 spans two row blocks of the numpy backend; repeated rows
+    # are dropped.
     rng = np.random.default_rng(m)
     points = random_case(rng, n=m, d=d)
     points[rng.integers(m, size=m // 10)] = points[rng.integers(m, size=m // 10)]
@@ -476,13 +460,9 @@ def test_factor_order_resumes_bit_identically(impl, params, m, d):
     assert 1 < np.count_nonzero(kept) < m
     for s in (0, 1, 7, m // 2, m - 1, m):
         head, head_pivots, head_packed = _factor(impl, points[:s].copy(), params, threshold)
-        rest = np.ascontiguousarray(np.vstack([points[:s][head], points[s:]]))
-        k = int(head.sum())
-        tail, tail_pivots, tail_packed = _factor(impl, rest, params, threshold, start=k,
-                                                 packed=head_packed)
-        assert_array_equal(np.r_[head, tail[k:]], kept)
-        assert_array_equal(np.r_[head_pivots, tail_pivots[k:]], pivots)
-        assert_array_equal(tail_packed, packed)
+        assert_array_equal(head, kept[:s])
+        assert_array_equal(head_pivots, pivots[:s])
+        assert_array_equal(head_packed, packed[:head_packed.size])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -497,8 +477,6 @@ def test_factor_order_rejects_bad_buffers(impl):
         (TypeError, "points must be a float64 array", {"points": points.tolist()}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.eye(8)[::2, ::2]}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.ones(4)}),
-        (ValueError, "start -1 out of range for m=4", {"start": -1}),
-        (ValueError, "start 5 out of range for m=4", {"start": 5}),
         (ValueError, "packed has the wrong length", {"packed": np.full(9, -1.0)}),
         (ValueError, "pivots has the wrong length", {"pivots": np.full(3, -1.0)}),
         (TypeError, "packed must be a float64 array", {"packed": np.full(10, -1.0, np.float32)}),
@@ -509,16 +487,16 @@ def test_factor_order_rejects_bad_buffers(impl):
         (ValueError, "pivots must be writable", {"pivots": readonly[:4]}),
     ]
     for error, message, bad in cases:
-        args = {"points": points, "kind": SHAPE_SQEXP, "start": 0,
+        args = {"points": points, "kind": SHAPE_SQEXP,
                 "packed": np.full(10, -1.0), "pivots": np.full(4, -1.0)} | bad
         with pytest.raises(error, match=message):
-            impl.factor_order(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9, args["start"],
+            impl.factor_order(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9,
                               args["packed"], args["pivots"])
         for name in ("packed", "pivots"):
             sentinel = args[name].base if args[name].base is not None else args[name]
             assert np.all(sentinel == -1.0), message
     packed, pivots = np.full(10, -1.0), np.full(4, -1.0)
-    assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0, packed, pivots) == 4
+    assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, packed, pivots) == 4
 
 
 def _packed_factor(rng, m):
@@ -569,49 +547,41 @@ def test_tri_solve_rejects_bad_buffers_before_writing(impl):
         assert np.all(sentinel == -1.0), message
 
 
-def _greedy(impl, points, params, epsilon, first, capacity, rows=None):
-    """greedy_fit from point `first` until it stops at a test other than "full".
+def _greedy(impl, points, params, epsilon, first, capacity):
+    """One greedy_fit call from point `first`, at the fits' singularity threshold.
 
-    The packed factor starts with `rows` rows (default: the capacity) and
-    doubles, up to the capacity, whenever a call stops at "full", as
-    CholeskyWeights.greedy grows it. Returns (m, cand, stop, the number of
-    calls, sqdist, indices, packed, record), the buffers cut to m points.
+    Returns (m, cand, stop, indices, packed, record), the indices and the
+    record cut to the m points kept.
     """
-    coords = np.ascontiguousarray(points.T)
-    sqdist = np.full(points.shape[0], np.inf)
     indices, record = np.full(capacity, -1), np.full((6, capacity), np.nan)
-    packed, m, cand, stop, calls = np.empty(0), 0, first, "full", 0
-    while stop == "full":
-        r = capacity if rows is None else min(capacity, max(rows, 2 * m))
-        grown = np.full(r * (r + 1) // 2, np.nan)
-        grown[:m * (m + 1) // 2] = packed[:m * (m + 1) // 2]
-        packed = grown
-        m, cand, stop = impl.greedy_fit(coords, sqdist, *params, SINGULARITY_REL_TOL * params.c,
-                                        epsilon, 0.0, cand, m, indices, packed, record)
-        calls += 1
-    return (m, cand, stop, calls, sqdist, indices[:m], packed[:m * (m + 1) // 2],
-            record[:, :m])
+    m, cand, stop, packed = impl.greedy_fit(points, *params, SINGULARITY_REL_TOL * params.c,
+                                            epsilon, first, indices, record)
+    packed = np.frombuffer(packed)
+    assert packed.shape == (m * (m + 1) // 2,)
+    assert (indices[m:] == -1).all() and np.isnan(record[:, m + 1:]).all()
+    return m, cand, stop, indices[:m], packed, record[:, :m]
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 @pytest.mark.parametrize("epsilon", [0.0, 1e-5])
 def test_greedy_fit_resumes_across_doublings_bit_identically(impl, params, epsilon):
-    # From 16 rows the factor doubles to 32, 64 and 100 as the support
-    # grows, one call each; the result is that of one call with room for
-    # the capacity, bit for bit, but for the seconds. At epsilon = 1e-5 the
-    # fits stop at the ratio test after 19 to 59 points.
+    # The packed factor starts at 16 rows and doubles to 32, 64 and 100 as
+    # the support grows, the steps resuming after each doubling inside the
+    # one call. A fit whose capacity stops it earlier doubles less, and is
+    # the same fit up to there: the indices, the record rows but the
+    # seconds, and the packed rows, bit for bit. At epsilon = 1e-5 the fits
+    # stop at the ratio test after 19 to 59 points.
     points = random_case(np.random.default_rng(13), n=2000, d=3)
-    whole = _greedy(impl, points, params, epsilon, 7, 100)
-    resumed = _greedy(impl, points, params, epsilon, 7, 100, rows=16)
-    m, stop = whole[0], whole[2]
-    assert whole[3] == 1 and resumed[3] == 1 + (m > 16) + (m > 32) + (m > 64)
+    m, cand, stop, indices, packed, record = _greedy(impl, points, params, epsilon, 7, 100)
     assert m > 16 and stop == {0.0: "budget", 1e-5: "ratio"}[epsilon]
-    assert resumed[:3] == whole[:3]
-    for now, then in zip(resumed[4:7], whole[4:7]):
-        assert_array_equal(now, then)
-    assert_array_equal(resumed[7][:5], whole[7][:5])
-    assert np.all(resumed[7][5] >= 0.0)  # each call's seconds count from its `elapsed`, 0
+    assert np.all(record[5] >= 0.0)  # seconds from the start of the call
+    for cap in (c for c in (16, 17, 32, 33, 64, 65) if c < m):
+        head = _greedy(impl, points, params, epsilon, 7, cap)
+        assert head[:3] == (cap, indices[cap], "budget")
+        assert_array_equal(head[3], indices[:cap])
+        assert_array_equal(head[4], packed[:cap * (cap + 1) // 2])
+        assert_array_equal(head[5][:5], record[:5, :cap])
 
 
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
@@ -620,7 +590,7 @@ def test_compiled_forward_solve_is_the_greedy_fits_v(fastcore, params):
     # forward solve L v = kappa, with the same dot, so solving afresh on
     # the packed factor and the recorded kappa gives its v bit for bit.
     points = random_case(np.random.default_rng(15), n=1000, d=3)
-    m, _, _, _, _, _, packed, record = _greedy(fastcore, points, params, 0.0, 0, 70, rows=16)
+    m, _, _, _, packed, record = _greedy(fastcore, points, params, 0.0, 0, 70)
     assert m == 70
     v = record[1].copy()
     fastcore.tri_solve(packed, v, 0)
@@ -629,16 +599,16 @@ def test_compiled_forward_solve_is_the_greedy_fits_v(fastcore, params):
 
 def test_greedy_fit_resumes_at_a_dependent_stop(fastcore):
     # A wide Gaussian stops at a dependent candidate after the factor
-    # doubled twice; both backends stop at the same one.
+    # doubled twice; both backends stop at the same one, with the same
+    # support and radii.
     points = random_case(np.random.default_rng(14), n=1500, d=2)
     params = ShapeParams(SHAPE_SQEXP, 0.5 / 3.0**2, 0.0, 1.0)
-    whole = _greedy(fastcore, points, params, 0.0, 0, 200)
-    assert whole[2] == "dependent" and 32 < whole[0] <= 64
-    runs = [_greedy(impl, points, params, 0.0, 0, 200, rows=16) for impl in (_numpy_impl, fastcore)]
-    for run in runs:
-        assert run[:3] == whole[:3] and run[3] == 3
-    assert_array_equal(runs[0][5], runs[1][5])  # the support
-    assert_array_equal(runs[0][7][4], runs[1][7][4])  # the radii
+    runs = [_greedy(impl, points, params, 0.0, 0, 200) for impl in (_numpy_impl, fastcore)]
+    m, _, stop = runs[0][:3]
+    assert stop == "dependent" and 32 < m <= 64
+    assert runs[1][:3] == runs[0][:3]
+    assert_array_equal(runs[1][3], runs[0][3])  # the support
+    assert_array_equal(runs[1][5][4], runs[0][5][4])  # the radii
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -647,36 +617,25 @@ def test_greedy_fit_stops_at_each_test(impl):
     wide = ShapeParams(SHAPE_SQEXP, 0.5 / 1000.0**2, 0.0, 1.0)
     line = np.array([[0.0], [1e-6], [10.0], [4.0]])
     # "budget": the capacity is reached, and cand is the next farthest point.
-    m, cand, stop, _, sqdist, indices, _, record = _greedy(impl, line, unit, 0.0, 0, 2)
+    m, cand, stop, indices, _, record = _greedy(impl, line, unit, 0.0, 0, 2)
     assert (m, cand, stop) == (2, 3, "budget")
     assert_array_equal(indices, [0, 2])
     assert_array_equal(record[4], [10.0, 4.0])
-    # "full": the packed factor is full; a call with m = rows returns at once.
-    coords, sqdist = np.ascontiguousarray(line.T), np.full(4, np.inf)
-    indices, packed, record = np.full(4, -1), np.full(3, np.nan), np.full((6, 4), np.nan)
-    args = (coords, sqdist, *unit, 1e-9, 0.0, 0.0)
-    assert impl.greedy_fit(*args, 0, 0, indices, packed, record) == (2, 3, "full")
-    assert_array_equal(indices, [0, 2, -1, -1])
-    assert not np.isnan(packed).any() and np.isnan(record[:, 2:]).all()
-    saved = (sqdist.copy(), packed.copy(), record.copy())
-    assert impl.greedy_fit(*args, 3, 2, indices, packed, record) == (2, 3, "full")
-    for now, then in zip((sqdist, packed, record), saved):
-        assert_array_equal(now, then)
     # "dependent": at sigma = 1000, point 1 (1e-6 from point 0) has a pivot
-    # below the threshold; it is not kept, but its scan lowered sqdist.
-    m, cand, stop, _, sqdist, indices, packed, record = _greedy(impl, line[:3], wide, 0.0, 0, 3)
+    # below the threshold; it is not kept.
+    m, cand, stop, indices, packed, record = _greedy(impl, line[:3], wide, 0.0, 0, 3)
     assert (m, cand, stop) == (2, 1, "dependent")
     assert_array_equal(indices, [0, 2])
-    assert_array_equal(sqdist, [0.0, 0.0, 0.0])
+    assert_array_equal(record[4], [10.0, 1e-6])
     # "ratio": |E_1 - E_2| / |E_1 - E_2| = 1 <= epsilon at the second point.
     m, cand, stop, *_ = _greedy(impl, line, unit, 1.0, 0, 4)
     assert (m, cand, stop) == (2, 3, "ratio")
     # "radius": three distinct points are covered by three centers.
-    m, cand, stop, _, sqdist, indices, _, record = _greedy(impl, line[[0, 2, 3]], unit, 0.0, 0, 3)
-    assert (m, stop) == (3, "radius") and not sqdist.any()
+    m, cand, stop, indices, _, record = _greedy(impl, line[[0, 2, 3]], unit, 0.0, 0, 3)
+    assert (m, stop) == (3, "radius")
     assert record[4, -1] == 0.0
     # The record: E_m = E_{m-1} - v_m^2, kappa and the pivots of the Gram block.
-    m, cand, stop, _, _, indices, packed, record = _greedy(impl, line, unit, 0.0, 0, 4)
+    m, cand, stop, indices, packed, record = _greedy(impl, line, unit, 0.0, 0, 4)
     pivots, kappa, v, e = record[:4]
     assert_array_equal(e, -np.cumsum(v * v))
     assert_allclose(kappa, kernel_block(unit, line[indices], line).mean(axis=1), rtol=1e-14)
@@ -687,59 +646,43 @@ def test_greedy_fit_stops_at_each_test(impl):
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_greedy_fit_rejects_bad_buffers(impl):
-    coords = np.ascontiguousarray(np.arange(12.0).reshape(3, 4))  # four points in d = 3
-    readonly, readonly_sqdist = np.full((6, 3), -1.0), np.full(4, -1.0)
+    points = np.ascontiguousarray(np.arange(12.0).reshape(3, 4).T)  # four points in d = 3
+    readonly = np.full((6, 3), -1.0)
     readonly.setflags(write=False)
-    readonly_sqdist.setflags(write=False)
     cases = [
         (ValueError, "unknown shape kind 3", {"kind": 3}),
         (ValueError, "unknown shape kind -1", {"kind": -1}),
-        (TypeError, "coords must be a float64 array", {"coords": coords.astype(np.float32)}),
-        (TypeError, "coords must be a float64 array", {"coords": coords.tolist()}),
-        (ValueError, "coords must be a C-contiguous 2-D", {"coords": np.zeros((3, 8))[:, ::2]}),
-        (ValueError, "sqdist has the wrong length", {"sqdist": np.full(3, -1.0)}),
-        (ValueError, "sqdist must be writable", {"sqdist": readonly_sqdist}),
-        (ValueError, "index -1 out of range for n=4", {"cand": -1}),
-        (ValueError, "index 4 out of range for n=4", {"cand": 4}),
+        (TypeError, "points must be a float64 array", {"points": points.astype(np.float32)}),
+        (TypeError, "points must be a float64 array", {"points": points.tolist()}),
+        (ValueError, "points must be a C-contiguous 2-D", {"points": np.zeros((8, 3))[::2]}),
+        (ValueError, "points must be a C-contiguous 2-D", {"points": np.zeros(12)}),
+        (ValueError, "index -1 out of range for n=4", {"first": -1}),
+        (ValueError, "index 4 out of range for n=4", {"first": 4}),
         (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1.0)}),
         (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1, np.int32)}),
         (ValueError, "indices must be a C-contiguous 1-D", {"indices": np.full((3, 2), -1)[:, 0]}),
-        (ValueError, "m -1 out of range for capacity=3", {"m": -1}),
-        (ValueError, "m 4 out of range for capacity=3", {"m": 4}),
-        (ValueError, "support index 4 out of range for n=4",
-         {"m": 2, "indices": np.array([0, 4, -1])}),
-        (ValueError, "support index -1 out of range for n=4", {"m": 1}),
-        (TypeError, "packed must be a float64 array", {"packed": np.full(6, -1.0, np.float32)}),
-        (ValueError, "packed has the wrong length", {"packed": np.full(5, -1.0)}),
-        (ValueError, "packed has the wrong length", {"packed": np.full(10, -1.0)}),
-        (ValueError, "packed has the wrong length",
-         {"packed": np.full(1, -1.0), "m": 2, "indices": np.array([0, 1, -1])}),
-        (ValueError, "packed must be writable", {"packed": readonly[1]}),
         (ValueError, "record has the wrong length", {"record": np.full((5, 3), -1.0)}),
         (ValueError, "record must have one column per index", {"record": np.full((6, 4), -1.0)}),
         (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(18, -1.0)}),
         (ValueError, "record must be writable", {"record": readonly}),
-        (ValueError, "sqdist must be non-negative", {}),
-        (ValueError, "sqdist must be non-negative",
-         {"sqdist": np.array([np.inf, 0.0, np.nan, 1.0])}),
     ]
     for error, message, bad in cases:
-        args = {"coords": coords, "sqdist": np.full(4, -1.0), "kind": SHAPE_SQEXP, "cand": 0,
-                "m": 0, "indices": np.full(3, -1), "packed": np.full(6, -1.0),
+        args = {"points": points, "kind": SHAPE_SQEXP, "first": 0, "indices": np.full(3, -1),
                 "record": np.full((6, 3), -1.0)} | bad
         buffers = {name: args[name] if args[name].base is None else args[name].base
-                   for name in ("sqdist", "indices", "packed", "record")
+                   for name in ("points", "indices", "record")
                    if isinstance(args[name], np.ndarray)}
         saved = {name: buf.copy() for name, buf in buffers.items()}
         with pytest.raises(error, match=message):
-            impl.greedy_fit(args["coords"], args["sqdist"], args["kind"], 0.5, 0.0, 1.0, 1e-9,
-                            0.0, 0.0, args["cand"], args["m"], args["indices"], args["packed"],
-                            args["record"])
+            impl.greedy_fit(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9, 0.0,
+                            args["first"], args["indices"], args["record"])
         for name, buf in buffers.items():
             assert_array_equal(buf, saved[name], err_msg=f"{message}: {name}")
-    sqdist, indices, packed, record = np.full(4, np.inf), np.full(3, -1), np.empty(6), np.empty((6, 3))
-    assert impl.greedy_fit(coords, sqdist, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0.0, 0.0, 0, 0,
-                           indices, packed, record) == (3, 2, "budget")
+    indices, record = np.full(3, -1), np.empty((6, 3))
+    m, cand, stop, packed = impl.greedy_fit(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0.0, 0,
+                                            indices, record)
+    assert (m, cand, stop) == (3, 2, "budget") and len(np.frombuffer(packed)) == 6
+    assert_array_equal(indices, [0, 3, 1])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -763,7 +706,7 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     points[:40] = points[rng.integers(40, 400, size=40)] + 1e-12 * rng.normal(size=(40, 2))
     data = DataSet(points)
     stepped = CholeskyWeights(data, spec, 400)
-    stop, cand = stepped.greedy(FarthestFirst(points), 0, 0.0, time.perf_counter())
+    stop, cand = stepped.greedy(0, 0.0)
     skipped = [cand] if stop == "dependent" else []
     order = np.r_[stepped.indices, skipped]
     factored = CholeskyWeights(data, spec, order.size)
@@ -844,10 +787,10 @@ def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatc
     data = DataSet(random_case(np.random.default_rng(12), n=50, d=2))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=0.5)
     state = CholeskyWeights(data, spec, 3)
-    assert state.greedy(FarthestFirst(data.points), 0, 0.0, time.perf_counter())[0] == "budget"
+    assert state.greedy(0, 0.0)[0] == "budget"
     saved = _state_copy(state)
     with pytest.raises(ValueError, match="empty state"):
-        state.greedy(FarthestFirst(data.points), 3, 0.0, time.perf_counter())
+        state.greedy(3, 0.0)
     _assert_state_is(state, saved)
     with pytest.raises(ValueError, match="empty state of capacity 3"):
         state.factor([3, 4, 5])

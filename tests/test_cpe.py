@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -355,6 +357,24 @@ def test_search_bandwidth_rejects_fewer_than_two_evaluations(max_iter):
     train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
     with pytest.raises(ValueError, match="max_iter must be at least 2"):
         search_bandwidth(train, 0.2, 5.0, GAUSS_2D, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("validation_size", [0, -3])
+def test_search_bandwidth_rejects_an_empty_validation_mixture(validation_size, monkeypatch):
+    # Refused on entry: no split, no fit and no 0/0 RuntimeWarning first.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    for name in ("full_mean", "fit_with_support", "dirichlet_sample"):
+        monkeypatch.setattr(f"skm.cpe.{name}", no_fit)
+    rng = np.random.default_rng(14)
+    train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="validation_size must be at least 1, got "
+                                             f"{validation_size}"):
+            search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True,
+                             validation_size=validation_size)
 
 
 def test_search_bandwidth_validates_interval():

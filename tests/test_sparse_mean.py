@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from skm import _backend
 from skm.coefficients import CholeskyWeights
 from skm.dataio import DataSet
-from skm.kcenter import FarthestFirst, kcenter_greedy
+from skm.kcenter import kcenter_greedy
 from skm.kernels import (
     RadialKernelSpec,
     block_sums,
@@ -377,12 +377,12 @@ def _count_backend_calls(monkeypatch):
 
 def _count_numpy_steps(monkeypatch):
     """Run greedy fits on the numpy backend and count the scans and factor
-    steps inside its greedy_fit."""
+    steps inside its greedy_fit: a factor step is one triangular solve."""
     from skm._backend import _numpy_impl
 
     steps = {"scans": 0, "factor_steps": 0}
     monkeypatch.setattr(_backend, "greedy_fit", _numpy_impl.greedy_fit)
-    for name, key in (("_sqdist_to", "scans"), ("factor_order", "factor_steps")):
+    for name, key in (("_sqdist_to", "scans"), ("tri_solve", "factor_steps")):
         def counted(*args, _key=key, _fn=getattr(_numpy_impl, name)):
             steps[_key] += 1
             return _fn(*args)
@@ -391,10 +391,10 @@ def _count_numpy_steps(monkeypatch):
 
 
 def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
-    # Each accepted step is one scan and one factor step, a factor_order
-    # step on the support and the new point, inside greedy_fit, which the
-    # fit calls once per doubling of the factor: 16, 32, then 60 rows. The
-    # weights cost one triangular solve.
+    # Each accepted step is one scan and one factor step, the new point's
+    # Gram row solved against the factor, inside the one greedy_fit call of
+    # the fit, which doubles its factor from 16 to 32, then 60 rows. The
+    # weights cost one more triangular solve.
     steps = _count_numpy_steps(monkeypatch)
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
@@ -402,7 +402,7 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
     assert steps == {"scans": 60, "factor_steps": 60}
     assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
-                     "greedy_fit": 3}
+                     "greedy_fit": 1}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
@@ -417,9 +417,9 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     assert len(mean.diagnostics.skipped) == 1 and "pivot" in caplog.text
     tried = mean.k0 + 1
     assert steps == {"scans": tried, "factor_steps": tried}
-    assert 16 < tried <= 32  # so the factor doubled once
+    assert 16 < tried <= 32  # so the factor doubled once, inside the call
     assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
-                     "greedy_fit": 2}
+                     "greedy_fit": 1}
 
 
 def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
@@ -457,7 +457,7 @@ def test_weights_match_dense_solve_at_every_step():
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
     order = kcenter_greedy(data, 300, first=0).order
     state = CholeskyWeights(data, spec, 300)
-    state.greedy(FarthestFirst(data.points), 0, 0.0, time.perf_counter())
+    state.greedy(0, 0.0)
     assert_array_equal(state.indices, order)
     assert_array_equal(fit(data, spec, k_max=300, epsilon=0.0, first=0).support_indices, order)
     history = []
@@ -491,7 +491,46 @@ def test_fit_memory_grows_with_support_not_budget():
     assert peak < 4_000_000
 
 
+@pytest.mark.parametrize("impl", ["skm._backend._numpy_impl", "skm._backend._fastcore"],
+                         indirect=True)
+def test_seconds_trace_counts_from_the_start_of_the_fit_call(impl, monkeypatch):
+    # Each entry is the seconds from the start of the backend's greedy_fit
+    # call to the end of a step, so the trace never falls and ends within
+    # the wall time of the fit around the call.
+    from skm._backend import _numpy_impl
+
+    for name in _numpy_impl.__all__:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
+    data = DataSet(np.random.default_rng(26).normal(size=(2000, 3)))
+    start = time.perf_counter()
+    mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=80, epsilon=0.0)
+    wall = time.perf_counter() - start
+    seconds = mean.diagnostics.seconds_trace
+    assert seconds.shape == (80,)
+    assert seconds[0] >= 0.0 and np.all(np.diff(seconds) >= 0.0)
+    assert seconds[-1] <= wall
+
+
 # ------------------------------------------------------------------ incoherence
+
+@pytest.mark.parametrize("indices", [
+    [0.5, 2.7],
+    [True, False, True, False, False],
+    np.array([1, 0, 1, 0, 0], dtype=bool),
+    [0.0, np.nan],
+    ["0", "2"],
+], ids=["fractions", "bool-list", "bool-mask", "nan", "strings"])
+def test_support_indices_must_be_integers(indices):
+    # A fraction is not cut down to an index, nor a bool mask read as the
+    # indices 0 and 1, by either caller.
+    data = line_data(0.0, 1.0, 2.0, 3.0, 4.0)
+    for call in (fit_with_support, incoherence):
+        with pytest.raises(ValueError, match="support indices must be integers"):
+            call(data, UNIT_GAUSS_1D, indices)
+    # Integral floats are integers.
+    assert fit_with_support(data, UNIT_GAUSS_1D, [0.0, 2.0]).support_indices.tolist() == [0, 2]
+    assert incoherence(data, UNIT_GAUSS_1D, [0.0, 2.0]) == incoherence(data, UNIT_GAUSS_1D, [0, 2])
+
 
 def test_incoherence_duplicates_cover_everything():
     data = line_data(0.0, 0.0, 3.0, 3.0)
