@@ -31,11 +31,10 @@ import numpy as np
 import skm
 from skm import _backend
 from skm._backend import _numpy_impl
-from skm.coefficients import SINGULARITY_REL_TOL
 from skm.dataio import DataSet
 from skm.kcenter import _resolve_first, kcenter_greedy
 from skm.kernels import SHAPE_SQEXP, RadialKernelSpec, gram_params
-from skm.sparse_mean import default_k_max, fit_with_support
+from skm.sparse_mean import SINGULARITY_REL_TOL, default_k_max, fit_with_support
 
 try:
     from skm._backend import _fastcore

@@ -7,7 +7,6 @@ estimation, and mean-shift clustering.
 """
 
 from ._backend import BACKEND
-from .coefficients import project_simplex
 from .cpe import (
     ProportionEstimate,
     dirichlet_sample,
@@ -55,6 +54,7 @@ from .sparse_mean import (
     fit_with_support,
     full_mean,
     incoherence,
+    project_simplex,
     random_selection_fit,
 )
 

@@ -15,9 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import project_simplex
 from .divergences import _rkhs_from_inners, fit_sample_means
 from .errors import SkmError
+from .kcenter import _integer_in, kcenter_greedy
 from .kernels import RadialKernelSpec
 from .sparse_mean import (
     SparseKernelMean,
@@ -25,6 +25,7 @@ from .sparse_mean import (
     fit_with_support,
     full_mean,
     mean_gram_inner,
+    project_simplex,
 )
 
 logger = logging.getLogger(__name__)
@@ -214,10 +215,9 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         raise ValueError("bandwidth search applies to gaussian kernels only")
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if max_iter < 2:
-        raise ValueError(f"max_iter must be at least 2 (the first bracket), got {max_iter}")
-    if not validation_size >= 1:
-        raise ValueError(f"validation_size must be at least 1, got {validation_size}")
+    max_iter = _integer_in("max_iter", max_iter, 2, math.inf, "max_iter >= 2, the first bracket")
+    validation_size = _integer_in("validation_size", validation_size, 1, math.inf,
+                                  "validation_size >= 1")
     train = list(train)
     n_classes = len(train)
     if n_classes < 2:
@@ -247,8 +247,6 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
 
     supports = None
     if sparse:
-        from .kcenter import kcenter_greedy
-
         supports = [kcenter_greedy(fs, _support_budget(k_max, fs.n), seed=seed).order
                     for fs in fit_sets]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, KernelSpecError
 from .kernels import RadialKernelSpec, _FAMILY_PARAMS
 from .sparse_mean import FitDiagnostics, SparseKernelMean
 
@@ -107,7 +107,7 @@ def _spec_to_dict(spec: RadialKernelSpec) -> dict:
 def _spec_from_dict(doc: dict) -> RadialKernelSpec:
     try:
         return RadialKernelSpec(**doc)
-    except TypeError as exc:
+    except (TypeError, KernelSpecError) as exc:
         raise DataFormatError(f"bad kernel section in model file: {exc}") from None
 
 
@@ -148,6 +148,12 @@ def _floats(value) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
 def load_model(path) -> SparseKernelMean:
     """The mean a model file holds, with no support indices and method "loaded".
 
@@ -176,9 +182,9 @@ def load_model(path) -> SparseKernelMean:
                               f"non-negative, got {epsilon!r}")
     if not np.all(np.isfinite(e_trace)):
         raise DataFormatError(f"{path}: bad model field 'e_trace': non-finite values")
+    density_mode = _field(path, doc, "density_mode", _boolean)
     try:
-        spec = _spec_from_dict(doc["kernel"])
-        k0, density_mode = doc["k0"], bool(doc["density_mode"])
+        spec, k0 = _spec_from_dict(doc["kernel"]), doc["k0"]
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing model field {exc}") from None
     except DataFormatError as exc:

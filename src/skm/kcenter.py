@@ -41,10 +41,11 @@ class Selection:
         return float(self.radius_trace[-1])
 
 
-def _integer_in(name: str, value, low: int, high: int, bounds: str, n: int) -> int:
+def _integer_in(name: str, value, low: int, high: int, bounds: str, n=None) -> int:
     """value as an int, once it is an integer, not a bool, in [low, high].
 
-    bounds states the range in terms of n, for the error message.
+    bounds states the range, in terms of n when n is given, for the error
+    message.
     """
     try:
         ok = (not isinstance(value, (bool, np.bool_)) and value == int(value)
@@ -52,7 +53,8 @@ def _integer_in(name: str, value, low: int, high: int, bounds: str, n: int) -> i
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ValueError(f"{name} must be an integer with {bounds} ({name}={value!r}, n={n})")
+        context = "" if n is None else f", n={n}"
+        raise ValueError(f"{name} must be an integer with {bounds} ({name}={value!r}{context})")
     return int(value)
 
 

@@ -1,12 +1,20 @@
 """Fitting and evaluating sparse kernel means.
 
-A sparse kernel mean approximates the full mean (1/n) sum_i phi(., x_i)
-by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support points
-come from farthest-first traversal, weights from pivoted Cholesky steps
-that carry v = L^{-1} kappa (one triangular solve each; alpha = L^{-T} v
-is solved for once, at the end), and the support stops growing once the
-relative error progress falls below epsilon. The whole greedy fit is one
-backend call, and a fixed support is factored in one backend call.
+A sparse kernel mean approximates the full mean zbar = (1/n) sum_i
+phi(., x_i) by sum_{i in I} alpha_i phi(., x_i) with |I| = k0 << n. Support
+points come from farthest-first traversal. For sections z_i = phi(., x_i)
+the least-squares weights are alpha = K^{-1} kappa, with K_il = <z_i, z_l>
+and kappa_l = (1/n) sum_j <z_j, z_l>. Adding a support point is one step
+of pivoted Cholesky: with b its inner products with the support and
+w = L^{-1} b, the lower factor L of K gains the row [w', sqrt(p)], p =
+g(0) - w'w, and v = L^{-1} kappa gains v_m = (kappa_new - w'v) / sqrt(p).
+E_m = -alpha' kappa = -||v||^2, the squared error minus the constant
+||zbar||^2, is kept as E_m = E_{m-1} - v_m^2, so it never rises; the support
+stops growing once its relative progress falls below epsilon. The weights
+alpha = L^{-T} v take one triangular solve at the end, and K^{-1} is never
+formed. A greedy fit is one `_backend.greedy_fit` call, and a fixed order
+one `_backend.factor_order` call, one kernel sum for kappa and one solve
+for v.
 """
 
 import logging
@@ -16,11 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import kcenter
-from .coefficients import CholeskyWeights, project_simplex
+from . import _backend, kcenter
+from ._backend._numpy_impl import RECORD_ROWS
 from .kernels import RadialKernelSpec, block_sums, eval_params, gram_at_dist, gram_params
 
 logger = logging.getLogger(__name__)
+
+# Pivots at or below this fraction of g(0) signal a (near-)dependent
+# support section. A pivot p bounds the condition number of K below by
+# g(0)/p, so below ~1e-9 the weights L^{-T} v carry rounding error
+# amplified by ~1e9 and degrade within a few further steps.
+SINGULARITY_REL_TOL = 1e-9
 
 
 def _empty():
@@ -90,24 +104,51 @@ def _support_budget(k_max, n: int) -> int:
     return min(n, kcenter._integer_in("k_max", k_max, 1, math.inf, "k_max >= 1", n))
 
 
-def _finalize(spec, weights, skipped, k_max, epsilon, density_mode, method, **traces):
-    """The fitted mean from the weight state, the skipped indices and a greedy fit's traces."""
-    alpha = project_simplex(weights.alpha) if density_mode else weights.alpha
+def project_simplex(values):
+    """Euclidean projection onto {v : sum v_i = 1, v_i >= 0}.
+
+    Sort-based O(k log k) algorithm: pivot on the largest prefix whose
+    shifted entries stay positive.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise ValueError("cannot project an empty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot project a vector with non-finite entries")
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u)
+    ranks = np.arange(1, v.size + 1)
+    positive = u - (cumulative - 1.0) / ranks > 0.0
+    rho = int(np.nonzero(positive)[0][-1])
+    theta = (cumulative[rho] - 1.0) / (rho + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+def _finalize(spec, points, indices, packed, v, e, pivots, skipped, k_max, epsilon,
+              density_mode, method, **traces):
+    """The fitted mean from the kept points' packed factor, v, E and pivots.
+
+    The weights alpha = L^{-T} v are one triangular solve, in place over v,
+    against the leading rows of packed.
+    """
+    m = indices.shape[0]
+    alpha = v
+    _backend.tri_solve(packed[:m * (m + 1) // 2], alpha, 1)
     diag = FitDiagnostics(
-        e_trace=weights.e_trace.copy(),
+        e_trace=e,
         k_max=int(k_max),
         epsilon=float(epsilon),
         density_projected=bool(density_mode),
         skipped=tuple(sorted(skipped)),
         method=method,
-        pivots=weights.pivots.copy(),
+        pivots=pivots,
         **traces,
     )
     return SparseKernelMean(
         spec=spec,
-        support=weights.points[weights.indices],
-        alpha=alpha,
-        support_indices=weights.indices.copy(),
+        support=points[indices],
+        alpha=project_simplex(alpha) if density_mode else alpha,
+        support_indices=indices,
         diagnostics=diag,
     )
 
@@ -119,10 +160,11 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     Candidates come from farthest-first traversal started at `first` (or a
     point drawn with `seed`). Each costs one O(nd) scan, which also sums
     the Gram shape over the candidate's distances to every point, so its
-    kernel row mean is one number, and one O(m^2) pivoted Cholesky step;
-    `CholeskyWeights.greedy` runs them all in one backend call, which grows
-    the packed factor itself, with no Python per step. Fitting stops at the
-    first support size k0 <= k_max whose relative error progress
+    kernel row mean is one number, and one O(m^2) pivoted Cholesky step.
+    One `_backend.greedy_fit` call runs them all into the support indices
+    and the fit record allocated here, and grows the packed factor itself,
+    with no Python per step. Fitting stops at the first support size
+    k0 <= k_max whose relative error progress
     (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose
     section is numerically dependent on the support (listed in
@@ -140,18 +182,22 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
 
-    weights = CholeskyWeights(data, spec, k_max)
-    stop, cand = weights.greedy(kcenter._resolve_first(n, first, seed), epsilon)
+    points = np.ascontiguousarray(data.points, dtype=np.float64)
+    params = gram_params(spec)
+    indices = np.empty(k_max, dtype=np.int64)
+    record = np.empty((len(RECORD_ROWS), k_max))
+    k0, cand, stop, packed = _backend.greedy_fit(
+        points, *params, SINGULARITY_REL_TOL * params.c, epsilon,
+        kcenter._resolve_first(n, first, seed), indices, record)
     skipped = ()
     if stop == "dependent":
         logger.info("the fit stops at a dependent candidate: support point %d is numerically "
-                    "dependent on the current support (pivot %.3e)",
-                    cand, weights._pivots[weights.m])
+                    "dependent on the current support (pivot %.3e)", cand, record[0, k0])
         skipped = (cand,)
-    k0 = weights.m
-    return _finalize(spec, weights, skipped, k_max, epsilon, density_mode, "greedy",
-                     radius_trace=weights.radii[:k0].copy(),
-                     seconds_trace=weights.seconds[:k0].copy())
+    pivots, _kappa, v, e, radii, seconds = record[:, :k0].copy()
+    return _finalize(spec, points, indices[:k0].copy(), np.frombuffer(packed), v, e, pivots,
+                     skipped, k_max, epsilon, density_mode, "greedy", radius_trace=radii,
+                     seconds_trace=seconds)
 
 
 def _support_indices(support_indices, n: int) -> np.ndarray:
@@ -174,15 +220,31 @@ def _support_indices(support_indices, n: int) -> np.ndarray:
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
     """Factor the weights along `order` in one pass, dropping numerically dependent points.
 
-    The factor and kappa of the points it keeps come from one
-    `CholeskyWeights.factor` call.
+    One `_backend.factor_order` call over the candidates in order gives
+    the packed factor of the points it keeps and every candidate's pivot,
+    as the greedy fit's factor steps along the same order would. A point is
+    kept when its pivot exceeds the singularity threshold. One block sum
+    then gives kappa of the kept points, so a dropped point costs no kernel
+    row mean, and one `_backend.tri_solve` gives v = L^{-1} kappa. The work
+    is O(m^3 / 3) flops and O(md) memory besides the factor.
     """
-    weights = CholeskyWeights(data, spec, len(order))
-    skipped = order[~weights.factor(order)].tolist()
+    points = np.ascontiguousarray(data.points, dtype=np.float64)
+    params = gram_params(spec)
+    threshold = SINGULARITY_REL_TOL * params.c
+    m, n = order.shape[0], points.shape[0]
+    support = points[order]
+    packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
+    k = _backend.factor_order(support, *params, threshold, packed, pivots)
+    kept = pivots > threshold
+    v = block_sums(params, support[kept], points, np.full(n, 1.0 / n))
+    _backend.tri_solve(packed[:k * (k + 1) // 2], v, 0)
+    skipped = order[~kept].tolist()
     if skipped:
         logger.info("dropped %d of %d support candidates as numerically dependent",
-                    len(skipped), len(order))
-    return _finalize(spec, weights, skipped, len(order), 0.0, density_mode, method)
+                    len(skipped), m)
+    # E_m = E_{m-1} - v_m^2, summed in the same order as the greedy steps.
+    return _finalize(spec, points, order[kept], packed, v, -np.cumsum(v * v), pivots[kept],
+                     skipped, m, 0.0, density_mode, method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -273,9 +335,9 @@ def bound_value(n: int, support_size: int, c: float, nu: float) -> float:
     """Approximation-error bound (1 - k/n) sqrt((C^2 - nu^2) / C)."""
     if not 0 < support_size <= n:
         raise ValueError(f"support size must be in [1, n] (got {support_size}, n={n})")
-    if not c > 0:
-        raise ValueError(f"C must be positive, got {c}")
-    if nu < 0 or nu > c:
+    if not 0 < c < math.inf:
+        raise ValueError(f"C must be positive and finite, got {c}")
+    if not 0 <= nu <= c:
         raise ValueError(f"incoherence must satisfy 0 <= nu <= C (nu={nu}, C={c})")
     return (1.0 - support_size / n) * math.sqrt((c * c - nu * nu) / c)
 

@@ -40,11 +40,11 @@ def kcenter_brute(data, k: int, max_subsets: int = 1_000_000):
     return best, best_w
 
 
-def inverse_gram(state):
-    """K^{-1} of a CholeskyWeights support, solved from its packed factor in O(m^3)."""
-    m = state.m
+def inverse_gram(packed):
+    """K^{-1} from the packed lower Cholesky factor of K, row i at offset i(i+1)/2, in O(m^3)."""
+    m = (math.isqrt(8 * packed.size + 1) - 1) // 2
     lower = np.zeros((m, m))
-    lower[np.tril_indices(m)] = state._packed[:m * (m + 1) // 2]
+    lower[np.tril_indices(m)] = packed
     inv = cho_solve((lower, True), np.eye(m), check_finite=False)
     return 0.5 * (inv + inv.T)
 

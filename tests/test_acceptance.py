@@ -13,8 +13,8 @@ from oracles import gram_matrix, inverse_gram, kcenter_brute
 from scipy.integrate import quad
 
 import skm
+from skm import _backend
 from skm.cli import bench_compare
-from skm.coefficients import CholeskyWeights
 from skm.cpe import dirichlet_sample, estimate_from_means, estimate_proportions, l1_error
 from skm.dataio import DataSet
 from skm.divergences import distance_matrix
@@ -24,6 +24,7 @@ from skm.kernels import (
     bandwidth_jaakkola,
     g_zero,
     gram_at_dist,
+    gram_params,
 )
 from skm.meanshift import (
     cluster_modes,
@@ -32,12 +33,14 @@ from skm.meanshift import (
     mean_shift_all,
 )
 from skm.sparse_mean import (
+    SINGULARITY_REL_TOL,
     FitDiagnostics,
     SparseKernelMean,
     bound_value,
     evaluate,
     evaluate_full,
     fit,
+    fit_with_support,
     full_mean,
     squared_mean_norm,
 )
@@ -112,13 +115,17 @@ def test_c03_incremental_algebra():
         data = DataSet(pts)
         spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
-        state = CholeskyWeights(data, spec, 30)
-        assert state.factor(sel.order).all()
+        # The factor of the fixed-order fit: one factor_order call on the order.
+        params = gram_params(spec)
+        packed, pivots = np.empty(30 * 31 // 2), np.empty(30)
+        assert _backend.factor_order(pts[sel.order], *params, SINGULARITY_REL_TOL * params.c,
+                                     packed, pivots) == 30
         direct = np.linalg.inv(gram_matrix(spec, pts[sel.order]))
-        rel = np.linalg.norm(inverse_gram(state) - direct) / np.linalg.norm(direct)
+        rel = np.linalg.norm(inverse_gram(packed) - direct) / np.linalg.norm(direct)
         assert rel < 1e-8
 
-    # (b) ||zbar - z_I||^2 == ||zbar||^2 - alpha' kappa via full Gram sums
+    # (b) ||zbar - z_I||^2 == ||zbar||^2 - alpha' kappa via full Gram sums,
+    #     with -alpha' kappa the fit's E_m
     for trial in range(10):
         n = int(rng.integers(5, 51))
         data = DataSet(rng.uniform(-4.0, 4.0, size=(n, 2)))
@@ -127,13 +134,13 @@ def test_c03_incremental_algebra():
         m = int(rng.integers(1, min(n, 10)))
         order = rng.permutation(n)[:m]
         gram = gram_matrix(spec, data.points)
-        state = CholeskyWeights(data, spec, m)
-        assert state.factor(order).all()
+        mean = fit_with_support(data, spec, order)
+        assert mean.diagnostics.skipped == ()
+        alpha = mean.alpha
         kappa_full = gram[order].mean(axis=1)
         sub = gram[np.ix_(order, order)]
-        lhs = (gram.mean() - 2.0 * state.alpha @ kappa_full
-               + state.alpha @ sub @ state.alpha)
-        rhs = gram.mean() - state.alpha @ state.kappa
+        lhs = gram.mean() - 2.0 * alpha @ kappa_full + alpha @ sub @ alpha
+        rhs = gram.mean() + mean.diagnostics.e_trace[-1]
         assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-12)
 
     # (c) E trace nonincreasing in every fit

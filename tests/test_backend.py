@@ -16,7 +16,6 @@ from oracles import kernel_block
 
 from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
-from skm.coefficients import SINGULARITY_REL_TOL, CholeskyWeights
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
 from skm.kernels import (
@@ -31,7 +30,14 @@ from skm.kernels import (
     gram_params,
 )
 from skm.meanshift import cluster_modes, mean_shift_all
-from skm.sparse_mean import evaluate, fit, fit_with_support, full_mean, incoherence
+from skm.sparse_mean import (
+    SINGULARITY_REL_TOL,
+    evaluate,
+    fit,
+    fit_with_support,
+    full_mean,
+    incoherence,
+)
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 PRIMITIVES = _numpy_impl.__all__
@@ -139,16 +145,15 @@ def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
     # A greedy step takes kappa_j from the shape sum of the scan that
     # picked j; block_sums forms it in one kernel sum, the path of the
     # fixed-order fits.
-    monkeypatch.setattr(_backend, "greedy_fit", impl.greedy_fit)
     monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
-    state = CholeskyWeights(DataSet(points), spec, 3)
-    assert state.params.kind == kind and state.params.c != 1.0
-    assert state.greedy(17, 0.0)[0] == "budget"
-    order = state.indices
-    expected = block_sums(state.params, points[order], points, np.full(n, 1.0 / n))
-    assert_allclose(state.kappa, expected, rtol=1e-13)
+    params = gram_params(spec)
+    assert params.kind == kind and params.c != 1.0
+    _m, _cand, stop, order, _packed, record = _greedy(impl, points, params, 0.0, 17, 3)
+    assert stop == "budget"
+    expected = block_sums(params, points[order], points, np.full(n, 1.0 / n))
+    assert_allclose(record[1], expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -695,28 +700,29 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     # Both are factor_order steps, one row at a time inside greedy_fit or
     # the whole order at once, so the packed factor and the pivots of the
     # kept points are bit-identical. The greedy fit's order, with the
-    # dependent candidate it stops at, is factored, and factor drops that
-    # candidate. 40 of the 400 points repeat other rows moved by 1e-12, so
-    # every fit stops at a dependent candidate: sqexp and power after a
-    # few dozen points, exp at the first near-copy, after the 360 others.
-    monkeypatch.setattr(_backend, "factor_order", impl.factor_order)
-    monkeypatch.setattr(_backend, "greedy_fit", impl.greedy_fit)
+    # dependent candidate it stops at, is fitted as a fixed order, which
+    # drops that candidate; its factor is the one factor_order call the
+    # fixed-order fit makes. 40 of the 400 points repeat other rows moved
+    # by 1e-12, so every fit stops at a dependent candidate: sqexp and
+    # power after a few dozen points, exp at the first near-copy, after
+    # the 360 others.
+    for name in PRIMITIVES:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
     rng = np.random.default_rng(11)
     points = random_case(rng, n=400, d=2)
     points[:40] = points[rng.integers(40, 400, size=40)] + 1e-12 * rng.normal(size=(40, 2))
-    data = DataSet(points)
-    stepped = CholeskyWeights(data, spec, 400)
-    stop, cand = stepped.greedy(0, 0.0)
+    params = gram_params(spec)
+    _m, cand, stop, indices, packed, record = _greedy(impl, points, params, 0.0, 0, 400)
     skipped = [cand] if stop == "dependent" else []
-    order = np.r_[stepped.indices, skipped]
-    factored = CholeskyWeights(data, spec, order.size)
-    kept = factored.factor(order)
-    assert skipped and order[~kept].tolist() == skipped
-    assert_array_equal(factored.indices, stepped.indices)
-    assert_array_equal(factored.pivots, stepped.pivots)
-    m = stepped.m
-    assert_array_equal(factored._packed[:m * (m + 1) // 2], stepped._packed[:m * (m + 1) // 2])
-    assert_allclose(factored.e_trace, stepped.e_trace, rtol=1e-12)
+    order = np.r_[indices, skipped]
+    factored = fit_with_support(DataSet(points), spec, order)
+    assert skipped and list(factored.diagnostics.skipped) == skipped
+    assert_array_equal(factored.support_indices, indices)
+    assert_array_equal(factored.diagnostics.pivots, record[0])
+    kept, _, factor = _factor(impl, points[order], params, SINGULARITY_REL_TOL * params.c)
+    assert_array_equal(order[~kept], skipped)
+    assert_array_equal(factor, packed)
+    assert_allclose(factored.diagnostics.e_trace, record[3], rtol=1e-12)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -762,48 +768,6 @@ def test_pivot_rule_keeps_a_point_above_the_tolerance_and_drops_one_below(impl, 
     assert mean.support_indices.tolist() == ([0, 1] if kept else [0])
     if kept:
         assert_allclose(mean.diagnostics.pivots[1], 1e-8, rtol=1e-7)
-
-
-def _state_copy(state):
-    """The filled part of every buffer of a CholeskyWeights state."""
-    m = state.m
-    return (m, state._packed[:m * (m + 1) // 2].copy(), state.indices.copy(),
-            state.kappa.copy(), state._v[:m].copy(), state.e_trace.copy(), state.pivots.copy())
-
-
-def _assert_state_is(state, saved):
-    assert state.m == saved[0]
-    for now, then in zip(_state_copy(state)[1:], saved[1:]):
-        assert_array_equal(now, then)
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_full_state_rejects_extend_and_factor_of_another_length(impl, monkeypatch):
-    # Each buffer is allocated once for the capacity: a greedy fit stops at
-    # the capacity, greedy needs an empty state, and factor needs an empty
-    # state of capacity len(order); each leaves the state as it was.
-    for name in PRIMITIVES:
-        monkeypatch.setattr(_backend, name, getattr(impl, name))
-    data = DataSet(random_case(np.random.default_rng(12), n=50, d=2))
-    spec = RadialKernelSpec("gaussian", dim=2, sigma=0.5)
-    state = CholeskyWeights(data, spec, 3)
-    assert state.greedy(0, 0.0)[0] == "budget"
-    saved = _state_copy(state)
-    with pytest.raises(ValueError, match="empty state"):
-        state.greedy(3, 0.0)
-    _assert_state_is(state, saved)
-    with pytest.raises(ValueError, match="empty state of capacity 3"):
-        state.factor([3, 4, 5])
-    _assert_state_is(state, saved)
-    empty = CholeskyWeights(data, spec, 3)
-    for order in ([3, 4], [3, 4, 5, 6]):
-        with pytest.raises(ValueError, match=f"empty state of capacity {len(order)}"):
-            empty.factor(order)
-        assert empty.m == 0
-    kept = empty.factor(saved[2])
-    assert kept.all() and empty.m == 3
-    assert_array_equal(empty.indices, saved[2])
-    assert_array_equal(empty._packed, saved[1])  # the whole triangle, 3 rows
 
 
 def _fit_with(impl):

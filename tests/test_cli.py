@@ -545,7 +545,7 @@ def test_cpe_search_iters_below_two_returns_two(tmp_path, capsys, iters):
     rc = main(["cpe", "--train", *trains, "--test", str(test_path),
                "--sigma-search", "0.2,5.0", "--search-iters", iters, "--out", str(out)])
     assert rc == 2
-    assert "max_iter must be at least 2" in capsys.readouterr().err
+    assert "max_iter must be an integer with max_iter >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -351,15 +351,17 @@ def test_search_bandwidth_reports_the_evaluations_it_made(max_iter, monkeypatch)
     assert info["evaluations"] == len(calls) == max_iter
 
 
-@pytest.mark.parametrize("max_iter", [1, 0, -5])
+@pytest.mark.parametrize("max_iter", [1, 0, -5, 2.5, True])
 def test_search_bandwidth_rejects_fewer_than_two_evaluations(max_iter):
+    # A fractional count is refused too, rather than rounded up to 3.
     rng = np.random.default_rng(14)
     train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
-    with pytest.raises(ValueError, match="max_iter must be at least 2"):
+    with pytest.raises(ValueError, match=r"max_iter must be an integer with max_iter >= 2, the "
+                                         rf"first bracket \(max_iter={max_iter!r}\)$"):
         search_bandwidth(train, 0.2, 5.0, GAUSS_2D, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("validation_size", [0, -3])
+@pytest.mark.parametrize("validation_size", [0, -3, 1.5, 300.5])
 def test_search_bandwidth_rejects_an_empty_validation_mixture(validation_size, monkeypatch):
     # Refused on entry: no split, no fit and no 0/0 RuntimeWarning first.
     def no_fit(*args, **kwargs):
@@ -371,8 +373,9 @@ def test_search_bandwidth_rejects_an_empty_validation_mixture(validation_size, m
     train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="validation_size must be at least 1, got "
-                                             f"{validation_size}"):
+        with pytest.raises(ValueError, match="validation_size must be an integer with "
+                                             rf"validation_size >= 1 \(validation_size="
+                                             rf"{validation_size}\)$"):
             search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True,
                              validation_size=validation_size)
 

@@ -185,7 +185,11 @@ def test_model_record_k0_must_be_the_weight_count(tmp_path, k0):
     ("support", [["a", "b"]] * 5),
     ("e_trace", [[0.0], [1.0, 2.0]]),
     ("epsilon", "abc"),
-], ids=["ragged support", "non-numeric support", "ragged e_trace", "non-numeric epsilon"])
+    ("density_mode", "no"),
+    ("density_mode", 1),
+    ("density_mode", None),
+], ids=["ragged support", "non-numeric support", "ragged e_trace", "non-numeric epsilon",
+        "string density_mode", "integer density_mode", "null density_mode"])
 def test_model_bad_field_names_the_file_and_the_field(tmp_path, name, value):
     path, doc = saved_doc(tmp_path)
     doc[name] = value
@@ -236,12 +240,17 @@ def test_model_not_a_model_file(tmp_path):
 
 
 def test_model_record_validates_invariants(tmp_path):
-    # A hand-edited file whose support does not fit the kernel, or whose
-    # support or weights are not finite, is refused with the file named.
+    # A hand-edited file whose kernel is invalid, whose support does not
+    # fit the kernel, or whose support or weights are not finite, is
+    # refused with the file named.
     path, doc = saved_doc(tmp_path)
     for field, edit, message in (
         ("kernel", lambda v: v | {"dim": 3}, r"support of shape \(5, 2\) does not match "
                                              "kernel dimension 3"),
+        ("kernel", lambda v: v | {"sigma": -1.0}, "bad kernel section in model file: gaussian "
+                                                  "kernel requires a finite sigma > 0"),
+        ("kernel", lambda v: v | {"family": "cosine"}, "bad kernel section in model file: "
+                                                       "unknown kernel family 'cosine'"),
         ("support", lambda v: [[row] for row in v], r"support of shape \(5, 1, 2\) does not "
                                                     "match kernel dimension 2"),
         ("support", lambda v: [[float("nan"), 0.0]] + v[1:], "non-finite"),

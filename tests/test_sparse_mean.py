@@ -14,7 +14,7 @@ from oracles import gram_matrix, kernel_eval, progress_ratio
 from scipy.integrate import quad
 
 from skm import _backend
-from skm.coefficients import CholeskyWeights
+from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
 from skm.kernels import (
@@ -25,6 +25,7 @@ from skm.kernels import (
     gram_params,
 )
 from skm.sparse_mean import (
+    SINGULARITY_REL_TOL,
     bound_value,
     default_k_max,
     evaluate,
@@ -450,22 +451,28 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
 
 
 def test_weights_match_dense_solve_at_every_step():
-    # One greedy state of 300 points holds every prefix: the leading m rows
-    # of its packed factor and v[:m] give the weights of its first m points.
+    # One greedy_fit call of 300 points holds every prefix: the leading m
+    # rows of its packed factor and of its record's v give the weights of
+    # its first m points.
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
     order = kcenter_greedy(data, 300, first=0).order
-    state = CholeskyWeights(data, spec, 300)
-    state.greedy(0, 0.0)
-    assert_array_equal(state.indices, order)
-    assert_array_equal(fit(data, spec, k_max=300, epsilon=0.0, first=0).support_indices, order)
+    params = gram_params(spec)
+    indices, record = np.empty(300, dtype=np.int64), np.empty((len(RECORD_ROWS), 300))
+    m, _, _, packed = _backend.greedy_fit(data.points, *params, SINGULARITY_REL_TOL * params.c,
+                                          0.0, 0, indices, record)
+    packed = np.frombuffer(packed)
+    assert m == 300
+    assert_array_equal(indices, order)
+    mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
+    assert_array_equal(mean.support_indices, order)
     history = []
     for m in range(1, 301):
-        alpha = state._v[:m].copy()
-        _backend.tri_solve(state._packed[:m * (m + 1) // 2], alpha, 1)
-        history.append((state.e_trace[m - 1], alpha))
-    assert_array_equal(history[-1][1], state.alpha)
+        alpha = record[2, :m].copy()
+        _backend.tri_solve(packed[:m * (m + 1) // 2], alpha, 1)
+        history.append((record[3, m - 1], alpha))
+    assert_array_equal(history[-1][1], mean.alpha)
     support = data.points[order]
     gram = gram_matrix(spec, support)
     kappa = gram_matrix(spec, support, data.points).mean(axis=1)
@@ -584,6 +591,13 @@ def test_bound_two_point_arithmetic():
 def test_bound_rejects_inconsistent_nu():
     with pytest.raises(ValueError):
         bound_value(5, 2, 1.0, 1.5)
+    # NaN fails every comparison, so it must not slip past the range checks.
+    for nu in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError, match="incoherence must satisfy 0 <= nu <= C"):
+            bound_value(10, 3, 1.0, nu)
+    for c in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            bound_value(10, 3, c, 0.5)
 
 
 def test_bound_dominates_residual_on_greedy_prefixes():
