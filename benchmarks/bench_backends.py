@@ -8,9 +8,11 @@ points, coordinate-major). The kernel sums are timed on the whole
 evaluate of the fit-tall and fit-deep benchmark workloads (100000 queries
 x 150 supports in d=8, 50000 x 600 in d=5, one Gaussian column) and on one
 full mean-shift round of the apps workload (2000 points x 2000 supports in
-d=2, p = d + 1 columns). `factor_order` is timed on whole fixed orders of
-farthest-first standard-normal points, Gaussian sigma = 1: 94 points in
-d=2 (the CPE bandwidth search's size) and 600 in d=5. `greedy_fit` is
+d=2, p = d + 1 columns). `order_fit` is timed as the one call of a whole
+fixed-order fit along a farthest-first order of standard-normal points,
+Gaussian sigma = 1, its scans over every point included: 94 candidates
+over 1000 x 2 points (the CPE bandwidth search's size) and 600 over
+10000 x 5. `greedy_fit` is
 timed as the one call of a whole greedy fit, its coordinate-major copy of
 the points and the growth of its factor included, on the greedy fits of
 the benchmark: fit-deep's (10000 x 5, sigma = 1, k_max 600, eps = 0 from
@@ -31,6 +33,7 @@ import numpy as np
 import skm
 from skm import _backend
 from skm._backend import _numpy_impl
+from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kcenter import _resolve_first, kcenter_greedy
 from skm.kernels import SHAPE_SQEXP, RadialKernelSpec, gram_params
@@ -48,8 +51,8 @@ SCAN_SHAPES = (("fit-tall", 100_000, 8), ("fit-deep", 10_000, 5))
 # the two evaluate steps and a round of the full mean shift.
 SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 600, 5, 1),
               ("meanshift_full", 2000, 2000, 2, 3))
-# (op, points, d, m) of the whole fixed orders factored.
-FACTOR_SHAPES = (("fixed order", 1000, 2, 94), ("fixed order", 10_000, 5, 600))
+# (op, points, d, m) of the whole fixed orders walked.
+ORDER_SHAPES = (("fixed order", 1000, 2, 94), ("fixed order", 10_000, 5, 600))
 # (op, points of seed, n, d, sigma, k_max, first) of the benchmark's greedy fits.
 GREEDY_FITS = (("fit-deep", 4, 10_000, 5, 1.0, 600, 0),
                ("fit_saturated", 20150301, 4000, 2, 10.0, 200, None))
@@ -77,13 +80,17 @@ def bench_sums(impl, nx, m, d, p, repeat=5):
     return best_of(repeat, lambda: impl.kernel_sums(xs, ys, coef, SHAPE_SQEXP, 0.5, 0.0, 1.0, out))
 
 
-def bench_factor(impl, n, d, m, repeat=7):
-    """factor_order on the whole of a farthest-first order of m points."""
+def bench_order(impl, n, d, m, repeat=7):
+    """order_fit along a farthest-first order of m of the n points.
+
+    Returns the best time and the number of points the fit kept.
+    """
     data = DataSet(np.random.default_rng(4).normal(size=(n, d)))
-    points = data.points[kcenter_greedy(data, m, first=0).order]
-    packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-    args = (SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9)
-    return best_of(repeat, lambda: impl.factor_order(points, *args, packed, pivots))
+    order = kcenter_greedy(data, m, first=0).order
+    indices, record = np.empty(m, dtype=np.int64), np.empty((len(RECORD_ROWS), m))
+    args = (SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, order, indices, record)
+    kept = []
+    return best_of(repeat, lambda: kept.append(impl.order_fit(data.points, *args)[0])), kept[-1]
 
 
 def bench_greedy(impl, seed, n, d, sigma, k_max, first, repeat=7):
@@ -95,7 +102,7 @@ def bench_greedy(impl, seed, n, d, sigma, k_max, first, repeat=7):
     params = gram_params(RadialKernelSpec("gaussian", dim=d, sigma=sigma))
     first = _resolve_first(n, first, 0)
     indices = np.empty(k_max, dtype=np.int64)
-    record = np.empty((len(_numpy_impl.RECORD_ROWS), k_max))
+    record = np.empty((len(RECORD_ROWS), k_max))
     kept = []
 
     def run():
@@ -166,14 +173,14 @@ def main():
         if len(times) == 2:
             print(f"  {'':15s} {'':22s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
 
-    print("factor_order, Gaussian sigma = 1, farthest-first order, best of 7")
-    print(f"  {'op':12s} {'m x d':>9s} {'backend':9s} {'factor':>10s}")
-    for name, n, d, m in FACTOR_SHAPES:
-        times = [bench_factor(impl, n, d, m) for _, impl in impls]
-        for (label, _), t in zip(impls, times):
-            print(f"  {name:12s} {f'{m} x {d}':>9s} {label:9s} {t * 1e3:7.3f} ms")
-        if len(times) == 2:
-            print(f"  {'':12s} {'':9s} {'speedup':9s} {times[0] / times[1]:7.2f} x")
+    print("order_fit, Gaussian sigma = 1, farthest-first order, best of 7")
+    print(f"  {'op':12s} {'m of n x d':>16s} {'kept':>4s} {'backend':9s} {'fit':>10s}")
+    for name, n, d, m in ORDER_SHAPES:
+        runs = [bench_order(impl, n, d, m) for _, impl in impls]
+        for (label, _), (t, kept) in zip(impls, runs):
+            print(f"  {name:12s} {f'{m} of {n} x {d}':>16s} {kept:4d} {label:9s} {t * 1e3:7.3f} ms")
+        if len(runs) == 2:
+            print(f"  {'':12s} {'':16s} {'':4s} {'speedup':9s} {runs[0][0] / runs[1][0]:7.2f} x")
 
     print("greedy_fit, one call for the whole fit, Gaussian, eps = 0, best of 7")
     print(f"  {'op':13s} {'n x d':>10s} {'k0':>4s} {'backend':9s} {'fit':>10s} {'per step':>10s}")

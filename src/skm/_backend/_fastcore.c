@@ -1,7 +1,6 @@
 /* Compiled inner loops: the farthest-first scan, the kernel sums, the
- * triangular solves against the packed factor, the pivoted Cholesky step
- * of both fits and the greedy fit's whole loop. The signatures match
- * skm._backend._numpy_impl exactly.
+ * triangular solves against the packed factor, and the two fits, two walks
+ * of one fit step. The signatures match skm._backend._numpy_impl exactly.
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
  * TILE points. For each tile it forms the squared distances to the new
@@ -10,7 +9,7 @@
  * farthest-first step writes each distance once. The tile's maximum is
  * taken over the int64 bit patterns of the distances, which order as the
  * non-negative doubles do and which gcc vectorises; a bare scan flags a
- * NaN of either sign in the same pass and raises. In the greedy fit the
+ * NaN of either sign in the same pass and raises. In a fit step the
  * scan then applies the shape to the tile's distances in place while they
  * are in L1 and sums it, which gives the kernel row mean of the new
  * center from the same pass. The distances sum the coordinates in the
@@ -35,27 +34,25 @@
  * after row with the same 8-partial-sum dot, and L' x = b backward, as one
  * axpy along each row of L from the last up.
  *
- * The factorisation is partial pivoted Cholesky along the rows of a point
- * array: each candidate's Gram row against the kept points is formed with
- * the same distance, shape and dot code, solved forward against the
- * packed lower factor, and the candidate is kept when its pivot passes a
- * threshold. The greedy fit runs it on one new candidate at a time, a
- * fixed-order fit on the whole order at once.
- *
- * The greedy fit is one call: it copies the points coordinate-major, keeps
- * their distances to the support and the support's coordinates, for the
- * capacity, in a second block, and runs the steps: the scan with the
- * shape sum, one factor step, v_m and E_m, the radius, the step's time
- * and the stop tests. The packed factor is a bytearray of
- * 16 rows that doubles, up to the capacity, each time it fills, resized
- * with the GIL held between runs of the steps, and is returned cut to the
- * rows kept. v_m takes w'v from the same 8-partial-sum dot as the
- * factor, where the numpy backend uses BLAS, so E_m and the weights may
- * differ from the numpy backend's in the last bits; the supports, pivots
- * and radii do not.
+ * The fit step is one step of partial pivoted Cholesky: the candidate's
+ * Gram row against the kept points is formed with the same distance, shape
+ * and dot code and solved forward against the packed lower factor, and the
+ * candidate is kept when its pivot passes a threshold. Only a kept
+ * candidate then gets the scan with the shape sum, v_m and E_m, the
+ * radius and the step's time. The greedy fit walks farthest-first and
+ * stops at its first dependent candidate or a stop test; the ordered fit
+ * walks a given order and drops each dependent candidate. Each walk
+ * copies the points coordinate-major and keeps their distances to the
+ * support and the support's coordinates, for the capacity, in a second
+ * block. The packed factor is a bytearray of 16 rows that doubles, up to
+ * the capacity, each time it fills, resized with the GIL held between
+ * runs of the steps, and is returned cut to the rows kept. v_m takes w'v
+ * from the same 8-partial-sum dot as the factor, where the numpy backend
+ * uses BLAS, so E_m and the weights may differ from the numpy backend's in
+ * the last bits; the supports, skipped candidates and radii do not.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
- * float64 (int64 for the greedy fit's support indices) of the right
+ * float64 (int64 for a fit's order and support indices) of the right
  * shape; anything else raises TypeError or ValueError before a single
  * element is read. Every allocation goes through Python's allocators. The
  * loops release the GIL and start no threads.
@@ -144,6 +141,7 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
 #pragma STDC FP_CONTRACT OFF
 #define NO_CONTRACT
 #define CLONED
+#define ALWAYS_INLINE __attribute__((always_inline))
 #elif defined(__GNUC__)
 #define NO_CONTRACT __attribute__((optimize("fp-contract=off")))
 #if defined(__x86_64__)
@@ -151,9 +149,11 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
 #else
 #define CLONED NO_CONTRACT
 #endif
+#define ALWAYS_INLINE __attribute__((always_inline))
 #else
 #define NO_CONTRACT
 #define CLONED
+#define ALWAYS_INLINE
 #endif
 
 /* Copy rows j0 .. j0 + w - 1 of the C-contiguous n x cols array src into
@@ -473,66 +473,14 @@ static inline NO_CONTRACT double pivot_row(double *packed, Py_ssize_t kept, cons
     return c - dot(w, w, kept);
 }
 
-/* Partial pivoted Cholesky of the m rows of x. When a candidate's pivot
- * exceeds the threshold its row gets sqrt(pivot) and the candidate is
- * kept; otherwise the next candidate overwrites the row and nothing has to
- * be undone. kt holds m x d doubles: the kept points, coordinate-major
- * with m entries per coordinate. Returns the number kept. */
-static CLONED Py_ssize_t factor_rows(const double *x, Py_ssize_t m, Py_ssize_t d, int kind,
-                                     double a, double b, double c, double threshold,
-                                     double *packed, double *pivots, double *kt)
-{
-    Py_ssize_t kept = 0;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        pivots[i] = pivot_row(packed, kept, x + i * d, kt, m, d, kind, a, b, c);
-        if (pivots[i] > threshold) {
-            packed[kept * (kept + 1) / 2 + kept] = sqrt(pivots[i]);
-            load_tile(kt + kept, x, i, 1, m, d);
-            kept++;
-        }
-    }
-    return kept;
-}
-
-static PyObject *factor_order(PyObject *self, PyObject *args)
-{
-    PyObject *xo, *lo, *po;
-    int kind;
-    double a, b, c, threshold;
-    Py_ssize_t kept;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OiddddOO", &xo, &kind, &a, &b, &c, &threshold, &lo, &po))
-        return NULL;
-    if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
-        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
-        return NULL;
-    }
-    const double *x = borrow(&vs, xo, "points", 2, -1, 0);
-    Py_ssize_t m = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    double *packed = x ? borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 1) : NULL;
-    double *pivots = packed ? borrow(&vs, po, "pivots", 1, m, 1) : NULL;
-    double *kt = NULL;
-    if (pivots != NULL && (kt = PyMem_Malloc((m * d + 1) * sizeof(double))) == NULL)
-        PyErr_NoMemory();
-    if (kt == NULL) {
-        release(&vs);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    kept = factor_rows(x, m, d, kind, a, b, c, threshold, packed, pivots, kt);
-    Py_END_ALLOW_THREADS
-    PyMem_Free(kt);
-    release(&vs);
-    return PyLong_FromSsize_t(kept);
-}
-
-/* The greedy loop's stop tests, in the order it makes them, and the names
+/* The greedy walk's stop tests, in the order it makes them, and the names
  * greedy_fit returns for them; between the budget and the dependent test,
- * a full packed factor returns GROW, for the caller to double it. */
+ * a full packed factor returns GROW, for the caller to double it. The
+ * ordered walk ends at STOP_BUDGET once its order is used up. */
 enum { STOP_BUDGET, STOP_DEPENDENT, STOP_RATIO, STOP_RADIUS, GROW };
 static const char *const STOP_NAMES[] = {"budget", "dependent", "ratio", "radius"};
 
-/* The rows of a greedy fit's record, each `cap` doubles long. */
+/* The rows of a fit's record, each `cap` doubles long. */
 enum { REC_PIVOT, REC_KAPPA, REC_V, REC_E, REC_RADIUS, REC_SECONDS, REC_ROWS };
 
 static double seconds_since(const struct timespec *t0)
@@ -542,139 +490,180 @@ static double seconds_since(const struct timespec *t0)
     return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
 }
 
-/* Greedy fit steps from support size *m and candidate *cand, as
- * skm._backend._numpy_impl.greedy_fit describes them, over the n points of
- * the coordinate-major xt with their distances to the support in sq. The
- * packed factor has room for `rows` rows and the record for `cap` points.
- * scratch holds TILE + d + cap * d doubles: the scan's tile, the
- * candidate's coordinates and the support's, coordinate-major with cap
- * entries per coordinate. Leaves the new support size in *m and the
- * dependent or next candidate in *cand, and returns the stop code. */
-static CLONED int greedy_steps(const double *xt, Py_ssize_t n, Py_ssize_t d, double *sq,
-                               int kind, double a, double b, double c, double threshold,
-                               double epsilon, const struct timespec *t0, Py_ssize_t *cand,
-                               Py_ssize_t *m, int64_t *indices, double *packed, Py_ssize_t rows,
-                               double *record, Py_ssize_t cap, double *scratch)
+/* What every step of a fit reads and writes: the points coordinate-major
+ * in xt, their squared distances to the support in sq, the order of an
+ * ordered walk (NULL for the greedy one), the indices and record for cap
+ * points, and scratch, TILE + d + cap * d doubles: the scan's tile, the
+ * candidate's coordinates and the support's, coordinate-major. */
+typedef struct {
+    double *xt, *sq, *record, *scratch;
+    Py_ssize_t n, d, cap, count;
+    int kind;
+    double a, b, c, threshold, epsilon;
+    const int64_t *order;
+    int64_t *indices;
+    struct timespec t0;
+} Walk;
+
+/* The one fit step of candidate j as support point k, as
+ * skm._backend._numpy_impl's _Walk.step describes it. Returns the farthest
+ * point from the new support, or -1 for a dependent j, which changes
+ * nothing but the record's pivot of point k. Inlined into each walk, so
+ * every clone forms the rows at its own vector width. */
+static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t
+fit_step(const Walk *w, double *packed, Py_ssize_t k, Py_ssize_t j)
 {
-    double *pivots = record + REC_PIVOT * cap, *kappa = record + REC_KAPPA * cap,
-           *v = record + REC_V * cap, *e = record + REC_E * cap,
-           *radius = record + REC_RADIUS * cap, *seconds = record + REC_SECONDS * cap;
-    double *r = scratch, *y = r + TILE, *kt = y + d;
-    Py_ssize_t k = *m, j = *cand;
-    int stop;
-    for (;;) {
-        if (k == cap) {
-            stop = STOP_BUDGET;
-            break;
-        }
-        if (k == rows) {
-            stop = GROW;
-            break;
-        }
-        double total, *w = packed + k * (k + 1) / 2;
-        for (Py_ssize_t q = 0; q < d; q++)
-            y[q] = xt[q * n + j];
-        Py_ssize_t far = scan_tiles(xt, n, d, y, sq, kind, a, b, &total, r);
-        pivots[k] = pivot_row(packed, k, y, kt, cap, d, kind, a, b, c);
-        if (!(pivots[k] > threshold)) {
-            stop = STOP_DEPENDENT;
-            break;
-        }
-        w[k] = sqrt(pivots[k]);
-        for (Py_ssize_t q = 0; q < d; q++)
-            kt[q * cap + k] = y[q];
-        kappa[k] = c * total / (double)n;
-        v[k] = (kappa[k] - dot(w, v, k)) / w[k];
-        e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
-        indices[k] = j;
-        radius[k] = sqrt(sq[far]);
-        seconds[k] = seconds_since(t0);
-        k++;
-        j = far;
-        if (k > 1) {
-            double span = fabs(e[0] - e[k - 1]);
-            if ((span == 0.0 ? 0.0 : fabs(e[k - 2] - e[k - 1]) / span) <= epsilon) {
-                stop = STOP_RATIO;
-                break;
-            }
-        }
-        if (radius[k - 1] == 0.0) {
-            stop = STOP_RADIUS;
-            break;
-        }
-    }
-    *m = k;
-    *cand = j;
-    return stop;
+    const Py_ssize_t n = w->n, d = w->d, cap = w->cap;
+    double *pivots = w->record + REC_PIVOT * cap, *kappa = w->record + REC_KAPPA * cap,
+           *v = w->record + REC_V * cap, *e = w->record + REC_E * cap;
+    double *r = w->scratch, *y = r + TILE, *kt = y + d, *row = packed + k * (k + 1) / 2;
+    double total;
+    for (Py_ssize_t q = 0; q < d; q++)
+        y[q] = w->xt[q * n + j];
+    pivots[k] = pivot_row(packed, k, y, kt, cap, d, w->kind, w->a, w->b, w->c);
+    if (!(pivots[k] > w->threshold))
+        return -1;
+    row[k] = sqrt(pivots[k]);
+    for (Py_ssize_t q = 0; q < d; q++)
+        kt[q * cap + k] = y[q];
+    Py_ssize_t far = scan_tiles(w->xt, n, d, y, w->sq, w->kind, w->a, w->b, &total, r);
+    kappa[k] = w->c * total / (double)n;
+    v[k] = (kappa[k] - dot(row, v, k)) / row[k];
+    e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
+    w->indices[k] = j;
+    w->record[REC_RADIUS * cap + k] = sqrt(w->sq[far]);
+    w->record[REC_SECONDS * cap + k] = seconds_since(&w->t0);
+    return far;
 }
 
-static PyObject *greedy_fit(PyObject *self, PyObject *args)
+/* Greedy steps from support size *m and candidate *cand, as
+ * skm._backend._numpy_impl.greedy_fit describes them, with room for `rows`
+ * rows in the packed factor. Leaves the new support size in *m and the
+ * dependent or next candidate in *cand, and returns the stop code. */
+static CLONED int greedy_steps(const Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
+                               Py_ssize_t *cand)
 {
-    PyObject *xo, *io, *ro, *packed = NULL;
-    int kind, stop = GROW;
-    double a, b, c, threshold, epsilon;
-    Py_ssize_t cand, m = 0, cap;
-    struct timespec t0;
+    const double *e = w->record + REC_E * w->cap, *radius = w->record + REC_RADIUS * w->cap;
+    for (Py_ssize_t k = *m, far;;) {
+        if (k == rows)  /* rows is at most the capacity */
+            return k == w->cap ? STOP_BUDGET : GROW;
+        if ((far = fit_step(w, packed, k, *cand)) < 0)
+            return STOP_DEPENDENT;
+        *cand = far;
+        *m = ++k;
+        double span = fabs(e[0] - e[k - 1]);
+        if (k > 1 && (span == 0.0 ? 0.0 : fabs(e[k - 2] - e[k - 1]) / span) <= w->epsilon)
+            return STOP_RATIO;
+        if (radius[k - 1] == 0.0)
+            return STOP_RADIUS;
+    }
+}
+
+/* Ordered steps from support size *m at position *i of the order: each
+ * candidate is kept or dropped in turn, until the order is used up
+ * (STOP_BUDGET) or the packed factor, with room for `rows` rows, is full
+ * (GROW). */
+static CLONED int order_steps(const Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
+                              Py_ssize_t *i)
+{
+    for (; *i < w->count; ++*i) {
+        if (*m == rows)
+            return GROW;
+        if (fit_step(w, packed, *m, w->order[*i]) >= 0)
+            ++*m;
+    }
+    return STOP_BUDGET;
+}
+
+/* Both fits: parse and check the arguments, run the walk, greedy from the
+ * candidate `first` or along `order`, and return its result, with the
+ * packed factor cut to the m kept rows. */
+static PyObject *walk(PyObject *args, int ordered)
+{
+    PyObject *xo, *oo = NULL, *io, *ro, *packed = NULL;
+    Walk w = {.xt = NULL, .sq = NULL, .epsilon = 0.0, .order = NULL, .count = 0};
     Views vs = {.count = 0};
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    if (!PyArg_ParseTuple(args, "OidddddnOO", &xo, &kind, &a, &b, &c, &threshold, &epsilon,
-                          &cand, &io, &ro))
+    Py_ssize_t m = 0, pos = 0;  /* the ordered walk's place in its order, or the next candidate */
+    int stop = GROW;
+    clock_gettime(CLOCK_MONOTONIC, &w.t0);
+    if (!(ordered ? PyArg_ParseTuple(args, "OiddddOOO", &xo, &w.kind, &w.a, &w.b, &w.c,
+                                     &w.threshold, &oo, &io, &ro)
+                  : PyArg_ParseTuple(args, "OidddddnOO", &xo, &w.kind, &w.a, &w.b, &w.c,
+                                     &w.threshold, &w.epsilon, &pos, &io, &ro)))
         return NULL;
-    if (kind < SHAPE_SQEXP || kind > SHAPE_POWER) {
-        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", kind);
+    if (w.kind < SHAPE_SQEXP || w.kind > SHAPE_POWER) {
+        PyErr_Format(PyExc_ValueError, "unknown shape kind %d", w.kind);
         return NULL;
     }
     const double *x = borrow(&vs, xo, "points", 2, -1, 0);
-    Py_ssize_t n = x ? vs.view[0].shape[0] : 0, d = x ? vs.view[0].shape[1] : 0;
-    if (x != NULL && (cand < 0 || cand >= n))
-        PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", cand, n);
-    int64_t *indices = PyErr_Occurred() ? NULL : borrow_any(&vs, io, "indices", 1, -1, 1, 1);
-    cap = indices ? vs.view[1].shape[0] : 0;
-    double *record = indices ? borrow(&vs, ro, "record", 2, REC_ROWS, 1) : NULL;
-    if (record != NULL && vs.view[2].shape[1] != cap)
+    w.n = x ? vs.view[0].shape[0] : 0;
+    w.d = x ? vs.view[0].shape[1] : 0;
+    if (x != NULL && ordered) {
+        w.order = borrow_any(&vs, oo, "order", 1, -1, 0, 1);
+        w.count = w.order ? vs.view[1].shape[0] : 0;
+        for (Py_ssize_t t = 0; t < w.count && !PyErr_Occurred(); t++)
+            if (w.order[t] < 0 || w.order[t] >= w.n)
+                PyErr_Format(PyExc_ValueError, "index %lld out of range for n=%zd",
+                             (long long)w.order[t], w.n);
+    }
+    else if (x != NULL && (pos < 0 || pos >= w.n))
+        PyErr_Format(PyExc_ValueError, "index %zd out of range for n=%zd", pos, w.n);
+    w.indices = PyErr_Occurred() ? NULL
+                                 : borrow_any(&vs, io, "indices", 1, ordered ? w.count : -1, 1, 1);
+    w.cap = w.indices ? vs.view[vs.count - 1].shape[0] : 0;
+    w.record = w.indices ? borrow(&vs, ro, "record", 2, REC_ROWS, 1) : NULL;
+    if (w.record != NULL && vs.view[vs.count - 1].shape[1] != w.cap)
         PyErr_SetString(PyExc_ValueError, "record must have one column per index");
     /* The points coordinate-major in a block of their own, the size of the
      * (n, d) arrays a caller allocates and frees, so the heap can reuse their
      * space (in one block with the distances, four fit and evaluate cycles on
      * 100000 x 8 points peaked 6.5 MB higher); then the distances to the
-     * support and greedy_steps' scratch. */
-    double *xt = NULL, *sq = NULL;
+     * support and the steps' scratch. */
     if (!PyErr_Occurred()
-        && ((xt = PyMem_Malloc(n * d * sizeof(double))) == NULL
-            || (sq = PyMem_Malloc((n + TILE + d + cap * d) * sizeof(double))) == NULL))
+        && ((w.xt = PyMem_Malloc(w.n * w.d * sizeof(double))) == NULL
+            || (w.sq = PyMem_Malloc((w.n + TILE + w.d + w.cap * w.d) * sizeof(double))) == NULL))
         PyErr_NoMemory();
-    if (sq != NULL)
+    if (!PyErr_Occurred())
         packed = PyByteArray_FromStringAndSize(NULL, 0);
-    if (packed == NULL) {
-        PyMem_Free(xt);
-        PyMem_Free(sq);
-        release(&vs);
-        return NULL;
+    if (packed != NULL) {
+        w.scratch = w.sq + w.n;
+        Py_BEGIN_ALLOW_THREADS
+        load_tile(w.xt, x, 0, w.n, w.n, w.d);
+        for (Py_ssize_t i = 0; i < w.n; i++)
+            w.sq[i] = INFINITY;
+        Py_END_ALLOW_THREADS
     }
-    Py_BEGIN_ALLOW_THREADS
-    load_tile(xt, x, 0, n, n, d);
-    for (Py_ssize_t i = 0; i < n; i++)
-        sq[i] = INFINITY;
-    Py_END_ALLOW_THREADS
-    while (stop == GROW) {
+    while (packed != NULL && stop == GROW) {
         Py_ssize_t rows = 2 * m > 16 ? 2 * m : 16;
-        rows = rows < cap ? rows : cap;
+        rows = rows < w.cap ? rows : w.cap;
         if (PyByteArray_Resize(packed, rows * (rows + 1) / 2 * sizeof(double)) < 0)
             break;
         double *lower = (double *)PyByteArray_AS_STRING(packed);
         Py_BEGIN_ALLOW_THREADS
-        stop = greedy_steps(xt, n, d, sq, kind, a, b, c, threshold, epsilon, &t0, &cand, &m,
-                            indices, lower, rows, record, cap, sq + n);
+        stop = ordered ? order_steps(&w, lower, rows, &m, &pos)
+                       : greedy_steps(&w, lower, rows, &m, &pos);
         Py_END_ALLOW_THREADS
     }
-    PyMem_Free(xt);
-    PyMem_Free(sq);
+    PyMem_Free(w.xt);
+    PyMem_Free(w.sq);
     release(&vs);
-    if (stop == GROW || PyByteArray_Resize(packed, m * (m + 1) / 2 * sizeof(double)) < 0) {
-        Py_DECREF(packed);
+    if (packed == NULL || stop == GROW
+        || PyByteArray_Resize(packed, m * (m + 1) / 2 * sizeof(double)) < 0) {
+        Py_XDECREF(packed);
         return NULL;
     }
-    return Py_BuildValue("nnsN", m, cand, STOP_NAMES[stop], packed);
+    return ordered ? Py_BuildValue("nN", m, packed)
+                   : Py_BuildValue("nnsN", m, pos, STOP_NAMES[stop], packed);
+}
+
+static PyObject *greedy_fit(PyObject *self, PyObject *args)
+{
+    return walk(args, 0);
+}
+
+static PyObject *order_fit(PyObject *self, PyObject *args)
+{
+    return walk(args, 1);
 }
 
 static PyMethodDef methods[] = {
@@ -684,11 +673,11 @@ static PyMethodDef methods[] = {
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
     {"tri_solve", tri_solve, METH_VARARGS,
      "tri_solve(packed, x, trans) -> None: x <- L^{-1} x (trans 0) or L^{-T} x (trans 1)"},
-    {"factor_order", factor_order, METH_VARARGS,
-     "factor_order(points, kind, a, b, c, threshold, packed, pivots) -> kept count"},
     {"greedy_fit", greedy_fit, METH_VARARGS,
      "greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record) "
      "-> (m, cand, stop, packed)"},
+    {"order_fit", order_fit, METH_VARARGS,
+     "order_fit(points, kind, a, b, c, threshold, order, indices, record) -> (m, packed)"},
     {NULL, NULL, 0, NULL},
 };
 

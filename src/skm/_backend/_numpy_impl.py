@@ -4,11 +4,12 @@
 that lowers one distance buffer in place. `kernel_sums` forms kernel sums
 against a 2-D coef in blocks of cdist, the shape and a matrix product.
 `tri_solve` is BLAS's packed triangular solve against the packed lower
-factor. `factor_order` is pivoted Cholesky along the rows of a point
-array, with Gram rows from cdist blocks and one `tri_solve` per candidate.
-`greedy_fit` is a whole greedy fit: per step the scan with the shape
-sum, the Gram row from the scan's distances and one `tri_solve`, v_m by a
-BLAS dot and the stop tests. Used when the compiled extension is
+factor. `greedy_fit` and `order_fit` are whole fits, two walks of one
+step (`_Walk.step`): the candidate's Gram row from its distances and one
+`tri_solve`, then, for a kept candidate, the scan with the shape sum, v_m
+by a BLAS dot, E_m, the radius and the time. `greedy_fit` walks
+farthest-first until a stop test holds, `order_fit` along a given order,
+dropping dependent candidates. Used when the compiled extension is
 unavailable. The signatures and the buffer checks match
 skm._backend._fastcore exactly. scipy is imported inside the functions
 that call it, so importing this module loads numpy alone.
@@ -25,9 +26,11 @@ import time
 
 import numpy as np
 
-__all__ = ("farthest_scan", "kernel_sums", "tri_solve", "factor_order", "greedy_fit")
+__all__ = ("farthest_scan", "kernel_sums", "tri_solve", "greedy_fit", "order_fit")
 
-# The rows of a greedy fit's record, in order.
+# The rows of a fit's record, in order: each support point's pivot, kappa,
+# v = L^{-1} kappa entry, E, coverage radius after its step, and the seconds
+# from the start of the fit call to the end of its step.
 RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
 
 # A kernel or distance block holds at most this many entries (2 MB), so the
@@ -177,42 +180,68 @@ def tri_solve(packed, x, trans):
         x[:] = blas.dtpsv(m, packed, x, trans=1 - trans)
 
 
-def factor_order(points, kind, a, b, c, threshold, packed, pivots):
-    """Pivoted Cholesky along the rows of points.
+class _Walk:
+    """One fit's state: the points coordinate-major, their squared distances
+    to the support, the packed lower factor L, and the indices and record."""
 
-    points holds the (m, d) candidates in order. Candidate i has Gram row
-    g = c * shape_kind(||x_i - x_t||^2) over the points t kept before it
-    and pivot c - w'w, where L w = g, and is kept when the pivot exceeds
-    `threshold`: w and sqrt(pivot) become the next row of the packed lower
-    factor L in `packed` (length m(m+1)/2). Writes every candidate's pivot
-    into `pivots` (length m) and returns the number kept. The Gram rows are
-    formed in row blocks of at most 2^18 distances. Bad buffers or an
-    unknown kind raise TypeError or ValueError before a single element is
-    written.
-    """
+    def __init__(self, points, params, threshold, indices, record, t0, rows=-1):
+        _borrow(indices, "indices", 1, rows, writable=True, dtype=np.int64)
+        _borrow(record, "record", 2, len(RECORD_ROWS), writable=True)
+        if record.shape[1] != indices.shape[0]:
+            raise ValueError("record must have one column per index")
+        self.coords = np.ascontiguousarray(points.T)
+        self.sqdist = np.full(points.shape[0], np.inf)
+        self.packed = np.empty(0)
+        self.params, self.threshold = params, threshold
+        self.indices, self.record, self.t0 = indices, record, t0
+        self.m = 0
+
+    def step(self, cand):
+        """Try cand as support point m; the farthest point from the support, or None.
+
+        cand's Gram row w against the kept points, solved against L, gives
+        its pivot c - w'w, and cand is kept when that exceeds the threshold.
+        Only then does the step lower the distances, sum the shape over
+        cand's distances to every point (kappa = c * sum / n), and set v_m =
+        (kappa - w'v) / sqrt(pivot), E_m = E_{m-1} - v_m^2, the radius sqrt(max
+        sqdist) and the seconds. A dependent cand changes nothing but the
+        record's pivot of point m. The packed factor starts at 16 rows and
+        doubles, up to the capacity, each time it fills.
+        """
+        m, cap = self.m, self.indices.shape[0]
+        kind, a, b, c = self.params
+        pivots, kappa, v, e, radius, seconds = self.record
+        row = m * (m + 1) // 2
+        if row == self.packed.shape[0]:  # the factor is full: double it
+            rows = min(cap, max(16, 2 * m))
+            grown = np.empty(rows * (rows + 1) // 2)
+            grown[:row] = self.packed[:row]
+            self.packed = grown
+        r2 = _sqdist_to(self.coords, cand)
+        w = self.packed[row:row + m]
+        np.multiply(_apply_shape((kind, a, b, 1.0), r2[self.indices[:m]]), c, out=w)
+        tri_solve(self.packed[:row], w, 0)
+        pivots[m] = c - float(w @ w)
+        if not pivots[m] > self.threshold:
+            return None
+        root = self.packed[row + m] = math.sqrt(pivots[m])
+        np.minimum(self.sqdist, r2, out=self.sqdist)
+        far = int(np.argmax(self.sqdist))
+        kappa[m] = c * float(_apply_shape((kind, a, b, 1.0), r2).sum()) / r2.shape[0]
+        v[m] = (kappa[m] - float(w @ v[:m])) / root
+        e[m] = (e[m - 1] if m else 0.0) - v[m] * v[m]
+        self.indices[m] = cand
+        radius[m] = math.sqrt(self.sqdist[far])
+        seconds[m] = time.perf_counter() - self.t0
+        self.m = m + 1
+        return far
+
+
+def _points(points, kind):
+    """The number of points, once kind and the points pass the checks the C makes first."""
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind}")
-    _borrow(points, "points", 2, -1)
-    m = points.shape[0]
-    _borrow(packed, "packed", 1, m * (m + 1) // 2, writable=True)
-    _borrow(pivots, "pivots", 1, m, writable=True)
-    from scipy.spatial.distance import cdist
-    kept = []
-    rows = max(1, _BLOCK_ENTRIES // max(1, m))
-    for i0 in range(0, m, rows):
-        i1 = min(m, i0 + rows)
-        block = _apply_shape((kind, a, b, c), cdist(points[i0:i1], points[:i1], "sqeuclidean"))
-        for i in range(i0, i1):
-            k = len(kept)
-            row = k * (k + 1) // 2
-            w = block[i - i0, kept]
-            tri_solve(packed[:row], w, 0)
-            pivots[i] = c - float(w @ w)
-            if pivots[i] > threshold:
-                packed[row:row + k] = w
-                packed[row + k] = math.sqrt(pivots[i])
-                kept.append(i)
-    return len(kept)
+    return _borrow(points, "points", 2, -1).shape[0]
 
 
 def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record):
@@ -220,79 +249,58 @@ def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record
 
     points is the (n, d) array of points; indices (int64) has one entry
     per support point the capacity allows, and record is (6, capacity),
-    with the rows RECORD_ROWS: each support point's pivot, kappa, v =
-    L^{-1} kappa entry, E, coverage radius after its step, and the seconds
-    from the start of the call to the end of its step. The call copies the
-    points coordinate-major and keeps each point's squared distance to the
-    support. A step makes `cand` a center by a scan that also sums the
-    shape over its distances, gives kappa = c * sum / n, takes cand's Gram
-    row to the support from the same distances, solves it against the
-    packed lower factor L as `factor_order` does, keeps cand when its pivot
-    exceeds `threshold`, and then sets v_m = (kappa - w'v) / sqrt(pivot),
-    E_m = E_{m-1} - v_m^2 and the radius sqrt(max sqdist). The next
-    candidate is the farthest point. The packed factor starts at 16 rows
-    and doubles, up to the capacity, each time it fills. Stops, in this
-    order of tests, at "budget" (m reached the capacity), "dependent"
-    (cand's pivot is at most threshold; cand is not kept), "ratio"
-    (|E_{m-1} - E_m| / |E_1 - E_m| <= epsilon, a flat trace giving 0, from
-    the second point on) and "radius" (the radius is 0). Returns (m, cand,
-    stop, packed): cand the dependent candidate or the next one, packed
-    the m(m+1)/2 entries of L. Bad buffers, an unknown kind or a `first`
-    outside [0, n) raise TypeError or ValueError before a single element
-    is written.
+    with the rows RECORD_ROWS. Each step is a `_Walk.step`, and the next
+    candidate is the farthest point. Stops, in this order of tests, at
+    "budget" (m reached the capacity), "dependent" (cand's pivot is at most
+    threshold; cand is not kept), "ratio" (|E_{m-1} - E_m| / |E_1 - E_m| <=
+    epsilon, a flat trace giving 0, from the second point on) and "radius"
+    (the radius is 0). Returns (m, cand, stop, packed): cand the dependent
+    candidate or the next one, packed the m(m+1)/2 entries of L. Bad
+    buffers, an unknown kind or a `first` outside [0, n) raise TypeError or
+    ValueError before a single element is written.
     """
     t0 = time.perf_counter()
-    if kind not in SHAPE_KINDS:
-        raise ValueError(f"unknown shape kind {kind}")
-    _borrow(points, "points", 2, -1)
-    n = points.shape[0]
+    n = _points(points, kind)
     if not 0 <= first < n:
         raise ValueError(f"index {first} out of range for n={n}")
-    _borrow(indices, "indices", 1, -1, writable=True, dtype=np.int64)
-    cap = indices.shape[0]
-    _borrow(record, "record", 2, len(RECORD_ROWS), writable=True)
-    if record.shape[1] != cap:
-        raise ValueError("record must have one column per index")
-    pivots, kappa, v, e, radius, seconds = record
-    coords = np.ascontiguousarray(points.T)
-    sqdist = np.full(n, np.inf)
-    packed = np.empty(0)
-    m, cand = 0, first
-    while True:
-        if m == cap:
-            stop = "budget"
-            break
-        row = m * (m + 1) // 2
-        if row == packed.shape[0]:  # the factor is full: double it
-            rows = min(cap, max(16, 2 * m))
-            grown = np.empty(rows * (rows + 1) // 2)
-            grown[:row] = packed[:row]
-            packed = grown
-        r2 = _sqdist_to(coords, cand)
-        np.minimum(sqdist, r2, out=sqdist)
-        far = int(np.argmax(sqdist))
-        shape = _apply_shape((kind, a, b, 1.0), r2)
-        w = packed[row:row + m]
-        np.multiply(shape[indices[:m]], c, out=w)
-        tri_solve(packed[:row], w, 0)
-        pivots[m] = c - float(w @ w)
-        if not pivots[m] > threshold:
+    walk = _Walk(points, (kind, a, b, c), threshold, indices, record, t0)
+    e, radius = record[3], record[4]
+    cand, stop = first, "budget"
+    while walk.m < indices.shape[0]:
+        far = walk.step(cand)
+        if far is None:
             stop = "dependent"
             break
-        root = packed[row + m] = math.sqrt(pivots[m])
-        kappa[m] = c * float(shape.sum()) / n
-        v[m] = (kappa[m] - float(w @ v[:m])) / root
-        e[m] = (e[m - 1] if m else 0.0) - v[m] * v[m]
-        indices[m] = cand
-        radius[m] = math.sqrt(sqdist[far])
-        seconds[m] = time.perf_counter() - t0
-        m, cand = m + 1, far
-        if m > 1:
-            span = abs(e[0] - e[m - 1])
-            if (0.0 if span == 0.0 else abs(e[m - 2] - e[m - 1]) / span) <= epsilon:
-                stop = "ratio"
-                break
+        cand, m = far, walk.m
+        span = abs(e[0] - e[m - 1])
+        if m > 1 and (0.0 if span == 0.0 else abs(e[m - 2] - e[m - 1]) / span) <= epsilon:
+            stop = "ratio"
+            break
         if radius[m - 1] == 0.0:
             stop = "radius"
             break
-    return m, cand, stop, packed[:m * (m + 1) // 2]
+    return walk.m, cand, stop, walk.packed[:walk.m * (walk.m + 1) // 2]
+
+
+def order_fit(points, kind, a, b, c, threshold, order, indices, record):
+    """Fit along `order`, keeping each candidate whose pivot exceeds `threshold`.
+
+    order (int64) lists candidate rows of points; indices (int64) has one
+    entry per order entry, and record is (6, len(order)) with the rows
+    RECORD_ROWS, as in greedy_fit. Each candidate in turn is a `_Walk.step`:
+    a dependent one is dropped and the walk goes on. Returns (m, packed),
+    the m kept points in indices[:m] and record[:, :m], and packed the
+    m(m+1)/2 entries of L. Bad buffers, an unknown kind or an order entry
+    outside [0, n) raise TypeError or ValueError before a single element is
+    written.
+    """
+    t0 = time.perf_counter()
+    n = _points(points, kind)
+    _borrow(order, "order", 1, -1, dtype=np.int64)
+    bad = order[(order < 0) | (order >= n)]
+    if bad.size:
+        raise ValueError(f"index {bad[0]} out of range for n={n}")
+    walk = _Walk(points, (kind, a, b, c), threshold, indices, record, t0, rows=order.shape[0])
+    for cand in order.tolist():
+        walk.step(cand)
+    return walk.m, walk.packed[:walk.m * (walk.m + 1) // 2]

@@ -9,6 +9,8 @@ usage error, 2 data or numeric error.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -46,12 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_text(path, text):
     """Write text to stdout when path is None or "-", else to the file at path."""
     if path is None or path == "-":
@@ -62,9 +58,15 @@ def _write_text(path, text):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write a header and rows as CSV, quoting a field that holds a comma or quote.
+
+    A float is written as its shortest round-trip repr, as save_csv writes it.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 def _write_columns(path, columns):
@@ -73,9 +75,10 @@ def _write_columns(path, columns):
 
 
 def _record_columns(diag) -> dict:
-    """A greedy fit's record, one row per step: m, e, ratio, radius, pivot.
+    """A fit's record, one row per support point: m, e, ratio, radius, pivot.
 
-    Its seconds_trace stays out, since no timing goes to a data file.
+    Greedy and fixed-order fits record the same steps. The seconds_trace
+    stays out, since no timing goes to a data file.
     """
     e = diag.e_trace
     return {"m": np.arange(1, e.size + 1), "e": e, "ratio": diag.ratio_trace,
@@ -83,7 +86,8 @@ def _record_columns(diag) -> dict:
 
 
 def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, indent=1) + "\n")
+    """Write doc as JSON; a NaN or infinity raises ValueError rather than write invalid JSON."""
+    _write_text(path, json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def _clocked(fn, *args, **kwargs):
@@ -304,6 +308,8 @@ def _cmd_cpe(args) -> dict:
             lo, hi = (float(v) for v in args.sigma_search.split(","))
         except ValueError:
             raise UsageError("--sigma-search expects LO,HI") from None
+        if not 0 < lo < hi < np.inf:
+            raise ValueError(f"--sigma-search needs 0 < LO < HI < inf, got {args.sigma_search}")
         template = parse_kernel_spec(f"gaussian:sigma={0.5 * (lo + hi)}", dim)
         (sigma, _info), stats["sigma_search_s"] = _clocked(
             search_bandwidth, train, lo, hi, template, sparse=args.sparse, k_max=k_max,

@@ -213,6 +213,9 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
     """
     if spec_template.family != "gaussian":
         raise ValueError("bandwidth search applies to gaussian kernels only")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"bandwidth search bound {name} must be finite, got {bound}")
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     max_iter = _integer_in("max_iter", max_iter, 2, math.inf, "max_iter >= 2, the first bracket")

@@ -1,8 +1,9 @@
 """CSV ingestion and model persistence.
 
-CSV files are comma separated, UTF-8, decimal floats, with an optional
-single header row. Model files are versioned JSON documents (schema in
-the README); floats survive a save/load round trip bit-exactly.
+CSV files are comma separated, UTF-8 (a leading byte-order mark is
+skipped), decimal floats, with an optional single header row. Model
+files are versioned JSON documents (schema in the README); floats
+survive a save/load round trip bit-exactly.
 """
 
 import csv
@@ -53,7 +54,7 @@ def load_csv(path, has_header: bool = False) -> DataSet:
     """Read a numeric CSV into a DataSet; errors name the offending cell."""
     rows = []
     ncols = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, cells in enumerate(reader, start=1):
             if has_header and lineno == 1:

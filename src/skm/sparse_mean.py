@@ -12,9 +12,8 @@ E_m = -alpha' kappa = -||v||^2, the squared error minus the constant
 ||zbar||^2, is kept as E_m = E_{m-1} - v_m^2, so it never rises; the support
 stops growing once its relative progress falls below epsilon. The weights
 alpha = L^{-T} v take one triangular solve at the end, and K^{-1} is never
-formed. A greedy fit is one `_backend.greedy_fit` call, and a fixed order
-one `_backend.factor_order` call, one kernel sum for kappa and one solve
-for v.
+formed. A greedy fit is one `_backend.greedy_fit` call and a fixed order
+one `_backend.order_fit` call: two walks of the same step.
 """
 
 import logging
@@ -45,12 +44,12 @@ def _empty():
 class FitDiagnostics:
     """The record of a fit, one entry per support point in fit order.
 
-    e_trace holds E_1 .. E_k0 and pivots each point's Cholesky pivot. A
-    greedy fit also records radius_trace, the coverage radius after each
-    step, and seconds_trace, the seconds from the start of the backend's
-    fit call to the end of each step; a fixed-order fit leaves both empty.
-    skipped lists the dependent candidates: the one that stopped a greedy
-    fit, or the points a fixed-order fit dropped.
+    e_trace holds E_1 .. E_k0, pivots each point's Cholesky pivot,
+    radius_trace the coverage radius of the support after each step, and
+    seconds_trace the seconds from the start of the backend's fit call to
+    the end of each step; the full mean records none. skipped lists the
+    dependent candidates: the one that stopped a greedy fit, or the points
+    a fixed-order fit dropped.
     """
 
     e_trace: np.ndarray
@@ -124,31 +123,31 @@ def project_simplex(values):
     return np.maximum(v - theta, 0.0)
 
 
-def _finalize(spec, points, indices, packed, v, e, pivots, skipped, k_max, epsilon,
-              density_mode, method, **traces):
-    """The fitted mean from the kept points' packed factor, v, E and pivots.
+def _finalize(spec, points, indices, packed, record, skipped, k_max, epsilon, density_mode,
+              method):
+    """The fitted mean from a fit's kept indices, packed factor and record.
 
-    The weights alpha = L^{-T} v are one triangular solve, in place over v,
-    against the leading rows of packed.
+    The weights alpha = L^{-T} v are one triangular solve, in place over
+    the record's v.
     """
-    m = indices.shape[0]
-    alpha = v
-    _backend.tri_solve(packed[:m * (m + 1) // 2], alpha, 1)
+    pivots, _kappa, alpha, e, radii, seconds = record.copy()
+    _backend.tri_solve(np.frombuffer(packed), alpha, 1)
     diag = FitDiagnostics(
         e_trace=e,
         k_max=int(k_max),
         epsilon=float(epsilon),
         density_projected=bool(density_mode),
+        radius_trace=radii,
         skipped=tuple(sorted(skipped)),
         method=method,
         pivots=pivots,
-        **traces,
+        seconds_trace=seconds,
     )
     return SparseKernelMean(
         spec=spec,
         support=points[indices],
         alpha=project_simplex(alpha) if density_mode else alpha,
-        support_indices=indices,
+        support_indices=indices.copy(),
         diagnostics=diag,
     )
 
@@ -170,8 +169,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     section is numerically dependent on the support (listed in
     `diagnostics.skipped`), as pivoted Cholesky stops at its first pivot
     below tolerance. With density_mode the final weights are projected onto
-    the probability simplex. A fixed candidate order takes no such loop:
-    see `fit_with_support`.
+    the probability simplex. A fixed candidate order takes the same step
+    along the order: see `fit_with_support`.
 
     Total work is O(n k0 d + k0^3).
     """
@@ -194,10 +193,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
         logger.info("the fit stops at a dependent candidate: support point %d is numerically "
                     "dependent on the current support (pivot %.3e)", cand, record[0, k0])
         skipped = (cand,)
-    pivots, _kappa, v, e, radii, seconds = record[:, :k0].copy()
-    return _finalize(spec, points, indices[:k0].copy(), np.frombuffer(packed), v, e, pivots,
-                     skipped, k_max, epsilon, density_mode, "greedy", radius_trace=radii,
-                     seconds_trace=seconds)
+    return _finalize(spec, points, indices[:k0], packed, record[:, :k0], skipped, k_max,
+                     epsilon, density_mode, "greedy")
 
 
 def _support_indices(support_indices, n: int) -> np.ndarray:
@@ -218,33 +215,25 @@ def _support_indices(support_indices, n: int) -> np.ndarray:
 
 
 def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
-    """Factor the weights along `order` in one pass, dropping numerically dependent points.
+    """Fit along `order` in one `_backend.order_fit` call, the greedy fit's step per point.
 
-    One `_backend.factor_order` call over the candidates in order gives
-    the packed factor of the points it keeps and every candidate's pivot,
-    as the greedy fit's factor steps along the same order would. A point is
-    kept when its pivot exceeds the singularity threshold. One block sum
-    then gives kappa of the kept points, so a dropped point costs no kernel
-    row mean, and one `_backend.tri_solve` gives v = L^{-1} kappa. The work
-    is O(m^3 / 3) flops and O(md) memory besides the factor.
+    A point is kept when its pivot exceeds the singularity threshold; a
+    dropped point costs its Gram row against the kept points and no scan.
+    The work is O(mnd + m^3 / 3) flops and O(nd + md) memory besides the factor.
     """
     points = np.ascontiguousarray(data.points, dtype=np.float64)
     params = gram_params(spec)
-    threshold = SINGULARITY_REL_TOL * params.c
-    m, n = order.shape[0], points.shape[0]
-    support = points[order]
-    packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-    k = _backend.factor_order(support, *params, threshold, packed, pivots)
-    kept = pivots > threshold
-    v = block_sums(params, support[kept], points, np.full(n, 1.0 / n))
-    _backend.tri_solve(packed[:k * (k + 1) // 2], v, 0)
-    skipped = order[~kept].tolist()
+    m = order.shape[0]
+    indices = np.empty(m, dtype=np.int64)
+    record = np.empty((len(RECORD_ROWS), m))
+    k, packed = _backend.order_fit(points, *params, SINGULARITY_REL_TOL * params.c, order,
+                                   indices, record)
+    skipped = set(order.tolist()) - set(indices[:k].tolist())
     if skipped:
         logger.info("dropped %d of %d support candidates as numerically dependent",
                     len(skipped), m)
-    # E_m = E_{m-1} - v_m^2, summed in the same order as the greedy steps.
-    return _finalize(spec, points, order[kept], packed, v, -np.cumsum(v * v), pivots[kept],
-                     skipped, m, 0.0, density_mode, method)
+    return _finalize(spec, points, indices[:k], packed, record[:, :k], skipped, m, 0.0,
+                     density_mode, method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -262,9 +251,9 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
 
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
-    It costs one block sum for kappa and one factorisation call
-    (`_backend.factor_order`, which forms the Gram rows it needs itself),
-    with no Python step per support point. A support point that is
+    It costs one `_backend.order_fit` call, the greedy fit's step along the
+    given order, whose scans give kappa, and one triangular solve for the
+    weights, with no Python step per support point. A support point that is
     numerically dependent on the points before it is dropped and listed in
     `diagnostics.skipped`, so `support_indices` may come back shorter than
     the input.

@@ -115,11 +115,13 @@ def test_c03_incremental_algebra():
         data = DataSet(pts)
         spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
-        # The factor of the fixed-order fit: one factor_order call on the order.
+        # The factor of the fixed-order fit: one order_fit call on the order.
         params = gram_params(spec)
-        packed, pivots = np.empty(30 * 31 // 2), np.empty(30)
-        assert _backend.factor_order(pts[sel.order], *params, SINGULARITY_REL_TOL * params.c,
-                                     packed, pivots) == 30
+        indices, record = np.empty(30, dtype=np.int64), np.empty((6, 30))
+        k, packed = _backend.order_fit(pts, *params, SINGULARITY_REL_TOL * params.c, sel.order,
+                                       indices, record)
+        assert k == 30
+        packed = np.frombuffer(packed)
         direct = np.linalg.inv(gram_matrix(spec, pts[sel.order]))
         rel = np.linalg.norm(inverse_gram(packed) - direct) / np.linalg.norm(direct)
         assert rel < 1e-8

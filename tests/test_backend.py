@@ -56,9 +56,9 @@ def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
     # three of the primitives only.
     stale = types.ModuleType("_fastcore")
     stale.__file__ = "_fastcore.so"
-    for name in ("farthest_scan", "kernel_sums", "factor_order"):
+    for name in ("farthest_scan", "kernel_sums", "greedy_fit"):
         setattr(stale, name, getattr(_numpy_impl, name))
-    with pytest.raises(ImportError, match=r"_fastcore.so lacks tri_solve, greedy_fit: .*"
+    with pytest.raises(ImportError, match=r"_fastcore.so lacks tri_solve, order_fit: .*"
                                           r"`python setup.py build_ext --inplace`"):
         _backend._complete(stale)
     assert _backend._complete(_numpy_impl) is _numpy_impl
@@ -66,11 +66,11 @@ def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
     src = Path(_backend.__file__).parent.parent
     shutil.copytree(src, tmp_path / "skm", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
     (tmp_path / "skm" / "_backend" / "_fastcore.py").write_text(
-        "from skm._backend._numpy_impl import farthest_scan, kernel_sums, factor_order\n")
+        "from skm._backend._numpy_impl import farthest_scan, kernel_sums, greedy_fit\n")
     proc = subprocess.run([sys.executable, "-c", "import skm"], cwd=tmp_path,
                           env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "ImportError" in proc.stderr and "lacks tri_solve, greedy_fit" in proc.stderr
+    assert "ImportError" in proc.stderr and "lacks tri_solve, order_fit" in proc.stderr
 
 
 def test_farthest_scan_backends_agree(fastcore):
@@ -142,9 +142,8 @@ def test_farthest_scan_ties_keep_the_lowest_index(impl, values, farthest):
      SHAPE_POWER),
 ], ids=["sqexp", "exp", "power"])
 def test_kappa_matches_block_sum(impl, spec, kind, monkeypatch):
-    # A greedy step takes kappa_j from the shape sum of the scan that
-    # picked j; block_sums forms it in one kernel sum, the path of the
-    # fixed-order fits.
+    # A fit step takes kappa_j from the shape sum of its scan from j;
+    # block_sums forms it in one kernel sum.
     monkeypatch.setattr(_backend, "kernel_sums", impl.kernel_sums)
     points = random_case(np.random.default_rng(1))
     n = points.shape[0]
@@ -203,7 +202,7 @@ def test_farthest_scan_rejects_bad_buffers(impl):
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_kernel_block_is_the_shape_of_cdist(impl):
     # kernel_block is the tests' reference for the Gram rows each backend's
-    # factor_order forms itself, so a full factor reproduces it.
+    # fit step forms itself, so a full factor reproduces it.
     params = ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0)
     ys = np.random.default_rng(3).normal(size=(40, 6))
     kept, _, packed = _factor(impl, ys, params, 1e-9 * params.c)
@@ -375,14 +374,22 @@ def test_mean_shift_sums_over_the_support_and_its_weights(impl, monkeypatch):
     assert_allclose(np.sort(clusters.modes[:, 0]), [0.0, 0.0, 4.0], atol=0.2)
 
 
-def _factor(impl, points, params, threshold):
-    """factor_order on the rows of points: the kept mask, every pivot and the packed factor."""
-    m = points.shape[0]
-    full, pivots = np.full(m * (m + 1) // 2, np.nan), np.full(m, np.nan)
-    kept = impl.factor_order(points, *params, threshold, full, pivots)
-    mask = pivots > threshold
-    assert kept == np.count_nonzero(mask)
-    return mask, pivots, full[:kept * (kept + 1) // 2]
+def _factor(impl, points, params, threshold, order=None):
+    """order_fit along order, by default every row of points in turn.
+
+    Returns the kept mask over the order, the whole record, whose first m
+    columns are the kept points' and whose column m holds the last dropped
+    candidate's pivot, and the packed factor.
+    """
+    order = np.arange(points.shape[0]) if order is None else order
+    indices, record = np.full(order.size, -1), np.full((6, order.size), np.nan)
+    m, packed = impl.order_fit(points, *params, threshold, order, indices, record)
+    packed = np.frombuffer(packed)
+    assert packed.shape == (m * (m + 1) // 2,)
+    assert (indices[m:] == -1).all() and np.isnan(record[:, m + 1:]).all()
+    kept = np.isin(order, indices[:m])
+    assert_array_equal(order[kept], indices[:m])
+    return kept, record, packed
 
 
 def _lower(packed):
@@ -413,13 +420,16 @@ def _dup_points(data, n_max=30):
 
 @given(data=st.data())
 def test_factor_order_backends_agree(fastcore, data):
+    # order_fit along the rows of points on both backends.
     points = _dup_points(data)
     sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
     spec = RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma)
     params, c = eval_params(spec), g_zero(spec)
-    kept_np, pivots_np, packed_np = _factor(_numpy_impl, points, params, SINGULARITY_REL_TOL * c)
-    kept_c, pivots_c, packed_c = _factor(fastcore, points, params, SINGULARITY_REL_TOL * c)
+    kept_np, record_np, packed_np = _factor(_numpy_impl, points, params, SINGULARITY_REL_TOL * c)
+    kept_c, record_c, packed_c = _factor(fastcore, points, params, SINGULARITY_REL_TOL * c)
     assert_array_equal(kept_c, kept_np)
+    m = np.count_nonzero(kept_np)
+    pivots_np, pivots_c = record_np[0, :m], record_c[0, :m]
     assert kept_np[0] and np.all(pivots_np <= c)
     # Each backend's factor reproduces the Gram block of the kept points.
     block = kernel_block(params, points[kept_np])
@@ -427,9 +437,11 @@ def test_factor_order_backends_agree(fastcore, data):
         assert_allclose(_lower(packed) @ _lower(packed).T, block, rtol=0, atol=1e-14 * c)
     # The difference grows with the condition sqrt(g(0) / p) of L, at most
     # 3.2e4 at the 1e-9 g(0) pivot floor.
-    cond = np.sqrt(c / pivots_np[kept_np].min())
+    cond = np.sqrt(c / pivots_np.min())
     assert_allclose(pivots_c, pivots_np, rtol=0, atol=PIVOT_ATOL * cond * c)
     assert_allclose(packed_c, packed_np, rtol=0, atol=1e-12 * cond * np.sqrt(c))
+    # The coverage radii of the kept prefixes agree bit for bit.
+    assert_array_equal(record_c[4, :m], record_np[4, :m])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
@@ -438,42 +450,52 @@ def test_factor_order_semantics(impl):
     # the duplicate has pivot 0 and leaves no row behind.
     g = np.exp(-0.5)
     points, params = np.array([[0.0], [1.0], [0.0]]), ShapeParams(SHAPE_SQEXP, 0.5, 0.0, 1.0)
-    kept, pivots, packed = _factor(impl, points, params, 1e-9)
+    kept, record, packed = _factor(impl, points, params, 1e-9)
     assert_array_equal(kept, [True, True, False])
-    assert_allclose(pivots, [1.0, 1.0 - g * g, 0.0], rtol=0, atol=1e-15)
+    assert_allclose(record[0], [1.0, 1.0 - g * g, 0.0], rtol=0, atol=1e-15)
     assert_allclose(packed, [1.0, g, np.sqrt(1.0 - g * g)], rtol=1e-15)
+    # kappa is the kept points' kernel row mean over all three points, and
+    # the radius that of the kept prefix.
+    assert_allclose(record[1, :2], [(2.0 + g) / 3.0, (1.0 + 2.0 * g) / 3.0], rtol=1e-15)
+    assert_array_equal(record[4, :2], [1.0, 0.0])
     # A candidate is kept only when its pivot exceeds the threshold.
-    kept, _, _ = _factor(impl, points[:2].copy(), params, 1.0 - g * g)
+    kept, _, _ = _factor(impl, points, params, 1.0 - g * g, order=np.array([0, 1]))
     assert_array_equal(kept, [True, False])
-    assert impl.factor_order(np.empty((0, 1)), *params, 1e-9, np.empty(0), np.empty(0)) == 0
+    m, packed = impl.order_fit(np.empty((0, 1)), *params, 1e-9, np.empty(0, np.int64),
+                               np.empty(0, np.int64), np.empty((6, 0)))
+    assert m == 0 and len(np.frombuffer(packed)) == 0
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 @pytest.mark.parametrize("m, d", [(40, 1), (300, 3), (600, 5)])
 def test_factor_order_resumes_bit_identically(impl, params, m, d):
-    # A row of the factor is final once written, and the rows after it
-    # resume from it: factoring [0, m) in one call begins with the factor
-    # of every head [0, s), its kept mask, pivots and packed rows bit for
-    # bit. m = 600 spans two row blocks of the numpy backend; repeated rows
-    # are dropped.
+    # A step's record column and factor row are final once written, and
+    # the steps after it resume from them, across the doublings of the
+    # packed factor: walking the order [0, m) in one call begins with the
+    # walk of every head [0, s), its kept mask, record and packed rows bit
+    # for bit, but the seconds. Repeated rows are dropped.
     rng = np.random.default_rng(m)
     points = random_case(rng, n=m, d=d)
     points[rng.integers(m, size=m // 10)] = points[rng.integers(m, size=m // 10)]
     threshold = SINGULARITY_REL_TOL * params.c
-    kept, pivots, packed = _factor(impl, points, params, threshold)
+    kept, record, packed = _factor(impl, points, params, threshold)
     assert 1 < np.count_nonzero(kept) < m
     for s in (0, 1, 7, m // 2, m - 1, m):
-        head, head_pivots, head_packed = _factor(impl, points[:s].copy(), params, threshold)
+        head, head_record, head_packed = _factor(impl, points, params, threshold,
+                                                 order=np.arange(s))
+        k = np.count_nonzero(head)
         assert_array_equal(head, kept[:s])
-        assert_array_equal(head_pivots, pivots[:s])
+        assert_array_equal(head_record[:5, :k], record[:5, :k])
         assert_array_equal(head_packed, packed[:head_packed.size])
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_factor_order_rejects_bad_buffers(impl):
+    # order_fit checks its buffers and every entry of its order before it
+    # writes a single element.
     points = np.eye(4)
-    readonly = np.full(10, -1.0)
+    readonly = np.full((6, 3), -1.0)
     readonly.setflags(write=False)
     cases = [
         (ValueError, "unknown shape kind 3", {"kind": 3}),
@@ -482,26 +504,39 @@ def test_factor_order_rejects_bad_buffers(impl):
         (TypeError, "points must be a float64 array", {"points": points.tolist()}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.eye(8)[::2, ::2]}),
         (ValueError, "points must be a C-contiguous 2-D", {"points": np.ones(4)}),
-        (ValueError, "packed has the wrong length", {"packed": np.full(9, -1.0)}),
-        (ValueError, "pivots has the wrong length", {"pivots": np.full(3, -1.0)}),
-        (TypeError, "packed must be a float64 array", {"packed": np.full(10, -1.0, np.float32)}),
-        (TypeError, "pivots must be a float64 array", {"pivots": np.full(4, -1.0, np.float32)}),
-        (ValueError, "packed must be a C-contiguous 1-D", {"packed": np.full((10, 2), -1.0)[:, 0]}),
-        (ValueError, "pivots must be a C-contiguous 1-D", {"pivots": np.full((4, 2), -1.0)[:, 0]}),
-        (ValueError, "packed must be writable", {"packed": readonly}),
-        (ValueError, "pivots must be writable", {"pivots": readonly[:4]}),
+        (TypeError, "order must be a int64 array", {"order": np.array([0.0, 1.0, 2.0])}),
+        (TypeError, "order must be a int64 array", {"order": np.array([0, 1, 2], np.int32)}),
+        (TypeError, "order must be a int64 array", {"order": [0, 1, 2]}),
+        (ValueError, "order must be a C-contiguous 1-D", {"order": np.arange(6)[::2]}),
+        (ValueError, "order must be a C-contiguous 1-D", {"order": np.zeros((3, 1), np.int64)}),
+        (ValueError, "index -1 out of range for n=4", {"order": np.array([0, -1, 2])}),
+        (ValueError, "index 4 out of range for n=4", {"order": np.array([0, 1, 4])}),
+        (ValueError, "index 9 out of range for n=4", {"order": np.array([9, -1, 2])}),
+        (ValueError, "indices has the wrong length", {"indices": np.full(4, -1)}),
+        (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1.0)}),
+        (ValueError, "indices must be a C-contiguous 1-D", {"indices": np.full((3, 2), -1)[:, 0]}),
+        (ValueError, "record has the wrong length", {"record": np.full((5, 3), -1.0)}),
+        (ValueError, "record must have one column per index", {"record": np.full((6, 4), -1.0)}),
+        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(18, -1.0)}),
+        (ValueError, "record must be writable", {"record": readonly}),
     ]
     for error, message, bad in cases:
-        args = {"points": points, "kind": SHAPE_SQEXP,
-                "packed": np.full(10, -1.0), "pivots": np.full(4, -1.0)} | bad
+        args = {"points": points, "kind": SHAPE_SQEXP, "order": np.array([3, 0, 2]),
+                "indices": np.full(3, -1), "record": np.full((6, 3), -1.0)} | bad
+        buffers = {name: args[name] if args[name].base is None else args[name].base
+                   for name in ("points", "order", "indices", "record")
+                   if isinstance(args[name], np.ndarray)}
+        saved = {name: buf.copy() for name, buf in buffers.items()}
         with pytest.raises(error, match=message):
-            impl.factor_order(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9,
-                              args["packed"], args["pivots"])
-        for name in ("packed", "pivots"):
-            sentinel = args[name].base if args[name].base is not None else args[name]
-            assert np.all(sentinel == -1.0), message
-    packed, pivots = np.full(10, -1.0), np.full(4, -1.0)
-    assert impl.factor_order(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, packed, pivots) == 4
+            impl.order_fit(args["points"], args["kind"], 0.5, 0.0, 1.0, 1e-9, args["order"],
+                           args["indices"], args["record"])
+        for name, buf in buffers.items():
+            assert_array_equal(buf, saved[name], err_msg=f"{message}: {name}")
+    indices, record = np.full(3, -1), np.empty((6, 3))
+    m, packed = impl.order_fit(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, np.array([3, 0, 2]),
+                               indices, record)
+    assert m == 3 and len(np.frombuffer(packed)) == 6
+    assert_array_equal(indices, [3, 0, 2])
 
 
 def _packed_factor(rng, m):
@@ -697,12 +732,12 @@ def test_greedy_fit_rejects_bad_buffers(impl):
     RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density", space="l2"),
 ], ids=["sqexp", "exp", "power"])
 def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
-    # Both are factor_order steps, one row at a time inside greedy_fit or
-    # the whole order at once, so the packed factor and the pivots of the
-    # kept points are bit-identical. The greedy fit's order, with the
-    # dependent candidate it stops at, is fitted as a fixed order, which
-    # drops that candidate; its factor is the one factor_order call the
-    # fixed-order fit makes. 40 of the 400 points repeat other rows moved
+    # Both walk the same fit step, greedy_fit farthest-first and order_fit
+    # along the order, so the packed factor and the pivots of the kept
+    # points are bit-identical. The greedy fit's order, with the dependent
+    # candidate it stops at, is fitted as a fixed order, which drops that
+    # candidate; its factor is the one order_fit call the fixed-order fit
+    # makes. 40 of the 400 points repeat other rows moved
     # by 1e-12, so every fit stops at a dependent candidate: sqexp and
     # power after a few dozen points, exp at the first near-copy, after
     # the 360 others.
@@ -719,10 +754,40 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     assert skipped and list(factored.diagnostics.skipped) == skipped
     assert_array_equal(factored.support_indices, indices)
     assert_array_equal(factored.diagnostics.pivots, record[0])
-    kept, _, factor = _factor(impl, points[order], params, SINGULARITY_REL_TOL * params.c)
+    kept, _, factor = _factor(impl, points, params, SINGULARITY_REL_TOL * params.c, order=order)
     assert_array_equal(order[~kept], skipped)
     assert_array_equal(factor, packed)
     assert_allclose(factored.diagnostics.e_trace, record[3], rtol=1e-12)
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("spec, k_max", [
+    (RadialKernelSpec("gaussian", dim=2, sigma=0.7), 60),
+    (RadialKernelSpec("gaussian", dim=2, sigma=10.0), 300),
+    (RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density",
+                      space="l2"), 300),
+], ids=["budget", "dependent", "power"])
+def test_fit_with_support_along_a_greedy_support_is_the_greedy_fit(impl, spec, k_max,
+                                                                   monkeypatch):
+    # fit_with_support walks the greedy fit's step along the order it is
+    # given, so along the greedy fit's support it makes the same steps: the
+    # same E, pivots, radii and weights, bit for bit. With the dependent
+    # candidate that stopped the greedy fit appended, it drops that one and
+    # is the same fit again.
+    for name in PRIMITIVES:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
+    data = DataSet(np.random.default_rng(21).normal(size=(300, 2)))
+    greedy = fit(data, spec, k_max=k_max, epsilon=0.0, first=0)
+    assert (greedy.k0 == 60) == (greedy.diagnostics.skipped == ()) == (k_max == 60)
+    for order in (greedy.support_indices, np.r_[greedy.support_indices,
+                                                greedy.diagnostics.skipped]):
+        fixed = fit_with_support(data, spec, order)
+        assert fixed.diagnostics.skipped == tuple(order[greedy.k0:])
+        assert_array_equal(fixed.support_indices, greedy.support_indices)
+        for name in ("e_trace", "pivots", "radius_trace"):
+            assert_array_equal(getattr(fixed.diagnostics, name),
+                               getattr(greedy.diagnostics, name), err_msg=name)
+        assert_array_equal(fixed.alpha, greedy.alpha)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)

@@ -272,6 +272,62 @@ def test_cpe_sparse_sigma_search_on_three_blobs(tmp_path):
     assert_allclose(doc["pi_hat"], [1 / 3, 1 / 3, 1 / 3], atol=0.1)
 
 
+@pytest.mark.parametrize("bounds", ["0.1,inf", "nan,1", "0,1", "2,1", "-1,1", "0.1,nan"])
+def test_cpe_sigma_search_checks_its_bounds_first(tmp_path, capsys, bounds):
+    # Exit 2 with a message naming --sigma-search, before the template
+    # kernel spec, whose error would name neither the flag nor the bound.
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    capsys.readouterr()
+    assert main(["cpe", "--train", str(x), str(x), "--test", str(x),
+                 f"--sigma-search={bounds}", "--out", str(tmp_path / "pi.json")]) == 2
+    err = capsys.readouterr().err
+    assert "--sigma-search needs 0 < LO < HI < inf" in err and "kernel requires" not in err
+    assert not (tmp_path / "pi.json").exists()
+
+
+@pytest.mark.parametrize("delta", ["nan", "-1"])
+def test_meanshift_compare_refuses_a_bad_delta(tmp_path, capsys, delta):
+    # --delta nan once wrote "delta": NaN, which is not JSON, and -1 reported
+    # two identical runs as wholly discrepant.
+    x = synth_csv(tmp_path, dataset="blobs2", n=60, seed=2)
+    shifted, metrics = tmp_path / "shifted.csv", tmp_path / "metrics.json"
+    assert main(["meanshift", "--input", str(x), "--sigma", "0.8",
+                 "--out-shifted", str(shifted)]) == 0
+    capsys.readouterr()
+    assert main(["meanshift", "--input", str(x), "--sigma", "0.8", "--compare", str(shifted),
+                 "--delta", delta, "--metrics-out", str(metrics)]) == 2
+    assert "delta must be nonnegative" in capsys.readouterr().err
+    assert not metrics.exists()
+
+
+def test_json_outputs_refuse_nan_and_infinity(tmp_path):
+    from skm.cli import _write_json
+
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="JSON"):
+            _write_json(str(tmp_path / "doc.json"), {"x": value})
+    assert not (tmp_path / "doc.json").exists()
+
+
+def test_csv_outputs_quote_a_label_with_a_comma(tmp_path):
+    # A sample named x,y once made the header and its row one field longer
+    # than the others. Numeric files are unchanged: plain fields, no quotes.
+    import csv
+
+    plain = synth_csv(tmp_path, "plain.csv", "blobs2", 50, seed=0)
+    comma = synth_csv(tmp_path, "x,y.csv", "blobs2", 50, seed=1)
+    out = tmp_path / "d.csv"
+    assert main(["embed", str(plain), str(comma), "--kernel", "gaussian:sigma=1.0",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [3, 3, 3]
+    assert rows[0] == ["label", "plain", "x,y"] and [r[0] for r in rows[1:]] == ["plain", "x,y"]
+    lines = out.read_text().splitlines()
+    assert lines == ['label,plain,"x,y"', ",".join(rows[1]), '"x,y",' + ",".join(rows[2][1:])]
+    assert [float(v) for v in rows[1][1:]] == [0.0, float(rows[2][1])]
+
+
 def test_meanshift_labels_and_compare(tmp_path):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=2)
     labels = tmp_path / "labels.csv"

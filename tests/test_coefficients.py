@@ -21,30 +21,30 @@ def line_data(*values):
 def fit_along(data, spec, order):
     """The fixed-order fit along order and the kappa of its kept points.
 
-    kappa is the result of the fit's one block sum, copied before the fit
-    solves v = L^{-1} kappa in place.
+    kappa is the record row of the fit's one `order_fit` call, copied
+    before the fit solves for the weights in place over v.
     """
-    sums = []
+    calls = []
 
-    def spy(*args):
-        result = block_sums(*args)
-        sums.append(result.copy())
-        return result
+    def spy(points, *args):
+        m, packed = order_fit(points, *args)
+        calls.append(args[-1][1, :m].copy())
+        return m, packed
 
-    block_sums = sparse_mean.block_sums
+    order_fit = _backend.order_fit
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sparse_mean, "block_sums", spy)
+        patch.setattr(_backend, "order_fit", spy)
         mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64),
                                             False, "fixed-support")
-    assert len(sums) == 1
-    return mean, sums[0]
+    assert len(calls) == 1
+    return mean, calls[0]
 
 
 def grow(data, spec, order):
     """fit_along for an order every point of which the fit keeps.
 
-    A fixed-order fit along an order is the greedy fit's factor steps along
-    it (test_extend_along_an_order_is_factor_along_it).
+    A fixed-order fit along an order is the greedy fit's steps along it
+    (test_extend_along_an_order_is_factor_along_it).
     """
     mean, kappa = fit_along(data, spec, order)
     assert mean.diagnostics.skipped == ()
@@ -54,10 +54,11 @@ def grow(data, spec, order):
 def packed_factor(data, spec, order):
     """The packed lower factor of the Gram matrix of points[order], as the fit forms it."""
     params, m = gram_params(spec), len(order)
-    packed, pivots = np.empty(m * (m + 1) // 2), np.empty(m)
-    assert _backend.factor_order(data.points[order], *params, SINGULARITY_REL_TOL * params.c,
-                                 packed, pivots) == m
-    return packed
+    indices, record = np.empty(m, dtype=np.int64), np.empty((6, m))
+    kept, packed = _backend.order_fit(data.points, *params, SINGULARITY_REL_TOL * params.c,
+                                      np.asarray(order, dtype=np.int64), indices, record)
+    assert kept == m
+    return np.frombuffer(packed)
 
 
 # --------------------------------------------------------- fixed-order kappa
@@ -149,10 +150,12 @@ def test_extend_rejects_index_already_in_support():
     # A repeated index has pivot g(0) - g(0) = 0, so the pivot check drops
     # it and the fit is the fit without it. fit_with_support refuses
     # duplicates before the factor, so the order goes to the fit it calls.
+    # skipped lists the points of the order that are not in the support,
+    # and 0 and 1 are.
     data = line_data(0.0, 5.0)
     e_trace = grow(data, UNIT_GAUSS_1D, [0, 1])[0].diagnostics.e_trace
     mean, _ = fit_along(data, UNIT_GAUSS_1D, [0, 1, 0, 1])
-    assert mean.diagnostics.skipped == (0, 1)
+    assert mean.diagnostics.skipped == ()
     assert_array_equal(mean.support_indices, [0, 1])
     assert_allclose(mean.diagnostics.e_trace, e_trace, rtol=0)
 

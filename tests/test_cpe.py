@@ -385,3 +385,17 @@ def test_search_bandwidth_validates_interval():
     train = class_samples(rng, [(-1.0, 0.0), (1.0, 0.0)], 20)
     with pytest.raises(ValueError):
         search_bandwidth(train, 2.0, 1.0, GAUSS_2D)
+
+
+@pytest.mark.parametrize("lo, hi, name", [
+    (0.1, np.inf, "hi"), (np.nan, 1.0, "lo"), (0.1, np.nan, "hi"), (-np.inf, 1.0, "lo"),
+])
+def test_search_bandwidth_names_a_non_finite_bound(lo, hi, name, monkeypatch):
+    # Refused before any objective: hi = inf once reached a fit as sigma =
+    # exp(nan), whose error named neither the bound nor the search.
+    import skm.cpe
+
+    monkeypatch.setattr(skm.cpe, "full_mean", None)  # no fit may start
+    train = class_samples(np.random.default_rng(12), [(-1.0, 0.0), (1.0, 0.0)], 20)
+    with pytest.raises(ValueError, match=f"bound {name} must be finite"):
+        search_bandwidth(train, lo, hi, GAUSS_2D)

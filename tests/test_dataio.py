@@ -28,6 +28,16 @@ def test_load_csv_single_column(tmp_path):
     assert data.name == "x"
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # Spreadsheet exports often begin with a UTF-8 BOM, which once made the
+    # first cell "\ufeff1.0", not a number.
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffx,y\n1.0,2.0\n3.0,4.0\n".encode("utf-8"))
+    assert_array_equal(load_csv(path, has_header=True).points, [[1.0, 2.0], [3.0, 4.0]])
+    path.write_bytes("\ufeff1.0,2.0\n".encode("utf-8"))
+    assert_array_equal(load_csv(path).points, [[1.0, 2.0]])
+
+
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

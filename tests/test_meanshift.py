@@ -513,6 +513,14 @@ def test_discrepancy_symmetric_and_bounded():
     assert 0.0 <= d <= 1.0
 
 
+@pytest.mark.parametrize("delta", [np.nan, -1.0])
+def test_discrepancy_refuses_a_nan_or_negative_delta(delta):
+    pts = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        discrepancy_index(pts, pts, delta)
+    assert discrepancy_index(pts, pts, 0.0) == 0.0
+
+
 def test_discrepancy_length_mismatch():
     with pytest.raises(ValueError):
         discrepancy_index(np.zeros((3, 1)), np.zeros((4, 1)), 1.0)

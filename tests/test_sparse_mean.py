@@ -402,8 +402,8 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
     assert steps == {"scans": 60, "factor_steps": 60}
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
-                     "greedy_fit": 1}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "greedy_fit": 1,
+                     "order_fit": 0}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
@@ -419,24 +419,22 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     tried = mean.k0 + 1
     assert steps == {"scans": tried, "factor_steps": tried}
     assert 16 < tried <= 32  # so the factor doubled once, inside the call
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "factor_order": 0,
-                     "greedy_fit": 1}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "greedy_fit": 1,
+                     "order_fit": 0}
 
 
-def test_fixed_order_fits_make_one_factor_call_and_no_scan(monkeypatch):
-    # Their kappa is one kernel sum over the order, not a scan per point,
-    # and their factor is one backend call, not one greedy step per point.
-    # Each fit makes one kernel sum, the kappa of the kept points against
-    # the 400 points, and forms no Gram block, and two triangular solves:
-    # v = L^{-1} kappa and the weights.
+def test_fixed_order_fits_make_one_order_fit_call_and_no_kernel_sum(monkeypatch):
+    # Each fit is one order_fit call, the greedy fit's step along the
+    # order, whose scans give kappa, so it makes no kernel sum and forms no
+    # Gram block, and one triangular solve for the weights.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "kernel_sums": 2, "tri_solve": 4, "factor_order": 2,
-                     "greedy_fit": 0}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 2, "greedy_fit": 0,
+                     "order_fit": 2}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
