@@ -1,7 +1,6 @@
 """Compare the compiled and numpy backends on their primitives, a full fit and a fixed-support fit.
 
-All timings run in one process. Four of the five primitives (all but
-`tri_solve`, which a fit calls once or twice) are timed against
+All timings run in one process. The four primitives are timed against
 each implementation directly. The scan is timed at the fit-tall and
 fit-deep benchmark shapes (100000 x 8 and 10000 x 5 standard-normal
 points, coordinate-major). The kernel sums are timed on the whole

@@ -1,4 +1,4 @@
-"""The five hot primitives, from the compiled extension if it imports.
+"""The four hot primitives, from the compiled extension if it imports.
 
 `farthest_scan` is one pass over a coordinate-major (d, n) copy of the
 points that makes a point a farthest-first center: it lowers the squared
@@ -8,31 +8,31 @@ distances already lowered.
 `kernel_sums` writes c * sum_j shape(||x_i - y_j||^2) coef[j, q] into
 out[i, q] for a 2-D coef and out, without forming a kernel block; every
 kernel sum (evaluate, the mean-shift rounds, the inner products of two
-means) is one call. `tri_solve` solves in place against a fit's packed
-lower factor L, L x = b (trans 0) or L' x = b (trans 1): the weights
-alpha = L^{-T} v. `greedy_fit` and `order_fit` are whole fits in one
+means) is one call. `greedy_fit` and `order_fit` are whole fits in one
 call each, two walks of one step: from the points each makes its own
 coordinate-major copy and distances, and a step forms the candidate's
-Gram row against the kept points and solves it forward, a pivoted
-Cholesky step, and keeps the candidate when its pivot passes the
+Gram row against the kept points' coordinates and solves it forward, a
+pivoted Cholesky step, and keeps the candidate when its pivot passes the
 threshold; only then does it run a farthest-first scan that also sums the
 Gram shape over the candidate's distances (its kernel row mean kappa),
 v_m, E_m, the coverage radius and the step's time. `greedy_fit` walks
 farthest-first from a first point until a stop test holds, and stops at
 its first dependent candidate; `order_fit` walks a given order and drops
 each dependent candidate. Both grow the packed factor themselves, from 16
-rows, doubling up to the capacity, and return its m kept rows.
+rows, doubling up to the capacity, end by solving the weights alpha =
+L^{-T} v into the record's alpha row, and return the factor's m kept rows.
+A fit is one backend call.
 
-All five come from the compiled extension (`_fastcore.c`) when that was
+All four come from the compiled extension (`_fastcore.c`) when that was
 built, and from the numpy implementation otherwise; `BACKEND` names
 which. The compiled kernel values use libmvec's vector exp and pow on
 x86-64 glibc, so they differ from the numpy ones in the last bits. The
-compiled fits form w'v of each v_m with their own dot, and the
-compiled `tri_solve` is its own loop, where the numpy ones use BLAS, so
-pivots, E_m and the weights alpha may differ from the numpy backend's in
-the last bits too; the supports, skipped candidates and radii may not.
-An extension built from an older `_fastcore.c` that lacks a primitive
-raises ImportError.
+compiled fits form w'v of each v_m and solve for alpha with their own
+loops, where the numpy ones use BLAS, so pivots, E_m and the weights
+alpha may differ from the numpy backend's in the last bits too; the
+supports, skipped candidates and radii may not. An extension built from
+an older `_fastcore.c` that lacks a primitive, or whose record has another
+number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on
@@ -43,13 +43,17 @@ from . import _numpy_impl
 
 
 def _complete(module):
-    """module, once it has every primitive of the numpy implementation."""
-    missing = [name for name in _numpy_impl.__all__ if not hasattr(module, name)]
-    if missing:
+    """module, once it has every primitive of the numpy implementation and its record rows."""
+    names = _numpy_impl.__all__ + ("RECORD_ROW_COUNT",)
+    missing = [name for name in names if not hasattr(module, name)]
+    rows = _numpy_impl.RECORD_ROW_COUNT
+    if missing or module.RECORD_ROW_COUNT != rows:
+        flaw = (f"lacks {', '.join(missing)}" if missing
+                else f"has RECORD_ROW_COUNT {module.RECORD_ROW_COUNT}, not {rows}")
         raise ImportError(
-            f"the compiled backend {getattr(module, '__file__', module)} lacks "
-            f"{', '.join(missing)}: it was built from an older _fastcore.c; rebuild it "
-            f"with `python setup.py build_ext --inplace`, or delete it to use numpy")
+            f"the compiled backend {getattr(module, '__file__', module)} {flaw}: it was built "
+            f"from an older _fastcore.c; rebuild it with `python setup.py build_ext "
+            f"--inplace`, or delete it to use numpy")
     return module
 
 
@@ -63,6 +67,5 @@ _complete(_impl)
 
 farthest_scan = _impl.farthest_scan
 kernel_sums = _impl.kernel_sums
-tri_solve = _impl.tri_solve
 greedy_fit = _impl.greedy_fit
 order_fit = _impl.order_fit

@@ -1,6 +1,6 @@
-/* Compiled inner loops: the farthest-first scan, the kernel sums, the
- * triangular solves against the packed factor, and the two fits, two walks
- * of one fit step. The signatures match skm._backend._numpy_impl exactly.
+/* Compiled inner loops: the farthest-first scan, the kernel sums and the
+ * two fits, two walks of one fit step that end by solving for the weights.
+ * The signatures match skm._backend._numpy_impl exactly.
  *
  * The scan reads a coordinate-major (d, n) copy of the points in tiles of
  * TILE points. For each tile it forms the squared distances to the new
@@ -29,15 +29,11 @@
  * backend's in the last bits, and between the AVX-512, AVX2 and SSE2
  * clones too.
  *
- * The triangular solves work in place on a caller's vector against the
- * packed lower factor L, row i at offset i(i+1)/2: L x = b forward, row
- * after row with the same 8-partial-sum dot, and L' x = b backward, as one
- * axpy along each row of L from the last up.
- *
  * The fit step is one step of partial pivoted Cholesky: the candidate's
  * Gram row against the kept points is formed with the same distance, shape
- * and dot code and solved forward against the packed lower factor, and the
- * candidate is kept when its pivot passes a threshold. Only a kept
+ * and dot code and solved forward against the packed lower factor L, row i
+ * at offset i(i+1)/2, row after row with the same 8-partial-sum dot, and
+ * the candidate is kept when its pivot passes a threshold. Only a kept
  * candidate then gets the scan with the shape sum, v_m and E_m, the
  * radius and the step's time. The greedy fit walks farthest-first and
  * stops at its first dependent candidate or a stop test; the ordered fit
@@ -46,10 +42,12 @@
  * support and the support's coordinates, for the capacity, in a second
  * block. The packed factor is a bytearray of 16 rows that doubles, up to
  * the capacity, each time it fills, resized with the GIL held between
- * runs of the steps, and is returned cut to the rows kept. v_m takes w'v
- * from the same 8-partial-sum dot as the factor, where the numpy backend
- * uses BLAS, so E_m and the weights may differ from the numpy backend's in
- * the last bits; the supports, skipped candidates and radii do not.
+ * runs of the steps, and is returned cut to the rows kept. Once the walk
+ * ends, the weights alpha = L^{-T} v are solved into the record's alpha row
+ * as one axpy along each row of L from the last up. v_m takes w'v from the
+ * same 8-partial-sum dot as the factor, where the numpy backend uses BLAS,
+ * so E_m and the weights may differ from the numpy backend's in the last
+ * bits; the supports, skipped candidates and radii do not.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 (int64 for a fit's order and support indices) of the right
@@ -421,39 +419,6 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static CLONED void solve_rows(const double *packed, double *x, Py_ssize_t m, int trans)
-{
-    if (trans)
-        back_rows(packed, x, m);
-    else
-        forward_rows(packed, x, m);
-}
-
-static PyObject *tri_solve(PyObject *self, PyObject *args)
-{
-    PyObject *lo, *xo;
-    int trans;
-    Views vs = {.count = 0};
-    if (!PyArg_ParseTuple(args, "OOi", &lo, &xo, &trans))
-        return NULL;
-    if (trans != 0 && trans != 1) {
-        PyErr_Format(PyExc_ValueError, "trans must be 0 or 1, got %d", trans);
-        return NULL;
-    }
-    double *x = borrow(&vs, xo, "x", 1, -1, 1);
-    Py_ssize_t m = x ? vs.view[0].shape[0] : 0;
-    const double *packed = x ? borrow(&vs, lo, "packed", 1, m * (m + 1) / 2, 0) : NULL;
-    if (packed == NULL) {
-        release(&vs);
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    solve_rows(packed, x, m, trans);
-    Py_END_ALLOW_THREADS
-    release(&vs);
-    Py_RETURN_NONE;
-}
-
 /* One pivoted Cholesky step: the Gram row c * shape(||xi - x_t||^2) of
  * the candidate xi against the kept points x_t, coordinate-major in kt
  * with ld entries per coordinate, goes straight into the next packed row
@@ -481,7 +446,7 @@ enum { STOP_BUDGET, STOP_DEPENDENT, STOP_RATIO, STOP_RADIUS, GROW };
 static const char *const STOP_NAMES[] = {"budget", "dependent", "ratio", "radius"};
 
 /* The rows of a fit's record, each `cap` doubles long. */
-enum { REC_PIVOT, REC_KAPPA, REC_V, REC_E, REC_RADIUS, REC_SECONDS, REC_ROWS };
+enum { REC_PIVOT, REC_KAPPA, REC_V, REC_E, REC_RADIUS, REC_SECONDS, REC_ALPHA, REC_ROWS };
 
 static double seconds_since(const struct timespec *t0)
 {
@@ -644,6 +609,14 @@ static PyObject *walk(PyObject *args, int ordered)
                        : greedy_steps(&w, lower, rows, &m, &pos);
         Py_END_ALLOW_THREADS
     }
+    if (stop != GROW) {  /* the weights alpha = L^{-T} v, in the record's own row */
+        double *alpha = w.record + REC_ALPHA * w.cap;
+        const double *lower = (const double *)PyByteArray_AS_STRING(packed);
+        Py_BEGIN_ALLOW_THREADS
+        memcpy(alpha, w.record + REC_V * w.cap, m * sizeof(double));
+        back_rows(lower, alpha, m);
+        Py_END_ALLOW_THREADS
+    }
     PyMem_Free(w.xt);
     PyMem_Free(w.sq);
     release(&vs);
@@ -671,8 +644,6 @@ static PyMethodDef methods[] = {
      "farthest_scan(coords, j, sqdist) -> farthest index"},
     {"kernel_sums", kernel_sums, METH_VARARGS,
      "kernel_sums(xs, ys, coef, kind, a, b, c, out) -> None"},
-    {"tri_solve", tri_solve, METH_VARARGS,
-     "tri_solve(packed, x, trans) -> None: x <- L^{-1} x (trans 0) or L^{-T} x (trans 1)"},
     {"greedy_fit", greedy_fit, METH_VARARGS,
      "greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record) "
      "-> (m, cand, stop, packed)"},
@@ -683,7 +654,12 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_fastcore", NULL, -1, methods};
 
+/* The module exports its record's row count, so that skm._backend refuses
+ * an extension built from a _fastcore.c whose record differs. */
 PyMODINIT_FUNC PyInit__fastcore(void)
 {
-    return PyModule_Create(&module);
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && PyModule_AddIntConstant(mod, "RECORD_ROW_COUNT", REC_ROWS) < 0)
+        Py_CLEAR(mod);
+    return mod;
 }

@@ -3,16 +3,16 @@
 `farthest_scan` is a farthest-first step over the coordinate-major points
 that lowers one distance buffer in place. `kernel_sums` forms kernel sums
 against a 2-D coef in blocks of cdist, the shape and a matrix product.
-`tri_solve` is BLAS's packed triangular solve against the packed lower
-factor. `greedy_fit` and `order_fit` are whole fits, two walks of one
-step (`_Walk.step`): the candidate's Gram row from its distances and one
-`tri_solve`, then, for a kept candidate, the scan with the shape sum, v_m
-by a BLAS dot, E_m, the radius and the time. `greedy_fit` walks
-farthest-first until a stop test holds, `order_fit` along a given order,
-dropping dependent candidates. Used when the compiled extension is
-unavailable. The signatures and the buffer checks match
-skm._backend._fastcore exactly. scipy is imported inside the functions
-that call it, so importing this module loads numpy alone.
+`greedy_fit` and `order_fit` are whole fits, two walks of one step
+(`_Walk.step`): the candidate's Gram row from its distances to the kept
+points and BLAS's packed triangular solve, then, for a kept candidate
+only, the scan with the shape sum, v_m by a BLAS dot, E_m, the radius and
+the time. `greedy_fit` walks farthest-first until a stop test holds,
+`order_fit` along a given order, dropping dependent candidates; each ends
+with one more packed solve for the weights alpha = L^{-T} v. Used when the
+compiled extension is unavailable. The signatures and the buffer checks
+match skm._backend._fastcore exactly. scipy is imported inside the
+functions that call it, so importing this module loads numpy alone.
 
 A profile is c * shape_kind(r) for a SHAPE_* kind below; the compiled
 backend numbers the kinds the same way, and `_apply_shape` is the one numpy
@@ -26,12 +26,15 @@ import time
 
 import numpy as np
 
-__all__ = ("farthest_scan", "kernel_sums", "tri_solve", "greedy_fit", "order_fit")
+__all__ = ("farthest_scan", "kernel_sums", "greedy_fit", "order_fit")
 
 # The rows of a fit's record, in order: each support point's pivot, kappa,
-# v = L^{-1} kappa entry, E, coverage radius after its step, and the seconds
-# from the start of the fit call to the end of its step.
-RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds")
+# v = L^{-1} kappa entry, E, coverage radius after its step, the seconds
+# from the start of the fit call to the end of its step, and its weight
+# alpha = L^{-T} v, solved once the walk ends. The compiled backend exports
+# the row count, and skm._backend refuses a build whose count differs.
+RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds", "alpha")
+RECORD_ROW_COUNT = len(RECORD_ROWS)
 
 # A kernel or distance block holds at most this many entries (2 MB), so the
 # memory of a numpy kernel sum or of mode clustering stays flat whatever
@@ -161,35 +164,31 @@ def kernel_sums(xs, ys, coef, kind, a, b, c, out):
         np.matmul(_apply_shape((kind, a, b, c), block), coef, out=out[i:i + rows])
 
 
-def tri_solve(packed, x, trans):
-    """Solve against the packed lower factor L in place: x <- L^{-1} x, or L^{-T} x.
+def _tpsv(packed, x, trans):
+    """x <- L^{-1} x (trans 0) or L^{-T} x (trans 1) in place, by BLAS's packed solve.
 
-    packed holds the m rows of L, row i at offset i(i+1)/2, and x (length
-    m) the right-hand side; trans is 0 for L, 1 for L'. Bad buffers or a
-    trans other than 0 or 1 raise TypeError or ValueError before x changes.
+    packed holds the rows of the lower factor L, row i at offset i(i+1)/2,
+    for the length of x.
     """
-    if trans not in (0, 1):
-        raise ValueError(f"trans must be 0 or 1, got {trans}")
-    _borrow(x, "x", 1, -1, writable=True)
-    m = x.shape[0]
-    _borrow(packed, "packed", 1, m * (m + 1) // 2)
-    if m:
+    if x.shape[0]:
         from scipy.linalg import blas
         # The packed rows of L are the packed columns of the upper factor
         # L', so BLAS's trans is the opposite of ours.
-        x[:] = blas.dtpsv(m, packed, x, trans=1 - trans)
+        x[:] = blas.dtpsv(x.shape[0], packed, x, trans=1 - trans)
 
 
 class _Walk:
-    """One fit's state: the points coordinate-major, their squared distances
-    to the support, the packed lower factor L, and the indices and record."""
+    """One fit's state: the points and the kept points coordinate-major, the
+    squared distances to the support, the packed lower factor L, and the
+    indices and record."""
 
     def __init__(self, points, params, threshold, indices, record, t0, rows=-1):
         _borrow(indices, "indices", 1, rows, writable=True, dtype=np.int64)
-        _borrow(record, "record", 2, len(RECORD_ROWS), writable=True)
+        _borrow(record, "record", 2, RECORD_ROW_COUNT, writable=True)
         if record.shape[1] != indices.shape[0]:
             raise ValueError("record must have one column per index")
         self.coords = np.ascontiguousarray(points.T)
+        self.kept = np.empty((points.shape[1], indices.shape[0]))
         self.sqdist = np.full(points.shape[0], np.inf)
         self.packed = np.empty(0)
         self.params, self.threshold = params, threshold
@@ -199,32 +198,39 @@ class _Walk:
     def step(self, cand):
         """Try cand as support point m; the farthest point from the support, or None.
 
-        cand's Gram row w against the kept points, solved against L, gives
-        its pivot c - w'w, and cand is kept when that exceeds the threshold.
-        Only then does the step lower the distances, sum the shape over
-        cand's distances to every point (kappa = c * sum / n), and set v_m =
-        (kappa - w'v) / sqrt(pivot), E_m = E_{m-1} - v_m^2, the radius sqrt(max
-        sqdist) and the seconds. A dependent cand changes nothing but the
-        record's pivot of point m. The packed factor starts at 16 rows and
-        doubles, up to the capacity, each time it fills.
+        cand's Gram row w against the kept points, from their coordinates
+        and solved against L, gives its pivot c - w'w, and cand is kept when
+        that exceeds the threshold. Only then does the step form cand's
+        distances to every point, lower the distances, sum the shape over
+        them (kappa = c * sum / n), and set v_m = (kappa - w'v) /
+        sqrt(pivot), E_m = E_{m-1} - v_m^2, the radius sqrt(max sqdist) and
+        the seconds. A dependent cand changes nothing but the record's
+        pivot of point m. The packed factor starts at 16 rows and doubles,
+        up to the capacity, each time it fills.
         """
         m, cap = self.m, self.indices.shape[0]
         kind, a, b, c = self.params
-        pivots, kappa, v, e, radius, seconds = self.record
+        pivots, kappa, v, e, radius, seconds, _alpha = self.record
         row = m * (m + 1) // 2
         if row == self.packed.shape[0]:  # the factor is full: double it
             rows = min(cap, max(16, 2 * m))
             grown = np.empty(rows * (rows + 1) // 2)
             grown[:row] = self.packed[:row]
             self.packed = grown
-        r2 = _sqdist_to(self.coords, cand)
+        # cand goes in column m, the next free one, so that the sum runs
+        # over at least two columns and adds k = 0..d-1 in order, as
+        # _sqdist_to does: numpy sums a lone column pairwise.
+        self.kept[:, m] = self.coords[:, cand]
+        diff = self.kept[:, :m + 1] - self.kept[:, m:m + 1]
+        diff *= diff
         w = self.packed[row:row + m]
-        np.multiply(_apply_shape((kind, a, b, 1.0), r2[self.indices[:m]]), c, out=w)
-        tri_solve(self.packed[:row], w, 0)
+        np.multiply(_apply_shape((kind, a, b, 1.0), diff.sum(axis=0)[:m]), c, out=w)
+        _tpsv(self.packed[:row], w, 0)
         pivots[m] = c - float(w @ w)
         if not pivots[m] > self.threshold:
             return None
         root = self.packed[row + m] = math.sqrt(pivots[m])
+        r2 = _sqdist_to(self.coords, cand)
         np.minimum(self.sqdist, r2, out=self.sqdist)
         far = int(np.argmax(self.sqdist))
         kappa[m] = c * float(_apply_shape((kind, a, b, 1.0), r2).sum()) / r2.shape[0]
@@ -235,6 +241,14 @@ class _Walk:
         seconds[m] = time.perf_counter() - self.t0
         self.m = m + 1
         return far
+
+    def finish(self):
+        """The packed rows of L, once the record's alpha row holds L^{-T} v."""
+        m, v, alpha = self.m, self.record[2], self.record[6]
+        packed = self.packed[:m * (m + 1) // 2]
+        alpha[:m] = v[:m]
+        _tpsv(packed, alpha[:m], 1)
+        return packed
 
 
 def _points(points, kind):
@@ -248,13 +262,14 @@ def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record
     """Run a greedy fit from point `first` until a stop test holds.
 
     points is the (n, d) array of points; indices (int64) has one entry
-    per support point the capacity allows, and record is (6, capacity),
+    per support point the capacity allows, and record is (7, capacity),
     with the rows RECORD_ROWS. Each step is a `_Walk.step`, and the next
     candidate is the farthest point. Stops, in this order of tests, at
     "budget" (m reached the capacity), "dependent" (cand's pivot is at most
     threshold; cand is not kept), "ratio" (|E_{m-1} - E_m| / |E_1 - E_m| <=
     epsilon, a flat trace giving 0, from the second point on) and "radius"
-    (the radius is 0). Returns (m, cand, stop, packed): cand the dependent
+    (the radius is 0). The walk ends by solving the weights into the
+    record's alpha row. Returns (m, cand, stop, packed): cand the dependent
     candidate or the next one, packed the m(m+1)/2 entries of L. Bad
     buffers, an unknown kind or a `first` outside [0, n) raise TypeError or
     ValueError before a single element is written.
@@ -279,16 +294,17 @@ def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record
         if radius[m - 1] == 0.0:
             stop = "radius"
             break
-    return walk.m, cand, stop, walk.packed[:walk.m * (walk.m + 1) // 2]
+    return walk.m, cand, stop, walk.finish()
 
 
 def order_fit(points, kind, a, b, c, threshold, order, indices, record):
     """Fit along `order`, keeping each candidate whose pivot exceeds `threshold`.
 
     order (int64) lists candidate rows of points; indices (int64) has one
-    entry per order entry, and record is (6, len(order)) with the rows
+    entry per order entry, and record is (7, len(order)) with the rows
     RECORD_ROWS, as in greedy_fit. Each candidate in turn is a `_Walk.step`:
-    a dependent one is dropped and the walk goes on. Returns (m, packed),
+    a dependent one is dropped and the walk goes on, and the weights are
+    solved once it ends. Returns (m, packed),
     the m kept points in indices[:m] and record[:, :m], and packed the
     m(m+1)/2 entries of L. Bad buffers, an unknown kind or an order entry
     outside [0, n) raise TypeError or ValueError before a single element is
@@ -303,4 +319,4 @@ def order_fit(points, kind, a, b, c, threshold, order, indices, record):
     walk = _Walk(points, (kind, a, b, c), threshold, indices, record, t0, rows=order.shape[0])
     for cand in order.tolist():
         walk.step(cand)
-    return walk.m, walk.packed[:walk.m * (walk.m + 1) // 2]
+    return walk.m, walk.finish()

@@ -255,8 +255,8 @@ def _cmd_audit(args) -> dict:
                    bound=(1.0 - m / data.n) * np.sqrt((c * c - nu * nu) / c))
     stats = {"n": data.n, "k0": m.size, "wall_ms": (diag.seconds_trace * 1e3).tolist()}
     if args.random_seeds > 0:
-        report = bench_compare(data, spec, k_max, seeds=range(args.random_seeds),
-                               first=args.first)
+        report = random_baseline(data, spec, k_max, seeds=range(args.random_seeds),
+                                 first=args.first)
         columns["e_random_mean"] = report.pop("e_random_mean")[:m.size]
         stats.update(report)
     _write_columns(args.out, columns)
@@ -336,6 +336,7 @@ def _cmd_meanshift(args) -> dict:
     sigma = args.sigma if args.sigma is not None else bandwidth_iqr(data)
     gamma = args.gamma if args.gamma is not None else 1e-3 * sigma
     merge = args.merge if args.merge is not None else sigma
+    delta = args.delta if args.delta is not None else 3.0 * sigma
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}:density", data.d)
     if not merge > 0:
         raise ValueError(f"--merge must be positive, got {merge}")
@@ -343,6 +344,8 @@ def _cmd_meanshift(args) -> dict:
         raise ValueError(f"--gamma must be positive, got {gamma}")
     if args.max_iter < 1:
         raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"--delta must be nonnegative and finite, got {delta}")
     start = time.perf_counter()
     if args.sparse:
         mean = fit(data, spec, k_max=k_max, epsilon=eps,
@@ -360,7 +363,6 @@ def _cmd_meanshift(args) -> dict:
                  header=[f"x{i}" for i in range(data.d)])
     if args.compare:
         ref = load_csv(args.compare, has_header=True)
-        delta = args.delta if args.delta is not None else 3.0 * sigma
         ref_clusters = cluster_modes(ref.points, merge)
         metrics = {
             "discrepancy_index": discrepancy_index(result.shifted, ref.points, delta),
@@ -373,7 +375,7 @@ def _cmd_meanshift(args) -> dict:
             "kernel_evals": result.kernel_evals, "meanshift_s": meanshift_s}
 
 
-def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
+def random_baseline(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     """The random baseline's mean error curve, and greedy and random divergences.
 
     Each divergence is taken against the full mean. Greedy runs use
@@ -384,7 +386,7 @@ def bench_compare(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
     drawn from p, so a density-normalized kernel is required.
     """
     if spec.normalization != "density":
-        raise ValueError("bench_compare requires a density-normalized kernel")
+        raise ValueError("audit --random-seeds requires a density-normalized kernel")
     seeds = list(seeds)
     random_curves = []
     kl_rows = {"greedy": [], "random": []}

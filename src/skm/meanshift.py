@@ -243,9 +243,12 @@ def _shifted_array(obj) -> np.ndarray:
 
 
 def discrepancy_index(shifted_a, shifted_b, delta: float) -> float:
-    """Fraction of points whose two converged positions differ by more than delta >= 0."""
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    """Fraction of points whose two converged positions differ by more than delta.
+
+    delta must satisfy 0 <= delta < inf: at inf every pair would agree.
+    """
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     a = _shifted_array(shifted_a)
     b = _shifted_array(shifted_b)
     if a.shape != b.shape:

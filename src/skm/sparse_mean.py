@@ -13,7 +13,8 @@ E_m = -alpha' kappa = -||v||^2, the squared error minus the constant
 stops growing once its relative progress falls below epsilon. The weights
 alpha = L^{-T} v take one triangular solve at the end, and K^{-1} is never
 formed. A greedy fit is one `_backend.greedy_fit` call and a fixed order
-one `_backend.order_fit` call: two walks of the same step.
+one `_backend.order_fit` call: two walks of the same step, each of which
+ends with that solve and writes alpha into the fit record.
 """
 
 import logging
@@ -123,15 +124,9 @@ def project_simplex(values):
     return np.maximum(v - theta, 0.0)
 
 
-def _finalize(spec, points, indices, packed, record, skipped, k_max, epsilon, density_mode,
-              method):
-    """The fitted mean from a fit's kept indices, packed factor and record.
-
-    The weights alpha = L^{-T} v are one triangular solve, in place over
-    the record's v.
-    """
-    pivots, _kappa, alpha, e, radii, seconds = record.copy()
-    _backend.tri_solve(np.frombuffer(packed), alpha, 1)
+def _finalize(spec, points, indices, record, skipped, k_max, epsilon, density_mode, method):
+    """The fitted mean from a fit's kept indices and record, whose alpha row the walk solved."""
+    pivots, _kappa, _v, e, radii, seconds, alpha = record.copy()
     diag = FitDiagnostics(
         e_trace=e,
         k_max=int(k_max),
@@ -161,8 +156,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     the Gram shape over the candidate's distances to every point, so its
     kernel row mean is one number, and one O(m^2) pivoted Cholesky step.
     One `_backend.greedy_fit` call runs them all into the support indices
-    and the fit record allocated here, and grows the packed factor itself,
-    with no Python per step. Fitting stops at the first support size
+    and the fit record allocated here, grows the packed factor itself and
+    ends by solving for the weights, with no Python per step. Fitting stops at the first support size
     k0 <= k_max whose relative error progress
     (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose
@@ -185,7 +180,7 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     params = gram_params(spec)
     indices = np.empty(k_max, dtype=np.int64)
     record = np.empty((len(RECORD_ROWS), k_max))
-    k0, cand, stop, packed = _backend.greedy_fit(
+    k0, cand, stop, _packed = _backend.greedy_fit(
         points, *params, SINGULARITY_REL_TOL * params.c, epsilon,
         kcenter._resolve_first(n, first, seed), indices, record)
     skipped = ()
@@ -193,8 +188,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
         logger.info("the fit stops at a dependent candidate: support point %d is numerically "
                     "dependent on the current support (pivot %.3e)", cand, record[0, k0])
         skipped = (cand,)
-    return _finalize(spec, points, indices[:k0], packed, record[:, :k0], skipped, k_max,
-                     epsilon, density_mode, "greedy")
+    return _finalize(spec, points, indices[:k0], record[:, :k0], skipped, k_max, epsilon,
+                     density_mode, "greedy")
 
 
 def _support_indices(support_indices, n: int) -> np.ndarray:
@@ -219,6 +214,7 @@ def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMea
 
     A point is kept when its pivot exceeds the singularity threshold; a
     dropped point costs its Gram row against the kept points and no scan.
+    The call ends by solving for the weights, as a greedy fit's does.
     The work is O(mnd + m^3 / 3) flops and O(nd + md) memory besides the factor.
     """
     points = np.ascontiguousarray(data.points, dtype=np.float64)
@@ -226,14 +222,14 @@ def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMea
     m = order.shape[0]
     indices = np.empty(m, dtype=np.int64)
     record = np.empty((len(RECORD_ROWS), m))
-    k, packed = _backend.order_fit(points, *params, SINGULARITY_REL_TOL * params.c, order,
-                                   indices, record)
+    k, _packed = _backend.order_fit(points, *params, SINGULARITY_REL_TOL * params.c, order,
+                                    indices, record)
     skipped = set(order.tolist()) - set(indices[:k].tolist())
     if skipped:
         logger.info("dropped %d of %d support candidates as numerically dependent",
                     len(skipped), m)
-    return _finalize(spec, points, indices[:k], packed, record[:, :k], skipped, m, 0.0,
-                     density_mode, method)
+    return _finalize(spec, points, indices[:k], record[:, :k], skipped, m, 0.0, density_mode,
+                     method)
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
@@ -252,7 +248,7 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
     This is the re-solve path for bandwidth sweeps: the support does not
     depend on the kernel parameters, so only this step has to be repeated.
     It costs one `_backend.order_fit` call, the greedy fit's step along the
-    given order, whose scans give kappa, and one triangular solve for the
+    given order, whose scans give kappa and which ends by solving for the
     weights, with no Python step per support point. A support point that is
     numerically dependent on the points before it is dropped and listed in
     `diagnostics.skipped`, so `support_indices` may come back shorter than

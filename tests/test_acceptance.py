@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 import skm
 from skm import _backend
-from skm.cli import bench_compare
+from skm._backend._numpy_impl import RECORD_ROWS
+from skm.cli import random_baseline
 from skm.cpe import dirichlet_sample, estimate_from_means, estimate_proportions, l1_error
 from skm.dataio import DataSet
 from skm.divergences import distance_matrix
@@ -117,7 +118,7 @@ def test_c03_incremental_algebra():
         sel = skm.kcenter_greedy(data, 30, first=int(rng.integers(36)))
         # The factor of the fixed-order fit: one order_fit call on the order.
         params = gram_params(spec)
-        indices, record = np.empty(30, dtype=np.int64), np.empty((6, 30))
+        indices, record = np.empty(30, dtype=np.int64), np.empty((len(RECORD_ROWS), 30))
         k, packed = _backend.order_fit(pts, *params, SINGULARITY_REL_TOL * params.c, sel.order,
                                        indices, record)
         assert k == 30
@@ -233,7 +234,7 @@ def test_c07_greedy_beats_random_selection():
         sigma = bandwidth_jaakkola(data)
         spec = RadialKernelSpec("gaussian", dim=2, sigma=sigma,
                                 normalization="density")
-        rep = bench_compare(data, spec, k, seeds=range(20))
+        rep = random_baseline(data, spec, k, seeds=range(20))
         win = (rep["kl_full_sparse_greedy"] < rep["kl_full_sparse_random"]
                and rep["kl_sparse_full_greedy"] < rep["kl_sparse_full_random"])
         wins += int(win)

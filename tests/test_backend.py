@@ -16,6 +16,7 @@ from oracles import kernel_block
 
 from skm import _backend
 from skm._backend import BACKEND, _numpy_impl
+from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
 from skm.kernels import (
@@ -41,6 +42,7 @@ from skm.sparse_mean import (
 
 BOTH = ["skm._backend._numpy_impl", "skm._backend._fastcore"]
 PRIMITIVES = _numpy_impl.__all__
+ROWS = len(RECORD_ROWS)
 
 
 def random_case(rng, n=200, d=4):
@@ -52,25 +54,39 @@ def test_backend_name_is_reported():
 
 
 def test_a_compiled_backend_without_every_primitive_is_refused(tmp_path):
-    # A stand-in for an extension built from an older _fastcore.c, with
-    # three of the primitives only.
+    # Stand-ins for extensions built from an older _fastcore.c: one with
+    # three of the primitives only; one with all four but no record row
+    # count, as the build before the record gained its alpha row; and one
+    # with every name but that build's row count.
     stale = types.ModuleType("_fastcore")
     stale.__file__ = "_fastcore.so"
     for name in ("farthest_scan", "kernel_sums", "greedy_fit"):
         setattr(stale, name, getattr(_numpy_impl, name))
-    with pytest.raises(ImportError, match=r"_fastcore.so lacks tri_solve, order_fit: .*"
+    with pytest.raises(ImportError, match=r"_fastcore.so lacks order_fit, RECORD_ROW_COUNT: .*"
+                                          r"`python setup.py build_ext --inplace`"):
+        _backend._complete(stale)
+    stale.order_fit = _numpy_impl.order_fit
+    with pytest.raises(ImportError, match=r"_fastcore.so lacks RECORD_ROW_COUNT: .*"
+                                          r"`python setup.py build_ext --inplace`"):
+        _backend._complete(stale)
+    stale.RECORD_ROW_COUNT = ROWS - 1
+    with pytest.raises(ImportError, match=r"_fastcore.so has RECORD_ROW_COUNT 6, not 7: .*"
                                           r"`python setup.py build_ext --inplace`"):
         _backend._complete(stale)
     assert _backend._complete(_numpy_impl) is _numpy_impl
-    # The same stand-in as the package's _fastcore stops `import skm`.
+    # The same stand-ins as the package's _fastcore stop `import skm`.
     src = Path(_backend.__file__).parent.parent
     shutil.copytree(src, tmp_path / "skm", ignore=shutil.ignore_patterns("*.so", "__pycache__"))
-    (tmp_path / "skm" / "_backend" / "_fastcore.py").write_text(
-        "from skm._backend._numpy_impl import farthest_scan, kernel_sums, greedy_fit\n")
-    proc = subprocess.run([sys.executable, "-c", "import skm"], cwd=tmp_path,
-                          env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert "ImportError" in proc.stderr and "lacks tri_solve, order_fit" in proc.stderr
+    for source, message in (
+            ("from skm._backend._numpy_impl import farthest_scan, kernel_sums, greedy_fit\n",
+             "lacks order_fit, RECORD_ROW_COUNT"),
+            ("from skm._backend._numpy_impl import *\nRECORD_ROW_COUNT = 6\n",
+             "has RECORD_ROW_COUNT 6, not 7")):
+        (tmp_path / "skm" / "_backend" / "_fastcore.py").write_text(source)
+        proc = subprocess.run([sys.executable, "-c", "import skm"], cwd=tmp_path,
+                              env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ImportError" in proc.stderr and message in proc.stderr
 
 
 def test_farthest_scan_backends_agree(fastcore):
@@ -234,7 +250,7 @@ def test_farthest_scan_shape_sum_is_a_kernel_sum(impl, params):
     for _ in range(3):
         order.append(impl.farthest_scan(coords, order[-1], sqdist))
         radii.append(np.sqrt(sqdist[order[-1]]))
-    indices, record = np.empty(3, dtype=np.int64), np.empty((6, 3))
+    indices, record = np.empty(3, dtype=np.int64), np.empty((ROWS, 3))
     m, cand, stop, _ = impl.greedy_fit(points, *params, 0.0, 0.0, 2999, indices, record)
     assert (m, cand, stop) == (3, order[3], "budget")
     assert_array_equal(indices, order[:3])
@@ -382,7 +398,7 @@ def _factor(impl, points, params, threshold, order=None):
     candidate's pivot, and the packed factor.
     """
     order = np.arange(points.shape[0]) if order is None else order
-    indices, record = np.full(order.size, -1), np.full((6, order.size), np.nan)
+    indices, record = np.full(order.size, -1), np.full((ROWS, order.size), np.nan)
     m, packed = impl.order_fit(points, *params, threshold, order, indices, record)
     packed = np.frombuffer(packed)
     assert packed.shape == (m * (m + 1) // 2,)
@@ -419,7 +435,7 @@ def _dup_points(data, n_max=30):
 
 
 @given(data=st.data())
-def test_factor_order_backends_agree(fastcore, data):
+def test_order_fit_backends_agree(fastcore, data):
     # order_fit along the rows of points on both backends.
     points = _dup_points(data)
     sigma = data.draw(st.sampled_from([0.5, 30.0, 1000.0]), label="sigma")
@@ -445,7 +461,7 @@ def test_factor_order_backends_agree(fastcore, data):
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_factor_order_semantics(impl):
+def test_order_fit_semantics(impl):
     # Two points at distance 1 and a duplicate of the first, unit Gaussian:
     # the duplicate has pivot 0 and leaves no row behind.
     g = np.exp(-0.5)
@@ -462,14 +478,14 @@ def test_factor_order_semantics(impl):
     kept, _, _ = _factor(impl, points, params, 1.0 - g * g, order=np.array([0, 1]))
     assert_array_equal(kept, [True, False])
     m, packed = impl.order_fit(np.empty((0, 1)), *params, 1e-9, np.empty(0, np.int64),
-                               np.empty(0, np.int64), np.empty((6, 0)))
+                               np.empty(0, np.int64), np.empty((ROWS, 0)))
     assert m == 0 and len(np.frombuffer(packed)) == 0
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 @pytest.mark.parametrize("m, d", [(40, 1), (300, 3), (600, 5)])
-def test_factor_order_resumes_bit_identically(impl, params, m, d):
+def test_order_fit_resumes_bit_identically(impl, params, m, d):
     # A step's record column and factor row are final once written, and
     # the steps after it resume from them, across the doublings of the
     # packed factor: walking the order [0, m) in one call begins with the
@@ -491,11 +507,11 @@ def test_factor_order_resumes_bit_identically(impl, params, m, d):
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_factor_order_rejects_bad_buffers(impl):
+def test_order_fit_rejects_bad_buffers(impl):
     # order_fit checks its buffers and every entry of its order before it
     # writes a single element.
     points = np.eye(4)
-    readonly = np.full((6, 3), -1.0)
+    readonly = np.full((ROWS, 3), -1.0)
     readonly.setflags(write=False)
     cases = [
         (ValueError, "unknown shape kind 3", {"kind": 3}),
@@ -515,14 +531,14 @@ def test_factor_order_rejects_bad_buffers(impl):
         (ValueError, "indices has the wrong length", {"indices": np.full(4, -1)}),
         (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1.0)}),
         (ValueError, "indices must be a C-contiguous 1-D", {"indices": np.full((3, 2), -1)[:, 0]}),
-        (ValueError, "record has the wrong length", {"record": np.full((5, 3), -1.0)}),
-        (ValueError, "record must have one column per index", {"record": np.full((6, 4), -1.0)}),
-        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(18, -1.0)}),
+        (ValueError, "record has the wrong length", {"record": np.full((ROWS - 1, 3), -1.0)}),
+        (ValueError, "record must have one column per index", {"record": np.full((ROWS, 4), -1.0)}),
+        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(3 * ROWS, -1.0)}),
         (ValueError, "record must be writable", {"record": readonly}),
     ]
     for error, message, bad in cases:
         args = {"points": points, "kind": SHAPE_SQEXP, "order": np.array([3, 0, 2]),
-                "indices": np.full(3, -1), "record": np.full((6, 3), -1.0)} | bad
+                "indices": np.full(3, -1), "record": np.full((ROWS, 3), -1.0)} | bad
         buffers = {name: args[name] if args[name].base is None else args[name].base
                    for name in ("points", "order", "indices", "record")
                    if isinstance(args[name], np.ndarray)}
@@ -532,59 +548,11 @@ def test_factor_order_rejects_bad_buffers(impl):
                            args["indices"], args["record"])
         for name, buf in buffers.items():
             assert_array_equal(buf, saved[name], err_msg=f"{message}: {name}")
-    indices, record = np.full(3, -1), np.empty((6, 3))
+    indices, record = np.full(3, -1), np.empty((ROWS, 3))
     m, packed = impl.order_fit(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, np.array([3, 0, 2]),
                                indices, record)
     assert m == 3 and len(np.frombuffer(packed)) == 6
     assert_array_equal(indices, [3, 0, 2])
-
-
-def _packed_factor(rng, m):
-    """The packed rows of a random, well-conditioned lower Cholesky factor of size m."""
-    a = rng.normal(size=(m, m))
-    lower = np.linalg.cholesky(a @ a.T / m + np.eye(m))
-    return lower[np.tril_indices(m)]
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-@pytest.mark.parametrize("m", [0, 1, 2, 9, 17, 200])
-@pytest.mark.parametrize("trans", [0, 1])
-def test_tri_solve_matches_a_dense_solve(impl, m, trans):
-    # trans 0 solves L x = b, trans 1 solves L' x = b, in place in x; the
-    # sizes span the dot's 8 partial sums and its remainder.
-    rng = np.random.default_rng(m)
-    packed, b = _packed_factor(rng, m), rng.normal(size=m)
-    x = b.copy()
-    assert impl.tri_solve(packed, x, trans) is None
-    expected = scipy.linalg.solve_triangular(_lower(packed), b, trans=trans, lower=True)
-    assert_allclose(x, expected, rtol=1e-13, atol=1e-14)
-
-
-@pytest.mark.parametrize("impl", BOTH, indirect=True)
-def test_tri_solve_rejects_bad_buffers_before_writing(impl):
-    packed = _packed_factor(np.random.default_rng(1), 4)
-    readonly = np.full(4, -1.0)
-    readonly.setflags(write=False)
-    cases = [
-        (ValueError, "trans must be 0 or 1", {"trans": 2}),
-        (ValueError, "trans must be 0 or 1", {"trans": -1}),
-        (ValueError, "packed has the wrong length", {"packed": packed[:9]}),
-        (ValueError, "packed has the wrong length", {"x": np.full(3, -1.0)}),
-        (TypeError, "packed must be a float64 array", {"packed": packed.astype(np.float32)}),
-        (TypeError, "x must be a float64 array", {"x": np.full(4, -1.0, np.float32)}),
-        (TypeError, "x must be a float64 array", {"x": [-1.0] * 4}),
-        (ValueError, "packed must be a C-contiguous 1-D", {"packed": np.repeat(packed, 2)[::2]}),
-        (ValueError, "x must be a C-contiguous 1-D", {"x": np.full((4, 2), -1.0)[:, 0]}),
-        (ValueError, "x must be a C-contiguous 1-D", {"x": np.full((2, 2), -1.0)}),
-        (ValueError, "x must be writable", {"x": readonly}),
-    ]
-    for error, message, bad in cases:
-        args = {"packed": packed, "x": np.full(4, -1.0), "trans": 0} | bad
-        with pytest.raises(error, match=message):
-            impl.tri_solve(args["packed"], args["x"], args["trans"])
-        x = np.asarray(args["x"])
-        sentinel = x.base if x.base is not None else x
-        assert np.all(sentinel == -1.0), message
 
 
 def _greedy(impl, points, params, epsilon, first, capacity):
@@ -593,7 +561,7 @@ def _greedy(impl, points, params, epsilon, first, capacity):
     Returns (m, cand, stop, indices, packed, record), the indices and the
     record cut to the m points kept.
     """
-    indices, record = np.full(capacity, -1), np.full((6, capacity), np.nan)
+    indices, record = np.full(capacity, -1), np.full((ROWS, capacity), np.nan)
     m, cand, stop, packed = impl.greedy_fit(points, *params, SINGULARITY_REL_TOL * params.c,
                                             epsilon, first, indices, record)
     packed = np.frombuffer(packed)
@@ -627,14 +595,43 @@ def test_greedy_fit_resumes_across_doublings_bit_identically(impl, params, epsil
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
 def test_compiled_forward_solve_is_the_greedy_fits_v(fastcore, params):
     # greedy_fit's v_m = (kappa_m - w'v) / L_mm is the last row of the
-    # forward solve L v = kappa, with the same dot, so solving afresh on
-    # the packed factor and the recorded kappa gives its v bit for bit.
+    # forward solve L v = kappa, so a dense triangular solve on the packed
+    # factor and the recorded kappa gives its v to rounding.
     points = random_case(np.random.default_rng(15), n=1000, d=3)
     m, _, _, _, packed, record = _greedy(fastcore, points, params, 0.0, 0, 70)
     assert m == 70
-    v = record[1].copy()
-    fastcore.tri_solve(packed, v, 0)
-    assert_array_equal(v, record[2])
+    v = scipy.linalg.solve_triangular(_lower(packed), record[1], lower=True)
+    assert_allclose(record[2], v, rtol=1e-13, atol=1e-13 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
+@pytest.mark.parametrize("walk", ["greedy", "order"])
+@pytest.mark.parametrize("m", [1, 17, 120])
+def test_walks_solve_alpha_as_a_dense_solve(impl, params, walk, m):
+    # Each walk ends by solving alpha = L^{-T} v into its record's alpha
+    # row: the weights K^{-1} kappa of its m kept points, K their Gram
+    # block and kappa their recorded kernel row means. 17 and 120 points
+    # take the factor past one and past three of its doublings. The order
+    # holds one in five of its m points twice (rows 300.. copy rows 0..),
+    # and the walk drops the later of each pair.
+    rng = np.random.default_rng(16)
+    points = 2.0 * random_case(rng, n=400, d=3)
+    points[300:] = points[:100]
+    if walk == "greedy":
+        kept, _, stop, indices, packed, record = _greedy(impl, points, params, 0.0, 0, m)
+        assert (kept, stop) == (m, "budget")
+    else:
+        order = rng.permutation(np.r_[np.arange(m), np.arange(300, 300 + -(-m // 5))])
+        kept, record, packed = _factor(impl, points, params, SINGULARITY_REL_TOL * params.c,
+                                       order=order)
+        indices, record = order[kept], record[:, :m]
+        assert indices.size == m and np.unique(indices % 300).size == m  # one of each pair
+    v, alpha = record[2], record[RECORD_ROWS.index("alpha")]
+    back = scipy.linalg.solve_triangular(_lower(packed), v, trans=1, lower=True)
+    assert_allclose(alpha, back, rtol=1e-13)
+    direct = scipy.linalg.solve(kernel_block(params, points[indices]), record[1], assume_a="pos")
+    assert np.linalg.norm(alpha - direct) <= 1e-11 * np.linalg.norm(direct)
 
 
 def test_greedy_fit_resumes_at_a_dependent_stop(fastcore):
@@ -687,7 +684,7 @@ def test_greedy_fit_stops_at_each_test(impl):
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_greedy_fit_rejects_bad_buffers(impl):
     points = np.ascontiguousarray(np.arange(12.0).reshape(3, 4).T)  # four points in d = 3
-    readonly = np.full((6, 3), -1.0)
+    readonly = np.full((ROWS, 3), -1.0)
     readonly.setflags(write=False)
     cases = [
         (ValueError, "unknown shape kind 3", {"kind": 3}),
@@ -701,14 +698,14 @@ def test_greedy_fit_rejects_bad_buffers(impl):
         (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1.0)}),
         (TypeError, "indices must be a int64 array", {"indices": np.full(3, -1, np.int32)}),
         (ValueError, "indices must be a C-contiguous 1-D", {"indices": np.full((3, 2), -1)[:, 0]}),
-        (ValueError, "record has the wrong length", {"record": np.full((5, 3), -1.0)}),
-        (ValueError, "record must have one column per index", {"record": np.full((6, 4), -1.0)}),
-        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(18, -1.0)}),
+        (ValueError, "record has the wrong length", {"record": np.full((ROWS - 1, 3), -1.0)}),
+        (ValueError, "record must have one column per index", {"record": np.full((ROWS, 4), -1.0)}),
+        (ValueError, "record must be a C-contiguous 2-D", {"record": np.full(3 * ROWS, -1.0)}),
         (ValueError, "record must be writable", {"record": readonly}),
     ]
     for error, message, bad in cases:
         args = {"points": points, "kind": SHAPE_SQEXP, "first": 0, "indices": np.full(3, -1),
-                "record": np.full((6, 3), -1.0)} | bad
+                "record": np.full((ROWS, 3), -1.0)} | bad
         buffers = {name: args[name] if args[name].base is None else args[name].base
                    for name in ("points", "indices", "record")
                    if isinstance(args[name], np.ndarray)}
@@ -718,7 +715,7 @@ def test_greedy_fit_rejects_bad_buffers(impl):
                             args["first"], args["indices"], args["record"])
         for name, buf in buffers.items():
             assert_array_equal(buf, saved[name], err_msg=f"{message}: {name}")
-    indices, record = np.full(3, -1), np.empty((6, 3))
+    indices, record = np.full(3, -1), np.empty((ROWS, 3))
     m, cand, stop, packed = impl.greedy_fit(points, SHAPE_SQEXP, 0.5, 0.0, 1.0, 1e-9, 0.0, 0,
                                             indices, record)
     assert (m, cand, stop) == (3, 2, "budget") and len(np.frombuffer(packed)) == 6

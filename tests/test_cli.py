@@ -300,6 +300,21 @@ def test_meanshift_compare_refuses_a_bad_delta(tmp_path, capsys, delta):
     assert not metrics.exists()
 
 
+def test_meanshift_refuses_an_infinite_delta_before_shifting(tmp_path, capsys):
+    # --delta inf once ran the mean shift, wrote the labels and failed at the
+    # metrics JSON with a message that named neither --delta nor the file.
+    x = synth_csv(tmp_path, dataset="blobs2", n=60, seed=2)
+    shifted, labels = tmp_path / "shifted.csv", tmp_path / "labels.csv"
+    assert main(["meanshift", "--input", str(x), "--sigma", "0.8",
+                 "--out-shifted", str(shifted)]) == 0
+    capsys.readouterr()
+    assert main(["meanshift", "--input", str(x), "--sigma", "0.8", "--compare", str(shifted),
+                 "--delta", "inf", "--out-labels", str(labels),
+                 "--metrics-out", str(tmp_path / "metrics.json")]) == 2
+    assert "--delta must be nonnegative and finite, got inf" in capsys.readouterr().err
+    assert not labels.exists() and not (tmp_path / "metrics.json").exists()
+
+
 def test_json_outputs_refuse_nan_and_infinity(tmp_path):
     from skm.cli import _write_json
 
@@ -432,7 +447,7 @@ def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
 # The error-vs-sparsity benchmark curve is the record of `fit --eps 0 --trace`
 # and of `audit`, and `audit --random-seeds` adds the random baseline.
 
-def test_bench_curve_matches_fit_diagnostics(tmp_path):
+def test_audit_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
@@ -450,7 +465,7 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
     assert_allclose(e_curve, mean.diagnostics.e_trace, rtol=0, atol=0)
 
 
-def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
+def test_audit_curve_is_the_eps_zero_fit_trace(tmp_path):
     # At sigma = 10 the fit stops at an exactly flat step after 19 points;
     # the audit's record stops there too.
     x = tmp_path / "x.csv"
@@ -466,7 +481,7 @@ def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
     assert audit_rows == rows and len(rows) == 1 + 19
 
 
-def test_bench_random_baseline_report(tmp_path, capsys):
+def test_audit_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
     capsys.readouterr()
@@ -485,7 +500,7 @@ def test_bench_random_baseline_report(tmp_path, capsys):
         assert np.isfinite(doc[key])
 
 
-def test_bench_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
+def test_audit_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
                                                                   monkeypatch):
     # One greedy fit for the curve and one, with the density projection,
     # for the KL figures of all three seeds: the seed does not change a
@@ -653,7 +668,7 @@ def test_kmax_too_large_returns_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kmax", ["0", "-3"])
-def test_bench_kmax_below_one_returns_two(tmp_path, capsys, kmax):
+def test_audit_kmax_below_one_returns_two(tmp_path, capsys, kmax):
     x = synth_csv(tmp_path, n=30)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",

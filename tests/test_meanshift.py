@@ -521,6 +521,14 @@ def test_discrepancy_refuses_a_nan_or_negative_delta(delta):
     assert discrepancy_index(pts, pts, 0.0) == 0.0
 
 
+def test_discrepancy_refuses_an_infinite_delta():
+    # At delta = inf no two positions would differ by more, whatever they are.
+    a, b = np.zeros((4, 2)), np.ones((4, 2))
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite, got inf"):
+        discrepancy_index(a, b, np.inf)
+    assert discrepancy_index(a, b, 1.0) == 1.0 and discrepancy_index(a, b, 1e300) == 0.0
+
+
 def test_discrepancy_length_mismatch():
     with pytest.raises(ValueError):
         discrepancy_index(np.zeros((3, 1)), np.zeros((4, 1)), 1.0)

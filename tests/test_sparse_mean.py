@@ -378,37 +378,45 @@ def _count_backend_calls(monkeypatch):
 
 def _count_numpy_steps(monkeypatch):
     """Run greedy fits on the numpy backend and count the scans and factor
-    steps inside its greedy_fit: a factor step is one triangular solve."""
+    steps inside its greedy_fit: a factor step is one forward triangular
+    solve, and the back solve for the weights is not counted."""
     from skm._backend import _numpy_impl
 
     steps = {"scans": 0, "factor_steps": 0}
     monkeypatch.setattr(_backend, "greedy_fit", _numpy_impl.greedy_fit)
-    for name, key in (("_sqdist_to", "scans"), ("tri_solve", "factor_steps")):
-        def counted(*args, _key=key, _fn=getattr(_numpy_impl, name)):
-            steps[_key] += 1
-            return _fn(*args)
-        monkeypatch.setattr(_numpy_impl, name, counted)
+    scan, solve = _numpy_impl._sqdist_to, _numpy_impl._tpsv
+
+    def counted_scan(*args):
+        steps["scans"] += 1
+        return scan(*args)
+
+    def counted_solve(packed, x, trans):
+        steps["factor_steps"] += trans == 0
+        return solve(packed, x, trans)
+
+    monkeypatch.setattr(_numpy_impl, "_sqdist_to", counted_scan)
+    monkeypatch.setattr(_numpy_impl, "_tpsv", counted_solve)
     return steps
 
 
 def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     # Each accepted step is one scan and one factor step, the new point's
     # Gram row solved against the factor, inside the one greedy_fit call of
-    # the fit, which doubles its factor from 16 to 32, then 60 rows. The
-    # weights cost one more triangular solve.
+    # the fit, which doubles its factor from 16 to 32, then 60 rows, and
+    # ends by solving for the weights.
     steps = _count_numpy_steps(monkeypatch)
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
     assert mean.k0 == 60 and mean.diagnostics.skipped == ()
     assert steps == {"scans": 60, "factor_steps": 60}
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "greedy_fit": 1,
-                     "order_fit": 0}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "greedy_fit": 1, "order_fit": 0}
 
 
 def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     # eps = 0 and a wide bandwidth: the fit stops at a dependent candidate,
-    # whose one factor step showed it dependent.
+    # whose one factor step showed it dependent; it costs no scan, since a
+    # step forms its Gram row from the kept points alone.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
     steps = _count_numpy_steps(monkeypatch)
@@ -417,24 +425,22 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
         mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
     assert len(mean.diagnostics.skipped) == 1 and "pivot" in caplog.text
     tried = mean.k0 + 1
-    assert steps == {"scans": tried, "factor_steps": tried}
+    assert steps == {"scans": mean.k0, "factor_steps": tried}
     assert 16 < tried <= 32  # so the factor doubled once, inside the call
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 1, "greedy_fit": 1,
-                     "order_fit": 0}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "greedy_fit": 1, "order_fit": 0}
 
 
 def test_fixed_order_fits_make_one_order_fit_call_and_no_kernel_sum(monkeypatch):
     # Each fit is one order_fit call, the greedy fit's step along the
-    # order, whose scans give kappa, so it makes no kernel sum and forms no
-    # Gram block, and one triangular solve for the weights.
+    # order, whose scans give kappa and which ends by solving for the
+    # weights, so it makes no kernel sum and forms no Gram block.
     data = DataSet(np.random.default_rng(25).normal(size=(400, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
     assert fit_with_support(data, spec, order).k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
-    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "tri_solve": 2, "greedy_fit": 0,
-                     "order_fit": 2}
+    assert calls == {"farthest_scan": 0, "kernel_sums": 0, "greedy_fit": 0, "order_fit": 2}
 
 
 @pytest.mark.parametrize("n", [4000, 8000])
@@ -451,7 +457,7 @@ def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch,
 def test_weights_match_dense_solve_at_every_step():
     # One greedy_fit call of 300 points holds every prefix: the leading m
     # rows of its packed factor and of its record's v give the weights of
-    # its first m points.
+    # its first m points, and the call's own alpha row those of all 300.
     rng = np.random.default_rng(21)
     data = DataSet(rng.uniform(-1.0, 1.0, size=(2000, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=0.15)
@@ -465,12 +471,14 @@ def test_weights_match_dense_solve_at_every_step():
     assert_array_equal(indices, order)
     mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
     assert_array_equal(mean.support_indices, order)
+    lower = np.zeros((300, 300))
+    lower[np.tril_indices(300)] = packed
     history = []
     for m in range(1, 301):
-        alpha = record[2, :m].copy()
-        _backend.tri_solve(packed[:m * (m + 1) // 2], alpha, 1)
+        alpha = scipy.linalg.solve_triangular(lower[:m, :m], record[2, :m], trans=1, lower=True)
         history.append((record[3, m - 1], alpha))
-    assert_array_equal(history[-1][1], mean.alpha)
+    assert_array_equal(record[RECORD_ROWS.index("alpha")], mean.alpha)
+    assert_allclose(history[-1][1], mean.alpha, rtol=1e-12)
     support = data.points[order]
     gram = gram_matrix(spec, support)
     kappa = gram_matrix(spec, support, data.points).mean(axis=1)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import gram_matrix, inverse_gram, progress_ratio
 
 from skm import _backend, sparse_mean
+from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kernels import RadialKernelSpec, g_zero, gram_params
 from skm.sparse_mean import SINGULARITY_REL_TOL, fit_with_support, project_simplex
@@ -21,8 +22,8 @@ def line_data(*values):
 def fit_along(data, spec, order):
     """The fixed-order fit along order and the kappa of its kept points.
 
-    kappa is the record row of the fit's one `order_fit` call, copied
-    before the fit solves for the weights in place over v.
+    kappa is the record row of the fit's one `order_fit` call, copied as
+    the call returns.
     """
     calls = []
 
@@ -54,7 +55,7 @@ def grow(data, spec, order):
 def packed_factor(data, spec, order):
     """The packed lower factor of the Gram matrix of points[order], as the fit forms it."""
     params, m = gram_params(spec), len(order)
-    indices, record = np.empty(m, dtype=np.int64), np.empty((6, m))
+    indices, record = np.empty(m, dtype=np.int64), np.empty((len(RECORD_ROWS), m))
     kept, packed = _backend.order_fit(data.points, *params, SINGULARITY_REL_TOL * params.c,
                                       np.asarray(order, dtype=np.int64), indices, record)
     assert kept == m
