@@ -447,7 +447,7 @@ def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
 # The error-vs-sparsity benchmark curve is the record of `fit --eps 0 --trace`
 # and of `audit`, and `audit --random-seeds` adds the random baseline.
 
-def test_audit_curve_matches_fit_diagnostics(tmp_path):
+def test_bench_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
@@ -465,7 +465,7 @@ def test_audit_curve_matches_fit_diagnostics(tmp_path):
     assert_allclose(e_curve, mean.diagnostics.e_trace, rtol=0, atol=0)
 
 
-def test_audit_curve_is_the_eps_zero_fit_trace(tmp_path):
+def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
     # At sigma = 10 the fit stops at an exactly flat step after 19 points;
     # the audit's record stops there too.
     x = tmp_path / "x.csv"
@@ -481,7 +481,7 @@ def test_audit_curve_is_the_eps_zero_fit_trace(tmp_path):
     assert audit_rows == rows and len(rows) == 1 + 19
 
 
-def test_audit_random_baseline_report(tmp_path, capsys):
+def test_bench_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
     capsys.readouterr()
@@ -500,8 +500,8 @@ def test_audit_random_baseline_report(tmp_path, capsys):
         assert np.isfinite(doc[key])
 
 
-def test_audit_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
-                                                                  monkeypatch):
+def test_bench_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
+                                                                   monkeypatch):
     # One greedy fit for the curve and one, with the density projection,
     # for the KL figures of all three seeds: the seed does not change a
     # fit from a given first point.
@@ -668,7 +668,7 @@ def test_kmax_too_large_returns_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kmax", ["0", "-3"])
-def test_audit_kmax_below_one_returns_two(tmp_path, capsys, kmax):
+def test_bench_kmax_below_one_returns_two(tmp_path, capsys, kmax):
     x = synth_csv(tmp_path, n=30)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
