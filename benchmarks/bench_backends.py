@@ -10,14 +10,16 @@ full mean-shift round of the apps workload (2000 points x 2000 supports in
 d=2, p = d + 1 columns). `order_fit` is timed as the one call of a whole
 fixed-order fit along a farthest-first order of standard-normal points,
 Gaussian sigma = 1, its scans over every point included: 94 candidates
-over 1000 x 2 points (the CPE bandwidth search's size) and 600 over
-10000 x 5. `greedy_fit` is
-timed as the one call of a whole greedy fit, its coordinate-major copy of
-the points and the growth of its factor included, on the greedy fits of
-the benchmark: fit-deep's (10000 x 5, sigma = 1, k_max 600, eps = 0 from
-point 0) and the apps workload's saturated fit (4000 x 2 from its seed,
-sigma = 10, k_max 200, eps = 0, the first point drawn with seed 0, which
-stops at a dependent candidate after 20 points). The end-to-end fit and
+over 1000 x 2 points and 600 over 10000 x 5. `greedy_fit` is timed as
+the one call of a whole greedy fit, its coordinate-major copy of the
+points and the growth of its factor included, on the greedy fits of the
+benchmark: fit-deep's (10000 x 5, sigma = 1, k_max 600, eps = 0 from
+point 0), the unit of the apps workload's CPE bandwidth search, which
+fits each class greedily at each sigma (1000 x 2 points, the same ones
+the first fixed order walks, sigma = 1, k_max 94, eps = 0 from point 0),
+and the apps workload's saturated fit (4000 x 2 from its seed, sigma =
+10, k_max 200, eps = 0, the first point drawn with seed 0, which stops at
+a dependent candidate after 20 points). The end-to-end fit and
 `fit_with_support` on the floor(3 sqrt(n)) farthest-first support swap
 every `skm._backend` primitive for the implementation's own.
 
@@ -53,7 +55,7 @@ SUM_SHAPES = (("fit-tall eval", 100_000, 150, 8, 1), ("fit-deep eval", 50_000, 6
 # (op, points, d, m) of the whole fixed orders walked.
 ORDER_SHAPES = (("fixed order", 1000, 2, 94), ("fixed order", 10_000, 5, 600))
 # (op, points of seed, n, d, sigma, k_max, first) of the benchmark's greedy fits.
-GREEDY_FITS = (("fit-deep", 4, 10_000, 5, 1.0, 600, 0),
+GREEDY_FITS = (("fit-deep", 4, 10_000, 5, 1.0, 600, 0), ("cpe_search", 4, 1000, 2, 1.0, 94, 0),
                ("fit_saturated", 20150301, 4000, 2, 10.0, 200, None))
 
 

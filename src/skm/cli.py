@@ -30,6 +30,7 @@ from .meanshift import (
     mean_shift_all,
 )
 from .sparse_mean import (
+    _support_budget,
     evaluate,
     fit,
     full_mean,
@@ -348,7 +349,7 @@ def _cmd_meanshift(args) -> dict:
         raise ValueError(f"--delta must be nonnegative and finite, got {delta}")
     start = time.perf_counter()
     if args.sparse:
-        mean = fit(data, spec, k_max=k_max, epsilon=eps,
+        mean = fit(data, spec, k_max=_support_budget(k_max, data.n), epsilon=eps,
                    density_mode=True, seed=args.seed)
     else:
         mean = full_mean(data, spec)

@@ -17,16 +17,9 @@ import numpy as np
 
 from .divergences import _rkhs_from_inners, fit_sample_means
 from .errors import SkmError
-from .kcenter import _integer_in, kcenter_greedy
+from .kcenter import _integer_in
 from .kernels import RadialKernelSpec
-from .sparse_mean import (
-    SparseKernelMean,
-    _support_budget,
-    fit_with_support,
-    full_mean,
-    mean_gram_inner,
-    project_simplex,
-)
+from .sparse_mean import SparseKernelMean, full_mean, mean_gram_inner, project_simplex
 
 logger = logging.getLogger(__name__)
 
@@ -75,13 +68,17 @@ def l1_error(pi_true, pi_hat) -> float:
 
 
 def dirichlet_sample(n_classes: int, omega: float, seed: int = 0) -> np.ndarray:
-    """One draw from the symmetric Dirichlet(omega) law on the simplex."""
+    """One draw from the symmetric Dirichlet(omega) law, refused when off the simplex."""
     if n_classes < 1:
         raise ValueError("n_classes must be at least 1")
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.full(n_classes, float(omega)))
+    pi = rng.dirichlet(np.full(n_classes, float(omega)))
+    ulp = np.finfo(np.float64).eps
+    if not (np.all(pi >= 0.0) and abs(float(pi.sum()) - 1.0) <= 4 * n_classes * ulp):
+        raise ValueError(f"omega {omega} gives a Dirichlet draw off the simplex: {pi}")
+    return pi
 
 
 def _rcond(matrix: np.ndarray) -> float:
@@ -205,11 +202,10 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
     assembled from the odd halves. Golden-section search over log sigma
     minimizes the l1 distance between the known weights and the estimate.
 
-    With sparse fitting the supports are selected once (they do not depend
-    on sigma) and only the weights are re-solved per candidate sigma. Each
-    support is the farthest-first selection of the full budget
-    (`kcenter_greedy`, k_max or floor(3 sqrt(n))), not a stopped greedy fit,
-    so no error tolerance enters the search.
+    Each sigma is one `estimate_proportions` call at epsilon = 0, so each
+    sparse class fit runs greedily to its budget or its first dependent
+    candidate. The support does not depend on sigma, but re-selecting it is
+    free: the O(nd) scan per kept point that selects it also forms kappa.
     """
     if spec_template.family != "gaussian":
         raise ValueError("bandwidth search applies to gaussian kernels only")
@@ -248,19 +244,10 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         name="validation-mixture",
     )
 
-    supports = None
-    if sparse:
-        supports = [kcenter_greedy(fs, _support_budget(k_max, fs.n), seed=seed).order
-                    for fs in fit_sets]
-
     def objective(log_sigma: float) -> float:
         spec = spec_template.with_sigma(math.exp(log_sigma))
-        if sparse:
-            means = [fit_with_support(fs, spec, sup)
-                     for fs, sup in zip(fit_sets, supports)]
-        else:
-            means = [full_mean(fs, spec) for fs in fit_sets]
-        estimate = estimate_from_means(means, full_mean(validation, spec))
+        estimate = estimate_proportions(fit_sets, validation, spec, sparse=sparse, epsilon=0.0,
+                                        k_max=k_max, seed=seed)
         return l1_error(pi_true, estimate.pi_hat)
 
     best_log, best_err, evals = _golden_section(objective, math.log(lo), math.log(hi),

@@ -73,12 +73,11 @@ def kl_divergence(p: SparseKernelMean, q: SparseKernelMean, eval_points,
     Densities are floored at a tiny positive value before the log so the
     estimate stays finite when eval points fall far from q's support.
     """
-    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
-    if eval_points.shape[0] == 0:
-        raise ValueError("empty evaluation set")
     _check_density(p, "p")
     _check_density(q, "q")
     pv = np.maximum(evaluate(p, eval_points), floor)
+    if pv.size == 0:
+        raise ValueError("empty evaluation set")
     qv = np.maximum(evaluate(q, eval_points), floor)
     return float(np.mean(np.log(pv) - np.log(qv)))
 

@@ -245,12 +245,11 @@ def fit_with_support(data, spec: RadialKernelSpec, support_indices,
                      density_mode: bool = False) -> SparseKernelMean:
     """Weights for a fixed support, by pivoted Cholesky in the given order.
 
-    This is the re-solve path for bandwidth sweeps: the support does not
-    depend on the kernel parameters, so only this step has to be repeated.
-    It costs one `_backend.order_fit` call, the greedy fit's step along the
-    given order, whose scans give kappa and which ends by solving for the
-    weights, with no Python step per support point. A support point that is
-    numerically dependent on the points before it is dropped and listed in
+    One `_backend.order_fit` call, the greedy fit's step along the given
+    order. Along a greedy support at a new bandwidth it saves nothing over a
+    new greedy fit: each kept point's kappa needs the same O(nd) scan that
+    selects the next farthest point. A support point that is numerically
+    dependent on the points before it is dropped and listed in
     `diagnostics.skipped`, so `support_indices` may come back shorter than
     the input.
     """
@@ -282,8 +281,11 @@ def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
 
 
 def evaluate(mean: SparseKernelMean, queries) -> np.ndarray:
-    """Evaluate sum_i alpha_i phi(q, x_i) at each query row."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    """Evaluate sum_i alpha_i phi(q, x_i) at each query row; a 1-D array is 1-D points for dim 1."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim == 1 and mean.spec.dim == 1:
+        queries = queries.reshape(-1, 1)
+    queries = np.atleast_2d(queries)
     if queries.shape[1] != mean.spec.dim:
         raise ValueError(
             f"queries have dimension {queries.shape[1]}, kernel expects {mean.spec.dim}"

@@ -436,6 +436,32 @@ def test_sparse_kmax_below_one_returns_two(tmp_path, capsys, command, kmax):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "cpe", "meanshift"])
+def test_sparse_kmax_above_n_is_clipped_to_n(tmp_path, capsys, command):
+    # One --kmax for the three commands: a budget above a sample's size
+    # fits every point it needs, where `fit --kmax` above n is refused.
+    out, argv = _sparse_command(tmp_path, command)
+    capsys.readouterr()
+    assert main(argv + ["--sparse", "--kmax", "500"]) == 0
+    assert out.exists()
+    if command == "meanshift":
+        stats = stats_doc(capsys)
+        assert 1 <= stats["k0"] <= stats["n"] == 40
+
+
+@pytest.mark.parametrize("omega, message", [
+    ("inf", "omega must be positive and finite, got inf"),
+    ("1e308", "omega 1e+308 gives a Dirichlet draw off the simplex"),
+])
+def test_cpe_sigma_search_refuses_an_omega_off_the_simplex(tmp_path, capsys, omega, message):
+    out, argv = _sparse_command(tmp_path, "cpe")
+    argv[argv.index("--sigma"):argv.index("--sigma") + 2] = ["--sigma-search", "0.1,3"]
+    capsys.readouterr()
+    assert main(argv + ["--omega", omega]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
     out, argv = _sparse_command(tmp_path, "embed")
     for extra, epsilon in (([], None), (["--sparse"], 1e-10), (["--sparse", "--eps", "0"], 0.0)):

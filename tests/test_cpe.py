@@ -266,6 +266,28 @@ def test_dirichlet_validates_inputs():
         dirichlet_sample(0, 1.0)
 
 
+@pytest.mark.parametrize("omega, message", [
+    (np.inf, "omega must be positive and finite, got inf"),
+    (np.nan, "omega must be positive and finite, got nan"),
+    (1e308, r"omega 1e\+308 gives a Dirichlet draw off the simplex"),
+])
+def test_dirichlet_refuses_an_omega_whose_draw_is_off_the_simplex(omega, message):
+    # numpy draws NaN weights for omega = inf and all zeros for 1e308; the
+    # search once ran on NaN counts or on a 3-point validation mixture.
+    with pytest.raises(ValueError, match=message):
+        dirichlet_sample(3, omega)
+    with pytest.raises(ValueError, match=message):
+        search_bandwidth(class_samples(np.random.default_rng(1), [(-2.0, 0.0), (2.0, 0.0)], 20),
+                         0.1, 3.0, GAUSS_2D, omega=omega)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1.0, 1e300])
+def test_dirichlet_draws_lie_on_the_simplex(omega):
+    pi = dirichlet_sample(3, omega, seed=2)
+    assert np.all(pi >= 0.0)
+    assert abs(pi.sum() - 1.0) <= 4 * 3 * np.finfo(np.float64).eps
+
+
 # ------------------------------------------------------------ bandwidth search
 
 def test_search_bandwidth_returns_sigma_in_range():
@@ -301,9 +323,10 @@ def test_sparse_fits_reject_a_budget_that_is_not_a_positive_integer(k_max):
 
 @pytest.mark.parametrize("lo, hi", [(0.2, 5.0), (0.5, 2.0)])
 def test_search_bandwidth_sparse_on_three_large_blobs(lo, hi):
-    # With 2000 points per class the fixed supports chosen by farthest-first
-    # traversal become numerically dependent at the wider bandwidths tried;
-    # the re-solve drops them instead of failing.
+    # With 2000 points per class the farthest-first candidates become
+    # numerically dependent on the support at the wider bandwidths tried;
+    # each greedy class fit stops at its first dependent candidate instead
+    # of failing.
     rng = np.random.default_rng(12)
     train = class_samples(rng, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0)], 2000, scale=1.0)
     sigma, info = search_bandwidth(train, lo, hi, GAUSS_2D, sparse=True)
@@ -351,6 +374,46 @@ def test_search_bandwidth_reports_the_evaluations_it_made(max_iter, monkeypatch)
     assert info["evaluations"] == len(calls) == max_iter
 
 
+@pytest.mark.parametrize("sparse, k_max, seed", [(True, None, 0), (True, 25, 3), (False, 7, 1)])
+def test_search_bandwidth_runs_the_cpe_estimator_once_per_evaluation(sparse, k_max, seed,
+                                                                      monkeypatch):
+    import skm.cpe
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return estimate_proportions(*args, **kwargs)
+
+    def no_fixed_support(*args, **kwargs):
+        raise AssertionError("the search selected a support outside the greedy fit")
+
+    monkeypatch.setattr(skm.cpe, "estimate_proportions", spy)
+    for target in ("skm.kcenter.kcenter_greedy", "skm.sparse_mean.fit_with_support"):
+        monkeypatch.setattr(target, no_fixed_support)
+    rng = np.random.default_rng(14)
+    train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
+    _, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=sparse, k_max=k_max,
+                               max_iter=5, seed=seed)
+    assert len(calls) == info["evaluations"] == 5
+    assert all(c == {"sparse": sparse, "epsilon": 0.0, "k_max": k_max, "seed": seed}
+               for c in calls)
+
+
+def test_search_bandwidth_gives_no_warning_on_fewer_distinct_points_than_the_budget():
+    # 5 distinct points per class, each repeated 40 times: the default
+    # budget of the 100-point fit halves is 30, and each greedy fit stops
+    # once its support covers every point.
+    rng = np.random.default_rng(15)
+    train = [DataSet(np.tile(c + rng.standard_normal((5, 2)), (40, 1)), name=f"class{i}")
+             for i, c in enumerate([(-3.0, 0.0), (3.0, 0.0)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True, max_iter=6)
+    assert 0.2 <= sigma <= 5.0
+    assert info["evaluations"] == 6
+
+
 @pytest.mark.parametrize("max_iter", [1, 0, -5, 2.5, True])
 def test_search_bandwidth_rejects_fewer_than_two_evaluations(max_iter):
     # A fractional count is refused too, rather than rounded up to 3.
@@ -367,7 +430,7 @@ def test_search_bandwidth_rejects_an_empty_validation_mixture(validation_size, m
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran")
 
-    for name in ("full_mean", "fit_with_support", "dirichlet_sample"):
+    for name in ("full_mean", "estimate_proportions", "dirichlet_sample"):
         monkeypatch.setattr(f"skm.cpe.{name}", no_fit)
     rng = np.random.default_rng(14)
     train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)

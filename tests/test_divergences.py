@@ -174,8 +174,16 @@ def test_kl_rejects_non_density_inputs():
 
 def test_kl_rejects_empty_eval_set():
     p = make_kde([0.0, 1.0])
-    with pytest.raises(ValueError, match="empty"):
-        kl_divergence(p, p, np.empty((0, 1)))
+    for empty in (np.empty((0, 1)), np.empty(0)):
+        with pytest.raises(ValueError, match="empty"):
+            kl_divergence(p, p, empty)
+
+
+def test_kl_reads_1d_eval_points_as_points_of_a_1d_density():
+    p = make_kde(np.linspace(-2, 2, 9))
+    q = make_kde(np.linspace(-1, 3, 9))
+    w = np.linspace(-3, 3, 11)
+    assert kl_divergence(p, q, w) == kl_divergence(p, q, w.reshape(-1, 1))
 
 
 # -------------------------------------------------------------- symmetrized_kl

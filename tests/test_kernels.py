@@ -46,6 +46,14 @@ def test_eval_density_gaussian_integrates_to_one():
     assert abs(total - 1.0) < 1e-6
 
 
+def test_eval_reads_a_1d_query_array_as_points_of_a_1d_kernel():
+    # As DataSet does: n points in one dimension, not one point in n.
+    mean = full_mean(DataSet(np.array([0.0, 2.0])), unit_gaussian())
+    assert_allclose(evaluate(mean, np.array([0.5, 1.5])),
+                    evaluate(mean, np.array([[0.5], [1.5]])), rtol=0, atol=0)
+    assert evaluate(mean, 0.5).shape == (1,)
+
+
 def test_eval_dimension_mismatch():
     spec = unit_gaussian(dim=2)
     with pytest.raises(ValueError, match="dimension"):
