@@ -218,13 +218,12 @@ class _Walk:
             grown[:row] = self.packed[:row]
             self.packed = grown
         # cand goes in column m, the next free one, so that the sum runs
-        # over at least two columns and adds k = 0..d-1 in order, as
-        # _sqdist_to does: numpy sums a lone column pairwise.
+        # over at least two columns and adds k = 0..d-1 in order: numpy
+        # sums a lone column pairwise.
         self.kept[:, m] = self.coords[:, cand]
-        diff = self.kept[:, :m + 1] - self.kept[:, m:m + 1]
-        diff *= diff
         w = self.packed[row:row + m]
-        np.multiply(_apply_shape((kind, a, b, 1.0), diff.sum(axis=0)[:m]), c, out=w)
+        np.multiply(_apply_shape((kind, a, b, 1.0), _sqdist_to(self.kept[:, :m + 1], m)[:m]), c,
+                    out=w)
         _tpsv(self.packed[:row], w, 0)
         pivots[m] = c - float(w @ w)
         if not pivots[m] > self.threshold:

@@ -233,6 +233,8 @@ def _cmd_select(args) -> dict:
 def _cmd_audit(args) -> dict:
     """The eps = 0 greedy fit's record, then per prefix the residual
     ||zbar - mean_m||, nu = g(radius) and the bound (1 - m/n) sqrt((C^2 - nu^2) / C)."""
+    if args.random_seeds < 0:
+        raise ValueError(f"--random-seeds must be at least 0, got {args.random_seeds}")
     if args.random_seeds > 0 and args.kmax is None:
         raise UsageError("--random-seeds needs --kmax")
     data = load_csv(args.input, has_header=args.header)
@@ -376,15 +378,18 @@ def _cmd_meanshift(args) -> dict:
             "kernel_evals": result.kernel_evals, "meanshift_s": meanshift_s}
 
 
-def random_baseline(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
+KL_EVAL_SIZE = 2000
+
+
+def random_baseline(data, spec, k_max, seeds, first=None):
     """The random baseline's mean error curve, and greedy and random divergences.
 
     Each divergence is taken against the full mean. Greedy runs use
     `first` when given (one deterministic fit, made once for every seed),
     otherwise the seed picks the first center. The random baseline redraws
     its support per seed.
-    Each directed divergence D(p || q) is estimated on a seeded sample
-    drawn from p, so a density-normalized kernel is required.
+    Each directed divergence D(p || q) is estimated on KL_EVAL_SIZE
+    seeded points drawn from p, so a density-normalized kernel is required.
     """
     if spec.normalization != "density":
         raise ValueError("audit --random-seeds requires a density-normalized kernel")
@@ -396,7 +401,7 @@ def random_baseline(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
         greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True, first=first)
     for seed in seeds:
         eval_seed = 7_000_000 + int(seed)
-        ref_draws = sample_gaussian_mean(reference, kl_eval_size, seed=eval_seed)
+        ref_draws = sample_gaussian_mean(reference, KL_EVAL_SIZE, seed=eval_seed)
         if first is None:
             greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True, seed=seed)
         rand = random_selection_fit(data, spec, k_max, seed=seed,
@@ -404,8 +409,7 @@ def random_baseline(data, spec, k_max, seeds, first=None, kl_eval_size=2000):
         # A dropped dependent point shortens the curve; its last E holds.
         random_curves.append(np.pad(rand.diagnostics.e_trace, (0, k_max - rand.k0), "edge"))
         for label, mean in (("greedy", greedy), ("random", rand)):
-            mean_draws = sample_gaussian_mean(mean, kl_eval_size,
-                                              seed=eval_seed + 1)
+            mean_draws = sample_gaussian_mean(mean, KL_EVAL_SIZE, seed=eval_seed + 1)
             kl_rows[label].append((
                 kl_divergence(reference, mean, ref_draws),
                 kl_divergence(mean, reference, mean_draws),

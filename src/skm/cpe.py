@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import _rkhs_from_inners, fit_sample_means
+from .divergences import _rkhs_from_inners, _split_even_odd, fit_sample_means
 from .errors import SkmError
 from .kcenter import _integer_in
 from .kernels import RadialKernelSpec
@@ -230,8 +230,8 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         pts = np.asarray(sample.points, dtype=np.float64)
         if pts.shape[0] < 4:
             raise ValueError(f"sample {sample.name!r} too small to split")
-        fit_sets.append(DataSet(pts[0::2], name=sample.name))
-        pool = pts[1::2]
+        fit_half, pool = _split_even_odd(pts)
+        fit_sets.append(DataSet(fit_half, name=sample.name))
         holdout.append(pool[rng.permutation(pool.shape[0])])
 
     pi_true = dirichlet_sample(n_classes, omega, seed=seed)

@@ -66,26 +66,24 @@ def _check_density(mean: SparseKernelMean, label: str) -> None:
         raise ValueError(f"{label} weights are not on the probability simplex")
 
 
-def kl_divergence(p: SparseKernelMean, q: SparseKernelMean, eval_points,
-                  floor: float = DENSITY_FLOOR) -> float:
+def kl_divergence(p: SparseKernelMean, q: SparseKernelMean, eval_points) -> float:
     """Plug-in KL estimate (1/m) sum log(p(w) / q(w)) over eval_points.
 
-    Densities are floored at a tiny positive value before the log so the
-    estimate stays finite when eval points fall far from q's support.
+    Densities are floored at DENSITY_FLOOR before the log so the estimate
+    stays finite when eval points fall far from q's support.
     """
     _check_density(p, "p")
     _check_density(q, "q")
-    pv = np.maximum(evaluate(p, eval_points), floor)
+    pv = np.maximum(evaluate(p, eval_points), DENSITY_FLOOR)
     if pv.size == 0:
         raise ValueError("empty evaluation set")
-    qv = np.maximum(evaluate(q, eval_points), floor)
+    qv = np.maximum(evaluate(q, eval_points), DENSITY_FLOOR)
     return float(np.mean(np.log(pv) - np.log(qv)))
 
 
-def symmetrized_kl(p: SparseKernelMean, q: SparseKernelMean, eval_p, eval_q,
-                   floor: float = DENSITY_FLOOR) -> float:
+def symmetrized_kl(p: SparseKernelMean, q: SparseKernelMean, eval_p, eval_q) -> float:
     """KL(p||q) estimated on eval_p plus KL(q||p) estimated on eval_q."""
-    return kl_divergence(p, q, eval_p, floor=floor) + kl_divergence(q, p, eval_q, floor=floor)
+    return kl_divergence(p, q, eval_p) + kl_divergence(q, p, eval_q)
 
 
 def sample_gaussian_mean(mean: SparseKernelMean, size: int, seed: int = 0) -> np.ndarray:

@@ -291,6 +291,7 @@ def parse_kernel_spec(text: str, dim: int) -> RadialKernelSpec:
 
     The first token is the family. Remaining tokens, in any order, are
     key=value parameters plus the optional flags unit/density and rkhs/l2.
+    A parameter or flag given twice must repeat its value.
     """
     tokens = [t.strip() for t in text.strip().split(":") if t.strip()]
     if not tokens:
@@ -317,9 +318,12 @@ def parse_kernel_spec(text: str, dim: int) -> RadialKernelSpec:
                     f"{family} kernel does not take parameter {key!r}"
                 )
             try:
-                kwargs[key] = float(raw)
+                value = float(raw)
             except ValueError:
                 raise KernelSpecError(f"bad numeric value in token {token!r}") from None
+            if key in kwargs and kwargs[key] != value:
+                raise KernelSpecError(f"conflicting values of {key} in {text!r}")
+            kwargs[key] = value
         else:
             raise KernelSpecError(f"unrecognized kernel spec token {token!r}")
     return RadialKernelSpec(**kwargs)

@@ -173,8 +173,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     if k_max is None:
         k_max = default_k_max(n)
     k_max = kcenter._integer_in("k_max", k_max, 1, n, "1 <= k_max <= n", n)
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
 
     points = np.ascontiguousarray(data.points, dtype=np.float64)
     params = gram_params(spec)

@@ -1,33 +1,42 @@
 """Synthetic 2-D datasets for demos, benchmarks and the acceptance suite."""
 
+import math
+
 import numpy as np
 
 from .dataio import DataSet
+from .kcenter import _integer_in
+
+BLOB_SCALE = 0.6
+BANANA_SPREAD = 2.0
+BANANA_CURVATURE = 0.4
+MOONS_NOISE = 0.12
+RING_RADIUS = 3.0
+RING_NOISE = 0.2
 
 
 def gaussian_blobs(n: int, seed: int = 0, centers=((-3.0, 0.0), (3.0, 0.0)),
-                   scale: float = 0.6, name: str = "blobs") -> DataSet:
-    """Equal-size isotropic Gaussian blobs at the given centers."""
+                   name: str = "blobs") -> DataSet:
+    """Equal-size isotropic Gaussian blobs of scale BLOB_SCALE at the given centers."""
     rng = np.random.default_rng(seed)
     centers = np.asarray(centers, dtype=np.float64)
     k = centers.shape[0]
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    parts = [center + scale * rng.standard_normal((size, centers.shape[1]))
+    parts = [center + BLOB_SCALE * rng.standard_normal((size, centers.shape[1]))
              for center, size in zip(centers, sizes)]
     return DataSet(np.vstack(parts), name=name)
 
 
-def banana(n: int, seed: int = 0, spread: float = 2.0,
-           curvature: float = 0.4) -> DataSet:
+def banana(n: int, seed: int = 0) -> DataSet:
     """Curved Gaussian: a normal cloud bent along a parabola."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2))
-    x = spread * z[:, 0]
-    y = z[:, 1] + curvature * (x**2 - spread**2)
+    x = BANANA_SPREAD * z[:, 0]
+    y = z[:, 1] + BANANA_CURVATURE * (x**2 - BANANA_SPREAD**2)
     return DataSet(np.column_stack([x, y]), name="banana")
 
 
-def two_moons(n: int, seed: int = 0, noise: float = 0.12) -> DataSet:
+def two_moons(n: int, seed: int = 0) -> DataSet:
     """Two interleaved half circles."""
     rng = np.random.default_rng(seed)
     n_upper = n // 2
@@ -36,15 +45,15 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.12) -> DataSet:
     t_lower = rng.uniform(0.0, np.pi, n_lower)
     upper = np.column_stack([np.cos(t_upper), np.sin(t_upper)])
     lower = np.column_stack([1.0 - np.cos(t_lower), 0.5 - np.sin(t_lower)])
-    pts = np.vstack([upper, lower]) + noise * rng.standard_normal((n, 2))
+    pts = np.vstack([upper, lower]) + MOONS_NOISE * rng.standard_normal((n, 2))
     return DataSet(pts, name="moons")
 
 
-def ring(n: int, seed: int = 0, radius: float = 3.0, noise: float = 0.2) -> DataSet:
+def ring(n: int, seed: int = 0) -> DataSet:
     """Noisy circle."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    r = radius + noise * rng.standard_normal(n)
+    r = RING_RADIUS + RING_NOISE * rng.standard_normal(n)
     return DataSet(np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
                    name="ring")
 
@@ -73,4 +82,4 @@ def make_dataset(kind: str, n: int, seed: int = 0) -> DataSet:
         raise ValueError(
             f"unknown dataset {kind!r} (choose from {sorted(DATASETS)})"
         )
-    return DATASETS[kind](n, seed)
+    return DATASETS[kind](_integer_in("n", n, 1, math.inf, "n >= 1"), seed)

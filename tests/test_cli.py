@@ -35,6 +35,15 @@ def test_synth_writes_loadable_csv(tmp_path):
     assert (data.n, data.d) == (120, 2)
 
 
+@pytest.mark.parametrize("n", ["-5", "0"])
+def test_synth_refuses_fewer_than_one_point(tmp_path, capsys, n):
+    # -5 failed in numpy ("negative dimensions"), 0 on the DataSet's shape.
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--dataset", "ring", "--n", n, "--out", str(out)]) == 2
+    assert f"n must be an integer with n >= 1 (n={n})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_eval_round_trip(tmp_path, capsys):
     x = synth_csv(tmp_path)
     model = tmp_path / "m.json"
@@ -462,6 +471,17 @@ def test_cpe_sigma_search_refuses_an_omega_off_the_simplex(tmp_path, capsys, ome
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "cpe", "meanshift"])
+def test_sparse_infinite_eps_returns_two(tmp_path, capsys, command):
+    # Every ratio is <= inf, so each fit stopped at 2 points and the
+    # command exited 0 (embed with "epsilon": Infinity in its stats).
+    out, argv = _sparse_command(tmp_path, command)
+    capsys.readouterr()
+    assert main(argv + ["--sparse", "--eps", "inf"]) == 2
+    assert "epsilon must be nonnegative and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
     out, argv = _sparse_command(tmp_path, "embed")
     for extra, epsilon in (([], None), (["--sparse"], 1e-10), (["--sparse", "--eps", "0"], 0.0)):
@@ -686,6 +706,17 @@ def test_fit_nan_eps_returns_two(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_fit_infinite_eps_returns_two(tmp_path, capsys):
+    # The fit stopped at 2 points and save_model failed on the inf.
+    x = synth_csv(tmp_path)
+    model = tmp_path / "m.json"
+    rc = main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0", "--eps", "inf",
+               "--out", str(model)])
+    assert rc == 2
+    assert "epsilon must be nonnegative and finite, got inf" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_kmax_too_large_returns_two(tmp_path, capsys):
     x = synth_csv(tmp_path, n=30)
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
@@ -725,6 +756,17 @@ def test_audit_random_seeds_needs_kmax(tmp_path, capsys):
                "--random-seeds", "2", "--out", str(out)])
     assert rc == 1
     assert "--random-seeds needs --kmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_refuses_negative_random_seeds(tmp_path, capsys):
+    # -3 ran the audit without the baseline it asked for and exited 0.
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    out = tmp_path / "audit.csv"
+    rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+               "--kmax", "10", "--random-seeds", "-3", "--out", str(out)])
+    assert rc == 2
+    assert "--random-seeds must be at least 0, got -3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -333,11 +333,17 @@ def test_parse_format_round_trip():
 @pytest.mark.parametrize("bad", [
     "", "wavelet:sigma=1", "gaussian", "gaussian:sigma=0",
     "gaussian:sigma=1:bogus", "gaussian:gamma=1", "gaussian:sigma=abc",
-    "gaussian:sigma=1:unit:density",
+    "gaussian:sigma=1:unit:density", "gaussian:sigma=1:sigma=2",
 ])
 def test_parse_kernel_spec_rejects(bad):
     with pytest.raises(KernelSpecError):
         parse_kernel_spec(bad, dim=1)
+
+
+def test_parse_kernel_spec_names_a_parameter_given_two_values():
+    with pytest.raises(KernelSpecError, match="sigma"):
+        parse_kernel_spec("gaussian:sigma=1:sigma=2", dim=1)
+    assert parse_kernel_spec("gaussian:sigma=1:sigma=1.0", dim=1).sigma == 1.0
 
 
 # Parameters whose profile constants overflow, underflow or divide by zero,

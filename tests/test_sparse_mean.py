@@ -212,6 +212,14 @@ def test_fit_rejects_a_nan_epsilon():
         fit(data, spec, epsilon=float("nan"))
 
 
+def test_fit_rejects_an_infinite_epsilon():
+    # Every ratio is <= inf, so the fit would stop at 2 points.
+    data = DataSet(np.random.default_rng(26).normal(size=(400, 2)))
+    spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
+    with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
+        fit(data, spec, epsilon=float("inf"))
+
+
 def test_fit_support_rows_come_from_data():
     data = DataSet(np.random.default_rng(5).normal(size=(25, 3)))
     spec = RadialKernelSpec("gaussian", dim=3, sigma=1.0)
@@ -376,19 +384,21 @@ def _count_backend_calls(monkeypatch):
     return calls
 
 
-def _count_numpy_steps(monkeypatch):
+def _count_numpy_steps(monkeypatch, n):
     """Run greedy fits on the numpy backend and count the scans and factor
-    steps inside its greedy_fit: a factor step is one forward triangular
-    solve, and the back solve for the weights is not counted."""
+    steps inside its greedy_fit: a scan is one `_sqdist_to` over all n
+    points (a Gram row's over the kept points is not one), a factor step
+    is one forward triangular solve, and the back solve for the weights is
+    not counted."""
     from skm._backend import _numpy_impl
 
     steps = {"scans": 0, "factor_steps": 0}
     monkeypatch.setattr(_backend, "greedy_fit", _numpy_impl.greedy_fit)
     scan, solve = _numpy_impl._sqdist_to, _numpy_impl._tpsv
 
-    def counted_scan(*args):
-        steps["scans"] += 1
-        return scan(*args)
+    def counted_scan(coords, j):
+        steps["scans"] += coords.shape[1] == n
+        return scan(coords, j)
 
     def counted_solve(packed, x, trans):
         steps["factor_steps"] += trans == 0
@@ -404,7 +414,7 @@ def test_fit_makes_one_fused_scan_per_accepted_step(monkeypatch):
     # Gram row solved against the factor, inside the one greedy_fit call of
     # the fit, which doubles its factor from 16 to 32, then 60 rows, and
     # ends by solving for the weights.
-    steps = _count_numpy_steps(monkeypatch)
+    steps = _count_numpy_steps(monkeypatch, 500)
     calls = _count_backend_calls(monkeypatch)
     data = DataSet(np.random.default_rng(23).normal(size=(500, 3)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=3, sigma=0.5), k_max=60, epsilon=0.0)
@@ -419,7 +429,7 @@ def test_candidates_rejected_at_the_pivot_cost_one_scan(monkeypatch, caplog):
     # step forms its Gram row from the kept points alone.
     data = DataSet(np.random.default_rng(20).normal(size=(300, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=10.0)
-    steps = _count_numpy_steps(monkeypatch)
+    steps = _count_numpy_steps(monkeypatch, 300)
     calls = _count_backend_calls(monkeypatch)
     with caplog.at_level("INFO", logger="skm.sparse_mean"):
         mean = fit(data, spec, k_max=300, epsilon=0.0, first=0)
@@ -447,7 +457,7 @@ def test_fixed_order_fits_make_one_order_fit_call_and_no_kernel_sum(monkeypatch)
 def test_saturated_fit_tries_at_most_one_candidate_past_its_support(monkeypatch, n):
     # eps = 0 at sigma = 10: most points are numerically dependent on a
     # support of about 20, so trying every farthest point would cost O(n^2).
-    tried = _count_numpy_steps(monkeypatch)
+    tried = _count_numpy_steps(monkeypatch, n)
     data = DataSet(np.random.default_rng(24).normal(size=(n, 2)))
     mean = fit(data, RadialKernelSpec("gaussian", dim=2, sigma=10.0), k_max=200, epsilon=0.0)
     assert mean.k0 < 40
