@@ -12,13 +12,13 @@ from .cpe import (
     dirichlet_sample,
     estimate_proportions,
     l1_error,
-    mean_inner,
 )
 from .dataio import DataSet, load_csv, load_model, save_csv, save_model
 from .divergences import (
     DistanceMatrix,
     distance_matrix,
     kl_divergence,
+    mean_inner,
     rkhs_distance,
     sample_gaussian_mean,
     symmetrized_kl,
@@ -51,7 +51,6 @@ from .sparse_mean import (
     evaluate,
     evaluate_full,
     fit,
-    fit_with_support,
     full_mean,
     incoherence,
     project_simplex,
@@ -85,7 +84,6 @@ __all__ = [
     "evaluate",
     "evaluate_full",
     "fit",
-    "fit_with_support",
     "full_mean",
     "g_zero",
     "hausdorff_clustering_distance",

@@ -31,6 +31,7 @@ from .meanshift import (
 )
 from .sparse_mean import (
     _support_budget,
+    bound_value,
     evaluate,
     fit,
     full_mean,
@@ -249,13 +250,12 @@ def _cmd_audit(args) -> dict:
     diag = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first,
                seed=args.seed).diagnostics
     zbar_sq = squared_mean_norm(data, spec, max_points=args.max_points)
-    c = g_zero(spec)
     columns = _record_columns(diag)
     m = columns["m"]
     # At m = n the radius is 0, so nu = C and the bound is 0.
     nu = gram_at_dist(spec, diag.radius_trace)
     columns.update(residual=np.sqrt(np.maximum(zbar_sq + diag.e_trace, 0.0)), nu=nu,
-                   bound=(1.0 - m / data.n) * np.sqrt((c * c - nu * nu) / c))
+                   bound=bound_value(data.n, m, g_zero(spec), nu))
     stats = {"n": data.n, "k0": m.size, "wall_ms": (diag.seconds_trace * 1e3).tolist()}
     if args.random_seeds > 0:
         report = random_baseline(data, spec, k_max, seeds=range(args.random_seeds),
@@ -343,8 +343,8 @@ def _cmd_meanshift(args) -> dict:
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}:density", data.d)
     if not merge > 0:
         raise ValueError(f"--merge must be positive, got {merge}")
-    if not gamma > 0:
-        raise ValueError(f"--gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"--gamma must be positive and finite, got {gamma}")
     if args.max_iter < 1:
         raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
     if not 0 <= delta < np.inf:

@@ -15,15 +15,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import _rkhs_from_inners, _split_even_odd, fit_sample_means
+from .divergences import _rkhs_from_inners, _split_even_odd, fit_sample_means, mean_inner
 from .errors import SkmError
 from .kcenter import _integer_in
 from .kernels import RadialKernelSpec
-from .sparse_mean import SparseKernelMean, full_mean, mean_gram_inner, project_simplex
+from .sparse_mean import full_mean, project_simplex
 
 logger = logging.getLogger(__name__)
 
 RCOND_TOL = 1e-12
+
+# Points in the bandwidth search's validation mixture, at most.
+VALIDATION_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,6 @@ class ProportionEstimate:
         value = (mean_inner(test_mean, test_mean) - 2.0 * float(self.pi_hat @ test_inner)
                  + float(self.pi_hat @ gram @ self.pi_hat))
         return max(value, 0.0)
-
-
-def mean_inner(mean_a: SparseKernelMean, mean_b: SparseKernelMean) -> float:
-    """Inner product of two kernel means, bilinear in the weight vectors."""
-    if mean_a.spec.space != "rkhs":
-        raise ValueError("mean_inner requires kernels in rkhs space mode")
-    return mean_gram_inner(mean_a, mean_b)
 
 
 def l1_error(pi_true, pi_hat) -> float:
@@ -194,13 +190,14 @@ def _apportion(pi, total: int) -> np.ndarray:
 
 def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpec,
                      sparse: bool = False, k_max=None, max_iter: int = 20,
-                     seed: int = 0, omega: float = 1.0, validation_size: int = 1000):
+                     seed: int = 0, omega: float = 1.0):
     """Pick a Gaussian bandwidth by minimizing validation recovery error.
 
     Each training sample is interleave-split; the even halves become the
-    class samples and a mixture with known Dirichlet(omega) weights is
-    assembled from the odd halves. Golden-section search over log sigma
-    minimizes the l1 distance between the known weights and the estimate.
+    class samples and a mixture with known Dirichlet(omega) weights, of at
+    most VALIDATION_SIZE points, is assembled from the odd halves.
+    Golden-section search over log sigma minimizes the l1 distance between
+    the known weights and the estimate.
 
     Each sigma is one `estimate_proportions` call at epsilon = 0, so each
     sparse class fit runs greedily to its budget or its first dependent
@@ -215,8 +212,6 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     max_iter = _integer_in("max_iter", max_iter, 2, math.inf, "max_iter >= 2, the first bracket")
-    validation_size = _integer_in("validation_size", validation_size, 1, math.inf,
-                                  "validation_size >= 1")
     train = list(train)
     n_classes = len(train)
     if n_classes < 2:
@@ -235,7 +230,7 @@ def search_bandwidth(train, lo: float, hi: float, spec_template: RadialKernelSpe
         holdout.append(pool[rng.permutation(pool.shape[0])])
 
     pi_true = dirichlet_sample(n_classes, omega, seed=seed)
-    budget = min(validation_size, sum(h.shape[0] for h in holdout))
+    budget = min(VALIDATION_SIZE, sum(h.shape[0] for h in holdout))
     counts = _apportion(pi_true, budget)
     counts = np.minimum(counts, [h.shape[0] for h in holdout])
     pi_true = counts / counts.sum()  # realized mixture weights

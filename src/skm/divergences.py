@@ -44,14 +44,16 @@ def rkhs_distance(mean_a: SparseKernelMean, mean_b: SparseKernelMean) -> float:
     of sizes k_a, k_b cost Theta(k_a^2 + k_a k_b + k_b^2) kernel evaluations.
     """
     _check_compatible(mean_a, mean_b)
-    _check_rkhs(mean_a)
-    return _rkhs_from_inners(mean_gram_inner(mean_a, mean_a), mean_gram_inner(mean_a, mean_b),
-                             mean_gram_inner(mean_b, mean_b))
+    return _rkhs_from_inners(mean_inner(mean_a, mean_a), mean_inner(mean_a, mean_b),
+                             mean_inner(mean_b, mean_b))
 
 
-def _check_rkhs(mean: SparseKernelMean) -> None:
-    if mean.spec.space != "rkhs":
-        raise ValueError("rkhs_distance requires kernels in rkhs space mode")
+def mean_inner(mean_a: SparseKernelMean, mean_b: SparseKernelMean) -> float:
+    """Inner product of two kernel means in the kernel's RKHS, bilinear in the weight vectors."""
+    if mean_a.spec.space != "rkhs":
+        raise ValueError("inner products of kernel means need a kernel in rkhs space mode, "
+                         f"got space {mean_a.spec.space!r}")
+    return mean_gram_inner(mean_a, mean_b)
 
 
 def _rkhs_from_inners(inner_aa: float, inner_ab: float, inner_bb: float) -> float:
@@ -151,14 +153,13 @@ def pairwise_matrix(means, mode: str, eval_sets=None, labels=None) -> DistanceMa
     labels = tuple(labels) if labels is not None else tuple(f"sample{i}" for i in range(n))
     matrix = np.zeros((n, n))
     if mode == "rkhs":
-        # Each mean's squared norm once, not once per pair; mean_gram_inner
+        # Each mean's squared norm once, not once per pair; mean_inner
         # checks that each pair shares one kernel spec.
-        _check_rkhs(means[0])
-        norms = [mean_gram_inner(mean, mean) for mean in means]
+        norms = [mean_inner(mean, mean) for mean in means]
     for i in range(n):
         for j in range(i + 1, n):
             if mode == "rkhs":
-                value = _rkhs_from_inners(norms[i], mean_gram_inner(means[i], means[j]), norms[j])
+                value = _rkhs_from_inners(norms[i], mean_inner(means[i], means[j]), norms[j])
             else:
                 value = symmetrized_kl(means[i], means[j], eval_sets[i], eval_sets[j])
             matrix[i, j] = matrix[j, i] = value

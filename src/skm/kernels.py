@@ -35,6 +35,9 @@ FAMILIES = ("gaussian", "laplacian", "student")
 NORMALIZATIONS = ("unit", "density")
 SPACES = ("rkhs", "l2")
 
+# The most points whose pairwise distances bandwidth_jaakkola forms.
+JAAKKOLA_SUBSAMPLE = 2000
+
 # Parameters each family accepts in the spec grammar.
 _FAMILY_PARAMS = {
     "gaussian": ("sigma",),
@@ -255,23 +258,22 @@ def bandwidth_iqr(data) -> float:
     return bw
 
 
-def bandwidth_jaakkola(data, subsample_cap: int = 2000, seed: int = 0) -> float:
-    """Median pairwise Euclidean distance over a seeded subsample.
+def bandwidth_jaakkola(data) -> float:
+    """Median pairwise Euclidean distance over at most JAAKKOLA_SUBSAMPLE points.
 
-    The distances of the pairs i < j, bit for bit scipy's pdist, are
-    formed in row blocks of at most 2^18 entries.
+    More points are subsampled without replacement with seed 0. The
+    distances of the pairs i < j, bit for bit scipy's pdist, are formed in
+    row blocks of at most 2^18 entries.
     """
     pts = _points(data)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("bandwidth_jaakkola needs at least 2 points")
-    if subsample_cap < 2:
-        raise ValueError("subsample_cap must be at least 2")
-    if n > subsample_cap:
-        idx = np.random.default_rng(seed).choice(n, subsample_cap, replace=False)
+    if n > JAAKKOLA_SUBSAMPLE:
+        idx = np.random.default_rng(0).choice(n, JAAKKOLA_SUBSAMPLE, replace=False)
         idx.sort()
         pts = pts[idx]
-        n = subsample_cap
+        n = JAAKKOLA_SUBSAMPLE
     pairs = np.empty(n * (n - 1) // 2)
     rows, at = max(1, _BLOCK_ENTRIES // n), 0
     for i in range(0, n - 1, rows):

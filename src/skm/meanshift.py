@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend._numpy_impl import _BLOCK_ENTRIES, _distances
-from .kcenter import FarthestFirst
+from .kcenter import FarthestFirst, _integer_in
 from .kernels import block_sums, eval_params
 from .sparse_mean import SparseKernelMean
 
@@ -33,9 +33,7 @@ class ShiftResult:
 
     shifted: np.ndarray
     iterations: np.ndarray
-    backend: str
     kernel_evals: int
-    gamma: float
     converged: np.ndarray
 
 
@@ -51,7 +49,7 @@ class Clustering:
         return self.modes.shape[0]
 
 
-def _check_backend(mean: SparseKernelMean) -> None:
+def _check_weights(mean: SparseKernelMean) -> None:
     if mean.spec.family != "gaussian":
         raise ValueError("mean-shift supports gaussian kernels only")
     if np.any(mean.alpha < 0.0):
@@ -72,11 +70,10 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
     underflows (to zero or to a subnormal, where the quotient would be
     rounding noise) stays where it is and is marked not converged.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    _check_backend(mean)
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    max_iter = _integer_in("max_iter", max_iter, 1, math.inf, "max_iter >= 1")
+    _check_weights(mean)
     x = np.array(x0, dtype=np.float64)
     iterations = np.full(x.shape[0], max_iter, dtype=np.int64)
     converged = np.zeros(x.shape[0], dtype=bool)
@@ -115,13 +112,10 @@ def mean_shift_all(data, mean: SparseKernelMean, gamma: float,
         raise ValueError("data dimension does not match the kernel dimension")
 
     shifted, iterations, converged = _shift(pts, mean, gamma, max_iter)
-    backend = "full" if mean.diagnostics.method == "full" else "skm"
     return ShiftResult(
         shifted=shifted,
         iterations=iterations,
-        backend=backend,
         kernel_evals=int(iterations.sum()) * mean.k0,
-        gamma=float(gamma),
         converged=converged,
     )
 

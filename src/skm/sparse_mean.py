@@ -12,9 +12,10 @@ E_m = -alpha' kappa = -||v||^2, the squared error minus the constant
 ||zbar||^2, is kept as E_m = E_{m-1} - v_m^2, so it never rises; the support
 stops growing once its relative progress falls below epsilon. The weights
 alpha = L^{-T} v take one triangular solve at the end, and K^{-1} is never
-formed. A greedy fit is one `_backend.greedy_fit` call and a fixed order
-one `_backend.order_fit` call: two walks of the same step, each of which
-ends with that solve and writes alpha into the fit record.
+formed. A greedy fit is one `_backend.greedy_fit` call, and the random
+baseline one `_backend.order_fit` call along a uniformly drawn order: two
+walks of the same step, each of which ends with that solve and writes
+alpha into the fit record.
 """
 
 import logging
@@ -164,8 +165,8 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     section is numerically dependent on the support (listed in
     `diagnostics.skipped`), as pivoted Cholesky stops at its first pivot
     below tolerance. With density_mode the final weights are projected onto
-    the probability simplex. A fixed candidate order takes the same step
-    along the order: see `fit_with_support`.
+    the probability simplex. The random baseline, `random_selection_fit`,
+    takes the same step along a random order.
 
     Total work is O(n k0 d + k0^3).
     """
@@ -209,7 +210,7 @@ def _support_indices(support_indices, n: int) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMean:
+def _fixed_order_fit(data, spec, order, density_mode) -> SparseKernelMean:
     """Fit along `order` in one `_backend.order_fit` call, the greedy fit's step per point.
 
     A point is kept when its pivot exceeds the singularity threshold; a
@@ -229,34 +230,21 @@ def _fixed_order_fit(data, spec, order, density_mode, method) -> SparseKernelMea
         logger.info("dropped %d of %d support candidates as numerically dependent",
                     len(skipped), m)
     return _finalize(spec, points, indices[:k], record[:, :k], skipped, m, 0.0, density_mode,
-                     method)
+                     "random")
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,
                          density_mode: bool = False) -> SparseKernelMean:
-    """Baseline: support drawn uniformly without replacement, no early stop."""
+    """Baseline: support drawn uniformly without replacement, no early stop.
+
+    One `_backend.order_fit` call along the drawn order. A point that is
+    numerically dependent on the points before it is dropped and listed in
+    `diagnostics.skipped`, so the support may hold fewer than k points.
+    """
     n = np.asarray(data.points).shape[0]
     k = kcenter._integer_in("k", k, 1, n, "1 <= k <= n", n)
     order = np.random.default_rng(seed).choice(n, size=k, replace=False)
-    return _fixed_order_fit(data, spec, order, density_mode, "random")
-
-
-def fit_with_support(data, spec: RadialKernelSpec, support_indices,
-                     density_mode: bool = False) -> SparseKernelMean:
-    """Weights for a fixed support, by pivoted Cholesky in the given order.
-
-    One `_backend.order_fit` call, the greedy fit's step along the given
-    order. Along a greedy support at a new bandwidth it saves nothing over a
-    new greedy fit: each kept point's kappa needs the same O(nd) scan that
-    selects the next farthest point. A support point that is numerically
-    dependent on the points before it is dropped and listed in
-    `diagnostics.skipped`, so `support_indices` may come back shorter than
-    the input.
-    """
-    indices = _support_indices(support_indices, np.asarray(data.points).shape[0])
-    if np.unique(indices).size != indices.size:
-        raise ValueError("support indices contain duplicates")
-    return _fixed_order_fit(data, spec, indices, density_mode, "fixed-support")
+    return _fixed_order_fit(data, spec, order, density_mode)
 
 
 def full_mean(data, spec: RadialKernelSpec) -> SparseKernelMean:
@@ -318,15 +306,24 @@ def incoherence(data, spec: RadialKernelSpec, support_indices) -> float:
     return float(gram_at_dist(spec, scan.radius))
 
 
-def bound_value(n: int, support_size: int, c: float, nu: float) -> float:
-    """Approximation-error bound (1 - k/n) sqrt((C^2 - nu^2) / C)."""
-    if not 0 < support_size <= n:
-        raise ValueError(f"support size must be in [1, n] (got {support_size}, n={n})")
+def bound_value(n: int, support_size, c: float, nu):
+    """Approximation-error bound (1 - k/n) sqrt((C^2 - nu^2) / C), elementwise.
+
+    support_size and nu may be arrays, which broadcast together into an
+    array of bounds; scalars give a float. n and every support size k must
+    be integers with 1 <= k <= n.
+    """
+    n = kcenter._integer_in("n", n, 1, math.inf, "n >= 1")
+    k = np.asarray(support_size)
+    if not (k.dtype.kind in "iuf" and np.all((np.floor(k) == k) & (1 <= k) & (k <= n))):
+        raise ValueError(f"support size must be an integer in [1, n] (got {support_size!r}, n={n})")
     if not 0 < c < math.inf:
         raise ValueError(f"C must be positive and finite, got {c}")
-    if not 0 <= nu <= c:
+    nu = np.asarray(nu, dtype=np.float64)
+    if not np.all((0 <= nu) & (nu <= c)):
         raise ValueError(f"incoherence must satisfy 0 <= nu <= C (nu={nu}, C={c})")
-    return (1.0 - support_size / n) * math.sqrt((c * c - nu * nu) / c)
+    bound = (1.0 - k / n) * np.sqrt((c * c - nu * nu) / c)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def mean_gram_inner(a: SparseKernelMean, b: SparseKernelMean) -> float:

@@ -13,7 +13,7 @@ from oracles import gram_matrix, inverse_gram, kcenter_brute
 from scipy.integrate import quad
 
 import skm
-from skm import _backend
+from skm import _backend, sparse_mean
 from skm._backend._numpy_impl import RECORD_ROWS
 from skm.cli import random_baseline
 from skm.cpe import dirichlet_sample, estimate_from_means, estimate_proportions, l1_error
@@ -41,7 +41,6 @@ from skm.sparse_mean import (
     evaluate,
     evaluate_full,
     fit,
-    fit_with_support,
     full_mean,
     squared_mean_norm,
 )
@@ -137,7 +136,7 @@ def test_c03_incremental_algebra():
         m = int(rng.integers(1, min(n, 10)))
         order = rng.permutation(n)[:m]
         gram = gram_matrix(spec, data.points)
-        mean = fit_with_support(data, spec, order)
+        mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64), False)
         assert mean.diagnostics.skipped == ()
         alpha = mean.alpha
         kappa_full = gram[order].mean(axis=1)

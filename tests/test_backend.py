@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from oracles import kernel_block
 
-from skm import _backend
+from skm import _backend, sparse_mean
 from skm._backend import BACKEND, _numpy_impl
 from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
@@ -35,7 +35,6 @@ from skm.sparse_mean import (
     SINGULARITY_REL_TOL,
     evaluate,
     fit,
-    fit_with_support,
     full_mean,
     incoherence,
 )
@@ -747,7 +746,8 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     _m, cand, stop, indices, packed, record = _greedy(impl, points, params, 0.0, 0, 400)
     skipped = [cand] if stop == "dependent" else []
     order = np.r_[indices, skipped]
-    factored = fit_with_support(DataSet(points), spec, order)
+    factored = sparse_mean._fixed_order_fit(DataSet(points), spec,
+                                            np.asarray(order, dtype=np.int64), False)
     assert skipped and list(factored.diagnostics.skipped) == skipped
     assert_array_equal(factored.support_indices, indices)
     assert_array_equal(factored.diagnostics.pivots, record[0])
@@ -764,9 +764,9 @@ def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
     (RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density",
                       space="l2"), 300),
 ], ids=["budget", "dependent", "power"])
-def test_fit_with_support_along_a_greedy_support_is_the_greedy_fit(impl, spec, k_max,
-                                                                   monkeypatch):
-    # fit_with_support walks the greedy fit's step along the order it is
+def test_fixed_order_fit_along_a_greedy_support_is_the_greedy_fit(impl, spec, k_max,
+                                                                  monkeypatch):
+    # The fixed-order fit walks the greedy fit's step along the order it is
     # given, so along the greedy fit's support it makes the same steps: the
     # same E, pivots, radii and weights, bit for bit. With the dependent
     # candidate that stopped the greedy fit appended, it drops that one and
@@ -778,7 +778,7 @@ def test_fit_with_support_along_a_greedy_support_is_the_greedy_fit(impl, spec, k
     assert (greedy.k0 == 60) == (greedy.diagnostics.skipped == ()) == (k_max == 60)
     for order in (greedy.support_indices, np.r_[greedy.support_indices,
                                                 greedy.diagnostics.skipped]):
-        fixed = fit_with_support(data, spec, order)
+        fixed = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64), False)
         assert fixed.diagnostics.skipped == tuple(order[greedy.k0:])
         assert_array_equal(fixed.support_indices, greedy.support_indices)
         for name in ("e_trace", "pivots", "radius_trace"):
@@ -789,8 +789,8 @@ def test_fit_with_support_along_a_greedy_support_is_the_greedy_fit(impl, spec, k
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("sigma", [1.0, 5.0])
-def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatch):
-    # The 134-support blob input of the wide-bandwidth fit_with_support test;
+def test_fixed_order_fit_matches_extend_along_the_order(impl, sigma, monkeypatch):
+    # The 134-support blob input of the wide-bandwidth fixed-order fit test;
     # at sigma = 5 most of the supports are dropped. The greedy fit takes
     # the same farthest-first order and stops at its first dependent point,
     # so it is the fixed-support fit up to there.
@@ -801,7 +801,7 @@ def test_fit_with_support_matches_extend_along_the_order(impl, sigma, monkeypatc
     data = DataSet(np.vstack([c + rng.standard_normal((667, 2)) for c in centers]))
     support = kcenter_greedy(data, 134, first=0).order
     spec = RadialKernelSpec("gaussian", dim=2, sigma=sigma)
-    mean = fit_with_support(data, spec, support)
+    mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(support, dtype=np.int64), False)
 
     greedy = fit(data, spec, k_max=134, epsilon=0.0, first=0)
     k = greedy.k0
@@ -825,7 +825,8 @@ def test_pivot_rule_keeps_a_point_above_the_tolerance_and_drops_one_below(impl, 
     for name in PRIMITIVES:
         monkeypatch.setattr(_backend, name, getattr(impl, name))
     data = DataSet(np.array([[0.0], [delta]]))
-    mean = fit_with_support(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0), [0, 1])
+    mean = sparse_mean._fixed_order_fit(data, RadialKernelSpec("gaussian", dim=1, sigma=1.0),
+                                        np.asarray([0, 1], dtype=np.int64), False)
     assert mean.diagnostics.skipped == (() if kept else (1,))
     assert mean.support_indices.tolist() == ([0, 1] if kept else [0])
     if kept:
@@ -968,7 +969,8 @@ mean = skm.fit(data, spec, k_max=40)
 skm.save_model(mean, {model!r})
 values = skm.evaluate(skm.load_model({model!r}), data.points[:50])
 assert np.all(np.isfinite(values)) and mean.alpha.shape == (mean.k0,)
-skm.fit_with_support(data, spec, mean.support_indices)
+order = np.asarray(mean.support_indices, dtype=np.int64)
+skm.sparse_mean._fixed_order_fit(data, spec, order, False)
 assert skm.kcenter_greedy(data, 20, first=0).order.shape == (20,)
 assert 0.0 < skm.incoherence(data, spec, mean.support_indices)
 density = skm.parse_kernel_spec("gaussian:sigma=0.7:density", 2)

@@ -202,6 +202,18 @@ def test_embed_matrix_and_sidecar(tmp_path, capsys):
     assert doc["epsilon"] == 1e-8 and doc["embed_s"] > 0
 
 
+@pytest.mark.parametrize("sparse", [[], ["--sparse"]], ids=["full", "sparse"])
+def test_embed_in_l2_space_names_the_space_not_a_function(tmp_path, capsys, sparse):
+    # embed forms inner products of kernel means; it never calls rkhs_distance.
+    paths = [str(synth_csv(tmp_path, f"s{i}.csv", "blobs2", 40, seed=i)) for i in range(2)]
+    capsys.readouterr()
+    rc = main(["embed", *paths, "--kernel", "gaussian:sigma=1:l2", *sparse, "--out", "-"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "need a kernel in rkhs space mode, got space 'l2'" in err
+    assert "rkhs_distance" not in err
+
+
 def test_embed_symkl_mode(tmp_path):
     paths = [str(synth_csv(tmp_path, f"s{i}.csv", "blobs2", 80, seed=i))
              for i in range(2)]
@@ -390,6 +402,7 @@ def test_meanshift_rejects_bad_merge_before_shifting(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("flag, value, message", [
     ("--gamma", "0", "--gamma must be positive"),
     ("--gamma", "nan", "--gamma must be positive"),
+    ("--gamma", "inf", "--gamma must be positive and finite, got inf"),
     ("--max-iter", "0", "--max-iter must be at least 1"),
     ("--max-iter", "-2", "--max-iter must be at least 1"),
 ])

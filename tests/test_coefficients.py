@@ -10,7 +10,7 @@ from skm import _backend, sparse_mean
 from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kernels import RadialKernelSpec, g_zero, gram_params
-from skm.sparse_mean import SINGULARITY_REL_TOL, fit_with_support, project_simplex
+from skm.sparse_mean import SINGULARITY_REL_TOL, project_simplex
 
 UNIT_GAUSS_1D = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
 
@@ -35,8 +35,7 @@ def fit_along(data, spec, order):
     order_fit = _backend.order_fit
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_backend, "order_fit", spy)
-        mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64),
-                                            False, "fixed-support")
+        mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64), False)
     assert len(calls) == 1
     return mean, calls[0]
 
@@ -128,7 +127,8 @@ def test_extend_full_support_two_points():
 def test_extend_duplicate_support_raises():
     # A duplicate of a support point has pivot 0: the step drops it.
     data = line_data(0.0, 0.0, 5.0)
-    mean = fit_with_support(data, UNIT_GAUSS_1D, [0, 1])
+    mean = sparse_mean._fixed_order_fit(data, UNIT_GAUSS_1D, np.asarray([0, 1], dtype=np.int64),
+                                        False)
     assert mean.diagnostics.skipped == (1,)
     assert_array_equal(mean.support_indices, [0])
 
@@ -149,10 +149,8 @@ def test_dependent_extend_changes_neither_state_nor_distances():
 
 def test_extend_rejects_index_already_in_support():
     # A repeated index has pivot g(0) - g(0) = 0, so the pivot check drops
-    # it and the fit is the fit without it. fit_with_support refuses
-    # duplicates before the factor, so the order goes to the fit it calls.
-    # skipped lists the points of the order that are not in the support,
-    # and 0 and 1 are.
+    # it and the fit is the fit without it. skipped lists the points of the
+    # order that are not in the support, and 0 and 1 are.
     data = line_data(0.0, 5.0)
     e_trace = grow(data, UNIT_GAUSS_1D, [0, 1])[0].diagnostics.e_trace
     mean, _ = fit_along(data, UNIT_GAUSS_1D, [0, 1, 0, 1])

@@ -154,17 +154,15 @@ def test_singular_system_reads_the_pair_distances_from_the_gram_matrix(monkeypat
     # The inputs above: the 6 class inner products and 3 test products
     # name the colliding pair, with no further kernel sums, and the
     # distance in the message is rkhs_distance's.
-    import skm.cpe
     import skm.divergences
 
     calls = []
-    counted = skm.cpe.mean_gram_inner
+    counted = skm.divergences.mean_gram_inner
 
     def counting(a, b):
         calls.append(1)
         return counted(a, b)
 
-    monkeypatch.setattr(skm.cpe, "mean_gram_inner", counting)
     monkeypatch.setattr(skm.divergences, "mean_gram_inner", counting)
     pts = np.random.default_rng(7).normal(size=(30, 2))
     train = [DataSet(pts), DataSet(pts.copy()), DataSet(pts + 5.0)]
@@ -344,10 +342,10 @@ def test_search_bandwidth_never_forms_the_test_test_gram_sum(monkeypatch):
         return mean_inner(mean_a, mean_b)
 
     monkeypatch.setattr("skm.cpe.mean_inner", recording)
+    monkeypatch.setattr("skm.cpe.VALIDATION_SIZE", 300)
     rng = np.random.default_rng(13)
     train = class_samples(rng, [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 300, scale=0.8)
-    sigma, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True,
-                                   validation_size=300)
+    sigma, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True)
     # The sigma found while every evaluation still paid for the residual.
     assert sigma == pytest.approx(2.343346376913074, rel=1e-12)
     assert kinds and ("full", "full") not in kinds
@@ -389,8 +387,7 @@ def test_search_bandwidth_runs_the_cpe_estimator_once_per_evaluation(sparse, k_m
         raise AssertionError("the search selected a support outside the greedy fit")
 
     monkeypatch.setattr(skm.cpe, "estimate_proportions", spy)
-    for target in ("skm.kcenter.kcenter_greedy", "skm.sparse_mean.fit_with_support"):
-        monkeypatch.setattr(target, no_fixed_support)
+    monkeypatch.setattr("skm.kcenter.kcenter_greedy", no_fixed_support)
     rng = np.random.default_rng(14)
     train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
     _, info = search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=sparse, k_max=k_max,
@@ -422,25 +419,6 @@ def test_search_bandwidth_rejects_fewer_than_two_evaluations(max_iter):
     with pytest.raises(ValueError, match=r"max_iter must be an integer with max_iter >= 2, the "
                                          rf"first bracket \(max_iter={max_iter!r}\)$"):
         search_bandwidth(train, 0.2, 5.0, GAUSS_2D, max_iter=max_iter)
-
-
-@pytest.mark.parametrize("validation_size", [0, -3, 1.5, 300.5])
-def test_search_bandwidth_rejects_an_empty_validation_mixture(validation_size, monkeypatch):
-    # Refused on entry: no split, no fit and no 0/0 RuntimeWarning first.
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a fit ran")
-
-    for name in ("full_mean", "estimate_proportions", "dirichlet_sample"):
-        monkeypatch.setattr(f"skm.cpe.{name}", no_fit)
-    rng = np.random.default_rng(14)
-    train = class_samples(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="validation_size must be an integer with "
-                                             rf"validation_size >= 1 \(validation_size="
-                                             rf"{validation_size}\)$"):
-            search_bandwidth(train, 0.2, 5.0, GAUSS_2D, sparse=True,
-                             validation_size=validation_size)
 
 
 def test_search_bandwidth_validates_interval():

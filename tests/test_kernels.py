@@ -277,12 +277,13 @@ def test_bandwidth_jaakkola_degenerate():
         bandwidth_jaakkola(DataSet(np.zeros((4, 3))))
 
 
-def test_bandwidth_jaakkola_subsample_deterministic():
+def test_bandwidth_jaakkola_subsample_deterministic(monkeypatch):
     data = DataSet(np.random.default_rng(0).normal(size=(300, 2)))
-    a = bandwidth_jaakkola(data, subsample_cap=50, seed=5)
-    b = bandwidth_jaakkola(data, subsample_cap=50, seed=5)
-    assert a == b
     full = bandwidth_jaakkola(data)
+    monkeypatch.setattr("skm.kernels.JAAKKOLA_SUBSAMPLE", 50)
+    a = bandwidth_jaakkola(data)
+    b = bandwidth_jaakkola(data)
+    assert a == b
     assert abs(a - full) / full < 0.25  # subsample stays in the right ballpark
 
 
@@ -292,13 +293,14 @@ def test_bandwidth_jaakkola_subsample_deterministic():
     (600, 5, 2000, 1e6, -3e6),  # two row blocks of 436 rows
     (1200, 2, 900, 1.0, 40.0),  # a subsample of 900 in four row blocks
 ])
-def test_bandwidth_jaakkola_is_the_median_of_pdist(n, d, cap, scale, offset):
+def test_bandwidth_jaakkola_is_the_median_of_pdist(n, d, cap, scale, offset, monkeypatch):
+    monkeypatch.setattr("skm.kernels.JAAKKOLA_SUBSAMPLE", cap)
     pts = offset + scale * np.random.default_rng(n).normal(size=(n, d))
     expected = pts
     if n > cap:
-        idx = np.random.default_rng(9).choice(n, cap, replace=False)
+        idx = np.random.default_rng(0).choice(n, cap, replace=False)
         expected = pts[np.sort(idx)]
-    got = bandwidth_jaakkola(DataSet(pts), subsample_cap=cap, seed=9)
+    got = bandwidth_jaakkola(DataSet(pts))
     assert got == float(np.median(pdist(expected)))
 
 

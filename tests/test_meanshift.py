@@ -111,6 +111,10 @@ def test_shift_validates_gamma_and_dimension():
     mean = full_mean(DataSet(np.array([[0.0]])), DENS)
     with pytest.raises(ValueError):
         shift_one([0.0], mean, gamma=0.0)
+    # Every first step is below an infinite gamma, so one round would
+    # report every point converged where it started its climb.
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
+        shift_one([0.0], mean, gamma=np.inf)
     with pytest.raises(ValueError, match="dimension"):
         shift_one([0.0, 1.0], mean, gamma=1e-3)
 
@@ -120,10 +124,19 @@ def test_shift_rejects_max_iter_below_one(max_iter):
     # With no iteration allowed every point would come back unshifted.
     data = DataSet(np.array([[0.0], [1.0]]))
     mean = full_mean(data, DENS)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1"):
         shift_one([0.5], mean, gamma=1e-3, max_iter=max_iter)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1"):
         mean_shift_all(data, mean, gamma=1e-3, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [1.5, True])
+def test_shift_rejects_a_max_iter_that_is_not_an_integer(max_iter):
+    # 1.5 is not rounded, and True is not read as one round.
+    data = DataSet(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1 "
+                                         rf"\(max_iter={max_iter!r}\)$"):
+        mean_shift_all(data, full_mean(data, DENS), gamma=1e-3, max_iter=max_iter)
 
 
 # --------------------------------------------------------------- mean_shift_all
@@ -155,7 +168,6 @@ def test_mean_shift_sparse_agrees_with_full_on_blobs():
     sparse_mean = fit(data, DENS2, k_max=42, epsilon=1e-8, density_mode=True)
     sparse = mean_shift_all(data, sparse_mean, gamma=gamma)
     assert discrepancy_index(full, sparse, 3.0 * SIGMA) == 0.0
-    assert sparse.backend == "skm" and full.backend == "full"
 
 
 def test_mean_shift_final_step_below_gamma():
@@ -163,10 +175,11 @@ def test_mean_shift_final_step_below_gamma():
     gamma = 1e-4
     mean = full_mean(data, DENS2)
     result = mean_shift_all(data, mean, gamma=gamma)
-    # one more update from every converged point moves by less than gamma
+    # one more update from every converged point moves by less than gamma;
+    # at max_iter=1 that update is the same whatever gamma is
     for row, ok in zip(result.shifted, result.converged):
         assert ok
-        again = shift_one(row, mean, gamma=np.inf, max_iter=1)
+        again = shift_one(row, mean, gamma=gamma, max_iter=1)
         assert np.linalg.norm(again - row) < gamma
 
 

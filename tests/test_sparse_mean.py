@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import gram_matrix, kernel_eval, progress_ratio
 from scipy.integrate import quad
 
-from skm import _backend
+from skm import _backend, sparse_mean
 from skm._backend._numpy_impl import RECORD_ROWS
 from skm.dataio import DataSet
 from skm.kcenter import kcenter_greedy
@@ -31,7 +31,6 @@ from skm.sparse_mean import (
     evaluate,
     evaluate_full,
     fit,
-    fit_with_support,
     full_mean,
     incoherence,
     mean_gram_inner,
@@ -349,7 +348,8 @@ def test_fit_loop_stops_at_first_dependent_candidate(caplog):
     assert np.all(np.diff(diag.seconds_trace) >= 0.0)
     # The same factor step drops the skipped candidate after the support.
     order = np.r_[mean.support_indices, last]
-    assert fit_with_support(data, spec, order).diagnostics.skipped == (last,)
+    fixed = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64), False)
+    assert fixed.diagnostics.skipped == (last,)
     # Replay: every tried candidate is the farthest point from the support,
     # ties to the lowest index.
     sqdist = np.full(data.n, np.inf)
@@ -448,7 +448,8 @@ def test_fixed_order_fits_make_one_order_fit_call_and_no_kernel_sum(monkeypatch)
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     order = kcenter_greedy(data, 30, first=0).order
     calls = _count_backend_calls(monkeypatch)
-    assert fit_with_support(data, spec, order).k0 == 30
+    fixed = sparse_mean._fixed_order_fit(data, spec, np.asarray(order, dtype=np.int64), False)
+    assert fixed.k0 == 30
     assert random_selection_fit(data, spec, 30, seed=1).k0 == 30
     assert calls == {"farthest_scan": 0, "kernel_sums": 0, "greedy_fit": 0, "order_fit": 2}
 
@@ -545,13 +546,11 @@ def test_seconds_trace_counts_from_the_start_of_the_fit_call(impl, monkeypatch):
 ], ids=["fractions", "bool-list", "bool-mask", "nan", "strings"])
 def test_support_indices_must_be_integers(indices):
     # A fraction is not cut down to an index, nor a bool mask read as the
-    # indices 0 and 1, by either caller.
+    # indices 0 and 1.
     data = line_data(0.0, 1.0, 2.0, 3.0, 4.0)
-    for call in (fit_with_support, incoherence):
-        with pytest.raises(ValueError, match="support indices must be integers"):
-            call(data, UNIT_GAUSS_1D, indices)
+    with pytest.raises(ValueError, match="support indices must be integers"):
+        incoherence(data, UNIT_GAUSS_1D, indices)
     # Integral floats are integers.
-    assert fit_with_support(data, UNIT_GAUSS_1D, [0.0, 2.0]).support_indices.tolist() == [0, 2]
     assert incoherence(data, UNIT_GAUSS_1D, [0.0, 2.0]) == incoherence(data, UNIT_GAUSS_1D, [0, 2])
 
 
@@ -614,6 +613,26 @@ def test_bound_rejects_inconsistent_nu():
     for c in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="C must be positive and finite"):
             bound_value(10, 3, c, 0.5)
+
+
+@pytest.mark.parametrize("n, support_size, name", [
+    (10, 2.5, "support size"), (10, True, "support size"), (10, [3, 2.5], "support size"),
+    (10, [0, 3], "support size"), (10.5, 3, "n"), (True, 1, "n"),
+])
+def test_bound_refuses_a_size_that_is_not_an_integer(n, support_size, name):
+    # A fractional support size or n has no bound, rather than a value read
+    # off the formula.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        bound_value(n, support_size, 1.0, 0.5)
+
+
+def test_bound_is_elementwise_over_support_sizes_and_incoherences():
+    sizes, nu = np.arange(1, 11), np.linspace(0.0, 2.0, 10)
+    bounds = bound_value(10, sizes, 2.0, nu)
+    assert_array_equal(bounds, [bound_value(10, int(k), 2.0, float(v)) for k, v in zip(sizes, nu)])
+    assert bounds[-1] == 0.0
+    with pytest.raises(ValueError, match="incoherence must satisfy 0 <= nu <= C"):
+        bound_value(10, sizes, 1.0, nu)
 
 
 def test_bound_dominates_residual_on_greedy_prefixes():
@@ -705,36 +724,37 @@ def test_random_selection_k_one():
     assert mean.support_indices[0] in (0, 1)
 
 
-def test_fit_with_support_matches_incremental_path():
+def test_fixed_order_fit_matches_incremental_path():
     rng = np.random.default_rng(15)
     data = DataSet(rng.uniform(-3, 3, size=(40, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     greedy = fit(data, spec, k_max=10, epsilon=0.0, first=0)
-    resolved = fit_with_support(data, spec, greedy.support_indices)
+    resolved = sparse_mean._fixed_order_fit(data, spec,
+                                            np.asarray(greedy.support_indices, dtype=np.int64),
+                                            False)
     assert_allclose(resolved.alpha, greedy.alpha, atol=1e-8)
 
 
-def test_fit_with_support_resolves_new_bandwidth():
+def test_fixed_order_fit_resolves_new_bandwidth():
     rng = np.random.default_rng(16)
     data = DataSet(rng.uniform(-3, 3, size=(30, 1)))
     spec = RadialKernelSpec("gaussian", dim=1, sigma=1.0)
     greedy = fit(data, spec, k_max=8, epsilon=0.0, first=0)
-    wide = fit_with_support(data, spec.with_sigma(2.0), greedy.support_indices)
+    wide = sparse_mean._fixed_order_fit(data, spec.with_sigma(2.0),
+                                        np.asarray(greedy.support_indices, dtype=np.int64), False)
     direct = fit(data, spec.with_sigma(2.0), k_max=8, epsilon=0.0, first=0)
     assert_allclose(wide.alpha, direct.alpha, atol=1e-7)
 
 
-def test_fit_with_support_rejects_indices_outside_range():
+def test_fixed_order_fit_rejects_indices_outside_range():
     data = DataSet(np.random.default_rng(19).normal(size=(50, 2)))
     spec = RadialKernelSpec("gaussian", dim=2, sigma=1.0)
     for bad in ([0, -1, 5], [0, 50], [0, 49, -1]):  # -1 would alias point 49
-        with pytest.raises(ValueError, match="must lie in"):
-            fit_with_support(data, spec, bad)
-    with pytest.raises(ValueError, match="duplicates"):
-        fit_with_support(data, spec, [0, 49, 49])
+        with pytest.raises(ValueError, match="out of range for n=50"):
+            sparse_mean._fixed_order_fit(data, spec, np.asarray(bad, dtype=np.int64), False)
 
 
-def test_fit_with_support_drops_dependent_supports_at_wide_bandwidth():
+def test_fixed_order_fit_drops_dependent_supports_at_wide_bandwidth():
     # Three 667-point blobs and 134 farthest-first supports (3 sqrt(n)); at
     # sigma=5 most of their sections are numerically dependent.
     rng = np.random.default_rng(20)
@@ -742,7 +762,7 @@ def test_fit_with_support_drops_dependent_supports_at_wide_bandwidth():
     data = DataSet(np.vstack([c + rng.standard_normal((667, 2)) for c in centers]))
     support = kcenter_greedy(data, 134, first=0).order
     spec = RadialKernelSpec("gaussian", dim=2, sigma=5.0)
-    mean = fit_with_support(data, spec, support)
+    mean = sparse_mean._fixed_order_fit(data, spec, np.asarray(support, dtype=np.int64), False)
     kept = mean.support_indices
     assert len(mean.diagnostics.skipped) > 0
     assert kept.size + len(mean.diagnostics.skipped) == support.size
