@@ -34,6 +34,15 @@ supports, skipped candidates and radii may not. An extension built from
 an older `_fastcore.c` that lacks a primitive, or whose record has another
 number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
+The compiled fits split their scans over more than 16384 points, and the
+compiled kernel sums of more than 2**20 values, over threads, up to the
+CPUs of the process's affinity mask (one CPU, one thread); the threads
+end before the call returns. Each part of the work writes only its own
+outputs and every sum keeps one order (kappa sums each tile's shape
+values, then the tiles' sums in tile order), so no result depends on the
+number of threads. The numpy backend and `farthest_scan` run on the
+calling thread.
+
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on
 the compiled backend no function of the package loads any.

@@ -45,6 +45,18 @@ class UsageError(Exception):
     pass
 
 
+# The largest count a flag may give: the iteration counts are int64 arrays.
+COUNT_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_count(flag, value, low):
+    """Refuse a count flag below low or above COUNT_MAX, by name."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    if value > COUNT_MAX:
+        raise ValueError(f"{flag} must be at most {COUNT_MAX}, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -234,8 +246,7 @@ def _cmd_select(args) -> dict:
 def _cmd_audit(args) -> dict:
     """The eps = 0 greedy fit's record, then per prefix the residual
     ||zbar - mean_m||, nu = g(radius) and the bound (1 - m/n) sqrt((C^2 - nu^2) / C)."""
-    if args.random_seeds < 0:
-        raise ValueError(f"--random-seeds must be at least 0, got {args.random_seeds}")
+    _check_count("--random-seeds", args.random_seeds, 0)
     if args.random_seeds > 0 and args.kmax is None:
         raise UsageError("--random-seeds needs --kmax")
     data = load_csv(args.input, has_header=args.header)
@@ -299,6 +310,8 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_cpe(args) -> dict:
     eps, k_max = _sparse_fit_options(args, 1e-10)
+    if not 0 < args.omega < np.inf:
+        raise ValueError(f"--omega must be positive and finite, got {args.omega}")
     train = [load_csv(path, has_header=args.header) for path in args.train]
     test = load_csv(args.test, has_header=args.header)
     dims = {s.d for s in train} | {test.d}
@@ -341,12 +354,11 @@ def _cmd_meanshift(args) -> dict:
     merge = args.merge if args.merge is not None else sigma
     delta = args.delta if args.delta is not None else 3.0 * sigma
     spec = parse_kernel_spec(f"gaussian:sigma={sigma}:density", data.d)
-    if not merge > 0:
-        raise ValueError(f"--merge must be positive, got {merge}")
+    if not 0 < merge < np.inf:
+        raise ValueError(f"--merge must be positive and finite, got {merge}")
     if not 0 < gamma < np.inf:
         raise ValueError(f"--gamma must be positive and finite, got {gamma}")
-    if args.max_iter < 1:
-        raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
+    _check_count("--max-iter", args.max_iter, 1)
     if not 0 <= delta < np.inf:
         raise ValueError(f"--delta must be nonnegative and finite, got {delta}")
     start = time.perf_counter()
@@ -393,13 +405,14 @@ def random_baseline(data, spec, k_max, seeds, first=None):
     """
     if spec.normalization != "density":
         raise ValueError("audit --random-seeds requires a density-normalized kernel")
-    seeds = list(seeds)
+    done = []
     random_curves = []
     kl_rows = {"greedy": [], "random": []}
     reference = full_mean(data, spec)
     if first is not None:
         greedy = fit(data, spec, k_max=k_max, epsilon=0.0, density_mode=True, first=first)
     for seed in seeds:
+        done.append(int(seed))
         eval_seed = 7_000_000 + int(seed)
         ref_draws = sample_gaussian_mean(reference, KL_EVAL_SIZE, seed=eval_seed)
         if first is None:
@@ -416,7 +429,7 @@ def random_baseline(data, spec, k_max, seeds, first=None):
             ))
     report = {
         "k": int(k_max),
-        "seeds": [int(s) for s in seeds],
+        "seeds": done,
         "e_random_mean": np.mean(random_curves, axis=0),
     }
     for label, rows in kl_rows.items():

@@ -29,7 +29,8 @@ def fastcore(tmp_path_factory):
 
     Built from the source tree on every run, so the parity tests check the
     C as it is now, whether or not an installed build exists. On x86-64
-    Linux it takes setup.py's flags for glibc's vector exp and pow.
+    Linux it takes setup.py's flags for glibc's vector exp and pow; like
+    setup.py it links with -pthread.
     """
     if shutil.which("gcc") is None:
         pytest.skip("gcc is not available")
@@ -37,7 +38,7 @@ def fastcore(tmp_path_factory):
     out = tmp_path_factory.mktemp("fastcore") / ("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
     vector_math = sys.platform == "linux" and platform.machine() == "x86_64"
     subprocess.run(
-        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC"]
+        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC", "-pthread"]
         + (["-fno-math-errno"] if vector_math else [])
         + ["-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out)]
         + (["-lmvec"] if vector_math else []),

@@ -424,6 +424,49 @@ def test_meanshift_rejects_bad_stop_flags_before_fitting(tmp_path, capsys, monke
     assert not labels.exists()
 
 
+def test_meanshift_refuses_an_infinite_merge_before_shifting(tmp_path, capsys, monkeypatch):
+    # With --compare, an infinite --merge ran to the end, wrote the labels,
+    # and then failed writing the metrics: "Out of range float values are
+    # not JSON compliant", which does not name the flag.
+    import skm.cli
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("mean_shift_all ran before --merge was checked")
+
+    monkeypatch.setattr(skm.cli, "mean_shift_all", no_shift)
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    labels, metrics = tmp_path / "labels.csv", tmp_path / "metrics.json"
+    rc = main(["meanshift", "--input", str(x), "--sigma", "0.8", "--merge", "inf",
+               "--out-labels", str(labels), "--compare", str(x), "--metrics-out", str(metrics)])
+    assert rc == 2
+    assert "--merge must be positive and finite, got inf" in capsys.readouterr().err
+    assert not labels.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("meanshift", "--max-iter"),
+                                           ("audit", "--random-seeds")])
+def test_count_flags_above_int64_are_refused_before_fitting(tmp_path, capsys, monkeypatch,
+                                                            command, flag):
+    # A 20-digit count ended in an uncaught OverflowError, exit 1.
+    import skm.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError(f"{command} fitted before {flag} was checked")
+
+    for name in ("fit", "full_mean", "mean_shift_all"):
+        monkeypatch.setattr(skm.cli, name, no_fit)
+    x = synth_csv(tmp_path, dataset="blobs2", n=40)
+    out = tmp_path / "out.csv"
+    argv = {"meanshift": ["meanshift", "--input", str(x), "--sigma", "0.8",
+                          "--out-labels", str(out)],
+            "audit": ["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0:density",
+                      "--kmax", "10", "--out", str(out)]}[command]
+    assert main(argv + [flag, "99999999999999999999"]) == 2
+    assert (f"{flag} must be at most 9223372036854775807, got 99999999999999999999"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def _sparse_command(tmp_path, command):
     x = synth_csv(tmp_path, dataset="blobs2", n=40)
     y = synth_csv(tmp_path, "y.csv", n=40)
@@ -481,6 +524,17 @@ def test_cpe_sigma_search_refuses_an_omega_off_the_simplex(tmp_path, capsys, ome
     capsys.readouterr()
     assert main(argv + ["--omega", omega]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega", ["nan", "-1", "0", "inf"])
+def test_cpe_refuses_an_omega_off_zero_to_inf_at_a_fixed_sigma(tmp_path, capsys, omega):
+    # Only the bandwidth search reads --omega, so at a fixed --sigma every
+    # value exited 0.
+    out, argv = _sparse_command(tmp_path, "cpe")
+    capsys.readouterr()
+    assert main(argv + ["--omega", omega]) == 2
+    assert f"--omega must be positive and finite, got {float(omega)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,0 +1,103 @@
+"""Results that do not depend on the number of threads.
+
+The compiled backend splits a fit's scans over more than 16384 points, and
+a kernel sum over more than 2**20 values, over the CPUs of the process's
+affinity mask. Two child processes make the same calls on the compiled
+backend built from the source tree: one pinned to a single CPU, which takes
+the one-thread path, and one on every CPU. They must agree bit for bit.
+"""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from skm._backend._numpy_impl import RECORD_ROWS
+from skm.sparse_mean import SINGULARITY_REL_TOL
+
+pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="os.sched_setaffinity is Linux-only")
+
+# The tie: copies of one far point at the last index of a scan chunk
+# (4096 points), the first of the next and the last point; the farthest
+# point from a first center in the unit cube is the lowest of them.
+TIE = (8191, 8192, 16384)
+
+_CHILD = r"""
+import importlib.util, json, os, sys
+import numpy as np
+
+path, mode, dest = sys.argv[1:4]
+if mode == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    os.sched_setaffinity(0, range(os.cpu_count()))
+spec = importlib.util.spec_from_file_location("_fastcore", path)
+fc = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fc)
+rows, threshold, tie = fc.RECORD_ROW_COUNT, float(sys.argv[4]), json.loads(sys.argv[5])
+results = {"cpus": np.array(len(os.sched_getaffinity(0)))}
+
+def greedy(name, points, kind, a, b, epsilon, cap):
+    indices, record = np.full(cap, -1), np.full((rows, cap), np.nan)
+    m, cand, stop, packed = fc.greedy_fit(points, kind, a, b, 1.0, threshold, epsilon, 0,
+                                          indices, record)
+    results.update({name + "_m": np.array([m, cand]), name + "_stop": np.array(stop),
+                    name + "_indices": indices, name + "_record": record,
+                    name + "_packed": np.frombuffer(packed)})
+
+def ordered(name, points, kind, a, b, order):
+    indices, record = np.full(order.size, -1), np.full((rows, order.size), np.nan)
+    m, packed = fc.order_fit(points, kind, a, b, 1.0, threshold, order, indices, record)
+    results.update({name + "_m": np.array(m), name + "_indices": indices,
+                    name + "_record": record, name + "_packed": np.frombuffer(packed)})
+
+rng = np.random.default_rng(37)
+# n just above 16384, with the tie across two scan chunks.
+tied = rng.random((16385, 3))
+tied[tie] = 10.0
+greedy("tied", tied, 0, 2.0, 0.0, 0.0, 60)
+# n not a multiple of the 256-point tile, for each shape kind.
+points = rng.standard_normal((40077, 8))
+for kind, a, b in ((0, 0.3, 0.0), (1, 0.6, 0.0), (2, 0.4, 1.5)):
+    greedy(f"greedy{kind}", points, kind, a, b, 1e-9, 120)
+order = rng.permutation(points.shape[0])[:100]
+order[50] = order[10]  # a dependent candidate, dropped
+ordered("ordered", points, 2, 0.4, 1.5, order)
+# 5003 x 300 kernel values, above 2**20, in more than one tile of ys.
+xs, ys, coef = rng.standard_normal((5003, 4)), rng.standard_normal((300, 4)), rng.standard_normal((300, 2))
+for kind, a, b in ((0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 2.0)):
+    out = np.empty((xs.shape[0], 2))
+    fc.kernel_sums(xs, ys, coef, kind, a, b, 1.5, out)
+    results[f"sums{kind}"] = out
+np.savez(dest, **results)
+"""
+
+
+def _run(fastcore, mode, tmp_path):
+    out = tmp_path / f"{mode}.npz"
+    subprocess.run([sys.executable, "-c", _CHILD, fastcore.__file__, mode, str(out),
+                    repr(SINGULARITY_REL_TOL), json.dumps(TIE)],
+                   check=True, capture_output=True, text=True, timeout=300)
+    with np.load(out) as results:
+        return dict(results)
+
+
+def test_compiled_results_do_not_depend_on_the_thread_count(fastcore, tmp_path):
+    one, every = _run(fastcore, "one", tmp_path), _run(fastcore, "every", tmp_path)
+    # On one CPU there is no second thread, and nothing would be compared.
+    assert one.pop("cpus") == 1
+    assert every.pop("cpus") >= 2, "the test needs a machine with two CPUs or more"
+    assert one.keys() == every.keys()
+    seconds = RECORD_ROWS.index("seconds")
+    for name in one:
+        if name.endswith("_record"):
+            # the step times are the one row that may differ
+            one[name][seconds] = every[name][seconds] = 0.0
+        assert_array_equal(one[name], every[name], err_msg=name)
+    assert one["tied_indices"][1] == TIE[0]
+    assert one["tied_stop"] == "budget" and one["tied_m"][0] == 60
+    assert one["ordered_m"] == 99
