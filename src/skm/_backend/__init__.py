@@ -34,14 +34,20 @@ supports, skipped candidates and radii may not. An extension built from
 an older `_fastcore.c` that lacks a primitive, or whose record has another
 number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
-The compiled fits split their scans over more than 16384 points, and the
-compiled kernel sums of more than 2**20 values, over threads, up to the
-CPUs of the process's affinity mask (one CPU, one thread); the threads
-end before the call returns. Each part of the work writes only its own
-outputs and every sum keeps one order (kappa sums each tile's shape
-values, then the tiles' sums in tile order), so no result depends on the
-number of threads. The numpy backend and `farthest_scan` run on the
-calling thread.
+The compiled fits split their scans over more than 16384 points, a
+compiled greedy fit does so too once its points times capacity reach
+2**22, and the compiled kernel sums of more than 2**20 values split, over
+threads, up to the CPUs of the process's affinity mask (one CPU, one
+thread). The helper threads may run on every CPU of that mask but the one
+the calling thread ran on when it started them, and the process's own mask
+is left as it was; the threads end before the call returns. A greedy fit
+with helpers has them scan for each candidate while the calling thread
+forms its pivot row, since its first dependent candidate ends the fit; an
+ordered fit, which goes on past a dependent candidate, tests the pivot
+before it scans. Each part of the work writes only its own outputs and
+every sum keeps one order (kappa sums each tile's shape values, then the
+tiles' sums in tile order), so no result depends on the number of threads.
+The numpy backend and `farthest_scan` run on the calling thread.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on

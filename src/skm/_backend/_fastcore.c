@@ -50,13 +50,25 @@
  * so E_m and the weights may differ from the numpy backend's in the last
  * bits; the supports, skipped candidates and radii do not.
  *
- * A fit's scans over more than SPLIT_POINTS (16384) points, and kernel
- * sums of more than SPLIT_VALUES (2^20) values, run on several threads, up
- * to the CPUs of the process's affinity mask: a scan in chunks of 16
- * tiles, a kernel sum in blocks of x rows, which the calling thread and
- * its helpers claim one at a time. A fit starts its helpers and joins them
- * before it returns; a kernel sum does the same for itself. Each chunk or
- * block writes only its own outputs: the farthest points of the chunks are
+ * A fit's scans over more than SPLIT_POINTS (16384) points, the scans of a
+ * greedy fit whose points times capacity reach OVERLAP_WORK (2^22), and
+ * kernel sums of more than SPLIT_VALUES (2^20) values run on several
+ * threads, up to the CPUs of the process's affinity mask: a scan in chunks
+ * of 16 tiles, a kernel sum in blocks of x rows, which the calling thread
+ * and its helpers claim one at a time. The helpers may run on every CPU of
+ * that mask but the one the calling thread started them on, so none
+ * time-shares its CPU with the caller where the kernel does not move
+ * threads; with one CPU none starts. A greedy walk with helpers publishes
+ * each step's scan before it forms the candidate's pivot row, so the
+ * helpers scan while the calling thread forms the row and solves it, and
+ * the calling thread then claims the chunks left. Its first dependent
+ * candidate ends the walk, so the scan made for that one lowers only the
+ * walk's own distances; the ordered walk drops a dependent candidate and
+ * goes on, so it tests the pivot before it scans. A walk's first job
+ * copies the points coordinate-major and sets their distances to +inf, one
+ * chunk of points per part. A fit starts its helpers and joins them before
+ * it returns; a kernel sum does the same for itself. Each chunk or block
+ * writes only its own outputs: the farthest points of the chunks are
  * merged in chunk order, lowest index on ties, the shape sums are per
  * tile, and an out row is summed in the same order in any block. So no
  * result depends on the number of threads or on which thread ran a part.
@@ -374,23 +386,29 @@ static CLONED Farthest scan_range(const Scan *s, Py_ssize_t t0, Py_ssize_t t1)
  * part writes only its own entries (its chunk's farthest point and tile
  * sums, its block's rows), whichever thread runs it, so the results do not
  * depend on the number of threads. A scan gets more than one thread above
- * SPLIT_POINTS points and a kernel sum above SPLIT_VALUES values; below, a
- * second thread saves nothing (on a 2-vCPU Xeon VM, a 600-point fit of
- * 10000 points in d = 5 took 18-19 ms with its scans split at 4096 points
- * and 18 ms on one thread). */
+ * SPLIT_POINTS points and a kernel sum above SPLIT_VALUES values: below, a
+ * split scan has too few chunks to share (on a 2-vCPU Xeon VM, a 600-point
+ * fit of 10000 points in d = 5 took 18-19 ms with its scans split at 4096
+ * points and 18 ms on one thread, most likely read with the helper on the
+ * caller's CPU). A greedy walk gets a helper below SPLIT_POINTS points too
+ * once its points times capacity reach OVERLAP_WORK, where its pivot rows
+ * grow long enough to hide a scan behind: on the same VM, with the helper
+ * on the other vCPU, that fit took 11-13 ms against 17-20 ms on one
+ * thread. */
 #define CHUNK_TILES 16
 #define BLOCK_VALUES (1 << 18)
 #define SPLIT_POINTS 16384
 #define SPLIT_VALUES (1 << 20)
+#define OVERLAP_WORK (1 << 22)
 
 /* Rounds of a waiting thread that pause before it starts to yield its CPU:
  * a walk step between two scans takes microseconds. */
 #define SPIN 2000
 
 /* The number of threads for `work` items: one per SPLIT_* items or part of
- * them, up to the CPUs of the process's affinity mask, and one wherever
- * that mask cannot be read. */
-static int threads_for(Py_ssize_t work, Py_ssize_t split)
+ * them, and at least `least`, up to the CPUs of the process's affinity
+ * mask, and one wherever that mask cannot be read. */
+static int threads_for(Py_ssize_t work, Py_ssize_t split, int least)
 {
     Py_ssize_t parts = work / split + (work % split != 0);
     int cpus = 1;
@@ -399,7 +417,8 @@ static int threads_for(Py_ssize_t work, Py_ssize_t split)
     if (sched_getaffinity(0, sizeof set, &set) == 0)
         cpus = CPU_COUNT(&set);
 #endif
-    return parts < cpus ? (parts < 1 ? 1 : (int)parts) : cpus;
+    parts = parts < least ? least : parts;
+    return parts < cpus ? (int)parts : cpus;
 }
 
 static void wait_round(long *spin)
@@ -461,19 +480,34 @@ static void *team_helper(void *arg)
     }
 }
 
-/* One job: every part done, by the calling thread and the helpers. A
- * helper late for the last job finds no part left in it, or, once `next`
- * is reset, claims parts of this one; the release store of `next` makes
- * the job's inputs visible to it. */
-static void team_run(Team *t)
+/* Publish the job work(ctx, part, slot) over the team's parts; the helpers
+ * start on it at once. The last job is done, so every part of it has been
+ * claimed: a helper late for it finds no part left in it, or, once `next`
+ * is reset, claims parts of this one, and the release store of `next`
+ * makes the job and its inputs visible to it. */
+static void team_begin(Team *t, void (*work)(void *, Py_ssize_t, int), void *ctx)
 {
-    long spin = 0;
+    t->work = work;
+    t->ctx = ctx;
     atomic_store_explicit(&t->finished, 0, memory_order_relaxed);
     atomic_store_explicit(&t->next, 0, memory_order_release);
     atomic_fetch_add_explicit(&t->job, 1, memory_order_release);
+}
+
+/* The calling thread claims the parts left of the job and waits until
+ * every part is done. */
+static void team_finish(Team *t)
+{
+    long spin = 0;
     team_claim(t, 0);
     while (atomic_load_explicit(&t->finished, memory_order_acquire) < t->parts)
         wait_round(&spin);
+}
+
+static void team_run(Team *t, void (*work)(void *, Py_ssize_t, int), void *ctx)
+{
+    team_begin(t, work, ctx);
+    team_finish(t);
 }
 
 static void team_stop(Team *t)
@@ -485,10 +519,12 @@ static void team_stop(Team *t)
     t->helpers = 0;
 }
 
-/* Start threads - 1 helpers for the team's work and parts, with the GIL
- * held. Returns -1, with MemoryError set, when their allocation fails.
- * When a thread does not start, those already started are stopped and
- * every job runs on the calling thread alone. */
+/* Start threads - 1 helpers for the team's parts, with the GIL held, each
+ * allowed every CPU of the process's affinity mask but the one the calling
+ * thread runs on; with no CPU left, or off Linux, none starts. Returns -1,
+ * with MemoryError set, when their allocation fails. When a thread does not
+ * start, those already started are stopped and every job runs on the
+ * calling thread alone. */
 static int team_start(Team *t, int threads)
 {
     t->helpers = 0;
@@ -497,20 +533,33 @@ static int team_start(Team *t, int threads)
     atomic_init(&t->quit, 0);
     atomic_init(&t->next, 0);
     atomic_init(&t->finished, 0);
-    if (threads < 2)
+#if defined(__linux__)
+    cpu_set_t set;
+    pthread_attr_t attr;
+    int cpu;
+    if (threads < 2 || sched_getaffinity(0, sizeof set, &set) != 0)
+        return 0;
+    if ((cpu = sched_getcpu()) >= 0 && cpu < CPU_SETSIZE)
+        CPU_CLR(cpu, &set);
+    if (CPU_COUNT(&set) == 0)
         return 0;
     if ((t->member = PyMem_Malloc((threads - 1) * sizeof(Member))) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (int h = 0; h < threads - 1; h++) {
-        t->member[h] = (Member){.team = t, .slot = h + 1};
-        if (pthread_create(&t->member[h].id, NULL, team_helper, &t->member[h]) != 0) {
-            team_stop(t);
-            break;
+    if (pthread_attr_init(&attr) != 0)
+        return 0;
+    if (pthread_attr_setaffinity_np(&attr, sizeof set, &set) == 0)
+        for (int h = 0; h < threads - 1; h++) {
+            t->member[h] = (Member){.team = t, .slot = h + 1};
+            if (pthread_create(&t->member[h].id, &attr, team_helper, &t->member[h]) != 0) {
+                team_stop(t);
+                break;
+            }
+            t->helpers = h + 1;
         }
-        t->helpers = h + 1;
-    }
+    pthread_attr_destroy(&attr);
+#endif
     return 0;
 }
 
@@ -522,14 +571,15 @@ static void scan_chunk(void *ctx, Py_ssize_t c, int slot)
     s->chunk[c] = scan_range(s, c * CHUNK_TILES, t1 < tiles ? t1 : tiles);
 }
 
-/* A walk's scan: the team runs the chunks, and the farthest point is
- * taken over them in order, a strictly larger sq replacing the best, so
- * the lowest index wins a tie, as in one pass over every tile. */
+/* The end of a walk's scan, begun with scan_chunk: the team finishes the
+ * chunks, and the farthest point is taken over them in order, a strictly
+ * larger sq replacing the best, so the lowest index wins a tie, as in one
+ * pass over every tile. */
 static Py_ssize_t team_scan(Team *t)
 {
     const Scan *s = t->ctx;
     Farthest best = {.far = -1, .top = -1};
-    team_run(t);
+    team_finish(t);
     for (Py_ssize_t c = 0; c < t->parts; c++)
         if (s->chunk[c].top > best.top)
             best = s->chunk[c];
@@ -641,8 +691,8 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_ssize_t rows = BLOCK_VALUES / (ny > 0 ? ny : 1) + 1;
     KernelSum k = {.x = x, .y = y, .coef = coef, .out = out, .nx = nx, .ny = ny, .d = d, .p = p,
                    .rows = rows, .kind = kind, .a = a, .b = b, .c = c};
-    Team team = {.work = kernel_block, .ctx = &k, .parts = (nx + rows - 1) / rows};
-    int threads = threads_for(nx * ny, SPLIT_VALUES);
+    Team team = {.parts = (nx + rows - 1) / rows};
+    int threads = threads_for(nx * ny, SPLIT_VALUES, 1);
     if (!PyErr_Occurred()
         && (k.scratch = PyMem_Malloc(threads * TILE * (d + p + 1) * sizeof(double))) == NULL)
         PyErr_NoMemory();
@@ -652,7 +702,7 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    team_run(&team);
+    team_run(&team, kernel_block, &k);
     team_stop(&team);
     Py_END_ALLOW_THREADS
     PyMem_Free(team.member);
@@ -697,16 +747,18 @@ static double seconds_since(const struct timespec *t0)
     return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
 }
 
-/* What every step of a fit reads and writes: the points coordinate-major
- * in xt, their squared distances to the support in sq, the order of an
- * ordered walk (NULL for the greedy one), the indices and record for cap
- * points, scratch, d + cap * d doubles: the candidate's coordinates and the
- * support's, coordinate-major, and the team that runs the scans, of the
- * candidate's coordinates in scratch against xt into sq, with one shape sum
- * per tile. */
+/* What every step of a fit reads and writes: the points as the caller
+ * gave them in x, coordinate-major in xt, their squared distances to the
+ * support in sq, the order of an ordered walk (NULL for the greedy one),
+ * the indices and record for cap points, scratch, d + cap * d doubles: the
+ * candidate's coordinates and the support's, coordinate-major, and the
+ * team that runs the scan, of the candidate's coordinates in scratch
+ * against xt into sq, with one shape sum per tile. */
 typedef struct {
+    const double *x;
     double *xt, *sq, *record, *scratch;
     Team *team;
+    Scan *scan;
     Py_ssize_t n, d, cap, count;
     int kind;
     double a, b, c, threshold, epsilon;
@@ -715,29 +767,52 @@ typedef struct {
     struct timespec t0;
 } Walk;
 
+/* Chunk c of a walk's first job: its points copied coordinate-major into
+ * xt and their distances to the support set to +inf. */
+static void load_chunk(void *ctx, Py_ssize_t c, int slot)
+{
+    const Walk *w = ctx;
+    Py_ssize_t i0 = c * CHUNK_TILES * TILE, i1 = i0 + CHUNK_TILES * TILE;
+    i1 = i1 < w->n ? i1 : w->n;
+    load_tile(w->xt + i0, w->x, i0, i1 - i0, w->n, w->d);
+    for (Py_ssize_t i = i0; i < i1; i++)
+        w->sq[i] = INFINITY;
+}
+
 /* The one fit step of candidate j as support point k, as
  * skm._backend._numpy_impl's _Walk.step describes it. Returns the farthest
  * point from the new support, or -1 for a dependent j, which changes
- * nothing but the record's pivot of point k. Inlined into each walk, so
- * every clone forms the rows at its own vector width. */
+ * nothing but the record's pivot of point k. A greedy walk with helpers
+ * begins the scan before it forms the pivot row, and a dependent j, which
+ * ends it, lowers only the walk's own distances; the ordered walk goes on
+ * past a dependent j, so it scans only once j is kept. Inlined into each
+ * walk, so every clone forms the rows at its own vector width. */
 static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t
 fit_step(const Walk *w, double *packed, Py_ssize_t k, Py_ssize_t j)
 {
     const Py_ssize_t n = w->n, d = w->d, cap = w->cap;
+    const int ahead = w->order == NULL && w->team->helpers > 0;
     double *pivots = w->record + REC_PIVOT * cap, *kappa = w->record + REC_KAPPA * cap,
            *v = w->record + REC_V * cap, *e = w->record + REC_E * cap;
     double *y = w->scratch, *kt = y + d, *row = packed + k * (k + 1) / 2;
     for (Py_ssize_t q = 0; q < d; q++)
         y[q] = w->xt[q * n + j];
+    if (ahead)
+        team_begin(w->team, scan_chunk, w->scan);
     pivots[k] = pivot_row(packed, k, y, kt, cap, d, w->kind, w->a, w->b, w->c);
-    if (!(pivots[k] > w->threshold))
+    if (!(pivots[k] > w->threshold)) {
+        if (ahead)
+            team_finish(w->team);
         return -1;
+    }
     row[k] = sqrt(pivots[k]);
     for (Py_ssize_t q = 0; q < d; q++)
         kt[q * cap + k] = y[q];
+    if (!ahead)
+        team_begin(w->team, scan_chunk, w->scan);
     Py_ssize_t far = team_scan(w->team);
     /* the tiles' sums in tile order, whatever thread formed each */
-    kappa[k] = w->c * sum8(((const Scan *)w->team->ctx)->sums, tiles_of(n)) / (double)n;
+    kappa[k] = w->c * sum8(w->scan->sums, tiles_of(n)) / (double)n;
     v[k] = (kappa[k] - dot(row, v, k)) / row[k];
     e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
     w->indices[k] = j;
@@ -793,8 +868,9 @@ static PyObject *walk(PyObject *args, int ordered)
     PyObject *xo, *oo = NULL, *io, *ro, *packed = NULL;
     Scan scan;
     Farthest *chunk = NULL;
-    Team team = {.work = scan_chunk, .ctx = &scan, .helpers = 0, .member = NULL};
-    Walk w = {.xt = NULL, .sq = NULL, .epsilon = 0.0, .order = NULL, .count = 0, .team = &team};
+    Team team = {.helpers = 0, .member = NULL};
+    Walk w = {.xt = NULL, .sq = NULL, .epsilon = 0.0, .order = NULL, .count = 0, .team = &team,
+              .scan = &scan};
     Views vs = {.count = 0};
     Py_ssize_t m = 0, pos = 0;  /* the ordered walk's place in its order, or the next candidate */
     int stop = GROW;
@@ -808,7 +884,7 @@ static PyObject *walk(PyObject *args, int ordered)
         PyErr_Format(PyExc_ValueError, "unknown shape kind %d", w.kind);
         return NULL;
     }
-    const double *x = borrow(&vs, xo, "points", 2, -1, 0);
+    const double *x = w.x = borrow(&vs, xo, "points", 2, -1, 0);
     w.n = x ? vs.view[0].shape[0] : 0;
     w.d = x ? vs.view[0].shape[1] : 0;
     if (x != NULL && ordered) {
@@ -846,13 +922,16 @@ static PyObject *walk(PyObject *args, int ordered)
         w.scratch = w.sq + w.n;
         scan = (Scan){.xt = w.xt, .y = w.scratch, .sq = w.sq, .sums = w.scratch + scratch,
                       .chunk = chunk, .n = w.n, .d = w.d, .kind = w.kind, .a = w.a, .b = w.b};
-        Py_BEGIN_ALLOW_THREADS
-        load_tile(w.xt, x, 0, w.n, w.n, w.d);
-        for (Py_ssize_t i = 0; i < w.n; i++)
-            w.sq[i] = INFINITY;
-        Py_END_ALLOW_THREADS
-        if (team_start(&team, threads_for(w.n, SPLIT_POINTS)) < 0)
+        /* a greedy walk whose pivot rows are long enough takes a helper to
+         * scan while it forms them */
+        int overlap = !ordered && (double)w.n * (double)w.cap >= OVERLAP_WORK;
+        if (team_start(&team, threads_for(w.n, SPLIT_POINTS, overlap ? 2 : 1)) < 0)
             Py_CLEAR(packed);
+    }
+    if (packed != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        team_run(&team, load_chunk, &w);
+        Py_END_ALLOW_THREADS
     }
     while (packed != NULL && stop == GROW) {
         Py_ssize_t rows = 2 * m > 16 ? 2 * m : 16;

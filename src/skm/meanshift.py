@@ -26,6 +26,8 @@ from .sparse_mean import SparseKernelMean
 # distances of the comparisons.
 _MARGIN = 1e-12
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class ShiftResult:
@@ -72,7 +74,8 @@ def _shift(x0, mean: SparseKernelMean, gamma: float, max_iter: int):
     """
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    max_iter = _integer_in("max_iter", max_iter, 1, math.inf, "max_iter >= 1")
+    # the iteration counts are an int64 array
+    max_iter = _integer_in("max_iter", max_iter, 1, _INT64_MAX, "1 <= max_iter <= 2**63 - 1")
     _check_weights(mean)
     x = np.array(x0, dtype=np.float64)
     iterations = np.full(x.shape[0], max_iter, dtype=np.int64)

@@ -124,9 +124,10 @@ def test_shift_rejects_max_iter_below_one(max_iter):
     # With no iteration allowed every point would come back unshifted.
     data = DataSet(np.array([[0.0], [1.0]]))
     mean = full_mean(data, DENS)
-    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1"):
+    refusal = r"max_iter must be an integer with 1 <= max_iter <= 2\*\*63 - 1"
+    with pytest.raises(ValueError, match=refusal):
         shift_one([0.5], mean, gamma=1e-3, max_iter=max_iter)
-    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1"):
+    with pytest.raises(ValueError, match=refusal):
         mean_shift_all(data, mean, gamma=1e-3, max_iter=max_iter)
 
 
@@ -134,8 +135,20 @@ def test_shift_rejects_max_iter_below_one(max_iter):
 def test_shift_rejects_a_max_iter_that_is_not_an_integer(max_iter):
     # 1.5 is not rounded, and True is not read as one round.
     data = DataSet(np.array([[0.0], [1.0]]))
-    with pytest.raises(ValueError, match="max_iter must be an integer with max_iter >= 1 "
+    with pytest.raises(ValueError, match=r"max_iter must be an integer with "
+                                         r"1 <= max_iter <= 2\*\*63 - 1 "
                                          rf"\(max_iter={max_iter!r}\)$"):
+        mean_shift_all(data, full_mean(data, DENS), gamma=1e-3, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [2 ** 63, 10 ** 20])
+def test_shift_rejects_a_max_iter_above_int64_by_name(max_iter):
+    # The iteration counts are int64; a larger count is refused before any
+    # round, not left to overflow in numpy.
+    data = DataSet(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match=r"max_iter must be an integer with "
+                                         r"1 <= max_iter <= 2\*\*63 - 1 "
+                                         rf"\(max_iter={max_iter}\)$"):
         mean_shift_all(data, full_mean(data, DENS), gamma=1e-3, max_iter=max_iter)
 
 

@@ -1,10 +1,14 @@
 """Results that do not depend on the number of threads.
 
-The compiled backend splits a fit's scans over more than 16384 points, and
-a kernel sum over more than 2**20 values, over the CPUs of the process's
-affinity mask. Two child processes make the same calls on the compiled
-backend built from the source tree: one pinned to a single CPU, which takes
-the one-thread path, and one on every CPU. They must agree bit for bit.
+The compiled backend splits a fit's scans over more than 16384 points, or
+over fewer in a greedy fit whose points times capacity reach 2**22, and a
+kernel sum over more than 2**20 values, over the CPUs of the process's
+affinity mask; a greedy fit with helper threads scans while it forms each
+candidate's pivot row. Two child processes make the same calls on the
+compiled backend built from the source tree: one pinned to a single CPU,
+which takes the one-thread path, and one on the CPUs the test may use (on
+every CPU when that is only one). They must agree bit for bit, and no call
+may change the process's affinity mask.
 """
 
 import json
@@ -33,13 +37,14 @@ import numpy as np
 path, mode, dest = sys.argv[1:4]
 if mode == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-else:
+elif len(os.sched_getaffinity(0)) < 2:  # a run pinned to one CPU tests on every CPU
     os.sched_setaffinity(0, range(os.cpu_count()))
 spec = importlib.util.spec_from_file_location("_fastcore", path)
 fc = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(fc)
 rows, threshold, tie = fc.RECORD_ROW_COUNT, float(sys.argv[4]), json.loads(sys.argv[5])
-results = {"cpus": np.array(len(os.sched_getaffinity(0)))}
+before = sorted(os.sched_getaffinity(0))
+results = {"cpus": np.array(len(before))}
 
 def greedy(name, points, kind, a, b, epsilon, cap):
     indices, record = np.full(cap, -1), np.full((rows, cap), np.nan)
@@ -67,12 +72,28 @@ for kind, a, b in ((0, 0.3, 0.0), (1, 0.6, 0.0), (2, 0.4, 1.5)):
 order = rng.permutation(points.shape[0])[:100]
 order[50] = order[10]  # a dependent candidate, dropped
 ordered("ordered", points, 2, 0.4, 1.5, order)
+# Below 16384 points, with points times capacity above 2**22: the scans
+# overlap the pivot rows. Run to its budget.
+deep = rng.standard_normal((8000, 5))
+greedy("deep", deep, 0, 0.5, 0.0, 0.0, 600)
+# The same rule with a kernel so wide that the Gram matrix is numerically
+# singular: the walk ends at a dependent candidate, whose scan was made
+# while its pivot row was formed.
+wide = rng.standard_normal((8000, 2))
+greedy("wide", wide, 0, 0.005, 0.0, 0.0, 600)
+# A kernel so wide that most of the order is dependent. The point at
+# (2.5, 0) is dropped, and then the points at (-300, 0) and (1000, 0) are
+# kept: a scan made for the dropped one would lower the last point's
+# distance to the support, the largest, and so the radius of the one before.
+flat = np.vstack([rng.standard_normal((20000, 2)), [[2.5, 0.0], [-300.0, 0.0], [1000.0, 0.0]]])
+ordered("flat", flat, 0, 0.005, 0.0, np.array([*range(60), 20000, 20001, 20002]))
 # 5003 x 300 kernel values, above 2**20, in more than one tile of ys.
 xs, ys, coef = rng.standard_normal((5003, 4)), rng.standard_normal((300, 4)), rng.standard_normal((300, 2))
 for kind, a, b in ((0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 2.0)):
     out = np.empty((xs.shape[0], 2))
     fc.kernel_sums(xs, ys, coef, kind, a, b, 1.5, out)
     results[f"sums{kind}"] = out
+results["affinity"] = np.array([before, sorted(os.sched_getaffinity(0))])
 np.savez(dest, **results)
 """
 
@@ -91,6 +112,9 @@ def test_compiled_results_do_not_depend_on_the_thread_count(fastcore, tmp_path):
     # On one CPU there is no second thread, and nothing would be compared.
     assert one.pop("cpus") == 1
     assert every.pop("cpus") >= 2, "the test needs a machine with two CPUs or more"
+    for run in (one, every):
+        before, after = run.pop("affinity")
+        assert_array_equal(before, after, err_msg="a call changed the affinity mask")
     assert one.keys() == every.keys()
     seconds = RECORD_ROWS.index("seconds")
     for name in one:
@@ -101,3 +125,7 @@ def test_compiled_results_do_not_depend_on_the_thread_count(fastcore, tmp_path):
     assert one["tied_indices"][1] == TIE[0]
     assert one["tied_stop"] == "budget" and one["tied_m"][0] == 60
     assert one["ordered_m"] == 99
+    kept = one["flat_indices"][:one["flat_m"]]
+    assert kept.size < 40 and 20000 not in kept and list(kept[-2:]) == [20001, 20002]
+    assert one["deep_stop"] == "budget" and one["deep_m"][0] == 600
+    assert one["wide_stop"] == "dependent" and one["wide_m"][0] < 600
