@@ -34,20 +34,36 @@ supports, skipped candidates and radii may not. An extension built from
 an older `_fastcore.c` that lacks a primitive, or whose record has another
 number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
-The compiled fits split their scans over more than 16384 points, a
+A compiled greedy fit serves several centers with one pass over the
+points where a pass streams more than a core's L2: n (d + 1) doubles above
+2 MB. After each such pass it ranks the 33 farthest points (lowest index
+first on ties), reading only the tiles whose largest distance reaches the
+33rd-largest tile maximum, and certifies up to 7 more centers from that
+list alone: it lowers the 32 listed distances by each new center with the
+pass's own arithmetic and takes the farthest listed point while it is
+strictly farther than the 33rd, which bounds every point not listed. The
+next pass then runs each tile through every center of the batch in order,
+so each center, distance, kappa and record entry is the one-center walk's
+bit for bit, and each tile is read from memory once a batch. The stop
+tests are made in step order, and the centers of a batch after a stop are
+discarded. Smaller greedy fits, ordered fits, `farthest_scan` and the
+numpy backend pass once per center.
+
+The compiled fits split their passes over more than 16384 points, a
 compiled greedy fit does so too once its points times capacity reach
 2**22, and the compiled kernel sums of more than 2**20 values split, over
 threads, up to the CPUs of the process's affinity mask (one CPU, one
 thread). The helper threads may run on every CPU of that mask but the one
 the calling thread ran on when it started them, and the process's own mask
 is left as it was; the threads end before the call returns. A greedy fit
-with helpers has them scan for each candidate while the calling thread
-forms its pivot row, since its first dependent candidate ends the fit; an
-ordered fit, which goes on past a dependent candidate, tests the pivot
-before it scans. Each part of the work writes only its own outputs and
-every sum keeps one order (kappa sums each tile's shape values, then the
-tiles' sums in tile order), so no result depends on the number of threads.
-The numpy backend and `farthest_scan` run on the calling thread.
+with helpers has them pass over the points for each batch while the
+calling thread forms its centers' pivot rows, since its first dependent
+candidate ends the fit; an ordered fit, which goes on past a dependent
+candidate, tests the pivot before it passes. Each part of the work writes
+only its own outputs and every sum keeps one order (kappa sums each tile's
+shape values, then the tiles' sums in tile order), so no result depends on
+the number of threads. The numpy backend and `farthest_scan` run on the
+calling thread.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on

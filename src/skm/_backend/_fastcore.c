@@ -9,11 +9,11 @@
  * farthest-first step writes each distance once. The tile's maximum is
  * taken over the int64 bit patterns of the distances, which order as the
  * non-negative doubles do and which gcc vectorises; a bare scan flags a
- * NaN of either sign in the same pass and raises. In a fit step the
- * scan then applies the shape to the tile's distances in place while they
- * are in L1 and sums it in 8 partial sums, and the tiles' sums, in tile
- * order and 8 partial sums again, give the kernel row mean of the new
- * center from the same pass. The distances sum the coordinates in the
+ * NaN of either sign in the same pass and raises. A fit's pass then
+ * applies the shape to the tile's distances in place while they are in L1
+ * and sums it in 8 partial sums, and the tiles' sums, in tile order and 8
+ * partial sums again, give the kernel row mean of the new center from the
+ * same pass. The distances sum the coordinates in the
  * order k = 0..d-1, as the numpy scan does, so both backends pick the same
  * points.
  *
@@ -34,46 +34,71 @@
  * Gram row against the kept points is formed with the same distance, shape
  * and dot code and solved forward against the packed lower factor L, row i
  * at offset i(i+1)/2, row after row with the same 8-partial-sum dot, and
- * the candidate is kept when its pivot passes a threshold. Only a kept
- * candidate then gets the scan with the shape sum, v_m and E_m, the
- * radius and the step's time. The greedy fit walks farthest-first and
- * stops at its first dependent candidate or a stop test; the ordered fit
- * walks a given order and drops each dependent candidate. Each walk
- * copies the points coordinate-major and keeps their distances to the
- * support and the support's coordinates, for the capacity, in a second
- * block. The packed factor is a bytearray of 16 rows that doubles, up to
- * the capacity, each time it fills, resized with the GIL held between
- * runs of the steps, and is returned cut to the rows kept. Once the walk
- * ends, the weights alpha = L^{-T} v are solved into the record's alpha row
- * as one axpy along each row of L from the last up. v_m takes w'v from the
- * same 8-partial-sum dot as the factor, where the numpy backend uses BLAS,
- * so E_m and the weights may differ from the numpy backend's in the last
- * bits; the supports, skipped candidates and radii do not.
+ * the candidate is kept when its pivot passes a threshold. A kept
+ * candidate's center then gets a pass with the shape sum, and v_m and E_m,
+ * the radius and the step's time follow. The greedy fit walks
+ * farthest-first and stops at its first dependent candidate or a stop
+ * test; the ordered fit walks a given order and drops each dependent
+ * candidate. Each walk copies the points coordinate-major and keeps their
+ * distances to the support and the support's coordinates, for the
+ * capacity, in a second block. The packed factor is a bytearray of 16 rows
+ * that doubles, up to the capacity, each time it fills, resized with the
+ * GIL held between runs of the steps, and is returned cut to the rows
+ * kept. Once the walk ends, the weights alpha = L^{-T} v are solved into
+ * the record's alpha row as one axpy along each row of L from the last up.
+ * v_m takes w'v from the same 8-partial-sum dot as the factor, where the
+ * numpy backend uses BLAS, so E_m and the weights may differ from the numpy
+ * backend's in the last bits; the supports, skipped candidates and radii
+ * do not.
  *
- * A fit's scans over more than SPLIT_POINTS (16384) points, the scans of a
- * greedy fit whose points times capacity reach OVERLAP_WORK (2^22), and
+ * One pass serves several greedy centers where a pass streams more than a
+ * core's L2, n (d + 1) doubles above BATCH_BYTES (2 MB). After each such
+ * pass the walk ranks the LIST (33) farthest points, farthest first and
+ * lowest index first on ties, reading only the tiles whose maximum reaches
+ * the 33rd-largest tile maximum. The next batch starts at the farthest
+ * point and certifies up to BATCH - 1 (7) more centers from the list alone:
+ * it lowers the 32 listed distances by each new center with dist_row's
+ * arithmetic and takes the farthest listed point while it is strictly
+ * farther than the 33rd, which bounds every point not listed, as distances
+ * only fall. So each center is the one the one-center walk would pick, and
+ * its certified distance is the exact radius of the center before it. The
+ * pass then runs, for each tile and for each center in order, dist_row,
+ * the lowering with its maximum, the shape and the sum into that center's
+ * tile sum, so kappa, the distances and every record entry keep the
+ * one-center walk's arithmetic while each tile is read once per batch. The
+ * pivot rows are formed and the dependent, ratio and radius tests made in
+ * step order; the centers of a batch after a stop are discarded, and a
+ * batch never holds more centers than packed rows are left. Below the gate
+ * a greedy pass serves one center, as the ordered walk's always does, and
+ * the farthest point is ranked alone.
+ *
+ * A fit's passes over more than SPLIT_POINTS (16384) points, the passes of
+ * a greedy fit whose points times capacity reach OVERLAP_WORK (2^22), and
  * kernel sums of more than SPLIT_VALUES (2^20) values run on several
- * threads, up to the CPUs of the process's affinity mask: a scan in chunks
+ * threads, up to the CPUs of the process's affinity mask: a pass in chunks
  * of 16 tiles, a kernel sum in blocks of x rows, which the calling thread
  * and its helpers claim one at a time. The helpers may run on every CPU of
  * that mask but the one the calling thread started them on, so none
  * time-shares its CPU with the caller where the kernel does not move
  * threads; with one CPU none starts. A greedy walk with helpers publishes
- * each step's scan before it forms the candidate's pivot row, so the
- * helpers scan while the calling thread forms the row and solves it, and
- * the calling thread then claims the chunks left. Its first dependent
- * candidate ends the walk, so the scan made for that one lowers only the
- * walk's own distances; the ordered walk drops a dependent candidate and
- * goes on, so it tests the pivot before it scans. A walk's first job
- * copies the points coordinate-major and sets their distances to +inf, one
- * chunk of points per part. A fit starts its helpers and joins them before
- * it returns; a kernel sum does the same for itself. Each chunk or block
- * writes only its own outputs: the farthest points of the chunks are
- * merged in chunk order, lowest index on ties, the shape sums are per
- * tile, and an out row is summed in the same order in any block. So no
- * result depends on the number of threads or on which thread ran a part.
- * A thread that does not start leaves its work to the calling thread. The
- * bare scan runs on the calling thread alone.
+ * each batch's pass before it forms the centers' pivot rows, so the
+ * helpers pass over the points while the calling thread forms the rows and
+ * solves them, and the calling thread then claims the chunks left. Its
+ * first dependent candidate ends the walk, so the pass made for that one
+ * lowers only the walk's own distances; a walk without helpers forms the
+ * rows first and passes for the centers kept, and the ordered walk, which
+ * drops a dependent candidate and goes on, tests the pivot before it
+ * passes. A walk's first job copies the points coordinate-major and sets
+ * their distances to +inf, one chunk of points per part. A fit starts its
+ * helpers and joins them before it returns; a kernel sum does the same for
+ * itself. Each chunk or block writes only its own outputs: each tile's
+ * maximum and shape sums, which are ranked and summed in tile order, and
+ * an out row, summed in the same order in any block. So no result depends
+ * on the number of threads or on which thread ran a part. A thread that
+ * does not start leaves its work to the calling thread. The bare scan runs
+ * on the calling thread alone. A walk keeps its state on its own stack and
+ * heap blocks, and the module keeps no mutable static state, so fits in
+ * several Python threads at once do not interfere.
  *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 (int64 for a fit's order and support indices) of the right
@@ -322,70 +347,85 @@ static inline NO_CONTRACT double sum8(const double *u, Py_ssize_t w)
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* The farthest point of a range of tiles: its index, the int64 bit pattern
- * of its sq (-1 for no points, and then far is -1) and the NaN flag. */
+/* A farthest point: its index, the int64 bit pattern of its sq (-1 for no
+ * points, and then far is -1) and, from a bare scan, the NaN flag. */
 typedef struct {
     Py_ssize_t far;
     int64_t top, nan;
 } Farthest;
-
-/* One farthest-first pass for the center y over the n points of the
- * coordinate-major d x n array xt: sq[i] = min(sq[i], ||x_i - y||^2). With a
- * shape kind >= 0 the pass also writes sums[t], the sum of shape(||x_i -
- * y||^2) over the points of tile t. A pass in chunks of CHUNK_TILES tiles
- * writes chunk c's farthest point to chunk[c]. */
-typedef struct {
-    const double *xt, *y;
-    double *sq, *sums;
-    Farthest *chunk;
-    Py_ssize_t n, d;
-    int kind;
-    double a, b;
-} Scan;
 
 static inline Py_ssize_t tiles_of(Py_ssize_t n)
 {
     return (n + TILE - 1) / TILE;
 }
 
-/* The pass over tiles t0 .. t1 - 1: each tile's squared distances are
- * formed in r and lowered into sq, and the range's largest sq is found,
- * lowest index on ties. With a shape kind >= 0, shape(r) is then formed in
- * place while the tile is in L1 and summed in 8 partial sums into the
- * tile's entry of sums. */
-static CLONED Farthest scan_range(const Scan *s, Py_ssize_t t0, Py_ssize_t t1)
+/* The bare scan for the center y over the n points of the coordinate-major
+ * d x n array xt: each tile's squared distances are formed in r and lowered
+ * into sq, sq[i] = min(sq[i], ||x_i - y||^2), and the largest sq is found,
+ * lowest index on ties. */
+static CLONED Farthest scan_tiles(const double *xt, const double *y, double *sq, Py_ssize_t n,
+                                  Py_ssize_t d)
 {
     Farthest best = {.far = -1, .top = -1, .nan = 0};
     double r[TILE];
-    for (Py_ssize_t t = t0; t < t1; t++) {
-        Py_ssize_t i0 = t * TILE, w = s->n - i0 < TILE ? s->n - i0 : TILE, j;
-        double *q = s->sq + i0;
+    for (Py_ssize_t i0 = 0; i0 < n; i0 += TILE) {
+        Py_ssize_t w = n - i0 < TILE ? n - i0 : TILE, j;
         int64_t mx;
-        dist_row(r, s->y, s->xt + i0, w, s->n, s->d);
-        /* The greedy fit's distances start at +inf, and a NaN distance
-         * never replaces one, so none is NaN. */
-        mx = s->kind < 0 ? lower_max(q, r, w, &best.nan) : lower_max(q, r, w, NULL);
+        dist_row(r, y, xt + i0, w, n, d);
+        mx = lower_max(sq + i0, r, w, &best.nan);
         if (mx > best.top) {  /* strict: a tie with an earlier tile keeps its index */
             best.top = mx;
-            for (j = 0; bits_of(q[j]) != mx; j++)
+            for (j = 0; bits_of(sq[i0 + j]) != mx; j++)
                 ;
             best.far = i0 + j;
-        }
-        if (s->kind >= 0) {
-            shape_row(r, w, s->kind, s->a, s->b);
-            s->sums[t] = sum8(r, w);
         }
     }
     return best;
 }
 
-/* A walk's scans and the kernel sums are cut into parts: a scan into chunks
- * of CHUNK_TILES tiles, a kernel sum into blocks of rows of about
+/* A fit's pass for its centers, coordinate-major in ys (d doubles each),
+ * over the points xt: for each tile, and for each center in order, the
+ * tile's squared distances to the center are formed in r and lowered into
+ * sq, and shape(r) is formed in place while the tile is in L1 and summed
+ * in 8 partial sums into sums[i * tiles + t], center i's sum over tile t.
+ * top[t] is then the int64 bit pattern of tile t's largest sq. Each center
+ * gets the arithmetic of a pass of its own, so one pass for several
+ * centers lowers sq and sums each center's shape bit for bit as one pass
+ * per center would, while each tile is read from memory once. */
+typedef struct {
+    const double *xt;
+    double *ys, *sq, *sums;
+    int64_t *top;
+    Py_ssize_t n, d, tiles, centers;
+    int kind;
+    double a, b;
+} Pass;
+
+static CLONED void pass_tiles(const Pass *p, Py_ssize_t t0, Py_ssize_t t1)
+{
+    double r[TILE];
+    for (Py_ssize_t t = t0; t < t1; t++) {
+        Py_ssize_t i0 = t * TILE, w = p->n - i0 < TILE ? p->n - i0 : TILE;
+        int64_t mx = -1;
+        for (Py_ssize_t i = 0; i < p->centers; i++) {
+            dist_row(r, p->ys + i * p->d, p->xt + i0, w, p->n, p->d);
+            /* A fit's distances start at +inf, and a NaN distance never
+             * replaces one, so none is NaN. */
+            mx = lower_max(p->sq + i0, r, w, NULL);
+            shape_row(r, w, p->kind, p->a, p->b);
+            p->sums[i * p->tiles + t] = sum8(r, w);
+        }
+        p->top[t] = mx;
+    }
+}
+
+/* A walk's passes and the kernel sums are cut into parts: a pass into
+ * chunks of CHUNK_TILES tiles, a kernel sum into blocks of rows of about
  * BLOCK_VALUES kernel values. A team of threads claims the parts one at a
  * time, so a thread whose CPU is busy elsewhere takes fewer of them. Each
- * part writes only its own entries (its chunk's farthest point and tile
- * sums, its block's rows), whichever thread runs it, so the results do not
- * depend on the number of threads. A scan gets more than one thread above
+ * part writes only its own entries (its tiles' maxima and sums, its block's
+ * rows), whichever thread runs it, so the results do not depend on the
+ * number of threads. A pass gets more than one thread above
  * SPLIT_POINTS points and a kernel sum above SPLIT_VALUES values: below, a
  * split scan has too few chunks to share (on a 2-vCPU Xeon VM, a 600-point
  * fit of 10000 points in d = 5 took 18-19 ms with its scans split at 4096
@@ -563,27 +603,12 @@ static int team_start(Team *t, int threads)
     return 0;
 }
 
-/* Chunk c of a scan: tiles c * CHUNK_TILES on. */
-static void scan_chunk(void *ctx, Py_ssize_t c, int slot)
+/* Chunk c of a pass: tiles c * CHUNK_TILES on. */
+static void pass_chunk(void *ctx, Py_ssize_t c, int slot)
 {
-    const Scan *s = ctx;
-    Py_ssize_t t1 = (c + 1) * CHUNK_TILES, tiles = tiles_of(s->n);
-    s->chunk[c] = scan_range(s, c * CHUNK_TILES, t1 < tiles ? t1 : tiles);
-}
-
-/* The end of a walk's scan, begun with scan_chunk: the team finishes the
- * chunks, and the farthest point is taken over them in order, a strictly
- * larger sq replacing the best, so the lowest index wins a tie, as in one
- * pass over every tile. */
-static Py_ssize_t team_scan(Team *t)
-{
-    const Scan *s = t->ctx;
-    Farthest best = {.far = -1, .top = -1};
-    team_finish(t);
-    for (Py_ssize_t c = 0; c < t->parts; c++)
-        if (s->chunk[c].top > best.top)
-            best = s->chunk[c];
-    return best.far;
+    const Pass *p = ctx;
+    Py_ssize_t t1 = (c + 1) * CHUNK_TILES;
+    pass_tiles(p, c * CHUNK_TILES, t1 < p->tiles ? t1 : p->tiles);
 }
 
 static PyObject *farthest_scan(PyObject *self, PyObject *args)
@@ -608,12 +633,11 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < d; k++)
         y[k] = xt[k * n + j];
-    Scan scan = {.xt = xt, .y = y, .sq = sq, .n = n, .d = d, .kind = -1};
-    Farthest f = scan_range(&scan, 0, tiles_of(n));
+    Farthest f = scan_tiles(xt, y, sq, n, d);
     far = f.nan ? -1 : f.far;
     Py_END_ALLOW_THREADS
     PyMem_Free(y);
-    /* scan_range finds no farthest point among negative distances, nor
+    /* scan_tiles finds no farthest point among negative distances, nor
      * any when one is NaN; sq has already been lowered */
     if (far < 0 || !(sq[far] >= 0.0))
         PyErr_SetString(PyExc_ValueError, "the farthest sqdist entry is negative or NaN");
@@ -747,23 +771,38 @@ static double seconds_since(const struct timespec *t0)
     return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
 }
 
+/* Most centers one greedy pass serves, and the points ranked after each
+ * batched pass: the LIST - 1 farthest are listed, and the distance of the
+ * next one bounds every point not listed. A greedy walk batches once a pass
+ * streams more than a core's L2, n (d + 1) doubles above BATCH_BYTES. On a
+ * 2-vCPU Xeon VM, a pass that sits in L2 gained nothing from batching (a
+ * 600-point fit of 10000 points in d = 5 took 12.8 ms batched, 12.2 ms
+ * not), and fits of 2000 to 4000 points in d = 2 took 30-50% longer: the
+ * ranking and the centers a stop discards cost more than the passes
+ * saved. */
+#define BATCH 8
+#define LIST 33
+#define BATCH_BYTES (1 << 21)
+
 /* What every step of a fit reads and writes: the points as the caller
  * gave them in x, coordinate-major in xt, their squared distances to the
  * support in sq, the order of an ordered walk (NULL for the greedy one),
- * the indices and record for cap points, scratch, d + cap * d doubles: the
- * candidate's coordinates and the support's, coordinate-major, and the
- * team that runs the scan, of the candidate's coordinates in scratch
- * against xt into sq, with one shape sum per tile. */
+ * the indices and record for cap points, the support's coordinates,
+ * coordinate-major with cap entries per coordinate, in kt, the team and
+ * its pass, of up to `batch` centers (1 unless a greedy walk batches), and
+ * the points ranked after the last pass: the `listed` farthest, farthest
+ * first and lowest index first on ties. */
 typedef struct {
     const double *x;
-    double *xt, *sq, *record, *scratch;
+    double *xt, *sq, *record, *kt;
     Team *team;
-    Scan *scan;
-    Py_ssize_t n, d, cap, count;
-    int kind;
+    Pass pass;
+    Py_ssize_t n, d, cap, count, batch;
+    int kind, listed;
     double a, b, c, threshold, epsilon;
     const int64_t *order;
     int64_t *indices;
+    Farthest list[LIST];
     struct timespec t0;
 } Walk;
 
@@ -779,83 +818,226 @@ static void load_chunk(void *ctx, Py_ssize_t c, int slot)
         w->sq[i] = INFINITY;
 }
 
-/* The one fit step of candidate j as support point k, as
- * skm._backend._numpy_impl's _Walk.step describes it. Returns the farthest
- * point from the new support, or -1 for a dependent j, which changes
- * nothing but the record's pivot of point k. A greedy walk with helpers
- * begins the scan before it forms the pivot row, and a dependent j, which
- * ends it, lowers only the walk's own distances; the ordered walk goes on
- * past a dependent j, so it scans only once j is kept. Inlined into each
- * walk, so every clone forms the rows at its own vector width. */
-static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t
-fit_step(const Walk *w, double *packed, Py_ssize_t k, Py_ssize_t j)
+/* Offer point i, whose sq has the bit pattern bits, to the list of the
+ * `size` farthest points, *count of them so far, farthest first. Points are
+ * offered in increasing index order, so a point joins behind those as far
+ * as it and only when strictly farther than the last of a full list: the
+ * lowest index wins a tie. */
+static void rank(Farthest *list, int *count, int size, Py_ssize_t i, int64_t bits)
 {
-    const Py_ssize_t n = w->n, d = w->d, cap = w->cap;
-    const int ahead = w->order == NULL && w->team->helpers > 0;
-    double *pivots = w->record + REC_PIVOT * cap, *kappa = w->record + REC_KAPPA * cap,
-           *v = w->record + REC_V * cap, *e = w->record + REC_E * cap;
-    double *y = w->scratch, *kt = y + d, *row = packed + k * (k + 1) / 2;
-    for (Py_ssize_t q = 0; q < d; q++)
-        y[q] = w->xt[q * n + j];
-    if (ahead)
-        team_begin(w->team, scan_chunk, w->scan);
-    pivots[k] = pivot_row(packed, k, y, kt, cap, d, w->kind, w->a, w->b, w->c);
-    if (!(pivots[k] > w->threshold)) {
-        if (ahead)
-            team_finish(w->team);
-        return -1;
+    int p = *count < size ? *count : size - 1;
+    if (*count == size && bits <= list[size - 1].top)
+        return;
+    for (; p > 0 && list[p - 1].top < bits; p--)
+        list[p] = list[p - 1];
+    list[p] = (Farthest){.far = i, .top = bits};
+    *count += *count < size;
+}
+
+/* After a pass, rank the `size` farthest points into the walk's list. The
+ * size-th largest tile maximum bounds them from below, since the tiles of
+ * the size largest maxima hold size points at least as far; so only the
+ * tiles that reach it are read, each only while its maximum could still
+ * displace the last listed point. */
+static void rank_points(Walk *w, int size)
+{
+    const Pass *p = &w->pass;
+    Farthest *list = w->list;
+    int count = 0;
+    for (Py_ssize_t t = 0; t < p->tiles; t++)
+        rank(list, &count, size, t, p->top[t]);
+    const int64_t bound = count == size ? list[size - 1].top : -1;
+    count = 0;
+    for (Py_ssize_t t = 0; t < p->tiles; t++) {
+        if (p->top[t] < bound)
+            continue;
+        Py_ssize_t i1 = (t + 1) * TILE < w->n ? (t + 1) * TILE : w->n;
+        for (Py_ssize_t i = t * TILE; i < i1 && (count < size || p->top[t] > list[size - 1].top);
+             i++)
+            if (bits_of(w->sq[i]) >= bound)
+                rank(list, &count, size, i, bits_of(w->sq[i]));
     }
-    row[k] = sqrt(pivots[k]);
-    for (Py_ssize_t q = 0; q < d; q++)
-        kt[q * cap + k] = y[q];
-    if (!ahead)
-        team_begin(w->team, scan_chunk, w->scan);
-    Py_ssize_t far = team_scan(w->team);
-    /* the tiles' sums in tile order, whatever thread formed each */
-    kappa[k] = w->c * sum8(w->scan->sums, tiles_of(n)) / (double)n;
+    w->listed = count;
+}
+
+/* Run the pass for the first `centers` of the pass's centers: the team
+ * starts on it, and pass_end waits for it and ranks the points. */
+static void pass_begin(Walk *w, Py_ssize_t centers)
+{
+    w->pass.centers = centers;
+    team_begin(w->team, pass_chunk, &w->pass);
+}
+
+static void pass_end(Walk *w, int size)
+{
+    team_finish(w->team);
+    rank_points(w, size);
+}
+
+/* Try the center y as support point k: form its pivot row and, when the
+ * pivot passes the threshold, finish the row of L with its square root and
+ * add y to the support's coordinates. Returns the pivot. */
+static inline ALWAYS_INLINE NO_CONTRACT double try_center(const Walk *w, double *packed,
+                                                          Py_ssize_t k, const double *y)
+{
+    const double pivot = pivot_row(packed, k, y, w->kt, w->cap, w->d, w->kind, w->a, w->b, w->c);
+    if (pivot > w->threshold) {
+        packed[k * (k + 1) / 2 + k] = sqrt(pivot);
+        for (Py_ssize_t q = 0; q < w->d; q++)
+            w->kt[q * w->cap + k] = y[q];
+    }
+    return pivot;
+}
+
+/* Record candidate j, kept as support point k and center i of the last
+ * pass, as skm._backend._numpy_impl's _Walk.step does: kappa from the
+ * center's tile sums, in tile order whatever thread formed each, v_m, E_m,
+ * the index, the radius sqrt(far_sq) and the seconds. */
+static inline ALWAYS_INLINE NO_CONTRACT void keep(const Walk *w, const double *packed, Py_ssize_t k,
+                                                  Py_ssize_t j, Py_ssize_t i, double far_sq,
+                                                  double seconds)
+{
+    const Py_ssize_t cap = w->cap;
+    const double *row = packed + k * (k + 1) / 2;
+    double *kappa = w->record + REC_KAPPA * cap, *v = w->record + REC_V * cap,
+           *e = w->record + REC_E * cap;
+    kappa[k] = w->c * sum8(w->pass.sums + i * w->pass.tiles, w->pass.tiles) / (double)w->n;
     v[k] = (kappa[k] - dot(row, v, k)) / row[k];
     e[k] = (k ? e[k - 1] : 0.0) - v[k] * v[k];
     w->indices[k] = j;
-    w->record[REC_RADIUS * cap + k] = sqrt(w->sq[far]);
-    w->record[REC_SECONDS * cap + k] = seconds_since(&w->t0);
-    return far;
+    w->record[REC_RADIUS * cap + k] = sqrt(far_sq);
+    w->record[REC_SECONDS * cap + k] = seconds;
+}
+
+static inline double double_of(int64_t bits)
+{
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
+/* The centers of a greedy step from the candidate cand, at most `most`
+ * (and 1 unless the walk batches), into batch, their coordinates into the
+ * pass's centers. cand is the farthest point, the first listed. Each
+ * further center is certified from the list alone: the listed distances
+ * are lowered by the last center as dist_row and the pass form and lower
+ * them, and the farthest listed point, lowest index on ties, is the next
+ * center while it is strictly farther than the bound, the distance of the
+ * point after the list: no point not listed is farther, and distances only
+ * fall. Its sq, in batch[b].top, is then the radius of the center before
+ * it, squared. Returns the number of centers. */
+static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t certify(const Walk *w, Py_ssize_t cand,
+                                                           Py_ssize_t most, Farthest *batch)
+{
+    const Py_ssize_t n = w->n, d = w->d;
+    const int tracked = w->listed < LIST ? w->listed : LIST - 1;
+    const int64_t bound = w->listed == LIST ? w->list[LIST - 1].top : -1;
+    double sq[LIST];
+    Py_ssize_t b = 0;
+    most = most < w->batch ? most : w->batch;
+    for (int l = 0; l < tracked; l++)
+        sq[l] = double_of(w->list[l].top);
+    batch[0] = (Farthest){.far = cand, .top = -1};
+    for (;;) {
+        double *y = w->pass.ys + b * d;
+        for (Py_ssize_t q = 0; q < d; q++)
+            y[q] = w->xt[q * n + batch[b].far];
+        if (++b == most)
+            return b;
+        Farthest best = {.far = -1, .top = -1};
+        for (int l = 0; l < tracked; l++) {
+            double r;
+            dist_row(&r, y, w->xt + w->list[l].far, 1, n, d);
+            sq[l] = r < sq[l] ? r : sq[l];
+            const int64_t bits = bits_of(sq[l]);
+            if (bits > best.top || (bits == best.top && w->list[l].far < best.far))
+                best = (Farthest){.far = w->list[l].far, .top = bits};
+        }
+        if (best.top <= bound)
+            return b;
+        batch[b] = best;
+    }
 }
 
 /* Greedy steps from support size *m and candidate *cand, as
  * skm._backend._numpy_impl.greedy_fit describes them, with room for `rows`
- * rows in the packed factor. Leaves the new support size in *m and the
- * dependent or next candidate in *cand, and returns the stop code. */
-static CLONED int greedy_steps(const Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
+ * rows in the packed factor. Each round serves a batch of certified centers
+ * with one pass, never more than the rows left. A walk with helpers begins
+ * the pass before the calling thread forms the batch's pivot rows, and a
+ * dependent center, which ends it, lowers only the walk's own distances;
+ * one without them forms the rows first and passes over the centers kept.
+ * The stop tests are then made in step order, and the centers of the batch
+ * after a stop are discarded, their record columns untouched. Leaves the
+ * new support size in *m and the dependent or next candidate in *cand, and
+ * returns the stop code. */
+static CLONED int greedy_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
                                Py_ssize_t *cand)
 {
-    const double *e = w->record + REC_E * w->cap, *radius = w->record + REC_RADIUS * w->cap;
-    for (Py_ssize_t k = *m, far;;) {
+    const Py_ssize_t cap = w->cap, d = w->d;
+    const int ahead = w->team->helpers > 0, size = w->batch > 1 ? LIST : 1;
+    double *pivots = w->record + REC_PIVOT * cap;
+    const double *e = w->record + REC_E * cap, *radius = w->record + REC_RADIUS * cap;
+    for (Py_ssize_t k = *m;;) {
         if (k == rows)  /* rows is at most the capacity */
-            return k == w->cap ? STOP_BUDGET : GROW;
-        if ((far = fit_step(w, packed, k, *cand)) < 0)
+            return k == cap ? STOP_BUDGET : GROW;
+        Farthest batch[BATCH + 1];
+        double pivot[BATCH];
+        const Py_ssize_t b = certify(w, *cand, rows - k, batch);
+        Py_ssize_t kept = 0;
+        if (ahead)
+            pass_begin(w, b);
+        while (kept < b && (pivot[kept] = try_center(w, packed, k + kept,
+                                                     w->pass.ys + kept * d)) > w->threshold)
+            kept++;
+        if (!ahead && kept > 0)
+            pass_begin(w, kept);
+        if (ahead || kept > 0)
+            pass_end(w, size);
+        if (kept == b)  /* the farthest point once every center is kept */
+            batch[b] = w->list[0];
+        const double now = seconds_since(&w->t0);
+        for (Py_ssize_t i = 0; i < kept; i++) {
+            pivots[k] = pivot[i];
+            keep(w, packed, k, batch[i].far, i, double_of(batch[i + 1].top), now);
+            *cand = batch[i + 1].far;
+            *m = ++k;
+            double span = fabs(e[0] - e[k - 1]);
+            if (k > 1 && (span == 0.0 ? 0.0 : fabs(e[k - 2] - e[k - 1]) / span) <= w->epsilon)
+                return STOP_RATIO;
+            if (radius[k - 1] == 0.0)
+                return STOP_RADIUS;
+        }
+        if (kept < b) {
+            pivots[k] = pivot[kept];
+            *cand = batch[kept].far;
             return STOP_DEPENDENT;
-        *cand = far;
-        *m = ++k;
-        double span = fabs(e[0] - e[k - 1]);
-        if (k > 1 && (span == 0.0 ? 0.0 : fabs(e[k - 2] - e[k - 1]) / span) <= w->epsilon)
-            return STOP_RATIO;
-        if (radius[k - 1] == 0.0)
-            return STOP_RADIUS;
+        }
     }
 }
 
 /* Ordered steps from support size *m at position *i of the order: each
- * candidate is kept or dropped in turn, until the order is used up
+ * candidate is kept or dropped in turn, its pivot tested before its pass,
+ * since the walk goes on past a dependent one, until the order is used up
  * (STOP_BUDGET) or the packed factor, with room for `rows` rows, is full
- * (GROW). */
-static CLONED int order_steps(const Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
+ * (GROW). A dropped candidate changes nothing but the record's pivot of
+ * point *m. */
+static CLONED int order_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
                               Py_ssize_t *i)
 {
+    const Py_ssize_t n = w->n, d = w->d;
+    double *pivots = w->record + REC_PIVOT * w->cap, *y = w->pass.ys;
     for (; *i < w->count; ++*i) {
+        const Py_ssize_t j = w->order[*i];
         if (*m == rows)
             return GROW;
-        if (fit_step(w, packed, *m, w->order[*i]) >= 0)
-            ++*m;
+        for (Py_ssize_t q = 0; q < d; q++)
+            y[q] = w->xt[q * n + j];
+        if (!((pivots[*m] = try_center(w, packed, *m, y)) > w->threshold))
+            continue;
+        pass_begin(w, 1);
+        pass_end(w, 1);
+        keep(w, packed, *m, j, 0, double_of(w->list[0].top), seconds_since(&w->t0));
+        ++*m;
     }
     return STOP_BUDGET;
 }
@@ -866,11 +1048,9 @@ static CLONED int order_steps(const Walk *w, double *packed, Py_ssize_t rows, Py
 static PyObject *walk(PyObject *args, int ordered)
 {
     PyObject *xo, *oo = NULL, *io, *ro, *packed = NULL;
-    Scan scan;
-    Farthest *chunk = NULL;
     Team team = {.helpers = 0, .member = NULL};
     Walk w = {.xt = NULL, .sq = NULL, .epsilon = 0.0, .order = NULL, .count = 0, .team = &team,
-              .scan = &scan};
+              .listed = 0};
     Views vs = {.count = 0};
     Py_ssize_t m = 0, pos = 0;  /* the ordered walk's place in its order, or the next candidate */
     int stop = GROW;
@@ -903,27 +1083,32 @@ static PyObject *walk(PyObject *args, int ordered)
     w.record = w.indices ? borrow(&vs, ro, "record", 2, REC_ROWS, 1) : NULL;
     if (w.record != NULL && vs.view[vs.count - 1].shape[1] != w.cap)
         PyErr_SetString(PyExc_ValueError, "record must have one column per index");
+    w.batch = !ordered && (double)w.n * (double)(w.d + 1) * sizeof(double) > BATCH_BYTES
+                  ? BATCH : 1;
     /* The points coordinate-major in a block of their own, the size of the
      * (n, d) arrays a caller allocates and frees, so the heap can reuse their
      * space (in one block with the distances, four fit and evaluate cycles on
      * 100000 x 8 points peaked 6.5 MB higher); then the distances to the
-     * support, the steps' scratch and the scan's sum per tile; then each
-     * chunk's farthest point. */
-    Py_ssize_t scratch = w.d + w.cap * w.d, tiles = tiles_of(w.n);
+     * support, the support's and the pass's centers' coordinates and the
+     * centers' sums per tile; then each tile's largest distance. */
+    Py_ssize_t tiles = tiles_of(w.n), ys = w.batch * w.d;
     team.parts = (tiles + CHUNK_TILES - 1) / CHUNK_TILES;
+    int64_t *top = NULL;
     if (!PyErr_Occurred()
         && ((w.xt = PyMem_Malloc(w.n * w.d * sizeof(double))) == NULL
-            || (w.sq = PyMem_Malloc((w.n + scratch + tiles) * sizeof(double))) == NULL
-            || (chunk = PyMem_Malloc(team.parts * sizeof(Farthest))) == NULL))
+            || (w.sq = PyMem_Malloc((w.n + w.cap * w.d + ys + w.batch * tiles)
+                                    * sizeof(double))) == NULL
+            || (top = PyMem_Malloc(tiles * sizeof(int64_t))) == NULL))
         PyErr_NoMemory();
     if (!PyErr_Occurred())
         packed = PyByteArray_FromStringAndSize(NULL, 0);
     if (packed != NULL) {
-        w.scratch = w.sq + w.n;
-        scan = (Scan){.xt = w.xt, .y = w.scratch, .sq = w.sq, .sums = w.scratch + scratch,
-                      .chunk = chunk, .n = w.n, .d = w.d, .kind = w.kind, .a = w.a, .b = w.b};
+        w.kt = w.sq + w.n;
+        w.pass = (Pass){.xt = w.xt, .ys = w.kt + w.cap * w.d, .sq = w.sq,
+                        .sums = w.kt + w.cap * w.d + ys, .top = top, .n = w.n, .d = w.d,
+                        .tiles = tiles, .kind = w.kind, .a = w.a, .b = w.b};
         /* a greedy walk whose pivot rows are long enough takes a helper to
-         * scan while it forms them */
+         * pass while it forms them */
         int overlap = !ordered && (double)w.n * (double)w.cap >= OVERLAP_WORK;
         if (team_start(&team, threads_for(w.n, SPLIT_POINTS, overlap ? 2 : 1)) < 0)
             Py_CLEAR(packed);
@@ -954,7 +1139,7 @@ static PyObject *walk(PyObject *args, int ordered)
     }
     team_stop(&team);
     PyMem_Free(team.member);
-    PyMem_Free(chunk);
+    PyMem_Free(top);
     PyMem_Free(w.xt);
     PyMem_Free(w.sq);
     release(&vs);

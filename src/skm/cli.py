@@ -462,6 +462,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy's own refusal would not name the flag
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         stats, seconds = _clocked(_COMMANDS[args.command], args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,7 +156,12 @@ def estimate_proportions(train, test, spec: RadialKernelSpec, sparse: bool = Fal
 def _golden_section(fn, lo: float, hi: float, max_iter: int):
     """Deterministic golden-section minimizer on [lo, hi] in max(2, max_iter) evaluations.
 
-    Returns the best point, its value and the number of evaluations made.
+    The bracket shrinks by 0.618 per evaluation until it nears the spacing
+    of doubles, where rounding stops it narrowing and its state cycles (on
+    [log 0.5, log 2], after about 79 evaluations). The search stops at the
+    first evaluation that leaves the bracket no narrower, so a huge max_iter
+    ends there. Returns the best point, its value and the number of
+    evaluations made.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -164,7 +169,9 @@ def _golden_section(fn, lo: float, hi: float, max_iter: int):
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
     evals = 2
-    while evals < max_iter:
+    width = math.inf
+    while evals < max_iter and b - a < width:
+        width = b - a
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

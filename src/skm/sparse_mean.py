@@ -49,9 +49,11 @@ class FitDiagnostics:
     e_trace holds E_1 .. E_k0, pivots each point's Cholesky pivot,
     radius_trace the coverage radius of the support after each step, and
     seconds_trace the seconds from the start of the backend's fit call to
-    the end of each step; the full mean records none. skipped lists the
-    dependent candidates: the one that stopped a greedy fit, or the points
-    a fixed-order fit dropped.
+    the end of each step; the full mean records none. Steps that one pass
+    over the points serves end together: a compiled greedy fit on more
+    than 2 MB of points serves up to eight steps a pass, and those steps
+    share one time. skipped lists the dependent candidates: the one that
+    stopped a greedy fit, or the points a fixed-order fit dropped.
     """
 
     e_trace: np.ndarray
@@ -153,9 +155,12 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     """Fit a sparse kernel mean by lockstep selection and weight updates.
 
     Candidates come from farthest-first traversal started at `first` (or a
-    point drawn with `seed`). Each costs one O(nd) scan, which also sums
-    the Gram shape over the candidate's distances to every point, so its
-    kernel row mean is one number, and one O(m^2) pivoted Cholesky step.
+    point drawn with `seed`). Each costs O(nd) work in a pass over the
+    points, which also sums the Gram shape over the candidate's distances
+    to every point, so its kernel row mean is one number, and one O(m^2)
+    pivoted Cholesky step. A pass reads the n x d points once; the
+    compiled backend serves up to eight candidates a pass when the points
+    and their distances, n (d + 1) doubles, exceed 2 MB, and one below.
     One `_backend.greedy_fit` call runs them all into the support indices
     and the fit record allocated here, grows the packed factor itself and
     ends by solving for the weights, with no Python per step. Fitting stops at the first support size

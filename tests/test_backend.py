@@ -680,6 +680,65 @@ def test_greedy_fit_stops_at_each_test(impl):
     assert_allclose(pivots, np.diag(_lower(packed)) ** 2, rtol=1e-14)
 
 
+# Tie-heavy inputs above the compiled greedy fit's batching gate, n (d + 1)
+# doubles above 2 MB: every row of {0, 1, 2}^8 seven times (45927 points,
+# 3.3 MB), whose many equal distances rarely let a second center be
+# certified, and the 400 x 400 integer grid (160000 points, 3.8 MB), which
+# batches up to eight centers a pass.
+_TIE_INPUTS = {
+    "cube": lambda: np.tile(np.indices((3,) * 8).reshape(8, -1).T.astype(float), (7, 1)),
+    "grid": lambda: np.indices((400, 400)).reshape(2, -1).T.astype(float),
+}
+
+
+@pytest.fixture(scope="module")
+def tie_inputs():
+    return {name: np.ascontiguousarray(make()) for name, make in _TIE_INPUTS.items()}
+
+
+@pytest.mark.parametrize("name, sigma, epsilon, first, capacity, stop", [
+    ("cube", 1.0, 0.0, 0, 45, "budget"),
+    ("cube", 1.0, 0.0, 45926, 37, "budget"),
+    ("cube", 1.0, 1e-3, 5, 300, "ratio"),
+    ("cube", 30.0, 0.0, 5, 300, "dependent"),
+    ("grid", 20.0, 0.0, 0, 70, "budget"),
+    ("grid", 20.0, 0.0, 80200, 21, "budget"),
+    ("grid", 20.0, 0.0, 159999, 45, "budget"),
+    # stops at the third center of an eight-center batch
+    ("grid", 30.0, 1e-4, 5, 300, "ratio"),
+    # dependent at the second center of a five-center batch, and at the
+    # third of four
+    ("grid", 1000.0, 0.0, 7, 200, "dependent"),
+    ("grid", 2000.0, 0.0, 7, 200, "dependent"),
+])
+def test_batched_greedy_fit_agrees_across_backends_on_ties(fastcore, tie_inputs, name, sigma,
+                                                           epsilon, first, capacity, stop):
+    # The compiled walk serves a batch of centers with one pass, certifying
+    # each from its list of the farthest points, strictly ahead of the
+    # first point not listed, and discards the centers of a batch after a
+    # stop. Its supports, stop, next (or dependent) candidate and radii are
+    # the numpy walk's, one center a pass.
+    points = tie_inputs[name]
+    params = gram_params(RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma))
+    ref, got = (_greedy(impl, points, params, epsilon, first, capacity)
+                for impl in (_numpy_impl, fastcore))
+    assert got[2] == ref[2] == stop
+    assert got[:2] == ref[:2]
+    assert_array_equal(got[3], ref[3])  # the support
+    kappa, radius, e, alpha = (RECORD_ROWS.index(row) for row in ("kappa", "radius", "e", "alpha"))
+    assert_array_equal(got[5][radius], ref[5][radius])
+    assert_allclose(got[5][e], ref[5][e], rtol=1e-12)
+    if stop == "dependent":
+        # A wide kernel's Gram block is near singular, so alpha moves with
+        # each backend's exp; the weights' objective Q(alpha) = alpha'K alpha
+        # - 2 alpha'kappa does not, as in the saturated fit above.
+        gram = kernel_block(params, points[ref[3]])
+        q_np, q_c = (a @ gram @ a - 2.0 * a @ ref[5][kappa] for a in (ref[5][alpha], got[5][alpha]))
+        assert abs(q_c - q_np) <= 1e-12 * abs(q_np)
+    else:
+        assert_allclose(got[5][alpha], ref[5][alpha], rtol=1e-9, atol=1e-12)
+
+
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_greedy_fit_rejects_bad_buffers(impl):
     points = np.ascontiguousarray(np.arange(12.0).reshape(3, 4).T)  # four points in d = 3

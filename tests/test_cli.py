@@ -686,6 +686,24 @@ def test_every_command_ends_stderr_with_its_stats_document(tmp_path, capsys, com
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["synth", "fit", "eval", "select", "audit", "embed",
+                                     "cpe", "meanshift"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, command):
+    # numpy's own refusal, "expected non-negative integer", named no flag.
+    x = str(synth_csv(tmp_path, "x.csv", "blobs2", 40))
+    y = str(synth_csv(tmp_path, "y.csv", "blobs2", 40, seed=1))
+    model = tmp_path / "model.json"
+    assert main(["fit", "--input", x, "--kernel", "gaussian:sigma=1.0",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_command_argv(command, x, y, str(model), out) + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be at least 0, got -1" in captured.err
+    assert captured.out == "" and not any(out.iterdir())
+
+
 def test_module_fit_writes_only_the_stats_document_to_stderr(tmp_path):
     x = synth_csv(tmp_path)
     proc = subprocess.run(

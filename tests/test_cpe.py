@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from oracles import kernel_matrix
 
 from skm.cpe import (
     _closest_pair,
+    _golden_section,
     dirichlet_sample,
     estimate_from_means,
     estimate_proportions,
@@ -287,6 +289,28 @@ def test_dirichlet_draws_lie_on_the_simplex(omega):
 
 
 # ------------------------------------------------------------ bandwidth search
+
+@pytest.mark.parametrize("objective", [lambda x: (x - 0.3) ** 2, lambda x: x, lambda x: -x],
+                         ids=["inside", "at-lo", "at-hi"])
+def test_golden_section_stops_once_the_bracket_stops_narrowing(objective):
+    # In double precision the bracket reaches the spacing of doubles after
+    # about 79 evaluations and then cycles, so a max_iter of 10**6 ran a
+    # million evaluations; `cpe --search-iters 99999999999999999999` never
+    # returned.
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return objective(x)
+
+    lo, hi = math.log(0.5), math.log(2.0)
+    best, value, evals = _golden_section(fn, lo, hi, max_iter=10**6)
+    assert evals == len(calls) < 200
+    assert value == min(objective(x) for x in calls)
+    assert lo <= best <= hi
+    # the default count is spent in full
+    assert _golden_section(objective, lo, hi, max_iter=20)[2] == 20
+
 
 def test_search_bandwidth_returns_sigma_in_range():
     rng = np.random.default_rng(9)

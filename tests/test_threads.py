@@ -1,14 +1,16 @@
 """Results that do not depend on the number of threads.
 
-The compiled backend splits a fit's scans over more than 16384 points, or
+The compiled backend splits a fit's passes over more than 16384 points, or
 over fewer in a greedy fit whose points times capacity reach 2**22, and a
 kernel sum over more than 2**20 values, over the CPUs of the process's
-affinity mask; a greedy fit with helper threads scans while it forms each
-candidate's pivot row. Two child processes make the same calls on the
-compiled backend built from the source tree: one pinned to a single CPU,
-which takes the one-thread path, and one on the CPUs the test may use (on
-every CPU when that is only one). They must agree bit for bit, and no call
-may change the process's affinity mask.
+affinity mask; a greedy fit with helper threads passes over the points
+while it forms its centers' pivot rows. Above n (d + 1) doubles of 2 MB, a
+greedy fit serves a batch of up to eight centers with one pass. Two child
+processes make the same calls on the compiled backend built from the
+source tree: one pinned to a single CPU, which takes the one-thread path,
+and one on the CPUs the test may use (on every CPU when that is only one).
+They must agree bit for bit, and no call may change the process's
+affinity mask.
 """
 
 import json
@@ -93,6 +95,11 @@ for kind, a, b in ((0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 2.0)):
     out = np.empty((xs.shape[0], 2))
     fc.kernel_sums(xs, ys, coef, kind, a, b, 1.5, out)
     results[f"sums{kind}"] = out
+# Above the batching gate (160000 x 3 doubles, 3.8 MB): the grid's fit
+# serves up to eight centers a pass, and stops at the ratio test at the
+# first center of a seven-center batch, whose other six are discarded.
+grid = np.ascontiguousarray(np.indices((400, 400)).reshape(2, -1).T, dtype=float)
+greedy("batched", grid, 0, 1.0 / 1800.0, 0.0, 1e-4, 300)
 results["affinity"] = np.array([before, sorted(os.sched_getaffinity(0))])
 np.savez(dest, **results)
 """
@@ -129,3 +136,4 @@ def test_compiled_results_do_not_depend_on_the_thread_count(fastcore, tmp_path):
     assert kept.size < 40 and 20000 not in kept and list(kept[-2:]) == [20001, 20002]
     assert one["deep_stop"] == "budget" and one["deep_m"][0] == 600
     assert one["wide_stop"] == "dependent" and one["wide_m"][0] < 600
+    assert one["batched_stop"] == "ratio" and 1 < one["batched_m"][0] < 300
