@@ -35,8 +35,9 @@ an older `_fastcore.c` that lacks a primitive, or whose record has another
 number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
 A compiled greedy fit serves several centers with one pass over the
-points where a pass streams more than a core's L2: n (d + 1) doubles above
-2 MB. After each such pass it ranks the 33 farthest points (lowest index
+points where a pass streams more than a core's L2, n (d + 1) doubles above
+2 MB, or where its points times capacity reach 2**22, as at the 600-point
+fit of 10000 points in d = 5. After each such pass it ranks the 33 farthest points (lowest index
 first on ties), reading only the tiles whose largest distance reaches the
 33rd-largest tile maximum, and certifies up to 7 more centers from that
 list alone: it lowers the 32 listed distances by each new center with the
@@ -44,10 +45,15 @@ pass's own arithmetic and takes the farthest listed point while it is
 strictly farther than the 33rd, which bounds every point not listed. The
 next pass then runs each tile through every center of the batch in order,
 so each center, distance, kappa and record entry is the one-center walk's
-bit for bit, and each tile is read from memory once a batch. The stop
-tests are made in step order, and the centers of a batch after a stop are
-discarded. Smaller greedy fits, ordered fits, `farthest_scan` and the
-numpy backend pass once per center.
+bit for bit, and each tile is read from memory once a batch. The batch's
+Gram rows are all formed before any is solved; on a CPU with AVX-512 they
+are solved against the kept rows of the factor in one sweep, each row of
+the factor read once for the batch, with each sum in the 8 partial sums
+and order of the one-row solve, so the factor is the same bit for bit (a
+600-point fit of 10000 points in d = 5 went from 12.9-14.0 ms to
+8.7-10.1 ms on a 2-vCPU Xeon VM). The stop tests are made in step order,
+and the centers of a batch after a stop are discarded. Smaller greedy fits,
+ordered fits, `farthest_scan` and the numpy backend pass once per center.
 
 The compiled fits split their passes over more than 16384 points, a
 compiled greedy fit does so too once its points times capacity reach

@@ -33,7 +33,8 @@
  * The fit step is one step of partial pivoted Cholesky: the candidate's
  * Gram row against the kept points is formed with the same distance, shape
  * and dot code and solved forward against the packed lower factor L, row i
- * at offset i(i+1)/2, row after row with the same 8-partial-sum dot, and
+ * at offset i(i+1)/2, row after row with the same 8-partial-sum dot (a
+ * batch of greedy centers solves its rows in one sweep, below), and
  * the candidate is kept when its pivot passes a threshold. A kept
  * candidate's center then gets a pass with the shape sum, and v_m and E_m,
  * the radius and the step's time follow. The greedy fit walks
@@ -52,10 +53,12 @@
  * do not.
  *
  * One pass serves several greedy centers where a pass streams more than a
- * core's L2, n (d + 1) doubles above BATCH_BYTES (2 MB). After each such
- * pass the walk ranks the LIST (33) farthest points, farthest first and
- * lowest index first on ties, reading only the tiles whose maximum reaches
- * the 33rd-largest tile maximum. The next batch starts at the farthest
+ * core's L2, n (d + 1) doubles above BATCH_BYTES (2 MB), or where the
+ * points times the capacity reach OVERLAP_WORK (2^22), the gate that gives
+ * the walk a helper below SPLIT_POINTS. After each such pass the walk
+ * ranks the LIST (33) farthest points, farthest first and lowest index
+ * first on ties, reading only the tiles whose maximum reaches the
+ * 33rd-largest tile maximum. The next batch starts at the farthest
  * point and certifies up to BATCH - 1 (7) more centers from the list alone:
  * it lowers the 32 listed distances by each new center with dist_row's
  * arithmetic and takes the farthest listed point while it is strictly
@@ -66,11 +69,18 @@
  * the lowering with its maximum, the shape and the sum into that center's
  * tile sum, so kappa, the distances and every record entry keep the
  * one-center walk's arithmetic while each tile is read once per batch. The
- * pivot rows are formed and the dependent, ratio and radius tests made in
- * step order; the centers of a batch after a stop are discarded, and a
- * batch never holds more centers than packed rows are left. Below the gate
- * a greedy pass serves one center, as the ordered walk's always does, and
- * the farthest point is ranked alone.
+ * batch's coordinates join the support's first, so each center's Gram row
+ * is one dist_row against the kept points and the centers before it, and
+ * all the rows are formed before any is solved. Where the CPU has AVX-512
+ * they are solved against the kept rows of L together, each row of L read
+ * once for the batch, with one fused dot that keeps each row's 8 partial
+ * sums and dot's tree, so every entry of L is the row-at-a-time solve's.
+ * Each row then solves against the rows of the centers before it, and the
+ * dependent, ratio and radius tests are made in step order; the centers of
+ * a batch after a stop are discarded, and a batch never holds more centers
+ * than packed rows are left. Below both gates a greedy pass serves one
+ * center, as the ordered walk's always does, and the farthest point is
+ * ranked alone.
  *
  * A fit's passes over more than SPLIT_POINTS (16384) points, the passes of
  * a greedy fit whose points times capacity reach OVERLAP_WORK (2^22), and
@@ -279,11 +289,13 @@ static inline NO_CONTRACT double dot(const double *u, const double *v, Py_ssize_
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* x <- L^{-1} x over the first m rows of the packed lower factor L:
- * x_t = (x_t - L_t . x) / L_tt, row after row. */
-static inline NO_CONTRACT void forward_rows(const double *packed, double *x, Py_ssize_t m)
+/* The forward solve x <- L^{-1} x of the packed lower factor L, row i at
+ * offset i(i+1)/2, over its rows t0 .. t1 - 1, the entries of x before t0
+ * solved already: x_t = (x_t - L_t . x) / L_tt, row after row. */
+static inline NO_CONTRACT void forward_rows(const double *packed, double *x, Py_ssize_t t0,
+                                            Py_ssize_t t1)
 {
-    for (Py_ssize_t t = 0; t < m; t++) {
+    for (Py_ssize_t t = t0; t < t1; t++) {
         const double *row = packed + t * (t + 1) / 2;
         x[t] = (x[t] - dot(row, x, t)) / row[t];
     }
@@ -735,23 +747,19 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* One pivoted Cholesky step: the Gram row c * shape(||xi - x_t||^2) of
- * the candidate xi against the kept points x_t, coordinate-major in kt
- * with ld entries per coordinate, goes straight into the next packed row
- * w of L, the one after the kept rows, and is solved there, w_t = (g_t -
- * L_t . w) / L_tt. Returns the candidate's pivot c - w'w, since g_ii = c *
- * shape(0) = c for every shape. */
-static inline NO_CONTRACT double pivot_row(double *packed, Py_ssize_t kept, const double *xi,
-                                           const double *kt, Py_ssize_t ld, Py_ssize_t d,
-                                           int kind, double a, double b, double c)
+/* The Gram row g_t = c * shape(||xi - x_t||^2) of the candidate xi against
+ * the kept points x_t, coordinate-major in kt with ld entries per
+ * coordinate, into w: the candidate's packed row of L, which the forward
+ * solve w_t = (g_t - L_t . w) / L_tt then turns into L's row, whose pivot
+ * is c - w'w, since g_ii = c * shape(0) = c for every shape. */
+static inline NO_CONTRACT void gram_row(double *w, Py_ssize_t kept, const double *xi,
+                                        const double *kt, Py_ssize_t ld, Py_ssize_t d, int kind,
+                                        double a, double b, double c)
 {
-    double *w = packed + kept * (kept + 1) / 2;
     dist_row(w, xi, kt, kept, ld, d);
     shape_row(w, kept, kind, a, b);
     for (Py_ssize_t t = 0; t < kept; t++)
         w[t] *= c;
-    forward_rows(packed, w, kept);
-    return c - dot(w, w, kept);
 }
 
 /* The greedy walk's stop tests, in the order it makes them, and the names
@@ -774,15 +782,85 @@ static double seconds_since(const struct timespec *t0)
 /* Most centers one greedy pass serves, and the points ranked after each
  * batched pass: the LIST - 1 farthest are listed, and the distance of the
  * next one bounds every point not listed. A greedy walk batches once a pass
- * streams more than a core's L2, n (d + 1) doubles above BATCH_BYTES. On a
- * 2-vCPU Xeon VM, a pass that sits in L2 gained nothing from batching (a
- * 600-point fit of 10000 points in d = 5 took 12.8 ms batched, 12.2 ms
- * not), and fits of 2000 to 4000 points in d = 2 took 30-50% longer: the
- * ranking and the centers a stop discards cost more than the passes
+ * streams more than a core's L2, n (d + 1) doubles above BATCH_BYTES, so
+ * that each tile is read once a batch, or once its points times capacity
+ * reach OVERLAP_WORK, where its pivot rows grow long enough that solving a
+ * batch's rows in one sweep of the factor pays. On a 2-vCPU Xeon VM, a
+ * 600-point fit of 10000 points in d = 5 (0.48 MB) took 12.9-14.0 ms one
+ * center a pass and 8.7-10.1 ms batched (medians of 15), while fits of 3000
+ * and 4000 points in d = 2 below both gates took 30-90% longer batched
+ * (306 us against 401-442 us, 113 us against 199-215 us): the ranking and
+ * the centers a stop discards cost more than the passes and sweeps
  * saved. */
 #define BATCH 8
 #define LIST 33
 #define BATCH_BYTES (1 << 21)
+
+/* The forward solve of nb right-hand sides x[0] .. x[nb - 1], at most
+ * BATCH, over the first m rows of L. Where the CPU has AVX-512, and so runs
+ * the avx512f clones, each row of L is read once for all of them, and each
+ * x_i[t] takes dot(L_t, x_i, t) bit for bit: its 8 partial sums are the 8
+ * lanes of one vector register, summed with dot's tree. On a 2-vCPU Xeon VM
+ * pinned to one vCPU, the forward solves of a 600-point fit of 10000 points
+ * in d = 5 took 7.0-8.5 ms row at a time and 3.5-5.1 ms in sweeps of up to
+ * 8 rows (medians of 15 fits). Elsewhere each right-hand side is solved on
+ * its own, as forward_rows solves it: the 8 lanes take 2 registers in the
+ * avx2 clones and 4 in the default ones, and with the avx2 clones forced on
+ * the same VM the whole fit took 31-33 ms in sweeps against 22-23 ms row
+ * at a time. */
+#if defined(__GNUC__) && defined(__x86_64__)
+typedef double Lanes __attribute__((vector_size(8 * sizeof(double))));
+
+static inline ALWAYS_INLINE NO_CONTRACT void forward_lanes(const double *packed,
+                                                           double *const *x, int nb,
+                                                           Py_ssize_t m)
+{
+    for (Py_ssize_t t = 0; t < m; t++) {
+        const double *row = packed + t * (t + 1) / 2;
+        Lanes s[BATCH], u, v;
+        Py_ssize_t j = 0;
+        for (int i = 0; i < nb; i++)
+            s[i] = (Lanes){0.0};
+        for (; j + 8 <= t; j += 8) {
+            memcpy(&u, row + j, sizeof u);
+            for (int i = 0; i < nb; i++) {
+                memcpy(&v, x[i] + j, sizeof v);
+                s[i] += u * v;
+            }
+        }
+        for (int i = 0; i < nb; i++) {
+            double p[8];
+            memcpy(p, &s[i], sizeof p);
+            for (Py_ssize_t jj = j, l = 0; jj < t; jj++, l++)
+                p[l] += row[jj] * x[i][jj];
+            const double sum = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+            x[i][t] = (x[i][t] - sum) / row[t];
+        }
+    }
+}
+#endif
+
+static inline ALWAYS_INLINE NO_CONTRACT void forward_block(const double *packed, double *const *x,
+                                                           Py_ssize_t nb, Py_ssize_t m)
+{
+#if defined(__GNUC__) && defined(__x86_64__)
+    /* nb is a constant in each call, so each keeps its sums in registers */
+    if (__builtin_cpu_supports("avx512f")) {
+        switch (nb) {
+        case 1: forward_lanes(packed, x, 1, m); return;
+        case 2: forward_lanes(packed, x, 2, m); return;
+        case 3: forward_lanes(packed, x, 3, m); return;
+        case 4: forward_lanes(packed, x, 4, m); return;
+        case 5: forward_lanes(packed, x, 5, m); return;
+        case 6: forward_lanes(packed, x, 6, m); return;
+        case 7: forward_lanes(packed, x, 7, m); return;
+        default: forward_lanes(packed, x, BATCH, m); return;
+        }
+    }
+#endif
+    for (Py_ssize_t i = 0; i < nb; i++)
+        forward_rows(packed, x[i], 0, m);
+}
 
 /* What every step of a fit reads and writes: the points as the caller
  * gave them in x, coordinate-major in xt, their squared distances to the
@@ -874,19 +952,53 @@ static void pass_end(Walk *w, int size)
     rank_points(w, size);
 }
 
-/* Try the center y as support point k: form its pivot row and, when the
- * pivot passes the threshold, finish the row of L with its square root and
- * add y to the support's coordinates. Returns the pivot. */
+/* Try the center y as support point k: form its row of L and, when the
+ * pivot passes the threshold, finish the row with its square root and add
+ * y to the support's coordinates. Returns the pivot. */
 static inline ALWAYS_INLINE NO_CONTRACT double try_center(const Walk *w, double *packed,
                                                           Py_ssize_t k, const double *y)
 {
-    const double pivot = pivot_row(packed, k, y, w->kt, w->cap, w->d, w->kind, w->a, w->b, w->c);
+    double *row = packed + k * (k + 1) / 2;
+    gram_row(row, k, y, w->kt, w->cap, w->d, w->kind, w->a, w->b, w->c);
+    forward_rows(packed, row, 0, k);
+    const double pivot = w->c - dot(row, row, k);
     if (pivot > w->threshold) {
-        packed[k * (k + 1) / 2 + k] = sqrt(pivot);
+        row[k] = sqrt(pivot);
         for (Py_ssize_t q = 0; q < w->d; q++)
             w->kt[q * w->cap + k] = y[q];
     }
     return pivot;
+}
+
+/* Try the b centers of the pass, at most BATCH, as support points k on, in
+ * step order, each as try_center would: their coordinates go into kt
+ * first, so that each center's Gram row is one dist_row against the kept
+ * points and the centers before it, and their rows are solved against the
+ * k kept rows of L together, one sweep of L for all of them, before each
+ * solves against the rows of the centers before it and takes its pivot.
+ * Writes each tried center's pivot and returns the number kept, up to the
+ * first whose pivot fails. */
+static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t try_centers(const Walk *w, double *packed,
+                                                               Py_ssize_t k, Py_ssize_t b,
+                                                               double *pivot)
+{
+    double *rows[BATCH];
+    for (Py_ssize_t i = 0; i < b; i++)
+        for (Py_ssize_t q = 0; q < w->d; q++)
+            w->kt[q * w->cap + k + i] = w->pass.ys[i * w->d + q];
+    for (Py_ssize_t i = 0; i < b; i++) {
+        rows[i] = packed + (k + i) * (k + i + 1) / 2;
+        gram_row(rows[i], k + i, w->pass.ys + i * w->d, w->kt, w->cap, w->d, w->kind, w->a,
+                 w->b, w->c);
+    }
+    forward_block(packed, rows, b, k);
+    for (Py_ssize_t i = 0; i < b; i++) {
+        forward_rows(packed, rows[i], k, k + i);
+        if (!((pivot[i] = w->c - dot(rows[i], rows[i], k + i)) > w->threshold))
+            return i;
+        rows[i][k + i] = sqrt(pivot[i]);
+    }
+    return b;
 }
 
 /* Record candidate j, kept as support point k and center i of the last
@@ -973,7 +1085,7 @@ static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t certify(const Walk *w, Py_ssi
 static CLONED int greedy_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
                                Py_ssize_t *cand)
 {
-    const Py_ssize_t cap = w->cap, d = w->d;
+    const Py_ssize_t cap = w->cap;
     const int ahead = w->team->helpers > 0, size = w->batch > 1 ? LIST : 1;
     double *pivots = w->record + REC_PIVOT * cap;
     const double *e = w->record + REC_E * cap, *radius = w->record + REC_RADIUS * cap;
@@ -983,12 +1095,9 @@ static CLONED int greedy_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssiz
         Farthest batch[BATCH + 1];
         double pivot[BATCH];
         const Py_ssize_t b = certify(w, *cand, rows - k, batch);
-        Py_ssize_t kept = 0;
         if (ahead)
             pass_begin(w, b);
-        while (kept < b && (pivot[kept] = try_center(w, packed, k + kept,
-                                                     w->pass.ys + kept * d)) > w->threshold)
-            kept++;
+        const Py_ssize_t kept = try_centers(w, packed, k, b, pivot);
         if (!ahead && kept > 0)
             pass_begin(w, kept);
         if (ahead || kept > 0)
@@ -1083,8 +1192,11 @@ static PyObject *walk(PyObject *args, int ordered)
     w.record = w.indices ? borrow(&vs, ro, "record", 2, REC_ROWS, 1) : NULL;
     if (w.record != NULL && vs.view[vs.count - 1].shape[1] != w.cap)
         PyErr_SetString(PyExc_ValueError, "record must have one column per index");
-    w.batch = !ordered && (double)w.n * (double)(w.d + 1) * sizeof(double) > BATCH_BYTES
-                  ? BATCH : 1;
+    /* a greedy walk whose pivot rows are long enough takes a helper to pass
+     * while it forms them, and batches its centers */
+    const int overlap = !ordered && (double)w.n * (double)w.cap >= OVERLAP_WORK;
+    w.batch = overlap || (!ordered && (double)w.n * (double)(w.d + 1) * sizeof(double)
+                                          > BATCH_BYTES) ? BATCH : 1;
     /* The points coordinate-major in a block of their own, the size of the
      * (n, d) arrays a caller allocates and frees, so the heap can reuse their
      * space (in one block with the distances, four fit and evaluate cycles on
@@ -1107,9 +1219,6 @@ static PyObject *walk(PyObject *args, int ordered)
         w.pass = (Pass){.xt = w.xt, .ys = w.kt + w.cap * w.d, .sq = w.sq,
                         .sums = w.kt + w.cap * w.d + ys, .top = top, .n = w.n, .d = w.d,
                         .tiles = tiles, .kind = w.kind, .a = w.a, .b = w.b};
-        /* a greedy walk whose pivot rows are long enough takes a helper to
-         * pass while it forms them */
-        int overlap = !ordered && (double)w.n * (double)w.cap >= OVERLAP_WORK;
         if (team_start(&team, threads_for(w.n, SPLIT_POINTS, overlap ? 2 : 1)) < 0)
             Py_CLEAR(packed);
     }

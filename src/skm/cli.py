@@ -222,7 +222,8 @@ def _cmd_fit(args) -> dict:
     save_model(mean, args.out)
     if args.trace:
         _write_columns(args.trace, _record_columns(mean.diagnostics))
-    return {"n": data.n, "d": data.d, "k0": mean.k0, "fit_s": fit_s}
+    return {"n": data.n, "d": data.d, "k0": mean.k0, "stop": mean.diagnostics.stop,
+            "fit_s": fit_s}
 
 
 def _cmd_eval(args) -> dict:

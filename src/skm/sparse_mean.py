@@ -51,9 +51,13 @@ class FitDiagnostics:
     seconds_trace the seconds from the start of the backend's fit call to
     the end of each step; the full mean records none. Steps that one pass
     over the points serves end together: a compiled greedy fit on more
-    than 2 MB of points serves up to eight steps a pass, and those steps
-    share one time. skipped lists the dependent candidates: the one that
-    stopped a greedy fit, or the points a fixed-order fit dropped.
+    than 2 MB of points, or whose points times budget reach 2**22, serves
+    up to eight steps a pass, and those steps share one time. skipped
+    lists the dependent candidates: the one that stopped a greedy fit, or
+    the points a fixed-order fit dropped. stop names why the fit stopped:
+    "budget" (k_max points, or a fixed order used up), "dependent",
+    "ratio" (the progress ratio at most epsilon) or "radius" (every point
+    covered); it is None for the full mean and a loaded model.
     """
 
     e_trace: np.ndarray
@@ -65,6 +69,7 @@ class FitDiagnostics:
     method: str = "greedy"
     pivots: np.ndarray = field(default_factory=_empty)
     seconds_trace: np.ndarray = field(default_factory=_empty)
+    stop: Optional[str] = None
 
     @property
     def ratio_trace(self) -> np.ndarray:
@@ -127,7 +132,8 @@ def project_simplex(values):
     return np.maximum(v - theta, 0.0)
 
 
-def _finalize(spec, points, indices, record, skipped, k_max, epsilon, density_mode, method):
+def _finalize(spec, points, indices, record, skipped, k_max, epsilon, density_mode, method,
+              stop):
     """The fitted mean from a fit's kept indices and record, whose alpha row the walk solved."""
     pivots, _kappa, _v, e, radii, seconds, alpha = record.copy()
     diag = FitDiagnostics(
@@ -140,6 +146,7 @@ def _finalize(spec, points, indices, record, skipped, k_max, epsilon, density_mo
         method=method,
         pivots=pivots,
         seconds_trace=seconds,
+        stop=stop,
     )
     return SparseKernelMean(
         spec=spec,
@@ -159,18 +166,21 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     points, which also sums the Gram shape over the candidate's distances
     to every point, so its kernel row mean is one number, and one O(m^2)
     pivoted Cholesky step. A pass reads the n x d points once; the
-    compiled backend serves up to eight candidates a pass when the points
-    and their distances, n (d + 1) doubles, exceed 2 MB, and one below.
-    One `_backend.greedy_fit` call runs them all into the support indices
-    and the fit record allocated here, grows the packed factor itself and
-    ends by solving for the weights, with no Python per step. Fitting stops at the first support size
-    k0 <= k_max whose relative error progress
+    compiled backend serves up to eight candidates a pass, and on a CPU
+    with AVX-512 solves their Gram rows in one sweep of the factor, when
+    the points and their distances, n (d + 1) doubles, exceed 2 MB or n
+    times k_max reaches 2**22, and one a pass below. One
+    `_backend.greedy_fit` call runs them all into the support indices and
+    the fit record allocated here, grows the packed factor itself and ends
+    by solving for the weights, with no Python per step. Fitting stops at
+    the first support size k0 <= k_max whose relative error progress
     (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose
     section is numerically dependent on the support (listed in
     `diagnostics.skipped`), as pivoted Cholesky stops at its first pivot
-    below tolerance. With density_mode the final weights are projected onto
-    the probability simplex. The random baseline, `random_selection_fit`,
+    below tolerance; `diagnostics.stop` names which, or "budget" at k_max.
+    With density_mode the final weights are projected onto the
+    probability simplex. The random baseline, `random_selection_fit`,
     takes the same step along a random order.
 
     Total work is O(n k0 d + k0^3).
@@ -195,7 +205,7 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
                     "dependent on the current support (pivot %.3e)", cand, record[0, k0])
         skipped = (cand,)
     return _finalize(spec, points, indices[:k0], record[:, :k0], skipped, k_max, epsilon,
-                     density_mode, "greedy")
+                     density_mode, "greedy", stop)
 
 
 def _support_indices(support_indices, n: int) -> np.ndarray:
@@ -235,7 +245,7 @@ def _fixed_order_fit(data, spec, order, density_mode) -> SparseKernelMean:
         logger.info("dropped %d of %d support candidates as numerically dependent",
                     len(skipped), m)
     return _finalize(spec, points, indices[:k], record[:, :k], skipped, m, 0.0, density_mode,
-                     "random")
+                     "random", "budget")
 
 
 def random_selection_fit(data, spec: RadialKernelSpec, k: int, seed: int = 0,

@@ -680,6 +680,24 @@ def test_greedy_fit_stops_at_each_test(impl):
     assert_allclose(pivots, np.diag(_lower(packed)) ** 2, rtol=1e-14)
 
 
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+def test_fit_names_its_stop(impl, monkeypatch):
+    # fit hands on the walk's stop name, on the inputs of the test above;
+    # a fixed-order fit ends at "budget", and the full mean names none.
+    for name in PRIMITIVES:
+        monkeypatch.setattr(_backend, name, getattr(impl, name))
+    line = DataSet(np.array([[0.0], [1e-6], [10.0], [4.0]]))
+    unit, wide = (RadialKernelSpec("gaussian", dim=1, sigma=s) for s in (1.0, 1000.0))
+    for data, spec, k_max, epsilon, stop in [
+            (line, unit, 2, 0.0, "budget"),
+            (DataSet(line.points[:3]), wide, 3, 0.0, "dependent"),
+            (line, unit, 4, 1.0, "ratio"),
+            (DataSet(line.points[[0, 2, 3]]), unit, 3, 0.0, "radius")]:
+        assert fit(data, spec, k_max=k_max, epsilon=epsilon, first=0).diagnostics.stop == stop
+    assert sparse_mean.random_selection_fit(line, unit, 4).diagnostics.stop == "budget"
+    assert full_mean(line, unit).diagnostics.stop is None
+
+
 # Tie-heavy inputs above the compiled greedy fit's batching gate, n (d + 1)
 # doubles above 2 MB: every row of {0, 1, 2}^8 seven times (45927 points,
 # 3.3 MB), whose many equal distances rarely let a second center be
@@ -737,6 +755,42 @@ def test_batched_greedy_fit_agrees_across_backends_on_ties(fastcore, tie_inputs,
         assert abs(q_c - q_np) <= 1e-12 * abs(q_np)
     else:
         assert_allclose(got[5][alpha], ref[5][alpha], rtol=1e-9, atol=1e-12)
+
+
+# Inputs on which the compiled greedy fit batches its centers: 8000 points
+# in d = 5 and d = 2, below 2 MB but with points times capacity at least
+# 2**22, and the 400 x 400 grid, above 2 MB.
+@pytest.mark.parametrize("points, sigma, epsilon, first, capacity, stop, m", [
+    ("normal", 1.0, 0.0, 0, 600, "budget", 600),
+    # at the third center of an eight-center batch
+    ("normal", 1.0, 1e-3, 0, 600, "ratio", 35),
+    # dependent at the fourth center of an eight-center batch
+    ("plane", 5.0, 0.0, 0, 600, "dependent", 35),
+    # at the third center of an eight-center batch
+    ("grid", 30.0, 1e-4, 5, 300, "ratio", 84),
+])
+def test_blocked_solve_is_the_ordered_walks_solve(fastcore, tie_inputs, points, sigma, epsilon,
+                                                  first, capacity, stop, m):
+    # The compiled greedy fit forms the Gram rows of a batch of centers
+    # first and solves them against the kept rows of L together, one sweep
+    # of L for the batch, each sum in dot's 8 lanes and tree; the ordered
+    # walk solves one row at a time. Along the greedy support it makes the
+    # same steps, so the packed factor and every record row but the seconds
+    # are the same bit for bit.
+    normal = np.random.default_rng(7).standard_normal((8000, 5))
+    points = {"normal": normal, "plane": np.ascontiguousarray(normal[:, :2]),
+              "grid": tie_inputs["grid"]}[points]
+    params = gram_params(RadialKernelSpec("gaussian", dim=points.shape[1], sigma=sigma))
+    kept, _, got, indices, packed, record = _greedy(fastcore, points, params, epsilon, first,
+                                                    capacity)
+    assert (kept, got) == (m, stop)
+    along, ordered, ordered_packed = _factor(fastcore, points, params,
+                                             SINGULARITY_REL_TOL * params.c, order=indices)
+    assert along.all()
+    assert_array_equal(packed, ordered_packed)
+    for row, name in enumerate(RECORD_ROWS):
+        if name != "seconds":
+            assert_array_equal(record[row], ordered[row], err_msg=name)
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)

@@ -121,6 +121,21 @@ def test_fit_summary_goes_to_stderr(tmp_path, capsys):
     assert doc["seconds"] >= doc["fit_s"] > 0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_fit_stats_name_the_stop(tmp_path, capsys):
+    # The stats document says why the fit stopped, in strict JSON.
+    x = synth_csv(tmp_path)
+    for flags, stop in ((["--kmax", "10"], "budget"), (["--eps", "0.5"], "ratio")):
+        capsys.readouterr()
+        assert main(["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0", *flags,
+                     "--out", str(tmp_path / "m.json")]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert json.loads(line, parse_constant=_refuse_constant)["stop"] == stop
+
+
 def test_select_emits_order_and_radius(tmp_path):
     x = tmp_path / "x.csv"
     x.write_text("0\n1\n10\n")
@@ -560,7 +575,7 @@ def test_embed_sidecar_records_the_epsilon_of_its_fits(tmp_path, capsys):
 # The error-vs-sparsity benchmark curve is the record of `fit --eps 0 --trace`
 # and of `audit`, and `audit --random-seeds` adds the random baseline.
 
-def test_bench_curve_matches_fit_diagnostics(tmp_path):
+def test_audit_curve_matches_fit_diagnostics(tmp_path):
     x = synth_csv(tmp_path, n=80, seed=3)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",
@@ -578,7 +593,7 @@ def test_bench_curve_matches_fit_diagnostics(tmp_path):
     assert_allclose(e_curve, mean.diagnostics.e_trace, rtol=0, atol=0)
 
 
-def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
+def test_audit_curve_is_the_eps_zero_fit_trace(tmp_path):
     # At sigma = 10 the fit stops at an exactly flat step after 19 points;
     # the audit's record stops there too.
     x = tmp_path / "x.csv"
@@ -594,7 +609,7 @@ def test_bench_curve_is_the_eps_zero_fit_trace(tmp_path):
     assert audit_rows == rows and len(rows) == 1 + 19
 
 
-def test_bench_random_baseline_report(tmp_path, capsys):
+def test_audit_random_baseline_report(tmp_path, capsys):
     x = synth_csv(tmp_path, dataset="blobs2", n=100, seed=4)
     out = tmp_path / "curve.csv"
     capsys.readouterr()
@@ -613,7 +628,7 @@ def test_bench_random_baseline_report(tmp_path, capsys):
         assert np.isfinite(doc[key])
 
 
-def test_bench_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
+def test_audit_with_first_fits_the_greedy_mean_once_for_every_seed(tmp_path, capsys,
                                                                    monkeypatch):
     # One greedy fit for the curve and one, with the density projection,
     # for the KL figures of all three seeds: the seed does not change a
@@ -713,7 +728,7 @@ def test_module_fit_writes_only_the_stats_document_to_stderr(tmp_path):
     assert proc.returncode == 0 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     doc = json.loads(proc.stderr)
-    assert set(doc) == {"command", "backend", "seconds", "n", "d", "k0", "fit_s"}
+    assert set(doc) == {"command", "backend", "seconds", "n", "d", "k0", "stop", "fit_s"}
     assert (doc["command"], doc["n"], doc["d"], doc["k0"]) == ("fit", 120, 2, 10)
 
 
@@ -810,7 +825,7 @@ def test_kmax_too_large_returns_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kmax", ["0", "-3"])
-def test_bench_kmax_below_one_returns_two(tmp_path, capsys, kmax):
+def test_audit_kmax_below_one_returns_two(tmp_path, capsys, kmax):
     x = synth_csv(tmp_path, n=30)
     out = tmp_path / "curve.csv"
     rc = main(["audit", "--input", str(x), "--kernel", "gaussian:sigma=1.0",

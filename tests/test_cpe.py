@@ -321,7 +321,7 @@ def test_search_bandwidth_returns_sigma_in_range():
     assert info["validation_l1"] < 0.5
 
 
-def test_search_bandwidth_sparse_uses_fixed_supports():
+def test_search_bandwidth_sparse_on_two_separated_classes():
     rng = np.random.default_rng(10)
     train = class_samples(rng, [(-4.0, 0.0), (4.0, 0.0)], 80)
     sigma, info = search_bandwidth(train, 0.1, 10.0, GAUSS_2D, sparse=True,

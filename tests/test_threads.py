@@ -4,8 +4,10 @@ The compiled backend splits a fit's passes over more than 16384 points, or
 over fewer in a greedy fit whose points times capacity reach 2**22, and a
 kernel sum over more than 2**20 values, over the CPUs of the process's
 affinity mask; a greedy fit with helper threads passes over the points
-while it forms its centers' pivot rows. Above n (d + 1) doubles of 2 MB, a
-greedy fit serves a batch of up to eight centers with one pass. Two child
+while it forms its centers' pivot rows. Above n (d + 1) doubles of 2 MB,
+or where points times capacity reach 2**22, a greedy fit serves a batch of
+up to eight centers with one pass and solves their pivot rows in one sweep
+of the factor, with or without helpers. Two child
 processes make the same calls on the compiled backend built from the
 source tree: one pinned to a single CPU, which takes the one-thread path,
 and one on the CPUs the test may use (on every CPU when that is only one).
@@ -74,15 +76,19 @@ for kind, a, b in ((0, 0.3, 0.0), (1, 0.6, 0.0), (2, 0.4, 1.5)):
 order = rng.permutation(points.shape[0])[:100]
 order[50] = order[10]  # a dependent candidate, dropped
 ordered("ordered", points, 2, 0.4, 1.5, order)
-# Below 16384 points, with points times capacity above 2**22: the scans
-# overlap the pivot rows. Run to its budget.
+# Below 16384 points and 2 MB, with points times capacity above 2**22: the
+# walk batches its centers, and its passes overlap the batches' pivot rows.
+# Run to its budget.
 deep = rng.standard_normal((8000, 5))
 greedy("deep", deep, 0, 0.5, 0.0, 0.0, 600)
 # The same rule with a kernel so wide that the Gram matrix is numerically
-# singular: the walk ends at a dependent candidate, whose scan was made
-# while its pivot row was formed.
+# singular: the walk ends at a dependent candidate of a batch, whose pass
+# was made while the batch's pivot rows were formed.
 wide = rng.standard_normal((8000, 2))
 greedy("wide", wide, 0, 0.005, 0.0, 0.0, 600)
+# The deep input again, stopped by the ratio test at the fourth center of
+# a seven-center batch, whose other three are discarded.
+greedy("ratio", deep, 0, 0.5, 0.0, 1e-3, 600)
 # A kernel so wide that most of the order is dependent. The point at
 # (2.5, 0) is dropped, and then the points at (-300, 0) and (1000, 0) are
 # kept: a scan made for the dropped one would lower the last point's
@@ -136,4 +142,5 @@ def test_compiled_results_do_not_depend_on_the_thread_count(fastcore, tmp_path):
     assert kept.size < 40 and 20000 not in kept and list(kept[-2:]) == [20001, 20002]
     assert one["deep_stop"] == "budget" and one["deep_m"][0] == 600
     assert one["wide_stop"] == "dependent" and one["wide_m"][0] < 600
+    assert one["ratio_stop"] == "ratio" and one["ratio_m"][0] == 20
     assert one["batched_stop"] == "ratio" and 1 < one["batched_m"][0] < 300
