@@ -69,7 +69,13 @@ candidate, tests the pivot before it passes. Each part of the work writes
 only its own outputs and every sum keeps one order (kappa sums each tile's
 shape values, then the tiles' sums in tile order), so no result depends on
 the number of threads. The numpy backend and `farthest_scan` run on the
-calling thread.
+calling thread. Each thread's kernel-sum scratch, and a compiled fit's
+coordinate-major copy of the points and its distance block, start on a
+64-byte cache line, so no two threads write one line. In blocks aligned
+only to 16 bytes, as the allocator gives them, a full tile's row buffer of
+one thread shared a line with the next thread's tile of ys: on a 2-vCPU
+Xeon VM, kernel sums of 50000 x 600 values in d = 5 took 0.69-1.14 ns a
+value as the heap placed the scratch, and 0.61-0.76 ns aligned.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on

@@ -110,6 +110,21 @@
  * heap blocks, and the module keeps no mutable static state, so fits in
  * several Python threads at once do not interfere.
  *
+ * The kernel sums' scratch, one slot per thread, and a walk's
+ * coordinate-major copy and distance block start on a 64-byte cache line
+ * (line_malloc). A slot is TILE (d + p + 1) doubles, a multiple of 2048
+ * bytes, so every slot, and in it the tiles of ys and of coef and the row
+ * buffer, start on a line, and no two threads write one line. PyMem_Malloc
+ * aligns only to 16 bytes: where a tile of ys is full, the last line of one
+ * thread's row buffer was then the first of the next thread's tile of ys,
+ * and it moved between their cores on every x row (false sharing). On a
+ * 2-vCPU Xeon VM, in process, kernel sums of 50000 x
+ * 600 values in d = 5 took 0.69-1.14 ns a value as the heap placed the
+ * scratch and 0.61-0.76 ns aligned, and 2000 x 2000 in d = 2 with 3 coef
+ * columns 0.85-0.98 against 0.66-0.79 ns (medians of 21-41 calls, in 4
+ * rounds that alternated the two builds). The walk's blocks start on a line
+ * so that a fit's speed does not depend on where the heap put them.
+ *
  * Arrays arrive through the buffer protocol and must be C-contiguous
  * float64 (int64 for a fit's order and support indices) of the right
  * shape; anything else raises TypeError or ValueError before a single
@@ -188,6 +203,18 @@ static double *borrow(Views *vs, PyObject *obj, const char *name, int ndim,
                       Py_ssize_t rows, int writable)
 {
     return borrow_any(vs, obj, name, ndim, rows, writable, 0);
+}
+
+/* The bytes of a cache line on x86-64 CPUs. */
+#define LINE 64
+
+/* bytes bytes that start on a cache line: the first LINE boundary inside a
+ * PyMem_Malloc block LINE bytes longer, whose own pointer goes into *block
+ * for PyMem_Free. NULL, with *block NULL, when the allocation fails. */
+static void *line_malloc(size_t bytes, void **block)
+{
+    char *p = *block = PyMem_Malloc(bytes + LINE);
+    return p == NULL ? NULL : p + (LINE - (uintptr_t)p % LINE) % LINE;
 }
 
 /* Rows of ys copied per tile, or points per scan tile: 2 KB of each
@@ -660,7 +687,9 @@ static PyObject *farthest_scan(PyObject *self, PyObject *args)
 /* out[i, q] = c * sum_j shape(||x_i - y_j||^2) coef[j, q] for the nx rows
  * of x against the ny rows of y and the p columns of coef. scratch holds
  * TILE x (d + p + 1) doubles: a tile of ys and of coef, coordinate-major,
- * and the row of one x's kernel values against the tile. */
+ * and the row of one x's kernel values against the tile. Each thread's
+ * scratch starts on a cache line and is a whole number of lines long, so
+ * the row it writes for every x shares no line with another thread's. */
 static CLONED void kernel_tiles(const double *x, Py_ssize_t nx, const double *y, Py_ssize_t ny,
                                 Py_ssize_t d, const double *coef, Py_ssize_t p, int kind,
                                 double a, double b, double c, double *out, double *scratch)
@@ -729,11 +758,13 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
                    .rows = rows, .kind = kind, .a = a, .b = b, .c = c};
     Team team = {.parts = (nx + rows - 1) / rows};
     int threads = threads_for(nx * ny, SPLIT_VALUES, 1);
+    void *block = NULL;
     if (!PyErr_Occurred()
-        && (k.scratch = PyMem_Malloc(threads * TILE * (d + p + 1) * sizeof(double))) == NULL)
+        && (k.scratch = line_malloc(threads * TILE * (d + p + 1) * sizeof(double), &block))
+               == NULL)
         PyErr_NoMemory();
     if (PyErr_Occurred() || team_start(&team, threads) < 0) {
-        PyMem_Free(k.scratch);
+        PyMem_Free(block);
         release(&vs);
         return NULL;
     }
@@ -742,7 +773,7 @@ static PyObject *kernel_sums(PyObject *self, PyObject *args)
     team_stop(&team);
     Py_END_ALLOW_THREADS
     PyMem_Free(team.member);
-    PyMem_Free(k.scratch);
+    PyMem_Free(block);
     release(&vs);
     Py_RETURN_NONE;
 }
@@ -1197,19 +1228,22 @@ static PyObject *walk(PyObject *args, int ordered)
     const int overlap = !ordered && (double)w.n * (double)w.cap >= OVERLAP_WORK;
     w.batch = overlap || (!ordered && (double)w.n * (double)(w.d + 1) * sizeof(double)
                                           > BATCH_BYTES) ? BATCH : 1;
-    /* The points coordinate-major in a block of their own, the size of the
-     * (n, d) arrays a caller allocates and frees, so the heap can reuse their
-     * space (in one block with the distances, four fit and evaluate cycles on
-     * 100000 x 8 points peaked 6.5 MB higher); then the distances to the
+    /* The points coordinate-major in a block of their own, only the 64 bytes
+     * of line_malloc longer than the (n, d) arrays a caller allocates and
+     * frees, so the heap can still reuse their space (in one block with the
+     * distances, four fit and evaluate cycles on 100000 x 8 points peaked
+     * 6.5 MB higher; with the 64 bytes added, no workload's median peak RSS
+     * rose in BENCH_43.json's pairs); then the distances to the
      * support, the support's and the pass's centers' coordinates and the
      * centers' sums per tile; then each tile's largest distance. */
     Py_ssize_t tiles = tiles_of(w.n), ys = w.batch * w.d;
     team.parts = (tiles + CHUNK_TILES - 1) / CHUNK_TILES;
     int64_t *top = NULL;
+    void *xt_block = NULL, *sq_block = NULL;
     if (!PyErr_Occurred()
-        && ((w.xt = PyMem_Malloc(w.n * w.d * sizeof(double))) == NULL
-            || (w.sq = PyMem_Malloc((w.n + w.cap * w.d + ys + w.batch * tiles)
-                                    * sizeof(double))) == NULL
+        && ((w.xt = line_malloc(w.n * w.d * sizeof(double), &xt_block)) == NULL
+            || (w.sq = line_malloc((w.n + w.cap * w.d + ys + w.batch * tiles) * sizeof(double),
+                                   &sq_block)) == NULL
             || (top = PyMem_Malloc(tiles * sizeof(int64_t))) == NULL))
         PyErr_NoMemory();
     if (!PyErr_Occurred())
@@ -1249,8 +1283,8 @@ static PyObject *walk(PyObject *args, int ordered)
     team_stop(&team);
     PyMem_Free(team.member);
     PyMem_Free(top);
-    PyMem_Free(w.xt);
-    PyMem_Free(w.sq);
+    PyMem_Free(xt_block);
+    PyMem_Free(sq_block);
     release(&vs);
     if (packed == NULL || stop == GROW
         || PyByteArray_Resize(packed, m * (m + 1) / 2 * sizeof(double)) < 0) {

@@ -49,6 +49,13 @@ class UsageError(Exception):
 COUNT_MAX = int(np.iinfo(np.int64).max)
 
 
+def _check_kmax(kmax, n=None):
+    """Refuse a --kmax below 1, or above n when n is given, by name."""
+    if kmax is not None and (kmax < 1 or n is not None and kmax > n):
+        bound = "1 <= kmax" if n is None else f"1 <= kmax <= n={n}"
+        raise SkmError(f"--kmax {kmax} must satisfy {bound}")
+
+
 def _check_count(flag, value, low):
     """Refuse a count flag below low or above COUNT_MAX, by name."""
     if value < low:
@@ -216,6 +223,7 @@ def build_parser() -> _Parser:
 
 def _cmd_fit(args) -> dict:
     data = load_csv(args.input, has_header=args.header)
+    _check_kmax(args.kmax, data.n)
     spec = parse_kernel_spec(args.kernel, data.d)
     mean, fit_s = _clocked(fit, data, spec, k_max=args.kmax, epsilon=args.eps,
                            density_mode=args.density, first=args.first, seed=args.seed)
@@ -255,8 +263,7 @@ def _cmd_audit(args) -> dict:
         raise SkmError(
             f"audit is O(n^2); refusing n={data.n} > --max-points={args.max_points}"
         )
-    if args.kmax is not None and not 1 <= args.kmax <= data.n:
-        raise SkmError(f"--kmax {args.kmax} must satisfy 1 <= kmax <= n={data.n}")
+    _check_kmax(args.kmax, data.n)
     spec = parse_kernel_spec(args.kernel, data.d)
     k_max = args.kmax if args.kmax is not None else max(1, data.n - 1)
     diag = fit(data, spec, k_max=k_max, epsilon=0.0, first=args.first,
@@ -288,6 +295,7 @@ def _sparse_fit_options(args, epsilon):
             if value is not None:
                 raise UsageError(f"{flag} applies only with --sparse")
         return None, None
+    _check_kmax(args.kmax)
     return (epsilon if args.eps is None else args.eps), args.kmax
 
 

@@ -307,6 +307,22 @@ def test_kernel_sums_match_the_kernel_block_on_random_shapes(impl, data):
     _assert_sums_close(_kernel_sums(impl, params, xs, ys, coef), params, xs, ys, coef)
 
 
+@pytest.mark.parametrize("nx, ny, d, p", [(4099, 600, 5, 1), (1100, 2000, 2, 3)],
+                         ids=["evaluate", "meanshift"])
+def test_compiled_full_tile_kernel_sums_match_numpy(fastcore, nx, ny, d, p):
+    # The shapes of fit-deep's evaluate and of a full mean-shift round, above
+    # 2**20 values: on two CPUs the compiled sum runs on two threads, each
+    # writing whole 256-row tiles of ys and whole row buffers into its own
+    # scratch.
+    rng = np.random.default_rng(nx)
+    xs, ys = random_case(rng, n=nx, d=d), random_case(rng, n=ny, d=d)
+    coef = rng.normal(size=(ny, p))
+    params = SHAPES[0]
+    want = _kernel_sums(_numpy_impl, params, xs, ys, coef)
+    got = _kernel_sums(fastcore, params, xs, ys, coef)
+    assert np.all(np.abs(got - want) <= SUM_RTOL * params.c * np.abs(coef).sum(axis=0))
+
+
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_kernel_sums_reject_bad_buffers_before_writing(impl):
     xs, ys, coef = np.zeros((4, 3)), np.ones((5, 3)), np.ones((5, 2))

@@ -512,7 +512,29 @@ def test_sparse_fit_flags_without_sparse_are_usage_errors(tmp_path, capsys, comm
 def test_sparse_kmax_below_one_returns_two(tmp_path, capsys, command, kmax):
     out, argv = _sparse_command(tmp_path, command)
     assert main(argv + ["--sparse", "--kmax", kmax]) == 2
-    assert "k_max must be an integer" in capsys.readouterr().err
+    assert f"--kmax {kmax} must satisfy 1 <= kmax" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "embed", "cpe", "cpe-search", "meanshift"])
+def test_kmax_refusals_name_the_flag(tmp_path, capsys, command):
+    # A --kmax out of a command's range is refused by the flag's name, as audit does.
+    if command == "fit":
+        x = tmp_path / "four.csv"
+        x.write_text("0,0\n1,1\n2,0\n0,2\n")
+        out = tmp_path / "m.json"
+        argv = ["fit", "--input", str(x), "--kernel", "gaussian:sigma=1.0", "--out", str(out)]
+        refusal = "--kmax 0 must satisfy 1 <= kmax <= n=4"
+    else:
+        out, argv = _sparse_command(tmp_path, command.removesuffix("-search"))
+        argv += ["--sparse"]
+        if command == "cpe-search":
+            argv[argv.index("--sigma"):argv.index("--sigma") + 2] = ["--sigma-search", "0.5,2"]
+        refusal = "--kmax 0 must satisfy 1 <= kmax"
+    capsys.readouterr()
+    assert main(argv + ["--kmax", "0"]) == 2
+    err = capsys.readouterr().err
+    assert refusal in err and "k_max" not in err
     assert not out.exists()
 
 

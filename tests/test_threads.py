@@ -101,6 +101,15 @@ for kind, a, b in ((0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 2.0)):
     out = np.empty((xs.shape[0], 2))
     fc.kernel_sums(xs, ys, coef, kind, a, b, 1.5, out)
     results[f"sums{kind}"] = out
+# Whole 256-row tiles of ys, above 2**20 values: fit-deep's evaluate (4099 x
+# 600 in d = 5, one coef column) and a full mean-shift round (1100 x 2000 in
+# d = 2, three columns). Each thread writes its whole row buffer for every
+# x row, next to the next thread's tile of ys in the scratch.
+for name, nx, ny, d, p in (("evaluate", 4099, 600, 5, 1), ("meanshift", 1100, 2000, 2, 3)):
+    xs, ys, coef = rng.standard_normal((nx, d)), rng.standard_normal((ny, d)), rng.standard_normal((ny, p))
+    out = np.empty((nx, p))
+    fc.kernel_sums(xs, ys, coef, 0, 0.5, 0.0, 1.0, out)
+    results[f"full_tiles_{name}"] = out
 # Above the batching gate (160000 x 3 doubles, 3.8 MB): the grid's fit
 # serves up to eight centers a pass, and stops at the ratio test at the
 # first center of a seven-center batch, whose other six are discarded.
