@@ -18,10 +18,14 @@ Gram shape over the candidate's distances (its kernel row mean kappa),
 v_m, E_m, the coverage radius and the step's time. `greedy_fit` walks
 farthest-first from a first point until a stop test holds, and stops at
 its first dependent candidate; `order_fit` walks a given order and drops
-each dependent candidate. Both grow the packed factor themselves, from 16
-rows, doubling up to the capacity, end by solving the weights alpha =
-L^{-T} v into the record's alpha row, and return the factor's m kept rows.
-A fit is one backend call.
+each dependent candidate. The two walks differ only there, in where a
+candidate comes from and in what a dependent candidate does. Both grow
+the packed factor themselves, from 16 rows, doubling up to the capacity,
+end by solving the weights alpha = L^{-T} v into the record's alpha row,
+and return the factor's m kept rows. A fit is one backend call. A
+compiled fit runs the pending signal handlers each time its factor
+grows, so Ctrl-C (KeyboardInterrupt) ends a long fit at its next
+doubling; a signal after the last doubling waits for the fit's end.
 
 All four come from the compiled extension (`_fastcore.c`) when that was
 built, and from the numpy implementation otherwise; `BACKEND` names
@@ -34,48 +38,47 @@ supports, skipped candidates and radii may not. An extension built from
 an older `_fastcore.c` that lacks a primitive, or whose record has another
 number of rows (`RECORD_ROW_COUNT`), raises ImportError.
 
-A compiled greedy fit serves several centers with one pass over the
-points where a pass streams more than a core's L2, n (d + 1) doubles above
-2 MB, or where its points times capacity reach 2**22, as at the 600-point
-fit of 10000 points in d = 5. After each such pass it ranks the 33 farthest points (lowest index
-first on ties), reading only the tiles whose largest distance reaches the
-33rd-largest tile maximum, and certifies up to 7 more centers from that
-list alone: it lowers the 32 listed distances by each new center with the
-pass's own arithmetic and takes the farthest listed point while it is
-strictly farther than the 33rd, which bounds every point not listed. The
-next pass then runs each tile through every center of the batch in order,
-so each center, distance, kappa and record entry is the one-center walk's
-bit for bit, and each tile is read from memory once a batch. The batch's
-Gram rows are all formed before any is solved; on a CPU with AVX-512 they
-are solved against the kept rows of the factor in one sweep, each row of
-the factor read once for the batch, with each sum in the 8 partial sums
-and order of the one-row solve, so the factor is the same bit for bit (a
-600-point fit of 10000 points in d = 5 went from 12.9-14.0 ms to
-8.7-10.1 ms on a 2-vCPU Xeon VM). The stop tests are made in step order,
-and the centers of a batch after a stop are discarded. Smaller greedy fits,
-ordered fits, `farthest_scan` and the numpy backend pass once per center.
+A large compiled greedy fit serves several centers with one pass over
+the points: where a pass streams more than a core's L2 cache, or where
+its points times capacity are large enough that its pivot rows can hide
+a pass. After each such pass it ranks a short list of the farthest
+points (lowest index first on ties), reading only the tiles that could
+hold one, and certifies further centers from that list alone: it lowers
+the listed distances by each new center with the pass's own arithmetic
+and takes the farthest listed point while it is strictly farther than
+the point after the list, which bounds every point not listed. The next
+pass then runs each tile through every center of the batch in order, so
+each center, distance, kappa and record entry is the one-center walk's
+bit for bit, and each tile is read from memory once a batch. Both walks
+try their centers with one routine, which forms all of a batch's Gram
+rows before it solves any. On a CPU with AVX-512 it solves two or more
+rows against the kept rows of the factor in one sweep, each row of the
+factor read once for the batch, with each sum in the 8 partial sums and
+order of the one-row solve; a lone row, as in every ordered fit, takes
+the one-row solve itself, so the factor is the same bit for bit. The
+stop tests are made in step order, and the centers of a batch after a
+stop are discarded. Smaller greedy fits, ordered fits, `farthest_scan`
+and the numpy backend pass once per center.
 
-The compiled fits split their passes over more than 16384 points, a
-compiled greedy fit does so too once its points times capacity reach
-2**22, and the compiled kernel sums of more than 2**20 values split, over
-threads, up to the CPUs of the process's affinity mask (one CPU, one
-thread). The helper threads may run on every CPU of that mask but the one
-the calling thread ran on when it started them, and the process's own mask
-is left as it was; the threads end before the call returns. A greedy fit
-with helpers has them pass over the points for each batch while the
-calling thread forms its centers' pivot rows, since its first dependent
-candidate ends the fit; an ordered fit, which goes on past a dependent
-candidate, tests the pivot before it passes. Each part of the work writes
-only its own outputs and every sum keeps one order (kappa sums each tile's
-shape values, then the tiles' sums in tile order), so no result depends on
-the number of threads. The numpy backend and `farthest_scan` run on the
-calling thread. Each thread's kernel-sum scratch, and a compiled fit's
+The compiled fits split their passes over many points, a compiled greedy
+fit does so too once its points times capacity pass the batching gate,
+and large compiled kernel sums split, over threads, up to the CPUs of the
+process's affinity mask (one CPU, one thread). The helper threads may run
+on every CPU of that mask but the one the calling thread ran on when it
+started them, and the process's own mask is left as it was; the threads
+end before the call returns. A greedy fit with helpers has them pass
+over the points for each batch while the calling thread forms its
+centers' pivot rows, since its first dependent candidate ends the fit;
+an ordered fit, which goes on past a dependent candidate, tests the pivot
+before it passes. Each part of the work writes only its own outputs and
+every sum keeps one order (kappa sums each tile's shape values, then the
+tiles' sums in tile order), so no result depends on the number of
+threads. The numpy backend and `farthest_scan` run on the calling
+thread. Each thread's kernel-sum scratch, and a compiled fit's
 coordinate-major copy of the points and its distance block, start on a
-64-byte cache line, so no two threads write one line. In blocks aligned
-only to 16 bytes, as the allocator gives them, a full tile's row buffer of
-one thread shared a line with the next thread's tile of ys: on a 2-vCPU
-Xeon VM, kernel sums of 50000 x 600 values in d = 5 took 0.69-1.14 ns a
-value as the heap placed the scratch, and 0.61-0.76 ns aligned.
+64-byte cache line, so no two threads write one line. The gates, the
+list and batch sizes and the timings that set them are constants of
+`_fastcore.c`, stated there once.
 
 Importing the package loads numpy and no scipy module: the numpy
 implementation imports scipy inside the functions that call it, so on

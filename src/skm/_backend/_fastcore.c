@@ -30,17 +30,19 @@
  * backend's in the last bits, and between the AVX-512, AVX2 and SSE2
  * clones too.
  *
- * The fit step is one step of partial pivoted Cholesky: the candidate's
- * Gram row against the kept points is formed with the same distance, shape
- * and dot code and solved forward against the packed lower factor L, row i
- * at offset i(i+1)/2, row after row with the same 8-partial-sum dot (a
- * batch of greedy centers solves its rows in one sweep, below), and
- * the candidate is kept when its pivot passes a threshold. A kept
- * candidate's center then gets a pass with the shape sum, and v_m and E_m,
- * the radius and the step's time follow. The greedy fit walks
- * farthest-first and stops at its first dependent candidate or a stop
- * test; the ordered fit walks a given order and drops each dependent
- * candidate. Each walk copies the points coordinate-major and keeps their
+ * Both fits take one step of partial pivoted Cholesky in one trial of one
+ * or more centers, try_centers: their coordinates join the support's, the
+ * Gram row of each against the kept points and the centers before it is
+ * formed with the same distance, shape and dot code, the rows are solved
+ * forward against the packed lower factor L, row i at offset i(i+1)/2, and
+ * the centers are kept in step order while their pivots pass a threshold.
+ * The kept centers then get a pass with the shape sum, and v_m and E_m, the
+ * radius and the step's time follow. The greedy fit walks farthest-first
+ * and stops at its first dependent candidate or a stop test; the ordered
+ * fit tries the candidates of a given order one at a time and drops each
+ * dependent one. So the two walks share every routine of a step and differ
+ * only in where a candidate comes from and in what a dependent candidate
+ * does. Each walk copies the points coordinate-major and keeps their
  * distances to the support and the support's coordinates, for the
  * capacity, in a second block. The packed factor is a bytearray of 16 rows
  * that doubles, up to the capacity, each time it fills, resized with the
@@ -52,48 +54,45 @@
  * backend's in the last bits; the supports, skipped candidates and radii
  * do not.
  *
- * One pass serves several greedy centers where a pass streams more than a
- * core's L2, n (d + 1) doubles above BATCH_BYTES (2 MB), or where the
- * points times the capacity reach OVERLAP_WORK (2^22), the gate that gives
- * the walk a helper below SPLIT_POINTS. After each such pass the walk
- * ranks the LIST (33) farthest points, farthest first and lowest index
- * first on ties, reading only the tiles whose maximum reaches the
- * 33rd-largest tile maximum. The next batch starts at the farthest
- * point and certifies up to BATCH - 1 (7) more centers from the list alone:
- * it lowers the 32 listed distances by each new center with dist_row's
- * arithmetic and takes the farthest listed point while it is strictly
- * farther than the 33rd, which bounds every point not listed, as distances
- * only fall. So each center is the one the one-center walk would pick, and
- * its certified distance is the exact radius of the center before it. The
- * pass then runs, for each tile and for each center in order, dist_row,
- * the lowering with its maximum, the shape and the sum into that center's
- * tile sum, so kappa, the distances and every record entry keep the
- * one-center walk's arithmetic while each tile is read once per batch. The
- * batch's coordinates join the support's first, so each center's Gram row
- * is one dist_row against the kept points and the centers before it, and
- * all the rows are formed before any is solved. Where the CPU has AVX-512
- * they are solved against the kept rows of L together, each row of L read
- * once for the batch, with one fused dot that keeps each row's 8 partial
- * sums and dot's tree, so every entry of L is the row-at-a-time solve's.
- * Each row then solves against the rows of the centers before it, and the
- * dependent, ratio and radius tests are made in step order; the centers of
- * a batch after a stop are discarded, and a batch never holds more centers
- * than packed rows are left. Below both gates a greedy pass serves one
- * center, as the ordered walk's always does, and the farthest point is
- * ranked alone.
+ * A greedy trial holds several centers, served by one pass, where a pass
+ * streams more than a core's L2, n (d + 1) doubles above BATCH_BYTES, or
+ * where the points times the capacity reach OVERLAP_WORK, the gate that
+ * gives the walk a helper below SPLIT_POINTS. After each such pass the walk
+ * ranks the LIST farthest points, farthest first and lowest index first on
+ * ties, reading only the tiles whose maximum reaches the LIST-th largest
+ * tile maximum. The next batch starts at the farthest point and certifies
+ * up to BATCH - 1 more centers from the list alone: it lowers the listed
+ * distances by each new center with dist_row's arithmetic and takes the
+ * farthest listed point while it is strictly farther than the last of the
+ * LIST, which bounds every point not listed, as distances only fall. So
+ * each center is the one the one-center walk would pick, and its certified
+ * distance is the exact radius of the center before it. The pass then
+ * runs, for each tile and for each center in order, dist_row, the lowering
+ * with its maximum, the shape and the sum into that center's tile sum, so
+ * kappa, the distances and every record entry keep the one-center walk's
+ * arithmetic while each tile is read once per batch. Where the CPU has
+ * AVX-512, a trial of two or more centers solves their rows against the
+ * kept rows of L together, each row of L read once for the trial, with one
+ * fused dot that keeps each row's 8 partial sums and dot's tree; a lone row
+ * is solved row after row with dot, the solve the sweep is held to, so
+ * every entry of L is the row-at-a-time solve's. The dependent, ratio and
+ * radius tests are made in step order; the centers of a batch after a stop
+ * are discarded, and a batch never holds more centers than packed rows are
+ * left. Below both gates a greedy trial holds one center, as the ordered
+ * walk's always does, and the farthest point is ranked alone.
  *
- * A fit's passes over more than SPLIT_POINTS (16384) points, the passes of
- * a greedy fit whose points times capacity reach OVERLAP_WORK (2^22), and
- * kernel sums of more than SPLIT_VALUES (2^20) values run on several
- * threads, up to the CPUs of the process's affinity mask: a pass in chunks
- * of 16 tiles, a kernel sum in blocks of x rows, which the calling thread
- * and its helpers claim one at a time. The helpers may run on every CPU of
- * that mask but the one the calling thread started them on, so none
- * time-shares its CPU with the caller where the kernel does not move
- * threads; with one CPU none starts. A greedy walk with helpers publishes
- * each batch's pass before it forms the centers' pivot rows, so the
- * helpers pass over the points while the calling thread forms the rows and
- * solves them, and the calling thread then claims the chunks left. Its
+ * A fit's passes over more than SPLIT_POINTS points, the passes of a
+ * greedy fit whose points times capacity reach OVERLAP_WORK, and kernel
+ * sums of more than SPLIT_VALUES values run on several threads, up to the
+ * CPUs of the process's affinity mask: a pass in chunks of 16 tiles, a
+ * kernel sum in blocks of x rows, which the calling thread and its helpers
+ * claim one at a time. The helpers may run on every CPU of that mask but
+ * the one the calling thread started them on, so none time-shares its CPU
+ * with the caller where the kernel does not move threads; with one CPU
+ * none starts. A greedy walk with helpers publishes each batch's pass
+ * before it forms the centers' pivot rows, so the helpers pass over the
+ * points while the calling thread forms the rows and solves them, and the
+ * calling thread then claims the chunks left. Its
  * first dependent candidate ends the walk, so the pass made for that one
  * lowers only the walk's own distances; a walk without helpers forms the
  * rows first and passes for the centers kept, and the ordered walk, which
@@ -829,16 +828,16 @@ static double seconds_since(const struct timespec *t0)
 
 /* The forward solve of nb right-hand sides x[0] .. x[nb - 1], at most
  * BATCH, over the first m rows of L. Where the CPU has AVX-512, and so runs
- * the avx512f clones, each row of L is read once for all of them, and each
- * x_i[t] takes dot(L_t, x_i, t) bit for bit: its 8 partial sums are the 8
- * lanes of one vector register, summed with dot's tree. On a 2-vCPU Xeon VM
- * pinned to one vCPU, the forward solves of a 600-point fit of 10000 points
- * in d = 5 took 7.0-8.5 ms row at a time and 3.5-5.1 ms in sweeps of up to
- * 8 rows (medians of 15 fits). Elsewhere each right-hand side is solved on
- * its own, as forward_rows solves it: the 8 lanes take 2 registers in the
- * avx2 clones and 4 in the default ones, and with the avx2 clones forced on
- * the same VM the whole fit took 31-33 ms in sweeps against 22-23 ms row
- * at a time. */
+ * the avx512f clones, and nb is 2 or more, each row of L is read once for
+ * all of them, and each x_i[t] takes dot(L_t, x_i, t) bit for bit: its 8
+ * partial sums are the 8 lanes of one vector register, summed with dot's
+ * tree. On a 2-vCPU Xeon VM pinned to one vCPU, the forward solves of a
+ * 600-point fit of 10000 points in d = 5 took 7.0-8.5 ms row at a time and
+ * 3.5-5.1 ms in sweeps of up to 8 rows (medians of 15 fits). A lone
+ * right-hand side, and every one elsewhere, is solved on its own by
+ * forward_rows: the 8 lanes take 2 registers in the avx2 clones and 4 in
+ * the default ones, and with the avx2 clones forced on the same VM the
+ * whole fit took 31-33 ms in sweeps against 22-23 ms row at a time. */
 #if defined(__GNUC__) && defined(__x86_64__)
 typedef double Lanes __attribute__((vector_size(8 * sizeof(double))));
 
@@ -875,10 +874,10 @@ static inline ALWAYS_INLINE NO_CONTRACT void forward_block(const double *packed,
                                                            Py_ssize_t nb, Py_ssize_t m)
 {
 #if defined(__GNUC__) && defined(__x86_64__)
-    /* nb is a constant in each call, so each keeps its sums in registers */
-    if (__builtin_cpu_supports("avx512f")) {
+    /* nb is a constant in each call, so each keeps its sums in registers;
+     * a lone row takes forward_rows, the solve the sweep is held to */
+    if (nb > 1 && __builtin_cpu_supports("avx512f")) {
         switch (nb) {
-        case 1: forward_lanes(packed, x, 1, m); return;
         case 2: forward_lanes(packed, x, 2, m); return;
         case 3: forward_lanes(packed, x, 3, m); return;
         case 4: forward_lanes(packed, x, 4, m); return;
@@ -983,32 +982,16 @@ static void pass_end(Walk *w, int size)
     rank_points(w, size);
 }
 
-/* Try the center y as support point k: form its row of L and, when the
- * pivot passes the threshold, finish the row with its square root and add
- * y to the support's coordinates. Returns the pivot. */
-static inline ALWAYS_INLINE NO_CONTRACT double try_center(const Walk *w, double *packed,
-                                                          Py_ssize_t k, const double *y)
-{
-    double *row = packed + k * (k + 1) / 2;
-    gram_row(row, k, y, w->kt, w->cap, w->d, w->kind, w->a, w->b, w->c);
-    forward_rows(packed, row, 0, k);
-    const double pivot = w->c - dot(row, row, k);
-    if (pivot > w->threshold) {
-        row[k] = sqrt(pivot);
-        for (Py_ssize_t q = 0; q < w->d; q++)
-            w->kt[q * w->cap + k] = y[q];
-    }
-    return pivot;
-}
-
-/* Try the b centers of the pass, at most BATCH, as support points k on, in
- * step order, each as try_center would: their coordinates go into kt
- * first, so that each center's Gram row is one dist_row against the kept
- * points and the centers before it, and their rows are solved against the
- * k kept rows of L together, one sweep of L for all of them, before each
- * solves against the rows of the centers before it and takes its pivot.
- * Writes each tried center's pivot and returns the number kept, up to the
- * first whose pivot fails. */
+/* The trial of both walks: the b centers of the pass, 1 to BATCH, tried as
+ * support points k on, in step order. Their coordinates go into kt first,
+ * so that each center's Gram row is one dist_row against the kept points
+ * and the centers before it; all b rows are formed, then solved against
+ * the k kept rows of L together (forward_block), and then each solves
+ * against the rows of the centers before it and takes its pivot. A center
+ * whose pivot passes the threshold finishes its row with the pivot's
+ * square root. Writes each tried center's pivot and returns the number
+ * kept, up to the first whose pivot fails; the coordinates of the centers
+ * not kept stay in kt past the support, for the next trial to overwrite. */
 static inline ALWAYS_INLINE NO_CONTRACT Py_ssize_t try_centers(const Walk *w, double *packed,
                                                                Py_ssize_t k, Py_ssize_t b,
                                                                double *pivot)
@@ -1156,11 +1139,11 @@ static CLONED int greedy_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssiz
 }
 
 /* Ordered steps from support size *m at position *i of the order: each
- * candidate is kept or dropped in turn, its pivot tested before its pass,
- * since the walk goes on past a dependent one, until the order is used up
- * (STOP_BUDGET) or the packed factor, with room for `rows` rows, is full
- * (GROW). A dropped candidate changes nothing but the record's pivot of
- * point *m. */
+ * candidate, copied into the pass's first center, is tried alone and kept
+ * or dropped in turn, its pivot tested before its pass, since the walk
+ * goes on past a dependent one, until the order is used up (STOP_BUDGET)
+ * or the packed factor, with room for `rows` rows, is full (GROW). A
+ * dropped candidate changes nothing but the record's pivot of point *m. */
 static CLONED int order_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize_t *m,
                               Py_ssize_t *i)
 {
@@ -1172,7 +1155,7 @@ static CLONED int order_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize
             return GROW;
         for (Py_ssize_t q = 0; q < d; q++)
             y[q] = w->xt[q * n + j];
-        if (!((pivots[*m] = try_center(w, packed, *m, y)) > w->threshold))
+        if (try_centers(w, packed, *m, 1, pivots + *m) == 0)
             continue;
         pass_begin(w, 1);
         pass_end(w, 1);
@@ -1184,7 +1167,9 @@ static CLONED int order_steps(Walk *w, double *packed, Py_ssize_t rows, Py_ssize
 
 /* Both fits: parse and check the arguments, run the walk, greedy from the
  * candidate `first` or along `order`, and return its result, with the
- * packed factor cut to the m kept rows. */
+ * packed factor cut to the m kept rows. Each time the factor grows, the
+ * walk runs the pending signal handlers first, so a handler that raises,
+ * as Python's SIGINT handler does, ends the walk with its exception. */
 static PyObject *walk(PyObject *args, int ordered)
 {
     PyObject *xo, *oo = NULL, *io, *ro, *packed = NULL;
@@ -1264,7 +1249,8 @@ static PyObject *walk(PyObject *args, int ordered)
     while (packed != NULL && stop == GROW) {
         Py_ssize_t rows = 2 * m > 16 ? 2 * m : 16;
         rows = rows < w.cap ? rows : w.cap;
-        if (PyByteArray_Resize(packed, rows * (rows + 1) / 2 * sizeof(double)) < 0)
+        if (PyErr_CheckSignals() < 0
+            || PyByteArray_Resize(packed, rows * (rows + 1) / 2 * sizeof(double)) < 0)
             break;
         double *lower = (double *)PyByteArray_AS_STRING(packed);
         Py_BEGIN_ALLOW_THREADS

@@ -35,6 +35,7 @@ __all__ = ("farthest_scan", "kernel_sums", "greedy_fit", "order_fit")
 # the row count, and skm._backend refuses a build whose count differs.
 RECORD_ROWS = ("pivots", "kappa", "v", "e", "radius", "seconds", "alpha")
 RECORD_ROW_COUNT = len(RECORD_ROWS)
+_ROW = {name: row for row, name in enumerate(RECORD_ROWS)}
 
 # A kernel or distance block holds at most this many entries (2 MB), so the
 # memory of a numpy kernel sum or of mode clustering stays flat whatever
@@ -243,7 +244,7 @@ class _Walk:
 
     def finish(self):
         """The packed rows of L, once the record's alpha row holds L^{-T} v."""
-        m, v, alpha = self.m, self.record[2], self.record[6]
+        m, v, alpha = self.m, self.record[_ROW["v"]], self.record[_ROW["alpha"]]
         packed = self.packed[:m * (m + 1) // 2]
         alpha[:m] = v[:m]
         _tpsv(packed, alpha[:m], 1)
@@ -278,7 +279,7 @@ def greedy_fit(points, kind, a, b, c, threshold, epsilon, first, indices, record
     if not 0 <= first < n:
         raise ValueError(f"index {first} out of range for n={n}")
     walk = _Walk(points, (kind, a, b, c), threshold, indices, record, t0)
-    e, radius = record[3], record[4]
+    e, radius = record[_ROW["e"]], record[_ROW["radius"]]
     cand, stop = first, "budget"
     while walk.m < indices.shape[0]:
         far = walk.step(cand)

@@ -50,11 +50,10 @@ class FitDiagnostics:
     radius_trace the coverage radius of the support after each step, and
     seconds_trace the seconds from the start of the backend's fit call to
     the end of each step; the full mean records none. Steps that one pass
-    over the points serves end together: a compiled greedy fit on more
-    than 2 MB of points, or whose points times budget reach 2**22, serves
-    up to eight steps a pass, and those steps share one time. skipped
-    lists the dependent candidates: the one that stopped a greedy fit, or
-    the points a fixed-order fit dropped. stop names why the fit stopped:
+    over the points serves end together: a large compiled greedy fit
+    serves several steps a pass (see `skm._backend`), and those steps
+    share one time. skipped lists the dependent candidates: the one that
+    stopped a greedy fit, or the points a fixed-order fit dropped. stop names why the fit stopped:
     "budget" (k_max points, or a fixed order used up), "dependent",
     "ratio" (the progress ratio at most epsilon) or "radius" (every point
     covered); it is None for the full mean and a loaded model.
@@ -165,14 +164,13 @@ def fit(data, spec: RadialKernelSpec, k_max=None, epsilon: float = 1e-8,
     point drawn with `seed`). Each costs O(nd) work in a pass over the
     points, which also sums the Gram shape over the candidate's distances
     to every point, so its kernel row mean is one number, and one O(m^2)
-    pivoted Cholesky step. A pass reads the n x d points once; the
-    compiled backend serves up to eight candidates a pass, and on a CPU
-    with AVX-512 solves their Gram rows in one sweep of the factor, when
-    the points and their distances, n (d + 1) doubles, exceed 2 MB or n
-    times k_max reaches 2**22, and one a pass below. One
-    `_backend.greedy_fit` call runs them all into the support indices and
-    the fit record allocated here, grows the packed factor itself and ends
-    by solving for the weights, with no Python per step. Fitting stops at
+    pivoted Cholesky step. A pass reads the n x d points once; on large
+    inputs the compiled backend serves several candidates a pass, and on a
+    CPU with AVX-512 solves their Gram rows in one sweep of the factor
+    (`skm._backend` gives the rule). One `_backend.greedy_fit` call runs
+    them all into the support indices and the fit record allocated here,
+    grows the packed factor itself and ends by solving for the weights,
+    with no Python per step. Fitting stops at
     the first support size k0 <= k_max whose relative error progress
     (`FitDiagnostics.ratio_trace`) is at most epsilon, once the support
     covers every point exactly, or at the first farthest candidate whose

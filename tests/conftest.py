@@ -3,7 +3,6 @@ and build the compiled backend for the parity tests."""
 
 import importlib.util
 import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -13,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Property tests draw the same examples on every run and keep no example
@@ -25,25 +25,27 @@ settings.load_profile("skm")
 
 @pytest.fixture(scope="session")
 def fastcore(tmp_path_factory):
-    """The compiled backend, built from `_fastcore.c` with gcc and imported.
+    """The compiled backend, built from `_fastcore.c` by setup.py and imported.
 
     Built from the source tree on every run, so the parity tests check the
-    C as it is now, whether or not an installed build exists. On x86-64
-    Linux it takes setup.py's flags for glibc's vector exp and pow; like
-    setup.py it links with -pthread.
+    C as it is now, whether or not an installed build exists. It takes
+    setup.py's own recipe (`setup.py build_ext`, run from the repository
+    root), with -Wall -Werror added to any CFLAGS in the environment. The
+    extension is optional there, so a failed compile leaves no module, and
+    the compiler's output is shown.
     """
-    if shutil.which("gcc") is None:
-        pytest.skip("gcc is not available")
-    src = Path(_SRC) / "skm" / "_backend" / "_fastcore.c"
-    out = tmp_path_factory.mktemp("fastcore") / ("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
-    vector_math = sys.platform == "linux" and platform.machine() == "x86_64"
-    subprocess.run(
-        ["gcc", "-O3", "-Wall", "-Werror", "-shared", "-fPIC", "-pthread"]
-        + (["-fno-math-errno"] if vector_math else [])
-        + ["-I" + sysconfig.get_paths()["include"], str(src), "-o", str(out)]
-        + (["-lmvec"] if vector_math else []),
-        check=True, capture_output=True, text=True,
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(compiler.split()[0]) is None:
+        pytest.skip(f"the C compiler {compiler!r} is not available")
+    build = tmp_path_factory.mktemp("fastcore")
+    cflags = " ".join(filter(None, [os.environ.get("CFLAGS"), "-Wall -Werror"]))
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext", "--build-lib", str(build),
+         "--build-temp", str(build / "temp")],
+        cwd=_ROOT, env=dict(os.environ, CFLAGS=cflags), capture_output=True, text=True,
     )
+    out = build / "skm" / "_backend" / ("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert out.is_file(), f"setup.py built no extension:\n{proc.stdout}{proc.stderr}"
     spec = importlib.util.spec_from_file_location("_fastcore", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

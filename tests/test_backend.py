@@ -1,7 +1,9 @@
 import platform
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -238,7 +240,7 @@ SHAPES = [ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0), ShapeParams(SHAPE_EXP, 0.8, 0
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("params", SHAPES, ids=["sqexp", "exp", "power"])
-def test_farthest_scan_shape_sum_is_a_kernel_sum(impl, params):
+def test_greedy_fit_kappa_is_a_kernel_sum(impl, params):
     # The scan of a greedy_fit step from point j sums shape(||x_i -
     # x_j||^2) over every point, for kappa_j = c * sum / n: the kernel sum
     # block_sums forms with coef 1/n. Its picks and radii are those of a
@@ -663,6 +665,38 @@ def test_greedy_fit_resumes_at_a_dependent_stop(fastcore):
     assert_array_equal(runs[1][5][4], runs[0][5][4])  # the radii
 
 
+class _Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="signal.setitimer is POSIX-only")
+def test_compiled_fit_stops_at_a_pending_signal(fastcore):
+    # The walk runs the pending signal handlers each time its factor grows,
+    # so a handler that raises, as Python's SIGINT handler does, ends a
+    # long fit at the next doubling instead of at the end of the fit.
+    points = random_case(np.random.default_rng(44), n=200_000, d=8)
+    params = ShapeParams(SHAPE_SQEXP, 0.5 / 2.0**2, 0.0, 1.0)
+    started = time.perf_counter()
+    m, _, stop = _greedy(fastcore, points, params, 0.0, 0, 1500)[:3]
+    whole = time.perf_counter() - started
+    assert (m, stop) == (1500, "budget")
+
+    def alarm(signum, frame):
+        raise _Alarm
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        started = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, whole / 10)
+        with pytest.raises(_Alarm):
+            _greedy(fastcore, points, params, 0.0, 0, 1500)
+        interrupted = time.perf_counter() - started
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert interrupted < whole / 2, (interrupted, whole)
+
+
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 def test_greedy_fit_stops_at_each_test(impl):
     unit = ShapeParams(SHAPE_SQEXP, 0.5, 0.0, 1.0)
@@ -856,7 +890,7 @@ def test_greedy_fit_rejects_bad_buffers(impl):
     RadialKernelSpec("laplacian", dim=2, gamma=4.0, normalization="density"),
     RadialKernelSpec("student", dim=2, alpha=1.5, beta=6.0, normalization="density", space="l2"),
 ], ids=["sqexp", "exp", "power"])
-def test_extend_along_an_order_is_factor_along_it(impl, spec, monkeypatch):
+def test_order_fit_along_the_greedy_order_is_its_factor(impl, spec, monkeypatch):
     # Both walk the same fit step, greedy_fit farthest-first and order_fit
     # along the order, so the packed factor and the pivots of the kept
     # points are bit-identical. The greedy fit's order, with the dependent
@@ -918,7 +952,7 @@ def test_fixed_order_fit_along_a_greedy_support_is_the_greedy_fit(impl, spec, k_
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)
 @pytest.mark.parametrize("sigma", [1.0, 5.0])
-def test_fixed_order_fit_matches_extend_along_the_order(impl, sigma, monkeypatch):
+def test_greedy_fit_is_the_fixed_order_fit_up_to_its_stop(impl, sigma, monkeypatch):
     # The 134-support blob input of the wide-bandwidth fixed-order fit test;
     # at sigma = 5 most of the supports are dropped. The greedy fit takes
     # the same farthest-first order and stops at its first dependent point,

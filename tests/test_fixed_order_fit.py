@@ -44,7 +44,7 @@ def grow(data, spec, order):
     """fit_along for an order every point of which the fit keeps.
 
     A fixed-order fit along an order is the greedy fit's steps along it
-    (test_extend_along_an_order_is_factor_along_it).
+    (test_order_fit_along_the_greedy_order_is_its_factor).
     """
     mean, kappa = fit_along(data, spec, order)
     assert mean.diagnostics.skipped == ()

@@ -92,7 +92,7 @@ def test_greedy_duplicate_points_warn_when_k_exceeds_distinct():
 
 # ------------------------------------------------------ in-place farthest-first
 
-def test_extend_single_point_line():
+def test_add_single_point_line():
     data = line_data(0.0, 1.0, 10.0)
     scan = FarthestFirst(data.points)
     scan.add(0)
@@ -103,7 +103,7 @@ def test_extend_single_point_line():
     assert_array_equal(np.sqrt(scan.sqdist), [0.0, 1.0, 0.0])
 
 
-def test_extend_to_full_cover():
+def test_add_to_full_cover():
     data = line_data(0.0, 2.0)
     scan = FarthestFirst(data.points)
     scan.add(0)
@@ -112,14 +112,14 @@ def test_extend_to_full_cover():
     assert scan.farthest == 0  # every distance is 0: the lowest index
 
 
-def test_extend_tie_breaks_to_lower_index():
+def test_add_tie_breaks_to_lower_index():
     data = line_data(0.0, -1.0, 1.0)  # both neighbors at distance 1 from 0
     scan = FarthestFirst(data.points)
     scan.add(0)
     assert scan.farthest == 1
 
 
-def test_extend_chain_equals_greedy():
+def test_add_chain_equals_greedy():
     rng = np.random.default_rng(2)
     for _ in range(20):
         data = random_instance(rng)

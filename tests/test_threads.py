@@ -1,18 +1,17 @@
 """Results that do not depend on the number of threads.
 
-The compiled backend splits a fit's passes over more than 16384 points, or
-over fewer in a greedy fit whose points times capacity reach 2**22, and a
-kernel sum over more than 2**20 values, over the CPUs of the process's
-affinity mask; a greedy fit with helper threads passes over the points
-while it forms its centers' pivot rows. Above n (d + 1) doubles of 2 MB,
-or where points times capacity reach 2**22, a greedy fit serves a batch of
-up to eight centers with one pass and solves their pivot rows in one sweep
-of the factor, with or without helpers. Two child
-processes make the same calls on the compiled backend built from the
-source tree: one pinned to a single CPU, which takes the one-thread path,
-and one on the CPUs the test may use (on every CPU when that is only one).
-They must agree bit for bit, and no call may change the process's
-affinity mask.
+The compiled backend splits a fit's passes over many points, or over
+fewer in a greedy fit whose points times capacity are large, and a large
+kernel sum, over the CPUs of the process's affinity mask; a greedy fit
+with helper threads passes over the points while it forms its centers'
+pivot rows. On large inputs a greedy fit serves a batch of centers with
+one pass and solves their pivot rows in one sweep of the factor, with or
+without helpers; the gates are constants of `_fastcore.c`, and the inputs
+below sit on both sides of them. Two child processes make the same calls
+on the compiled backend built from the source tree: one pinned to a
+single CPU, which takes the one-thread path, and one on the CPUs the test
+may use (on every CPU when that is only one). They must agree bit for
+bit, and no call may change the process's affinity mask.
 """
 
 import json

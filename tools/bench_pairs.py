@@ -3,14 +3,16 @@
 Extracts REV with `git archive` into .bench_build/rev-<sha>/, then for each
 workload and each seed 1..N runs the benchmark's command (`python3
 skmbench/run.py --workload W --seed S --seconds T --trace 0`) once in that
-tree and once in the working tree, each from its own root with its own unchanged harness: the revision
-first on odd seeds, the working tree first on even ones. Writes, after
-every pair, a JSON file with each run's four end-to-end metrics and its
-correct/attempted/failed counts, and per workload and metric each side's
-median and quartiles, the parent's interquartile range and the number of
-pairs in which the working tree read lower, with both commits and source
-digests. The command, the run length T, the workloads and the end-to-end
-metrics are read from the working tree's BENCHMARK.json.
+tree and once in the working tree, each from its own root with its own
+unchanged harness: the revision first on odd seeds, the working tree first
+on even ones. Writes, after every pair, a JSON file with each run's four
+end-to-end metrics, the per-op `<op>_s` its report gives (the apps ops)
+and its correct/attempted/failed counts, and per workload, for each metric
+and each op, each side's median and quartiles, the parent's interquartile
+range and the number of pairs in which the working tree read lower, with
+both commits and source digests. The command, the run length T, the
+workloads and the end-to-end metrics are read from the working tree's
+BENCHMARK.json.
 
 Usage: python3 tools/bench_pairs.py --against REV --pairs N --out BENCH_x.json
        [--workloads W1,W2,...]
@@ -51,7 +53,7 @@ def extract(rev):
 
 
 def run(root, workload, seed):
-    """One harness run in root: its report's meta and its result line."""
+    """One harness run in root: its report's meta, and its result line with its op times."""
     proc = subprocess.run(
         [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
          "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
@@ -60,11 +62,13 @@ def run(root, workload, seed):
     if proc.returncode != 0 or not lines or "metrics" not in lines[-1]:
         raise SystemExit(f"bench_pairs: {workload} seed {seed} in {root} exited "
                          f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    meta = next(line["report"]["meta"] for line in lines if "report" in line)
+    report = next(line["report"] for line in lines if "report" in line)
     result = lines[-1]
-    return meta, {"correct": result["correct"], "attempted": result["attempted"],
-                  "failed": result["failed"],
-                  **{m: result["metrics"][m]["value"] for m in METRICS}}
+    ops = {name: metric["value"] for name, metric in report["end_to_end"].items()
+           if name.endswith("_s") and name not in METRICS}
+    return report["meta"], {"correct": result["correct"], "attempted": result["attempted"],
+                            "failed": result["failed"],
+                            **{m: result["metrics"][m]["value"] for m in METRICS}, "ops": ops}
 
 
 def spread(values):
@@ -75,17 +79,26 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent, change):
+    """Each side's spread, the parent's IQR and the pairs the change read lower."""
+    before, after = spread(parent), spread(change)
+    return {"parent": before, "change": after, "parent_iqr": before["q3"] - before["q1"],
+            "median_change": after["median"] / before["median"] - 1.0,
+            "change_lower": f"{sum(c < p for p, c in zip(parent, change))} of {len(parent)}"}
+
+
 def summary(pairs):
-    """Per metric: each side's spread, the parent's IQR and the pairs the change read lower."""
-    out = {}
-    for m in METRICS:
-        parent = [p["parent"][m] for p in pairs]
-        change = [p["change"][m] for p in pairs]
-        before, after = spread(parent), spread(change)
-        out[m] = {"parent": before, "change": after,
-                  "parent_iqr": before["q3"] - before["q1"],
-                  "median_change": after["median"] / before["median"] - 1.0,
-                  "change_lower": f"{sum(c < p for p, c in zip(parent, change))} of {len(pairs)}"}
+    """compare() for each end-to-end metric and, under "ops", for each op time both sides gave."""
+    out = {m: compare([p["parent"][m] for p in pairs], [p["change"][m] for p in pairs])
+           for m in METRICS}
+    ops = {}
+    for op in sorted(pairs[0]["parent"]["ops"]):
+        both = [(p["parent"]["ops"].get(op), p["change"]["ops"].get(op)) for p in pairs]
+        both = [pc for pc in both if None not in pc]
+        if both:
+            ops[op] = compare(*zip(*both))
+    if ops:
+        out["ops"] = ops
     return out
 
 
