@@ -29,14 +29,21 @@ doubling; a signal after the last doubling waits for the fit's end.
 
 All four come from the compiled extension (`_fastcore.c`) when that was
 built, and from the numpy implementation otherwise; `BACKEND` names
-which. The compiled kernel values use libmvec's vector exp and pow on
-x86-64 glibc, so they differ from the numpy ones in the last bits. The
-compiled fits form w'v of each v_m and solve for alpha with their own
-loops, where the numpy ones use BLAS, so pivots, E_m and the weights
-alpha may differ from the numpy backend's in the last bits too; the
-supports, skipped candidates and radii may not. An extension built from
-an older `_fastcore.c` that lacks a primitive, or whose record has another
-number of rows (`RECORD_ROW_COUNT`), raises ImportError.
+which. The compiled kernel values take an exp of the extension's own on
+CPUs with AVX-512, within 2 ulp of a correctly rounded exp, and libmvec's
+vector exp on other x86-64 glibc CPUs; the power shape takes libmvec's
+vector pow on all of them. So they differ from the numpy ones in the last
+bits. On CPUs with AVX-512 a compiled kernel sum runs query-major: 256
+queries at a time in the vector lanes, each support point's kernel
+values added into one accumulator per query. A tile of fewer than 32
+queries, and every tile on other CPUs, runs over tiles of support
+points instead. The compiled fits form w'v of each v_m and
+solve for alpha with their own loops, where the numpy ones use BLAS, so
+pivots, E_m and the weights alpha may differ from the numpy backend's in
+the last bits too; the supports, skipped candidates and radii may not. An
+extension built from an older `_fastcore.c` that lacks a primitive, or
+whose record has another number of rows (`RECORD_ROW_COUNT`), raises
+ImportError.
 
 A large compiled greedy fit serves several centers with one pass over
 the points: where a pass streams more than a core's L2 cache, or where

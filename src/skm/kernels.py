@@ -223,10 +223,13 @@ def block_sums(params: ShapeParams, xs, ys, coef) -> np.ndarray:
     coef has one row per row of ys, of shape (len(ys), p) or (len(ys),); a
     1-D coef is summed as one column and gives a 1-D result. One
     `_backend.kernel_sums` call forms the sums without a kernel block: the
-    compiled backend tiles ys and keeps its scratch to a few tiles, and the
-    numpy backend works in blocks of at most 2^18 entries, so memory stays
-    flat whatever the sizes. The compiled sums use libmvec's exp and pow on
-    x86-64 glibc and differ from the numpy backend's in the last bits.
+    compiled backend tiles xs on AVX-512 CPUs (ys for a few queries, and on
+    other CPUs) and keeps its scratch to a few tiles, and the numpy backend
+    works in blocks of at most 2^18 entries, so memory stays flat whatever
+    the sizes. The compiled exp is
+    its own on AVX-512, within 2 ulp, and libmvec's on other x86-64 glibc
+    CPUs, as is its pow everywhere; so the compiled sums differ from the
+    numpy backend's in the last bits.
     """
     xs, ys, coef = (np.ascontiguousarray(v, dtype=np.float64) for v in (xs, ys, coef))
     columns = coef.reshape(-1, 1) if coef.ndim == 1 else coef

@@ -1,3 +1,4 @@
+import math
 import platform
 import shutil
 import signal
@@ -229,9 +230,10 @@ def test_kernel_block_is_the_shape_of_cdist(impl):
 
 
 # A kernel sum may differ from kernel_block(...) @ coef by this much per
-# unit of sum_j |coef_j| * c: the compiled exp and pow (libmvec, per ISA
-# clone) and the 8 partial sums round differently from numpy's exp and
-# matrix product. Observed differences are below 1e-15.
+# unit of sum_j |coef_j| * c: the compiled exp (the extension's own on
+# AVX-512, within 2 ulp; libmvec's on the AVX2 and baseline clones), its
+# pow (libmvec's, per ISA clone) and its per-query sums round differently
+# from numpy's exp and matrix product. Observed differences are below 1e-15.
 SUM_RTOL = 1e-13
 
 SHAPES = [ShapeParams(SHAPE_SQEXP, 0.3, 0.0, 2.0), ShapeParams(SHAPE_EXP, 0.8, 0.0, 1.5),
@@ -277,12 +279,13 @@ def _assert_sums_close(got, params, xs, ys, coef, block=None):
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_kernel_sums_match_the_kernel_block(impl, params, d):
     # Row counts on both sides of the compiled loop's 256-row tiles and of
-    # its 8 partial sums; coef with one column and with three.
+    # its 8 partial sums; query counts whose last tile runs over tiles of ys
+    # (1 and 260) and query-major (1000); coef with one column and with three.
     rng = np.random.default_rng(d)
     xs = random_case(rng, n=1000, d=d)
     for m in (1, 255, 256, 257, 600, 3000):
         ys = random_case(rng, n=m, d=d) * 1.5
-        for x in (xs[:0], xs[:1], xs):
+        for x in (xs[:0], xs[:1], xs[:260], xs):
             block = kernel_block(params, x, ys)
             for coef in (rng.normal(size=(m, 1)), rng.normal(size=(m, 3))):
                 got = _kernel_sums(impl, params, x, ys, coef)
@@ -314,8 +317,8 @@ def test_kernel_sums_match_the_kernel_block_on_random_shapes(impl, data):
 def test_compiled_full_tile_kernel_sums_match_numpy(fastcore, nx, ny, d, p):
     # The shapes of fit-deep's evaluate and of a full mean-shift round, above
     # 2**20 values: on two CPUs the compiled sum runs on two threads, each
-    # writing whole 256-row tiles of ys and whole row buffers into its own
-    # scratch.
+    # writing its tiles of xs, their accumulators and whole row buffers into
+    # its own scratch.
     rng = np.random.default_rng(nx)
     xs, ys = random_case(rng, n=nx, d=d), random_case(rng, n=ny, d=d)
     coef = rng.normal(size=(ny, p))
@@ -367,10 +370,63 @@ def test_kernel_sums_reject_bad_buffers_before_writing(impl):
                     reason="libmvec is glibc's, for x86-64")
 def test_compiled_kernel_sums_call_the_vector_exp(fastcore):
     # Without -fno-math-errno, -lmvec or the simd declarations gcc calls the
-    # scalar exp and pow; the sums would still pass, only slower.
+    # scalar exp and pow; the sums would still pass, only slower. On
+    # AVX-512 CPUs the exp shapes compute exp in line, so only the AVX2 exp
+    # is named here, and pow at both widths.
     symbols = Path(fastcore.__file__).read_bytes()
-    for name in (b"_ZGVeN8v_exp", b"_ZGVdN4v_exp", b"_ZGVeN8vv_pow", b"_ZGVdN4vv_pow"):
+    for name in (b"_ZGVdN4v_exp", b"_ZGVeN8vv_pow", b"_ZGVdN4vv_pow"):
         assert name in symbols, name
+
+
+def _libmvec_exp():
+    """Whether the compiled exp shapes call libmvec's exp: on x86-64 glibc
+    where the CPU lacks AVX-512F, as the extension's own exp needs it."""
+    if not (sys.platform == "linux" and platform.machine() == "x86_64"
+            and platform.libc_ver()[0] == "glibc"):
+        return False
+    flags = [line.split() for line in Path("/proc/cpuinfo").read_text().splitlines()
+             if line.startswith("flags")]
+    return not flags or "avx512f" not in flags[0]
+
+
+# Arguments of the exp shapes over [-746, 0]: the normal range, the
+# subnormal band (-745.13, -708.4), the arguments past it that round to 0,
+# and the edges of each.
+EXP_ARGS = np.concatenate([
+    -np.random.default_rng(45).uniform(0.0, 746.0, 20000),
+    -np.random.default_rng(46).uniform(708.3, 745.2, 5000),
+    [-1e-300, -1e-17, -0.5, -708.3964185322641, -708.4, -745.1332191019411,
+     -745.1332191019412, -745.14, -746.0],
+])
+
+
+@pytest.mark.parametrize("impl", BOTH, indirect=True)
+@pytest.mark.parametrize("kind", [SHAPE_SQEXP, SHAPE_EXP], ids=["sqexp", "exp"])
+def test_kernel_sums_exp_is_within_its_ulp_bound(impl, kind):
+    # One y at the origin, coef 1 and c 1: each out entry is the shape of
+    # one query alone, exp(-a r) or exp(-a sqrt(r)) of its squared norm r,
+    # in 256-query tiles. Coincident points give exp(-0), an infinite
+    # coordinate exp(-inf) and a NaN one NaN. The extension's own exp and
+    # numpy's are within 2 ulp; glibc bounds libmvec's at 4 (its AVX2 exp is
+    # 3 ulp off at -90.837...).
+    bound = 4.0 if impl is not _numpy_impl and _libmvec_exp() else 2.0
+    a = 0.75
+    norm = -EXP_ARGS / a if kind == SHAPE_EXP else np.sqrt(-EXP_ARGS / a)
+    xs = np.concatenate([norm, [0.0, np.inf, np.nan]])[:, None]
+    out = np.full((len(xs), 1), -1.0)
+    impl.kernel_sums(xs, np.zeros((1, 1)), np.ones((1, 1)), kind, a, 0.0, 1.0, out)
+    r = xs[:, 0] * xs[:, 0]
+    args = (np.sqrt(r) if kind == SHAPE_EXP else r) * -a
+    want = np.array([math.exp(arg) for arg in args])
+    got = out[:, 0]
+    zero, nan = want == 0.0, np.isnan(want)
+    assert zero.sum() > 20 and np.sum((want > 0.0) & (want < 2.0**-1022)) > 4000
+    assert nan.sum() == 1
+    assert np.all(got[zero] == 0.0)
+    assert_array_equal(np.isnan(got), nan)
+    rest = ~(zero | nan)
+    ulps = np.abs(got[rest] - want[rest]) / np.spacing(want[rest])
+    assert ulps.max() <= bound, args[rest][ulps.argmax()]
 
 
 @pytest.mark.parametrize("impl", BOTH, indirect=True)

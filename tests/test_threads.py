@@ -100,11 +100,23 @@ for kind, a, b in ((0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 2.0)):
     out = np.empty((xs.shape[0], 2))
     fc.kernel_sums(xs, ys, coef, kind, a, b, 1.5, out)
     results[f"sums{kind}"] = out
-# Whole 256-row tiles of ys, above 2**20 values: fit-deep's evaluate (4099 x
-# 600 in d = 5, one coef column) and a full mean-shift round (1100 x 2000 in
-# d = 2, three columns). Each thread writes its whole row buffer for every
-# x row, next to the next thread's tile of ys in the scratch.
-for name, nx, ny, d, p in (("evaluate", 4099, 600, 5, 1), ("meanshift", 1100, 2000, 2, 3)):
+# Above 2**20 values, each sum cut into blocks of 2**18 // ny + 1 x rows,
+# rounded up to whole 256-row tiles where nx holds two such blocks, which
+# the threads share: fit-deep's evaluate (4099 x 600 in d = 5, one coef
+# column; blocks of two tiles, and a last one of 3 rows) and a full
+# mean-shift round (1100 x 2000 in d = 2, three columns; blocks of one
+# tile). Each thread writes its whole row buffer for every y row, next to
+# its accumulators and the next thread's tile of xs in the scratch. A tile
+# of fewer than 32 xs runs over tiles of ys. Then fit-tall's evaluate (150
+# ys in d = 8, one coef column; blocks of seven tiles, the last of three
+# and 17 rows), 134 ys in d = 2 with three columns (blocks of eight tiles,
+# the last ending in 67 rows), and fewer queries than two blocks of whole
+# tiles against long supports: 120 against 10000 ys in d = 2 with three
+# columns (blocks of 27 rows) and 200 against 6000 ys in d = 5 (blocks of
+# 44 rows and a last one of 24).
+for name, nx, ny, d, p in (("evaluate", 4099, 600, 5, 1), ("meanshift", 1100, 2000, 2, 3),
+                           ("tall", 7953, 150, 8, 1), ("short", 8003, 134, 2, 3),
+                           ("long", 120, 10000, 2, 3), ("few", 200, 6000, 5, 1)):
     xs, ys, coef = rng.standard_normal((nx, d)), rng.standard_normal((ny, d)), rng.standard_normal((ny, p))
     out = np.empty((nx, p))
     fc.kernel_sums(xs, ys, coef, 0, 0.5, 0.0, 1.0, out)

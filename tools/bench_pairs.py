@@ -12,7 +12,9 @@ and each op, each side's median and quartiles, the parent's interquartile
 range and the number of pairs in which the working tree read lower, with
 both commits and source digests. The command, the run length T, the
 workloads and the end-to-end metrics are read from the working tree's
-BENCHMARK.json.
+BENCHMARK.json. The output's "affinity" is the number of CPUs the harness
+reports. To pin the runs, start this script under taskset: every run
+inherits its mask, as in `taskset -c 0,1 python3 tools/bench_pairs.py ...`.
 
 Usage: python3 tools/bench_pairs.py --against REV --pairs N --out BENCH_x.json
        [--workloads W1,W2,...]
